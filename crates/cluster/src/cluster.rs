@@ -949,8 +949,8 @@ impl Cluster {
         }
     }
 
-    /// Publishes `cluster_*` metrics into every member array's
-    /// registry, so each node's observability export carries the
+    /// Sets the `cluster_*` metrics in every member array's side
+    /// table, so each node's observability export carries the
     /// cluster plane (mirroring the repl fabric convention).
     pub fn publish_metrics(&self) {
         let s = self.stats;
@@ -961,41 +961,37 @@ impl Cluster {
         let backlog = self.rebuild.backlog() as i64;
         for arr in &self.arrays {
             let reg = &arr.obs().registry;
-            reg.gauge("cluster_epoch", &[])
-                .set(self.config.epoch as i64);
-            reg.gauge("cluster_placement_version", &[])
-                .set(self.placement.version() as i64);
-            reg.gauge("cluster_nodes_live", &[]).set(live);
-            reg.gauge("cluster_rebuild_backlog", &[]).set(backlog);
-            reg.counter("cluster_writes", &[]).set(s.writes);
-            reg.counter("cluster_reads", &[]).set(s.reads);
-            reg.counter("cluster_unavailable_ops", &[])
-                .set(s.unavailable_ops);
-            reg.counter("cluster_degraded_writes", &[])
-                .set(s.degraded_writes);
-            reg.counter("cluster_redirects", &[]).set(s.redirects);
-            reg.counter("cluster_config_replications", &[])
-                .set(s.config_replications);
-            reg.counter("cluster_epoch_changes", &[])
-                .set(s.epoch_changes);
-            reg.counter("cluster_probes", &[]).set(sw.probes);
-            reg.counter("cluster_probe_losses", &[])
-                .set(sw.probe_losses);
-            reg.counter("cluster_indirect_probes", &[])
-                .set(sw.indirect_probes);
-            reg.counter("cluster_suspicions", &[]).set(sw.suspicions);
-            reg.counter("cluster_refutations", &[]).set(sw.refutations);
-            reg.counter("cluster_confirms", &[]).set(sw.confirms);
-            reg.counter("cluster_rebuilds_done", &[]).set(rb.done);
-            reg.counter("cluster_rebuild_stalls", &[]).set(rb.stalls);
-            reg.counter("cluster_rebuild_catchup_legs", &[])
-                .set(rb.catchup_legs);
-            reg.counter("cluster_rebuild_sectors_shipped", &[])
-                .set(fs.sectors_shipped);
-            reg.counter("cluster_rebuild_dedup_hit_sectors", &[])
-                .set(fs.dedup_hit_sectors);
-            reg.counter("cluster_rebuild_bytes_on_wire", &[])
-                .set(fs.bytes_on_wire);
+            reg.set_gauge("cluster_epoch", &[], self.config.epoch as i64);
+            reg.set_gauge(
+                "cluster_placement_version",
+                &[],
+                self.placement.version() as i64,
+            );
+            reg.set_gauge("cluster_nodes_live", &[], live);
+            reg.set_gauge("cluster_rebuild_backlog", &[], backlog);
+            reg.set_counter("cluster_writes", &[], s.writes);
+            reg.set_counter("cluster_reads", &[], s.reads);
+            reg.set_counter("cluster_unavailable_ops", &[], s.unavailable_ops);
+            reg.set_counter("cluster_degraded_writes", &[], s.degraded_writes);
+            reg.set_counter("cluster_redirects", &[], s.redirects);
+            reg.set_counter("cluster_config_replications", &[], s.config_replications);
+            reg.set_counter("cluster_epoch_changes", &[], s.epoch_changes);
+            reg.set_counter("cluster_probes", &[], sw.probes);
+            reg.set_counter("cluster_probe_losses", &[], sw.probe_losses);
+            reg.set_counter("cluster_indirect_probes", &[], sw.indirect_probes);
+            reg.set_counter("cluster_suspicions", &[], sw.suspicions);
+            reg.set_counter("cluster_refutations", &[], sw.refutations);
+            reg.set_counter("cluster_confirms", &[], sw.confirms);
+            reg.set_counter("cluster_rebuilds_done", &[], rb.done);
+            reg.set_counter("cluster_rebuild_stalls", &[], rb.stalls);
+            reg.set_counter("cluster_rebuild_catchup_legs", &[], rb.catchup_legs);
+            reg.set_counter("cluster_rebuild_sectors_shipped", &[], fs.sectors_shipped);
+            reg.set_counter(
+                "cluster_rebuild_dedup_hit_sectors",
+                &[],
+                fs.dedup_hit_sectors,
+            );
+            reg.set_counter("cluster_rebuild_bytes_on_wire", &[], fs.bytes_on_wire);
         }
     }
 

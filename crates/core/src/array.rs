@@ -19,7 +19,7 @@ use crate::scrub::ScrubReport;
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
 use crate::types::{DriveId, SnapshotId, VolumeId};
-use purity_obs::{MetricsSnapshot, Obs};
+use purity_obs::{Frame, MetricsSnapshot, Obs};
 use purity_sim::{Clock, Nanos};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -201,10 +201,18 @@ impl FlashArray {
             .clone_snapshot(&mut self.shelf, snapshot, name, now)
     }
 
-    /// Destroys a volume via elision.
+    /// Destroys a volume via elision. Its read count moves to the hub's
+    /// side table: the `volume_reads` series outlives its owner, so the
+    /// recorded history and later exports keep the final value.
     pub fn destroy_volume(&mut self, volume: VolumeId) -> Result<()> {
         let now = self.clock.now();
-        self.primary.destroy_volume(&mut self.shelf, volume, now)
+        self.primary.destroy_volume(&mut self.shelf, volume, now)?;
+        self.primary.obs.registry.set_counter(
+            "volume_reads",
+            &[("volume", &volume.0.to_string())],
+            self.primary.tier.volume_reads(volume.0),
+        );
+        Ok(())
     }
 
     /// Destroys a snapshot via elision.
@@ -573,8 +581,8 @@ impl FlashArray {
             CblockCache::new(self.cfg.cache_bytes),
         );
         ctrl.stats.absorb(&self.primary.stats);
-        // The metric registry and slow-op ring likewise outlive the
-        // controller: the standby inherits them wholesale.
+        // The observability hub (side table, slow-op ring, recorder)
+        // likewise outlives the controller: the standby inherits it.
         ctrl.obs = Arc::clone(&self.primary.obs);
         self.primary = ctrl;
         let downtime = recovery.total_time;
@@ -762,111 +770,37 @@ impl FlashArray {
         &self.primary.stats
     }
 
-    /// The observability layer: metrics registry + slow-op tracer.
+    /// The observability hub: side table, slow-op tracer, recorder.
     pub fn obs(&self) -> &Arc<Obs> {
         &self.primary.obs
     }
 
-    /// Mirrors every subsystem's cumulative telemetry into the metric
-    /// registry (pull-style collection; idempotent, so call freely).
-    /// Metric names and labels are documented in OBSERVABILITY.md.
-    pub fn publish_metrics(&self) {
-        let reg = &self.primary.obs.registry;
-        // Per-drive device internals (FTL traffic, stall blame, wear).
+    /// One sample of every series this array exports: each owner
+    /// writes its own (per-drive device internals, the controller's
+    /// data path / tiering / map pyramid, shelf + availability, the
+    /// tracing spine), then the hub's side table adds the series the
+    /// array does not own. Metric names and labels are documented in
+    /// OBSERVABILITY.md.
+    fn frame(&self) -> Frame<'_> {
+        let mut out = Frame::default();
         for d in 0..self.shelf.n_drives() {
-            self.shelf.drive(d).publish_metrics(reg, &d.to_string());
+            self.shelf.drive(d).collect(&d.to_string(), &mut out);
         }
-        // Array data path.
-        let s = &self.primary.stats;
-        reg.counter("array_logical_bytes_written", &[])
-            .set(s.logical_bytes_written);
-        reg.counter("array_logical_bytes_read", &[])
-            .set(s.logical_bytes_read);
-        reg.counter("array_physical_bytes_stored", &[])
-            .set(s.physical_bytes_stored);
-        reg.counter("array_dedup_bytes_saved", &[])
-            .set(s.dedup_bytes_saved);
-        reg.counter("array_compress_bytes_saved", &[])
-            .set(s.compress_bytes_saved);
-        for (path, v) in [
-            ("direct", s.direct_reads),
-            ("reconstructed", s.reconstructed_reads),
-            ("cache", s.cache_reads),
-            ("zero", s.zero_reads),
-        ] {
-            reg.counter("array_reads", &[("path", path)]).set(v);
-        }
-        reg.counter("array_reconstruction_extra_reads", &[])
-            .set(s.reconstruction_extra_reads);
-        // Tiering engine: RAM cache economics + migrator traffic.
-        let (ram_hits, ram_misses, ram_evictions, ram_used, ram_cap) =
-            self.primary.ram_cache_stats();
-        reg.counter("cache_ram_hits", &[]).set(ram_hits);
-        reg.counter("cache_ram_misses", &[]).set(ram_misses);
-        reg.counter("cache_ram_evictions", &[]).set(ram_evictions);
-        reg.gauge("cache_ram_used_bytes", &[]).set(ram_used as i64);
-        reg.gauge("cache_ram_capacity_bytes", &[])
-            .set(ram_cap as i64);
-        reg.counter("tier_cold_reads", &[]).set(s.cold_reads);
-        reg.counter("tier_demotions", &[]).set(s.tier_demotions);
-        reg.counter("tier_promotions", &[]).set(s.tier_promotions);
-        reg.counter("tier_bytes_demoted", &[])
-            .set(s.tier_bytes_demoted);
-        reg.counter("tier_bytes_promoted", &[])
-            .set(s.tier_bytes_promoted);
-        let (cold_free, cold_used, cold_pending) = self.primary.cold_slot_counts();
-        reg.gauge("tier_cold_slots_free", &[]).set(cold_free as i64);
-        reg.gauge("tier_cold_slots_used", &[]).set(cold_used as i64);
-        reg.gauge("tier_cold_slots_pending_free", &[])
-            .set(cold_pending as i64);
-        // Per-volume read series — the heat watcher's evidence stream.
-        for &vol in self.primary.volumes.keys() {
-            let reads = self.primary.tier.vol_reads.get(&vol).copied().unwrap_or(0);
-            reg.counter("volume_reads", &[("volume", &vol.to_string())])
-                .set(reads);
-        }
-        reg.counter("array_gc_passes", &[]).set(s.gc_passes);
-        reg.counter("array_gc_segments_freed", &[])
-            .set(s.gc_segments_freed);
-        reg.counter("array_gc_bytes_relocated", &[])
-            .set(s.gc_bytes_relocated);
-        reg.counter("array_scrub_passes", &[]).set(s.scrub_passes);
-        reg.counter("array_scrub_repairs", &[]).set(s.scrub_repairs);
-        reg.counter("array_checkpoints", &[]).set(s.checkpoints);
-        reg.histogram("array_write_latency", &[])
-            .set_from(&s.write_latency);
-        reg.histogram("array_read_latency", &[])
-            .set_from(&s.read_latency);
-        reg.histogram("array_read_queueing", &[("path", "direct")])
-            .set_from(&s.read_queueing);
-        reg.histogram("array_read_service", &[("path", "direct")])
-            .set_from(&s.read_service);
-        reg.histogram("array_drive_read_latency", &[("path", "direct")])
-            .set_from(&s.direct_read_latency);
-        reg.histogram("array_drive_read_latency", &[("path", "reconstructed")])
-            .set_from(&s.reconstructed_read_latency);
-        // Map pyramid (LSM) maintenance.
-        self.primary.map.stats().publish(reg, "map");
-        // Shelf/NVRAM + availability.
-        reg.gauge("nvram_used_bytes", &[])
-            .set(self.shelf.nvram().used_bytes() as i64);
-        reg.counter("array_failovers", &[]).set(self.failovers);
-        reg.counter("array_downtime_ns", &[])
-            .set(self.downtime_total);
+        self.primary.collect(&mut out);
+        out.gauge("nvram_used_bytes", &[], self.nvram_used() as i64);
+        out.counter("array_failovers", &[], self.failovers);
+        out.counter("array_downtime_ns", &[], self.downtime_total);
         let space = self.space_report();
-        reg.gauge("array_allocated_bytes", &[])
-            .set(space.allocated_bytes as i64);
-        reg.gauge("array_provisioned_bytes", &[])
-            .set(space.provisioned_bytes as i64);
-        // Causal-tracing spine: every completed op is folded into the
-        // blame taxonomy (not just slow-op captures).
-        let tracer = &self.primary.obs.tracer;
-        reg.counter("trace_ops_folded", &[])
-            .set(tracer.folded_count());
-        for (cat, ns) in tracer.blame_totals().iter() {
-            reg.counter("trace_blame_ns", &[("category", cat.as_str())])
-                .set(ns);
-        }
+        out.gauge("array_allocated_bytes", &[], space.allocated_bytes as i64);
+        out.gauge(
+            "array_provisioned_bytes",
+            &[],
+            space.provisioned_bytes as i64,
+        );
+        let obs = &self.primary.obs;
+        obs.tracer.collect(&mut out);
+        obs.registry.collect(&mut out);
+        out
     }
 
     /// Whether the flight recorder has an interval boundary to close at
@@ -876,10 +810,10 @@ impl FlashArray {
     }
 
     /// Samples the flight recorder if an interval boundary has elapsed:
-    /// publishes the registry mirror, closes the due interval(s), and —
-    /// when the SLO monitor opens an incident — freezes the causal
-    /// evidence bundle (per-die busy/GC state, array rebuild/failover
-    /// state, registry gauges such as host queue depth). Drivers that
+    /// collects the frame, closes the due interval(s), and — when the
+    /// SLO monitor opens an incident — freezes the causal evidence
+    /// bundle (per-die busy/GC state, array rebuild/failover state,
+    /// the frame's gauges such as host queue depth). Drivers that
     /// advance the clock themselves (the host engine) call this on
     /// their ticks; [`FlashArray::advance`] calls it automatically.
     pub fn sample_telemetry(&self) {
@@ -889,18 +823,18 @@ impl FlashArray {
             return;
         }
         purity_obs::profile_scope!(purity_obs::Plane::Recorder);
-        self.publish_metrics();
-        let events = obs.recorder.sample(now, &obs.registry, &obs.tracer);
+        let frame = self.frame();
+        let events = obs.recorder.sample(now, &frame, &obs.tracer);
         for ev in events {
             if let purity_obs::SloEvent::Opened { id, .. } = ev {
                 obs.recorder
-                    .attach_evidence(id, self.incident_evidence(now));
+                    .attach_evidence(id, self.incident_evidence(now, &frame));
             }
         }
     }
 
     /// The frozen blame state an SLO incident captures at open time.
-    fn incident_evidence(&self, now: Nanos) -> Vec<purity_obs::EvidenceSection> {
+    fn incident_evidence(&self, now: Nanos, frame: &Frame<'_>) -> Vec<purity_obs::EvidenceSection> {
         let mut drives = Vec::new();
         for d in 0..self.shelf.n_drives() {
             let drive = self.shelf.drive(d);
@@ -949,15 +883,11 @@ impl FlashArray {
                 self.shelf.nvram().used_bytes().to_string(),
             ),
         ];
-        // Point-in-time gauges (host queue depth, space accounting, …)
-        // published into the registry by whoever drives the array.
-        let gauges = self
-            .primary
-            .obs
-            .registry
-            .snapshot()
+        // Point-in-time gauges: the array's own (space accounting, …)
+        // and those set by whoever drives it (host queue depth, …).
+        let gauges = frame
             .gauges
-            .into_iter()
+            .iter()
             .map(|(id, v)| (id.render(), v.to_string()))
             .collect();
         vec![
@@ -976,20 +906,18 @@ impl FlashArray {
         ]
     }
 
-    /// Publishes and freezes every metric.
+    /// Collects and freezes every metric.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.publish_metrics();
-        self.primary.obs.registry.snapshot()
+        self.frame().into_snapshot()
     }
 
-    /// Publishes, then renders the full observability export (metrics,
+    /// Collects, then renders the full observability export (metrics,
     /// captured slow ops, the flight recorder's `timeseries` and
     /// `incidents`) as JSON — what the bench binaries write into
     /// `results/`. Pure: exporting never advances recorder state, so
     /// repeated exports at the same virtual time are byte-identical.
     pub fn export_observability_json(&self) -> String {
-        self.publish_metrics();
-        self.primary.obs.export_json()
+        self.primary.obs.export_json(&self.metrics_snapshot())
     }
 
     /// Space accounting.

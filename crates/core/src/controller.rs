@@ -16,8 +16,8 @@ use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
 use crate::medium::MediumTable;
 use crate::records::{
-    encode_intent_parts, encode_log_record_rows, encode_meta, MapFact, MediumFact, MetaIntent,
-    MetaOp, TableId,
+    encode_intent_parts, encode_meta, map_patch_records, MapFact, MediumFact, MetaIntent, MetaOp,
+    PATCH_CHUNK_FACTS,
 };
 use crate::segment::{Append, Extent, SegmentInfo, SegmentLayout, SegmentWriter};
 use crate::shelf::Shelf;
@@ -31,7 +31,7 @@ use purity_dedup::index::DedupIndex;
 use purity_ecc::ReedSolomon;
 use purity_format::RangeTable;
 use purity_lsm::{Pyramid, Seq, SeqAllocator};
-use purity_obs::{Obs, OpTrace};
+use purity_obs::{Frame, Obs, OpTrace};
 use purity_sim::units::format_nanos;
 use purity_sim::Nanos;
 use std::collections::BTreeMap;
@@ -893,7 +893,7 @@ impl Controller {
             Some(&mut trace),
         )?;
         self.stats.logical_bytes_read += len as u64;
-        // Heat evidence: the recorder publishes this per-volume counter
+        // Heat evidence: the recorder samples this per-volume counter
         // each interval; the watcher folds the series into temperature.
         *self.tier.vol_reads.entry(volume.0).or_insert(0) += 1;
         let latency = done.saturating_sub(now) + CPU_OVERHEAD_NS;
@@ -1176,12 +1176,9 @@ impl Controller {
             self.segments.insert(info.id.0, info.clone());
         }
         let patch = self.map.flush().expect("memtable non-empty");
-        let mut bytes = Vec::with_capacity(patch.len() * MapFact::COLS * 4 + 64);
-        encode_log_record_rows(
-            TableId::Map,
-            MapFact::COLS,
-            patch.len(),
-            patch.iter().map(|((medium, sector), seq, val)| {
+        let rows: Vec<[u64; MapFact::COLS]> = patch
+            .iter()
+            .map(|((medium, sector), seq, val)| {
                 MapFact {
                     medium: MediumId(*medium),
                     sector: *sector,
@@ -1190,11 +1187,19 @@ impl Controller {
                     seq: *seq,
                 }
                 .to_row_fixed()
-            }),
-            &mut bytes,
-        );
-        let loc = self.append_log_record(shelf, &bytes, now)?;
-        self.map_patches.push(loc);
+            })
+            .collect();
+        // One record — unless it would outgrow a whole segment's log
+        // space, as the memtable a recovery refilled with every on-disk
+        // fact can; then the patch splits the way GC's rewrite does.
+        let mut records: Vec<Vec<u8>> = map_patch_records(&rows, rows.len()).collect();
+        if records[0].len() > self.layout.n_stripes * self.layout.log_stripe_payload() {
+            records = map_patch_records(&rows, PATCH_CHUNK_FACTS).collect();
+        }
+        for bytes in records {
+            let loc = self.append_log_record(shelf, &bytes, now)?;
+            self.map_patches.push(loc);
+        }
         Ok(())
     }
 
@@ -1334,6 +1339,14 @@ impl Controller {
     /// Seq high-water accessor (tests, experiments).
     pub fn high_seq(&self) -> Seq {
         self.seq.high_water()
+    }
+
+    /// Writes every controller-owned series — data path, tiering
+    /// engine, map pyramid — into `out`.
+    pub(crate) fn collect<'a>(&'a self, out: &mut Frame<'a>) {
+        self.stats.collect(out);
+        self.tier.collect(self.volumes.keys(), out);
+        self.map.stats().collect("map", out);
     }
 
     /// Live segment count.

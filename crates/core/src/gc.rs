@@ -19,7 +19,7 @@
 
 use crate::controller::{Controller, CtrlFetcher, MapVal};
 use crate::error::Result;
-use crate::records::{encode_log_record_rows, MapFact, SegmentState, TableId};
+use crate::records::{map_patch_records, MapFact, SegmentState, PATCH_CHUNK_FACTS};
 use crate::shelf::Shelf;
 use crate::types::{BlockLoc, MediumId, Pba, SECTOR};
 use purity_dedup::engine::Outcome;
@@ -27,10 +27,6 @@ use purity_lsm::Seq;
 use purity_sim::Nanos;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Bound;
-
-/// Facts per serialized map-patch record (bounds log-record size so a
-/// record always fits a segment's log space).
-const PATCH_CHUNK_FACTS: usize = 8192;
 
 /// All live references to one cblock: (map key, value) pairs.
 type CblockRefs = Vec<((u64, u64), MapVal)>;
@@ -414,9 +410,7 @@ impl Controller {
                 );
             });
         let mut new_patches = Vec::new();
-        for rows in facts.chunks(PATCH_CHUNK_FACTS) {
-            let mut bytes = Vec::with_capacity(rows.len() * MapFact::COLS * 4 + 64);
-            encode_log_record_rows(TableId::Map, MapFact::COLS, rows.len(), rows, &mut bytes);
+        for bytes in map_patch_records(&facts, PATCH_CHUNK_FACTS) {
             new_patches.push(self.append_log_record(shelf, &bytes, now)?);
         }
         self.map_patches = new_patches;

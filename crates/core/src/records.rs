@@ -280,6 +280,24 @@ pub fn encode_log_record(rec: &LogRecord, out: &mut Vec<u8>) {
     );
 }
 
+/// Facts per map-patch record when a patch is split (bounds log-record
+/// size so a record always fits a segment's log space).
+pub(crate) const PATCH_CHUNK_FACTS: usize = 8192;
+
+/// Encodes map-fact rows as patch log records of at most `chunk` facts
+/// each, in row order — the one encoder behind both the memtable flush
+/// and GC's patch rewrite.
+pub(crate) fn map_patch_records(
+    rows: &[[u64; MapFact::COLS]],
+    chunk: usize,
+) -> impl Iterator<Item = Vec<u8>> + '_ {
+    rows.chunks(chunk).map(|rows| {
+        let mut bytes = Vec::with_capacity(rows.len() * MapFact::COLS * 4 + 64);
+        encode_log_record_rows(TableId::Map, MapFact::COLS, rows.len(), rows, &mut bytes);
+        bytes
+    })
+}
+
 /// Streaming form of [`encode_log_record`]: encodes `n_rows` fixed-arity
 /// rows straight into `out` without materializing a `Vec<Vec<u64>>`.
 /// Byte-identical to the non-streaming form for the same rows.

@@ -1,11 +1,12 @@
 //! Array-wide telemetry — the numbers the paper's operations team
 //! watches (§5.1): latencies, data reduction, space, scheduler behaviour.
 
+use purity_obs::Frame;
 use purity_sim::units::format_bytes;
 use purity_sim::LatencyHistogram;
 
 /// Cumulative counters and distributions for one array.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ArrayStats {
     /// Application bytes written (pre-reduction).
     pub logical_bytes_written: u64,
@@ -66,41 +67,6 @@ pub struct ArrayStats {
     pub checkpoints: u64,
 }
 
-impl Default for ArrayStats {
-    fn default() -> Self {
-        Self {
-            logical_bytes_written: 0,
-            physical_bytes_stored: 0,
-            dedup_bytes_saved: 0,
-            compress_bytes_saved: 0,
-            logical_bytes_read: 0,
-            write_latency: LatencyHistogram::new(),
-            read_latency: LatencyHistogram::new(),
-            read_queueing: LatencyHistogram::new(),
-            read_service: LatencyHistogram::new(),
-            direct_read_latency: LatencyHistogram::new(),
-            reconstructed_read_latency: LatencyHistogram::new(),
-            direct_reads: 0,
-            reconstructed_reads: 0,
-            reconstruction_extra_reads: 0,
-            cache_reads: 0,
-            ram_cache_hits: 0,
-            cold_reads: 0,
-            tier_demotions: 0,
-            tier_promotions: 0,
-            tier_bytes_demoted: 0,
-            tier_bytes_promoted: 0,
-            zero_reads: 0,
-            gc_passes: 0,
-            gc_segments_freed: 0,
-            gc_bytes_relocated: 0,
-            scrub_passes: 0,
-            scrub_repairs: 0,
-            checkpoints: 0,
-        }
-    }
-}
-
 impl ArrayStats {
     /// Overall data-reduction ratio over everything ever written
     /// (logical / physical), the paper's headline 5.4× metric. Excludes
@@ -146,6 +112,64 @@ impl ArrayStats {
         self.scrub_passes += other.scrub_passes;
         self.scrub_repairs += other.scrub_repairs;
         self.checkpoints += other.checkpoints;
+    }
+
+    /// Writes the array data-path series (names and labels documented
+    /// in OBSERVABILITY.md) into `out`; the latency distributions are
+    /// lent, not copied.
+    pub fn collect<'a>(&'a self, out: &mut Frame<'a>) {
+        out.counter(
+            "array_logical_bytes_written",
+            &[],
+            self.logical_bytes_written,
+        );
+        out.counter("array_logical_bytes_read", &[], self.logical_bytes_read);
+        out.counter(
+            "array_physical_bytes_stored",
+            &[],
+            self.physical_bytes_stored,
+        );
+        out.counter("array_dedup_bytes_saved", &[], self.dedup_bytes_saved);
+        out.counter("array_compress_bytes_saved", &[], self.compress_bytes_saved);
+        for (path, v) in [
+            ("direct", self.direct_reads),
+            ("reconstructed", self.reconstructed_reads),
+            ("cache", self.cache_reads),
+            ("zero", self.zero_reads),
+        ] {
+            out.counter("array_reads", &[("path", path)], v);
+        }
+        out.counter(
+            "array_reconstruction_extra_reads",
+            &[],
+            self.reconstruction_extra_reads,
+        );
+        out.counter("tier_cold_reads", &[], self.cold_reads);
+        out.counter("tier_demotions", &[], self.tier_demotions);
+        out.counter("tier_promotions", &[], self.tier_promotions);
+        out.counter("tier_bytes_demoted", &[], self.tier_bytes_demoted);
+        out.counter("tier_bytes_promoted", &[], self.tier_bytes_promoted);
+        out.counter("array_gc_passes", &[], self.gc_passes);
+        out.counter("array_gc_segments_freed", &[], self.gc_segments_freed);
+        out.counter("array_gc_bytes_relocated", &[], self.gc_bytes_relocated);
+        out.counter("array_scrub_passes", &[], self.scrub_passes);
+        out.counter("array_scrub_repairs", &[], self.scrub_repairs);
+        out.counter("array_checkpoints", &[], self.checkpoints);
+        out.histogram("array_write_latency", &[], &self.write_latency);
+        out.histogram("array_read_latency", &[], &self.read_latency);
+        let direct = [("path", "direct")];
+        out.histogram("array_read_queueing", &direct, &self.read_queueing);
+        out.histogram("array_read_service", &direct, &self.read_service);
+        out.histogram(
+            "array_drive_read_latency",
+            &direct,
+            &self.direct_read_latency,
+        );
+        out.histogram(
+            "array_drive_read_latency",
+            &[("path", "reconstructed")],
+            &self.reconstructed_read_latency,
+        );
     }
 
     /// Fraction of reads that took the reconstruction path.

@@ -36,7 +36,7 @@ use crate::controller::{Controller, MapVal};
 use crate::error::{PurityError, Result};
 use crate::shelf::Shelf;
 use crate::types::{BlockLoc, Pba, SegmentId};
-use purity_obs::OpTrace;
+use purity_obs::{Frame, OpTrace};
 use purity_sim::Nanos;
 use purity_tier::plan::VolumePlacement;
 use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, RamCache, Reconciler};
@@ -123,13 +123,39 @@ impl TierState {
         }
     }
 
-    /// `(free, used, pending_free)` slot counts across the cold pool.
-    pub fn slot_counts(&self) -> (usize, usize, usize) {
-        (
-            self.free_slots.len(),
-            self.used_slots.len(),
-            self.pending_free.len(),
-        )
+    /// Writes the tiering engine's series into `out`: RAM cache
+    /// economics, cold-pool occupancy, and the per-volume read counts
+    /// of `volumes` (the live ones) that feed the heat watcher.
+    pub(crate) fn collect<'v>(&self, volumes: impl Iterator<Item = &'v u64>, out: &mut Frame<'_>) {
+        let (hits, misses, evictions) = self.ram.stats();
+        out.counter("cache_ram_hits", &[], hits);
+        out.counter("cache_ram_misses", &[], misses);
+        out.counter("cache_ram_evictions", &[], evictions);
+        out.gauge("cache_ram_used_bytes", &[], self.ram.used_bytes() as i64);
+        out.gauge(
+            "cache_ram_capacity_bytes",
+            &[],
+            self.ram.capacity_bytes() as i64,
+        );
+        out.gauge("tier_cold_slots_free", &[], self.free_slots.len() as i64);
+        out.gauge("tier_cold_slots_used", &[], self.used_slots.len() as i64);
+        out.gauge(
+            "tier_cold_slots_pending_free",
+            &[],
+            self.pending_free.len() as i64,
+        );
+        for vol in volumes {
+            out.counter(
+                "volume_reads",
+                &[("volume", &vol.to_string())],
+                self.volume_reads(*vol),
+            );
+        }
+    }
+
+    /// Cumulative reads of one volume since this controller booted.
+    pub(crate) fn volume_reads(&self, volume: u64) -> u64 {
+        self.vol_reads.get(&volume).copied().unwrap_or(0)
     }
 
     /// Whether a slot is currently marked used (integrity checks).
@@ -479,24 +505,6 @@ impl Controller {
         shelf.read_cold(d, pba.offset as usize, pba.stored_len as usize, now)
     }
 
-    /// The RAM cache's `(hits, misses, evictions)` plus residency, for
-    /// telemetry and exhibits.
-    pub fn ram_cache_stats(&self) -> (u64, u64, u64, usize, usize) {
-        let (h, m, e) = self.tier.ram.stats();
-        (
-            h,
-            m,
-            e,
-            self.tier.ram.used_bytes(),
-            self.tier.ram.capacity_bytes(),
-        )
-    }
-
-    /// `(free, used, pending_free)` cold slot counts.
-    pub fn cold_slot_counts(&self) -> (usize, usize, usize) {
-        self.tier.slot_counts()
-    }
-
     /// Per-volume heat classification right now (exhibits).
     pub fn volume_heat(&self, volume: u64, now: Nanos) -> purity_tier::Heat {
         let policy = HeatPolicy::with_demote_after(self.cfg.tier_demote_after_ns.max(1));
@@ -556,7 +564,7 @@ mod tests {
             }
         }
         assert!(demoted, "idle volume never demoted");
-        let (_, used, _) = a.controller().cold_slot_counts();
+        let used = a.controller().tier.used_slots.len();
         assert!(used > 0, "demotion consumed no cold slots");
         // Reads still return the exact bytes, now paying the cold path.
         let (back, _) = a.read(vol, 0, data.len()).unwrap();
@@ -645,11 +653,11 @@ mod tests {
         }
         assert!(a.stats().tier_demotions > 0);
         a.checkpoint().unwrap();
-        let used_before = a.controller().cold_slot_counts().1;
+        let used_before = a.controller().tier.used_slots.len();
         assert!(used_before > 0);
         a.power_loss(crate::array::PowerLossSpec::default())
             .unwrap();
-        let used_after = a.controller().cold_slot_counts().1;
+        let used_after = a.controller().tier.used_slots.len();
         assert_eq!(
             used_before, used_after,
             "recovered cold allocator disagrees with pre-crash state"

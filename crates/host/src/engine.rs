@@ -420,8 +420,7 @@ impl<'a> Run<'a> {
         self.array
             .obs()
             .registry
-            .gauge("host_queue_depth", &[])
-            .set(depth as i64);
+            .set_gauge("host_queue_depth", &[], depth as i64);
         self.array.sample_telemetry();
     }
 

@@ -137,66 +137,55 @@ impl HostReport {
         all
     }
 
-    /// Mirrors the run into a metrics registry under a volume label.
+    /// Sets the run's series in the hub's side table under a volume label.
     /// Metric names are documented in OBSERVABILITY.md; label
     /// cardinality is bounded by host shape (initiators × volumes the
     /// host is configured to drive), not by traffic.
     pub fn publish(&self, registry: &MetricsRegistry, volume: &str) {
         let vol = [("volume", volume)];
-        registry.counter("host_ops_acked", &vol).set(self.ops);
-        registry.counter("host_reads_acked", &vol).set(self.reads);
-        registry.counter("host_writes_acked", &vol).set(self.writes);
-        registry.counter("host_bytes_moved", &vol).set(self.bytes);
-        registry.counter("host_retries", &vol).set(self.retries);
-        registry.counter("host_timeouts", &vol).set(self.timeouts);
-        registry.counter("host_acks_lost", &vol).set(self.acks_lost);
-        registry
-            .counter("host_duplicate_acks", &vol)
-            .set(self.duplicate_acks);
-        registry
-            .counter("host_coalesced_writes", &vol)
-            .set(self.coalesced_writes);
-        registry.counter("host_qfull", &vol).set(self.qfull);
-        registry
-            .counter("host_qos_throttled", &vol)
-            .set(self.qos_throttled);
-        registry
-            .counter("host_failed_ops", &vol)
-            .set(self.failed_ops);
-        registry
-            .counter("host_failovers_observed", &vol)
-            .set(self.failovers_observed);
+        registry.set_counter("host_ops_acked", &vol, self.ops);
+        registry.set_counter("host_reads_acked", &vol, self.reads);
+        registry.set_counter("host_writes_acked", &vol, self.writes);
+        registry.set_counter("host_bytes_moved", &vol, self.bytes);
+        registry.set_counter("host_retries", &vol, self.retries);
+        registry.set_counter("host_timeouts", &vol, self.timeouts);
+        registry.set_counter("host_acks_lost", &vol, self.acks_lost);
+        registry.set_counter("host_duplicate_acks", &vol, self.duplicate_acks);
+        registry.set_counter("host_coalesced_writes", &vol, self.coalesced_writes);
+        registry.set_counter("host_qfull", &vol, self.qfull);
+        registry.set_counter("host_qos_throttled", &vol, self.qos_throttled);
+        registry.set_counter("host_failed_ops", &vol, self.failed_ops);
+        registry.set_counter("host_failovers_observed", &vol, self.failovers_observed);
         for (path, dispatched, timeouts) in [
             ("a", self.path_a_dispatched, self.path_a_timeouts),
             ("b", self.path_b_dispatched, self.path_b_timeouts),
         ] {
             let labels = [("path", path)];
-            registry
-                .counter("host_path_dispatched", &labels)
-                .set(dispatched);
-            registry
-                .counter("host_path_timeouts", &labels)
-                .set(timeouts);
+            registry.set_counter("host_path_dispatched", &labels, dispatched);
+            registry.set_counter("host_path_timeouts", &labels, timeouts);
         }
-        registry
-            .histogram("host_e2e_latency", &[("volume", volume), ("op", "read")])
-            .set_from(&self.e2e_read);
-        registry
-            .histogram("host_e2e_latency", &[("volume", volume), ("op", "write")])
-            .set_from(&self.e2e_write);
-        registry
-            .histogram("host_queue_wait", &vol)
-            .set_from(&self.queue_wait);
-        registry
-            .histogram("host_service_latency", &vol)
-            .set_from(&self.service);
+        registry.with_histogram(
+            "host_e2e_latency",
+            &[("volume", volume), ("op", "read")],
+            |dst| dst.clone_from(&self.e2e_read),
+        );
+        registry.with_histogram(
+            "host_e2e_latency",
+            &[("volume", volume), ("op", "write")],
+            |dst| dst.clone_from(&self.e2e_write),
+        );
+        registry.with_histogram("host_queue_wait", &vol, |dst| {
+            dst.clone_from(&self.queue_wait)
+        });
+        registry.with_histogram("host_service_latency", &vol, |dst| {
+            dst.clone_from(&self.service)
+        });
         for (i, h) in self.per_initiator_e2e.iter().enumerate() {
-            registry
-                .histogram(
-                    "host_initiator_e2e_latency",
-                    &[("initiator", &i.to_string())],
-                )
-                .set_from(h);
+            registry.with_histogram(
+                "host_initiator_e2e_latency",
+                &[("initiator", &i.to_string())],
+                |dst| dst.clone_from(h),
+            );
         }
     }
 

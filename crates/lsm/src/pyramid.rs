@@ -40,21 +40,15 @@ pub struct PyramidStats {
 }
 
 impl PyramidStats {
-    /// Mirrors these counters into a metrics registry under the
-    /// `lsm_*` names, labeled with the pyramid's name. Publishing is
-    /// idempotent ([`purity_obs::Counter::set`]), so pull-style
-    /// collectors may call it repeatedly.
-    pub fn publish(&self, registry: &purity_obs::MetricsRegistry, pyramid: &str) {
+    /// Writes these counters into `out` under the `lsm_*` names,
+    /// labeled with the pyramid's name.
+    pub fn collect(&self, pyramid: &str, out: &mut purity_obs::Frame<'_>) {
         let labels = [("pyramid", pyramid)];
-        registry.counter("lsm_inserts", &labels).set(self.inserts);
-        registry.counter("lsm_flushes", &labels).set(self.flushes);
-        registry.counter("lsm_merges", &labels).set(self.merges);
-        registry
-            .counter("lsm_superseded_dropped", &labels)
-            .set(self.superseded_dropped);
-        registry
-            .counter("lsm_elided_dropped", &labels)
-            .set(self.elided_dropped);
+        out.counter("lsm_inserts", &labels, self.inserts);
+        out.counter("lsm_flushes", &labels, self.flushes);
+        out.counter("lsm_merges", &labels, self.merges);
+        out.counter("lsm_superseded_dropped", &labels, self.superseded_dropped);
+        out.counter("lsm_elided_dropped", &labels, self.elided_dropped);
     }
 }
 

@@ -4,12 +4,15 @@
 //! low because the scheduler reads around drives that are busy programming
 //! or erasing (§4.4, Figure 7). Verifying that requires more than one
 //! end-to-end histogram — it needs to answer *why a specific tail sample
-//! was slow*. This crate provides the three pieces every subsystem
-//! publishes into:
+//! was slow*. This crate provides the pieces every subsystem reports
+//! through:
 //!
-//! * [`MetricsRegistry`] — named, labeled counters / gauges / latency
-//!   histograms (per drive, per die, per subsystem), snapshot-exportable
-//!   as JSON. See OBSERVABILITY.md for the metric name and label scheme.
+//! * [`Frame`] — one sample of every named, labeled counter / gauge /
+//!   latency histogram (per drive, per subsystem), written by each
+//!   owner's `collect` straight from its stats struct and frozen into a
+//!   JSON-exportable [`MetricsSnapshot`]; [`MetricsRegistry`] is the
+//!   side table for series the array does not own. See OBSERVABILITY.md
+//!   for the metric name and label scheme.
 //! * [`OpTrace`] / [`Tracer`] — virtual-clock span tracing. Each I/O
 //!   carries a lightweight [`OpTrace`] recording per-stage start/end
 //!   [`Nanos`]; on completion the [`Tracer`] captures the full stage
@@ -38,7 +41,7 @@ pub use recorder::{
     EvidenceSection, Incident, IntervalStats, Recorder, RecorderConfig, SloConfig, SloEvent,
     TailBlame,
 };
-pub use registry::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Frame, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use trace::{FoldedOp, OpTrace, SlowOp, StageRecord, Tracer};
 
 use purity_sim::Nanos;
@@ -109,10 +112,10 @@ impl Obs {
         })
     }
 
-    /// One JSON document with the metric snapshot, the slow-op ring,
-    /// and the flight recorder's time-series + incident log + per-
-    /// interval tail-blame decomposition — the export consumed by the
-    /// bench binaries. Every section is sorted
+    /// One JSON document with the given metric snapshot, the slow-op
+    /// ring, and the flight recorder's time-series + incident log +
+    /// per-interval tail-blame decomposition — the export consumed by
+    /// the bench binaries. Every section is sorted
     /// by series name+labels (or id order for ring/incident entries),
     /// so same-seed runs export byte-identical documents.
     ///
@@ -121,9 +124,9 @@ impl Obs {
     /// (real time) by nature, so it lives *after* every deterministic
     /// section; [`profiler::strip_profile_section`] recovers the
     /// byte-identical deterministic prefix.
-    pub fn export_json(&self) -> String {
+    pub fn export_json(&self, metrics: &MetricsSnapshot) -> String {
         let mut w = json::JsonWriter::object();
-        w.raw_field("metrics", &self.registry.snapshot().to_json());
+        w.raw_field("metrics", &metrics.to_json());
         w.raw_field("slow_ops", &self.tracer.slow_ops_json());
         w.raw_field("timeseries", &self.recorder.timeseries_json());
         w.raw_field("incidents", &self.recorder.incidents_json());
@@ -142,11 +145,13 @@ mod tests {
     #[test]
     fn export_combines_metrics_and_slow_ops() {
         let obs = Obs::new(1000);
-        obs.registry.counter("ops", &[]).inc();
+        obs.registry.set_counter("ops", &[], 1);
         let mut t = OpTrace::new("read", 0);
         t.stage("drive_read", 0, 5000);
         obs.tracer.finish(t, 5000);
-        let j = obs.export_json();
+        let mut frame = Frame::default();
+        obs.registry.collect(&mut frame);
+        let j = obs.export_json(&frame.into_snapshot());
         assert!(j.contains("\"metrics\""), "{j}");
         assert!(j.contains("\"slow_ops\""), "{j}");
         assert!(j.contains("\"timeseries\""), "{j}");

@@ -4,7 +4,7 @@
 //! The paper's headline claim is *continuous* — Figure 7 plots p99.9
 //! read latency over a five-minute window under failure injection, not
 //! one end-of-run histogram. The [`Recorder`] makes that measurable:
-//! on a virtual-clock cadence it samples the [`MetricsRegistry`] and
+//! on a virtual-clock cadence it is handed the collected [`Frame`] and
 //! keeps bounded per-interval series:
 //!
 //! * **counter deltas** — IOPS, bytes, GC/scrub activity, per-drive
@@ -12,7 +12,7 @@
 //! * **gauge values** — NVRAM occupancy, queue depths — point-in-time
 //!   at each interval boundary;
 //! * **windowed quantile sketches** — every cumulative latency
-//!   histogram is diffed against its previous snapshot
+//!   histogram is diffed against its previous sample
 //!   ([`LatencyHistogram::delta_since`]) so p50/p99/p99.9 exist *per
 //!   interval*.
 //!
@@ -33,7 +33,7 @@
 
 use crate::blame::BlameVec;
 use crate::json::JsonWriter;
-use crate::registry::{MetricId, MetricsRegistry};
+use crate::registry::{Frame, MetricId};
 use crate::trace::{FoldedOp, SlowOp, Tracer};
 use parking_lot::Mutex;
 use purity_sim::{LatencyHistogram, Nanos};
@@ -285,6 +285,15 @@ pub enum SloEvent {
     Closed { id: u64, closed_at: Nanos },
 }
 
+/// One retained series: the per-interval values plus the previous
+/// cumulative sample the next delta is taken against (counters and
+/// histograms; gauges carry none).
+#[derive(Debug, Default)]
+struct Series<P, T> {
+    prev: P,
+    values: VecDeque<T>,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     /// Start of the oldest retained interval.
@@ -293,13 +302,11 @@ struct Inner {
     len: usize,
     /// Intervals evicted from the window since the epoch.
     dropped: u64,
-    counters: BTreeMap<MetricId, VecDeque<u64>>,
-    gauges: BTreeMap<MetricId, VecDeque<i64>>,
-    hists: BTreeMap<MetricId, VecDeque<IntervalStats>>,
+    counters: BTreeMap<MetricId, Series<u64, u64>>,
+    gauges: BTreeMap<MetricId, Series<(), i64>>,
+    hists: BTreeMap<MetricId, Series<Option<LatencyHistogram>, IntervalStats>>,
     /// Per-interval tail-blame decomposition (same window as the series).
     tail: VecDeque<TailBlame>,
-    prev_counters: BTreeMap<MetricId, u64>,
-    prev_hists: BTreeMap<MetricId, LatencyHistogram>,
     incidents: Vec<Incident>,
     /// Index into `incidents` of the currently burning one.
     open: Option<usize>,
@@ -362,12 +369,12 @@ impl Recorder {
     }
 
     /// Closes every interval whose end lies at or before `now`: the
-    /// first closing interval receives the registry deltas since the
+    /// first closing interval receives `frame`'s deltas since the
     /// previous sample (activity in later partial intervals is
     /// attributed here — sampling is quantized to the caller's ticks),
     /// the rest close empty. Returns the SLO transitions this sample
     /// caused. Call [`Recorder::attach_evidence`] for each `Opened`.
-    pub fn sample(&self, now: Nanos, registry: &MetricsRegistry, tracer: &Tracer) -> Vec<SloEvent> {
+    pub fn sample(&self, now: Nanos, frame: &Frame<'_>, tracer: &Tracer) -> Vec<SloEvent> {
         let mut events = Vec::new();
         let mut boundary = self.next_boundary.load(Ordering::Relaxed);
         if now < boundary {
@@ -375,12 +382,8 @@ impl Recorder {
         }
         let mut inner = self.inner.lock();
 
-        let snap = registry.snapshot();
-        let hists = registry.histogram_snapshots();
-
         // First elapsed interval: the real deltas.
-        let (slo_stats, tail) =
-            self.close_delta_interval(&mut inner, &snap, &hists, tracer, boundary);
+        let (slo_stats, tail) = self.close_delta_interval(&mut inner, frame, tracer, boundary);
         self.judge(&mut inner, boundary, slo_stats, tail, tracer, &mut events);
         boundary += self.interval;
 
@@ -398,7 +401,7 @@ impl Recorder {
                 drop(tracer.drain_folded_before(boundary - self.interval));
             }
             while boundary <= now {
-                let tail = self.close_empty_interval(&mut inner, tracer, boundary);
+                let tail = self.close_interval(&mut inner, tracer, boundary);
                 self.judge(
                     &mut inner,
                     boundary,
@@ -447,12 +450,12 @@ impl Recorder {
 
     /// Per-interval deltas of a counter series (empty if unknown).
     pub fn counter_series(&self, name: &str, labels: &[(&str, &str)]) -> Vec<u64> {
-        let id = lookup_id(name, labels);
+        let id = MetricId::new(name, labels);
         self.inner
             .lock()
             .counters
             .get(&id)
-            .map(|v| v.iter().copied().collect())
+            .map(|s| s.values.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -463,98 +466,93 @@ impl Recorder {
 
     /// Per-interval values of a gauge series (empty if unknown).
     pub fn gauge_series(&self, name: &str, labels: &[(&str, &str)]) -> Vec<i64> {
-        let id = lookup_id(name, labels);
+        let id = MetricId::new(name, labels);
         self.inner
             .lock()
             .gauges
             .get(&id)
-            .map(|v| v.iter().copied().collect())
+            .map(|s| s.values.iter().copied().collect())
             .unwrap_or_default()
     }
 
     /// Per-interval sketches of a histogram series (empty if unknown).
     pub fn hist_series(&self, name: &str, labels: &[(&str, &str)]) -> Vec<IntervalStats> {
-        let id = lookup_id(name, labels);
+        let id = MetricId::new(name, labels);
         self.inner
             .lock()
             .hists
             .get(&id)
-            .map(|v| v.iter().copied().collect())
+            .map(|s| s.values.iter().copied().collect())
             .unwrap_or_default()
     }
 
     fn close_delta_interval(
         &self,
         inner: &mut Inner,
-        snap: &crate::registry::MetricsSnapshot,
-        hists: &[(MetricId, LatencyHistogram)],
+        frame: &Frame<'_>,
         tracer: &Tracer,
         boundary: Nanos,
     ) -> (IntervalStats, TailBlame) {
+        let (len, window) = (inner.len, self.window);
         // Counters: delta vs the previous cumulative sample (a series
         // appearing mid-run has an implicit previous value of 0).
-        for (id, v) in &snap.counters {
-            let prev = inner.prev_counters.get(id).copied().unwrap_or(0);
-            let delta = v.saturating_sub(prev);
-            push_padded(&mut inner.counters, id, inner.len, 0, delta, self.window);
-        }
-        for (id, v) in &snap.counters {
-            inner.prev_counters.insert(id.clone(), *v);
+        for (id, v) in &frame.counters {
+            let s = series_mut(&mut inner.counters, id, len, window);
+            s.values.push_back(v.saturating_sub(s.prev));
+            s.prev = *v;
         }
         // Gauges: point-in-time at the closing tick.
-        for (id, v) in &snap.gauges {
-            push_padded(&mut inner.gauges, id, inner.len, 0, *v, self.window);
+        for (id, v) in &frame.gauges {
+            series_mut(&mut inner.gauges, id, len, window)
+                .values
+                .push_back(*v);
         }
         // Histograms: windowed sketch via cumulative diff.
         let mut slo_stats = IntervalStats::default();
-        for (id, h) in hists {
-            let stats = match inner.prev_hists.get(id) {
-                Some(prev) => IntervalStats::of(&h.delta_since(prev)),
-                None => IntervalStats::of(h),
+        for (id, h) in &frame.histograms {
+            let s = series_mut(&mut inner.hists, id, len, window);
+            let stats = match &mut s.prev {
+                Some(prev) => {
+                    let stats = IntervalStats::of(&h.delta_since(prev));
+                    prev.clone_from(h);
+                    stats
+                }
+                None => {
+                    s.prev = Some(h.as_ref().clone());
+                    IntervalStats::of(h)
+                }
             };
             if id.labels.is_empty() && id.name == self.slo.series {
                 slo_stats = stats;
             }
-            push_padded(
-                &mut inner.hists,
-                id,
-                inner.len,
-                IntervalStats::default(),
-                stats,
-                self.window,
-            );
+            s.values.push_back(stats);
         }
-        for (id, h) in hists {
-            inner.prev_hists.insert(id.clone(), h.clone());
-        }
-        let folded = tracer.drain_folded_before(boundary);
-        let tail = TailBlame::of(&folded);
-        inner.tail.push_back(tail);
-        inner.finish_interval(self.interval, self.window);
-        (slo_stats, tail)
+        (slo_stats, self.close_interval(inner, tracer, boundary))
     }
 
-    fn close_empty_interval(
-        &self,
-        inner: &mut Inner,
-        tracer: &Tracer,
-        boundary: Nanos,
-    ) -> TailBlame {
-        for series in inner.counters.values_mut() {
-            series.push_back(0);
+    /// Closes the interval ending at `boundary`: series the interval
+    /// has not written idle (no sampling tick landed, or the owner
+    /// emitted nothing), the interval's completed ops fold into its
+    /// tail blame — ops may complete on a stretch of the grid no tick
+    /// landed on — and the window advances.
+    fn close_interval(&self, inner: &mut Inner, tracer: &Tracer, boundary: Nanos) -> TailBlame {
+        let len = inner.len;
+        for s in inner
+            .counters
+            .values_mut()
+            .filter(|s| s.values.len() == len)
+        {
+            s.values.push_back(0);
         }
-        for series in inner.gauges.values_mut() {
-            // A gauge holds its last sampled value across empty intervals.
-            let last = series.back().copied().unwrap_or(0);
-            series.push_back(last);
+        for s in inner.gauges.values_mut().filter(|s| s.values.len() == len) {
+            // A gauge holds its last sampled value across idle intervals.
+            let last = s.values.back().copied().unwrap_or(0);
+            s.values.push_back(last);
         }
-        for series in inner.hists.values_mut() {
-            series.push_back(IntervalStats::default());
+        for s in inner.hists.values_mut().filter(|s| s.values.len() == len) {
+            s.values.push_back(IntervalStats::default());
         }
-        // "Empty" means no sampling tick landed — ops may still have
-        // completed on this stretch of the grid.
-        let folded = tracer.drain_folded_before(boundary);
-        let tail = TailBlame::of(&folded);
+        let tail = TailBlame::of(&tracer.drain_folded_before(boundary));
         inner.tail.push_back(tail);
         inner.finish_interval(self.interval, self.window);
         tail
@@ -626,37 +624,28 @@ impl Recorder {
     /// name+labels — BTreeMap order).
     pub fn timeseries_json(&self) -> String {
         let inner = self.inner.lock();
-        fn id_obj(id: &MetricId) -> JsonWriter {
-            let mut w = JsonWriter::object();
-            w.str_field("name", &id.name);
-            let mut labels = JsonWriter::object();
-            for (k, v) in &id.labels {
-                labels.str_field(k, v);
-            }
-            w.raw_field("labels", &labels.finish());
-            w
-        }
         let mut counters = JsonWriter::array();
         for (id, series) in &inner.counters {
-            let mut w = id_obj(id);
-            w.raw_field("deltas", &u64_array(series.iter().copied()));
+            let mut w = id.json_object();
+            w.raw_field("deltas", &u64_array(series.values.iter().copied()));
             counters.raw_element(&w.finish());
         }
         let mut gauges = JsonWriter::array();
         for (id, series) in &inner.gauges {
-            let vals: Vec<String> = series.iter().map(|v| v.to_string()).collect();
-            let mut w = id_obj(id);
+            let vals: Vec<String> = series.values.iter().map(|v| v.to_string()).collect();
+            let mut w = id.json_object();
             w.raw_field("values", &format!("[{}]", vals.join(",")));
             gauges.raw_element(&w.finish());
         }
         let mut hists = JsonWriter::array();
         for (id, series) in &inner.hists {
-            let mut w = id_obj(id);
-            w.raw_field("count", &u64_array(series.iter().map(|s| s.count)))
-                .raw_field("p50_ns", &u64_array(series.iter().map(|s| s.p50)))
-                .raw_field("p99_ns", &u64_array(series.iter().map(|s| s.p99)))
-                .raw_field("p999_ns", &u64_array(series.iter().map(|s| s.p999)))
-                .raw_field("max_ns", &u64_array(series.iter().map(|s| s.max)));
+            let sketches = &series.values;
+            let mut w = id.json_object();
+            w.raw_field("count", &u64_array(sketches.iter().map(|s| s.count)))
+                .raw_field("p50_ns", &u64_array(sketches.iter().map(|s| s.p50)))
+                .raw_field("p99_ns", &u64_array(sketches.iter().map(|s| s.p99)))
+                .raw_field("p999_ns", &u64_array(sketches.iter().map(|s| s.p999)))
+                .raw_field("max_ns", &u64_array(sketches.iter().map(|s| s.max)));
             hists.raw_element(&w.finish());
         }
         let mut root = JsonWriter::object();
@@ -712,13 +701,13 @@ impl Inner {
         self.len += 1;
         while self.len > window {
             for series in self.counters.values_mut() {
-                series.pop_front();
+                series.values.pop_front();
             }
             for series in self.gauges.values_mut() {
-                series.pop_front();
+                series.values.pop_front();
             }
             for series in self.hists.values_mut() {
-                series.pop_front();
+                series.values.pop_front();
             }
             self.tail.pop_front();
             self.len -= 1;
@@ -733,13 +722,13 @@ impl Inner {
     fn fast_forward(&mut self, skipped: u64, new_first_start: Nanos) {
         self.dropped += self.len as u64 + skipped;
         for series in self.counters.values_mut() {
-            series.clear();
+            series.values.clear();
         }
         for series in self.gauges.values_mut() {
-            series.clear();
+            series.values.clear();
         }
         for series in self.hists.values_mut() {
-            series.clear();
+            series.values.clear();
         }
         self.tail.clear();
         self.len = 0;
@@ -747,24 +736,22 @@ impl Inner {
     }
 }
 
-/// Appends `value` to `map[id]`, zero-padding a series first seen now
-/// so every series stays exactly `len` long before the push.
-fn push_padded<T: Clone>(
-    map: &mut BTreeMap<MetricId, VecDeque<T>>,
+/// The series `map[id]`, created zero-padded to `len` intervals when
+/// first seen, so every series is exactly `len` long before the closing
+/// interval's push.
+fn series_mut<'m, P: Default, T: Default + Clone>(
+    map: &'m mut BTreeMap<MetricId, Series<P, T>>,
     id: &MetricId,
     len: usize,
-    zero: T,
-    value: T,
     window: usize,
-) {
-    let series = map.entry(id.clone()).or_insert_with(|| {
-        let mut v = VecDeque::with_capacity((len + 1).min(window + 1));
-        for _ in 0..len {
-            v.push_back(zero.clone());
-        }
-        v
-    });
-    series.push_back(value);
+) -> &'m mut Series<P, T> {
+    if !map.contains_key(id) {
+        let mut values = VecDeque::with_capacity((len + 1).min(window + 1));
+        values.resize(len, T::default());
+        let prev = P::default();
+        map.insert(id.clone(), Series { prev, values });
+    }
+    map.get_mut(id).expect("present or just inserted")
 }
 
 fn u64_array(vals: impl Iterator<Item = u64>) -> String {
@@ -772,25 +759,25 @@ fn u64_array(vals: impl Iterator<Item = u64>) -> String {
     format!("[{}]", parts.join(","))
 }
 
-/// Builds the canonical sorted-label id used by the series maps.
-fn lookup_id(name: &str, labels: &[(&str, &str)]) -> MetricId {
-    let mut l: Vec<(String, String)> = labels
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    l.sort();
-    MetricId {
-        name: name.to_string(),
-        labels: l,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blame::BlameCategory;
-    use crate::registry::MetricsRegistry;
     use crate::trace::{OpTrace, Tracer};
+
+    /// A frame carrying one unlabeled counter.
+    fn ops(v: u64) -> Frame<'static> {
+        let mut f = Frame::default();
+        f.counter("ops", &[], v);
+        f
+    }
+
+    /// A frame carrying the monitored read-latency distribution.
+    fn reads(h: &LatencyHistogram) -> Frame<'_> {
+        let mut f = Frame::default();
+        f.histogram("array_read_latency", &[], h);
+        f
+    }
 
     fn recorder(interval: Nanos, window: usize) -> Recorder {
         Recorder::new(
@@ -809,15 +796,11 @@ mod tests {
     #[test]
     fn counter_deltas_are_per_interval() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
-        let c = reg.counter("ops", &[]);
-        c.set(5);
         assert!(!rec.due(99));
         assert!(rec.due(100));
-        rec.sample(100, &reg, &tr);
-        c.set(12);
-        rec.sample(200, &reg, &tr);
+        rec.sample(100, &ops(5), &tr);
+        rec.sample(200, &ops(12), &tr);
         assert_eq!(rec.counter_series("ops", &[]), vec![5, 7]);
         assert_eq!(rec.intervals(), 2);
     }
@@ -825,12 +808,10 @@ mod tests {
     #[test]
     fn gaps_close_empty_intervals_on_the_grid() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
-        reg.counter("ops", &[]).set(3);
         // One tick lands 4 intervals late: the first carries the
         // deltas, the trailing three close empty.
-        rec.sample(430, &reg, &tr);
+        rec.sample(430, &ops(3), &tr);
         assert_eq!(rec.counter_series("ops", &[]), vec![3, 0, 0, 0]);
         assert!(!rec.due(499));
         assert!(rec.due(500));
@@ -839,12 +820,9 @@ mod tests {
     #[test]
     fn window_is_bounded_and_eviction_tracks_grid() {
         let rec = recorder(100, 4);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
-        let c = reg.counter("ops", &[]);
         for i in 1..=10u64 {
-            c.set(i);
-            rec.sample(i * 100, &reg, &tr);
+            rec.sample(i * 100, &ops(i), &tr);
         }
         assert_eq!(rec.intervals(), 4);
         assert_eq!(rec.counter_series("ops", &[]), vec![1, 1, 1, 1]);
@@ -854,22 +832,18 @@ mod tests {
     #[test]
     fn eviction_starts_exactly_one_past_the_window() {
         let rec = recorder(100, 4);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
-        let c = reg.counter("ops", &[]);
         // Exactly `window_intervals` samples: the window is full but
         // nothing may be evicted yet.
         for i in 1..=4u64 {
-            c.set(i);
-            rec.sample(i * 100, &reg, &tr);
+            rec.sample(i * 100, &ops(i), &tr);
         }
         assert_eq!(rec.intervals(), 4);
         assert_eq!(rec.dropped_intervals(), 0, "full window evicts nothing");
         assert_eq!(rec.first_interval_start(), 0);
         assert_eq!(rec.counter_series("ops", &[]), vec![1, 1, 1, 1]);
         // One more interval: exactly one eviction, grid moves one step.
-        c.set(5);
-        rec.sample(500, &reg, &tr);
+        rec.sample(500, &ops(5), &tr);
         assert_eq!(rec.intervals(), 4);
         assert_eq!(rec.dropped_intervals(), 1);
         assert_eq!(rec.first_interval_start(), 100);
@@ -879,20 +853,19 @@ mod tests {
     #[test]
     fn empty_intervals_have_zero_quantiles_and_sticky_gauges() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
         let mut h = LatencyHistogram::new();
         for _ in 0..8 {
             h.record(300_000);
         }
-        reg.histogram("array_read_latency", &[]).set_from(&h);
-        reg.gauge("nvram_used_bytes", &[]).set(4096);
-        rec.sample(100, &reg, &tr);
+        let mut f = reads(&h);
+        f.gauge("nvram_used_bytes", &[], 4096);
+        rec.sample(100, &f, &tr);
         // Two more ticks with no new samples: the histogram delta is
         // empty, so the sketch is all-zero — count 0 and p50/p99/p99.9
         // of 0, not a carry-over of the last real interval.
-        rec.sample(200, &reg, &tr);
-        rec.sample(300, &reg, &tr);
+        rec.sample(200, &f, &tr);
+        rec.sample(300, &f, &tr);
         let series = rec.hist_series("array_read_latency", &[]);
         assert_eq!(series.len(), 3);
         assert_eq!(series[0].count, 8);
@@ -913,32 +886,51 @@ mod tests {
     #[test]
     fn mid_run_series_are_left_padded() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
-        reg.counter("a", &[]).set(1);
-        rec.sample(100, &reg, &tr);
-        reg.counter("b", &[]).set(9);
-        rec.sample(200, &reg, &tr);
+        let mut f = Frame::default();
+        f.counter("a", &[], 1);
+        rec.sample(100, &f, &tr);
+        f.counter("b", &[], 9);
+        rec.sample(200, &f, &tr);
         assert_eq!(rec.counter_series("a", &[]), vec![1, 0]);
         assert_eq!(rec.counter_series("b", &[]), vec![0, 9]);
     }
 
     #[test]
+    fn series_absent_from_a_frame_idle() {
+        let rec = recorder(100, 16);
+        let tr = Tracer::new(u64::MAX, 4);
+        let mut h = LatencyHistogram::new();
+        h.record(200_000);
+        let mut f = reads(&h);
+        f.counter("ops", &[], 4);
+        f.gauge("depth", &[], 7);
+        rec.sample(100, &f, &tr);
+        // The owner emits nothing at the next tick (it went away): the
+        // series stay aligned with the grid, idling like an unsampled
+        // interval, and pick up again when the owner returns.
+        rec.sample(200, &Frame::default(), &tr);
+        rec.sample(300, &ops(6), &tr);
+        assert_eq!(rec.counter_series("ops", &[]), vec![4, 0, 2]);
+        assert_eq!(rec.gauge_series("depth", &[]), vec![7, 7, 7]);
+        let sketches = rec.hist_series("array_read_latency", &[]);
+        assert_eq!(sketches.len(), 3);
+        assert_eq!(sketches[1], IntervalStats::default());
+    }
+
+    #[test]
     fn histogram_series_are_windowed_sketches() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
         let mut h = LatencyHistogram::new();
         for _ in 0..10 {
             h.record(200_000);
         }
-        reg.histogram("array_read_latency", &[]).set_from(&h);
-        rec.sample(100, &reg, &tr);
+        rec.sample(100, &reads(&h), &tr);
         for _ in 0..10 {
             h.record(5_000_000);
         }
-        reg.histogram("array_read_latency", &[]).set_from(&h);
-        rec.sample(200, &reg, &tr);
+        rec.sample(200, &reads(&h), &tr);
         let series = rec.hist_series("array_read_latency", &[]);
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].count, 10);
@@ -950,27 +942,23 @@ mod tests {
     #[test]
     fn slo_monitor_opens_and_closes_one_incident() {
         let rec = recorder(100, 64);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(0, 4);
         let mut t = OpTrace::new("read", 0);
         t.stage("drive_read", 0, 5_000_000);
         tr.finish(t, 5_000_000);
-        let hist = reg.histogram("array_read_latency", &[]);
         let mut h = LatencyHistogram::new();
 
         // Interval 1: healthy.
         for _ in 0..20 {
             h.record(100_000);
         }
-        hist.set_from(&h);
-        assert!(rec.sample(100, &reg, &tr).is_empty());
+        assert!(rec.sample(100, &reads(&h), &tr).is_empty());
 
         // Intervals 2-3: burning.
         for _ in 0..20 {
             h.record(4_000_000);
         }
-        hist.set_from(&h);
-        let ev = rec.sample(200, &reg, &tr);
+        let ev = rec.sample(200, &reads(&h), &tr);
         assert_eq!(ev.len(), 1);
         let id = match ev[0] {
             SloEvent::Opened { id, opened_at } => {
@@ -989,21 +977,18 @@ mod tests {
         for _ in 0..20 {
             h.record(3_000_000);
         }
-        hist.set_from(&h);
-        assert!(rec.sample(300, &reg, &tr).is_empty());
+        assert!(rec.sample(300, &reads(&h), &tr).is_empty());
         assert_eq!(rec.open_incident(), Some(id));
 
         // Healthy again: cooldown of 2 closes at the second interval.
         for _ in 0..20 {
             h.record(100_000);
         }
-        hist.set_from(&h);
-        assert!(rec.sample(400, &reg, &tr).is_empty());
+        assert!(rec.sample(400, &reads(&h), &tr).is_empty());
         for _ in 0..20 {
             h.record(100_000);
         }
-        hist.set_from(&h);
-        let ev = rec.sample(500, &reg, &tr);
+        let ev = rec.sample(500, &reads(&h), &tr);
         assert_eq!(ev, vec![SloEvent::Closed { id, closed_at: 500 }]);
         assert_eq!(rec.open_incident(), None);
 
@@ -1023,12 +1008,10 @@ mod tests {
     #[test]
     fn sparse_intervals_are_not_judged() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
         let mut h = LatencyHistogram::new();
         h.record(50_000_000); // one catastrophic sample < min_interval_count
-        reg.histogram("array_read_latency", &[]).set_from(&h);
-        assert!(rec.sample(100, &reg, &tr).is_empty());
+        assert!(rec.sample(100, &reads(&h), &tr).is_empty());
         assert!(rec.incidents().is_empty());
     }
 
@@ -1043,7 +1026,6 @@ mod tests {
     #[test]
     fn tail_blame_decomposes_each_interval() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
         // Two fast CPU-bound ops and one slow drive-bound op complete
         // inside interval 1.
@@ -1055,7 +1037,7 @@ mod tests {
         let mut t = OpTrace::new("read", 0);
         t.stage("drive_read", 0, 90);
         tr.finish(t, 90);
-        rec.sample(100, &reg, &tr);
+        rec.sample(100, &Frame::default(), &tr);
         let tail = rec.tail_series();
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].ops, 3);
@@ -1066,7 +1048,7 @@ mod tests {
         assert_eq!(tail[0].total.get(BlameCategory::ReductionCpu), 20);
         assert_eq!(tail[0].total.get(BlameCategory::DriveQueue), 90);
         // Interval 2 completes nothing.
-        rec.sample(200, &reg, &tr);
+        rec.sample(200, &Frame::default(), &tr);
         assert_eq!(rec.tail_series()[1], TailBlame::default());
         let json = rec.tail_blame_json();
         assert!(json.contains("\"intervals\":2"), "{json}");
@@ -1076,7 +1058,6 @@ mod tests {
     #[test]
     fn tail_blame_attributes_ops_to_the_interval_they_complete_in() {
         let rec = recorder(100, 16);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
         // Finishes with a *future* completion time (as the controller
         // does: finish at `now` with completed_at = now + latency) must
@@ -1085,9 +1066,9 @@ mod tests {
         let mut t = OpTrace::new("read", 40);
         t.stage("drive_read", 40, 150);
         tr.finish(t, 150);
-        rec.sample(100, &reg, &tr);
+        rec.sample(100, &Frame::default(), &tr);
         assert_eq!(rec.tail_series()[0], TailBlame::default());
-        rec.sample(200, &reg, &tr);
+        rec.sample(200, &Frame::default(), &tr);
         let tail = rec.tail_series();
         assert_eq!(tail[1].ops, 1);
         assert_eq!(tail[1].cohort.get(BlameCategory::DriveQueue), 110);
@@ -1096,20 +1077,17 @@ mod tests {
     #[test]
     fn incidents_freeze_tail_blame_evidence_at_open() {
         let rec = recorder(10_000_000, 64);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
-        let hist = reg.histogram("array_read_latency", &[]);
         let mut h = LatencyHistogram::new();
         for _ in 0..20 {
             h.record(4_000_000);
         }
-        hist.set_from(&h);
         // The violating interval's sole completed op is erase-stalled.
         let mut t = OpTrace::new("read", 0);
         t.stage("die_stall_erase", 0, 3_900_000);
         t.stage("drive_read", 3_900_000, 4_000_000);
         tr.finish(t, 4_000_000);
-        let ev = rec.sample(10_000_000, &reg, &tr);
+        let ev = rec.sample(10_000_000, &reads(&h), &tr);
         let id = match ev[0] {
             SloEvent::Opened { id, .. } => id,
             other => panic!("expected open, got {other:?}"),
@@ -1134,11 +1112,11 @@ mod tests {
     #[test]
     fn export_sections_render() {
         let rec = recorder(100, 8);
-        let reg = MetricsRegistry::new();
         let tr = Tracer::new(u64::MAX, 4);
-        reg.counter("ops", &[("kind", "read")]).set(4);
-        reg.gauge("depth", &[]).set(7);
-        rec.sample(100, &reg, &tr);
+        let mut f = Frame::default();
+        f.counter("ops", &[("kind", "read")], 4);
+        f.gauge("depth", &[], 7);
+        rec.sample(100, &f, &tr);
         let ts = rec.timeseries_json();
         assert!(ts.contains("\"interval_ns\":100"), "{ts}");
         assert!(ts.contains("\"deltas\":[4]"), "{ts}");

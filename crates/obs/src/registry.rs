@@ -1,20 +1,21 @@
-//! Labeled metrics registry: counters, gauges, latency histograms.
+//! Metric identities, the per-sample [`Frame`], and the hub's side table.
 //!
-//! Subsystems register metrics once (name + label pairs, e.g.
-//! `("flash_reads", [("drive","3"),("die","2")])`) and keep the returned
-//! handle; recording through a handle is an atomic op (counters/gauges)
-//! or a short mutex-guarded histogram insert — cheap enough for the
-//! simulation's hot paths. `snapshot()` freezes every metric into a
-//! [`MetricsSnapshot`] that renders to the JSON schema documented in
-//! OBSERVABILITY.md.
+//! Every series has exactly one store: the stats struct of the
+//! subsystem that owns it. At sample time each owner's `collect` writes
+//! `(name, labels, value)` straight into a [`Frame`] — e.g.
+//! `("flash_reads", [("drive","3")], 17)` — and the frame is what the
+//! flight recorder diffs and what freezes into the exported
+//! [`MetricsSnapshot`] (JSON schema in OBSERVABILITY.md). Series the
+//! array does not own (host report, replication fabric, cluster plane,
+//! offered load) are set into the hub's [`MetricsRegistry`], a plain
+//! ordered table merged into the frame by [`MetricsRegistry::collect`].
 
 use crate::json::JsonWriter;
 use parking_lot::Mutex;
 use purity_sim::{LatencyHistogram, Nanos};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A metric's identity: name plus sorted label pairs.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -24,7 +25,7 @@ pub struct MetricId {
 }
 
 impl MetricId {
-    fn new(name: &str, labels: &[(&str, &str)]) -> Self {
+    pub(crate) fn new(name: &str, labels: &[(&str, &str)]) -> Self {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|&(k, v)| (k.to_string(), v.to_string()))
@@ -48,75 +49,65 @@ impl MetricId {
             .collect();
         format!("{}{{{}}}", self.name, pairs.join(","))
     }
-}
 
-/// Monotonically increasing counter handle.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-    /// Sets the absolute value — used by pull-style collectors that
-    /// mirror a subsystem's own cumulative stats into the registry.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
+    /// An open JSON object holding `name` and `labels`; callers append
+    /// the series' value fields.
+    pub(crate) fn json_object(&self) -> JsonWriter {
+        let mut w = JsonWriter::object();
+        w.str_field("name", &self.name);
+        let mut labels = JsonWriter::object();
+        for (k, v) in &self.labels {
+            labels.str_field(k, v);
+        }
+        w.raw_field("labels", &labels.finish());
+        w
     }
 }
 
-/// Point-in-time gauge handle.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
+/// One sample of every series, written by the owners' `collect`
+/// methods. Cumulative histograms are borrowed from the stats struct
+/// that holds them; only the side table's few are owned copies.
+/// Entries are in collection order — [`Frame::into_snapshot`] sorts.
+#[derive(Debug, Default)]
+pub struct Frame<'a> {
+    pub counters: Vec<(MetricId, u64)>,
+    pub gauges: Vec<(MetricId, i64)>,
+    pub histograms: Vec<(MetricId, Cow<'a, LatencyHistogram>)>,
 }
 
-/// Latency histogram handle (log-bucketed, see `purity_sim::hist`).
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<Mutex<LatencyHistogram>>);
+impl<'a> Frame<'a> {
+    /// A cumulative, monotone count.
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
+        self.counters.push((MetricId::new(name, labels), v));
+    }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Self(Arc::new(Mutex::new(LatencyHistogram::new())))
+    /// A point-in-time value.
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)], v: i64) {
+        self.gauges.push((MetricId::new(name, labels), v));
     }
-}
 
-impl Histogram {
-    pub fn record(&self, v: Nanos) {
-        self.0.lock().record(v);
+    /// A cumulative latency distribution, borrowed from its owner.
+    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &'a LatencyHistogram) {
+        self.histograms
+            .push((MetricId::new(name, labels), Cow::Borrowed(h)));
     }
-    /// Folds a whole pre-aggregated histogram in (e.g. from ArrayStats).
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        self.0.lock().merge(other);
-    }
-    /// Replaces the contents with a pre-aggregated histogram. Used by
-    /// pull-style collectors mirroring a subsystem's own cumulative
-    /// distribution — like [`Counter::set`], repeated publishes are
-    /// idempotent.
-    pub fn set_from(&self, other: &LatencyHistogram) {
-        *self.0.lock() = other.clone();
-    }
-    pub fn snapshot(&self) -> LatencyHistogram {
-        self.0.lock().clone()
-    }
-    pub fn summary(&self) -> HistogramSummary {
-        HistogramSummary::of(&self.0.lock())
+
+    /// Freezes the frame for export: every section ordered by id,
+    /// histograms reduced to their quantile summaries.
+    pub fn into_snapshot(self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot {
+            counters: self.counters,
+            gauges: self.gauges,
+            histograms: self
+                .histograms
+                .into_iter()
+                .map(|(id, h)| (id, HistogramSummary::of(&h)))
+                .collect(),
+        };
+        snap.counters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        snap.gauges.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        snap.histograms.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        snap
     }
 }
 
@@ -161,21 +152,24 @@ impl HistogramSummary {
     }
 }
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<MetricId, Counter>,
-    gauges: BTreeMap<MetricId, Gauge>,
-    histograms: BTreeMap<MetricId, Histogram>,
+#[derive(Default)]
+struct Table {
+    counters: BTreeMap<MetricId, u64>,
+    gauges: BTreeMap<MetricId, i64>,
+    histograms: BTreeMap<MetricId, LatencyHistogram>,
 }
 
-/// The process-wide (per-array) metric store.
+/// The hub's side table: current values of the series the array does
+/// not own, set by whoever drives it (host engine, replication fabric,
+/// cluster plane, bench harnesses). A series set once stays until the
+/// hub dies, so every later sample and export carries it.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
+    inner: Mutex<Table>,
 }
 
-/// `Debug` shows only cardinalities; dumping every series is what
-/// `snapshot()` is for.
+/// `Debug` shows only cardinalities; dumping every series is what the
+/// export is for.
 impl fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let g = self.inner.lock();
@@ -192,59 +186,47 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Gets or creates the counter `name{labels}`.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+    /// Sets the counter `name{labels}` to its owner's cumulative value.
+    pub fn set_counter(&self, name: &str, labels: &[(&str, &str)], v: u64) {
         let id = MetricId::new(name, labels);
-        self.inner.lock().counters.entry(id).or_default().clone()
+        self.inner.lock().counters.insert(id, v);
     }
 
-    /// Gets or creates the gauge `name{labels}`.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+    /// Sets the gauge `name{labels}`.
+    pub fn set_gauge(&self, name: &str, labels: &[(&str, &str)], v: i64) {
         let id = MetricId::new(name, labels);
-        self.inner.lock().gauges.entry(id).or_default().clone()
+        self.inner.lock().gauges.insert(id, v);
     }
 
-    /// Gets or creates the histogram `name{labels}`.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
+    /// Runs `f` on the histogram `name{labels}`, creating it empty
+    /// first if needed: record a sample, or `clone_from` an owner's
+    /// cumulative distribution.
+    pub fn with_histogram(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        f: impl FnOnce(&mut LatencyHistogram),
+    ) {
         let id = MetricId::new(name, labels);
-        self.inner.lock().histograms.entry(id).or_default().clone()
+        f(self.inner.lock().histograms.entry(id).or_default());
     }
 
-    /// Full bucket-level clones of every histogram, in id order — what
-    /// the flight recorder diffs to window cumulative distributions
-    /// into per-interval sketches.
-    pub fn histogram_snapshots(&self) -> Vec<(MetricId, LatencyHistogram)> {
+    /// Merges every series of the table into `out`.
+    pub fn collect(&self, out: &mut Frame<'_>) {
         let g = self.inner.lock();
-        g.histograms
-            .iter()
-            .map(|(id, h)| (id.clone(), h.snapshot()))
-            .collect()
-    }
-
-    /// Freezes every registered metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let g = self.inner.lock();
-        MetricsSnapshot {
-            counters: g
-                .counters
+        out.counters
+            .extend(g.counters.iter().map(|(id, v)| (id.clone(), *v)));
+        out.gauges
+            .extend(g.gauges.iter().map(|(id, v)| (id.clone(), *v)));
+        out.histograms.extend(
+            g.histograms
                 .iter()
-                .map(|(id, c)| (id.clone(), c.get()))
-                .collect(),
-            gauges: g
-                .gauges
-                .iter()
-                .map(|(id, v)| (id.clone(), v.get()))
-                .collect(),
-            histograms: g
-                .histograms
-                .iter()
-                .map(|(id, h)| (id.clone(), h.summary()))
-                .collect(),
-        }
+                .map(|(id, h)| (id.clone(), Cow::Owned(h.clone()))),
+        );
     }
 }
 
-/// Point-in-time copy of the whole registry, ready for export.
+/// A frozen [`Frame`], ready for export.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(MetricId, u64)>,
@@ -282,31 +264,21 @@ impl MetricsSnapshot {
     }
 
     pub fn to_json(&self) -> String {
-        fn id_obj(id: &MetricId) -> JsonWriter {
-            let mut w = JsonWriter::object();
-            w.str_field("name", &id.name);
-            let mut labels = JsonWriter::object();
-            for (k, v) in &id.labels {
-                labels.str_field(k, v);
-            }
-            w.raw_field("labels", &labels.finish());
-            w
-        }
         let mut counters = JsonWriter::array();
         for (id, v) in &self.counters {
-            let mut w = id_obj(id);
+            let mut w = id.json_object();
             w.u64_field("value", *v);
             counters.raw_element(&w.finish());
         }
         let mut gauges = JsonWriter::array();
         for (id, v) in &self.gauges {
-            let mut w = id_obj(id);
+            let mut w = id.json_object();
             w.i64_field("value", *v);
             gauges.raw_element(&w.finish());
         }
         let mut histograms = JsonWriter::array();
         for (id, s) in &self.histograms {
-            let mut w = id_obj(id);
+            let mut w = id.json_object();
             w.raw_field("summary", &s.to_json());
             histograms.raw_element(&w.finish());
         }
@@ -323,32 +295,42 @@ mod tests {
     use super::*;
 
     #[test]
-    fn handles_share_state() {
+    fn table_sets_are_absolute_and_sticky() {
         let r = MetricsRegistry::new();
-        let a = r.counter("reads", &[("drive", "3")]);
-        let b = r.counter("reads", &[("drive", "3")]);
-        a.inc();
-        b.add(2);
-        assert_eq!(a.get(), 3);
-        // Different labels are a different series.
-        assert_eq!(r.counter("reads", &[("drive", "4")]).get(), 0);
+        r.set_counter("reads", &[("drive", "3")], 1);
+        r.set_counter("reads", &[("drive", "3")], 3);
+        // Different labels are a different series; label order is canonical.
+        r.set_counter("x", &[("a", "1"), ("b", "2")], 1);
+        r.set_counter("x", &[("b", "2"), ("a", "1")], 2);
+        r.with_histogram("rtt", &[], |_| {});
+        r.with_histogram("rtt", &[], |h| h.record(500));
+        let mut f = Frame::default();
+        r.collect(&mut f);
+        let s = f.into_snapshot();
+        assert_eq!(s.counter("reads", &[("drive", "3")]), 3);
+        assert_eq!(s.counter("reads", &[("drive", "4")]), 0);
+        assert_eq!(s.counter("x", &[("a", "1"), ("b", "2")]), 2);
+        assert_eq!(s.histogram("rtt", &[]).unwrap().count, 1);
     }
 
     #[test]
-    fn label_order_is_canonical() {
+    fn snapshot_is_sorted_with_lookup_and_totals() {
+        let lat = {
+            let mut h = LatencyHistogram::new();
+            h.record(1000);
+            h
+        };
+        let mut f = Frame::default();
+        f.counter("reads", &[("drive", "1")], 7);
+        f.counter("reads", &[("drive", "0")], 5);
+        f.gauge("depth", &[], -3);
+        f.histogram("lat", &[("path", "direct")], &lat);
         let r = MetricsRegistry::new();
-        r.counter("x", &[("a", "1"), ("b", "2")]).inc();
-        assert_eq!(r.counter("x", &[("b", "2"), ("a", "1")]).get(), 1);
-    }
-
-    #[test]
-    fn snapshot_lookup_and_totals() {
-        let r = MetricsRegistry::new();
-        r.counter("reads", &[("drive", "0")]).add(5);
-        r.counter("reads", &[("drive", "1")]).add(7);
-        r.gauge("depth", &[]).set(-3);
-        r.histogram("lat", &[("path", "direct")]).record(1000);
-        let s = r.snapshot();
+        r.set_counter("host_ops", &[], 2);
+        r.collect(&mut f);
+        let s = f.into_snapshot();
+        let names: Vec<String> = s.counters.iter().map(|(id, _)| id.render()).collect();
+        assert_eq!(names, ["host_ops", "reads{drive=0}", "reads{drive=1}"]);
         assert_eq!(s.counter_total("reads"), 12);
         assert_eq!(s.counter("reads", &[("drive", "1")]), 7);
         assert_eq!(s.histogram("lat", &[("path", "direct")]).unwrap().count, 1);

@@ -12,6 +12,7 @@
 
 use crate::blame::{fold_blame, BlameVec};
 use crate::json::JsonWriter;
+use crate::registry::Frame;
 use parking_lot::Mutex;
 use purity_sim::units::format_nanos;
 use purity_sim::Nanos;
@@ -309,6 +310,15 @@ impl Tracer {
     /// Cumulative all-ops blame since boot.
     pub fn blame_totals(&self) -> BlameVec {
         self.blame.lock().totals
+    }
+
+    /// Writes the causal-tracing spine's own series: every completed op
+    /// is folded into the blame taxonomy (not just slow-op captures).
+    pub fn collect(&self, out: &mut Frame<'_>) {
+        out.counter("trace_ops_folded", &[], self.folded_count());
+        for (cat, ns) in self.blame_totals().iter() {
+            out.counter("trace_blame_ns", &[("category", cat.as_str())], ns);
+        }
     }
 
     /// Removes and returns the folded ops completing strictly before

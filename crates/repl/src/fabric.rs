@@ -20,9 +20,8 @@ use crate::transfer::{ship_snapshot, ShipReport};
 use purity_core::{FlashArray, PurityError, Result, SnapshotId, VolumeId, SECTOR};
 use purity_sim::Nanos;
 
-/// Cumulative fabric-lifetime counters, mirrored into both arrays'
-/// metrics registries (monotone, so `Counter::set` publishing is
-/// sound).
+/// Cumulative fabric-lifetime counters, set into both arrays' side
+/// tables by [`ReplFabric::publish_metrics`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FabricStats {
     /// Bytes serialized onto the wire, retransmissions included.
@@ -415,32 +414,32 @@ impl ReplFabric {
         problems
     }
 
-    /// Mirrors cumulative fabric counters and schedule gauges into both
-    /// arrays' metrics registries, so `export_observability_json()` on
+    /// Sets cumulative fabric counters and schedule gauges in both
+    /// arrays' side tables, so `export_observability_json()` on
     /// either side carries the `repl_*` series and the flight recorder
     /// picks them up at its next interval boundary.
     pub fn publish_metrics(&self, src: &FlashArray, dst: &FlashArray) {
         for arr in [src, dst] {
             let reg = &arr.obs().registry;
             let s = &self.stats;
-            reg.counter("repl_bytes_on_wire", &[]).set(s.bytes_on_wire);
-            reg.counter("repl_payload_bytes", &[]).set(s.payload_bytes);
-            reg.counter("repl_hash_bytes", &[]).set(s.hash_bytes);
-            reg.counter("repl_retransmits", &[]).set(s.retransmits);
-            reg.counter("repl_chunks_acked", &[]).set(s.chunks_acked);
-            reg.counter("repl_sectors_shipped", &[])
-                .set(s.sectors_shipped);
-            reg.counter("repl_dedup_hit_sectors", &[])
-                .set(s.dedup_hit_sectors);
-            reg.counter("repl_ships_completed", &[])
-                .set(s.ships_completed);
-            reg.counter("repl_ships_stalled", &[]).set(s.ships_stalled);
+            reg.set_counter("repl_bytes_on_wire", &[], s.bytes_on_wire);
+            reg.set_counter("repl_payload_bytes", &[], s.payload_bytes);
+            reg.set_counter("repl_hash_bytes", &[], s.hash_bytes);
+            reg.set_counter("repl_retransmits", &[], s.retransmits);
+            reg.set_counter("repl_chunks_acked", &[], s.chunks_acked);
+            reg.set_counter("repl_sectors_shipped", &[], s.sectors_shipped);
+            reg.set_counter("repl_dedup_hit_sectors", &[], s.dedup_hit_sectors);
+            reg.set_counter("repl_ships_completed", &[], s.ships_completed);
+            reg.set_counter("repl_ships_stalled", &[], s.ships_stalled);
             let pending = self.groups.values().filter(|g| g.pending.is_some()).count();
-            reg.gauge("repl_pending_transfers", &[]).set(pending as i64);
+            reg.set_gauge("repl_pending_transfers", &[], pending as i64);
             let now = arr.now();
             for g in self.groups.values() {
-                reg.gauge("repl_rpo_lag_ns", &[("pg", &g.name)])
-                    .set(self.rpo_lag(g.id, now) as i64);
+                reg.set_gauge(
+                    "repl_rpo_lag_ns",
+                    &[("pg", &g.name)],
+                    self.rpo_lag(g.id, now) as i64,
+                );
             }
         }
     }

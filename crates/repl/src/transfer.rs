@@ -161,7 +161,10 @@ pub fn ship_snapshot(
         *slot = Some(encode_repl_cursor(cursor));
     };
 
-    let rtt_hist = src.obs().registry.histogram("repl_chunk_rtt_ns", &[]);
+    // The RTT series exists from the first attempt on, even one that
+    // stalls before any chunk is acked.
+    let rtt = "repl_chunk_rtt_ns";
+    src.obs().registry.with_histogram(rtt, &[], |_| {});
 
     let start_chunk = cursor.next_chunk as usize;
     let mut done = true;
@@ -246,7 +249,8 @@ pub fn ship_snapshot(
         *cursor_slot = Some(encode_repl_cursor(&cursor));
         report.chunks_acked += 1;
         stats.chunks_acked += 1;
-        rtt_hist.record(now - chunk_started);
+        let registry = &src.obs().registry;
+        registry.with_histogram(rtt, &[], |h| h.record(now - chunk_started));
     }
 
     let wire_after = link.stats();

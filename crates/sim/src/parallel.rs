@@ -28,8 +28,8 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// 0 = not yet resolved; resolved lazily from `PURITY_THREADS` or the
-/// machine's available parallelism on first use.
+/// 0 = not yet resolved; resolved lazily from `PURITY_THREADS` (else 1)
+/// on first use.
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the worker count for every subsequent parallel region. Clamped
@@ -53,18 +53,15 @@ pub fn threads() -> usize {
     }
 }
 
-/// `PURITY_THREADS` if set and >= 1, else the machine's available
-/// parallelism, else 1.
+/// `PURITY_THREADS` if set and >= 1, else 1: the scorecard measures
+/// two workers slower than one on every workload (`sim.t2_wall_ratio`
+/// 1.1-4.3), so wider pools are opt-in until a committed ratio drops
+/// below 1 (DESIGN.md §7).
 fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("PURITY_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
+    std::env::var("PURITY_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
         .unwrap_or(1)
 }
 

@@ -6,7 +6,7 @@ use crate::flash::{Flash, StallCause};
 use crate::ftl::{Ftl, FtlError, FtlStats};
 use crate::geometry::{Ppa, SsdGeometry};
 use crate::latency::{EnduranceModel, LatencyModel};
-use purity_obs::MetricsRegistry;
+use purity_obs::Frame;
 use purity_sim::{Clock, Nanos};
 use std::sync::Arc;
 
@@ -317,42 +317,37 @@ impl Ssd {
         Ok(crit)
     }
 
-    /// Mirrors the drive's cumulative counters into the registry under
-    /// the given drive label. Pull-style collection: call at snapshot
-    /// time; `Counter::set` makes repeated publishes idempotent.
-    pub fn publish_metrics(&self, registry: &MetricsRegistry, drive: &str) {
+    /// Writes the drive's cumulative FTL and flash counters, stall
+    /// blame and wear spread into `out` under the given drive label.
+    pub fn collect(&self, drive: &str, out: &mut Frame<'_>) {
         let labels = [("drive", drive)];
         let s = self.stats();
-        registry
-            .counter("ssd_host_programs", &labels)
-            .set(s.host_programs);
-        registry
-            .counter("ssd_gc_programs", &labels)
-            .set(s.gc_programs);
-        registry.counter("ssd_gc_runs", &labels).set(s.gc_runs);
-        registry.counter("ssd_erases", &labels).set(s.erases);
-        registry
-            .gauge("ssd_write_amplification_milli", &labels)
-            .set((s.write_amplification() * 1000.0) as i64);
+        out.counter("ssd_host_programs", &labels, s.host_programs);
+        out.counter("ssd_gc_programs", &labels, s.gc_programs);
+        out.counter("ssd_gc_runs", &labels, s.gc_runs);
+        out.counter("ssd_erases", &labels, s.erases);
+        out.gauge(
+            "ssd_write_amplification_milli",
+            &labels,
+            (s.write_amplification() * 1000.0) as i64,
+        );
         let fc = self.flash_counters();
-        registry.counter("flash_reads", &labels).set(fc.reads);
-        registry.counter("flash_programs", &labels).set(fc.programs);
-        registry.counter("flash_erases", &labels).set(fc.erases);
-        registry
-            .counter("flash_bad_blocks", &labels)
-            .set(fc.bad_blocks);
+        out.counter("flash_reads", &labels, fc.reads);
+        out.counter("flash_programs", &labels, fc.programs);
+        out.counter("flash_erases", &labels, fc.erases);
+        out.counter("flash_bad_blocks", &labels, fc.bad_blocks);
         for (cause, v) in [
             ("program", fc.read_stalls_program),
             ("erase", fc.read_stalls_erase),
             ("read", fc.read_stalls_read),
         ] {
-            registry
-                .counter("flash_read_stalls", &[("drive", drive), ("cause", cause)])
-                .set(v);
+            out.counter(
+                "flash_read_stalls",
+                &[("drive", drive), ("cause", cause)],
+                v,
+            );
         }
-        registry
-            .counter("flash_read_stall_ns", &labels)
-            .set(fc.read_stall_ns);
+        out.counter("flash_read_stall_ns", &labels, fc.read_stall_ns);
         // Wear: the per-block erase-count spread the wear-leveler manages.
         let geo = *self.ftl.flash().geometry();
         let mut max_pe = 0u64;
@@ -366,12 +361,12 @@ impl Ssd {
                 blocks += 1;
             }
         }
-        registry
-            .gauge("flash_wear_max_pe", &labels)
-            .set(max_pe as i64);
-        registry
-            .gauge("flash_wear_mean_pe", &labels)
-            .set(sum_pe.checked_div(blocks).unwrap_or(0) as i64);
+        out.gauge("flash_wear_max_pe", &labels, max_pe as i64);
+        out.gauge(
+            "flash_wear_mean_pe",
+            &labels,
+            sum_pe.checked_div(blocks).unwrap_or(0) as i64,
+        );
     }
 
     /// Trims a page-aligned byte range, releasing it inside the FTL.

@@ -112,23 +112,14 @@ pub struct OfferedLoad {
 }
 
 impl OfferedLoad {
-    /// Mirrors the counters into a registry under a workload label.
-    /// Idempotent (absolute `set`), like every pull-style publisher.
+    /// Sets the counters in the hub's side table under a workload label.
     pub fn publish(&self, registry: &purity_obs::MetricsRegistry, workload: &str) {
         let labels = [("workload", workload)];
-        registry.counter("wkld_ops_issued", &labels).set(self.ops);
-        registry
-            .counter("wkld_reads_issued", &labels)
-            .set(self.reads);
-        registry
-            .counter("wkld_writes_issued", &labels)
-            .set(self.writes);
-        registry
-            .counter("wkld_bytes_read_issued", &labels)
-            .set(self.bytes_read);
-        registry
-            .counter("wkld_bytes_written_issued", &labels)
-            .set(self.bytes_written);
+        registry.set_counter("wkld_ops_issued", &labels, self.ops);
+        registry.set_counter("wkld_reads_issued", &labels, self.reads);
+        registry.set_counter("wkld_writes_issued", &labels, self.writes);
+        registry.set_counter("wkld_bytes_read_issued", &labels, self.bytes_read);
+        registry.set_counter("wkld_bytes_written_issued", &labels, self.bytes_written);
     }
 }
 

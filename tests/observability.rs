@@ -229,14 +229,14 @@ fn metrics_snapshot_and_export_are_consistent() {
         programmed_drives >= a.config().stripe_width(),
         "only {programmed_drives} drives published program counters"
     );
-    // Latency histograms mirror ArrayStats exactly (set_from is lossless).
+    // Latency histograms are ArrayStats' own, summarized losslessly.
     let h = snap
         .histogram("array_read_latency", &[])
         .expect("read latency published");
     assert_eq!(h.count, a.stats().read_latency.count());
     assert_eq!(h.p999, a.stats().read_latency.p999());
 
-    // Publishing is idempotent: a second snapshot reports the same values.
+    // Collecting is idempotent: a second snapshot reports the same values.
     let again = a.metrics_snapshot();
     assert_eq!(
         snap.counter("array_logical_bytes_written", &[]),
@@ -275,17 +275,22 @@ fn telemetry_run(seed: u64) -> FlashArray {
 }
 
 #[test]
-fn export_is_idempotent_across_repeated_publishes() {
+fn export_is_idempotent_across_repeated_collects() {
     let a = telemetry_run(3);
-    // Publishing is pull-style and absolute, and exporting never
-    // advances recorder state: any number of repeats at the same
-    // virtual time must render byte-identical JSON.
-    a.publish_metrics();
-    a.publish_metrics();
+    // Collecting reads the owners' cumulative stats and changes
+    // nothing, and exporting never advances recorder state: any number
+    // of snapshots and exports at the same virtual time must render
+    // byte-identical JSON.
+    let snap = a.metrics_snapshot();
+    assert_eq!(snap.to_json(), a.metrics_snapshot().to_json());
     let first = a.export_observability_json();
-    a.publish_metrics();
+    a.metrics_snapshot();
     let second = a.export_observability_json();
     assert_eq!(first, second);
+    assert!(
+        first.contains(&snap.to_json()),
+        "export embeds the snapshot"
+    );
     // All five export sections are present.
     for section in [
         "\"metrics\"",
@@ -391,7 +396,7 @@ fn observability_survives_failover() {
     a.read(vol, 0, SECTOR).unwrap();
     assert!(a.obs().tracer.finished_count() > finished_before);
 
-    // Post-failover metrics publishing still reflects merged stats.
+    // Post-failover snapshots still reflect the merged stats.
     let snap = a.metrics_snapshot();
     assert_eq!(
         snap.counter("array_logical_bytes_written", &[]),
@@ -477,5 +482,250 @@ fn tier_stages_are_emitted_and_registered() {
     assert!(
         snap.counter("volume_reads", &[("volume", vol_label.as_str())]) > 0,
         "per-volume heat series must be published"
+    );
+}
+
+// ---- Export contract -------------------------------------------------
+//
+// Four fixed-seed scenarios whose full `export_observability_json()`
+// is pinned by digest. The digests were captured on the commit *before*
+// the registry mirror was removed (ISSUE 12), so any byte that moves in
+// `metrics`, `slow_ops`, `timeseries`, `incidents` or `tail_blame` —
+// series order, a dropped sticky series, an incident's `gauges`
+// evidence — fails here. A deliberate export change re-pins them: run
+// with `--nocapture`, each scenario prints its current digest.
+
+/// FNV-1a 64 over the deterministic part of an export.
+fn export_digest(doc: &str) -> (usize, u64) {
+    let doc = purity_obs::profiler::strip_profile_section(doc);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in doc.bytes() {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (doc.len(), h)
+}
+
+fn assert_export_digest(scenario: &str, docs: &[String], want: &[(usize, u64)]) {
+    let got: Vec<(usize, u64)> = docs.iter().map(|d| export_digest(d)).collect();
+    println!("export digest {scenario}: {got:#x?}");
+    assert_eq!(got, want, "{scenario}: observability export bytes changed");
+}
+
+/// Plain `test_small`-shaped mix on churn drives with a tight SLO
+/// budget (so an incident opens and freezes `gauges` evidence): writes,
+/// reads, a snapshot, GC, a destroyed volume whose `volume_reads`
+/// series must outlive it, and a failover the hub must survive.
+#[test]
+fn export_contract_plain_mix() {
+    let mut cfg = churn_config();
+    cfg.telemetry_interval_ns = 1_000_000;
+    cfg.slo_read_p999_budget_ns = 50_000;
+    cfg.slo_min_interval_reads = 2;
+    let mut a = FlashArray::new(cfg).expect("format");
+    let keep = a.create_volume("keep", 2 << 20).unwrap();
+    let gone = a.create_volume("gone", 1 << 20).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xC0117AC7);
+    let chunk = 32 * 1024usize;
+    for i in 0..24u64 {
+        let data = random_sectors(&mut rng, chunk / SECTOR);
+        a.write(keep, (i % 32) * chunk as u64, &data).unwrap();
+        if i % 3 == 0 {
+            a.write(gone, (i % 8) * chunk as u64, &data).unwrap();
+        }
+        a.advance(400_000);
+    }
+    a.advance(20_000_000);
+    a.snapshot(keep, "s0").unwrap();
+    for i in 0..96u64 {
+        a.read(keep, (i * 8192) % (768 * 1024), 4096).unwrap();
+        if i % 4 == 0 {
+            a.read(gone, (i * 4096) % (256 * 1024), 4096).unwrap();
+        }
+        if i % 16 == 15 {
+            let data = random_sectors(&mut rng, chunk / SECTOR);
+            a.write(keep, (i % 24) * chunk as u64, &data).unwrap();
+        }
+        a.advance(150_000);
+    }
+    a.run_gc().unwrap();
+    a.advance(5_000_000);
+    // The owner goes away right after a publish: the series stays.
+    let before = a.metrics_snapshot();
+    let gone_label = gone.0.to_string();
+    let gone_reads = before.counter("volume_reads", &[("volume", gone_label.as_str())]);
+    assert!(gone_reads > 0);
+    a.destroy_volume(gone).unwrap();
+    a.advance(3_000_000);
+    a.fail_primary().unwrap();
+    for i in 0..32u64 {
+        a.read(keep, (i * 4096) % (512 * 1024), 4096).unwrap();
+        a.advance(200_000);
+    }
+    a.advance(4_000_000);
+    let after = a.metrics_snapshot();
+    assert_eq!(
+        after.counter("volume_reads", &[("volume", gone_label.as_str())]),
+        gone_reads,
+        "a destroyed volume's read series is sticky"
+    );
+    assert!(
+        !a.obs().recorder.incidents().is_empty(),
+        "scenario must open an SLO incident"
+    );
+    assert_export_digest(
+        "plain_mix",
+        &[a.export_observability_json()],
+        &[(109_604, 0xf2a4_3b32_aaa9_9328)],
+    );
+}
+
+/// `tiered`: demote on idle, cold read, RAM hit, promote on re-heat.
+#[test]
+fn export_contract_tiered_cycle() {
+    let mut cfg = ArrayConfig::tiered();
+    cfg.slow_op_capture_ns = 1;
+    let mut a = FlashArray::new(cfg).expect("format");
+    let hot = a.create_volume("hot", 512 * 1024).unwrap();
+    let idle = a.create_volume("idle", 512 * 1024).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x71E2ED);
+    for vol in [hot, idle] {
+        let data = random_sectors(&mut rng, 512 * 1024 / SECTOR);
+        a.write(vol, 0, &data).unwrap();
+    }
+    a.read(idle, 0, 64 * SECTOR).unwrap();
+    // `idle` cools past the demote threshold while `hot` keeps reading.
+    for i in 0..12u64 {
+        a.read(hot, (i % 8) * 32 * 1024, 32 * 1024).unwrap();
+        a.advance(100_000_000);
+    }
+    assert!(a.stats().tier_demotions > 0, "idle volume must demote");
+    // Re-heat: cold reads, then RAM hits, then the migrator promotes.
+    for i in 0..40u64 {
+        a.read(idle, (i % 16) * 32 * 1024, 32 * 1024).unwrap();
+        a.advance(25_000_000);
+    }
+    assert!(a.stats().cold_reads > 0 && a.stats().ram_cache_hits > 0);
+    assert!(
+        a.stats().tier_promotions > 0,
+        "re-heated volume must promote"
+    );
+    assert_export_digest(
+        "tiered_cycle",
+        &[a.export_observability_json()],
+        &[(79_850, 0x7fb4_3bb1_4ea8_13d1)],
+    );
+}
+
+/// `purity-host` closed loop (4 initiators x QD 8) across a controller
+/// failover, with the host report and offered load published.
+#[test]
+fn export_contract_host_closed_loop() {
+    use purity_core::{FaultEvent, FaultPlan};
+    use purity_host::{HostConfig, HostEngine};
+    use purity_wkld::{AccessPattern, ContentModel, SizeMix, WorkloadGen};
+    let mut cfg = ArrayConfig::test_small();
+    cfg.telemetry_interval_ns = 5_000_000;
+    let mut a = FlashArray::new(cfg).expect("format");
+    let vol = a.create_volume("db", 16 << 20).unwrap();
+    let mut gen = WorkloadGen::new(
+        21,
+        16 << 20,
+        AccessPattern::Uniform,
+        SizeMix::fixed(16 * 1024),
+        50,
+        ContentModel::Rdbms,
+        0,
+    );
+    let mut plan = FaultPlan::new().at(20_000_000, FaultEvent::FailPrimary);
+    let engine = HostEngine::new(HostConfig {
+        initiators: 4,
+        queue_depth: 8,
+        max_retries: 8,
+        ..HostConfig::default()
+    });
+    let report = engine.run_closed_loop(&mut a, vol, &mut gen, 2_000, Some(&mut plan));
+    assert_eq!(report.ops, 2_000);
+    assert_eq!(a.failovers, 1);
+    report.publish(&a.obs().registry, "db");
+    gen.offered().publish(&a.obs().registry, "oltp");
+    a.advance(10_000_000);
+    assert_export_digest(
+        "host_closed_loop",
+        &[a.export_observability_json()],
+        &[(44_156, 0x1d12_ee07_4078_f1c2)],
+    );
+}
+
+/// 3-node cluster losing a member and rebuilding, plus a two-array
+/// replication ship over a flapping WAN: every node's export.
+#[test]
+fn export_contract_cluster_kill_and_repl_ship() {
+    use purity_cluster::{Cluster, ClusterSpec};
+    use purity_repl::{LinkConfig, ReplFabric, ReplicaLink};
+    use purity_sim::{MS, SEC};
+    let mut spec = ClusterSpec::test_small(3, 71);
+    spec.link = LinkConfig::flaky(100 << 20, 0, 600 * MS, 100 * MS);
+    let mut c = Cluster::new(spec).unwrap();
+    let cvol = c.create_volume("db", 2 << 20).unwrap();
+    let mut client = c.client();
+    let mut rng = StdRng::seed_from_u64(0xC1057E2);
+    for i in 0..12u64 {
+        let data = random_sectors(&mut rng, 4);
+        c.write(&mut client, cvol, i * 4 * SECTOR as u64, &data)
+            .unwrap();
+    }
+    c.kill(0);
+    for i in 0..300u64 {
+        c.tick(100 * MS);
+        if i % 25 == 0 {
+            let _ = c.read(&mut client, cvol, (i % 12) * 4 * SECTOR as u64, 4 * SECTOR);
+        }
+    }
+    assert!(c.fully_redundant(), "rebuild must finish");
+    c.publish_metrics();
+    let mut docs: Vec<String> = (0..3)
+        .map(|n| c.array(n).export_observability_json())
+        .collect();
+
+    let mut src = FlashArray::new(ArrayConfig::test_small()).unwrap();
+    let mut dst = FlashArray::new(ArrayConfig::test_small()).unwrap();
+    let size = 1usize << 20;
+    let vol = src.create_volume("prod", size as u64).unwrap();
+    let link = LinkConfig::flaky(25 << 20, 5, 40 * MS, 700 * MS);
+    let mut fabric = ReplFabric::new(ReplicaLink::with_config(link));
+    let pg = fabric.protect(&src, vol, "prod", SEC).unwrap();
+    let mut stalled = false;
+    for _ in 0..3 {
+        for _ in 0..4 {
+            let data = random_sectors(&mut rng, 96 * 1024 / SECTOR);
+            let off = rng.gen_range(0..(size - data.len()) / SECTOR) * SECTOR;
+            src.write(vol, off as u64, &data).unwrap();
+        }
+        let mut report = fabric.ship_now(pg, &mut src, &mut dst).unwrap();
+        let mut guard = 0;
+        while !report.completed {
+            stalled = true;
+            src.advance(80 * MS);
+            report = fabric.resume(pg, &mut src, &mut dst).unwrap();
+            guard += 1;
+            assert!(guard < 200);
+        }
+        src.advance(20 * MS);
+    }
+    assert!(stalled, "scenario must include a mid-transfer flap");
+    src.advance(SEC);
+    dst.advance(SEC);
+    docs.push(src.export_observability_json());
+    docs.push(dst.export_observability_json());
+    assert_export_digest(
+        "cluster_kill_and_repl_ship",
+        &docs,
+        &[
+            (16_532, 0x2142_6ae4_13c2_178c),
+            (352_105, 0x4bb3_fabb_be9b_1c3a),
+            (347_773, 0x23b7_f188_5a08_da49),
+            (88_432, 0x3afc_28c7_6176_0c98),
+            (87_009, 0xd567_89e5_5be2_9f78),
+        ],
     );
 }

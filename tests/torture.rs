@@ -280,3 +280,133 @@ fn shrinker_minimizes_a_seeded_failure() {
         "repro line must parse back to the shrunk spec"
     );
 }
+
+/// Repeated power loss with no GC in between (PR 11 finding 2): twenty
+/// cold starts on one tiered array, rotating through the crash phases.
+/// Nothing but a GC pass compacts the on-disk patches, so every cold
+/// start reloads every fact ever written and the post-recovery flush
+/// keeps growing; it used to outgrow a segment's log space, fail the
+/// write with an internal error and take acked data with it. A write
+/// may fail only because power is off or with the typed `OutOfSpace`,
+/// and every acked sector must read back after every cold start.
+#[test]
+fn repeated_power_loss_without_gc_never_returns_wrong_data() {
+    use purity_core::{ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, PurityError, SECTOR};
+    use purity_torture::DurabilityOracle;
+    use purity_wkld::{AccessPattern, ContentModel, Op, SizeMix, WorkloadGen};
+
+    const VOL_BYTES: u64 = 2 << 20;
+    let mut a = FlashArray::new(ArrayConfig::tiered()).unwrap();
+    let mut oracle = DurabilityOracle::new();
+    let vols = [
+        a.create_volume("v0", VOL_BYTES).unwrap(),
+        a.create_volume("v1", VOL_BYTES).unwrap(),
+    ];
+    for &v in &vols {
+        oracle.create_volume(v, VOL_BYTES);
+    }
+    let mut gen = WorkloadGen::new(
+        0x5EED_0012,
+        VOL_BYTES,
+        AccessPattern::Uniform,
+        SizeMix {
+            choices: vec![(512, 2), (4096, 3), (16 * 1024, 2)],
+        },
+        40,
+        ContentModel::Rdbms,
+        200_000,
+    );
+    // One generated op; a refused write stays staged for `settle`.
+    // Returns false once the array stops taking writes.
+    let mut step = |a: &mut FlashArray, oracle: &mut DurabilityOracle, vol| -> bool {
+        let op = gen.next_op();
+        a.advance(gen.interarrival);
+        match op {
+            Op::Read { offset, len } => {
+                if let Ok((read, _)) = a.read(vol, offset, len) {
+                    let bad = oracle.check_read(vol, offset / SECTOR as u64, &read, "read");
+                    assert!(bad.is_empty(), "{bad:?}");
+                }
+                true
+            }
+            Op::Write { offset, data } => {
+                oracle.stage_write(vol, offset / SECTOR as u64, &data);
+                match a.write(vol, offset, &data) {
+                    Ok(_) => {
+                        oracle.commit_staged();
+                        true
+                    }
+                    Err(e) => {
+                        assert!(
+                            !a.powered() || e == PurityError::OutOfSpace,
+                            "a powered array refused a write with {e:?}"
+                        );
+                        oracle.abandon_staged();
+                        false
+                    }
+                }
+            }
+        }
+    };
+    for &v in &vols {
+        for i in 0..VOL_BYTES / (64 * 1024) {
+            let data = vec![(v.0 * 31 + i) as u8 | 1; 64 * 1024];
+            oracle.stage_write(v, i * 128, &data);
+            a.write(v, i * 64 * 1024, &data).unwrap();
+            oracle.commit_staged();
+        }
+    }
+    a.checkpoint().unwrap();
+
+    for cycle in 0..20usize {
+        let vol = vols[cycle % 2];
+        let mut taking = true;
+        for _ in 0..20 + (cycle * 13) % 60 {
+            taking = taking && step(&mut a, &mut oracle, vol);
+        }
+        match cycle % 5 {
+            0 => {}
+            1 => {
+                a.arm_power_loss(CrashTarget::NvramAppend, 0, 17);
+                for _ in 0..16 {
+                    taking = taking && step(&mut a, &mut oracle, vol);
+                }
+            }
+            2 => {
+                a.arm_power_loss(CrashTarget::SegmentWrite, 1, 1000);
+                for _ in 0..600 {
+                    taking = taking && step(&mut a, &mut oracle, vol);
+                }
+                if a.powered() {
+                    let _ = a.checkpoint();
+                }
+            }
+            3 => {
+                a.arm_power_loss(CrashTarget::BootWrite, 1, 700);
+                let _ = a.checkpoint();
+            }
+            _ => {
+                a.arm_power_loss(CrashTarget::ColdWrite, 1, 2000);
+                for _ in 0..40 {
+                    a.advance(50_000_000);
+                    if !a.powered() {
+                        break;
+                    }
+                }
+            }
+        }
+        a.power_loss(PowerLossSpec::default())
+            .unwrap_or_else(|e| panic!("cold start {cycle}: {e}"));
+        let bad = oracle.settle(&mut a);
+        assert!(bad.is_empty(), "cycle {cycle}: {bad:?}");
+        let broken = a.verify_integrity();
+        assert!(broken.is_empty(), "cycle {cycle}: {broken:?}");
+    }
+    let lost = oracle.verify_all(&mut a);
+    assert!(
+        lost.is_empty(),
+        "{} sectors lost: {:?}",
+        lost.len(),
+        &lost[..lost.len().min(5)]
+    );
+}
