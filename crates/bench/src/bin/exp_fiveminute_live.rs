@@ -6,7 +6,7 @@
 //! analysis predicted.
 //!
 //! * **Part 1 — crossover frontier from the running cache.** For each
-//!   reduction ratio (1×/4×/10×) the RAM cache is sized with
+//!   reduction ratio (1×/4×/10×) a standalone 2Q cache is sized with
 //!   [`purity_tier::capacity_for_crossover`] from the measured
 //!   flash-vs-DIMM crossover interval (~31/22/21 minutes). A one-touch
 //!   arrival stream of the paper's 55 KiB items then flows through the
@@ -18,7 +18,8 @@
 //!   than the crossover hit, slower ones miss.
 //!
 //! * **Part 2 — the migrator chases the knee.** On a tiered array
-//!   (QLC-like cold drives + RAM cache + migrator), a VDI day cycle
+//!   (QLC-like cold drives + migrator, reads through the controller's
+//!   DRAM cache like every preset), a VDI day cycle
 //!   runs: boot storm on the `vdi` volume, quiet night shifting the
 //!   working set to a `batch` volume, then a morning storm returning to
 //!   `vdi`. The night demotes the idle boot image to the cold class;
@@ -211,46 +212,46 @@ struct ShiftTrace {
 }
 
 /// Snapshot of the cumulative tier counters, for phase deltas.
-fn counters(a: &FlashArray) -> (u64, u64, u64, u64) {
+fn counters(a: &FlashArray) -> (u64, u64, u64) {
     let s = a.stats();
-    (
-        s.ram_cache_hits,
-        s.cold_reads,
-        s.tier_demotions,
-        s.tier_promotions,
-    )
+    (s.cold_reads, s.tier_demotions, s.tier_promotions)
 }
 
 /// Reads every 32 KiB chunk of `vol` once, pacing 2 ms per read, and
-/// returns (reads, summed latency).
-fn read_wave(a: &mut FlashArray, vol: VolumeId, chunks: u64) -> (u64, u64) {
-    let mut sum = 0u64;
+/// returns (reads, summed latency, reads the cache served). Hits are
+/// counted across the read call alone: the migrator fetches through
+/// the same cache while the clock advances.
+fn read_wave(a: &mut FlashArray, vol: VolumeId, chunks: u64) -> (u64, u64, u64) {
+    let (mut sum, mut hits) = (0u64, 0u64);
     for c in 0..chunks {
+        let before = a.stats().cache_reads;
         let (_, ack) = a.read(vol, c * 32 * 1024, 32 * 1024).expect("read");
+        hits += a.stats().cache_reads - before;
         sum += ack.latency;
         a.advance(2 * MS);
     }
-    (chunks, sum)
+    (chunks, sum, hits)
 }
 
 /// Runs `waves` read sweeps of `vol` and folds the counter deltas.
 fn run_phase(a: &mut FlashArray, vol: VolumeId, chunks: u64, waves: u64) -> PhaseDelta {
     let before = counters(a);
-    let (mut reads, mut sum) = (0u64, 0u64);
+    let (mut reads, mut sum, mut hits) = (0u64, 0u64, 0u64);
     for _ in 0..waves {
-        let (r, s) = read_wave(a, vol, chunks);
+        let (r, s, h) = read_wave(a, vol, chunks);
         reads += r;
         sum += s;
+        hits += h;
         a.advance(20 * MS);
     }
     let after = counters(a);
     PhaseDelta {
         reads,
         sum_latency: sum,
-        ram_hits: after.0 - before.0,
-        cold_reads: after.1 - before.1,
-        demotions: after.2 - before.2,
-        promotions: after.3 - before.3,
+        ram_hits: hits,
+        cold_reads: after.0 - before.0,
+        demotions: after.1 - before.1,
+        promotions: after.2 - before.2,
     }
 }
 

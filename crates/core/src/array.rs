@@ -8,7 +8,6 @@
 //! all state from the shelf via [`Controller::recover`] — the paper's
 //! sub-30-second failover, reproduced in virtual time.
 
-use crate::cache::CblockCache;
 use crate::config::ArrayConfig;
 use crate::controller::{Ack, Controller, Volume};
 use crate::error::Result;
@@ -18,9 +17,10 @@ use crate::recovery::{RecoveryOptions, RecoveryReport, ScanMode};
 use crate::scrub::ScrubReport;
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
-use crate::types::{DriveId, SnapshotId, VolumeId};
+use crate::types::{DriveId, Pba, SnapshotId, VolumeId};
 use purity_obs::{Frame, MetricsSnapshot, Obs};
 use purity_sim::{Clock, Nanos};
+use purity_tier::RamCache;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -113,7 +113,7 @@ pub struct FlashArray {
     primary: Controller,
     /// The standby's warm cache (its only interesting state — the rest
     /// is rebuilt from the shelf on takeover).
-    secondary_cache: CblockCache,
+    secondary_cache: RamCache<Pba>,
     writes_since_warm: u64,
     /// Ops accepted but (as of the last prune) not yet complete.
     inflight: VecDeque<InflightOp>,
@@ -133,7 +133,7 @@ impl FlashArray {
         let clock = Clock::new();
         let mut shelf = Shelf::new(&cfg, clock.clone());
         let primary = Controller::format(cfg.clone(), &mut shelf, clock.now())?;
-        let secondary_cache = CblockCache::new(cfg.cache_bytes);
+        let secondary_cache = RamCache::lru(cfg.cache_bytes);
         Ok(Self {
             cfg,
             clock,
@@ -578,8 +578,15 @@ impl FlashArray {
         // history outlives any one controller).
         ctrl.cache = std::mem::replace(
             &mut self.secondary_cache,
-            CblockCache::new(self.cfg.cache_bytes),
+            RamCache::lru(self.cfg.cache_bytes),
         );
+        // The standby never heard the old primary's invalidations: keep
+        // only segments the recovered table knows (ids are never reused,
+        // so those payloads are still right) and no cold slot at all — a
+        // slot may have been released and refilled since it was warmed.
+        let segments = &ctrl.segments;
+        ctrl.cache
+            .invalidate(|p| !segments.contains_key(&p.segment.0));
         ctrl.stats.absorb(&self.primary.stats);
         // The observability hub (side table, slow-op ring, recorder)
         // likewise outlives the controller: the standby inherits it.
@@ -665,7 +672,7 @@ impl FlashArray {
             Controller::recover_with(self.cfg.clone(), &mut self.shelf, spec.recovery, start)?;
         // Cold start: the secondary's warm cache died too, and a fresh
         // observability registry boots with the new controller.
-        self.secondary_cache = CblockCache::new(self.cfg.cache_bytes);
+        self.secondary_cache = RamCache::lru(self.cfg.cache_bytes);
         self.writes_since_warm = 0;
         self.primary = ctrl;
         let downtime = recovery.total_time;
@@ -687,7 +694,9 @@ impl FlashArray {
     /// - no AU is owned by two live segments (the §4.3 "duplicate facts
     ///   are harmless" claim only holds for *facts*, never ownership);
     /// - every volume anchor medium exists and is writable;
-    /// - every snapshot medium exists and is frozen (not writable).
+    /// - every snapshot medium exists and is frozen (not writable);
+    /// - every live cold reference addresses a slot the allocator holds;
+    /// - every cached payload belongs to a location not yet freed.
     pub fn verify_integrity(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let ctrl = &self.primary;
@@ -758,6 +767,19 @@ impl FlashArray {
                 violations.push(format!(
                     "live cold reference to slot {d}:{slot} the allocator considers free"
                 ));
+            }
+        }
+        // Cache invariant: a resident key names a location whose bytes
+        // are still its own — a live (or the open) segment, or a cold
+        // slot not yet released for reuse.
+        let open = ctrl.writer.open_segment().map(|s| s.id);
+        for pba in ctrl.cache.keys() {
+            let held = match crate::tier::cold_drive_of(pba) {
+                Some(d) => ctrl.tier.slot_held(d, pba.offset / slot_bytes),
+                None => ctrl.segments.contains_key(&pba.segment.0) || open == Some(pba.segment),
+            };
+            if !held {
+                violations.push(format!("cache holds a payload for freed location {pba:?}"));
             }
         }
         violations

@@ -10,7 +10,6 @@
 //! [`crate::controller::Controller::recover`] does on the standby.
 
 use crate::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
-use crate::cache::CblockCache;
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
@@ -34,6 +33,7 @@ use purity_lsm::{Pyramid, Seq, SeqAllocator};
 use purity_obs::{Frame, Obs, OpTrace};
 use purity_sim::units::format_nanos;
 use purity_sim::Nanos;
+use purity_tier::RamCache;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -146,7 +146,10 @@ pub struct Controller {
     pub(crate) boot: BootRegion,
     pub(crate) writer: SegmentWriter,
     pub(crate) dedup: DedupEngine<BlockLoc>,
-    pub(crate) cache: CblockCache,
+    /// The DRAM read cache: decoded cblock payloads by location, LRU.
+    /// Every site that frees a location a later write can reuse must
+    /// `invalidate` it here first.
+    pub(crate) cache: RamCache<Pba>,
     /// Shared elide set backing the map pyramid's filter.
     pub(crate) elided_mediums: Arc<RwLock<RangeTable>>,
     pub(crate) next_segment: u64,
@@ -158,8 +161,8 @@ pub struct Controller {
     pub(crate) map_patches: Vec<PatchLoc>,
     /// Index of the last NVRAM record appended (for trims).
     pub(crate) last_nvram_index: Option<u64>,
-    /// Tiering engine state: RAM read cache, heat watcher, cold-slot
-    /// allocator. Volatile — rebuilt from the map on every cold start.
+    /// Tiering engine state: heat watcher, cold-slot allocator.
+    /// Volatile — rebuilt from the map on every cold start.
     pub(crate) tier: TierState,
     /// Telemetry.
     pub stats: ArrayStats,
@@ -220,7 +223,7 @@ impl Controller {
                 cfg.dedup_recent_window,
                 cfg.dedup_hot_cache,
             )),
-            cache: CblockCache::new(cfg.cache_bytes),
+            cache: RamCache::lru(cfg.cache_bytes),
             elided_mediums: elided,
             next_segment: 1,
             next_medium: 1,
@@ -657,7 +660,6 @@ impl Controller {
             let Self {
                 dedup,
                 cache,
-                tier,
                 segments,
                 writer,
                 layout,
@@ -669,7 +671,6 @@ impl Controller {
             let mut fetcher = CtrlFetcher {
                 shelf,
                 cache,
-                ram: &mut tier.ram,
                 segments,
                 writer,
                 layout,
@@ -1135,7 +1136,6 @@ impl Controller {
     ) -> Result<(Arc<Vec<u8>>, Nanos)> {
         let Self {
             cache,
-            tier,
             segments,
             writer,
             layout,
@@ -1147,7 +1147,6 @@ impl Controller {
         fetch_cblock_raw(
             shelf,
             cache,
-            &mut tier.ram,
             segments,
             writer,
             layout,
@@ -1345,6 +1344,16 @@ impl Controller {
     /// engine, map pyramid — into `out`.
     pub(crate) fn collect<'a>(&'a self, out: &mut Frame<'a>) {
         self.stats.collect(out);
+        let (hits, misses, evictions) = self.cache.stats();
+        out.counter("cache_ram_hits", &[], hits);
+        out.counter("cache_ram_misses", &[], misses);
+        out.counter("cache_ram_evictions", &[], evictions);
+        out.gauge("cache_ram_used_bytes", &[], self.cache.used_bytes() as i64);
+        out.gauge(
+            "cache_ram_capacity_bytes",
+            &[],
+            self.cache.capacity_bytes() as i64,
+        );
         self.tier.collect(self.volumes.keys(), out);
         self.map.stats().collect("map", out);
     }
@@ -1578,8 +1587,7 @@ pub(crate) fn read_extent(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fetch_cblock_raw(
     shelf: &mut Shelf,
-    cache: &mut CblockCache,
-    ram: &mut purity_tier::RamCache<Pba>,
+    cache: &mut RamCache<Pba>,
     segments: &BTreeMap<u64, SegmentInfo>,
     writer: &SegmentWriter,
     layout: &SegmentLayout,
@@ -1590,15 +1598,6 @@ pub(crate) fn fetch_cblock_raw(
     now: Nanos,
     mut trace: Option<&mut OpTrace>,
 ) -> Result<(Arc<Vec<u8>>, Nanos)> {
-    // Tier 0: the five-minute-rule RAM cache — a hit short-circuits the
-    // whole drive path (and the legacy cblock cache below it).
-    if let Some(payload) = ram.get(pba) {
-        stats.ram_cache_hits += 1;
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.stage("ram_cache_hit", now, now);
-        }
-        return Ok((payload, now));
-    }
     if let Some(payload) = cache.get(pba) {
         stats.cache_reads += 1;
         if let Some(tr) = trace.as_deref_mut() {
@@ -1619,7 +1618,6 @@ pub(crate) fn fetch_cblock_raw(
                 .map_err(|e| PurityError::DataLoss(format!("cold cblock at {:?}: {}", pba, e)))?,
         );
         cache.put(*pba, payload.clone());
-        crate::tier::admit_payload(ram, pba, &payload);
         return Ok((payload, t));
     }
     // A cblock in the open segment may straddle the flush boundary:
@@ -1671,15 +1669,13 @@ pub(crate) fn fetch_cblock_raw(
             .map_err(|e| PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e)))?,
     );
     cache.put(*pba, payload.clone());
-    crate::tier::admit_payload(ram, pba, &payload);
     Ok((payload, raw.1))
 }
 
 /// The dedup engine's view of stored blocks.
 pub(crate) struct CtrlFetcher<'a> {
     pub shelf: &'a mut Shelf,
-    pub cache: &'a mut CblockCache,
-    pub ram: &'a mut purity_tier::RamCache<Pba>,
+    pub cache: &'a mut RamCache<Pba>,
     pub segments: &'a BTreeMap<u64, SegmentInfo>,
     pub writer: &'a SegmentWriter,
     pub layout: &'a SegmentLayout,
@@ -1698,7 +1694,6 @@ impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
         let (payload, _t) = fetch_cblock_raw(
             self.shelf,
             self.cache,
-            self.ram,
             self.segments,
             self.writer,
             self.layout,
@@ -1732,7 +1727,6 @@ impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
         let (payload, _t) = fetch_cblock_raw(
             self.shelf,
             self.cache,
-            self.ram,
             self.segments,
             self.writer,
             self.layout,

@@ -164,8 +164,7 @@ impl Controller {
                 Some(i) => i,
                 None => continue,
             };
-            self.cache.invalidate_segment(info.id);
-            self.tier.ram.retain(|p| p.segment != info.id);
+            self.cache.invalidate(|p| p.segment == info.id);
             for au in &info.columns {
                 let off = self.layout.au_byte_offset(au.index);
                 // Trim is advisory; a failed drive's AU is released anyway.
@@ -310,7 +309,6 @@ impl Controller {
             let Self {
                 dedup,
                 cache,
-                tier,
                 segments,
                 writer,
                 layout,
@@ -322,7 +320,6 @@ impl Controller {
             let mut fetcher = CtrlFetcher {
                 shelf,
                 cache,
-                ram: &mut tier.ram,
                 segments,
                 writer,
                 layout,

@@ -18,7 +18,6 @@
 //!    duplicate records is harmless").
 
 use crate::bootregion::BootRegion;
-use crate::cache::CblockCache;
 use crate::config::ArrayConfig;
 use crate::controller::{Controller, MapKey, MapVal};
 use crate::error::{PurityError, Result};
@@ -358,7 +357,7 @@ impl Controller {
                 cfg.dedup_recent_window,
                 cfg.dedup_hot_cache,
             )),
-            cache: CblockCache::new(cfg.cache_bytes),
+            cache: purity_tier::RamCache::lru(cfg.cache_bytes),
             elided_mediums: elided_arc,
             next_segment: cp.next_segment,
             next_medium: cp.next_medium,

@@ -1,8 +1,8 @@
 //! Tiering executor: the crash-safe half of the five-minute-rule engine.
 //!
-//! `purity-tier` decides *what* should move (2Q RAM cache policy, heat
-//! watcher, reconciler); this module decides *how*, against the array's
-//! real durability machinery:
+//! `purity-tier` decides *what* should move (heat watcher, reconciler);
+//! this module decides *how*, against the array's real durability
+//! machinery:
 //!
 //! * **Cold addressing** — demoted cblocks live on the QLC-like cold
 //!   drive pool in fixed-size slots. A cold location is an ordinary
@@ -39,9 +39,8 @@ use crate::types::{BlockLoc, Pba, SegmentId};
 use purity_obs::{Frame, OpTrace};
 use purity_sim::Nanos;
 use purity_tier::plan::VolumePlacement;
-use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, RamCache, Reconciler};
+use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, Reconciler};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// First segment id of the cold pseudo-segment namespace. Real segment
 /// ids are sequential from 1; 2^62 leaves the namespaces disjoint for
@@ -78,12 +77,10 @@ pub struct TierTickReport {
 }
 
 /// Volatile tiering state owned by the controller. Everything here is
-/// reconstructible: the RAM cache refills, heat re-learns, and the cold
-/// allocator is rebuilt from the recovered map on every cold start.
+/// reconstructible: heat re-learns, and the cold allocator is rebuilt
+/// from the recovered map on every cold start.
 #[derive(Debug)]
 pub struct TierState {
-    /// The five-minute-rule controller-RAM read cache (2Q).
-    pub ram: RamCache<Pba>,
     /// Per-volume heat from the flight recorder's read time-series.
     pub watcher: HeatWatcher,
     /// Free cold slots, ascending `(drive, slot)` — allocation takes the
@@ -103,7 +100,7 @@ pub struct TierState {
 
 impl TierState {
     /// Fresh state for a formatted or recovered controller: every slot
-    /// free, nothing cached, no heat history.
+    /// free, no heat history.
     pub(crate) fn new(cfg: &ArrayConfig) -> Self {
         let mut free_slots = BTreeSet::new();
         for d in 0..cfg.cold_drives {
@@ -112,7 +109,6 @@ impl TierState {
             }
         }
         Self {
-            ram: RamCache::new(cfg.ram_cache_bytes),
             watcher: HeatWatcher::new(),
             free_slots,
             used_slots: BTreeSet::new(),
@@ -123,20 +119,10 @@ impl TierState {
         }
     }
 
-    /// Writes the tiering engine's series into `out`: RAM cache
-    /// economics, cold-pool occupancy, and the per-volume read counts
-    /// of `volumes` (the live ones) that feed the heat watcher.
+    /// Writes the tiering engine's series into `out`: cold-pool
+    /// occupancy and the per-volume read counts of `volumes` (the live
+    /// ones) that feed the heat watcher.
     pub(crate) fn collect<'v>(&self, volumes: impl Iterator<Item = &'v u64>, out: &mut Frame<'_>) {
-        let (hits, misses, evictions) = self.ram.stats();
-        out.counter("cache_ram_hits", &[], hits);
-        out.counter("cache_ram_misses", &[], misses);
-        out.counter("cache_ram_evictions", &[], evictions);
-        out.gauge("cache_ram_used_bytes", &[], self.ram.used_bytes() as i64);
-        out.gauge(
-            "cache_ram_capacity_bytes",
-            &[],
-            self.ram.capacity_bytes() as i64,
-        );
         out.gauge("tier_cold_slots_free", &[], self.free_slots.len() as i64);
         out.gauge("tier_cold_slots_used", &[], self.used_slots.len() as i64);
         out.gauge(
@@ -161,6 +147,12 @@ impl TierState {
     /// Whether a slot is currently marked used (integrity checks).
     pub(crate) fn slot_used(&self, drive: usize, slot: u64) -> bool {
         self.used_slots.contains(&(drive, slot))
+    }
+
+    /// Whether a slot still holds its last occupant's bytes: used, or
+    /// dead but not yet released for reuse (integrity checks).
+    pub(crate) fn slot_held(&self, drive: usize, slot: u64) -> bool {
+        self.slot_used(drive, slot) || self.pending_free.contains(&(drive, slot))
     }
 }
 
@@ -460,7 +452,13 @@ impl Controller {
             return;
         }
         let slot_bytes = self.cfg.cold_slot_bytes();
-        for (d, slot) in std::mem::take(&mut self.tier.pending_free) {
+        let released = std::mem::take(&mut self.tier.pending_free);
+        // The next occupant gets the same `Pba` whenever its encoded
+        // length matches, so the old payload must leave the cache now.
+        self.cache.invalidate(|p| {
+            cold_drive_of(p).is_some_and(|d| released.contains(&(d, p.offset / slot_bytes as u64)))
+        });
+        for (d, slot) in released {
             let _ = shelf.trim_cold(d, (slot * slot_bytes as u64) as usize, slot_bytes);
             self.tier.free_slots.insert((d, slot));
         }
@@ -510,12 +508,6 @@ impl Controller {
         let policy = HeatPolicy::with_demote_after(self.cfg.tier_demote_after_ns.max(1));
         self.tier.watcher.classify(volume, now, &policy)
     }
-}
-
-/// Shared admission point: payloads decoded off any device path enter
-/// both the legacy cblock cache and (when sized) the 2Q RAM cache.
-pub(crate) fn admit_payload(ram: &mut RamCache<Pba>, pba: &Pba, payload: &Arc<Vec<u8>>) {
-    ram.put(*pba, payload.clone());
 }
 
 #[cfg(test)]
@@ -599,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn ram_cache_hits_short_circuit_and_count() {
+    fn cache_hits_short_circuit_and_count() {
         let mut a = tiered_array();
         let vol = a.create_volume("hot", 1 << 20).unwrap();
         let data = vec![7u8; 64 * 1024];
@@ -608,9 +600,85 @@ mod tests {
             a.read(vol, 0, 64 * 1024).unwrap();
         }
         assert!(
-            a.stats().ram_cache_hits > 0,
-            "repeated reads never hit the RAM cache"
+            a.stats().cache_reads > 0,
+            "repeated reads never hit the cache"
         );
+    }
+
+    /// 256 KiB the compressor cannot shrink, so every encoded cblock of
+    /// every volume has the same `stored_len` and cold `Pba`s collide.
+    fn noise(seed: u64) -> Vec<u8> {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut data = vec![0u8; 256 * 1024];
+        StdRng::seed_from_u64(seed).fill(&mut data[..]);
+        data
+    }
+
+    #[test]
+    fn reused_cold_slot_never_serves_the_previous_occupant() {
+        for failover in [false, true] {
+            let mut a = tiered_array();
+            let one = a.create_volume("one", 1 << 20).unwrap();
+            let two = a.create_volume("two", 1 << 20).unwrap();
+            let (d1, d2) = (noise(1), noise(2));
+            a.write(one, 0, &d1).unwrap();
+            a.write(two, 0, &d2).unwrap();
+            // Ticks, reading `busy` so only the other volume goes idle,
+            // until `done` holds.
+            let run = |a: &mut FlashArray,
+                       busy: &[crate::VolumeId],
+                       done: &dyn Fn(&Controller) -> bool| {
+                for _ in 0..80 {
+                    if done(a.controller()) {
+                        return;
+                    }
+                    for v in busy {
+                        a.read(*v, 0, 8192).unwrap();
+                    }
+                    a.advance(50 * MS);
+                }
+                panic!("setup: the migrator never got there");
+            };
+            let on_flash =
+                |c: &Controller, v: crate::VolumeId| c.volume_placements()[&v.0].flash_cblocks;
+            let on_cold =
+                |c: &Controller, v: crate::VolumeId| c.volume_placements()[&v.0].cold_cblocks;
+
+            // One touch gives the heat watcher evidence of `one`.
+            a.read(one, 0, 4096).unwrap();
+            run(&mut a, &[two], &|c| on_flash(c, one) == 0);
+            let first_slots = a.controller().tier.used_slots.clone();
+            // `one` fills the cache under its cold keys; enough writes
+            // follow for a warming pass to copy them to the standby.
+            assert_eq!(a.read(one, 0, d1.len()).unwrap().0, d1);
+            for _ in 0..128 {
+                a.write(one, 512 * 1024, &d1[..512]).unwrap();
+            }
+            // `one` re-heats: promoted, its slots swept, then released.
+            run(&mut a, &[one, two], &|c| {
+                on_cold(c, one) == 0 && c.tier.used_slots.is_empty()
+            });
+            a.checkpoint().unwrap();
+            assert!(a.controller().tier.pending_free.is_empty());
+            assert_eq!(a.verify_integrity(), Vec::<String>::new());
+            // `two` idles into the very slots `one` vacated.
+            run(&mut a, &[one], &|c| on_flash(c, two) == 0);
+            assert!(first_slots.is_subset(&a.controller().tier.used_slots));
+            if failover {
+                // Made durable first, or the takeover un-happens the move.
+                a.checkpoint().unwrap();
+                a.fail_primary().unwrap();
+                assert_eq!(on_flash(a.controller(), two), 0);
+            }
+            let (back, _) = a.read(two, 0, d2.len()).unwrap();
+            assert!(
+                back == d2,
+                "failover={failover}: a reused slot served stale bytes (`one`'s: {})",
+                back == d1
+            );
+            assert_eq!(a.read(one, 0, d1.len()).unwrap().0, d1);
+            assert!(a.verify_integrity().is_empty());
+        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl BlameCategory {
 /// Every stage name any layer may stamp into an [`crate::OpTrace`],
 /// with the blame category its time folds into. OBSERVABILITY.md
 /// documents the table; a test enumerates emitted stages against it.
-pub const STAGE_REGISTRY: [(&str, BlameCategory); 21] = [
+pub const STAGE_REGISTRY: [(&str, BlameCategory); 20] = [
     // Host front end.
     ("host_queue", BlameCategory::HostQueue),
     ("qos_throttle", BlameCategory::QosThrottle),
@@ -121,7 +121,6 @@ pub const STAGE_REGISTRY: [(&str, BlameCategory); 21] = [
     ("segment_fill", BlameCategory::ReductionCpu),
     ("cpu", BlameCategory::ReductionCpu),
     ("cache_hit", BlameCategory::ReductionCpu),
-    ("ram_cache_hit", BlameCategory::ReductionCpu),
     ("pending_buffer", BlameCategory::ReductionCpu),
     ("zero_fill", BlameCategory::ReductionCpu),
     ("drive_read", BlameCategory::DriveQueue),

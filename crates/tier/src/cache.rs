@@ -1,5 +1,12 @@
-//! Controller-RAM read cache: byte-bounded 2Q with strictly
-//! deterministic, `BTreeMap`-ordered eviction.
+//! Controller-RAM read cache: byte-bounded, with strictly
+//! deterministic, `BTreeMap`-ordered eviction, under 2Q or plain LRU
+//! admission.
+//!
+//! The array's controller runs it as an LRU ([`RamCache::lru`]): the
+//! primary serves reads from DRAM when it can, and asynchronously warms
+//! the standby's copy so failover does not start cold (§4.3: "the
+//! primary controller asynchronously warms the cache of the secondary,
+//! reducing the total amount of I/O required for failover").
 //!
 //! Plain LRU is scan-vulnerable: one sequential sweep of a cold volume
 //! evicts the whole hot set. 2Q (Johnson & Shasha, VLDB '94) fixes that
@@ -17,6 +24,10 @@
 //! keyed by tick — victim selection is `first_key_value()`, so two runs
 //! of the same op stream evict identically regardless of worker count
 //! or allocator layout.
+//!
+//! LRU admission is the same machine with probation and ghosts unused:
+//! every `put` enters protected, so the victim is always the entry with
+//! the oldest touch.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,10 +46,12 @@ struct Entry {
     protected: bool,
 }
 
-/// A deterministic byte-capacity-bounded 2Q cache keyed by `K`.
+/// A deterministic byte-capacity-bounded cache keyed by `K`.
 #[derive(Debug)]
 pub struct RamCache<K: Ord + Copy> {
     capacity_bytes: usize,
+    /// 2Q admission; `false` = LRU (no probation, no ghosts).
+    two_q: bool,
     entries: BTreeMap<K, Entry>,
     /// Probation FIFO: insertion tick → key (front = oldest).
     probation: BTreeMap<u64, K>,
@@ -56,10 +69,11 @@ pub struct RamCache<K: Ord + Copy> {
 }
 
 impl<K: Ord + Copy> RamCache<K> {
-    /// Creates a cache bounded to `capacity_bytes` of payload.
+    /// Creates a 2Q cache bounded to `capacity_bytes` of payload.
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
             capacity_bytes,
+            two_q: true,
             entries: BTreeMap::new(),
             probation: BTreeMap::new(),
             probation_bytes: 0,
@@ -74,6 +88,14 @@ impl<K: Ord + Copy> RamCache<K> {
         }
     }
 
+    /// Creates an LRU cache bounded to `capacity_bytes` of payload.
+    pub fn lru(capacity_bytes: usize) -> Self {
+        Self {
+            two_q: false,
+            ..Self::new(capacity_bytes)
+        }
+    }
+
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
@@ -81,7 +103,9 @@ impl<K: Ord + Copy> RamCache<K> {
 
     /// Looks up a payload. A probation hit promotes the entry into
     /// protected (it has now proven a re-reference); a protected hit
-    /// refreshes its LRU position.
+    /// refreshes its LRU position. The payload is shared, not copied — a
+    /// hit costs a refcount bump, which matters when dedup verification
+    /// fetches a 32 KiB cblock per 512 B compare.
     pub fn get(&mut self, key: &K) -> Option<Arc<Vec<u8>>> {
         let t = self.next_tick();
         let Some(e) = self.entries.get_mut(key) else {
@@ -111,8 +135,9 @@ impl<K: Ord + Copy> RamCache<K> {
         self.entries.contains_key(key)
     }
 
-    /// Inserts a payload. Keys remembered by the ghost list are admitted
-    /// straight into protected; first-timers enter probation.
+    /// Inserts a payload. Under 2Q, keys remembered by the ghost list
+    /// are admitted straight into protected and first-timers enter
+    /// probation; under LRU everything enters protected.
     pub fn put(&mut self, key: K, data: Arc<Vec<u8>>) {
         if data.len() > self.capacity_bytes || self.capacity_bytes == 0 {
             return;
@@ -122,7 +147,7 @@ impl<K: Ord + Copy> RamCache<K> {
         let ghosted = self.ghost_keys.remove(&key).inspect(|stamp| {
             self.ghost.remove(stamp);
         });
-        let protected = ghosted.is_some();
+        let protected = !self.two_q || ghosted.is_some();
         let len = data.len();
         if protected {
             self.protected.insert(t, key);
@@ -144,7 +169,7 @@ impl<K: Ord + Copy> RamCache<K> {
 
     /// Evicts until within budget: probation first while it exceeds its
     /// share (scans drain without touching the hot set), protected LRU
-    /// for the remainder. Evicted keys enter the ghost list.
+    /// for the remainder. Under 2Q, evicted keys enter the ghost list.
     fn enforce_capacity(&mut self) {
         let probation_budget = self.capacity_bytes / PROBATION_SHARE;
         while self.probation_bytes + self.protected_bytes > self.capacity_bytes {
@@ -174,9 +199,11 @@ impl<K: Ord + Copy> RamCache<K> {
                 self.probation_bytes -= e.data.len();
             }
             self.evictions += 1;
-            let g = self.next_tick();
-            self.ghost.insert(g, key);
-            self.ghost_keys.insert(key, g);
+            if self.two_q {
+                let g = self.next_tick();
+                self.ghost.insert(g, key);
+                self.ghost_keys.insert(key, g);
+            }
         }
         let ghost_cap = (self.entries.len() * GHOST_FACTOR).max(8);
         while self.ghost.len() > ghost_cap {
@@ -186,8 +213,7 @@ impl<K: Ord + Copy> RamCache<K> {
         }
     }
 
-    /// Removes one key (payload invalidation, e.g. an overwrite or a
-    /// freed segment). No ghost entry is left behind — the payload the
+    /// Removes one key. No ghost entry is left behind — the payload the
     /// ghost would vouch for no longer exists.
     pub fn remove(&mut self, key: &K) -> bool {
         let Some(e) = self.entries.remove(key) else {
@@ -203,12 +229,32 @@ impl<K: Ord + Copy> RamCache<K> {
         true
     }
 
-    /// Removes every resident key `pred` matches (segment invalidation).
-    pub fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) {
-        let victims: Vec<K> = self.entries.keys().filter(|k| !pred(k)).copied().collect();
+    /// Removes every resident key `stale` matches. Whoever frees a
+    /// location that a later write can reuse calls this first, or the
+    /// new occupant's reads are served the old occupant's payload.
+    pub fn invalidate(&mut self, mut stale: impl FnMut(&K) -> bool) {
+        let victims: Vec<K> = self.entries.keys().filter(|k| stale(k)).copied().collect();
         for k in victims {
             self.remove(&k);
         }
+    }
+
+    /// Copies the hot set into another cache (standby warming), hottest
+    /// first, stopping at the first entry that does not fit.
+    pub fn warm_into(&self, other: &mut Self) {
+        let mut hot: Vec<(&K, &Entry)> = self.entries.iter().collect();
+        hot.sort_by_key(|(_, e)| std::cmp::Reverse(e.stamp));
+        for (key, e) in hot {
+            if other.used_bytes() + e.data.len() > other.capacity_bytes {
+                break;
+            }
+            other.put(*key, e.data.clone());
+        }
+    }
+
+    /// Resident keys, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &K> {
+        self.entries.keys()
     }
 
     /// Bytes resident.
@@ -304,14 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_retain_drop_entries() {
+    fn remove_and_invalidate_drop_entries() {
         let mut c = RamCache::new(1000);
         put(&mut c, 1, 100);
         put(&mut c, 2, 100);
         assert!(c.remove(&1));
         assert!(!c.remove(&1));
         assert!(!c.contains(&1));
-        c.retain(|&k| k != 2);
+        c.invalidate(|&k| k == 2);
         assert!(c.is_empty());
         assert_eq!(c.used_bytes(), 0);
     }
@@ -342,5 +388,132 @@ mod tests {
             log
         };
         assert_eq!(run(), run());
+    }
+
+    // ---- LRU admission: the controller's cblock cache. ---------------
+
+    #[test]
+    fn lru_get_put_and_stats() {
+        let mut c = RamCache::lru(1024);
+        assert_eq!(c.get(&1), None);
+        c.put(1, Arc::new(vec![1, 2, 3]));
+        assert_eq!(c.get(&1), Some(Arc::new(vec![1, 2, 3])));
+        assert_eq!(c.stats(), (1, 1, 0));
+    }
+
+    #[test]
+    fn lru_eviction_keeps_recently_used() {
+        let mut c = RamCache::lru(1000);
+        put(&mut c, 0, 400);
+        put(&mut c, 1, 400);
+        c.get(&0); // touch 0 so 1 is LRU
+        put(&mut c, 2, 400); // evicts 1
+        assert!(c.get(&0).is_some());
+        assert!(c.get(&1).is_none());
+        assert!(c.get(&2).is_some());
+        assert!(c.used_bytes() <= 1000);
+    }
+
+    #[test]
+    fn lru_oversized_payloads_are_skipped() {
+        let mut c = RamCache::lru(10);
+        put(&mut c, 1, 100);
+        assert_eq!(c.used_bytes(), 0);
+    }
+
+    #[test]
+    fn lru_segment_invalidation() {
+        // Keyed like a `Pba`: (segment, offset).
+        let mut c: RamCache<(u64, u64)> = RamCache::lru(1024);
+        c.put((1, 0), Arc::new(vec![1]));
+        c.put((2, 0), Arc::new(vec![2]));
+        c.invalidate(|k| k.0 == 1);
+        assert!(c.get(&(1, 0)).is_none());
+        assert!(c.get(&(2, 0)).is_some());
+    }
+
+    #[test]
+    fn lru_warming_copies_hottest_first() {
+        let mut primary = RamCache::lru(1000);
+        put(&mut primary, 0, 300);
+        put(&mut primary, 1, 300);
+        put(&mut primary, 2, 300);
+        primary.get(&0); // hottest
+        let mut secondary = RamCache::lru(500);
+        primary.warm_into(&mut secondary);
+        assert!(secondary.get(&0).is_some(), "hottest entry warmed");
+        assert!(secondary.used_bytes() <= 500);
+    }
+
+    #[test]
+    fn lru_replacing_an_entry_adjusts_usage() {
+        let mut c = RamCache::lru(100);
+        put(&mut c, 1, 60);
+        put(&mut c, 1, 40);
+        assert_eq!(c.used_bytes(), 40);
+    }
+
+    /// What LRU admission must equal: `(key, len)` in recency order,
+    /// front = next victim.
+    struct LruModel {
+        capacity: usize,
+        order: Vec<(u8, usize)>,
+    }
+
+    impl LruModel {
+        fn get(&mut self, k: u8) -> Option<usize> {
+            let i = self.order.iter().position(|e| e.0 == k)?;
+            let e = self.order.remove(i);
+            self.order.push(e);
+            Some(e.1)
+        }
+
+        fn put(&mut self, k: u8, len: usize) {
+            if len > self.capacity {
+                return;
+            }
+            self.order.retain(|e| e.0 != k);
+            while self.order.iter().map(|e| e.1).sum::<usize>() + len > self.capacity {
+                self.order.remove(0);
+            }
+            self.order.push((k, len));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// LRU admission is the LRU it replaced: over any get / put /
+        /// invalidate stream the cache answers like the model and holds
+        /// the same entries in the same victim order.
+        #[test]
+        fn lru_admission_equals_the_reference_model(
+            capacity in 1usize..2000,
+            ops in proptest::collection::vec((0u8..3, 0u8..24, 0usize..700), 0..200),
+        ) {
+            let mut c: RamCache<u8> = RamCache::lru(capacity);
+            let mut m = LruModel { capacity, order: Vec::new() };
+            for (op, k, len) in ops {
+                match op {
+                    0 => proptest::prop_assert_eq!(c.get(&k).map(|d| d.len()), m.get(k)),
+                    1 => {
+                        c.put(k, Arc::new(vec![k; len]));
+                        m.put(k, len);
+                    }
+                    _ => {
+                        c.invalidate(|x| x % 8 == k % 8);
+                        m.order.retain(|e| e.0 % 8 != k % 8);
+                    }
+                }
+                let order: Vec<(u8, usize)> = c
+                    .protected
+                    .values()
+                    .map(|key| (*key, c.entries[key].data.len()))
+                    .collect();
+                proptest::prop_assert_eq!(&order, &m.order);
+                proptest::prop_assert!(c.probation.is_empty() && c.ghost.is_empty());
+                proptest::prop_assert_eq!(c.used_bytes(), m.order.iter().map(|e| e.1).sum::<usize>());
+            }
+        }
     }
 }

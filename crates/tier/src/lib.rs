@@ -5,8 +5,9 @@
 //! minutes at 1×/4×/10× data reduction against 2014 ECC DRAM. This crate
 //! turns that analysis into a running policy engine:
 //!
-//! * [`cache::RamCache`] — a deterministic, byte-bounded 2Q read cache
-//!   for controller DRAM, sized from the measured crossover interval
+//! * [`cache::RamCache`] — a deterministic, byte-bounded read cache for
+//!   controller DRAM. The array runs one as its LRU cblock cache; under
+//!   2Q admission it is sized from the measured crossover interval
 //!   (capacity = arrival byte rate × break-even time keeps exactly the
 //!   blocks whose re-reference interval beats the DRAM price).
 //! * [`heat::HeatWatcher`] — folds the flight recorder's per-volume read

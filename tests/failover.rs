@@ -178,26 +178,29 @@ fn frontier_scan_beats_full_scan() {
 
 #[test]
 fn secondary_cache_is_warm_after_failover() {
-    let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
-    let vol = a.create_volume("db", 4 << 20).unwrap();
-    let data = sectors(6, 64);
-    a.write(vol, 0, &data).unwrap();
-    // Touch the data repeatedly so it is hot, letting warming kick in
-    // (warms every 128 writes).
-    for i in 0..256u64 {
-        a.write(vol, 32 * SECTOR as u64, &sectors(7 + i % 3, 4))
-            .unwrap();
+    for cfg in [ArrayConfig::test_small(), ArrayConfig::tiered()] {
+        let mut a = FlashArray::new(cfg).unwrap();
+        let vol = a.create_volume("db", 4 << 20).unwrap();
+        let data = sectors(6, 64);
+        a.write(vol, 0, &data).unwrap();
+        // Touch the data repeatedly so it is hot, letting warming kick in
+        // (warms every 128 writes).
+        for i in 0..256u64 {
+            a.write(vol, 32 * SECTOR as u64, &sectors(7 + i % 3, 4))
+                .unwrap();
+            a.read(vol, 0, 16 * SECTOR).unwrap();
+        }
+        let hits_before = a.stats().cache_reads;
+        assert!(hits_before > 0);
+        a.fail_primary().unwrap();
+        // First read after failover should hit the warmed cache (the
+        // counter carries over, so it must move).
         a.read(vol, 0, 16 * SECTOR).unwrap();
+        assert!(
+            a.stats().cache_reads > hits_before,
+            "warmed secondary cache should serve immediately"
+        );
     }
-    let hits_before = a.stats().cache_reads;
-    assert!(hits_before > 0);
-    a.fail_primary().unwrap();
-    // First read after failover should hit the warmed cache.
-    a.read(vol, 0, 16 * SECTOR).unwrap();
-    assert!(
-        a.stats().cache_reads > 0,
-        "warmed secondary cache should serve immediately"
-    );
 }
 
 #[test]

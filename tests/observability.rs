@@ -429,9 +429,9 @@ fn emitted_stage_names_are_registered() {
 }
 
 /// The tiering engine's stages (ISSUE 10) are part of the same closed
-/// registry: a run that hits the RAM cache, demotes to the cold class
-/// and pays a cold read must emit exactly the registered names — and
-/// the new metrics families must show up in the snapshot.
+/// registry: a run that hits the cache, demotes to the cold class and
+/// pays a cold read must emit exactly the registered names — and the
+/// new metrics families must show up in the snapshot.
 #[test]
 fn tier_stages_are_emitted_and_registered() {
     let mut cfg = ArrayConfig::tiered();
@@ -443,8 +443,8 @@ fn tier_stages_are_emitted_and_registered() {
     a.write(vol, 0, &data).unwrap();
     // One read warms the heat series; the idle advance crosses the
     // demote threshold so the migrator copies the volume down; the
-    // re-read pays the cold penalty and admits into the RAM cache; the
-    // final read hits RAM.
+    // re-read pays the cold penalty and admits into the cache; the
+    // final read hits it.
     a.read(vol, 0, 64 * SECTOR).unwrap();
     for _ in 0..12 {
         a.advance(100_000_000);
@@ -458,7 +458,7 @@ fn tier_stages_are_emitted_and_registered() {
             seen.insert(st.stage);
         }
     }
-    for want in ["ram_cache_hit", "cold_read", "tier_demote"] {
+    for want in ["cache_hit", "cold_read", "tier_demote"] {
         assert!(
             seen.contains(want),
             "tiered run never emitted {want:?}; saw {seen:?}"
@@ -473,11 +473,11 @@ fn tier_stages_are_emitted_and_registered() {
     }
 
     let s = a.stats();
-    assert!(s.tier_demotions > 0 && s.cold_reads > 0 && s.ram_cache_hits > 0);
+    assert!(s.tier_demotions > 0 && s.cold_reads > 0 && s.cache_reads > 0);
     let snap = a.metrics_snapshot();
     assert_eq!(snap.counter("tier_demotions", &[]), s.tier_demotions);
     assert_eq!(snap.counter("tier_cold_reads", &[]), s.cold_reads);
-    assert_eq!(snap.counter("cache_ram_hits", &[]), s.ram_cache_hits);
+    assert_eq!(snap.counter("cache_ram_hits", &[]), s.cache_reads);
     let vol_label = vol.0.to_string();
     assert!(
         snap.counter("volume_reads", &[("volume", vol_label.as_str())]) > 0,
@@ -599,12 +599,12 @@ fn export_contract_tiered_cycle() {
         a.advance(100_000_000);
     }
     assert!(a.stats().tier_demotions > 0, "idle volume must demote");
-    // Re-heat: cold reads, then RAM hits, then the migrator promotes.
+    // Re-heat: cold reads, then cache hits, then the migrator promotes.
     for i in 0..40u64 {
         a.read(idle, (i % 16) * 32 * 1024, 32 * 1024).unwrap();
         a.advance(25_000_000);
     }
-    assert!(a.stats().cold_reads > 0 && a.stats().ram_cache_hits > 0);
+    assert!(a.stats().cold_reads > 0 && a.stats().cache_reads > 0);
     assert!(
         a.stats().tier_promotions > 0,
         "re-heated volume must promote"
@@ -612,7 +612,7 @@ fn export_contract_tiered_cycle() {
     assert_export_digest(
         "tiered_cycle",
         &[a.export_observability_json()],
-        &[(79_850, 0x7fb4_3bb1_4ea8_13d1)],
+        &[(79_739, 0xbd10_f295_1aaf_a5ab)],
     );
 }
 
@@ -652,7 +652,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(44_156, 0x1d12_ee07_4078_f1c2)],
+        &[(44_243, 0xe0c1_421b_5eae_2c74)],
     );
 }
 
@@ -721,11 +721,11 @@ fn export_contract_cluster_kill_and_repl_ship() {
         "cluster_kill_and_repl_ship",
         &docs,
         &[
-            (16_532, 0x2142_6ae4_13c2_178c),
-            (352_105, 0x4bb3_fabb_be9b_1c3a),
-            (347_773, 0x23b7_f188_5a08_da49),
-            (88_432, 0x3afc_28c7_6176_0c98),
-            (87_009, 0xd567_89e5_5be2_9f78),
+            (16_538, 0x4aaa_df85_f810_8583),
+            (355_093, 0x82d1_834a_43c9_451d),
+            (349_579, 0xdab3_6e35_58d2_710a),
+            (89_013, 0x9550_e290_15e1_d8b5),
+            (87_321, 0x8d04_8e87_ac31_ec70),
         ],
     );
 }
