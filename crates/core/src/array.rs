@@ -446,10 +446,11 @@ impl FlashArray {
         self.check_powered().ok()?;
         let now = self.clock.now();
         let loc = self.primary.dedup.index_mut().lookup(hash)?;
-        let (payload, _t) = self
+        let payload = self
             .primary
-            .fetch_cblock(&mut self.shelf, &loc.pba, now)
-            .ok()?;
+            .fetch_cblock(&mut self.shelf, &loc.pba, now, None)
+            .ok()?
+            .payload;
         let start = loc.sector as usize * crate::types::SECTOR;
         let data = payload.get(start..start + crate::types::SECTOR)?.to_vec();
         (purity_dedup::hash::block_hash(&data) == hash).then_some(data)

@@ -179,7 +179,10 @@ pub struct Ack {
     pub latency: Nanos,
 }
 
-pub(crate) fn encode_cblock(payload: &[u8], compression: bool) -> Vec<u8> {
+/// The stored form of a cblock payload. A pure function of its input —
+/// relocation rests on that: re-encoding what a stored cblock decodes to
+/// gives back the stored bytes, so an unchanged cblock moves as a copy.
+pub fn encode_cblock(payload: &[u8], compression: bool) -> Vec<u8> {
     if compression {
         purity_compress::compress(payload)
     } else {
@@ -657,28 +660,7 @@ impl Controller {
     ) -> Result<()> {
         let n = chunk.len() / SECTOR;
         let outcomes = if self.cfg.dedup_enabled {
-            let Self {
-                dedup,
-                cache,
-                segments,
-                writer,
-                layout,
-                rs,
-                cfg,
-                stats,
-                ..
-            } = self;
-            let mut fetcher = CtrlFetcher {
-                shelf,
-                cache,
-                segments,
-                writer,
-                layout,
-                rs,
-                read_around: cfg.read_around_writes,
-                stats,
-                now,
-            };
+            let (dedup, mut fetcher) = self.fetcher(shelf, now);
             dedup.process(chunk, &mut fetcher)
         } else {
             vec![Outcome::Unique; n]
@@ -748,10 +730,7 @@ impl Controller {
                 self.open_new_segment(shelf, use_reserve, now)?;
             }
             let (result, _t) = self.writer.append_data(shelf, encoded, now)?;
-            // Keep the in-memory segment table in sync with the writer.
-            if let Some(info) = self.writer.open_segment() {
-                self.segments.insert(info.id.0, info.clone());
-            }
+            self.sync_open_segment();
             match result {
                 Append::Placed(pba) => return Ok(pba),
                 Append::Full => self.seal_open_segment(shelf, now)?,
@@ -770,6 +749,23 @@ impl Controller {
         now: Nanos,
     ) -> Result<Pba> {
         self.place_cblock_with(shelf, encoded, false, now)
+    }
+
+    /// Keeps the in-memory segment table in sync with the writer: copies
+    /// the open segment's fill counters into the entry made when it
+    /// opened (nothing else about it changes until it seals).
+    fn sync_open_segment(&mut self) {
+        let Some(open) = self.writer.open_segment() else {
+            return;
+        };
+        let entry = self
+            .segments
+            .get_mut(&open.id.0)
+            .expect("open_new_segment entered the open segment in the table");
+        entry.data_bytes = open.data_bytes;
+        entry.data_stripes = open.data_stripes;
+        entry.log_stripes = open.log_stripes;
+        entry.log_bytes = open.log_bytes;
     }
 
     pub(crate) fn seal_open_segment(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<()> {
@@ -827,7 +823,7 @@ impl Controller {
         }
         let id = SegmentId(self.next_segment);
         self.next_segment += 1;
-        if std::env::var("PURITY_TRACE").is_ok() {
+        if crate::trace_enabled() {
             eprintln!(
                 "OPEN-SEG {:?} columns {:?} failed_drives {:?}",
                 id,
@@ -966,8 +962,9 @@ impl Controller {
         }
         let mut done = now;
         for (pba, uses) in plan {
-            let (payload, t) = self.fetch_cblock_traced(shelf, &pba, now, trace.as_deref_mut())?;
-            done = done.max(t);
+            let fetched = self.fetch_cblock(shelf, &pba, now, trace.as_deref_mut())?;
+            done = done.max(fetched.done);
+            let payload = fetched.payload;
             for (i, cs) in uses {
                 let src = cs as usize * SECTOR;
                 if src + SECTOR > payload.len() {
@@ -1116,47 +1113,38 @@ impl Controller {
         }
     }
 
-    /// Fetches and decodes a cblock (cache → pending → flash).
+    /// Fetches and decodes a cblock (cache → pending → flash), stamping
+    /// `trace` if given. The stored bytes the fetch read come back
+    /// beside the payload: relocation places them verbatim.
     pub(crate) fn fetch_cblock(
         &mut self,
         shelf: &mut Shelf,
         pba: &Pba,
         now: Nanos,
-    ) -> Result<(Arc<Vec<u8>>, Nanos)> {
-        self.fetch_cblock_traced(shelf, pba, now, None)
+        trace: Option<&mut OpTrace>,
+    ) -> Result<Fetched> {
+        self.fetcher(shelf, now).1.fetch_cblock(pba, trace)
     }
 
-    /// [`Controller::fetch_cblock`] with an optional trace context.
-    pub(crate) fn fetch_cblock_traced(
-        &mut self,
-        shelf: &mut Shelf,
-        pba: &Pba,
+    /// Splits the controller into the dedup engine and the fetch path
+    /// the engine verifies its candidates through.
+    pub(crate) fn fetcher<'a>(
+        &'a mut self,
+        shelf: &'a mut Shelf,
         now: Nanos,
-        trace: Option<&mut OpTrace>,
-    ) -> Result<(Arc<Vec<u8>>, Nanos)> {
-        let Self {
-            cache,
-            segments,
-            writer,
-            layout,
-            rs,
-            cfg,
-            stats,
-            ..
-        } = self;
-        fetch_cblock_raw(
+    ) -> (&'a mut DedupEngine<BlockLoc>, CtrlFetcher<'a>) {
+        let fetcher = CtrlFetcher {
             shelf,
-            cache,
-            segments,
-            writer,
-            layout,
-            rs,
-            cfg.read_around_writes,
-            stats,
-            pba,
+            cache: &mut self.cache,
+            segments: &self.segments,
+            writer: &self.writer,
+            layout: &self.layout,
+            rs: &self.rs,
+            read_around: self.cfg.read_around_writes,
+            stats: &mut self.stats,
             now,
-            trace,
-        )
+        };
+        (&mut self.dedup, fetcher)
     }
 
     // ------------------------------------------------------------------
@@ -1171,9 +1159,7 @@ impl Controller {
         }
         // Data referenced by these facts must be durable first.
         self.writer.pad_flush_data(shelf, now)?;
-        if let Some(info) = self.writer.open_segment() {
-            self.segments.insert(info.id.0, info.clone());
-        }
+        self.sync_open_segment();
         let patch = self.map.flush().expect("memtable non-empty");
         let rows: Vec<[u64; MapFact::COLS]> = patch
             .iter()
@@ -1217,10 +1203,10 @@ impl Controller {
             let (placed, full) = self.writer.append_log(shelf, bytes, now)?;
             if let Some((offset, _t)) = placed {
                 self.writer.flush_log(shelf, now)?;
-                let info = self.writer.open_segment().expect("open").clone();
-                self.segments.insert(info.id.0, info.clone());
+                self.sync_open_segment();
+                let segment = self.writer.open_segment().expect("open").id.0;
                 return Ok(PatchLoc {
-                    segment: info.id.0,
+                    segment,
                     log_offset: offset,
                     len: bytes.len() as u64,
                 });
@@ -1239,7 +1225,7 @@ impl Controller {
         self.checkpoint_version += 1;
         let frontier = self.allocator.build_persist_set();
         let cp = self.build_checkpoint(frontier);
-        if std::env::var("PURITY_TRACE").is_ok() {
+        if crate::trace_enabled() {
             let segs: Vec<u64> = self.segments.keys().copied().collect();
             eprintln!("CKPT-FRONTIER v{} segs {:?}", cp.version, segs);
         }
@@ -1262,7 +1248,7 @@ impl Controller {
             self.allocator.snapshot_persisted()
         };
         let cp = self.build_checkpoint(frontier);
-        if std::env::var("PURITY_TRACE").is_ok() {
+        if crate::trace_enabled() {
             let segs: Vec<u64> = self.segments.keys().copied().collect();
             eprintln!("CKPT v{} segs {:?}", cp.version, segs);
         }
@@ -1462,8 +1448,7 @@ pub(crate) fn read_extent(
                 if let Some(tr) = trace.as_deref_mut() {
                     stamp_drive_read(tr, &dr, au.drive, now, false);
                 }
-                if std::env::var("PURITY_TRACE").is_ok() && dr.done.saturating_sub(now) > 10_000_000
-                {
+                if crate::trace_enabled() && dr.done.saturating_sub(now) > 10_000_000 {
                     eprintln!(
                         "SLOW-DIRECT drive {} ext {:?} lat {}us",
                         au.drive,
@@ -1530,7 +1515,7 @@ pub(crate) fn read_extent(
                 format!("{why}; rebuilt column {} from {k} columns", ext.column),
             );
         }
-        if std::env::var("PURITY_TRACE").is_ok() && done.saturating_sub(now) > 10_000_000 {
+        if crate::trace_enabled() && done.saturating_sub(now) > 10_000_000 {
             let cols: Vec<String> = available.iter().map(|(c, _)| format!("c{}", c)).collect();
             eprintln!(
                 "SLOW-RECON target d{} ext {:?} lat {}us via {:?}",
@@ -1583,106 +1568,136 @@ pub(crate) fn read_extent(
     )))
 }
 
-/// Cache → open-segment pending buffer → flash, then decode.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fetch_cblock_raw(
-    shelf: &mut Shelf,
-    cache: &mut RamCache<Pba>,
-    segments: &BTreeMap<u64, SegmentInfo>,
-    writer: &SegmentWriter,
-    layout: &SegmentLayout,
-    rs: &ReedSolomon,
+/// A fetched cblock.
+pub(crate) struct Fetched {
+    /// The decoded payload.
+    pub payload: Arc<Vec<u8>>,
+    /// The stored (encoded) bytes `payload` was decoded from. `None` on
+    /// a cache hit, which reads no device.
+    pub stored: Option<Vec<u8>>,
+    /// Completion time.
+    pub done: Nanos,
+}
+
+/// The fetch path's borrow of the controller — everything a cblock
+/// fetch touches. It is also the dedup engine's view of stored blocks,
+/// which is why the engine is not part of it.
+pub(crate) struct CtrlFetcher<'a> {
+    shelf: &'a mut Shelf,
+    cache: &'a mut RamCache<Pba>,
+    segments: &'a BTreeMap<u64, SegmentInfo>,
+    writer: &'a SegmentWriter,
+    layout: &'a SegmentLayout,
+    rs: &'a ReedSolomon,
     read_around: bool,
-    stats: &mut ArrayStats,
-    pba: &Pba,
+    stats: &'a mut ArrayStats,
     now: Nanos,
-    mut trace: Option<&mut OpTrace>,
-) -> Result<(Arc<Vec<u8>>, Nanos)> {
-    if let Some(payload) = cache.get(pba) {
-        stats.cache_reads += 1;
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.stage("cache_hit", now, now);
+}
+
+impl CtrlFetcher<'_> {
+    /// Cache → open-segment pending buffer → flash, then decode.
+    fn fetch_cblock(&mut self, pba: &Pba, mut trace: Option<&mut OpTrace>) -> Result<Fetched> {
+        let now = self.now;
+        if let Some(payload) = self.cache.get(pba) {
+            self.stats.cache_reads += 1;
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.stage("cache_hit", now, now);
+            }
+            return Ok(Fetched {
+                payload,
+                stored: None,
+                done: now,
+            });
         }
-        return Ok((payload, now));
+        let (raw, done) = if crate::tier::cold_drive_of(pba).is_some() {
+            // Cold-resident cblock: one contiguous slot read off the QLC
+            // pool, no striping, no parity — the read pays the full
+            // device penalty.
+            let (raw, t) = Controller::read_cold_cblock(self.shelf, pba, now)?;
+            self.stats.cold_reads += 1;
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.stage("cold_read", now, t);
+            }
+            (raw, t)
+        } else {
+            self.read_stored(pba, trace)?
+        };
+        let payload =
+            Arc::new(purity_compress::decompress(&raw).map_err(|e| {
+                PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e))
+            })?);
+        self.cache.put(*pba, payload.clone());
+        Ok(Fetched {
+            payload,
+            stored: Some(raw),
+            done,
+        })
     }
-    // Cold-resident cblock: one contiguous slot read off the QLC pool,
-    // no striping, no parity — the read pays the full device penalty.
-    if crate::tier::cold_drive_of(pba).is_some() {
-        let (raw, t) = Controller::read_cold_cblock(shelf, pba, now)?;
-        stats.cold_reads += 1;
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.stage("cold_read", now, t);
+
+    /// Reads a flash-resident cblock's stored bytes. A cblock in the open
+    /// segment may straddle the flush boundary: head bytes already on
+    /// flash, tail still in the pending DRAM buffer.
+    fn read_stored(
+        &mut self,
+        pba: &Pba,
+        mut trace: Option<&mut OpTrace>,
+    ) -> Result<(Vec<u8>, Nanos)> {
+        let now = self.now;
+        let len = pba.stored_len as usize;
+        let flash_len = match self.writer.flushed_boundary(pba.segment) {
+            Some(boundary) => (boundary.saturating_sub(pba.offset) as usize).min(len),
+            None => len,
+        };
+        if flash_len == 0 {
+            let bytes = self
+                .writer
+                .read_pending(pba.segment, pba.offset, len)
+                .ok_or_else(|| PurityError::Internal(format!("pending read miss at {:?}", pba)))?;
+            if let Some(tr) = trace.as_deref_mut() {
+                tr.stage("pending_buffer", now, now);
+            }
+            return Ok((bytes, now));
         }
-        let payload = Arc::new(
-            purity_compress::decompress(&raw)
-                .map_err(|e| PurityError::DataLoss(format!("cold cblock at {:?}: {}", pba, e)))?,
-        );
-        cache.put(*pba, payload.clone());
-        return Ok((payload, t));
-    }
-    // A cblock in the open segment may straddle the flush boundary:
-    // head bytes already on flash, tail still in the pending DRAM buffer.
-    let len = pba.stored_len as usize;
-    let flash_len = match writer.flushed_boundary(pba.segment) {
-        Some(boundary) => (boundary.saturating_sub(pba.offset) as usize).min(len),
-        None => len,
-    };
-    let raw = if flash_len == 0 {
-        let bytes = writer
-            .read_pending(pba.segment, pba.offset, len)
-            .ok_or_else(|| PurityError::Internal(format!("pending read miss at {:?}", pba)))?;
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.stage("pending_buffer", now, now);
-        }
-        (bytes, now)
-    } else {
-        let info = segments
+        let info = self
+            .segments
             .get(&pba.segment.0)
             .ok_or_else(|| PurityError::Internal(format!("unknown segment {:?}", pba.segment)))?;
-        let mut buf = Vec::with_capacity(len);
+        // The first extent's bytes become the buffer: most cblocks are
+        // one extent, and need no second copy.
+        let mut buf = Vec::new();
         let mut done = now;
-        for ext in layout.data_extents(pba.offset, flash_len) {
+        for ext in self.layout.data_extents(pba.offset, flash_len) {
             let (bytes, t) = read_extent(
-                shelf,
+                self.shelf,
                 info,
-                layout,
-                rs,
-                read_around,
-                stats,
+                self.layout,
+                self.rs,
+                self.read_around,
+                self.stats,
                 &ext,
                 now,
                 trace.as_deref_mut(),
             )?;
             done = done.max(t);
-            buf.extend_from_slice(&bytes);
+            if buf.is_empty() {
+                buf = bytes;
+            } else {
+                buf.extend_from_slice(&bytes);
+            }
         }
         if flash_len < len {
-            let tail = writer
+            let tail = self
+                .writer
                 .read_pending(pba.segment, pba.offset + flash_len as u64, len - flash_len)
                 .ok_or_else(|| PurityError::Internal(format!("pending tail miss at {:?}", pba)))?;
             buf.extend_from_slice(&tail);
         }
-        (buf, done)
-    };
-    let payload = Arc::new(
-        purity_compress::decompress(&raw.0)
-            .map_err(|e| PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e)))?,
-    );
-    cache.put(*pba, payload.clone());
-    Ok((payload, raw.1))
-}
+        Ok((buf, done))
+    }
 
-/// The dedup engine's view of stored blocks.
-pub(crate) struct CtrlFetcher<'a> {
-    pub shelf: &'a mut Shelf,
-    pub cache: &'a mut RamCache<Pba>,
-    pub segments: &'a BTreeMap<u64, SegmentInfo>,
-    pub writer: &'a SegmentWriter,
-    pub layout: &'a SegmentLayout,
-    pub rs: &'a ReedSolomon,
-    pub read_around: bool,
-    pub stats: &'a mut ArrayStats,
-    pub now: Nanos,
+    fn payload(&mut self, pba: &Pba) -> Option<Arc<Vec<u8>>> {
+        self.fetch_cblock(pba, None).ok().map(|f| f.payload)
+    }
 }
 
 impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
@@ -1691,20 +1706,7 @@ impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
         if sector < 0 {
             return None;
         }
-        let (payload, _t) = fetch_cblock_raw(
-            self.shelf,
-            self.cache,
-            self.segments,
-            self.writer,
-            self.layout,
-            self.rs,
-            self.read_around,
-            self.stats,
-            &loc.pba,
-            self.now,
-            None,
-        )
-        .ok()?;
+        let payload = self.payload(&loc.pba)?;
         let start = sector as usize * SECTOR;
         (start + SECTOR <= payload.len()).then(|| payload[start..start + SECTOR].to_vec())
     }
@@ -1724,20 +1726,7 @@ impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
         if sector < 0 {
             return None;
         }
-        let (payload, _t) = fetch_cblock_raw(
-            self.shelf,
-            self.cache,
-            self.segments,
-            self.writer,
-            self.layout,
-            self.rs,
-            self.read_around,
-            self.stats,
-            &loc.pba,
-            self.now,
-            None,
-        )
-        .ok()?;
+        let payload = self.payload(&loc.pba)?;
         let start = sector as usize * SECTOR;
         (start + SECTOR <= payload.len()).then(|| &payload[start..start + SECTOR] == expect)
     }

@@ -8,7 +8,9 @@
 //!   merge rather than relocated, which is the fast space reclamation of
 //!   elision (§4.10);
 //! * runs the "more expensive deduplication pass" over relocated data
-//!   (§4.7), catching duplicates inline dedup deferred;
+//!   (§4.7), catching duplicates inline dedup deferred — and moves a
+//!   cblock the pass left whole as a copy of its stored bytes
+//!   (`Controller::relocate`, shared with the tiering migrator);
 //! * **segregates deduplicated blocks into their own segments** (§4.7) —
 //!   multiply-referenced cblocks are relocated into a separate fresh
 //!   segment, "since blocks with multiple references are less likely to
@@ -17,19 +19,35 @@
 //!   bounding recovery work;
 //! * shortcuts medium chains so reads touch ≤ 3 cblocks (§4.6).
 
-use crate::controller::{Controller, CtrlFetcher, MapVal};
+use crate::controller::{encode_cblock, Controller, MapKey, MapVal};
 use crate::error::Result;
 use crate::records::{map_patch_records, MapFact, SegmentState, PATCH_CHUNK_FACTS};
 use crate::shelf::Shelf;
 use crate::types::{BlockLoc, MediumId, Pba, SECTOR};
 use purity_dedup::engine::Outcome;
 use purity_lsm::Seq;
+use purity_obs::OpTrace;
 use purity_sim::Nanos;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
 /// All live references to one cblock: (map key, value) pairs.
-type CblockRefs = Vec<((u64, u64), MapVal)>;
+type CblockRefs = [(MapKey, MapVal)];
+
+/// What one [`Controller::relocate`] call moved.
+pub(crate) struct Relocated {
+    /// Decoded payload bytes of the cblock.
+    pub payload_bytes: u64,
+    /// Encoded bytes placed (0 when every sector deduplicated away).
+    pub placed_bytes: u64,
+    /// When the fetch completed.
+    pub fetched_at: Nanos,
+    /// References repointed at a duplicate the dedup pass found.
+    pub dedup_sectors: u64,
+    /// The stored bytes were placed verbatim: no pack, no compress.
+    pub copied: bool,
+}
 
 /// What one GC pass accomplished.
 #[derive(Debug, Clone, Default)]
@@ -42,6 +60,11 @@ pub struct GcReport {
     pub bytes_freed: u64,
     /// Sectors newly deduplicated by the GC dedup pass.
     pub gc_dedup_sectors: u64,
+    /// cblocks relocated by placing their stored bytes verbatim.
+    pub cblocks_copied: u64,
+    /// cblocks relocated by re-packing and re-encoding the payload (the
+    /// pass found a new duplicate, or the fetch was a cache hit).
+    pub cblocks_repacked: u64,
     /// Medium-table rows shortcut.
     pub medium_shortcuts: usize,
     /// Map facts dropped by the flatten (superseded + elided).
@@ -75,12 +98,18 @@ impl Controller {
         // volume has fully overwritten — are unreachable and reclaimable
         // even when their medium survives as a chain target.
         let live = self.reachable_live();
-        let mut pba_refs: HashMap<Pba, CblockRefs> = HashMap::new();
-        for (key, val) in &live {
-            pba_refs.entry(val.loc.pba).or_default().push((*key, *val));
-        }
+        // Grouped by cblock. `live` is in key order and a cblock's
+        // references are mostly consecutive keys, so sort the *runs* of
+        // one location, not the entries: stable, so a cblock's runs stay
+        // in key order, and the cblocks come out in (segment, offset)
+        // order, which is also the relocation order.
+        let pba_of = |run: &&CblockRefs| run[0].1.loc.pba;
+        let mut runs: Vec<&CblockRefs> = live.chunk_by(|a, b| a.1.loc.pba == b.1.loc.pba).collect();
+        runs.sort_by_key(pba_of);
+        let by_cblock = || runs.chunk_by(|a, b| pba_of(a) == pba_of(b));
         let mut seg_live_bytes: BTreeMap<u64, u64> = BTreeMap::new();
-        for pba in pba_refs.keys() {
+        for cblock in by_cblock() {
+            let pba = pba_of(&cblock[0]);
             *seg_live_bytes.entry(pba.segment.0).or_default() += pba.stored_len as u64;
         }
 
@@ -88,6 +117,7 @@ impl Controller {
         let open_id = self.writer.open_segment().map(|s| s.id.0);
         let protected: HashSet<u64> = self.map_patches.iter().map(|p| p.segment).collect();
         let capacity = (self.layout.n_stripes * self.layout.stripe_data_bytes()) as u64;
+        // Ascending (segment-table order): membership is a binary search.
         let victims: Vec<u64> = self
             .segments
             .values()
@@ -102,41 +132,27 @@ impl Controller {
             })
             .map(|s| s.id.0)
             .collect();
-        let victim_set: HashSet<u64> = victims.iter().copied().collect();
 
         // ---- Relocation. ---------------------------------------------
         // Split each victim's live cblocks into singly- and multiply-
         // referenced groups; the latter get their own segments (§4.7).
-        let mut normal: Vec<(Pba, CblockRefs)> = Vec::new();
-        let mut shared: Vec<(Pba, CblockRefs)> = Vec::new();
-        for (pba, refs) in pba_refs {
-            if !victim_set.contains(&pba.segment.0) {
-                continue;
-            }
-            if refs.len() > 1 || refs.iter().any(|(_, v)| v.deduped) {
-                shared.push((pba, refs));
-            } else {
-                normal.push((pba, refs));
-            }
-        }
-        // Deterministic order: by (segment, offset).
-        let by_addr = |a: &(Pba, CblockRefs), b: &(Pba, CblockRefs)| {
-            (a.0.segment.0, a.0.offset).cmp(&(b.0.segment.0, b.0.offset))
-        };
-        normal.sort_by(by_addr);
-        shared.sort_by(by_addr);
+        let (shared, normal): (Vec<Cow<CblockRefs>>, Vec<Cow<CblockRefs>>) = by_cblock()
+            .filter(|cblock| victims.binary_search(&pba_of(&cblock[0]).segment.0).is_ok())
+            .map(|cblock| match cblock {
+                [run] => Cow::Borrowed(*run),
+                runs => Cow::Owned(runs.concat()),
+            })
+            .partition(|refs| refs.len() > 1 || refs[0].1.deduped);
 
-        for (pba, refs) in &normal {
-            report.bytes_relocated +=
-                self.relocate_cblock(shelf, pba, refs, &victim_set, &mut report, now)?;
+        for refs in &normal {
+            self.relocate_cblock(shelf, refs, &victims, &mut report, now)?;
         }
         if !shared.is_empty() {
             // Segregation boundary: dedup-heavy data goes to fresh
             // segments of its own.
             self.seal_open_segment(shelf, now)?;
-            for (pba, refs) in &shared {
-                report.bytes_relocated +=
-                    self.relocate_cblock(shelf, pba, refs, &victim_set, &mut report, now)?;
+            for refs in &shared {
+                self.relocate_cblock(shelf, refs, &victims, &mut report, now)?;
             }
             self.seal_open_segment(shelf, now)?;
         }
@@ -156,7 +172,7 @@ impl Controller {
 
         // ---- Durability point, then free victims. --------------------
         self.write_checkpoint(shelf, now)?;
-        if std::env::var("PURITY_TRACE").is_ok() {
+        if crate::trace_enabled() {
             eprintln!("GC victims: {:?}", victims);
         }
         for victim in &victims {
@@ -196,18 +212,12 @@ impl Controller {
             roots.push((s.medium, size));
         }
         let mut out: Vec<((u64, u64), MapVal)> = Vec::new();
-        let mut claimed: HashSet<(u64, u64, u64)> = HashSet::new(); // (root, root-sector) seen
+        let mut claimed: HashSet<u64> = HashSet::new(); // roots already walked
         for (root, size) in roots {
-            let mut candidates: HashSet<u64> = HashSet::new();
-            self.collect_candidates(root, 0, size, 0, 0, &mut candidates);
-            // Sorted iteration: HashSet order varies per process run and
-            // would break byte-identical seed replay.
-            let mut candidates: Vec<u64> = candidates.into_iter().collect();
-            candidates.sort_unstable();
-            candidates.retain(|&x| claimed.insert((root.0, x, 0)));
-            for (_x, key, val) in self.resolve_sorted_candidates(root, &candidates) {
-                out.push((key, val));
+            if !claimed.insert(root.0) {
+                continue;
             }
+            self.for_each_reachable(root, size, |_x, key, val| out.push((key, val)));
         }
         // The same winning key may be reached from several roots; dedup.
         out.sort_by_key(|(k, _)| *k);
@@ -215,18 +225,25 @@ impl Controller {
         out
     }
 
-    /// Resolves a sorted, deduplicated candidate-sector list through the
-    /// chain by grouping it into maximal contiguous runs and issuing one
-    /// batched [`Controller::resolve_range_entries`] per run — GC
-    /// candidate sets are dense, so this turns a per-sector chain walk
-    /// plus pyramid point-get into a handful of range queries. Returns
-    /// `(root_sector, winning key, value)` in ascending sector order.
-    fn resolve_sorted_candidates(
+    /// Calls `f(root_sector, winning key, value)` for every sector of
+    /// `root` that reads as data, in ascending sector order. The
+    /// candidates — sectors some medium of the chain has a fact for —
+    /// are grouped into maximal contiguous runs, each resolved by one
+    /// batched [`Controller::resolve_range_entries`]: GC candidate sets
+    /// are dense, so this turns a per-sector chain walk plus pyramid
+    /// point-get into a handful of range queries.
+    fn for_each_reachable(
         &self,
         root: MediumId,
-        candidates: &[u64],
-    ) -> Vec<(u64, (u64, u64), MapVal)> {
-        let mut out = Vec::with_capacity(candidates.len());
+        size: u64,
+        mut f: impl FnMut(u64, MapKey, MapVal),
+    ) {
+        // Each medium's range scan arrives in order, so the sort mostly
+        // confirms runs that are already sorted.
+        let mut candidates = Vec::new();
+        self.collect_candidates(root, 0, size, 0, 0, &mut candidates);
+        candidates.sort_unstable();
+        candidates.dedup();
         let mut i = 0;
         while i < candidates.len() {
             let start = candidates[i];
@@ -241,12 +258,11 @@ impl Controller {
                 .enumerate()
             {
                 if let Some((key, val)) = entry {
-                    out.push((start + k as u64, key, val));
+                    f(start + k as u64, key, val);
                 }
             }
             i = j;
         }
-        out
     }
 
     /// Recursively gathers root-coordinate sectors that may have data:
@@ -260,7 +276,7 @@ impl Controller {
         hi: u64,
         delta: i128,
         depth: usize,
-        out: &mut HashSet<u64>,
+        out: &mut Vec<u64>,
     ) {
         if depth > 64 || lo >= hi {
             return;
@@ -271,7 +287,7 @@ impl Controller {
             |key, _val, _seq| {
                 let root_x = key.1 as i128 + delta;
                 if root_x >= 0 {
-                    out.insert(root_x as u64);
+                    out.push(root_x as u64);
                 }
             },
         );
@@ -291,102 +307,142 @@ impl Controller {
         }
     }
 
-    /// Relocates one live cblock, re-running dedup over its payload
-    /// (rejecting matches that point into segments being collected).
+    /// Relocates one live cblock of a GC victim into the open segment,
+    /// re-running dedup over its payload (§4.7).
     fn relocate_cblock(
         &mut self,
         shelf: &mut Shelf,
-        pba: &Pba,
-        refs: &[((u64, u64), MapVal)],
-        victim_set: &HashSet<u64>,
+        refs: &CblockRefs,
+        victims: &[u64],
         report: &mut GcReport,
         now: Nanos,
-    ) -> Result<u64> {
-        let (payload, _t) = self.fetch_cblock(shelf, pba, now)?;
-
-        // GC dedup pass (§4.7): the expensive one inline dedup skipped.
-        let outcomes: Vec<Outcome<BlockLoc>> = if self.cfg.dedup_enabled {
-            let Self {
-                dedup,
-                cache,
-                segments,
-                writer,
-                layout,
-                rs,
-                cfg,
-                stats,
-                ..
-            } = self;
-            let mut fetcher = CtrlFetcher {
-                shelf,
-                cache,
-                segments,
-                writer,
-                layout,
-                rs,
-                read_around: cfg.read_around_writes,
-                stats,
-                now,
-            };
-            dedup
-                .process(&payload, &mut fetcher)
-                .into_iter()
-                .map(|o| match o {
-                    // Never dedup into a segment being collected (or this
-                    // cblock itself).
-                    Outcome::Dup { loc, .. }
-                        if victim_set.contains(&loc.pba.segment.0) || loc.pba == *pba =>
-                    {
-                        Outcome::Unique
-                    }
-                    other => other,
-                })
-                .collect()
+    ) -> Result<()> {
+        let moved = self.relocate(
+            shelf,
+            refs,
+            Some(victims),
+            now,
+            None,
+            // GC may dig into the reserved AU headroom.
+            |ctrl, shelf, encoded| ctrl.place_cblock_with(shelf, encoded, true, now),
+        )?;
+        report.bytes_relocated += moved.payload_bytes;
+        report.gc_dedup_sectors += moved.dedup_sectors;
+        if moved.copied {
+            report.cblocks_copied += 1;
         } else {
-            vec![Outcome::Unique; payload.len() / SECTOR]
-        };
+            report.cblocks_repacked += 1;
+        }
+        Ok(())
+    }
 
-        // Pack surviving sectors.
-        let mut packed = Vec::with_capacity(payload.len());
-        let mut packed_index = vec![u16::MAX; outcomes.len()];
-        for (i, o) in outcomes.iter().enumerate() {
-            if matches!(o, Outcome::Unique) {
-                packed_index[i] = (packed.len() / SECTOR) as u16;
-                packed.extend_from_slice(&payload[i * SECTOR..(i + 1) * SECTOR]);
+    /// The one relocation primitive — GC, demotion and promotion all
+    /// move a cblock through here: fetch it, decide the bytes to place,
+    /// hand them to `place`, and repoint every referencing key at the
+    /// new location with one fresh-seq batch.
+    ///
+    /// Relocation is a copy. The fetch always decodes (that is the
+    /// move's integrity check and the dedup pass's input), but when
+    /// every sector survives the stored bytes it read *are*
+    /// `encode_cblock(payload)`, so they are placed verbatim. The cblock
+    /// is re-packed and re-encoded only when the dedup pass dropped a
+    /// sector, or the payload came from the cache and no stored bytes
+    /// are in hand.
+    ///
+    /// `refs` is every live reference to the cblock (at least one).
+    /// `dedup_victims` asks for the "more expensive" dedup pass (§4.7)
+    /// and names the segments a match must not point into (ascending).
+    pub(crate) fn relocate(
+        &mut self,
+        shelf: &mut Shelf,
+        refs: &CblockRefs,
+        dedup_victims: Option<&[u64]>,
+        now: Nanos,
+        trace: Option<&mut OpTrace>,
+        place: impl FnOnce(&mut Self, &mut Shelf, &[u8]) -> Result<Pba>,
+    ) -> Result<Relocated> {
+        let pba = refs[0].1.loc.pba;
+        let fetched = self.fetch_cblock(shelf, &pba, now, trace)?;
+        let payload = fetched.payload;
+
+        // The dedup pass, when asked for; no outcomes = every sector
+        // survives.
+        let mut outcomes: Vec<Outcome<BlockLoc>> = Vec::new();
+        if let Some(victims) = dedup_victims.filter(|_| self.cfg.dedup_enabled) {
+            let (dedup, mut fetcher) = self.fetcher(shelf, now);
+            outcomes = dedup.process(&payload, &mut fetcher);
+            for o in &mut outcomes {
+                // Never dedup into a segment being collected (or this
+                // cblock itself).
+                if matches!(o, Outcome::Dup { loc, .. }
+                    if victims.binary_search(&loc.pba.segment.0).is_ok() || loc.pba == pba)
+                {
+                    *o = Outcome::Unique;
+                }
             }
         }
 
-        let new_pba = if packed.is_empty() {
-            None
+        // Bytes to place, and where each surviving sector lands in them
+        // (`packed_index` stays empty when every sector keeps its index).
+        let compression = self.cfg.compression_enabled;
+        let mut packed_index: Vec<u16> = Vec::new();
+        let mut copied = false;
+        let encoded = if outcomes.iter().all(|o| matches!(o, Outcome::Unique)) {
+            Some(match fetched.stored {
+                Some(stored) => {
+                    debug_assert_eq!(stored, encode_cblock(&payload, compression));
+                    copied = true;
+                    stored
+                }
+                None => encode_cblock(&payload, compression),
+            })
         } else {
-            let encoded = if self.cfg.compression_enabled {
-                purity_compress::compress(&packed)
-            } else {
-                purity_compress::store_raw(&packed)
-            };
-            Some(self.place_cblock_with(shelf, &encoded, true, now)?)
+            let mut packed = Vec::with_capacity(payload.len());
+            packed_index = vec![u16::MAX; outcomes.len()];
+            for (i, sector) in payload.chunks_exact(SECTOR).enumerate() {
+                if matches!(outcomes[i], Outcome::Unique) {
+                    packed_index[i] = (packed.len() / SECTOR) as u16;
+                    packed.extend_from_slice(sector);
+                }
+            }
+            (!packed.is_empty()).then(|| encode_cblock(&packed, compression))
         };
+        let new_pba = encoded
+            .as_deref()
+            .map(|bytes| place(self, shelf, bytes))
+            .transpose()?;
 
-        // Rewrite every referencing key with a fresh fact.
+        // Repoint every referencing key with a fresh fact. A surviving
+        // sector's index addresses the placed payload.
         let seq: Seq = self.seq.next();
-        for (key, val) in refs {
+        let mut dedup_sectors = 0;
+        self.map.insert_many(refs.iter().map(|(key, val)| {
             let old_sector = val.loc.sector as usize;
-            let (loc, deduped) = match &outcomes[old_sector] {
-                Outcome::Unique => (
+            let (loc, deduped) = match outcomes.get(old_sector) {
+                Some(Outcome::Dup { loc, .. }) => {
+                    dedup_sectors += 1;
+                    (*loc, true)
+                }
+                _ => (
                     BlockLoc {
-                        pba: new_pba.expect("unique sectors imply a new cblock"),
-                        sector: packed_index[old_sector],
+                        pba: new_pba.expect("surviving sectors imply a placed cblock"),
+                        sector: packed_index
+                            .get(old_sector)
+                            .copied()
+                            .unwrap_or(val.loc.sector),
                     },
                     val.deduped,
                 ),
-                Outcome::Dup { loc, .. } => {
-                    report.gc_dedup_sectors += 1;
-                    (*loc, true)
-                }
             };
-            self.map.insert(*key, MapVal { loc, deduped }, seq);
-        }
-        Ok(payload.len() as u64)
+            (*key, MapVal { loc, deduped }, seq)
+        }));
+        Ok(Relocated {
+            payload_bytes: payload.len() as u64,
+            placed_bytes: encoded.map_or(0, |e| e.len() as u64),
+            fetched_at: fetched.done,
+            dedup_sectors,
+            copied,
+        })
     }
 
     /// Rewrites the flattened map as a compact set of patch records in
@@ -441,19 +497,12 @@ impl Controller {
             if self.root_chain_depth(root, size) <= max_depth {
                 continue;
             }
-            let mut candidates = HashSet::new();
-            self.collect_candidates(root, 0, size, 0, 0, &mut candidates);
-            // Sorted: materialization order feeds the memtable and from
-            // there physical placement; HashSet order would make two
-            // runs of the same seed diverge.
-            let mut candidates: Vec<u64> = candidates.into_iter().collect();
-            candidates.sort_unstable();
-            let to_materialize: Vec<(u64, MapVal)> = self
-                .resolve_sorted_candidates(root, &candidates)
-                .into_iter()
-                .filter(|(_, key, _)| key.0 != root.0)
-                .map(|(x, _, val)| (x, val))
-                .collect();
+            let mut to_materialize: Vec<(u64, MapVal)> = Vec::new();
+            self.for_each_reachable(root, size, |x, key, val| {
+                if key.0 != root.0 {
+                    to_materialize.push((x, val));
+                }
+            });
             let seq = self.seq.next();
             self.map.insert_many(
                 to_materialize
@@ -559,5 +608,60 @@ impl Controller {
             }
         }
         total
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fault::{FaultEvent, FaultOutcome};
+    use crate::{ArrayConfig, FlashArray};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// A corrupt flash page under a live cblock of a GC victim: the
+    /// relocation reads around it, and what it places is what it decoded
+    /// — never the bytes the page holds now.
+    #[test]
+    fn relocation_reads_around_a_corrupt_page_of_a_victim() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let keep = a.create_volume("keep", 2 << 20).unwrap();
+        let kill = a.create_volume("kill", 16 << 20).unwrap();
+        let keep_data: Vec<u8> = (0..256 * 1024).map(|i| (i / 7 % 251) as u8).collect();
+        a.write(keep, 0, &keep_data).unwrap();
+        // Enough doomed, incompressible data to seal the segment `keep`
+        // shares with it.
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut chunk = vec![0u8; 256 * 1024];
+        for i in 0..24u64 {
+            rng.fill(&mut chunk[..]);
+            a.write(kill, i * 256 * 1024, &chunk).unwrap();
+        }
+        a.destroy_volume(kill).unwrap();
+
+        // The page under the first byte of `keep`'s first cblock.
+        let ctrl = a.controller();
+        let anchor = ctrl.volumes[&keep.0].anchor;
+        let pba = ctrl.resolve_sector(anchor, 0).unwrap().loc.pba;
+        let ext = ctrl.layout.data_extents(pba.offset, 1)[0];
+        let au = ctrl.segments[&pba.segment.0].columns[ext.column];
+        let offset = ctrl.layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+        let outcome = a.apply_fault(&FaultEvent::CorruptAt {
+            drive: au.drive,
+            offset,
+        });
+        assert!(matches!(outcome, Ok(FaultOutcome::Corrupted(true))));
+
+        let rebuilt_before = a.stats().reconstructed_reads;
+        let report = a.run_gc().unwrap();
+        assert!(report.segments_freed > 0, "{report:?}");
+        assert!(report.cblocks_copied > 0, "{report:?}");
+        assert!(
+            a.stats().reconstructed_reads > rebuilt_before,
+            "the relocation never met the corrupt page"
+        );
+        let moved = a.controller().resolve_sector(anchor, 0).unwrap().loc.pba;
+        assert_ne!(moved.segment, pba.segment, "the victim was not collected");
+        let (back, _) = a.read(keep, 0, keep_data.len()).unwrap();
+        assert!(back == keep_data, "relocated data differs");
+        assert!(a.verify_integrity().is_empty());
     }
 }

@@ -137,7 +137,7 @@ impl Controller {
             cfg.stripe_width(),
         );
         let (cp, mut done) = boot.read(shelf, now)?;
-        if std::env::var("PURITY_TRACE").is_ok() {
+        if crate::trace_enabled() {
             eprintln!(
                 "RECOVER v{} segs {:?}",
                 cp.version,

@@ -374,9 +374,16 @@ impl SegmentWriter {
         Ok(done)
     }
 
-    fn stripes_in_use(info: &SegmentInfo, log_pending: usize, layout: &SegmentLayout) -> usize {
+    /// Stripes the segment needs once its data space holds `data_bytes`
+    /// and `log_pending` more log bytes are flushed.
+    fn stripes_in_use(
+        info: &SegmentInfo,
+        data_bytes: u64,
+        log_pending: usize,
+        layout: &SegmentLayout,
+    ) -> usize {
         let sd = layout.stripe_data_bytes();
-        let data = (info.data_bytes as usize).div_ceil(sd);
+        let data = (data_bytes as usize).div_ceil(sd);
         let log = info.log_stripes as usize + log_pending.div_ceil(layout.log_stripe_payload());
         data.max(info.data_stripes as usize) + log
     }
@@ -395,11 +402,12 @@ impl SegmentWriter {
         };
         // Capacity check: all stripes (incl. the partially-filled tail
         // and pending log) must fit.
-        let after = {
-            let mut i = open.info.clone();
-            i.data_bytes += bytes.len() as u64;
-            Self::stripes_in_use(&i, open.log_pending.len(), &layout)
-        };
+        let after = Self::stripes_in_use(
+            &open.info,
+            open.info.data_bytes + bytes.len() as u64,
+            open.log_pending.len(),
+            &layout,
+        );
         if after > layout.n_stripes {
             return Ok((Append::Full, now));
         }
@@ -430,7 +438,12 @@ impl SegmentWriter {
             return Ok((None, true));
         };
         let framed_len = record.len();
-        let after = Self::stripes_in_use(&open.info, open.log_pending.len() + framed_len, &layout);
+        let after = Self::stripes_in_use(
+            &open.info,
+            open.info.data_bytes,
+            open.log_pending.len() + framed_len,
+            &layout,
+        );
         if after > layout.n_stripes {
             return Ok((None, true));
         }
@@ -500,9 +513,7 @@ impl SegmentWriter {
                     // Degraded write: skip failed drives; parity columns
                     // on surviving drives keep the stripe recoverable.
                     Err(PurityError::Device(e)) => {
-                        if std::env::var("PURITY_TRACE").is_ok()
-                            && !shelf.drive(au.drive).is_failed()
-                        {
+                        if crate::trace_enabled() && !shelf.drive(au.drive).is_failed() {
                             eprintln!(
                                 "write-stripe skip on healthy drive {} seg {:?}: {}",
                                 au.drive, open.info.id, e

@@ -12,9 +12,10 @@
 //!   Cold pseudo-segments are *never* entered into the controller's
 //!   segment table: GC cannot pick them as victims and recovery's
 //!   segment bookkeeping never sees them.
-//! * **Demotion** is copy-then-switch, mirroring GC relocation: fetch
-//!   the live payload, re-encode, write the cold slot, then rewrite the
-//!   referencing map keys with fresh-seq facts. Until those facts reach
+//! * **Demotion** is copy-then-switch through GC's relocation primitive
+//!   (`Controller::relocate`): fetch and decode the live cblock, write
+//!   its stored bytes to the cold slot, then rewrite the referencing
+//!   map keys with fresh-seq facts. Until those facts reach
 //!   a patch + checkpoint, recovery replays the *old* facts — which
 //!   still point at the flash copy GC has not freed (GC frees victims
 //!   only after its own checkpoint, which flushes these facts first).
@@ -35,7 +36,7 @@ use crate::config::ArrayConfig;
 use crate::controller::{Controller, MapVal};
 use crate::error::{PurityError, Result};
 use crate::shelf::Shelf;
-use crate::types::{BlockLoc, Pba, SegmentId};
+use crate::types::{Pba, SegmentId};
 use purity_obs::{Frame, OpTrace};
 use purity_sim::Nanos;
 use purity_tier::plan::VolumePlacement;
@@ -309,51 +310,31 @@ impl Controller {
             let Some(&(d, slot)) = self.tier.free_slots.iter().next() else {
                 break; // cold pool full
             };
-            let (payload, t0) = self.fetch_cblock(shelf, &pba, now)?;
-            done = done.max(t0);
-            let encoded = crate::controller::encode_cblock(&payload, self.cfg.compression_enabled);
-            if encoded.len() > slot_bytes {
-                return Err(PurityError::Internal(format!(
-                    "encoded cblock ({} B) exceeds cold slot ({} B)",
-                    encoded.len(),
-                    slot_bytes
-                )));
-            }
-            let mut padded = encoded.clone();
-            padded.resize(
-                padded.len().div_ceil(self.cfg.cold_geometry.page_size)
-                    * self.cfg.cold_geometry.page_size,
-                0,
-            );
-            let off = slot * slot_bytes as u64;
-            let t1 = shelf.write_cold(d, off as usize, &padded, now)?;
-            done = done.max(t1);
-            self.tier.free_slots.remove(&(d, slot));
-            self.tier.used_slots.insert((d, slot));
-            let cold_pba = Pba {
-                segment: SegmentId(COLD_SEG_BASE + d as u64),
-                offset: off,
-                stored_len: encoded.len() as u32,
-            };
-            // Redirect every referencing key with a fresh-seq fact. The
-            // sector index addresses the uncompressed payload, which the
-            // copy preserves byte-for-byte.
-            let seq = self.seq.next();
-            for (key, val) in &refs {
-                self.map.insert(
-                    *key,
-                    MapVal {
-                        loc: BlockLoc {
-                            pba: cold_pba,
-                            sector: val.loc.sector,
-                        },
-                        deduped: val.deduped,
-                    },
-                    seq,
-                );
-            }
+            let page = self.cfg.cold_geometry.page_size;
+            let mut t1 = now;
+            let copy = self.relocate(shelf, &refs, None, now, None, |ctrl, shelf, encoded| {
+                if encoded.len() > slot_bytes {
+                    return Err(PurityError::Internal(format!(
+                        "encoded cblock ({} B) exceeds cold slot ({} B)",
+                        encoded.len(),
+                        slot_bytes
+                    )));
+                }
+                let mut padded = encoded.to_vec();
+                padded.resize(padded.len().div_ceil(page) * page, 0);
+                let off = slot * slot_bytes as u64;
+                t1 = shelf.write_cold(d, off as usize, &padded, now)?;
+                ctrl.tier.free_slots.remove(&(d, slot));
+                ctrl.tier.used_slots.insert((d, slot));
+                Ok(Pba {
+                    segment: SegmentId(COLD_SEG_BASE + d as u64),
+                    offset: off,
+                    stored_len: encoded.len() as u32,
+                })
+            })?;
+            done = done.max(copy.fetched_at).max(t1);
             self.stats.tier_demotions += 1;
-            self.stats.tier_bytes_demoted += encoded.len() as u64;
+            self.stats.tier_bytes_demoted += copy.placed_bytes;
             if let Some(tr) = trace.as_deref_mut() {
                 tr.stage_note(
                     "tier_demote",
@@ -388,32 +369,23 @@ impl Controller {
             if cold_drive_of(&pba).is_none() {
                 continue;
             }
-            let (payload, t0) = self.fetch_cblock_traced(shelf, &pba, now, trace.as_deref_mut())?;
-            done = done.max(t0);
-            let encoded = crate::controller::encode_cblock(&payload, self.cfg.compression_enabled);
-            let new_pba = match self.place_cblock_with(shelf, &encoded, false, now) {
-                Ok(p) => p,
+            let copy = match self.relocate(
+                shelf,
+                &refs,
+                None,
+                now,
+                trace.as_deref_mut(),
+                |ctrl, shelf, encoded| ctrl.place_cblock_with(shelf, encoded, false, now),
+            ) {
+                Ok(copy) => copy,
                 // Promotion is optional work: never eat the reserve, just
                 // stop for this tick if flash is tight.
                 Err(PurityError::OutOfSpace) => break,
                 Err(e) => return Err(e),
             };
-            let seq = self.seq.next();
-            for (key, val) in &refs {
-                self.map.insert(
-                    *key,
-                    MapVal {
-                        loc: BlockLoc {
-                            pba: new_pba,
-                            sector: val.loc.sector,
-                        },
-                        deduped: val.deduped,
-                    },
-                    seq,
-                );
-            }
+            done = done.max(copy.fetched_at);
             self.stats.tier_promotions += 1;
-            self.stats.tier_bytes_promoted += encoded.len() as u64;
+            self.stats.tier_bytes_promoted += copy.placed_bytes;
             moved += 1;
         }
         Ok((moved, done))
@@ -614,6 +586,29 @@ mod tests {
         data
     }
 
+    /// Ticks, reading `busy` so only the other volumes go idle, until
+    /// `done` holds.
+    fn run(a: &mut FlashArray, busy: &[crate::VolumeId], done: &dyn Fn(&Controller) -> bool) {
+        for _ in 0..80 {
+            if done(a.controller()) {
+                return;
+            }
+            for v in busy {
+                a.read(*v, 0, 8192).unwrap();
+            }
+            a.advance(50 * MS);
+        }
+        panic!("setup: the migrator never got there");
+    }
+
+    fn on_flash(c: &Controller, v: crate::VolumeId) -> u64 {
+        c.volume_placements()[&v.0].flash_cblocks
+    }
+
+    fn on_cold(c: &Controller, v: crate::VolumeId) -> u64 {
+        c.volume_placements()[&v.0].cold_cblocks
+    }
+
     #[test]
     fn reused_cold_slot_never_serves_the_previous_occupant() {
         for failover in [false, true] {
@@ -623,27 +618,6 @@ mod tests {
             let (d1, d2) = (noise(1), noise(2));
             a.write(one, 0, &d1).unwrap();
             a.write(two, 0, &d2).unwrap();
-            // Ticks, reading `busy` so only the other volume goes idle,
-            // until `done` holds.
-            let run = |a: &mut FlashArray,
-                       busy: &[crate::VolumeId],
-                       done: &dyn Fn(&Controller) -> bool| {
-                for _ in 0..80 {
-                    if done(a.controller()) {
-                        return;
-                    }
-                    for v in busy {
-                        a.read(*v, 0, 8192).unwrap();
-                    }
-                    a.advance(50 * MS);
-                }
-                panic!("setup: the migrator never got there");
-            };
-            let on_flash =
-                |c: &Controller, v: crate::VolumeId| c.volume_placements()[&v.0].flash_cblocks;
-            let on_cold =
-                |c: &Controller, v: crate::VolumeId| c.volume_placements()[&v.0].cold_cblocks;
-
             // One touch gives the heat watcher evidence of `one`.
             a.read(one, 0, 4096).unwrap();
             run(&mut a, &[two], &|c| on_flash(c, one) == 0);
@@ -679,6 +653,46 @@ mod tests {
             assert_eq!(a.read(one, 0, d1.len()).unwrap().0, d1);
             assert!(a.verify_integrity().is_empty());
         }
+    }
+
+    /// Demotion and promotion move stored bytes, so a cblock comes back
+    /// to the cold pool exactly as it left it — whether the second trip
+    /// copied what it read or re-encoded a cached payload.
+    #[test]
+    fn demote_promote_demote_stores_identical_bytes() {
+        let mut a = tiered_array();
+        let vol = a.create_volume("swing", 1 << 20).unwrap();
+        // Half compressible, half not: both encodings make the trip.
+        let mut data: Vec<u8> = (0..128 * 1024).map(|i| (i / 5 % 241) as u8).collect();
+        data.extend_from_slice(&noise(3)[..128 * 1024]);
+        a.write(vol, 0, &data).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        // The stored bytes of every cold cblock, by first volume sector.
+        let cold_image = |a: &mut FlashArray| -> BTreeMap<u64, Vec<u8>> {
+            let now = a.now();
+            let (ctrl, shelf) = a.controller_and_shelf();
+            ctrl.volume_refs(vol.0)
+                .iter()
+                .map(|(pba, refs)| {
+                    let (stored, _) = Controller::read_cold_cblock(shelf, pba, now).unwrap();
+                    (refs[0].0 .1, stored)
+                })
+                .collect()
+        };
+
+        run(&mut a, &[], &|c| on_flash(c, vol) == 0);
+        let first = cold_image(&mut a);
+        assert!(first.len() >= 8, "setup: {} cold cblocks", first.len());
+        for round in 0..2 {
+            run(&mut a, &[vol], &|c| on_cold(c, vol) == 0);
+            run(&mut a, &[], &|c| on_flash(c, vol) == 0);
+            assert!(
+                cold_image(&mut a) == first,
+                "round {round}: the cold pool holds different bytes"
+            );
+        }
+        assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
+        assert!(a.verify_integrity().is_empty());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property tests for the boot region's A/B slot alternation (§4.3).
+//! Property tests for the boot region's A/B slot alternation (§4.3),
+//! and for the identity relocation's copy rests on.
 //!
 //! The checkpoint writer alternates slots (`version % 2`), so a torn
 //! write can only ever damage the *newest* checkpoint — the previous one
@@ -10,9 +11,11 @@
 use proptest::prelude::*;
 use purity_core::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use purity_core::config::ArrayConfig;
+use purity_core::controller::encode_cblock;
 use purity_core::records::{MediumFact, SegmentFact};
 use purity_core::shelf::Shelf;
 use purity_sim::Clock;
+use purity_wkld::ContentModel;
 
 fn sample_checkpoint(version: u64) -> Checkpoint {
     Checkpoint {
@@ -117,5 +120,30 @@ proptest! {
             None => {}
             Some((back, _)) => prop_assert_eq!(back, cp, "mutated bytes decoded to a different checkpoint"),
         }
+    }
+
+    /// Relocation places a cblock's stored bytes verbatim when no sector
+    /// was dropped. That is only right if re-encoding what they decode to
+    /// reproduces them — for every content class, compressed or raw.
+    #[test]
+    fn stored_bytes_are_the_encoding_of_what_they_decode_to(
+        model in 0usize..5,
+        compression in any::<bool>(),
+        seed in any::<u64>(),
+        start_sector in 0u64..1 << 20,
+        n_sectors in 1usize..=64,
+    ) {
+        let model = [
+            ContentModel::Random,
+            ContentModel::Zeros,
+            ContentModel::Rdbms,
+            ContentModel::DocStore,
+            ContentModel::VdiClone { clone_id: 3, mutation_pct: 5 },
+        ][model];
+        let payload = model.buffer(seed, start_sector, n_sectors);
+        let stored = encode_cblock(&payload, compression);
+        let decoded = purity_compress::decompress(&stored).unwrap();
+        prop_assert_eq!(&decoded, &payload);
+        prop_assert_eq!(encode_cblock(&decoded, compression), stored);
     }
 }

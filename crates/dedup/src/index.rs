@@ -14,7 +14,7 @@
 //! Generic over the location type `L` so the engine can be tested without
 //! the array's segment addressing.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Pass-through hasher for keys that are already uniform 64-bit hashes
@@ -64,6 +64,10 @@ pub struct DedupIndex<L> {
     recent_order: VecDeque<u64>,
     recent_capacity: usize,
     hot: HashKeyMap<(L, u64)>,
+    /// `(use count, hash)` of every `hot` entry, coldest first: the
+    /// eviction order, kept beside the map so a promotion into a full
+    /// cache pops its victim instead of scanning for it.
+    hot_order: BTreeSet<(u64, u64)>,
     hot_capacity: usize,
     sample_rate: u64,
     written: u64,
@@ -80,6 +84,7 @@ impl<L: Copy> DedupIndex<L> {
             recent_order: VecDeque::with_capacity(recent_capacity),
             recent_capacity,
             hot: HashKeyMap::default(),
+            hot_order: BTreeSet::new(),
             hot_capacity,
             sample_rate: crate::SAMPLE_RATE,
             written: 0,
@@ -134,14 +139,22 @@ impl<L: Copy> DedupIndex<L> {
     /// Promotes a confirmed duplicate into the hot cache ("frequently
     /// deduplicated data"), bumping its use count.
     pub fn promote(&mut self, hash: u64, loc: L) {
-        let count = self.hot.get(&hash).map(|(_, c)| *c).unwrap_or(0) + 1;
-        if self.hot.len() >= self.hot_capacity && !self.hot.contains_key(&hash) {
-            // Evict the coldest entry; break count ties by hash so the
-            // victim never depends on HashMap iteration order.
-            if let Some((&victim, _)) = self.hot.iter().min_by_key(|(&h, &(_, c))| (c, h)) {
-                self.hot.remove(&victim);
+        let count = match self.hot.get(&hash) {
+            Some(&(_, count)) => {
+                self.hot_order.remove(&(count, hash));
+                count + 1
             }
-        }
+            None => {
+                if self.hot.len() >= self.hot_capacity {
+                    // Evict the coldest entry; count ties break by hash.
+                    if let Some((_, victim)) = self.hot_order.pop_first() {
+                        self.hot.remove(&victim);
+                    }
+                }
+                1
+            }
+        };
+        self.hot_order.insert((count, hash));
         self.hot.insert(hash, (loc, count));
     }
 
@@ -150,7 +163,9 @@ impl<L: Copy> DedupIndex<L> {
     /// hit rates honest.
     pub fn forget(&mut self, hash: u64) {
         self.sampled.remove(&hash);
-        self.hot.remove(&hash);
+        if let Some((_, count)) = self.hot.remove(&hash) {
+            self.hot_order.remove(&(count, hash));
+        }
         self.recent.remove(&hash);
     }
 
@@ -260,5 +275,79 @@ mod tests {
         let mut idx: DedupIndex<u64> = DedupIndex::new(4, 4);
         assert_eq!(idx.lookup(42), None);
         assert_eq!(idx.stats().misses, 1);
+    }
+
+    /// What the hot cache must equal: the map alone, its victim found by
+    /// scanning every entry for the `(count, hash)` minimum. No recent
+    /// window, every write sampled.
+    #[derive(Default)]
+    struct ScanModel {
+        sampled: HashMap<u64, u64>,
+        hot: HashMap<u64, (u64, u64)>,
+        hot_capacity: usize,
+    }
+
+    impl ScanModel {
+        fn lookup(&self, hash: u64) -> Option<u64> {
+            let hot = self.hot.get(&hash).map(|(loc, _)| *loc);
+            hot.or(self.sampled.get(&hash).copied())
+        }
+
+        fn promote(&mut self, hash: u64, loc: u64) {
+            let count = self.hot.get(&hash).map(|(_, c)| *c).unwrap_or(0) + 1;
+            if self.hot.len() >= self.hot_capacity && !self.hot.contains_key(&hash) {
+                if let Some((&victim, _)) = self.hot.iter().min_by_key(|(&h, &(_, c))| (c, h)) {
+                    self.hot.remove(&victim);
+                }
+            }
+            self.hot.insert(hash, (loc, count));
+        }
+    }
+
+    use proptest::Strategy;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The ordered eviction is the scan it replaced: over any
+        /// record_write / lookup / promote / forget stream the index
+        /// answers every lookup like the model and its hot cache holds
+        /// the same entries with the same counts — so each eviction
+        /// picked the same victim.
+        #[test]
+        fn hot_eviction_equals_the_scanning_model(
+            capacity in (0usize..3).prop_map(|i| [0, 1, 8][i]),
+            ops in proptest::collection::vec((0u8..4, 0u64..24), 0..300),
+        ) {
+            let mut idx: DedupIndex<u64> = DedupIndex::new(0, capacity);
+            idx.set_sample_rate(1);
+            let mut m = ScanModel { hot_capacity: capacity, ..Default::default() };
+            for (i, (op, hash)) in ops.into_iter().enumerate() {
+                // A location per op tells the tiers' answers apart.
+                let loc = i as u64;
+                match op {
+                    0 => {
+                        idx.record_write(hash, loc);
+                        m.sampled.insert(hash, loc);
+                    }
+                    1 => proptest::prop_assert_eq!(idx.lookup(hash), m.lookup(hash)),
+                    2 => {
+                        idx.promote(hash, loc);
+                        m.promote(hash, loc);
+                    }
+                    _ => {
+                        idx.forget(hash);
+                        m.sampled.remove(&hash);
+                        m.hot.remove(&hash);
+                    }
+                }
+                let hot: HashMap<u64, (u64, u64)> = idx.hot.iter().map(|(h, e)| (*h, *e)).collect();
+                proptest::prop_assert_eq!(&hot, &m.hot);
+                let order: Vec<(u64, u64)> = idx.hot_order.iter().copied().collect();
+                let mut expect: Vec<(u64, u64)> = m.hot.iter().map(|(h, (_, c))| (*c, *h)).collect();
+                expect.sort_unstable();
+                proptest::prop_assert_eq!(order, expect);
+            }
+        }
     }
 }

@@ -238,3 +238,50 @@ fn reduction_ratio_reported_in_paper_band_for_mixed_content() {
         ratio
     );
 }
+
+#[test]
+fn gc_copies_unchanged_cblocks_and_repacks_the_ones_it_dedups() {
+    const CBLOCK: usize = 32 * 1024;
+    let mut cfg = ArrayConfig::test_small();
+    // With a short recent window inline dedup is left the 1-in-8 sampled
+    // index, so duplicate runs shorter than eight sectors can slip past
+    // it and wait for the GC pass.
+    cfg.dedup_recent_window = 16;
+    let mut a = FlashArray::new(cfg).unwrap();
+    let vol_bytes = 8usize << 20;
+    let vol = a.create_volume("v", vol_bytes as u64).unwrap();
+    let mut image = vec![0u8; vol_bytes];
+    let put = |a: &mut FlashArray, image: &mut Vec<u8>, offset: usize, data: &[u8]| {
+        a.write(vol, offset as u64, data).unwrap();
+        image[offset..offset + data.len()].copy_from_slice(data);
+    };
+
+    // `old`: 1 MiB whose first quarter stays live; 2 MiB of filler after
+    // it dies entirely, so the segments holding them become victims.
+    let old = random_bytes(1, 1 << 20);
+    put(&mut a, &mut image, 0, &old);
+    put(&mut a, &mut image, 1 << 20, &random_bytes(2, 2 << 20));
+    // `copy`: fresh data with four-sector runs of `old`'s live quarter
+    // planted in it, one run per cblock of `copy`.
+    let mut copy = random_bytes(3, 2 << 20);
+    for (i, cblock) in copy.chunks_mut(CBLOCK).enumerate() {
+        let from = (i * 5 * SECTOR) % (256 * 1024 - 4 * SECTOR);
+        cblock[20 * SECTOR..24 * SECTOR].copy_from_slice(&old[from..from + 4 * SECTOR]);
+    }
+    put(&mut a, &mut image, 4 << 20, &copy);
+    // Churn: everything of `old` but its first quarter, and the filler.
+    put(&mut a, &mut image, 256 * 1024, &random_bytes(4, 768 * 1024));
+    put(&mut a, &mut image, 1 << 20, &random_bytes(5, 2 << 20));
+    a.checkpoint().unwrap();
+
+    let report = a.run_gc().unwrap();
+    assert!(report.segments_freed > 0, "{report:?}");
+    assert!(report.cblocks_copied > 0, "{report:?}");
+    assert!(report.cblocks_repacked > 0, "{report:?}");
+    assert!(report.gc_dedup_sectors > 0, "{report:?}");
+    for (i, expect) in image.chunks(256 * 1024).enumerate() {
+        let (back, _) = a.read(vol, (i * 256 * 1024) as u64, expect.len()).unwrap();
+        assert!(back == expect, "read-back differs in chunk {i}");
+    }
+    assert!(a.verify_integrity().is_empty());
+}
