@@ -9,8 +9,7 @@
 //! ~100%). Results merge into `BENCH_perf.json` at the repo root —
 //! entries are keyed by `(label, mode)`, so re-running with the same
 //! label replaces that entry while the rest of the trajectory is
-//! preserved. ROADMAP item 1 (the parallel engine) claims its speedup
-//! against this file.
+//! preserved. Perf PRs claim their speedups against this file.
 //!
 //! Wall time is nondeterministic, so `BENCH_perf.json` is a perf *log*,
 //! not a golden output: the self-check and the `--check` baseline
@@ -19,13 +18,13 @@
 //! wall numbers.
 //!
 //! Usage:
-//!   bench_perf [--smoke] [--label NAME] [--check PATH] [--threads N]
+//!   bench_perf [--smoke] [--label NAME] [--check PATH]
 //!
 //! `--smoke` shrinks every workload for CI; `--check PATH` compares
 //! this run against the committed baseline at PATH (same mode) and
-//! fails on schema drift. `--threads N` pins the parallel engine's
-//! worker-pool width (1 = serial); each entry records the count so
-//! the trajectory distinguishes serial from parallel points.
+//! fails on schema drift. Entries up to PR 17 carry a `threads` field
+//! (always 1) from when the simulator had a worker pool; nothing reads
+//! it.
 
 use purity_bench::{drive, parse_json, print_table, JsonValue};
 use purity_cluster::{Cluster, ClusterSpec};
@@ -337,7 +336,7 @@ fn repo_root() -> PathBuf {
 }
 
 /// Builds one trajectory entry.
-fn entry_json(label: &str, mode: &str, threads: usize, results: &[WorkloadResult]) -> String {
+fn entry_json(label: &str, mode: &str, results: &[WorkloadResult]) -> String {
     let mut workloads = JsonWriter::array();
     for r in results {
         workloads.raw_element(&r.to_json());
@@ -345,7 +344,6 @@ fn entry_json(label: &str, mode: &str, threads: usize, results: &[WorkloadResult
     let mut w = JsonWriter::object();
     w.str_field("label", label)
         .str_field("mode", mode)
-        .u64_field("threads", threads as u64)
         .raw_field("workloads", &workloads.finish());
     w.finish()
 }
@@ -556,14 +554,14 @@ fn check_against_baseline(
     Ok(())
 }
 
-/// ISSUE-9 guard: completion-time blame folding — the causal-tracing
-/// spine's only per-op hot-path cost — must add under 5% wall-clock
-/// overhead. Wall time is machine-dependent, so instead of comparing
-/// against the committed baseline's absolute numbers, this runs the
+/// Completion-time blame folding is the causal-tracing spine's only
+/// per-op hot-path cost (ISSUE 9 budgeted it at 5% wall). This runs the
 /// same deterministic workload with folding off and on (interleaved,
-/// min of three runs per arm, so scheduler noise cancels) on the
-/// current machine and compares the two arms directly.
-fn tracing_overhead_guard(smoke: bool) -> Result<(), String> {
+/// min of three runs per arm) and prints the ratio. It is reported, not
+/// gated: `--check` fails only on deterministic quantities, and a ratio
+/// of two ~100 ms wall arms moves more than 5% on a shared box. The
+/// tracked number is the scorecard's `obs.trace_overhead_ratio`.
+fn report_tracing_overhead(smoke: bool) {
     let ops = if smoke { 800 } else { 4000 };
     let run = |fold: bool| -> u64 {
         let mut a = FlashArray::new(ArrayConfig::bench_medium()).unwrap();
@@ -600,14 +598,10 @@ fn tracing_overhead_guard(smoke: bool) -> Result<(), String> {
         on = on.min(run(true));
     }
     let ratio = on as f64 / off.max(1) as f64;
-    println!("\ntracing overhead: fold-on/fold-off wall ratio {ratio:.3} (min of 3 per arm)");
-    if ratio > 1.05 {
-        return Err(format!(
-            "blame folding adds {:.1}% wall overhead (budget 5%)",
-            (ratio - 1.0) * 100.0
-        ));
-    }
-    Ok(())
+    println!(
+        "\ntracing overhead: fold-on/fold-off wall ratio {ratio:.3} \
+         (min of 3 per arm; reported, not gated)"
+    );
 }
 
 fn main() {
@@ -628,9 +622,8 @@ fn main() {
         std::process::exit(2);
     }
     let mode = if smoke { "smoke" } else { "full" };
-    let threads = purity_bench::init_threads(&args);
 
-    println!("=== bench_perf: simulator throughput matrix ({mode}, {threads} thread(s)) ===");
+    println!("=== bench_perf: simulator throughput matrix ({mode}) ===");
     let results = vec![
         wl_tail(smoke),
         wl_host(smoke),
@@ -670,7 +663,7 @@ fn main() {
         &rows,
     );
 
-    let entry = entry_json(&label, mode, threads, &results);
+    let entry = entry_json(&label, mode, &results);
     let fresh = parse_json(&entry).expect("entry must parse");
 
     // Baseline comparison runs against the file as committed, before
@@ -683,13 +676,7 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        match tracing_overhead_guard(smoke) {
-            Ok(()) => println!("tracing-overhead guard OK: blame folding within the 5% budget"),
-            Err(e) => {
-                eprintln!("tracing-overhead guard FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        report_tracing_overhead(smoke);
     }
 
     let out = repo_root().join("BENCH_perf.json");

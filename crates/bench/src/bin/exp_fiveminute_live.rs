@@ -27,10 +27,9 @@
 //!   `tier_cold` blame), the migrator promotes the volume back, and
 //!   later waves recover to RAM-hit latency.
 //!
-//! The array scenario runs at worker-pool widths 1, 2 and 8 and must
-//! export byte-identical observability JSON (minus the wall-clock
-//! profile section) — the tiering engine keeps the determinism
-//! contract. Emits `results/exp_fiveminute_live.json` and parses it
+//! The array scenario runs twice and must export byte-identical
+//! observability JSON (minus the wall-clock profile section) — the
+//! tiering engine keeps the determinism contract. Emits `results/exp_fiveminute_live.json` and parses it
 //! back as a self-check. `--smoke` is accepted for CI symmetry; the
 //! arc is the same in both modes.
 
@@ -39,7 +38,7 @@ use purity_core::{ArrayConfig, FlashArray, VolumeId};
 use purity_obs::json::JsonWriter;
 use purity_obs::profiler::strip_profile_section;
 use purity_obs::BlameCategory;
-use purity_sim::{parallel, MS};
+use purity_sim::MS;
 use purity_tier::{capacity_for_crossover, Heat, RamCache};
 use purity_wkld::costmodel::{cost_per_item, crossover_interval, figure7_devices, DeviceEconomics};
 use rand::rngs::StdRng;
@@ -361,7 +360,6 @@ fn phase_json(name: &str, d: &PhaseDelta) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let init_width = purity_bench::init_threads(&args);
     let mode = if smoke { "smoke" } else { "full" };
     println!("=== E18: five-minute-rule tiering engine, live ({mode}) ===");
 
@@ -405,22 +403,13 @@ fn main() {
         &table,
     );
 
-    // --- Part 2: working-set shift, identical at widths 1/2/8 ---
-    let mut trace: Option<ShiftTrace> = None;
-    for width in [1usize, 2, 8] {
-        parallel::set_threads(width);
-        let t = workset_scenario();
-        if let Some(base) = &trace {
-            assert_eq!(
-                base.export, t.export,
-                "width-{width} export diverged from width-1"
-            );
-        } else {
-            trace = Some(t);
-        }
-    }
-    parallel::set_threads(init_width);
-    let trace = trace.unwrap();
+    // --- Part 2: working-set shift, identical run to run ---
+    let trace = workset_scenario();
+    assert_eq!(
+        trace.export,
+        workset_scenario().export,
+        "second same-seed run exported different bytes"
+    );
 
     let night = trace.phases[1].1;
     let morning = trace.phases[2].1;
@@ -507,8 +496,7 @@ fn main() {
         .str_field("vdi_heat_after_night", trace.vdi_heat_after_night)
         .u64_field("tier_cold_blame_ns", trace.tier_cold_blame_ns);
     let mut det = JsonWriter::object();
-    det.raw_field("widths", "[1,2,8]")
-        .bool_field("identical", true);
+    det.u64_field("runs", 2).bool_field("identical", true);
     let mut out = JsonWriter::object();
     out.str_field("experiment", "exp_fiveminute_live")
         .str_field("mode", mode)
@@ -543,5 +531,7 @@ fn main() {
             .unwrap_or(0)
             > 0
     );
-    println!("\nself-check OK: frontier matches Figure 7, migrator chased the knee, widths agree.");
+    println!(
+        "\nself-check OK: frontier matches Figure 7, migrator chased the knee, both runs agree."
+    );
 }

@@ -100,17 +100,13 @@ fn variant_json(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let threads = purity_bench::init_threads(&args);
-    let fa450 = args.iter().any(|a| a == "--fa450");
+    let fa450 = std::env::args().any(|a| a == "--fa450");
     let geometry = if fa450 {
         "full FA-450, 2816 dies"
     } else {
         "mini array, 88 dies"
     };
-    println!(
-        "=== E2: tail latency (mixed 70/30 enterprise workload; {geometry}; {threads} thread(s)) ==="
-    );
+    println!("=== E2: tail latency (mixed 70/30 enterprise workload; {geometry}) ===");
     let mut variants = JsonWriter::array();
     for (label, on) in [
         ("scheduler ON (read around writes)", true),

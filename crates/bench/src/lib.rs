@@ -134,21 +134,6 @@ pub fn drive(
     report
 }
 
-/// Applies a `--threads N` flag from `args` to the simulator's
-/// worker-pool width and returns the resolved count. Binaries that
-/// never pass the flag still resolve through [`purity_sim::parallel`],
-/// so the `PURITY_THREADS` environment override works everywhere.
-pub fn init_threads(args: &[String]) -> usize {
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("--threads requires a positive integer"));
-        purity_sim::parallel::set_threads(n);
-    }
-    purity_sim::parallel::threads()
-}
-
 /// The repo-level `results/` directory the harness binaries emit
 /// machine-readable snapshots into (created on first use).
 pub fn results_dir() -> PathBuf {

@@ -2,11 +2,11 @@
 //!
 //! Everything else in this crate measures the *simulated* system on the
 //! virtual clock. This module measures what the simulation costs in real
-//! time and where that time goes, so perf work (ROADMAP item 1: the
-//! parallel engine) is held to a measured baseline. Wall time is
-//! attributed to a small fixed set of [`Plane`]s — SSD timeline advance,
-//! GC, LSM ops, NVRAM replay, host dispatch, replication, recorder
-//! sampling — via cheap scoped timers ([`profile_scope!`]) that nest:
+//! time and where that time goes, so perf work (ROADMAP item 1) is held
+//! to a measured baseline. Wall time is attributed to a small fixed set
+//! of [`Plane`]s — SSD timeline advance, GC, LSM ops, NVRAM replay, host
+//! dispatch, replication, recorder sampling — via cheap scoped timers
+//! ([`profile_scope!`]) that nest:
 //! a plane's `self_ns` excludes time spent in child scopes, so the
 //! per-plane breakdown sums to (approximately) total profiled time.
 //!
@@ -22,9 +22,9 @@
 //!   and only when enabled, keeping the deterministic sections
 //!   byte-identical across same-seed runs; [`strip_profile_section`]
 //!   recovers the deterministic prefix from a profiled export.
-//! * **Thread-ready.** Totals are global atomics; the nesting stack is
-//!   thread-local, so each thread's self-time attribution is exact and
-//!   a future parallel engine can profile worker threads for free.
+//! * **Thread-safe.** Totals are global atomics; the nesting stack is
+//!   thread-local, so each thread's self-time attribution is exact
+//!   (`cargo test` runs profiled code on several test threads at once).
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -156,16 +156,9 @@ thread_local! {
     static STACK: RefCell<Vec<(usize, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One-time wiring: parallel regions (`purity_sim::parallel::par_run`)
-/// report their wall time here so a caller's open scope counts the
-/// region as child time instead of double-counting the nanoseconds the
-/// workers already attributed to their own planes.
-static REGION_SINK: std::sync::Once = std::sync::Once::new();
-
 /// Turns profiling on. Idempotent; scopes opened while disabled stay
 /// inert even if they close after enabling.
 pub fn enable() {
-    REGION_SINK.call_once(|| purity_sim::parallel::set_region_sink(note_child_time));
     let mut wall = WALL.lock();
     if wall.enabled_at.is_none() {
         wall.enabled_at = Some(Instant::now());
@@ -201,23 +194,6 @@ pub fn reset() {
     if wall.enabled_at.is_some() {
         wall.enabled_at = Some(Instant::now());
     }
-}
-
-/// Credits `ns` of child time to the calling thread's innermost open
-/// scope, as if a nested scope had consumed it. Parallel regions call
-/// this at their barrier: each worker's scoped time was already
-/// absorbed into the global plane cells while it ran, so the parent
-/// scope must *exclude* the region's wall time from its own self time.
-/// No-op with no open scope or while disabled.
-pub fn note_child_time(ns: u64) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    STACK.with(|s| {
-        if let Some(top) = s.borrow_mut().last_mut() {
-            top.1 += ns;
-        }
-    });
 }
 
 /// Adds `n` events to a plane without timing anything — for bulk work

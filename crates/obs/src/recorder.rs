@@ -150,7 +150,7 @@ impl TailBlame {
     /// deterministic and tie exactly: a "p99.9 cohort" that swallowed
     /// every tied op could cover the interval's whole population. Ties
     /// at the threshold are broken by fold order, which is itself
-    /// deterministic across parallel widths.
+    /// deterministic (ops finish in one thread's program order).
     fn of(folded: &[FoldedOp]) -> Self {
         let mut tb = TailBlame {
             ops: folded.len() as u64,

@@ -23,6 +23,5 @@ pub mod units;
 pub use clock::Clock;
 pub use dist::Zipf;
 pub use hist::LatencyHistogram;
-pub use parallel::{par_map, par_run, SafeHorizon, ShardedRun};
 pub use timeline::Timeline;
 pub use units::{Nanos, GIB, KIB, MIB, MS, SEC, US};

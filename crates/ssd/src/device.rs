@@ -181,12 +181,12 @@ impl Ssd {
         if !offset.is_multiple_of(self.page_size) || !data.len().is_multiple_of(self.page_size) {
             return Err(DeviceError::Misaligned);
         }
-        let ops: Vec<(usize, &[u8])> = data
-            .chunks(self.page_size)
-            .enumerate()
-            .map(|(i, chunk)| (offset / self.page_size + i, chunk))
-            .collect();
-        Ok(self.ftl.write_many(&ops, now)?)
+        let first = offset / self.page_size;
+        let mut done = now;
+        for (i, chunk) in data.chunks(self.page_size).enumerate() {
+            done = done.max(self.ftl.write(first + i, chunk, now)?);
+        }
+        Ok(done)
     }
 
     /// Power-loss hook: performs a write that power loss interrupts
@@ -243,29 +243,14 @@ impl Ssd {
         len: usize,
         now: Nanos,
     ) -> Result<(Vec<u8>, Nanos), DeviceError> {
-        purity_obs::profile_scope!(purity_obs::Plane::SsdTimeline);
-        if self.failed {
-            return Err(DeviceError::Failed);
-        }
-        if len == 0 {
-            return Ok((Vec::new(), now));
-        }
-        let first = offset / self.page_size;
-        let last = (offset + len - 1) / self.page_size;
-        let lpns: Vec<usize> = (first..=last).collect();
-        let pages = self.ftl.read_many(&lpns, now)?;
-        let mut buf = Vec::with_capacity((last - first + 1) * self.page_size);
-        let mut done = now;
-        for page in pages {
-            buf.extend_from_slice(&page.data);
-            done = done.max(page.done);
-        }
-        let start = offset - first * self.page_size;
-        Ok((buf[start..start + len].to_vec(), done))
+        self.read_traced(offset, len, now).map(|r| (r.data, r.done))
     }
 
     /// Reads `len` bytes at any byte offset, reporting the latency
     /// decomposition of the critical-path page (see [`DeviceRead`]).
+    /// Pages are read in address order and the first failure ends the
+    /// read: pages before it have charged their dies, pages after it are
+    /// never attempted.
     pub fn read_traced(
         &mut self,
         offset: usize,
@@ -276,22 +261,6 @@ impl Ssd {
         if self.failed {
             return Err(DeviceError::Failed);
         }
-        if len == 0 {
-            return Ok(DeviceRead {
-                data: Vec::new(),
-                done: now,
-                queued: 0,
-                service: 0,
-                die: 0,
-                stall: None,
-                stall_gc: false,
-            });
-        }
-        let first = offset / self.page_size;
-        let last = (offset + len - 1) / self.page_size;
-        let lpns: Vec<usize> = (first..=last).collect();
-        let pages = self.ftl.read_many(&lpns, now)?;
-        let mut buf = Vec::with_capacity((last - first + 1) * self.page_size);
         let mut crit = DeviceRead {
             data: Vec::new(),
             done: now,
@@ -301,8 +270,19 @@ impl Ssd {
             stall: None,
             stall_gc: false,
         };
-        for page in pages {
-            buf.extend_from_slice(&page.data);
+        if len == 0 {
+            return Ok(crit);
+        }
+        let first = offset / self.page_size;
+        let last = (offset + len - 1) / self.page_size;
+        // Bytes of the first page that precede `offset`: never copied.
+        let skip = offset - first * self.page_size;
+        crit.data
+            .reserve_exact((last - first + 1) * self.page_size - skip);
+        for lpn in first..=last {
+            let page = self.ftl.read_traced(lpn, now)?;
+            let from = if lpn == first { skip } else { 0 };
+            crit.data.extend_from_slice(&page.data[from..]);
             if page.done >= crit.done {
                 crit.done = page.done;
                 crit.queued = page.queued;
@@ -312,8 +292,7 @@ impl Ssd {
                 crit.stall_gc = page.stall_gc;
             }
         }
-        let start = offset - first * self.page_size;
-        crit.data = buf[start..start + len].to_vec();
+        crit.data.truncate(len);
         Ok(crit)
     }
 
@@ -349,23 +328,12 @@ impl Ssd {
         }
         out.counter("flash_read_stall_ns", &labels, fc.read_stall_ns);
         // Wear: the per-block erase-count spread the wear-leveler manages.
-        let geo = *self.ftl.flash().geometry();
-        let mut max_pe = 0u64;
-        let mut sum_pe = 0u64;
-        let mut blocks = 0u64;
-        for die in 0..geo.dies {
-            for block in 0..geo.blocks_per_die {
-                let pe = self.ftl.flash().erase_count(die, block);
-                max_pe = max_pe.max(pe);
-                sum_pe += pe;
-                blocks += 1;
-            }
-        }
-        out.gauge("flash_wear_max_pe", &labels, max_pe as i64);
+        let blocks = self.ftl.flash().geometry().total_blocks() as u64;
+        out.gauge("flash_wear_max_pe", &labels, fc.erase_max as i64);
         out.gauge(
             "flash_wear_mean_pe",
             &labels,
-            sum_pe.checked_div(blocks).unwrap_or(0) as i64,
+            fc.erase_sum.checked_div(blocks).unwrap_or(0) as i64,
         );
     }
 
@@ -505,6 +473,51 @@ mod tests {
         assert!(!ssd.corrupt_at(1024 * 1024));
     }
 
+    /// First-failure semantics of a multi-page read: pages before the
+    /// failure charge their dies, a corrupt page is only discovered by
+    /// reading it (so it charges too), an unmapped page fails before the
+    /// flash is touched, and pages after the failure are never attempted.
+    #[test]
+    fn multi_page_read_stops_at_the_first_failing_page() {
+        let mut ssd = mk();
+        let ps = ssd.page_size();
+        ssd.write(0, &vec![9u8; 4 * ps], 0).unwrap();
+        let geo = *ssd.ftl.flash().geometry();
+        let dies: Vec<usize> = (0..4)
+            .map(|lpn| Ppa::unflatten(ssd.ftl.physical_of(lpn).expect("mapped"), &geo).die)
+            .collect();
+        assert_eq!(dies, [0, 1, 2, 3], "round-robin fill: one page per die");
+        let free_at = |ssd: &Ssd| -> Vec<Nanos> {
+            dies.iter()
+                .map(|&d| ssd.ftl.flash().die_free_at(d))
+                .collect()
+        };
+
+        assert!(ssd.corrupt_at(2 * ps));
+        let (reads, before) = (ssd.flash_counters().reads, free_at(&ssd));
+        assert_eq!(
+            ssd.read(0, 4 * ps, 0).unwrap_err(),
+            DeviceError::Ftl(FtlError::Flash(crate::flash::FlashError::Corrupt))
+        );
+        assert_eq!(ssd.flash_counters().reads, reads + 3);
+        let after = free_at(&ssd);
+        for p in 0..3 {
+            assert!(after[p] > before[p], "page {p} charged its die");
+        }
+        assert_eq!(after[3], before[3], "page after the failure never read");
+
+        ssd.trim(2 * ps, ps).unwrap();
+        let (reads, before) = (ssd.flash_counters().reads, after);
+        assert_eq!(
+            ssd.read_traced(0, 4 * ps, 0).unwrap_err(),
+            DeviceError::Ftl(FtlError::Unmapped)
+        );
+        assert_eq!(ssd.flash_counters().reads, reads + 2);
+        let after = free_at(&ssd);
+        assert!(after[0] > before[0] && after[1] > before[1]);
+        assert_eq!(after[2..], before[2..], "unmapped page charges nothing");
+    }
+
     #[test]
     fn torn_write_keeps_prefix_corrupts_straddle_skips_tail() {
         let mut ssd = mk();
@@ -542,6 +555,32 @@ mod tests {
         // Immediately-issued read completes after pending programs on its die.
         let (_, t) = ssd.read(0, 4096, 0).unwrap();
         assert!(t > LatencyModel::consumer_mlc().read_ns);
+    }
+
+    /// The wear gauges come from two counters kept at erase time; they
+    /// must say what a walk over every block would, pre-aging and FTL GC
+    /// included.
+    #[test]
+    fn wear_counters_match_a_scan_of_every_block() {
+        let mut ssd = mk();
+        ssd.preage(3);
+        let ps = ssd.page_size();
+        let pages = ssd.capacity_bytes() / ps;
+        for round in 0..3u8 {
+            for lpn in (0..pages).step_by(if round == 0 { 1 } else { 3 }) {
+                ssd.write(lpn * ps, &vec![round; ps], 0).unwrap();
+            }
+        }
+        assert!(ssd.stats().erases > 0, "churn must reach FTL GC");
+        let geo = *ssd.ftl.flash().geometry();
+        let scan: Vec<u64> = (0..geo.dies)
+            .flat_map(|d| (0..geo.blocks_per_die).map(move |b| (d, b)))
+            .map(|(d, b)| ssd.ftl.flash().erase_count(d, b))
+            .collect();
+        let fc = ssd.flash_counters();
+        assert_eq!(fc.erase_sum, scan.iter().sum::<u64>());
+        assert_eq!(Some(&fc.erase_max), scan.iter().max());
+        assert!(fc.erase_max > 3, "GC erased on top of the pre-aging");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 
 use crate::geometry::{Ppa, SsdGeometry};
 use crate::latency::{EnduranceModel, LatencyModel};
-use purity_sim::parallel::{disjoint_muts, par_run, threads, SafeHorizon};
 use purity_sim::{Clock, Nanos, Timeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,6 +81,19 @@ impl Block {
             bad: false,
         }
     }
+
+    /// Retention horizon: a fresh block holds data for many virtual
+    /// years; a block at its *rating* holds it for roughly
+    /// [`RETENTION_AT_RATING`]; beyond that it decays inversely with
+    /// wear. The horizon scales with the block's true (randomly drawn)
+    /// endurance, so equally-worn blocks fail at *different* times — the
+    /// variance real arrays rely on to scrub-repair ahead of correlated
+    /// loss (§5.1).
+    fn retention_limit(&self) -> Nanos {
+        let wear = self.erase_count.max(1);
+        ((RETENTION_AT_RATING as u128 * self.true_endurance as u128) / (wear as u128 * 2))
+            .min(Nanos::MAX as u128) as Nanos
+    }
 }
 
 struct Die {
@@ -148,8 +160,10 @@ pub struct DieStatus {
 /// A completed page read with its latency decomposition — the raw
 /// material for tail-latency attribution.
 #[derive(Debug, Clone)]
-pub struct PageRead {
-    pub data: Vec<u8>,
+pub struct PageRead<'a> {
+    /// The page's bytes, lent from the flash cells: the caller copies
+    /// them wherever they are going, once.
+    pub data: &'a [u8],
     /// Completion timestamp (includes queueing).
     pub done: Nanos,
     /// Time spent waiting for the die.
@@ -185,169 +199,11 @@ pub struct FlashCounters {
     pub read_stalls_read: u64,
     /// Total ns reads spent queued behind busy dies.
     pub read_stall_ns: u64,
-}
-
-impl FlashCounters {
-    /// Folds a per-die delta into the device totals. Every field is a
-    /// plain sum, so the merged result is independent of merge order —
-    /// part of the parallel engine's determinism argument.
-    fn absorb(&mut self, d: &FlashCounters) {
-        self.reads += d.reads;
-        self.programs += d.programs;
-        self.erases += d.erases;
-        self.bad_blocks += d.bad_blocks;
-        self.read_stalls_program += d.read_stalls_program;
-        self.read_stalls_erase += d.read_stalls_erase;
-        self.read_stalls_read += d.read_stalls_read;
-        self.read_stall_ns += d.read_stall_ns;
-    }
-}
-
-/// Programs one pre-validated page on its die: timeline reservation,
-/// cell write, wear bookkeeping. Confined to one die's state so batched
-/// programs against different dies may run on different workers; within
-/// a die the caller preserves batch order, making the reservation
-/// sequence — and therefore every timestamp — identical to issuing the
-/// ops one at a time.
-fn program_on_die(
-    die: &mut Die,
-    latency: &LatencyModel,
-    ppa: Ppa,
-    data: &[u8],
-    virtual_now: Nanos,
-    now: Nanos,
-    gc: bool,
-) -> Nanos {
-    let service = latency.page_program(data.len());
-    let res = die.timeline.reserve(now, service);
-    if res.end >= die.last_program_end {
-        die.last_program_gc = gc;
-    }
-    die.last_program_end = die.last_program_end.max(res.end);
-    // Cap-prune only: `now` here is the paced (possibly future) issue
-    // slot, so time-pruning against it would discard programs that are
-    // still ahead of present-time reads. Readers prune by their own
-    // clock instead.
-    if die.recent_program_ends.len() >= RECENT_ENDS_CAP {
-        die.recent_program_ends.pop_front();
-    }
-    die.recent_program_ends.push_back((res.end, gc));
-    let block = &mut die.blocks[ppa.block];
-    block.data[ppa.page] = Some(data.to_vec().into_boxed_slice());
-    block.programmed_at[ppa.page] = virtual_now;
-    block.corrupt[ppa.page] = false;
-    block.write_cursor += 1;
-    res.end
-}
-
-/// Reads one page from its die, accumulating counter deltas into
-/// `delta` instead of the shared device counters (merged at the
-/// barrier). Identical semantics to the one-at-a-time path, including
-/// charging the die timeline before the corruption check.
-fn read_on_die(
-    die: &mut Die,
-    latency: &LatencyModel,
-    ppa: Ppa,
-    virtual_now: Nanos,
-    now: Nanos,
-    delta: &mut FlashCounters,
-) -> Result<PageRead, FlashError> {
-    let service = {
-        let block = &die.blocks[ppa.block];
-        if block.bad {
-            return Err(FlashError::BadBlock);
-        }
-        let data = block.data[ppa.page]
-            .as_ref()
-            .ok_or(FlashError::NotProgrammed)?;
-        latency.page_read(data.len())
-    };
-    let res = die.timeline.reserve(now, service);
-    delta.reads += 1;
-    let queued = res.queueing(now);
-    let mut stall_gc = false;
-    let stall = if queued == 0 {
-        None
-    } else {
-        // Blame a program/erase only when its reservation actually sits
-        // in this read's wait window [now, start): bookings never
-        // overlap, so an op that blocked us must *end* by our start. A
-        // flush the pacer booked for a future slot (end > start) never
-        // delayed this read — it gap-filled ahead of it — so the stall
-        // falls through to read-vs-read queueing. Fully-past entries
-        // can never block again (read issue times are monotonic), so
-        // drop them here where `now` is the true present.
-        while die
-            .recent_program_ends
-            .front()
-            .is_some_and(|&(e, _)| e <= now)
-        {
-            die.recent_program_ends.pop_front();
-        }
-        while die.recent_erase_ends.front().is_some_and(|&e| e <= now) {
-            die.recent_erase_ends.pop_front();
-        }
-        let blocking_program = die
-            .recent_program_ends
-            .iter()
-            .filter(|&&(e, _)| e > now && e <= res.start)
-            .max_by_key(|&&(e, _)| e)
-            .copied();
-        let blocking_erase = die
-            .recent_erase_ends
-            .iter()
-            .filter(|&&e| e > now && e <= res.start)
-            .max()
-            .copied();
-        let cause = match (blocking_program, blocking_erase) {
-            (Some((pe, _)), Some(ee)) if ee >= pe => StallCause::Erase,
-            (Some(_), _) => StallCause::Program,
-            (None, Some(_)) => StallCause::Erase,
-            (None, None) => StallCause::Read,
-        };
-        match cause {
-            StallCause::Program => delta.read_stalls_program += 1,
-            StallCause::Erase => delta.read_stalls_erase += 1,
-            StallCause::Read => delta.read_stalls_read += 1,
-        }
-        if let (StallCause::Program, Some((_, gc))) = (cause, blocking_program) {
-            stall_gc = gc;
-        }
-        delta.read_stall_ns += queued;
-        Some(cause)
-    };
-    let retention = retention_limit_on(die, ppa);
-    let block = &mut die.blocks[ppa.block];
-    if block.corrupt[ppa.page] {
-        return Err(FlashError::Corrupt);
-    }
-    if virtual_now.saturating_sub(block.programmed_at[ppa.page]) > retention {
-        block.corrupt[ppa.page] = true;
-        return Err(FlashError::Corrupt);
-    }
-    Ok(PageRead {
-        data: block.data[ppa.page].as_ref().unwrap().to_vec(),
-        done: res.end,
-        queued,
-        service: res.service(),
-        die: ppa.die,
-        stall,
-        stall_gc,
-    })
-}
-
-/// Retention horizon for the block owning `ppa`: a fresh block holds
-/// data for many virtual years; a block at its *rating* holds it for
-/// roughly [`RETENTION_AT_RATING`]; beyond that it decays inversely
-/// with wear. The horizon scales with the block's true (randomly
-/// drawn) endurance, so equally-worn blocks fail at *different* times —
-/// the variance real arrays rely on to scrub-repair ahead of
-/// correlated loss (§5.1).
-fn retention_limit_on(die: &Die, ppa: Ppa) -> Nanos {
-    let b = &die.blocks[ppa.block];
-    let wear = b.erase_count.max(1);
-    ((RETENTION_AT_RATING as u128 * b.true_endurance as u128) / (wear as u128 * 2))
-        .min(Nanos::MAX as u128) as Nanos
+    /// Sum of every block's erase count (bad blocks included) — with
+    /// the block count, the mean wear telemetry reports.
+    pub erase_sum: u64,
+    /// Highest erase count of any block.
+    pub erase_max: u64,
 }
 
 /// A raw NAND device: dies operating in parallel, each with its own
@@ -471,212 +327,103 @@ impl Flash {
     /// Reads one page. Returns the data and the completion timestamp
     /// (includes any queueing behind programs/erases on the die).
     pub fn read_page(&mut self, ppa: Ppa, now: Nanos) -> Result<(Vec<u8>, Nanos), FlashError> {
-        self.read_page_traced(ppa, now).map(|r| (r.data, r.done))
+        self.read_page_traced(ppa, now)
+            .map(|r| (r.data.to_vec(), r.done))
     }
 
     /// Reads one page with its latency decomposition: how long it queued,
     /// how long the die worked, and what the queueing was behind
     /// (program / erase / other reads) — the per-die attribution the
-    /// observability layer surfaces for tail samples.
-    pub fn read_page_traced(&mut self, ppa: Ppa, now: Nanos) -> Result<PageRead, FlashError> {
+    /// observability layer surfaces for tail samples. A bad-block or
+    /// never-programmed page fails before touching the die; a corrupt or
+    /// leaked page is only discovered by reading it, so it charges the
+    /// die's timeline first.
+    pub fn read_page_traced(&mut self, ppa: Ppa, now: Nanos) -> Result<PageRead<'_>, FlashError> {
         let virtual_now = self.clock.now();
-        let mut delta = FlashCounters::default();
-        let r = read_on_die(
-            &mut self.dies[ppa.die],
-            &self.latency,
-            ppa,
-            virtual_now,
-            now,
-            &mut delta,
-        );
-        self.counters.absorb(&delta);
-        r
-    }
-
-    /// The device's conservative-lookahead bound: no flash primitive
-    /// completes in less than the fastest op class, so a batch of ops
-    /// issued at one instant can run per-die without synchronizing —
-    /// nothing a die does can affect another die before the horizon.
-    pub fn safe_horizon(&self) -> SafeHorizon {
-        SafeHorizon::from_floors([
-            self.latency.read_ns,
-            self.latency.program_ns,
-            self.latency.erase_ns,
-        ])
-    }
-
-    /// Programs a batch of pre-validated pages issued at one instant,
-    /// sharded per die. The caller (the FTL) guarantees every target is
-    /// erased, in program order, and on a good block — the same
-    /// preconditions [`Flash::program_page`] enforces. Per-die suborder
-    /// follows batch order, so every reservation (and so every returned
-    /// timestamp) is identical to issuing the ops one at a time, at any
-    /// worker count.
-    pub fn program_pages(&mut self, ops: &[(Ppa, &[u8])], now: Nanos) -> Vec<Nanos> {
-        let virtual_now = self.clock.now().max(now);
-        debug_assert!(
-            now <= self.safe_horizon().horizon(now),
-            "batch issue time must sit inside the lookahead window"
-        );
-        self.counters.programs += ops.len() as u64;
-        let gc = self.gc_mode;
-        let mut out = vec![0 as Nanos; ops.len()];
-        if ops.len() <= 1 || threads() == 1 {
-            for (i, (ppa, data)) in ops.iter().enumerate() {
-                debug_assert_eq!(data.len(), self.geo.page_size);
-                out[i] = program_on_die(
-                    &mut self.dies[ppa.die],
-                    &self.latency,
-                    *ppa,
-                    data,
-                    virtual_now,
-                    now,
-                    gc,
-                );
-            }
-            return out;
-        }
-        // Group ops by die, preserving batch order within each die; the
-        // group list is in ascending die order, which is both the
-        // deterministic merge order and what `disjoint_muts` requires.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut slot_of_die: Vec<Option<usize>> = vec![None; self.geo.dies];
-        for (i, (ppa, data)) in ops.iter().enumerate() {
-            debug_assert_eq!(data.len(), self.geo.page_size);
-            match slot_of_die[ppa.die] {
-                Some(g) => groups[g].1.push(i),
-                None => {
-                    slot_of_die[ppa.die] = Some(groups.len());
-                    groups.push((ppa.die, vec![i]));
-                }
-            }
-        }
-        groups.sort_by_key(|(die, _)| *die);
-        let die_ids: Vec<usize> = groups.iter().map(|(die, _)| *die).collect();
-        let latency = self.latency;
-        let die_refs = disjoint_muts(&mut self.dies, &die_ids);
-        let per_die = par_run(
-            die_refs.into_iter().zip(groups.iter()).collect(),
-            |_, (die, (_, idxs))| {
-                idxs.iter()
-                    .map(|&i| {
-                        let (ppa, data) = &ops[i];
-                        (
-                            i,
-                            program_on_die(die, &latency, *ppa, data, virtual_now, now, gc),
-                        )
-                    })
-                    .collect::<Vec<(usize, Nanos)>>()
-            },
-        );
-        for group in per_die {
-            for (i, t) in group {
-                out[i] = t;
-            }
-        }
-        out
-    }
-
-    /// Reads a batch of pages issued at one instant, sharded per die.
-    /// On error, every page up to the first failure has charged its die
-    /// timeline exactly as the one-at-a-time loop would have (a corrupt
-    /// or leaked page still charges service time; a not-programmed or
-    /// bad-block page charges nothing), and pages after the failure are
-    /// never attempted.
-    pub fn read_pages(&mut self, ppas: &[Ppa], now: Nanos) -> Result<Vec<PageRead>, FlashError> {
-        let virtual_now = self.clock.now();
-        // Pre-scan in batch order for the first page that will fail, so
-        // the parallel path truncates exactly where a serial loop stops.
-        let mut take = ppas.len();
-        let mut fail: Option<FlashError> = None;
-        for (i, ppa) in ppas.iter().enumerate() {
-            let die = &self.dies[ppa.die];
+        let die = &mut self.dies[ppa.die];
+        let service = {
             let block = &die.blocks[ppa.block];
-            // (error, whether the failing read still charges the die)
-            let found = if block.bad {
-                Some((FlashError::BadBlock, false))
-            } else if block.data[ppa.page].is_none() {
-                Some((FlashError::NotProgrammed, false))
-            } else if block.corrupt[ppa.page]
-                || virtual_now.saturating_sub(block.programmed_at[ppa.page])
-                    > retention_limit_on(die, *ppa)
-            {
-                Some((FlashError::Corrupt, true))
-            } else {
-                None
-            };
-            if let Some((e, charged)) = found {
-                take = if charged { i + 1 } else { i };
-                fail = Some(e);
-                break;
+            if block.bad {
+                return Err(FlashError::BadBlock);
             }
-        }
-        let ppas = &ppas[..take];
-        let mut out: Vec<Option<PageRead>> = (0..ppas.len()).map(|_| None).collect();
-        if ppas.len() <= 1 || threads() == 1 {
-            let mut delta = FlashCounters::default();
-            for (i, ppa) in ppas.iter().enumerate() {
-                out[i] = read_on_die(
-                    &mut self.dies[ppa.die],
-                    &self.latency,
-                    *ppa,
-                    virtual_now,
-                    now,
-                    &mut delta,
-                )
-                .ok();
-            }
-            self.counters.absorb(&delta);
+            let data = block.data[ppa.page]
+                .as_ref()
+                .ok_or(FlashError::NotProgrammed)?;
+            self.latency.page_read(data.len())
+        };
+        let res = die.timeline.reserve(now, service);
+        self.counters.reads += 1;
+        let queued = res.queueing(now);
+        let mut stall_gc = false;
+        let stall = if queued == 0 {
+            None
         } else {
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            let mut slot_of_die: Vec<Option<usize>> = vec![None; self.geo.dies];
-            for (i, ppa) in ppas.iter().enumerate() {
-                match slot_of_die[ppa.die] {
-                    Some(g) => groups[g].1.push(i),
-                    None => {
-                        slot_of_die[ppa.die] = Some(groups.len());
-                        groups.push((ppa.die, vec![i]));
-                    }
-                }
+            // Blame a program/erase only when its reservation actually sits
+            // in this read's wait window [now, start): bookings never
+            // overlap, so an op that blocked us must *end* by our start. A
+            // flush the pacer booked for a future slot (end > start) never
+            // delayed this read — it gap-filled ahead of it — so the stall
+            // falls through to read-vs-read queueing. Fully-past entries
+            // can never block again (read issue times are monotonic), so
+            // drop them here where `now` is the true present.
+            while die
+                .recent_program_ends
+                .front()
+                .is_some_and(|&(e, _)| e <= now)
+            {
+                die.recent_program_ends.pop_front();
             }
-            groups.sort_by_key(|(die, _)| *die);
-            let die_ids: Vec<usize> = groups.iter().map(|(die, _)| *die).collect();
-            let latency = self.latency;
-            let die_refs = disjoint_muts(&mut self.dies, &die_ids);
-            let per_die = par_run(
-                die_refs.into_iter().zip(groups.iter()).collect(),
-                |_, (die, (_, idxs))| {
-                    let mut delta = FlashCounters::default();
-                    let reads: Vec<(usize, Option<PageRead>)> = idxs
-                        .iter()
-                        .map(|&i| {
-                            (
-                                i,
-                                read_on_die(die, &latency, ppas[i], virtual_now, now, &mut delta)
-                                    .ok(),
-                            )
-                        })
-                        .collect();
-                    (reads, delta)
-                },
-            );
-            // Deterministic merge: ascending die order, then batch order
-            // within each die. Counter deltas are sums, so the totals are
-            // independent of merge order anyway.
-            for (reads, delta) in per_die {
-                self.counters.absorb(&delta);
-                for (i, r) in reads {
-                    out[i] = r;
-                }
+            while die.recent_erase_ends.front().is_some_and(|&e| e <= now) {
+                die.recent_erase_ends.pop_front();
             }
+            let blocking_program = die
+                .recent_program_ends
+                .iter()
+                .filter(|&&(e, _)| e > now && e <= res.start)
+                .max_by_key(|&&(e, _)| e)
+                .copied();
+            let blocking_erase = die
+                .recent_erase_ends
+                .iter()
+                .filter(|&&e| e > now && e <= res.start)
+                .max()
+                .copied();
+            let cause = match (blocking_program, blocking_erase) {
+                (Some((pe, _)), Some(ee)) if ee >= pe => StallCause::Erase,
+                (Some(_), _) => StallCause::Program,
+                (None, Some(_)) => StallCause::Erase,
+                (None, None) => StallCause::Read,
+            };
+            match cause {
+                StallCause::Program => self.counters.read_stalls_program += 1,
+                StallCause::Erase => self.counters.read_stalls_erase += 1,
+                StallCause::Read => self.counters.read_stalls_read += 1,
+            }
+            if let (StallCause::Program, Some((_, gc))) = (cause, blocking_program) {
+                stall_gc = gc;
+            }
+            self.counters.read_stall_ns += queued;
+            Some(cause)
+        };
+        let block = &mut die.blocks[ppa.block];
+        if block.corrupt[ppa.page] {
+            return Err(FlashError::Corrupt);
         }
-        if let Some(e) = fail {
-            return Err(e);
+        if virtual_now.saturating_sub(block.programmed_at[ppa.page]) > block.retention_limit() {
+            block.corrupt[ppa.page] = true;
+            return Err(FlashError::Corrupt);
         }
-        Ok(out
-            .into_iter()
-            .map(|r| r.expect("no failure pre-scanned, so every read succeeded"))
-            .collect())
+        Ok(PageRead {
+            data: block.data[ppa.page]
+                .as_deref()
+                .expect("checked programmed above"),
+            done: res.end,
+            queued,
+            service: res.service(),
+            die: ppa.die,
+            stall,
+            stall_gc,
+        })
     }
 
     /// Programs one page. Pages must be erased and programmed in order.
@@ -684,8 +431,9 @@ impl Flash {
     pub fn program_page(&mut self, ppa: Ppa, data: &[u8], now: Nanos) -> Result<Nanos, FlashError> {
         assert_eq!(data.len(), self.geo.page_size, "programs are whole pages");
         let virtual_now = self.clock.now().max(now);
+        let die = &mut self.dies[ppa.die];
         {
-            let block = &self.dies[ppa.die].blocks[ppa.block];
+            let block = &die.blocks[ppa.block];
             if block.bad {
                 return Err(FlashError::BadBlock);
             }
@@ -696,17 +444,28 @@ impl Flash {
                 return Err(FlashError::OutOfOrderProgram);
             }
         }
-        let end = program_on_die(
-            &mut self.dies[ppa.die],
-            &self.latency,
-            ppa,
-            data,
-            virtual_now,
-            now,
-            self.gc_mode,
-        );
+        let res = die
+            .timeline
+            .reserve(now, self.latency.page_program(data.len()));
+        if res.end >= die.last_program_end {
+            die.last_program_gc = self.gc_mode;
+        }
+        die.last_program_end = die.last_program_end.max(res.end);
+        // Cap-prune only: `now` here is the paced (possibly future) issue
+        // slot, so time-pruning against it would discard programs that are
+        // still ahead of present-time reads. Readers prune by their own
+        // clock instead.
+        if die.recent_program_ends.len() >= RECENT_ENDS_CAP {
+            die.recent_program_ends.pop_front();
+        }
+        die.recent_program_ends.push_back((res.end, self.gc_mode));
+        let block = &mut die.blocks[ppa.block];
+        block.data[ppa.page] = Some(data.to_vec().into_boxed_slice());
+        block.programmed_at[ppa.page] = virtual_now;
+        block.corrupt[ppa.page] = false;
+        block.write_cursor += 1;
         self.counters.programs += 1;
-        Ok(end)
+        Ok(res.end)
     }
 
     /// Erases a whole block. Wears the block; past its true endurance the
@@ -733,6 +492,8 @@ impl Flash {
         *b = Block::new(pages, true_endurance);
         b.erase_count = prior_erases + 1;
         self.counters.erases += 1;
+        self.counters.erase_sum += 1;
+        self.counters.erase_max = self.counters.erase_max.max(b.erase_count);
         if b.erase_count >= b.true_endurance {
             b.bad = true;
             self.counters.bad_blocks += 1;
@@ -744,6 +505,12 @@ impl Flash {
     /// Erase count of a block (for wear-aware allocation).
     pub fn erase_count(&self, die: usize, block: usize) -> u64 {
         self.dies[die].blocks[block].erase_count
+    }
+
+    /// Next page of a block the sequential-program rule allows — how
+    /// many pages it has taken since its last erase.
+    pub fn write_cursor(&self, die: usize, block: usize) -> usize {
+        self.dies[die].blocks[block].write_cursor
     }
 
     /// Whether a block has been retired.

@@ -103,9 +103,6 @@ pub struct Ftl {
     l2p: Vec<u32>,
     /// Flat physical page -> logical page (for GC relocation).
     p2l: Vec<u32>,
-    /// Bitmap: physical page programmed since last erase (covers pages
-    /// whose mapping was trimmed, which `p2l` alone cannot distinguish).
-    programmed: Vec<u64>,
     blocks: Vec<BlockState>,
     /// Per-die block currently accepting programs, and its fill cursor.
     active: Vec<Option<usize>>,
@@ -137,7 +134,6 @@ impl Ftl {
             geo,
             l2p: vec![NO_PAGE; logical_pages],
             p2l: vec![NO_PAGE; geo.total_pages()],
-            programmed: vec![0; geo.total_pages().div_ceil(64)],
             blocks: (0..total_blocks)
                 .map(|_| BlockState {
                     valid: 0,
@@ -193,26 +189,14 @@ impl Ftl {
 
     /// Reads a logical page. Returns data + completion timestamp.
     pub fn read(&mut self, lpn: usize, now: Nanos) -> Result<(Vec<u8>, Nanos), FtlError> {
-        if lpn >= self.logical_pages {
-            return Err(FtlError::OutOfRange);
-        }
-        let phys = self.l2p[lpn];
-        if phys == NO_PAGE {
-            return Err(FtlError::Unmapped);
-        }
-        let ppa = Ppa::unflatten(phys as usize, &self.geo);
-        Ok(self.flash.read_page(ppa, now)?)
+        self.read_traced(lpn, now)
+            .map(|r| (r.data.to_vec(), r.done))
     }
 
     /// Reads a logical page with its latency decomposition (queueing vs
-    /// service, plus what the queueing was behind). Used by the traced
-    /// read path; the plain [`Ftl::read`] stays for callers that only
-    /// want data + completion time.
-    pub fn read_traced(
-        &mut self,
-        lpn: usize,
-        now: Nanos,
-    ) -> Result<crate::flash::PageRead, FtlError> {
+    /// service, plus what the queueing was behind); [`Ftl::read`] is the
+    /// projection for callers that only want data + completion time.
+    pub fn read_traced(&mut self, lpn: usize, now: Nanos) -> Result<PageRead<'_>, FtlError> {
         if lpn >= self.logical_pages {
             return Err(FtlError::OutOfRange);
         }
@@ -291,31 +275,19 @@ impl Ftl {
         self.blocks[b].valid = self.blocks[b].valid.saturating_sub(1);
     }
 
-    /// Programs data for `lpn` into some die's active block.
+    /// Programs data for `lpn` into some die's active block: round-robin
+    /// across dies, opening fresh blocks wear-aware and retiring bad
+    /// blocks encountered.
     fn program_to_active(
         &mut self,
         lpn: usize,
         data: &[u8],
         now: Nanos,
     ) -> Result<Nanos, FtlError> {
-        let Some((ppa, flat_block)) = self.allocate_slot(now)? else {
-            return Err(FtlError::DeviceFull);
-        };
-        let t = self.flash.program_page(ppa, data, now)?;
-        self.commit_slot(lpn, ppa, flat_block);
-        Ok(t)
-    }
-
-    /// Picks the next program target: round-robin across dies, opening
-    /// fresh blocks wear-aware and retiring bad blocks encountered. The
-    /// allocation decision is fully determined by FTL state, so a batch
-    /// of writes can allocate every slot up front (in batch order) and
-    /// then program the flash per-die in parallel.
-    fn allocate_slot(&mut self, now: Nanos) -> Result<Option<(Ppa, usize)>, FtlError> {
         for _attempt in 0..self.geo.dies * 2 {
             let die = self.next_die;
             self.next_die = (self.next_die + 1) % self.geo.dies;
-            let Some((ppa, flat_block)) = self.next_slot(die, now)? else {
+            let Some((ppa, flat_block)) = self.next_slot(die) else {
                 continue;
             };
             // A pre-aged or worn-out block can be flash-bad while the
@@ -325,162 +297,50 @@ impl Ftl {
                 self.retire_block(flat_block, die);
                 continue;
             }
-            return Ok(Some((ppa, flat_block)));
+            let t = self.flash.program_page(ppa, data, now)?;
+            let flat_page = ppa.flatten(&self.geo);
+            let old = self.l2p[lpn];
+            if old != NO_PAGE {
+                self.invalidate_phys(old as usize);
+            }
+            self.l2p[lpn] = flat_page as u32;
+            self.p2l[flat_page] = lpn as u32;
+            self.blocks[flat_block].valid += 1;
+            // Seal the block when its last page was written.
+            if ppa.page + 1 == self.geo.pages_per_block {
+                self.blocks[flat_block].kind = BlockKind::Sealed;
+                self.active[ppa.die] = None;
+            }
+            return Ok(t);
         }
-        Ok(None)
+        Err(FtlError::DeviceFull)
     }
 
-    /// Mapping/bookkeeping for a page programmed (or about to program)
-    /// at an allocated slot: the bitmap, both mapping directions, valid
-    /// counts, and sealing.
-    fn commit_slot(&mut self, lpn: usize, ppa: Ppa, flat_block: usize) {
-        let flat_page = ppa.flatten(&self.geo);
-        self.programmed[flat_page / 64] |= 1 << (flat_page % 64);
-        let old = self.l2p[lpn];
-        if old != NO_PAGE {
-            self.invalidate_phys(old as usize);
-        }
-        self.l2p[lpn] = flat_page as u32;
-        self.p2l[flat_page] = lpn as u32;
-        self.blocks[flat_block].valid += 1;
-        // Seal the block when its last page was written.
-        if ppa.page + 1 == self.geo.pages_per_block {
-            self.blocks[flat_block].kind = BlockKind::Sealed;
-            self.active[ppa.die] = None;
-        }
-    }
-
-    /// Writes a batch of logical pages issued at one instant. Allocation
-    /// and mapping updates run serially in batch order (they are the
-    /// FTL's shared state), then the flash programs run sharded per die
-    /// — byte-identical results to calling [`Ftl::write`] per page, at
-    /// any worker count. An op that trips the GC low-water mark flushes
-    /// the pending batch first and takes the serial path, exactly as the
-    /// one-at-a-time loop would interleave it.
-    pub fn write_many(&mut self, ops: &[(usize, &[u8])], now: Nanos) -> Result<Nanos, FtlError> {
-        let mut done = now;
-        let mut pending: Vec<(Ppa, &[u8])> = Vec::with_capacity(ops.len());
-        for &(lpn, data) in ops {
-            if lpn >= self.logical_pages {
-                self.flush_programs(&mut pending, now, &mut done);
-                return Err(FtlError::OutOfRange);
-            }
-            if self.free_blocks() < self.gc_low_water {
-                // GC interleaves reads/programs with allocation, so it
-                // must observe every already-allocated program: flush.
-                self.flush_programs(&mut pending, now, &mut done);
-                let t = self.write(lpn, data, now)?;
-                done = done.max(t);
-                continue;
-            }
-            match self.allocate_slot(now)? {
-                Some((ppa, flat_block)) => {
-                    self.commit_slot(lpn, ppa, flat_block);
-                    self.stats.host_programs += 1;
-                    pending.push((ppa, data));
-                }
-                None => {
-                    self.flush_programs(&mut pending, now, &mut done);
-                    return Err(FtlError::DeviceFull);
-                }
-            }
-        }
-        self.flush_programs(&mut pending, now, &mut done);
-        Ok(done)
-    }
-
-    fn flush_programs(&mut self, pending: &mut Vec<(Ppa, &[u8])>, now: Nanos, done: &mut Nanos) {
-        if pending.is_empty() {
-            return;
-        }
-        for t in self.flash.program_pages(pending, now) {
-            *done = (*done).max(t);
-        }
-        pending.clear();
-    }
-
-    /// Reads a batch of logical pages issued at one instant, sharded per
-    /// die. Error semantics match a serial loop over [`Ftl::read`]:
-    /// pages before the first failure charge their die timelines, the
-    /// rest are never attempted.
-    pub fn read_many(&mut self, lpns: &[usize], now: Nanos) -> Result<Vec<PageRead>, FtlError> {
-        let mut ppas = Vec::with_capacity(lpns.len());
-        let mut fail = None;
-        for &lpn in lpns {
-            if lpn >= self.logical_pages {
-                fail = Some(FtlError::OutOfRange);
-                break;
-            }
-            let phys = self.l2p[lpn];
-            if phys == NO_PAGE {
-                fail = Some(FtlError::Unmapped);
-                break;
-            }
-            ppas.push(Ppa::unflatten(phys as usize, &self.geo));
-        }
-        let reads = self.flash.read_pages(&ppas, now)?;
-        if let Some(e) = fail {
-            return Err(e);
-        }
-        Ok(reads)
-    }
-
-    /// Next programmable (die-local) slot, opening a fresh block if needed.
-    #[allow(clippy::only_used_in_recursion)] // `now` kept for symmetry with callers
-    fn next_slot(&mut self, die: usize, now: Nanos) -> Result<Option<(Ppa, usize)>, FtlError> {
+    /// Next programmable (die-local) slot, opening a fresh block if
+    /// needed. The cursor is the flash block's own: every program goes
+    /// through [`Flash::program_page`] before the next slot is asked for.
+    fn next_slot(&mut self, die: usize) -> Option<(Ppa, usize)> {
         if self.active[die].is_none() {
             // Wear leveling: open the free block with the lowest erase count.
-            let candidate = (0..self.geo.blocks_per_die)
+            let fb = (0..self.geo.blocks_per_die)
                 .map(|b| self.flat_block(die, b))
                 .filter(|&fb| self.blocks[fb].kind == BlockKind::Free)
                 .min_by_key(|&fb| {
                     let b = fb % self.geo.blocks_per_die;
                     self.flash.erase_count(die, b)
-                });
-            match candidate {
-                Some(fb) => {
-                    self.blocks[fb].kind = BlockKind::Active;
-                    self.free_count -= 1;
-                    self.active[die] = Some(fb);
-                }
-                None => return Ok(None),
-            }
+                })?;
+            self.blocks[fb].kind = BlockKind::Active;
+            self.free_count -= 1;
+            self.active[die] = Some(fb);
         }
         let fb = self.active[die].expect("just ensured");
         let block = fb % self.geo.blocks_per_die;
-        // Cursor = number of already-programmed pages in the block; the
-        // flash layer enforces sequential programming, so derive it from
-        // p2l occupancy... cheaper: track via valid+invalid? Use the
-        // flash's own write cursor by scanning p2l for this block.
-        let base = fb * self.geo.pages_per_block;
-        let cursor = (0..self.geo.pages_per_block)
-            .find(|&p| !self.page_programmed(base + p))
-            .unwrap_or(self.geo.pages_per_block);
-        if cursor == self.geo.pages_per_block {
-            // Shouldn't happen (sealed on last program) but stay safe.
-            self.blocks[fb].kind = BlockKind::Sealed;
-            self.active[die] = None;
-            return self.next_slot(die, now);
-        }
-        Ok(Some((
-            Ppa {
-                die,
-                block,
-                page: cursor,
-            },
-            fb,
-        )))
-    }
-
-    /// Whether a flat physical page has been programmed since last erase.
-    /// Tracked via a shadow bitmap kept in `p2l` plus a per-block count of
-    /// programs; since trims clear `p2l`, keep an explicit bitmap.
-    fn page_programmed(&self, flat_page: usize) -> bool {
-        self.programmed_bitmap_get(flat_page)
-    }
-
-    fn programmed_bitmap_get(&self, flat_page: usize) -> bool {
-        self.programmed[flat_page / 64] & (1 << (flat_page % 64)) != 0
+        let page = self.flash.write_cursor(die, block);
+        debug_assert!(
+            page < self.geo.pages_per_block,
+            "a block seals on its last program, so an active one has room"
+        );
+        Some((Ppa { die, block, page }, fb))
     }
 
     /// Garbage-collects one victim block. Returns the completion time of
@@ -539,7 +399,7 @@ impl Ftl {
                     kind: BlockKind::Free,
                 };
                 self.free_count += 1;
-                self.clear_programmed_block(victim);
+                self.p2l[base..base + self.geo.pages_per_block].fill(NO_PAGE);
             }
             Err(FlashError::BadBlock) => {
                 self.retire_block(victim, die);
@@ -558,15 +418,6 @@ impl Ftl {
         self.blocks[flat_block].kind = BlockKind::Bad;
         if self.active[die] == Some(flat_block) {
             self.active[die] = None;
-        }
-    }
-
-    fn clear_programmed_block(&mut self, flat_block: usize) {
-        let base = flat_block * self.geo.pages_per_block;
-        for p in 0..self.geo.pages_per_block {
-            let flat = base + p;
-            self.programmed[flat / 64] &= !(1 << (flat % 64));
-            self.p2l[flat] = NO_PAGE;
         }
     }
 }

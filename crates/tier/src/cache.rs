@@ -22,8 +22,8 @@
 //!
 //! Recency is a monotone logical tick, and every index is a `BTreeMap`
 //! keyed by tick — victim selection is `first_key_value()`, so two runs
-//! of the same op stream evict identically regardless of worker count
-//! or allocator layout.
+//! of the same op stream evict identically regardless of allocator
+//! layout.
 //!
 //! LRU admission is the same machine with probation and ghosts unused:
 //! every `put` enters protected, so the victim is always the entry with

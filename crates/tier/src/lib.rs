@@ -20,8 +20,7 @@
 //!
 //! Everything here is pure policy on the array's virtual clock: no I/O,
 //! no wall time, `BTreeMap`-ordered iteration throughout, so the same
-//! seed produces the same byte-identical decision stream at any worker
-//! width.
+//! seed produces the same byte-identical decision stream on every run.
 
 pub mod cache;
 pub mod heat;

@@ -13,7 +13,7 @@
 //!
 //! Iteration is `BTreeMap`-ordered and the plan is a pure function of
 //! its inputs, so the same telemetry produces the same plan on every
-//! run at every worker width.
+//! run.
 
 use crate::heat::{Heat, HeatPolicy, HeatWatcher};
 use purity_sim::Nanos;

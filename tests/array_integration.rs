@@ -367,8 +367,8 @@ fn fa450_full_geometry_smoke() {
     let vol = a.create_volume("prod", 64 << 20).unwrap();
 
     // Sequential preload, then scattered overwrites + reads, then GC —
-    // enough to seal segments on the wide shelf and exercise the
-    // 128-way per-die parallel batches in every drive.
+    // enough to seal segments on the wide shelf and spread every
+    // drive's pages over its 128 dies.
     let chunk = 128 * 1024usize;
     for i in 0..64u64 {
         a.write(vol, i * chunk as u64, &sectors(7000 + i, chunk / SECTOR))

@@ -1,8 +1,8 @@
-//! Serial-vs-parallel differential harness (ISSUE 8): the parallel
-//! engine's whole determinism contract, enforced byte-for-byte.
+//! Differential determinism harness: "same seed, same bytes, run to
+//! run", enforced byte-for-byte (DESIGN.md §7).
 //!
-//! Every scenario here runs the same seed at worker-pool widths 1, 2
-//! and 8 and asserts the runs are indistinguishable:
+//! Every scenario here runs the same seed twice in one process and
+//! asserts the runs are indistinguishable:
 //!
 //! - exhibit-style workloads compare `export_observability_json()`
 //!   (stripped of the wall-clock `profile` section, the one block
@@ -11,61 +11,36 @@
 //!   outcome — violations, torn-write descriptions, recovery reports,
 //!   virtual downtime, acked sector counts.
 //!
-//! The worker-pool width is process-global (`purity_sim::parallel`),
-//! so every test serializes on one mutex before touching it.
+//! What a second run can catch: iteration over a `HashMap` (its hasher
+//! is seeded per instance), an unseeded RNG, wall time or an address
+//! leaking into a decision, state left behind in a process-global.
 
 use purity_core::{Ack, ArrayConfig, FlashArray};
 use purity_obs::profiler::strip_profile_section;
-use purity_sim::parallel;
 use purity_torture::{
     run_campaign, run_cluster_campaign, run_repl_campaign, CampaignSpec, ClusterCampaignSpec,
     CrashPhase, ReplCampaignSpec,
 };
 use purity_wkld::{AccessPattern, ContentModel, Op, SizeMix, WorkloadGen};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// The thread counts the differential contract is stated over.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// Serializes tests in this binary: the worker-pool width is a
-/// process-wide knob, and two tests flipping it concurrently would
-/// measure each other instead of the engine.
-fn pool_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `scenario` once per thread count and asserts all renderings
-/// are byte-identical. Restores the default width afterwards.
-fn assert_thread_invariant(what: &str, mut scenario: impl FnMut() -> String) {
-    let _guard = pool_lock();
-    let mut reference: Option<(usize, String)> = None;
-    for &n in &THREAD_COUNTS {
-        parallel::set_threads(n);
-        let doc = scenario();
-        match &reference {
-            None => reference = Some((n, doc)),
-            Some((n0, base)) => {
-                if *base != doc {
-                    let at = base
-                        .bytes()
-                        .zip(doc.bytes())
-                        .position(|(a, b)| a != b)
-                        .unwrap_or(base.len().min(doc.len()));
-                    let lo = at.saturating_sub(60);
-                    panic!(
-                        "{what}: {n0}-thread and {n}-thread runs diverge at byte {at}:\n \
-                         {n0}t: ...{}\n  {n}t: ...{}",
-                        &base[lo..(at + 60).min(base.len())],
-                        &doc[lo..(at + 60).min(doc.len())],
-                    );
-                }
-            }
-        }
+/// Runs `scenario` twice and asserts the two renderings are
+/// byte-identical, pointing at the first byte that differs.
+fn assert_deterministic(what: &str, mut scenario: impl FnMut() -> String) {
+    let (first, second) = (scenario(), scenario());
+    if first != second {
+        let at = first
+            .bytes()
+            .zip(second.bytes())
+            .position(|(a, b)| a != b)
+            .unwrap_or(first.len().min(second.len()));
+        let lo = at.saturating_sub(60);
+        panic!(
+            "{what}: two same-seed runs diverge at byte {at}:\n \
+             run 1: ...{}\n  run 2: ...{}",
+            &first[lo..(at + 60).min(first.len())],
+            &second[lo..(at + 60).min(second.len())],
+        );
     }
-    parallel::set_threads(1);
 }
 
 /// Drives `n_ops` of a generated workload against a fresh array and
@@ -105,9 +80,9 @@ fn exhibit_export(cfg: ArrayConfig, wkld_seed: u64, n_ops: u64, gc_every: u64) -
 const EXHIBIT_SEEDS: [u64; 4] = [3, 5, 17, 29];
 
 #[test]
-fn exhibit_exports_are_thread_count_invariant() {
+fn exhibit_exports_are_deterministic() {
     for seed in EXHIBIT_SEEDS {
-        assert_thread_invariant(&format!("exhibit seed {seed}"), || {
+        assert_deterministic(&format!("exhibit seed {seed}"), || {
             exhibit_export(ArrayConfig::test_small(), seed, 250, 50)
         });
     }
@@ -116,21 +91,20 @@ fn exhibit_exports_are_thread_count_invariant() {
 /// Overwrite churn on tiny dies forces FTL GC erases mid-run — the
 /// path where per-die reservations interleave with relocations.
 #[test]
-fn gc_churn_export_is_thread_count_invariant() {
+fn gc_churn_export_is_deterministic() {
     let mut cfg = ArrayConfig::test_small();
     cfg.cache_bytes = 0;
     cfg.read_around_writes = false;
-    assert_thread_invariant("gc churn", move || exhibit_export(cfg.clone(), 29, 300, 25));
+    assert_deterministic("gc churn", move || exhibit_export(cfg.clone(), 29, 300, 25));
 }
 
 /// Pre-aged flash (the paper's worn-drive validation) changes per-die
-/// wear and retention limits; the export must still not depend on the
-/// worker count.
+/// wear and retention limits (each block's endurance is a seeded draw).
 #[test]
-fn preaged_export_is_thread_count_invariant() {
+fn preaged_export_is_deterministic() {
     let mut cfg = ArrayConfig::test_small();
     cfg.preage_cycles = 1500;
-    assert_thread_invariant("preaged array", move || {
+    assert_deterministic("preaged array", move || {
         exhibit_export(cfg.clone(), 5, 200, 40)
     });
 }
@@ -139,10 +113,10 @@ fn preaged_export_is_thread_count_invariant() {
 /// seed): a working-set shift that demotes an idle volume to the cold
 /// class, pays cold reads on its return, and promotes it back. RAM-cache
 /// admissions, migrator ticks, cold-slot allocation and the tier blame
-/// category must all be invisible to the worker-pool width.
+/// category must all repeat exactly.
 #[test]
-fn tiered_workset_shift_export_is_thread_count_invariant() {
-    assert_thread_invariant("tiered workset shift seed 0x5F1E", || {
+fn tiered_workset_shift_export_is_deterministic() {
+    assert_deterministic("tiered workset shift seed 0x5F1E", || {
         let mut a = FlashArray::new(ArrayConfig::tiered()).expect("format");
         let vol_bytes: u64 = 512 * 1024;
         let chunks = vol_bytes / (32 * 1024);
@@ -190,11 +164,11 @@ fn tiered_workset_shift_export_is_thread_count_invariant() {
     });
 }
 
-/// Every tier-1 torture seed, re-run per thread count: the campaign
-/// outcome (violations, torn tails, recovery report, virtual
-/// downtime) must not notice the worker pool.
+/// Every tier-1 torture seed, run twice: the campaign outcome
+/// (violations, torn tails, recovery report, virtual downtime) must
+/// repeat exactly.
 #[test]
-fn torture_outcomes_are_thread_count_invariant() {
+fn torture_outcomes_are_deterministic() {
     let sweeps = [
         (CrashPhase::NvramTail, 0..6u64),
         (CrashPhase::SegmentFlush, 10..16),
@@ -205,7 +179,7 @@ fn torture_outcomes_are_thread_count_invariant() {
     for (phase, seeds) in sweeps {
         for seed in seeds {
             let spec = CampaignSpec::new(seed, phase);
-            assert_thread_invariant(&format!("torture seed {seed} {}", phase.name()), || {
+            assert_deterministic(&format!("torture seed {seed} {}", phase.name()), || {
                 format!("{:?}", run_campaign(&spec))
             });
         }
@@ -213,42 +187,41 @@ fn torture_outcomes_are_thread_count_invariant() {
 }
 
 /// Crash-during-replication campaigns cross two arrays and a lossy
-/// link; both arrays' parallel batches must stay deterministic.
+/// link with seeded flap windows.
 #[test]
-fn repl_campaigns_are_thread_count_invariant() {
+fn repl_campaigns_are_deterministic() {
     for seed in 0..2u64 {
         let spec = ReplCampaignSpec::new(seed);
-        assert_thread_invariant(&format!("repl seed {seed}"), || {
+        assert_deterministic(&format!("repl seed {seed}"), || {
             format!("{:?}", run_repl_campaign(&spec))
         });
     }
 }
 
 /// Cluster fault campaigns: SWIM timing, rebuild ordering and ack
-/// audits across three arrays, per thread count.
+/// audits across three arrays.
 #[test]
-fn cluster_campaigns_are_thread_count_invariant() {
+fn cluster_campaigns_are_deterministic() {
     for seed in 0..2u64 {
         let spec = ClusterCampaignSpec::new(seed);
-        assert_thread_invariant(&format!("cluster seed {seed}"), || {
+        assert_deterministic(&format!("cluster seed {seed}"), || {
             format!("{:?}", run_cluster_campaign(&spec))
         });
     }
 }
 
-/// The causal-tracing spine (ISSUE 9) under parallel execution: a
-/// compact GC-storm with single-sector probes racing the §4.4 write
-/// pacer produces die-stall blame, slow-op captures with stall notes,
-/// and a populated `tail_blame` export section. The comparison string
+/// The causal-tracing spine (ISSUE 9): a compact GC-storm with
+/// single-sector probes racing the §4.4 write pacer produces die-stall
+/// blame, slow-op captures with stall notes, and a populated
+/// `tail_blame` export section. The comparison string
 /// carries the stripped observability export (tail blame and stage
 /// audit included), every slow-op `describe()`, and the tracer's
 /// cumulative per-category blame totals — so trace assembly, the
-/// critical-path fold, and the p99.9 cohort are all byte-equal at
-/// widths 1, 2 and 8.
+/// critical-path fold, and the p99.9 cohort are all byte-equal.
 #[test]
-fn blame_traces_and_tail_blame_are_thread_count_invariant() {
+fn blame_traces_and_tail_blame_are_deterministic() {
     use purity_core::SECTOR;
-    assert_thread_invariant("blame trace", || {
+    assert_deterministic("blame trace", || {
         let mut cfg = ArrayConfig::test_small();
         cfg.cache_bytes = 0;
         cfg.read_around_writes = false;
