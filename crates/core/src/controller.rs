@@ -29,7 +29,7 @@ use purity_dedup::hash::block_hash;
 use purity_dedup::index::DedupIndex;
 use purity_ecc::ReedSolomon;
 use purity_format::RangeTable;
-use purity_lsm::{Pyramid, Seq, SeqAllocator};
+use purity_lsm::{ElideFilter, Pyramid, RangeElision, Seq, SeqAllocator};
 use purity_obs::{Frame, Obs, OpTrace};
 use purity_sim::units::format_nanos;
 use purity_sim::Nanos;
@@ -52,6 +52,44 @@ pub struct MapVal {
     pub loc: BlockLoc,
     /// Created by dedup (shares its cblock with other keys).
     pub deduped: bool,
+}
+
+/// The map pyramid's deletion predicate (§4.10): a fact is gone once its
+/// medium is in the elide table.
+struct ElidedMediums(Arc<RwLock<RangeTable>>);
+
+impl ElideFilter<MapKey> for ElidedMediums {
+    fn is_elided(&self, key: &MapKey, _seq: Seq) -> bool {
+        self.0.read().contains(key.0)
+    }
+
+    /// The answer depends on the medium alone, so bounds that name one
+    /// medium — every chain-level read and GC scan — have one answer.
+    fn elides_range(&self, lo: Bound<&MapKey>, hi: Bound<&MapKey>) -> RangeElision {
+        match (lo, hi) {
+            (
+                Bound::Included(lo) | Bound::Excluded(lo),
+                Bound::Included(hi) | Bound::Excluded(hi),
+            ) if lo.0 == hi.0 => {
+                if self.0.read().contains(lo.0) {
+                    RangeElision::All
+                } else {
+                    RangeElision::Nothing
+                }
+            }
+            _ => RangeElision::PerKey,
+        }
+    }
+}
+
+/// Builds the (empty) map pyramid, for a fresh array and for recovery
+/// alike. Its memtable never flushes itself: a flushed patch has to
+/// reach a log record, after the data its facts point at is durable, so
+/// [`Controller::flush_map_patch`] owns flushing.
+pub(crate) fn new_map(elided: &Arc<RwLock<RangeTable>>) -> Pyramid<MapKey, MapVal> {
+    let mut map = Pyramid::with_thresholds(usize::MAX, 8);
+    map.set_elide_filter(Arc::new(ElidedMediums(elided.clone())));
+    map
 }
 
 /// A user volume.
@@ -197,16 +235,11 @@ impl Controller {
         cfg.validate().map_err(PurityError::BadConfig)?;
         let layout = SegmentLayout::from_config(&cfg);
         let elided = Arc::new(RwLock::new(RangeTable::new()));
-        let mut map: Pyramid<MapKey, MapVal> = Pyramid::with_thresholds(1 << 30, 8);
-        let filter = elided.clone();
-        map.set_elide_filter(Arc::new(move |k: &MapKey, _s: Seq| {
-            filter.read().contains(k.0)
-        }));
         let mut ctrl = Self {
             rs: ReedSolomon::new(cfg.rs_data, cfg.rs_parity),
             layout,
             seq: SeqAllocator::new(),
-            map,
+            map: new_map(&elided),
             segments: BTreeMap::new(),
             mediums: MediumTable::new(),
             volumes: BTreeMap::new(),

@@ -19,7 +19,7 @@
 
 use crate::bootregion::BootRegion;
 use crate::config::ArrayConfig;
-use crate::controller::{Controller, MapKey, MapVal};
+use crate::controller::{new_map, Controller, MapKey, MapVal};
 use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
 use crate::medium::MediumTable;
@@ -164,11 +164,7 @@ impl Controller {
             .collect();
         let mediums = MediumTable::from_facts(&medium_facts, elided.clone());
         let elided_arc = Arc::new(RwLock::new(elided));
-        let mut map: Pyramid<MapKey, MapVal> = Pyramid::with_thresholds(1 << 30, 8);
-        let filter = elided_arc.clone();
-        map.set_elide_filter(Arc::new(move |k: &MapKey, _s: Seq| {
-            filter.read().contains(k.0)
-        }));
+        let mut map = new_map(&elided_arc);
 
         let mut stats = ArrayStats::default();
         let mut durable_map_seq: Seq = 0;

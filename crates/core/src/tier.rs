@@ -33,7 +33,7 @@
 //!   simply show up unreferenced and return to the free set.
 
 use crate::config::ArrayConfig;
-use crate::controller::{Controller, MapVal};
+use crate::controller::{Controller, MapKey, MapVal};
 use crate::error::{PurityError, Result};
 use crate::shelf::Shelf;
 use crate::types::{Pba, SegmentId};
@@ -53,9 +53,28 @@ pub(crate) fn cold_drive_of(pba: &Pba) -> Option<usize> {
     (pba.segment.0 >= COLD_SEG_BASE).then(|| (pba.segment.0 - COLD_SEG_BASE) as usize)
 }
 
-/// A volume's live map entries grouped by backing pba: map key
-/// `(medium, sector)` plus its current value, one bucket per cblock.
-type VolumeRefs = BTreeMap<Pba, Vec<((u64, u64), MapVal)>>;
+/// A volume's live map entries — map key `(medium, sector)` plus its
+/// current value — ordered by backing pba, so each cblock's references
+/// are one run (in key order) and cblocks come in pba order.
+type VolumeRefs = Vec<(MapKey, MapVal)>;
+
+/// The per-cblock runs of a volume's refs.
+fn cblocks(refs: &VolumeRefs) -> impl Iterator<Item = &[(MapKey, MapVal)]> {
+    refs.chunk_by(|a, b| a.1.loc.pba == b.1.loc.pba)
+}
+
+/// How many of a volume's live cblocks sit on flash vs cold.
+fn placement(refs: &VolumeRefs) -> VolumePlacement {
+    let mut placement = VolumePlacement::default();
+    for cblock in cblocks(refs) {
+        if cold_drive_of(&cblock[0].1.loc.pba).is_some() {
+            placement.cold_cblocks += 1;
+        } else {
+            placement.flash_cblocks += 1;
+        }
+    }
+    placement
+}
 
 /// One volume-level migration executed this tick (reporting).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,31 +192,46 @@ impl Controller {
         self.feed_heat_from_recorder();
 
         // Desired vs actual placement, volume by volume (BTreeMap order).
+        // Each volume is resolved once; its refs serve the placement
+        // count and, if the plan moves it, the move.
         let policy = HeatPolicy::with_demote_after(self.cfg.tier_demote_after_ns);
-        let placements = self.volume_placements();
+        let mut refs: BTreeMap<u64, VolumeRefs> = (self.volumes.keys())
+            .map(|&id| (id, self.volume_refs(id)))
+            .collect();
+        let placements = refs.iter().map(|(&id, r)| (id, placement(r))).collect();
         let plan: MigrationPlan =
             Reconciler::plan(&placements, &self.tier.watcher, now, &policy, 8);
 
         let mut budget = self.cfg.tier_migration_budget.max(1);
         let mut trace = (!plan.is_empty()).then(|| OpTrace::new("tier_migrate", now));
         let mut done = now;
+        // A move repoints map keys, and a clone shares keys with its
+        // parent: what was resolved before the first move is stale
+        // after it.
+        let mut repointed = false;
         for mv in &plan.moves {
             if budget == 0 {
                 break;
             }
+            let volume = mv.volume();
+            let refs = match refs.remove(&volume) {
+                Some(refs) if !repointed => refs,
+                _ => self.volume_refs(volume),
+            };
             let (moved, t) = match *mv {
-                Move::Promote { volume } => {
-                    self.promote_volume(shelf, volume, budget, now, trace.as_mut())?
+                Move::Promote { .. } => {
+                    self.promote_volume(shelf, refs, budget, now, trace.as_mut())?
                 }
-                Move::Demote { volume } => {
-                    self.demote_volume(shelf, volume, budget, now, trace.as_mut())?
+                Move::Demote { .. } => {
+                    self.demote_volume(shelf, volume, refs, budget, now, trace.as_mut())?
                 }
             };
             budget = budget.saturating_sub(moved);
             done = done.max(t);
             if moved > 0 {
+                repointed = true;
                 report.moves.push(ExecutedMove {
-                    volume: mv.volume(),
+                    volume,
                     demote: matches!(mv, Move::Demote { .. }),
                     cblocks: moved,
                 });
@@ -235,76 +269,45 @@ impl Controller {
         self.tier.heat_intervals_seen = total_closed;
     }
 
-    /// Counts, per volume, how many live cblocks sit on flash vs cold.
-    fn volume_placements(&self) -> BTreeMap<u64, VolumePlacement> {
-        let mut placements = BTreeMap::new();
-        let vols: Vec<(u64, crate::types::MediumId, u64)> = self
-            .volumes
-            .values()
-            .map(|v| (v.id.0, v.anchor, v.size_sectors))
-            .collect();
-        for (id, anchor, size) in vols {
-            let mut flash: BTreeSet<Pba> = BTreeSet::new();
-            let mut cold: BTreeSet<Pba> = BTreeSet::new();
-            for entry in self
-                .resolve_range_entries(anchor, 0, size as usize)
-                .into_iter()
-                .flatten()
-            {
-                let pba = entry.1.loc.pba;
-                if cold_drive_of(&pba).is_some() {
-                    cold.insert(pba);
-                } else {
-                    flash.insert(pba);
-                }
-            }
-            placements.insert(
-                id,
-                VolumePlacement {
-                    flash_cblocks: flash.len() as u64,
-                    cold_cblocks: cold.len() as u64,
-                },
-            );
-        }
-        placements
-    }
-
-    /// The live cblock map of one volume, grouped by pba: every map key
-    /// the volume's reads resolve through, with its current value.
+    /// The live refs of one volume: every map key its reads resolve
+    /// through, with its current value.
     fn volume_refs(&self, volume: u64) -> VolumeRefs {
-        let mut by_pba: VolumeRefs = BTreeMap::new();
         let Some(v) = self.volumes.get(&volume) else {
-            return by_pba;
+            return Vec::new();
         };
-        for entry in self
-            .resolve_range_entries(v.anchor, 0, v.size_sectors as usize)
-            .into_iter()
-            .flatten()
-        {
-            by_pba.entry(entry.1.loc.pba).or_default().push(entry);
-        }
-        by_pba
+        let entries = self.resolve_range_entries(v.anchor, 0, v.size_sectors as usize);
+        // Neighbouring sectors mostly share a cblock, so order the runs
+        // of one location, not the entries. Stable: a cblock's runs,
+        // and so its refs, stay in key order.
+        let pba_of = |e: &Option<(MapKey, MapVal)>| e.map(|(_, val)| val.loc.pba);
+        let mut runs: Vec<_> = entries
+            .chunk_by(|a, b| pba_of(a) == pba_of(b))
+            .filter(|run| run[0].is_some())
+            .collect();
+        runs.sort_by_key(|run| pba_of(&run[0]));
+        runs.into_iter().flatten().flatten().copied().collect()
     }
 
-    /// Demotes up to `budget` of a volume's flash-resident cblocks to the
-    /// cold pool: copy-then-switch, one fixed-size slot per cblock.
+    /// Demotes up to `budget` of a volume's flash-resident cblocks (its
+    /// current `refs`) to the cold pool: copy-then-switch, one fixed-size
+    /// slot per cblock.
     fn demote_volume(
         &mut self,
         shelf: &mut Shelf,
         volume: u64,
+        refs: VolumeRefs,
         budget: usize,
         now: Nanos,
         mut trace: Option<&mut OpTrace>,
     ) -> Result<(usize, Nanos)> {
         let slot_bytes = self.cfg.cold_slot_bytes();
-        let refs = self.volume_refs(volume);
         let mut moved = 0usize;
         let mut done = now;
-        for (pba, refs) in refs {
+        for refs in cblocks(&refs) {
             if moved >= budget {
                 break;
             }
-            if cold_drive_of(&pba).is_some() {
+            if cold_drive_of(&refs[0].1.loc.pba).is_some() {
                 continue;
             }
             let Some(&(d, slot)) = self.tier.free_slots.iter().next() else {
@@ -312,7 +315,7 @@ impl Controller {
             };
             let page = self.cfg.cold_geometry.page_size;
             let mut t1 = now;
-            let copy = self.relocate(shelf, &refs, None, now, None, |ctrl, shelf, encoded| {
+            let copy = self.relocate(shelf, refs, None, now, None, |ctrl, shelf, encoded| {
                 if encoded.len() > slot_bytes {
                     return Err(PurityError::Internal(format!(
                         "encoded cblock ({} B) exceeds cold slot ({} B)",
@@ -348,30 +351,30 @@ impl Controller {
         Ok((moved, done))
     }
 
-    /// Promotes up to `budget` of a volume's cold-resident cblocks back
-    /// into the flash log. The vacated slots are reclaimed later by the
-    /// liveness sweep + checkpoint barrier, never inline.
+    /// Promotes up to `budget` of a volume's cold-resident cblocks (its
+    /// current `refs`) back into the flash log. The vacated slots are
+    /// reclaimed later by the liveness sweep + checkpoint barrier, never
+    /// inline.
     fn promote_volume(
         &mut self,
         shelf: &mut Shelf,
-        volume: u64,
+        refs: VolumeRefs,
         budget: usize,
         now: Nanos,
         mut trace: Option<&mut OpTrace>,
     ) -> Result<(usize, Nanos)> {
-        let refs = self.volume_refs(volume);
         let mut moved = 0usize;
         let mut done = now;
-        for (pba, refs) in refs {
+        for refs in cblocks(&refs) {
             if moved >= budget {
                 break;
             }
-            if cold_drive_of(&pba).is_none() {
+            if cold_drive_of(&refs[0].1.loc.pba).is_none() {
                 continue;
             }
             let copy = match self.relocate(
                 shelf,
-                &refs,
+                refs,
                 None,
                 now,
                 trace.as_deref_mut(),
@@ -396,13 +399,11 @@ impl Controller {
     /// the allocator until [`Controller::write_checkpoint`] makes the
     /// superseding facts durable.
     pub(crate) fn sweep_cold_liveness(&mut self) -> usize {
-        let mut live: BTreeSet<(usize, u64)> = BTreeSet::new();
-        let slot_bytes = self.cfg.cold_slot_bytes() as u64;
-        for (_key, val) in self.reachable_live() {
-            if let Some(d) = cold_drive_of(&val.loc.pba) {
-                live.insert((d, val.loc.pba.offset / slot_bytes));
-            }
+        // No slot in use, none can be dead: skip the walk.
+        if self.tier.used_slots.is_empty() {
+            return 0;
         }
+        let live = self.live_cold_slots();
         let dead: Vec<(usize, u64)> = self
             .tier
             .used_slots
@@ -415,6 +416,21 @@ impl Controller {
             self.tier.pending_free.push(*s);
         }
         dead.len()
+    }
+
+    /// The cold slots some live fact references.
+    fn live_cold_slots(&self) -> BTreeSet<(usize, u64)> {
+        let slot_bytes = self.cfg.cold_slot_bytes() as u64;
+        let mut slots: Vec<(usize, u64)> = self
+            .reachable_live()
+            .iter()
+            .filter_map(|(_key, val)| {
+                cold_drive_of(&val.loc.pba).map(|d| (d, val.loc.pba.offset / slot_bytes))
+            })
+            .collect();
+        // A cblock's sectors are neighbours: one entry per run.
+        slots.dedup();
+        slots.into_iter().collect()
     }
 
     /// Checkpoint hook: the boot record is durable, so slots freed by
@@ -444,14 +460,7 @@ impl Controller {
             return;
         }
         self.tier = TierState::new(&self.cfg);
-        let slot_bytes = self.cfg.cold_slot_bytes() as u64;
-        let mut live: BTreeSet<(usize, u64)> = BTreeSet::new();
-        for (_key, val) in self.reachable_live() {
-            if let Some(d) = cold_drive_of(&val.loc.pba) {
-                live.insert((d, val.loc.pba.offset / slot_bytes));
-            }
-        }
-        for s in live {
+        for s in self.live_cold_slots() {
             self.tier.free_slots.remove(&s);
             self.tier.used_slots.insert(s);
         }
@@ -602,11 +611,11 @@ mod tests {
     }
 
     fn on_flash(c: &Controller, v: crate::VolumeId) -> u64 {
-        c.volume_placements()[&v.0].flash_cblocks
+        placement(&c.volume_refs(v.0)).flash_cblocks
     }
 
     fn on_cold(c: &Controller, v: crate::VolumeId) -> u64 {
-        c.volume_placements()[&v.0].cold_cblocks
+        placement(&c.volume_refs(v.0)).cold_cblocks
     }
 
     #[test]
@@ -671,9 +680,9 @@ mod tests {
         let cold_image = |a: &mut FlashArray| -> BTreeMap<u64, Vec<u8>> {
             let now = a.now();
             let (ctrl, shelf) = a.controller_and_shelf();
-            ctrl.volume_refs(vol.0)
-                .iter()
-                .map(|(pba, refs)| {
+            cblocks(&ctrl.volume_refs(vol.0))
+                .map(|refs| {
+                    let pba = &refs[0].1.loc.pba;
                     let (stored, _) = Controller::read_cold_cblock(shelf, pba, now).unwrap();
                     (refs[0].0 .1, stored)
                 })
@@ -692,6 +701,45 @@ mod tests {
             );
         }
         assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// Nothing here runs GC, so nothing flattens: the fold at flush alone
+    /// keeps the map's history — patches a read fans out over, versions
+    /// a scan steps over — bounded while a volume is overwritten.
+    #[test]
+    fn overwrites_without_gc_keep_the_map_shallow() {
+        const BLOCK: usize = 4096;
+        let mut a = tiered_array();
+        let vol = a.create_volume("churn", 1 << 20).unwrap();
+        let mut image: Vec<u8> = (0..4).flat_map(noise).collect();
+        a.write(vol, 0, &image).unwrap();
+        a.checkpoint().unwrap();
+        let live = a.controller().reachable_live().len();
+        assert_eq!(live, image.len() / crate::types::SECTOR);
+        // Each round overwrites a quarter of the volume, spread evenly,
+        // and ends in a memtable flush.
+        for round in 0..8 {
+            let fresh = noise(100 + round as u64);
+            for block in (round % 4..image.len() / BLOCK).step_by(4) {
+                let at = block * BLOCK;
+                let data = &fresh[at % fresh.len()..][..BLOCK];
+                a.write(vol, at as u64, data).unwrap();
+                image[at..at + BLOCK].copy_from_slice(data);
+            }
+            let flushes = a.controller().map.stats().flushes;
+            a.checkpoint().unwrap();
+            let map = &a.controller().map;
+            assert_eq!(map.stats().flushes, flushes + 1);
+            let in_patches = map.total_facts() - map.memtable_facts();
+            assert!(
+                in_patches <= 2 * live && map.patch_count() <= 4,
+                "round {round}: {} patches hold {in_patches} facts for {live} live sectors",
+                map.patch_count()
+            );
+        }
+        assert_eq!(a.stats().gc_passes, 0);
+        assert!(a.read(vol, 0, image.len()).unwrap().0 == image);
         assert!(a.verify_integrity().is_empty());
     }
 

@@ -24,5 +24,5 @@ pub mod pyramid;
 pub mod seq;
 
 pub use patch::Patch;
-pub use pyramid::{ElideFilter, Pyramid, PyramidStats};
+pub use pyramid::{ElideFilter, Pyramid, PyramidStats, RangeElision};
 pub use seq::{Seq, SeqAllocator};

@@ -100,54 +100,108 @@ impl<K: Ord + Clone, V: Clone> Patch<K, V> {
 
     /// Merges seq-ordered patches (newest first) into one, keeping only
     /// the newest fact per key and dropping facts for which `elided`
-    /// returns true. Idempotent: merging the output with itself or
-    /// re-running the merge produces the same facts.
-    pub fn merge(patches: &[Arc<Patch<K, V>>], elided: impl Fn(&K, Seq) -> bool) -> Patch<K, V> {
-        // Patch entries are already (key asc, seq asc) sorted runs, so a
-        // linear k-way merge beats concatenate-and-resort: advance one
-        // cursor per patch, and for each distinct key keep the newest
-        // fact across every run (within a run the last same-key entry is
-        // the newest; across runs ties go to the later patch — exact
-        // duplicates carry equal values, so the choice is immaterial).
+    /// returns true; returns the patch and how many newest facts the
+    /// filter dropped (every other dropped fact was superseded).
+    /// Idempotent: merging the output with itself or re-running the
+    /// merge produces the same facts.
+    pub fn merge(
+        patches: &[Arc<Patch<K, V>>],
+        elided: impl Fn(&K, Seq) -> bool,
+    ) -> (Patch<K, V>, usize) {
         let total: usize = patches.iter().map(|p| p.len()).sum();
-        let mut idx: Vec<usize> = vec![0; patches.len()];
         let mut out: Vec<(K, Seq, V)> = Vec::with_capacity(total);
-        loop {
-            let mut best_key: Option<&K> = None;
-            for (p, &i) in patches.iter().zip(&idx) {
-                if let Some(e) = p.entries.get(i) {
-                    if best_key.map(|k| e.0 < *k).unwrap_or(true) {
-                        best_key = Some(&e.0);
-                    }
-                }
+        let mut elided_dropped = 0usize;
+        let mut cursors: Vec<&[(K, Seq, V)]> = patches.iter().map(|p| &p.entries[..]).collect();
+        newest_per_key(&mut cursors, None, |e| {
+            if elided(&e.0, e.1) {
+                elided_dropped += 1;
+            } else {
+                out.push(e.clone());
             }
-            let Some(key) = best_key else { break };
-            let mut newest: Option<(Seq, &V)> = None;
-            for (p, i) in patches.iter().zip(idx.iter_mut()) {
-                while let Some(e) = p.entries.get(*i) {
-                    if e.0 != *key {
-                        break;
-                    }
-                    if newest.map(|(s, _)| e.1 >= s).unwrap_or(true) {
-                        newest = Some((e.1, &e.2));
-                    }
-                    *i += 1;
-                }
-            }
-            let (seq, value) = newest.expect("key came from a non-empty front");
-            if !elided(key, seq) {
-                out.push((key.clone(), seq, value.clone()));
-            }
-        }
+        });
         // `out` is key-sorted with one fact per key: already in
         // (key asc, seq asc) order, no re-sort needed.
         let min_seq = out.iter().map(|e| e.1).min().unwrap_or(0);
         let max_seq = out.iter().map(|e| e.1).max().unwrap_or(0);
-        Self {
+        let merged = Self {
             entries: out,
             min_seq,
             max_seq,
+        };
+        (merged, elided_dropped)
+    }
+}
+
+/// The k-way merge under [`Patch::merge`] and the pyramid's range scans:
+/// walks (key asc, seq asc) sorted runs, newest source first, and hands
+/// `f` the newest fact of every key below `until` (of every key, if
+/// `None`) in key order, leaving each cursor at its first entry not
+/// consumed. Equal sequence numbers go to the earlier source, as in a
+/// point lookup (exact duplicates carry equal values, so the choice is
+/// immaterial).
+///
+/// It moves by runs, not keys: the cursor with the smallest front key
+/// (the lead) is drained up to the smallest front key of the others
+/// without looking at them again, so key-disjoint runs concatenate and a
+/// few new facts over a big old run cost one comparison per old fact.
+/// Only a key at the front of several cursors is settled across them.
+pub(crate) fn newest_per_key<'a, K: Ord, V>(
+    cursors: &mut [&'a [(K, Seq, V)]],
+    until: Option<&K>,
+    mut f: impl FnMut(&'a (K, Seq, V)),
+) {
+    loop {
+        let mut lead: Option<usize> = None;
+        let mut next: Option<&K> = None;
+        for (i, c) in cursors.iter().enumerate() {
+            let Some((k, _, _)) = c.first() else { continue };
+            match lead.map(|l| &cursors[l][0].0) {
+                Some(lk) if k >= lk => {
+                    if next.is_none_or(|n| k < n) {
+                        next = Some(k);
+                    }
+                }
+                lk => {
+                    next = lk;
+                    lead = Some(i);
+                }
+            }
         }
+        let Some(lead) = lead else { return };
+        let c = cursors[lead];
+        let key = &c[0].0;
+        if until.is_some_and(|u| key >= u) {
+            return;
+        }
+        if next == Some(key) {
+            let mut newest: Option<&'a (K, Seq, V)> = None;
+            for c in cursors.iter_mut() {
+                let run = c.iter().take_while(|e| e.0 == *key).count();
+                if let Some(e) = c[..run].last() {
+                    if newest.is_none_or(|n| e.1 > n.1) {
+                        newest = Some(e);
+                    }
+                }
+                *c = &c[run..];
+            }
+            f(newest.expect("key came from a non-empty front"));
+            continue;
+        }
+        // The lead alone holds every key below `bound`. Same-key entries
+        // are adjacent and seq-ascending: the last of a group is its
+        // newest.
+        let bound = match (next, until) {
+            (Some(n), Some(u)) => Some(n.min(u)),
+            (n, u) => n.or(u),
+        };
+        let mut run = 0;
+        while run < c.len() && bound.is_none_or(|b| c[run].0 < *b) {
+            if c.get(run + 1).is_none_or(|after| after.0 != c[run].0) {
+                f(&c[run]);
+            }
+            run += 1;
+        }
+        cursors[lead] = &c[run..];
     }
 }
 
@@ -200,7 +254,7 @@ mod tests {
     fn merge_keeps_newest_per_key() {
         let newer = Arc::new(patch(vec![(1, 30, "v3"), (2, 31, "w2")]));
         let older = Arc::new(patch(vec![(1, 10, "v1"), (1, 20, "v2"), (3, 5, "z")]));
-        let merged = Patch::merge(&[newer, older], |_, _| false);
+        let (merged, _) = Patch::merge(&[newer, older], |_, _| false);
         assert_eq!(merged.len(), 3);
         assert_eq!(merged.lookup(&1), Some((&"v3".to_string(), 30)));
         assert_eq!(merged.lookup(&3), Some((&"z".to_string(), 5)));
@@ -209,8 +263,8 @@ mod tests {
     #[test]
     fn merge_drops_elided_facts() {
         let p = Arc::new(patch(vec![(1, 10, "a"), (2, 11, "b"), (3, 12, "c")]));
-        let merged = Patch::merge(&[p], |k, _| *k == 2);
-        assert_eq!(merged.len(), 2);
+        let (merged, elided) = Patch::merge(&[p], |k, _| *k == 2);
+        assert_eq!((merged.len(), elided), (2, 1));
         assert_eq!(merged.lookup(&2), None);
     }
 
@@ -218,9 +272,9 @@ mod tests {
     fn merge_is_idempotent() {
         let a = Arc::new(patch(vec![(1, 10, "a"), (2, 20, "b")]));
         let b = Arc::new(patch(vec![(1, 5, "stale"), (3, 7, "c")]));
-        let once = Arc::new(Patch::merge(&[a.clone(), b.clone()], |_, _| false));
+        let once = Arc::new(Patch::merge(&[a.clone(), b.clone()], |_, _| false).0);
         // Re-merging the merged patch with the originals changes nothing.
-        let twice = Patch::merge(&[once.clone(), a, b], |_, _| false);
+        let (twice, _) = Patch::merge(&[once.clone(), a, b], |_, _| false);
         let collect = |p: &Patch<u64, String>| p.iter().cloned().collect::<Vec<_>>();
         assert_eq!(collect(&once), collect(&twice));
     }
@@ -230,7 +284,7 @@ mod tests {
         // Recovery may re-insert facts already present (§4.3).
         let p1 = Arc::new(patch(vec![(1, 10, "a"), (2, 20, "b")]));
         let p2 = Arc::new(patch(vec![(1, 10, "a")])); // exact duplicate
-        let merged = Patch::merge(&[p1, p2], |_, _| false);
+        let (merged, _) = Patch::merge(&[p1, p2], |_, _| false);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged.lookup(&1), Some((&"a".to_string(), 10)));
     }

@@ -1,6 +1,6 @@
 //! The pyramid proper: memtable + patch stack + merge policy + elision.
 
-use crate::patch::Patch;
+use crate::patch::{newest_per_key, Patch};
 use crate::seq::Seq;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -13,6 +13,26 @@ use std::sync::Arc;
 pub trait ElideFilter<K>: Send + Sync {
     /// True if the fact `(key, seq)` has been deleted by predicate.
     fn is_elided(&self, key: &K, seq: Seq) -> bool;
+
+    /// What the predicate says about every key inside the bounds at
+    /// once. A filter whose answer depends on a key prefix (a medium id)
+    /// settles a scan inside one prefix here, and the scan then pays
+    /// nothing per fact; the default asks per key.
+    fn elides_range(&self, _lo: Bound<&K>, _hi: Bound<&K>) -> RangeElision {
+        RangeElision::PerKey
+    }
+}
+
+/// An [`ElideFilter`]'s answer for a whole key range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RangeElision {
+    /// Every key in the bounds is elided, at any sequence number.
+    All,
+    /// No key in the bounds is elided.
+    Nothing,
+    /// The range is mixed or the filter cannot tell: ask
+    /// [`ElideFilter::is_elided`] fact by fact.
+    PerKey,
 }
 
 impl<K, F> ElideFilter<K> for F
@@ -141,6 +161,14 @@ pub struct Pyramid<K: Ord + Clone, V: Clone> {
     stats: PyramidStats,
 }
 
+/// A flushed patch folds into the patches below it while it (with what
+/// it has already swallowed) holds at least `1 / FOLD_RATIO` of the next
+/// one's facts, so every patch stays more than `FOLD_RATIO` times the
+/// size of the one above it: the stack is logarithmic in the fact count
+/// and a key has O(1) stored versions on average, whatever the flush
+/// count. `max_patches` is the backstop.
+const FOLD_RATIO: usize = 2;
+
 impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     /// Creates an empty pyramid with default maintenance thresholds.
     pub fn new() -> Self {
@@ -210,6 +238,12 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
             .unwrap_or(false)
     }
 
+    fn elides_range(&self, lo: Bound<&K>, hi: Bound<&K>) -> RangeElision {
+        self.elide
+            .as_ref()
+            .map_or(RangeElision::Nothing, |e| e.elides_range(lo, hi))
+    }
+
     /// Newest non-elided fact for `key`.
     pub fn get(&self, key: &K) -> Option<(V, Seq)> {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
@@ -252,54 +286,47 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     }
 
     /// Streams the newest non-elided fact per key in the bounds, in key
-    /// order, without materializing a map: a cursor-based k-way merge
-    /// over the memtable and the sorted patch runs. This is the engine
+    /// order, without materializing a map: a k-way merge over the sorted
+    /// patch runs, with the memtable's keys woven in. This is the engine
     /// under [`Pyramid::range`]; GC's liveness scans and patch rewrites
     /// call it directly to skip the intermediate `Vec` as well.
     pub fn range_for_each(&self, lo: Bound<&K>, hi: Bound<&K>, mut f: impl FnMut(&K, &V, Seq)) {
-        let mut mem = self.memtable.range((lo.cloned(), hi.cloned())).peekable();
+        // The filter is asked once for the whole range where it can
+        // answer, and per fact only where it cannot.
+        let ask_per_key = match self.elides_range(lo, hi) {
+            RangeElision::All => return,
+            RangeElision::Nothing => false,
+            RangeElision::PerKey => true,
+        };
+        let mut emit = |key: &K, v: &V, seq: Seq| {
+            if !(ask_per_key && self.is_elided(key, seq)) {
+                f(key, v, seq);
+            }
+        };
         let mut cursors: Vec<&[(K, Seq, V)]> =
             self.patches.iter().map(|p| p.range_slice(lo, hi)).collect();
-        loop {
-            // Smallest key across all fronts (cloned so every cursor can
-            // advance while it is held — keys are small in practice).
-            let mut key: Option<&K> = mem.peek().map(|(k, _)| *k);
-            for c in &cursors {
-                if let Some((k, _, _)) = c.first() {
-                    if key.map(|b| k < b).unwrap_or(true) {
-                        key = Some(k);
-                    }
-                }
-            }
-            let Some(key) = key.cloned() else { break };
-            // Newest fact for that key: memtable first, then patches in
-            // newest-first order; later sources win only on strictly
-            // greater seq (matching point-get semantics).
+        for (key, versions) in self.memtable.range::<K, _>((lo, hi)) {
+            // What the patches hold below this memtable key, then the
+            // key itself: memtable first, then patches in newest-first
+            // order; later sources win only on strictly greater seq
+            // (matching point-get semantics).
+            newest_per_key(&mut cursors, Some(key), |e| emit(&e.0, &e.2, e.1));
             let mut best: Option<(Seq, &V)> = None;
-            if let Some(&(k, versions)) = mem.peek() {
-                if *k == key {
-                    for (seq, v) in versions.iter() {
-                        if best.map(|(s, _)| *seq > s).unwrap_or(true) {
-                            best = Some((*seq, v));
-                        }
-                    }
-                    mem.next();
+            let patched = cursors.iter_mut().filter_map(|c| {
+                let run = c.iter().take_while(|e| e.0 == *key).count();
+                let (found, rest) = c.split_at(run);
+                *c = rest;
+                found.last().map(|(_, seq, v)| (*seq, v))
+            });
+            for (seq, v) in versions.iter().map(|(s, v)| (*s, v)).chain(patched) {
+                if best.is_none_or(|(s, _)| seq > s) {
+                    best = Some((seq, v));
                 }
             }
-            for c in cursors.iter_mut() {
-                let run = c.iter().take_while(|(k, _, _)| *k == key).count();
-                for (_, seq, v) in &c[..run] {
-                    if best.map(|(s, _)| *seq > s).unwrap_or(true) {
-                        best = Some((*seq, v));
-                    }
-                }
-                *c = &c[run..];
-            }
-            let (seq, v) = best.expect("key came from a non-empty front");
-            if !self.is_elided(&key, seq) {
-                f(&key, v, seq);
-            }
+            let (seq, v) = best.expect("a memtable key holds a fact");
+            emit(key, v, seq);
         }
+        newest_per_key(&mut cursors, None, |e| emit(&e.0, &e.2, e.1));
     }
 
     /// Every live (non-elided, newest-per-key) fact.
@@ -319,18 +346,18 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
                 Bound::Unbounded => Bound::Unbounded,
             }
         }
-        if self.elide.is_none() {
+        match self.elides_range(lo, hi) {
+            RangeElision::All => return false,
             // Any stored fact counts (superseded facts imply a newest
             // fact for the same in-bounds key).
-            return self
-                .memtable
-                .range((lo.cloned(), hi.cloned()))
-                .next()
-                .is_some()
-                || self
-                    .patches
-                    .iter()
-                    .any(|p| p.range(lo, hi).next().is_some());
+            RangeElision::Nothing => {
+                return self.memtable.range::<K, _>((lo, hi)).next().is_some()
+                    || self
+                        .patches
+                        .iter()
+                        .any(|p| !p.range_slice(lo, hi).is_empty());
+            }
+            RangeElision::PerKey => {}
         }
         // With elision, walk candidate keys in ascending order and stop
         // at the first whose newest fact survives the filter; elided
@@ -374,6 +401,22 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
         let patch = Arc::new(Patch::from_entries(entries));
         self.patches.insert(0, patch.clone());
         self.stats.flushes += 1;
+        // Fold as deep as the ratio reaches, in one k-way merge. The fact
+        // count carried down is an upper bound on the merged size, so
+        // the patch below the fold is more than `FOLD_RATIO` times it.
+        let mut facts = patch.len();
+        let mut depth = 1;
+        while depth < self.patches.len() && facts * FOLD_RATIO >= self.patches[depth].len() {
+            facts += self.patches[depth].len();
+            depth += 1;
+        }
+        if depth > 1 {
+            self.merge_span(0..depth);
+        }
+        debug_assert!(self
+            .patches
+            .get(1)
+            .is_none_or(|below| self.patches[0].len() * FOLD_RATIO < below.len()));
         if self.patches.len() > self.max_patches {
             self.merge_cheapest_adjacent_pair();
         }
@@ -381,35 +424,21 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     }
 
     /// Merges the adjacent pair with the smallest combined size (ties
-    /// broken toward the newest pair, deterministically). Tiered
-    /// maintenance: repeatedly merging the two *oldest* patches re-walks
-    /// the biggest patch on almost every flush — O(n²/threshold) fact
-    /// moves over a run — while the cheapest adjacent pair yields the
-    /// classic logarithmic schedule with identical read semantics
-    /// (adjacent merges keep sequence ranges contiguous and the
-    /// newest-first patch order intact).
+    /// broken toward the newest pair, deterministically) — what a flush
+    /// falls back on when the size-ratio fold has left more than
+    /// `max_patches`. The cheapest pair, not the two oldest: that would
+    /// re-walk the biggest patch on almost every flush. Adjacent merges
+    /// keep sequence ranges contiguous and the newest-first patch order
+    /// intact.
     pub fn merge_cheapest_adjacent_pair(&mut self) {
         let n = self.patches.len();
         if n < 2 {
             return;
         }
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
-        let mut at = 0usize;
-        let mut best = usize::MAX;
-        for i in 0..n - 1 {
-            let cost = self.patches[i].len() + self.patches[i + 1].len();
-            if cost < best {
-                best = cost;
-                at = i;
-            }
-        }
-        let pair = [self.patches[at].clone(), self.patches[at + 1].clone()];
-        let before = pair[0].len() + pair[1].len();
-        let merged = self.run_merge(&pair);
-        let after = merged.len();
-        self.patches[at] = Arc::new(merged);
-        self.patches.remove(at + 1);
-        self.record_merge(before, after);
+        let cost = |i: usize| self.patches[i].len() + self.patches[i + 1].len();
+        let at = (0..n - 1).min_by_key(|&i| cost(i)).expect("n >= 2");
+        self.merge_span(at..at + 2);
     }
 
     /// Merges the two oldest patches (contiguous sequence ranges) into
@@ -417,55 +446,33 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     pub fn merge_oldest_pair(&mut self) {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
         let n = self.patches.len();
-        if n < 2 {
-            return;
+        if n >= 2 {
+            self.merge_span(n - 2..n);
         }
-        let pair = [self.patches[n - 2].clone(), self.patches[n - 1].clone()];
-        let before = pair[0].len() + pair[1].len();
-        let merged = self.run_merge(&pair);
-        let after = merged.len();
-        self.patches.truncate(n - 2);
-        self.patches.push(Arc::new(merged));
-        self.record_merge(before, after);
     }
 
     /// Full flatten: collapses every patch (not the memtable) into one.
-    /// GC uses this to bound read fan-out and reclaim elided space.
+    /// GC uses this to bound read fan-out and reclaim elided space; a
+    /// single patch is still re-merged, which drops newly elided facts.
     pub fn flatten(&mut self) {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
-        if self.patches.len() < 2 {
-            // Still worth re-running a single-patch merge to drop newly
-            // elided facts.
-            if let Some(only) = self.patches.first().cloned() {
-                let before = only.len();
-                let merged = self.run_merge(&[only]);
-                let after = merged.len();
-                self.patches[0] = Arc::new(merged);
-                self.record_merge(before, after);
-            }
-            return;
+        if !self.patches.is_empty() {
+            self.merge_span(0..self.patches.len());
         }
-        let all: Vec<_> = self.patches.clone();
-        let before: usize = all.iter().map(|p| p.len()).sum();
-        let merged = self.run_merge(&all);
-        let after = merged.len();
-        self.patches.clear();
-        self.patches.push(Arc::new(merged));
-        self.record_merge(before, after);
     }
 
-    fn run_merge(&self, patches: &[Arc<Patch<K, V>>]) -> Patch<K, V> {
-        let elide = self.elide.clone();
-        Patch::merge(patches, move |k, s| {
-            elide.as_ref().map(|e| e.is_elided(k, s)).unwrap_or(false)
-        })
-    }
-
-    fn record_merge(&mut self, before: usize, after: usize) {
+    /// Replaces the adjacent patches `span` with their merge through the
+    /// elide filter, and books it: every fact that went in and did not
+    /// come out was either the newest of its key and elided, or
+    /// superseded.
+    fn merge_span(&mut self, span: std::ops::Range<usize>) {
+        let inputs = &self.patches[span.clone()];
+        let before: usize = inputs.iter().map(|p| p.len()).sum();
+        let (merged, elided) = Patch::merge(inputs, |k, s| self.is_elided(k, s));
         self.stats.merges += 1;
-        // Attribution between superseded and elided is approximate at
-        // this level; exact elided counts come from the filter itself.
-        self.stats.superseded_dropped += (before - after) as u64;
+        self.stats.elided_dropped += elided as u64;
+        self.stats.superseded_dropped += (before - merged.len() - elided) as u64;
+        self.patches.splice(span, [Arc::new(merged)]);
     }
 
     /// Number of immutable patches (the read fan-out bound).
@@ -591,6 +598,31 @@ mod tests {
         p.flatten();
         assert_eq!(p.total_facts(), 10);
         assert_eq!(p.iter_live().len(), 10);
+    }
+
+    #[test]
+    fn merge_books_elided_and_superseded_drops_apart() {
+        // The scenario above: 20 single-version keys, 10 of them elided.
+        let mut p = pyramid();
+        for i in 0..20u64 {
+            p.insert(i, i * 10, i + 1);
+        }
+        p.flush();
+        p.set_elide_filter(Arc::new(|k: &u64, _s: Seq| *k < 10));
+        p.flatten();
+        let s = p.stats();
+        assert_eq!((s.elided_dropped, s.superseded_dropped), (10, 0));
+        // A live key overwritten twice and an elided one overwritten
+        // once: the old versions are superseded, whatever their key.
+        p.insert(15, 1, 30);
+        p.insert(15, 2, 31);
+        p.insert(3, 3, 32);
+        p.insert(3, 4, 33);
+        p.flush();
+        p.flatten();
+        let s = p.stats();
+        assert_eq!((s.elided_dropped, s.superseded_dropped), (11, 3));
+        assert_eq!(p.total_facts(), 10);
     }
 
     #[test]

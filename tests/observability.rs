@@ -652,7 +652,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(44_243, 0xe0c1_421b_5eae_2c74)],
+        &[(44_246, 0x56c5_f52a_757b_862c)],
     );
 }
 
