@@ -1,11 +1,11 @@
 //! Round-trip test for the observability export: build a small run
 //! that exercises every export section — metrics, slow-op captures,
 //! the flight recorder's time-series, and an SLO incident — then parse
-//! `export_observability_json()` back with `purity_bench::json` and
+//! `export_observability_json()` back with `purity_obs::json` and
 //! assert the schema the docs promise, field by field.
 
-use purity_bench::parse_json;
 use purity_core::{ArrayConfig, FlashArray};
+use purity_obs::json::parse_json;
 
 /// A deterministic run that populates all four export sections. An
 /// impossibly tight SLO budget (1 ns) guarantees the paced reads open

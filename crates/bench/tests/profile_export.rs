@@ -1,6 +1,6 @@
 //! The wall-clock profiler's export contract, verified end to end:
 //!
-//! * the `"profile"` section round-trips through `purity_bench::json`
+//! * the `"profile"` section round-trips through `purity_obs::json`
 //!   with the documented schema and shares summing to ~100%;
 //! * same-seed runs export byte-identical *deterministic* sections
 //!   with the profiler enabled — the profile section is the only thing
@@ -11,8 +11,9 @@
 //! one mutex (this integration binary is its own process; other test
 //! binaries never see the profiler enabled).
 
-use purity_bench::{drive, parse_json, JsonValue};
+use purity_bench::drive;
 use purity_core::{ArrayConfig, FlashArray};
+use purity_obs::json::{parse_json, JsonValue};
 use purity_obs::profiler;
 use purity_wkld::{AccessPattern, ContentModel, SizeMix, WorkloadGen};
 use std::sync::Mutex;

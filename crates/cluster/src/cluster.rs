@@ -41,7 +41,7 @@ use purity_core::{
 };
 use purity_obs::{profile_scope, OpTrace, Plane};
 use purity_repl::{ship_snapshot, FabricStats, LinkConfig, LinkMesh, WireOutcome};
-use purity_sim::{Nanos, MS};
+use purity_sim::Nanos;
 
 /// Everything that shapes a cluster.
 #[derive(Debug, Clone)]
@@ -286,11 +286,6 @@ impl Cluster {
     /// triggers through this).
     pub fn array_mut(&mut self, node: usize) -> &mut FlashArray {
         &mut self.arrays[node]
-    }
-
-    /// The pair-link mesh (partition levers live here).
-    pub fn mesh_mut(&mut self) -> &mut LinkMesh {
-        &mut self.mesh
     }
 
     /// A cluster volume.
@@ -1000,11 +995,6 @@ impl Cluster {
         ClusterClient {
             cached_version: self.placement.version(),
         }
-    }
-
-    /// A tiny helper for exhibits: 50 ms default tick.
-    pub fn default_tick(&mut self) {
-        self.tick(50 * MS);
     }
 }
 

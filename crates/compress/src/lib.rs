@@ -325,11 +325,6 @@ pub fn store_raw(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Convenience: the compressed size of `input` without keeping the output.
-pub fn compressed_len(input: &[u8]) -> usize {
-    compress(input).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

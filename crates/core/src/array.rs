@@ -373,11 +373,6 @@ impl FlashArray {
         id
     }
 
-    /// Ops whose acks are still in flight at virtual time `now`.
-    pub fn inflight_at(&self, now: Nanos) -> impl Iterator<Item = &InflightOp> {
-        self.inflight.iter().filter(move |op| op.completes_at > now)
-    }
-
     /// Reads a snapshot's contents (sector-addressed).
     pub fn read_snapshot(
         &mut self,

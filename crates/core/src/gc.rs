@@ -8,7 +8,7 @@
 //!   merge rather than relocated, which is the fast space reclamation of
 //!   elision (§4.10);
 //! * runs the "more expensive deduplication pass" over relocated data
-//!   (§4.7), catching duplicates inline dedup deferred — and moves a
+//!   (§4.7), catching duplicates inline dedup missed — and moves a
 //!   cblock the pass left whole as a copy of its stored bytes
 //!   (`Controller::relocate`, shared with the tiering migrator);
 //! * **segregates deduplicated blocks into their own segments** (§4.7) —

@@ -147,11 +147,6 @@ impl MediumTable {
         &self.elided
     }
 
-    /// Restores the elide set (recovery).
-    pub fn set_elided(&mut self, set: RangeTable) {
-        self.elided = set;
-    }
-
     /// All rows of one medium, as (start, row) pairs in range order.
     pub fn rows_of(&self, medium: MediumId) -> Vec<(u64, MediumRow)> {
         if self.is_elided(medium) {

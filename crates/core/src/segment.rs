@@ -641,14 +641,6 @@ impl SegmentWriter {
         let end = start + len;
         (end <= open.data_pending.len()).then(|| open.data_pending[start..end].to_vec())
     }
-
-    /// Bytes of data space still unflushed in the open segment.
-    pub fn pending_data_bytes(&self) -> usize {
-        self.open
-            .as_ref()
-            .map(|o| o.data_pending.len())
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

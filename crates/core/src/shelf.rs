@@ -239,11 +239,6 @@ impl Shelf {
         &self.nvram
     }
 
-    /// Mutable NVRAM access.
-    pub fn nvram_mut(&mut self) -> &mut Nvram {
-        &mut self.nvram
-    }
-
     /// Attributes subsequent drive programs to controller-driven garbage
     /// collection (or back to host traffic) on every drive, so reads
     /// queueing behind them report GC interference rather than an
@@ -294,11 +289,6 @@ impl Shelf {
         self.writing_windows[d]
             .iter()
             .any(|&(s, e)| s <= now && now < e)
-    }
-
-    /// The recorded write windows for a drive (diagnostics).
-    pub fn write_windows(&self, d: DriveId) -> Vec<(Nanos, Nanos)> {
-        self.writing_windows[d].iter().copied().collect()
     }
 
     /// Writes page-aligned bytes to a drive, updating the writing window.

@@ -54,21 +54,12 @@ pub struct EngineStats {
     pub failed_verifies: u64,
     /// Duplicates found by anchor extension.
     pub anchored_dups: u64,
-    /// Candidates queued for the background pass.
-    pub deferred: u64,
 }
 
 /// The inline dedup engine. Owns the index; borrows a fetcher per call.
 pub struct DedupEngine<L> {
     index: DedupIndex<L>,
     stats: EngineStats,
-    /// Blocks deferred to the background GC dedup pass: (hash, payload
-    /// is re-read from storage at drain time via its location).
-    background_queue: Vec<(u64, L)>,
-    /// Inline budget: hash-hit verifications allowed per write request
-    /// before remaining candidates are deferred (inline dedup must not
-    /// blow the latency budget, §4.7).
-    inline_verify_budget: usize,
 }
 
 impl<L: Copy + Eq> DedupEngine<L> {
@@ -77,15 +68,7 @@ impl<L: Copy + Eq> DedupEngine<L> {
         Self {
             index,
             stats: EngineStats::default(),
-            background_queue: Vec::new(),
-            inline_verify_budget: usize::MAX,
         }
-    }
-
-    /// Bounds byte-compare verifications per `process` call; further
-    /// candidates are deferred to the background queue.
-    pub fn set_inline_verify_budget(&mut self, budget: usize) {
-        self.inline_verify_budget = budget;
     }
 
     /// Access to the underlying index (for recording writes of blocks the
@@ -97,11 +80,6 @@ impl<L: Copy + Eq> DedupEngine<L> {
     /// Engine counters.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Deferred (hash, location) candidates for the background pass.
-    pub fn drain_background_queue(&mut self) -> Vec<(u64, L)> {
-        std::mem::take(&mut self.background_queue)
     }
 
     /// Dedups a write buffer of whole 512 B blocks. Returns one outcome
@@ -119,7 +97,6 @@ impl<L: Copy + Eq> DedupEngine<L> {
         assert_eq!(data.len() % DEDUP_BLOCK, 0, "whole blocks only");
         let n = data.len() / DEDUP_BLOCK;
         let mut out: Vec<Option<Outcome<L>>> = vec![None; n];
-        let mut verifies_left = self.inline_verify_budget;
         let block = |i: usize| &data[i * DEDUP_BLOCK..(i + 1) * DEDUP_BLOCK];
 
         // Phase 1: hash lookups -> verified anchors.
@@ -131,13 +108,6 @@ impl<L: Copy + Eq> DedupEngine<L> {
             let Some(loc) = self.index.lookup(h) else {
                 continue;
             };
-            if verifies_left == 0 {
-                // Defer: record for the background pass, store inline.
-                self.background_queue.push((h, loc));
-                self.stats.deferred += 1;
-                continue;
-            }
-            verifies_left -= 1;
             match fetcher.matches(&loc, 0, block(i)) {
                 Some(true) => {
                     self.stats.verified_dups += 1;
@@ -363,22 +333,6 @@ mod tests {
         let outcomes = eng.process(&fake_block, &mut store);
         assert_eq!(outcomes, vec![Outcome::Unique]);
         assert_eq!(eng.stats().failed_verifies, 1);
-    }
-
-    #[test]
-    fn verify_budget_defers_to_background() {
-        let mut eng = engine();
-        let mut store = MemStore::new();
-        eng.index_mut().set_sample_rate(1);
-        let data = blocks_of(b"deferme", 8);
-        write_through(&mut eng, &mut store, &data);
-        eng.set_inline_verify_budget(0);
-        let outcomes = eng.process(&data, &mut store);
-        // Inline pass stores everything, defers candidates.
-        assert!(outcomes.iter().all(|o| matches!(o, Outcome::Unique)));
-        let q = eng.drain_background_queue();
-        assert_eq!(q.len(), 8);
-        assert_eq!(eng.stats().deferred, 8);
     }
 
     #[test]

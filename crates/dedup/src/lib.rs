@@ -12,8 +12,7 @@
 //! * [`hash`] — a from-scratch 64-bit block hash (XXH64 construction).
 //! * [`index`] — the sampled hash index plus the inline heuristics:
 //!   a recent-writes window and a frequently-deduplicated hot cache.
-//! * [`engine`] — lookup → verify → anchor extension over a write buffer,
-//!   and the deferred queue drained by background GC dedup.
+//! * [`engine`] — lookup → verify → anchor extension over a write buffer.
 
 pub mod engine;
 pub mod hash;

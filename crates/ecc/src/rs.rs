@@ -70,21 +70,6 @@ impl ReedSolomon {
         Self::new(7, 2)
     }
 
-    /// Data shard count.
-    pub fn data_shards(&self) -> usize {
-        self.k
-    }
-
-    /// Parity shard count.
-    pub fn parity_shards(&self) -> usize {
-        self.m
-    }
-
-    /// Total shard count.
-    pub fn total_shards(&self) -> usize {
-        self.k + self.m
-    }
-
     /// Computes the `m` parity shards for `k` equal-length data shards.
     pub fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, RsError> {
         if data.len() != self.k {

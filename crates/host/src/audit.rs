@@ -90,11 +90,6 @@ impl AckAudit {
         e.failed = true;
     }
 
-    /// Whether `id` has been acked at least once.
-    pub fn is_acked(&self, id: u64) -> bool {
-        self.entries.get(&id).is_some_and(|e| e.acks > 0)
-    }
-
     /// Acks delivered so far (duplicates included).
     pub fn acks_delivered(&self) -> u64 {
         self.delivered

@@ -51,14 +51,6 @@ impl<K: Ord + Clone, V: Clone> Patch<K, V> {
         self.max_seq
     }
 
-    /// First and last keys, if any.
-    pub fn key_range(&self) -> Option<(&K, &K)> {
-        match (self.entries.first(), self.entries.last()) {
-            (Some(f), Some(l)) => Some((&f.0, &l.0)),
-            _ => None,
-        }
-    }
-
     /// Newest fact for `key` within this patch.
     pub fn lookup(&self, key: &K) -> Option<(&V, Seq)> {
         // Entries for a key are contiguous and seq-ascending; take the

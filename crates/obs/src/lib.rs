@@ -20,7 +20,8 @@
 //!   bounded ring buffer ("this p99.9 read waited 2.1 ms behind an erase
 //!   on die 3 of drive 7").
 //! * [`json`] — a dependency-free JSON writer used by the snapshot and
-//!   trace export paths (the container has no serde).
+//!   trace export paths, and the reader exhibits and tests parse those
+//!   documents back with (the container has no serde).
 //!
 //! Everything works on the simulation's virtual clock: spans are exact,
 //! not sampled, and runs are deterministic.

@@ -93,11 +93,6 @@ pub struct ProtectionGroup {
 }
 
 impl ProtectionGroup {
-    /// Whether a ship is mid-flight (stalled or never started).
-    pub fn has_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-
     /// The persisted replication cursor bytes, when a transfer is
     /// mid-flight.
     pub fn cursor(&self) -> Option<&[u8]> {
@@ -162,11 +157,6 @@ impl ReplFabric {
         self.groups.get(&pg)
     }
 
-    /// All group ids, ascending.
-    pub fn group_ids(&self) -> Vec<u64> {
-        self.groups.keys().copied().collect()
-    }
-
     /// Cumulative fabric counters.
     pub fn stats(&self) -> FabricStats {
         self.stats
@@ -175,11 +165,6 @@ impl ReplFabric {
     /// The underlying link.
     pub fn link(&self) -> &ReplicaLink {
         &self.link
-    }
-
-    /// Mutable link access (tests shape flap schedules through this).
-    pub fn link_mut(&mut self) -> &mut ReplicaLink {
-        &mut self.link
     }
 
     /// Starts (or resumes) a ship for `pg` right now, regardless of

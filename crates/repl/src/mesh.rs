@@ -11,7 +11,7 @@
 //! pure function of `(mesh_seed, pair)` — byte-identical across runs
 //! and indifferent to construction or query order.
 
-use crate::link::{LinkConfig, LinkStats, ReplicaLink};
+use crate::link::{LinkConfig, ReplicaLink};
 use std::collections::BTreeMap;
 
 /// splitmix64 finalizer — the same cheap avalanche used to seed the
@@ -78,18 +78,6 @@ impl LinkMesh {
                 link.set_partitioned(partitioned);
             }
         }
-    }
-
-    /// Wire counters summed over every link in the mesh.
-    pub fn total_stats(&self) -> LinkStats {
-        let mut total = LinkStats::default();
-        for link in self.links.values() {
-            total.bytes_on_wire += link.stats().bytes_on_wire;
-            total.sends += link.stats().sends;
-            total.losses += link.stats().losses;
-            total.retransmits += link.stats().retransmits;
-        }
-        total
     }
 }
 

@@ -211,7 +211,6 @@ pub struct FlashCounters {
 pub struct Flash {
     geo: SsdGeometry,
     latency: LatencyModel,
-    endurance: EnduranceModel,
     clock: Arc<Clock>,
     dies: Vec<Die>,
     counters: FlashCounters,
@@ -252,7 +251,6 @@ impl Flash {
         Self {
             geo,
             latency,
-            endurance,
             clock,
             dies,
             counters: FlashCounters::default(),
@@ -276,16 +274,6 @@ impl Flash {
     /// Device geometry.
     pub fn geometry(&self) -> &SsdGeometry {
         &self.geo
-    }
-
-    /// Timing model in force.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
-    }
-
-    /// Endurance rating in force.
-    pub fn endurance_model(&self) -> &EnduranceModel {
-        &self.endurance
     }
 
     /// Traffic counters.

@@ -125,14 +125,6 @@ impl HeatWatcher {
             .unwrap_or(0)
     }
 
-    /// Virtual ns since the volume last served a read.
-    pub fn idle_ns(&self, volume: u64, now: Nanos) -> Nanos {
-        self.volumes
-            .get(&volume)
-            .map(|v| now.saturating_sub(v.last_active_at))
-            .unwrap_or(Nanos::MAX)
-    }
-
     /// Volumes the watcher has observed, ascending.
     pub fn volumes(&self) -> impl Iterator<Item = u64> + '_ {
         self.volumes.keys().copied()

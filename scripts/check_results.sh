@@ -1,43 +1,27 @@
 #!/usr/bin/env bash
-# Results gate: the committed results/*.json are the exhibits' contract.
+# Results gate: the committed results/ files are the exhibits' contract.
 #
-#   scripts/check_results.sh           # re-run, then fail on any diff
+#   scripts/check_results.sh           # re-run, then fail on any change
 #   scripts/check_results.sh --regen   # re-run only (to commit new files)
 #
-# Re-runs every deterministic JSON exhibit in the mode its committed
-# file was produced in (the "smoke"/"mode" field each file carries; the
-# three without one take no flag) and requires `git diff results/` to
-# stay empty: exhibit output is a pure function of the seed, so any
-# byte that moves is a behaviour change CHANGES.md must explain. A
+# `exhibit --gate` re-runs every gated entry of the registry
+# (crates/bench/src/exhibits/mod.rs; `exhibit --list` prints it) with
+# the arguments its committed files were produced with and rewrites
+# results/<name>.txt and .json. Exhibit output is a pure function of the
+# seed, so afterwards `git status` must show nothing under results/:
+# a modified file is a behaviour change CHANGES.md must explain, an
+# untracked one is a new exhibit without a committed contract. A
 # deliberate change re-runs with --regen and commits the new files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-exhibits=(
-  "exp_blame --smoke"
-  "exp_cluster --smoke"
-  "exp_fiveminute_live --smoke"
-  "exp_host_failover --smoke"
-  "exp_host_qd --smoke"
-  "exp_read_around"
-  "exp_replication --smoke"
-  "exp_slo --smoke"
-  "exp_tail_latency"
-  "exp_torture --seeds 10 --smoke"
-  "exp_wear"
-  "fig7_fiveminute --smoke"
-)
-
-cargo build -q --release -p purity-bench
-for e in "${exhibits[@]}"; do
-  read -r -a argv <<<"$e"
-  printf '==> %s\n' "$e"
-  cargo run -q --release -p purity-bench --bin "${argv[0]}" -- "${argv[@]:1}" >/dev/null
-done
+cargo run -q --release -p purity-bench -- --gate
 
 [[ "${1:-}" == "--regen" ]] && exit 0
-git diff --exit-code --stat -- results/ || {
-  echo "check_results: results/*.json drifted from the committed files" >&2
+changed=$(git status --porcelain -- results/)
+if [[ -n "$changed" ]]; then
+  echo "$changed"
+  echo "check_results: results/ drifted from the committed files" >&2
   exit 1
-}
-echo "check_results: results/*.json byte-identical"
+fi
+echo "check_results: results/ byte-identical"

@@ -21,21 +21,10 @@ cargo build --release --workspace
 step "cargo test -q"
 cargo test -q --workspace
 
-# Exhibit smoke + results gate. Every deterministic JSON exhibit is
-# re-run in the mode its committed results/<name>.json was produced in.
-# Each binary parses its own output back and asserts the claim it
-# reproduces — QD-monotone IOPS/latency and zero lost acks across
-# failover (exp_host_qd, exp_host_failover); a 10-seed power-loss sweep
-# over all five crash phases plus the oracle's sabotage self-check
-# (exp_torture; a failure leaves a one-line repro in
-# results/exp_torture_repro.txt, see TESTING.md); exactly one SLO
-# incident opened and closed by a forced interference window (exp_slo,
-# fig7_fiveminute); bit-exact replicas over the bandwidth x flap grid
-# (exp_replication); 100% acked ops through a member kill + rebuild
-# (exp_cluster); die-stall tail blame with read-around off vs on
-# (exp_blame); Figure 7's crossovers from the running 2Q cache and the
-# migrator's demote/promote cycle (exp_fiveminute_live) — and then the
-# files must match the committed ones byte for byte.
+# Exhibit smoke + results gate: every gated exhibit is re-run with the
+# arguments its committed results/ files were produced with, asserts
+# the claim it reproduces (`exhibit --list` says which), and must
+# reproduce those files byte for byte.
 step "exhibit smoke + results gate (scripts/check_results.sh)"
 scripts/check_results.sh
 
