@@ -15,19 +15,17 @@
 //!   quantities** — the whole sweep runs twice from the same seeds
 //!   and must produce byte-identical telemetry exports.
 //!
-//! `--smoke` shrinks the run for CI. `--torture [--seeds
-//! N]` instead sweeps the cluster fault campaign from
-//! `purity-torture`; any failing seed is written to
-//! `results/exp_cluster_repro.txt` and replayable with `--seed N`.
+//! `--smoke` shrinks the run for CI. The cluster *fault campaign* (kill
+//! or partition under the durability oracle, shrunk to a one-line repro)
+//! is `exp_torture --kind cluster`.
 
-use crate::{flag, results_dir, value, Report};
+use crate::{flag, Report};
 use purity_cluster::{Cluster, ClusterSpec};
 use purity_core::SECTOR;
 use purity_obs::profiler::strip_profile_section;
 use purity_repl::LinkConfig;
 use purity_sim::units::format_nanos;
 use purity_sim::{Nanos, MS};
-use purity_torture::{run_cluster_campaign, ClusterCampaignSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -156,64 +154,8 @@ fn sweep(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Torture mode: sweep the fleet fault campaign; persist any failing
-/// seed where CI can pick it up as an artifact.
-fn torture(seeds: u64, one_seed: Option<u64>, r: &mut Report) {
-    let repro_path = results_dir().join("exp_cluster_repro.txt");
-    let seed_list: Vec<u64> = match one_seed {
-        Some(s) => vec![s],
-        None => (0..seeds).collect(),
-    };
-    r.line(format!(
-        "=== cluster fault torture ({} seed{}) ===",
-        seed_list.len(),
-        if seed_list.len() == 1 { "" } else { "s" }
-    ));
-    let mut failures = Vec::new();
-    for &seed in &seed_list {
-        let spec = ClusterCampaignSpec::new(seed);
-        let out = run_cluster_campaign(&spec);
-        if out.violations.is_empty() {
-            r.line(format!(
-                "seed {seed:>3} {:?} nodes {} ok: {} acks, {} rebuilds, detect {}",
-                spec.fault,
-                spec.nodes,
-                out.acked_writes + out.acked_reads,
-                out.rebuilds_done,
-                out.detection_ns
-                    .map(format_nanos)
-                    .unwrap_or_else(|| "-".into()),
-            ));
-        } else {
-            r.line(format!(
-                "seed {seed:>3} FAILED: {} violation(s)",
-                out.violations.len()
-            ));
-            for v in out.violations.iter().take(5) {
-                r.line(format!("    {v}"));
-            }
-            failures.push(seed);
-        }
-    }
-    if let Some(&first) = failures.first() {
-        let line = format!("exp_cluster --torture --seed {first}\n");
-        std::fs::write(&repro_path, &line).expect("write repro file");
-        panic!(
-            "fleet contract violated; repro written to {}",
-            repro_path.display()
-        );
-    }
-    let _ = std::fs::remove_file(&repro_path);
-    r.line("\nall seeds clean.");
-}
-
 pub fn run(args: &[String], r: &mut Report) {
     let smoke = flag(args, "--smoke");
-    if flag(args, "--torture") {
-        let seeds = value(args, "--seeds").unwrap_or(if smoke { 3 } else { 8 });
-        torture(seeds, value(args, "--seed"), r);
-        return;
-    }
 
     r.line("=== cluster scale-out: size x link-profile sweep ===");
     let cells = sweep(smoke);

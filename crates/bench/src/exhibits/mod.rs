@@ -95,10 +95,12 @@ registry! {
          evidence and closes on cooldown, and two same-seed exports are identical (--smoke: shorter \
          arc)";
     exp_torture: Some(&["--seeds", "10", "--smoke"]),
-        "§4.3: whole-array power loss rotating through the five crash phases, one campaign per seed; \
-         asserts zero oracle violations, at least four phases hit, and that a sabotaged recovery is \
-         caught; a failure is shrunk to results/exp_torture_repro.txt (--seeds N, --repro LINE; \
-         --smoke: shorter campaigns)";
+        "§4.1, §4.3: one seeded fault campaign per seed under the durability oracle: whole-array \
+         power loss rotating through the five crash phases (--kind array, the default), a member \
+         killed or partitioned (--kind cluster), the replication destination crashed mid-ship \
+         (--kind repl); asserts zero violations, a sabotaged run of the kind caught, and for array \
+         at least four phases hit; a failure of any kind is shrunk to one line in \
+         results/exp_torture_repro.txt (--seeds N, --repro LINE; --smoke: shorter array campaigns)";
     exp_replication: SMOKE,
         "§1, §4.1: seed plus incremental ships over a bandwidth x flap-rate grid; asserts clean links \
          never retransmit, retransmits rise with flap rate, the thin pipe is slower, and the sweep \
@@ -106,8 +108,7 @@ registry! {
     exp_cluster: SMOKE,
         "§1, §4.1: one member killed mid-traffic over a size x link grid; asserts 100% of ops acked, \
          the death confirmed, a rebuild run, and a byte-identical second sweep (--smoke: fewer ops; \
-         --torture [--seeds N | --seed N]: the fleet fault campaign, failing seed to \
-         results/exp_cluster_repro.txt)";
+         the fault campaign is exp_torture --kind cluster)";
     exp_blame: NO_ARGS,
         "E17 (§4.2, §4.4): p99.9-cohort blame under a GC storm; asserts >=80% of it on die-stall \
          categories with read-around off, a >=5x cut with it on, cluster_redirect/reconstruct blame \

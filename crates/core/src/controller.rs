@@ -856,14 +856,6 @@ impl Controller {
         }
         let id = SegmentId(self.next_segment);
         self.next_segment += 1;
-        if crate::trace_enabled() {
-            eprintln!(
-                "OPEN-SEG {:?} columns {:?} failed_drives {:?}",
-                id,
-                columns,
-                shelf.failed_drives()
-            );
-        }
         let seq_lo = self.seq.high_water() + 1;
         self.writer
             .open_segment_on(shelf, id, columns, seq_lo, now)?;
@@ -1258,10 +1250,6 @@ impl Controller {
         self.checkpoint_version += 1;
         let frontier = self.allocator.build_persist_set();
         let cp = self.build_checkpoint(frontier);
-        if crate::trace_enabled() {
-            let segs: Vec<u64> = self.segments.keys().copied().collect();
-            eprintln!("CKPT-FRONTIER v{} segs {:?}", cp.version, segs);
-        }
         self.boot.write(shelf, &cp, now)
     }
 
@@ -1281,10 +1269,6 @@ impl Controller {
             self.allocator.snapshot_persisted()
         };
         let cp = self.build_checkpoint(frontier);
-        if crate::trace_enabled() {
-            let segs: Vec<u64> = self.segments.keys().copied().collect();
-            eprintln!("CKPT v{} segs {:?}", cp.version, segs);
-        }
         let t = self.boot.write(shelf, &cp, now)?;
         if let Some(idx) = trim_to {
             shelf.nvram_trim(idx)?;
@@ -1481,14 +1465,6 @@ pub(crate) fn read_extent(
                 if let Some(tr) = trace.as_deref_mut() {
                     stamp_drive_read(tr, &dr, au.drive, now, false);
                 }
-                if crate::trace_enabled() && dr.done.saturating_sub(now) > 10_000_000 {
-                    eprintln!(
-                        "SLOW-DIRECT drive {} ext {:?} lat {}us",
-                        au.drive,
-                        ext,
-                        (dr.done - now) / 1000
-                    );
-                }
                 return Ok((dr.data, dr.done));
             }
             Err(_) => media_error = true, // corrupt page: rebuild below
@@ -1546,16 +1522,6 @@ pub(crate) fn read_extent(
                 now,
                 done,
                 format!("{why}; rebuilt column {} from {k} columns", ext.column),
-            );
-        }
-        if crate::trace_enabled() && done.saturating_sub(now) > 10_000_000 {
-            let cols: Vec<String> = available.iter().map(|(c, _)| format!("c{}", c)).collect();
-            eprintln!(
-                "SLOW-RECON target d{} ext {:?} lat {}us via {:?}",
-                au.drive,
-                ext,
-                (done - now) / 1000,
-                cols
             );
         }
         return Ok((rebuilt, done));

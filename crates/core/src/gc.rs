@@ -172,9 +172,6 @@ impl Controller {
 
         // ---- Durability point, then free victims. --------------------
         self.write_checkpoint(shelf, now)?;
-        if crate::trace_enabled() {
-            eprintln!("GC victims: {:?}", victims);
-        }
         for victim in &victims {
             let info = match self.segments.remove(victim) {
                 Some(i) => i,

@@ -49,11 +49,3 @@ pub use recovery::{RecoveryOptions, RecoveryReport, ScanMode};
 pub use shelf::CrashTarget;
 pub use tier::{ExecutedMove, TierTickReport};
 pub use types::{MediumId, SnapshotId, VolumeId, SECTOR};
-
-/// Whether `PURITY_TRACE` was set when the library first asked. The
-/// debug `eprintln!` sites sit on per-extent paths; reading the
-/// environment there is a lock and a linear scan per event.
-pub(crate) fn trace_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("PURITY_TRACE").is_ok())
-}

@@ -137,13 +137,6 @@ impl Controller {
             cfg.stripe_width(),
         );
         let (cp, mut done) = boot.read(shelf, now)?;
-        if crate::trace_enabled() {
-            eprintln!(
-                "RECOVER v{} segs {:?}",
-                cp.version,
-                cp.segment_rows.iter().map(|r| r[0]).collect::<Vec<_>>()
-            );
-        }
 
         // --- 1. Rebuild small tables from the checkpoint. -------------
         let mut segments: BTreeMap<u64, SegmentInfo> = BTreeMap::new();

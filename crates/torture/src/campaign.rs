@@ -1,6 +1,8 @@
-//! A torture campaign: one seeded run of the full stack that loses
-//! power at an adversarial instant and must come back with every
-//! promise intact.
+//! The array kind: one seeded run of the full stack that loses power at
+//! an adversarial instant and must come back with every promise intact.
+//! [`Run::step`] is the crate's only seeded op mix; [`run_model_check`]
+//! is the same mix with hardware faults in place of idle time and no
+//! power loss.
 //!
 //! The run is a pure function of its [`CampaignSpec`] — same spec, same
 //! virtual-time history, same violations, byte for byte. That is what
@@ -21,9 +23,11 @@
 //!    catch that);
 //! 4. settle the unacked in-flight write, check structural invariants
 //!    and the frontier scan bound, run `post_ops` more ops, then sweep
-//!    every acked sector and frozen snapshot.
+//!    every volume and frozen snapshot and run the checks every kind
+//!    shares ([`final_checks`]).
 
 use crate::oracle::DurabilityOracle;
+use crate::shrink::{halvings, Campaign, Field};
 use purity_core::{
     ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, RecoveryOptions, RecoveryReport, ScanMode,
     SnapshotId, VolumeId, SECTOR,
@@ -68,9 +72,19 @@ impl CrashPhase {
             CrashPhase::TierDemote => "tier-demote",
         }
     }
+}
 
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.name() == s)
+impl std::fmt::Display for CrashPhase {
+    fn fmt(&self, f: &mut std::fmt::Formatter) -> std::fmt::Result {
+        f.pad(self.name())
+    }
+}
+
+impl std::str::FromStr for CrashPhase {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        Self::ALL.into_iter().find(|p| p.name() == s).ok_or(())
     }
 }
 
@@ -137,6 +151,10 @@ struct Run {
     violations: Vec<String>,
     /// Set once power dies; the op loops stop issuing.
     dark: bool,
+    /// The model-check personality: the drives currently pulled. The
+    /// mix's last arm then injects hardware faults where a crash
+    /// campaign (`None`) lets virtual time pass.
+    pulled: Option<Vec<usize>>,
 }
 
 fn content(rng: &mut StdRng, dedup_friendly: bool) -> [u8; SECTOR] {
@@ -152,8 +170,32 @@ fn content(rng: &mut StdRng, dedup_friendly: bool) -> [u8; SECTOR] {
 }
 
 impl Run {
-    /// Issues one write through the oracle. Returns false once power is
-    /// out (the op stays staged for `settle`).
+    /// A fresh array with the two volumes every run starts from.
+    fn new(cfg: ArrayConfig, pulled: Option<Vec<usize>>) -> Self {
+        let mut run = Run {
+            a: FlashArray::new(cfg).expect("invariant: the stock configs validate and format"),
+            oracle: DurabilityOracle::new(),
+            live_vols: Vec::new(),
+            live_snaps: Vec::new(),
+            violations: Vec::new(),
+            dark: false,
+            pulled,
+        };
+        for i in 0..2 {
+            let size: u64 = 2 << 20;
+            let v = run
+                .a
+                .create_volume(&format!("v{i}"), size)
+                .expect("invariant: a fresh stock array holds two 2 MiB volumes");
+            run.oracle.create_volume(v, size);
+            run.live_vols.push(v);
+        }
+        run
+    }
+
+    /// Issues one write through the oracle. Returns false once the array
+    /// refuses it (the op stays staged for `settle`); only a dark array
+    /// may.
     fn write(&mut self, rng: &mut StdRng) -> bool {
         let v = self.live_vols[rng.gen_range(0..self.live_vols.len())];
         let size = self.oracle.size_sectors(v);
@@ -164,21 +206,33 @@ impl Run {
             let friendly = rng.gen_bool(0.4);
             buf.extend_from_slice(&content(rng, friendly));
         }
-        self.oracle.stage_write(v, start, &buf);
-        match self.a.write(v, start * SECTOR as u64, &buf) {
+        let acked = self.oracle.write_through(v, start, &buf, || {
+            self.a.write(v, start * SECTOR as u64, &buf)
+        });
+        match acked {
             Ok(_) => {
-                self.oracle.commit_staged();
                 self.a.advance(rng.gen_range(10 * US..500 * US));
                 true
             }
-            Err(_) => {
-                // Power died mid-op: leave the write staged so settle()
+            Err(e) => {
+                // Power died mid-op: the write stays staged so settle()
                 // can hold recovery to the atomic present-or-absent rule.
-                self.oracle.abandon_staged();
+                if self.a.powered() {
+                    self.violations
+                        .push(format!("write vol {} refused with power on: {e}", v.0));
+                }
                 self.dark = true;
                 false
             }
         }
+    }
+
+    /// An op the array may not refuse: its error is a violation.
+    fn must<T>(&mut self, op: usize, what: &str, result: purity_core::Result<T>) -> Option<T> {
+        if let Err(e) = &result {
+            self.violations.push(format!("op {op}: {what}: {e}"));
+        }
+        result.ok()
     }
 
     /// One op of the seeded mix. Returns false once power is out.
@@ -186,6 +240,7 @@ impl Run {
         if self.dark {
             return false;
         }
+        let ctx = format!("op {op}:");
         let dice = rng.gen_range(0..100);
         match dice {
             // 55%: write a random extent.
@@ -196,38 +251,28 @@ impl Run {
                 let size = self.oracle.size_sectors(v);
                 let n = rng.gen_range(1..=32u64);
                 let start = rng.gen_range(0..size - n);
-                match self.a.read(v, start * SECTOR as u64, n as usize * SECTOR) {
-                    Err(e) => self
-                        .violations
-                        .push(format!("op {op}: read vol {} failed: {e}", v.0)),
-                    Ok((read, _)) => self.violations.extend(self.oracle.check_read(
-                        v,
-                        start,
-                        &read,
-                        &format!("op {op}:"),
-                    )),
+                let read = self.a.read(v, start * SECTOR as u64, n as usize * SECTOR);
+                if let Some((read, _)) = self.must(op, &format!("read vol {}", v.0), read) {
+                    let bad = self.oracle.check_read(v, start, &read, &ctx);
+                    self.violations.extend(bad);
                 }
             }
             // 8%: snapshot.
             70..=77 => {
                 let v = self.live_vols[rng.gen_range(0..self.live_vols.len())];
-                match self.a.snapshot(v, &format!("s{op}")) {
-                    Ok(s) => {
-                        self.oracle.snapshot(s, v);
-                        self.live_snaps.push(s);
-                    }
-                    Err(e) => self.violations.push(format!("op {op}: snapshot: {e}")),
+                let snap = self.a.snapshot(v, &format!("s{op}"));
+                if let Some(s) = self.must(op, "snapshot", snap) {
+                    self.oracle.snapshot(s, v);
+                    self.live_snaps.push(s);
                 }
             }
             // 5%: clone the newest snapshot.
             78..=82 => {
                 if let Some(&s) = self.live_snaps.last() {
-                    match self.a.clone_snapshot(s, &format!("c{op}")) {
-                        Ok(c) => {
-                            self.oracle.clone_snapshot(s, c);
-                            self.live_vols.push(c);
-                        }
-                        Err(e) => self.violations.push(format!("op {op}: clone: {e}")),
+                    let clone = self.a.clone_snapshot(s, &format!("c{op}"));
+                    if let Some(c) = self.must(op, "clone", clone) {
+                        self.oracle.clone_snapshot(s, c);
+                        self.live_vols.push(c);
                     }
                 }
             }
@@ -237,18 +282,10 @@ impl Run {
                     let s = self.live_snaps[rng.gen_range(0..self.live_snaps.len())];
                     let size = self.oracle.snapshot_size_sectors(s);
                     let sector = rng.gen_range(0..size);
-                    match self.a.read_snapshot(s, sector * SECTOR as u64, SECTOR) {
-                        Err(e) => self
-                            .violations
-                            .push(format!("op {op}: snap read {}: {e}", s.0)),
-                        Ok(read) => {
-                            if read[..] != self.oracle.snapshot_sector(s, sector)[..] {
-                                self.violations.push(format!(
-                                    "op {op}: snap {} sector {sector}: frozen data changed",
-                                    s.0
-                                ));
-                            }
-                        }
+                    let read = self.a.read_snapshot(s, sector * SECTOR as u64, SECTOR);
+                    if let Some(read) = self.must(op, &format!("snap read {}", s.0), read) {
+                        let bad = self.oracle.check_snapshot_read(s, sector, &read, &ctx);
+                        self.violations.extend(bad);
                     }
                 }
             }
@@ -257,37 +294,65 @@ impl Run {
                 if self.live_snaps.len() > 1 {
                     let idx = rng.gen_range(0..self.live_snaps.len());
                     let s = self.live_snaps.remove(idx);
-                    if let Err(e) = self.a.destroy_snapshot(s) {
-                        self.violations.push(format!("op {op}: destroy snap: {e}"));
-                    }
+                    let destroyed = self.a.destroy_snapshot(s);
+                    self.must(op, "destroy snap", destroyed);
                     self.oracle.destroy_snapshot(s);
                 }
             }
-            // 3%: GC.
-            90..=92 => {
-                if let Err(e) = self.a.run_gc() {
-                    self.violations.push(format!("op {op}: gc: {e}"));
+            // 3%: GC, 2%: scrub, 2%: checkpoint.
+            90..=96 => {
+                let (what, done) = match dice {
+                    90..=92 => ("gc", self.a.run_gc().map(drop)),
+                    93..=94 => ("scrub", self.a.scrub().map(drop)),
+                    _ => ("checkpoint", self.a.checkpoint()),
+                };
+                self.must(op, what, done);
+            }
+            // 3%: let virtual time pass — or, model checking, 2%: pull or
+            // reinsert a drive (at most 2 out) and 1%: fail over.
+            _ => match &mut self.pulled {
+                None => {
+                    self.a.advance(rng.gen_range(100 * US..2 * MS));
                 }
-            }
-            // 2%: scrub.
-            93..=94 => {
-                if let Err(e) = self.a.scrub() {
-                    self.violations.push(format!("op {op}: scrub: {e}"));
+                Some(pulled) if dice <= 98 => {
+                    if pulled.len() < 2 && rng.gen_bool(0.6) {
+                        let d = rng.gen_range(0..self.a.config().n_drives);
+                        if !pulled.contains(&d) {
+                            self.a.fail_drive(d);
+                            pulled.push(d);
+                        }
+                    } else if let Some(d) = pulled.pop() {
+                        self.a.revive_drive(d);
+                    }
                 }
-            }
-            // 2%: checkpoint.
-            95..=96 => {
-                if let Err(e) = self.a.checkpoint() {
-                    self.violations.push(format!("op {op}: checkpoint: {e}"));
+                Some(_) => {
+                    let failed_over = self.a.fail_primary();
+                    self.must(op, "failover", failed_over);
                 }
-            }
-            // 3%: let virtual time pass.
-            _ => {
-                self.a.advance(rng.gen_range(100 * US..2 * MS));
-            }
+            },
         }
         true
     }
+}
+
+/// Randomized model checking: `ops` of the seeded mix against a fresh
+/// array whose drives are pulled and reinserted and whose controller
+/// fails over along the way, then the full sweep. Any divergence between
+/// the log-structured, deduped, compressed, erasure-coded array and the
+/// oracle's sector map is a bug. Returns the array (for its export)
+/// and the violations.
+pub fn run_model_check(seed: u64, ops: usize) -> (FlashArray, Vec<String>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut run = Run::new(ArrayConfig::test_small(), Some(Vec::new()));
+    for op in 0..ops {
+        if !run.step(&mut rng, op) {
+            break;
+        }
+    }
+    let sweep = run.oracle.verify_all(&mut run.a);
+    run.violations.extend(sweep);
+    run.violations.extend(final_checks("", &run.a));
+    (run.a, run.violations)
 }
 
 /// Runs one campaign to completion. Pure in `spec`.
@@ -306,20 +371,7 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
     // build_persist_set`). A frontier-bounded scan may touch at most
     // that many AU headers, no matter how much data the array holds.
     let frontier_bound = 2 * cfg.frontier_aus_per_drive * cfg.n_drives;
-    let mut run = Run {
-        a: FlashArray::new(cfg).unwrap(),
-        oracle: DurabilityOracle::new(),
-        live_vols: Vec::new(),
-        live_snaps: Vec::new(),
-        violations: Vec::new(),
-        dark: false,
-    };
-    for i in 0..2 {
-        let size: u64 = 2 << 20;
-        let v = run.a.create_volume(&format!("v{i}"), size).unwrap();
-        run.oracle.create_volume(v, size);
-        run.live_vols.push(v);
-    }
+    let mut run = Run::new(cfg, None);
 
     // Optional full-stack warm-up: the host engine (QoS, queue depths,
     // multipath) pounds a separate volume whose contents the oracle
@@ -327,25 +379,29 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
     // state behind before the crash.
     if spec.host_stage {
         let vol_bytes: u64 = 4 << 20;
-        let hv = run.a.create_volume("host", vol_bytes).unwrap();
-        let mut gen = WorkloadGen::new(
-            spec.seed ^ 0xB0057,
-            vol_bytes,
-            AccessPattern::Uniform,
-            SizeMix::fixed(8 * 1024),
-            50,
-            ContentModel::Rdbms,
-            0,
-        );
-        let engine = HostEngine::new(HostConfig {
-            initiators: 2,
-            queue_depth: 4,
-            ..HostConfig::default()
-        });
-        let r = engine.run_closed_loop(&mut run.a, hv, &mut gen, 150, None);
-        if r.failed_ops > 0 {
-            run.violations
-                .push(format!("host stage: {} ops failed", r.failed_ops));
+        match run.a.create_volume("host", vol_bytes) {
+            Err(e) => run.violations.push(format!("host stage: volume: {e}")),
+            Ok(hv) => {
+                let mut gen = WorkloadGen::new(
+                    spec.seed ^ 0xB0057,
+                    vol_bytes,
+                    AccessPattern::Uniform,
+                    SizeMix::fixed(8 * 1024),
+                    50,
+                    ContentModel::Rdbms,
+                    0,
+                );
+                let engine = HostEngine::new(HostConfig {
+                    initiators: 2,
+                    queue_depth: 4,
+                    ..HostConfig::default()
+                });
+                let r = engine.run_closed_loop(&mut run.a, hv, &mut gen, 150, None);
+                if r.failed_ops > 0 {
+                    run.violations
+                        .push(format!("host stage: {} ops failed", r.failed_ops));
+                }
+            }
         }
     }
 
@@ -406,15 +462,11 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
         }
     }
 
-    // Phase 6: the full durability sweep.
+    // Phase 6: the full durability sweep, then the checks every kind
+    // runs on every array it leaves powered.
     let sweep = run.oracle.verify_all(&mut run.a);
     run.violations.extend(sweep);
-
-    // Phase 7: the flight recorder's incident log must be consistent
-    // with the run's timeline. The post-crash recorder was born at the
-    // cold start's recovery instant, so no incident may predate it,
-    // postdate the clock, close before it opened, or overlap another.
-    run.violations.extend(check_incidents(&run.a));
+    run.violations.extend(final_checks("", &run.a));
 
     CampaignOutcome {
         violations: run.violations,
@@ -512,59 +564,88 @@ fn finish_stage(run: &mut Run, expect: &str) -> bool {
     run.a.torn_note().is_some_and(|n| n.contains(expect))
 }
 
-/// Audits the flight recorder's incident log against the virtual-time
-/// timeline: ids dense from 0, opens monotone and never before the
-/// recorder's first interval (its boot), closes after their opens and
-/// never in the future, at most the final incident still open.
-fn check_incidents(a: &FlashArray) -> Vec<String> {
-    let mut violations = Vec::new();
+/// What every kind checks on every array it leaves powered (a dark one
+/// passes), each finding prefixed with `who`: the structural invariants,
+/// and the flight recorder's incident log against the virtual-time
+/// timeline — ids dense from 0, opens monotone and never before the
+/// recorder's first interval (its boot; a cold start begins a new
+/// recorder), closes after their opens and never in the future, at most
+/// the final incident still open.
+pub(crate) fn final_checks(who: &str, a: &FlashArray) -> Vec<String> {
+    if !a.powered() {
+        return Vec::new();
+    }
+    let mut violations = a.verify_integrity();
     let rec = &a.obs().recorder;
     let incidents = rec.incidents();
-    let born = rec.first_interval_start();
-    let now = a.now();
-    let mut prev_open: Option<Nanos> = None;
+    let (born, now) = (rec.first_interval_start(), a.now());
+    let mut prev_open = 0;
     for (i, inc) in incidents.iter().enumerate() {
-        if inc.id != i as u64 {
-            violations.push(format!("incident {} has id {}", i, inc.id));
+        let (id, opened) = (inc.id, inc.opened_at);
+        if id != i as u64 {
+            violations.push(format!("incident {i} has id {id}"));
         }
-        if inc.opened_at < born {
+        if opened < born || opened > now {
             violations.push(format!(
-                "incident {} opened at {} before recorder boot {}",
-                inc.id, inc.opened_at, born
+                "incident {id} opened at {opened}, outside the recorder's life {born}..={now}"
             ));
         }
-        if inc.opened_at > now {
-            violations.push(format!(
-                "incident {} opened at {} after now {}",
-                inc.id, inc.opened_at, now
-            ));
+        if opened < prev_open {
+            violations.push(format!("incident {id} opens out of order"));
         }
-        if let Some(p) = prev_open {
-            if inc.opened_at < p {
-                violations.push(format!("incident {} opens out of order", inc.id));
-            }
-        }
-        prev_open = Some(inc.opened_at);
+        prev_open = opened;
         match inc.closed_at {
-            Some(c) => {
-                if c < inc.opened_at || c > now {
-                    violations.push(format!(
-                        "incident {} closed at {c} outside ({}..{now}]",
-                        inc.id, inc.opened_at
-                    ));
-                }
+            Some(c) if c < opened || c > now => violations.push(format!(
+                "incident {id} closed at {c} outside ({opened}..{now}]"
+            )),
+            None if i + 1 != incidents.len() => {
+                violations.push(format!("incident {id} open but not the latest"))
             }
-            None => {
-                if i + 1 != incidents.len() {
-                    violations.push(format!("incident {} open but not the latest", inc.id));
-                }
-            }
+            _ => {}
         }
     }
     violations
+        .into_iter()
+        .map(|v| format!("{who}{v}"))
+        .collect()
 }
 
-/// Convenience: a campaign is "failing" when it reports any violation.
-pub fn failing(spec: &CampaignSpec) -> bool {
-    !run_campaign(spec).violations.is_empty()
+impl Campaign for CampaignSpec {
+    const KIND: &'static str = "array";
+    type Outcome = CampaignOutcome;
+
+    fn from_seed(seed: u64) -> Self {
+        Self::new(seed, CrashPhase::OpBoundary)
+    }
+
+    fn run(&self) -> CampaignOutcome {
+        run_campaign(self)
+    }
+
+    fn violations(outcome: &CampaignOutcome) -> &[String] {
+        &outcome.violations
+    }
+
+    /// Post-crash ops first — a failure that survives `post_ops = 0` is
+    /// caught by the final sweep alone — then the pre-crash count.
+    fn smaller(&self) -> Vec<Self> {
+        let post = [0, self.post_ops / 2]
+            .into_iter()
+            .filter(|&n| n < self.post_ops)
+            .map(|post_ops| Self { post_ops, ..*self });
+        let pre = halvings(self.crash_op).map(|crash_op| Self { crash_op, ..*self });
+        post.chain(pre).collect()
+    }
+
+    fn fields(&mut self) -> Vec<(&'static str, &mut dyn Field)> {
+        vec![
+            ("seed", &mut self.seed),
+            ("phase", &mut self.phase),
+            ("crash_op", &mut self.crash_op),
+            ("post_ops", &mut self.post_ops),
+            ("full_scan", &mut self.full_scan),
+            ("sabotage", &mut self.sabotage),
+            ("host", &mut self.host_stage),
+        ]
+    }
 }

@@ -1,29 +1,30 @@
 //! # purity-torture
 //!
-//! Deterministic crash–recovery torture harness for the Purity array.
+//! One deterministic campaign engine for the Purity array, in virtual
+//! time on the deterministic simulation. A campaign is a seeded run that
+//! injects faults at adversarial instants and holds what comes back to a
+//! contract; a run is a pure function of its spec, so a failure is a
+//! one-line repro.
 //!
-//! Everything here runs in virtual time on the deterministic
-//! simulation: a seeded campaign drives the full stack (host engine →
-//! QoS → multipath → array → FTL), loses power at an adversarial
-//! instant — mid-NVRAM-append (torn tail), mid-segment-flush (partial
-//! AU), mid-checkpoint (torn A/B boot slot), or cleanly between ops —
-//! cold-starts through the normal recovery paths, and holds the result
-//! to the durability contract with a sector-exact oracle.
-//!
-//! - [`oracle::DurabilityOracle`] — what the array promised: acked
-//!   writes bit-exact, unacked writes atomically present-or-absent,
-//!   snapshots frozen forever.
-//! - [`campaign::run_campaign`] — one seeded crash + recovery + verify
-//!   run; a pure function of its [`campaign::CampaignSpec`].
-//! - [`shrink::shrink`] — greedy minimizer for failing specs, with a
-//!   one-line repro command ([`shrink::repro_line`]).
-//! - [`cluster::run_cluster_campaign`] — the fleet-level drill: kill
-//!   or partition one of N arrays mid-traffic and hold detection,
-//!   rebuild and the cluster-wide exactly-once ack audit to account.
+//! - [`oracle::DurabilityOracle`] — the one reference model: acked
+//!   writes bit-exact, unacked writes prefix-atomic, snapshots frozen
+//!   forever. It reads back through an [`oracle::ReadTarget`] — one
+//!   array, or a cluster seen through a client handle.
+//! - [`shrink`] — the engine: the [`Campaign`] contract a kind signs
+//!   (run, violations, smaller specs, fields), and [`shrink::shrink`],
+//!   [`repro_line`] / [`parse_repro`], [`sweep`] and the type-erased
+//!   [`KINDS`] registry written once against it.
+//! - Three kinds, each only its fault staging and its plane's contract
+//!   clauses: [`campaign`] (`array`: whole-array power loss in five
+//!   write-path phases; also [`run_model_check`], the same op mix with
+//!   drive pulls and failovers), [`cluster`] (`cluster`: kill or
+//!   partition one of N arrays; exactly-once acks, rebuild, replica
+//!   agreement) and [`repl`] (`repl`: destination crashes mid-ship, then
+//!   source loss; every lineage snapshot is some acked source snapshot).
 //!
 //! The `torture` integration test (`tests/torture.rs` at the workspace
-//! root) runs bounded seed sweeps in CI; the `exp_torture` bench binary
-//! runs wider sweeps and replays repro lines.
+//! root) runs bounded seed sweeps in CI; `exp_torture --kind K` runs
+//! wider ones and `exp_torture --repro <line>` replays any kind's line.
 
 pub mod campaign;
 pub mod cluster;
@@ -31,10 +32,11 @@ pub mod oracle;
 pub mod repl;
 pub mod shrink;
 
-pub use campaign::{failing, run_campaign, CampaignOutcome, CampaignSpec, CrashPhase};
-pub use cluster::{
-    run_cluster_campaign, ClusterCampaignOutcome, ClusterCampaignSpec, ClusterFault,
+pub use campaign::{run_campaign, run_model_check, CampaignOutcome, CampaignSpec, CrashPhase};
+pub use cluster::{ClusterCampaignOutcome, ClusterCampaignSpec, ClusterFault};
+pub use oracle::{DurabilityOracle, ReadTarget};
+pub use repl::{ReplCampaignOutcome, ReplCampaignSpec};
+pub use shrink::{
+    failing, kind, parse_repro, replay, repro_line, shrink, sweep, Campaign, Failure, Field, Kind,
+    Replay, KINDS,
 };
-pub use oracle::DurabilityOracle;
-pub use repl::{run_repl_campaign, ReplCampaignOutcome, ReplCampaignSpec};
-pub use shrink::{parse_repro, repro_line, shrink, Shrunk};

@@ -23,9 +23,33 @@
 //! back and folding whichever legal outcome it observes into the model.
 //! Violations are returned as strings, never panics, so the shrinker
 //! can re-run failing campaigns cheaply.
+//!
+//! It is the only reference model in the crate: it reads back through a
+//! [`ReadTarget`], so the same `check_read` / `settle` / `verify_all`
+//! hold one array, a cluster seen through a client handle, or a
+//! replication destination to account.
 
-use purity_core::{FlashArray, SnapshotId, VolumeId, SECTOR};
+use purity_core::{FlashArray, Result, SnapshotId, VolumeId, SECTOR};
 use std::collections::BTreeMap;
+
+/// What the oracle reads promises back through, sector-addressed.
+pub trait ReadTarget {
+    fn read(&mut self, volume: VolumeId, sector: u64, n: usize) -> Result<Vec<u8>>;
+    fn read_snapshot(&mut self, snapshot: SnapshotId, sector: u64, n: usize) -> Result<Vec<u8>>;
+}
+
+impl ReadTarget for FlashArray {
+    fn read(&mut self, volume: VolumeId, sector: u64, n: usize) -> Result<Vec<u8>> {
+        FlashArray::read(self, volume, sector * SECTOR as u64, n * SECTOR).map(|(data, _)| data)
+    }
+
+    fn read_snapshot(&mut self, snapshot: SnapshotId, sector: u64, n: usize) -> Result<Vec<u8>> {
+        FlashArray::read_snapshot(self, snapshot, sector * SECTOR as u64, n * SECTOR)
+    }
+}
+
+/// Sectors per read of the full sweep.
+const SWEEP_SECTORS: u64 = 256;
 
 /// Acked contents of one volume (or a frozen snapshot of one).
 #[derive(Clone)]
@@ -118,8 +142,8 @@ impl DurabilityOracle {
     /// The staged write was acked: it is now part of the durability
     /// contract.
     pub fn commit_staged(&mut self) {
-        let w = self.staged.take().expect("oracle: nothing staged");
-        let vol = self.volumes.get_mut(&w.volume.0).unwrap();
+        let w = self.staged.take().expect("invariant: commit follows stage");
+        let vol = self.volumes.get_mut(&w.volume.0).expect(REGISTERED);
         for (i, (_, new)) in w.sectors.into_iter().enumerate() {
             vol.sectors.insert(w.start_sector + i as u64, new);
         }
@@ -131,6 +155,34 @@ impl DurabilityOracle {
         assert!(self.staged.is_some(), "oracle: abandon with nothing staged");
     }
 
+    /// The staged write was refused before it touched anything (a
+    /// cluster with no live in-sync replica): the pre-images stand.
+    pub fn reject_staged(&mut self) {
+        assert!(
+            self.staged.take().is_some(),
+            "oracle: reject with nothing staged"
+        );
+    }
+
+    /// One write through the oracle: staged before `issue` runs,
+    /// committed when it acks, left pending for
+    /// [`DurabilityOracle::settle`] when it errors.
+    pub fn write_through<A, E>(
+        &mut self,
+        v: VolumeId,
+        start_sector: u64,
+        data: &[u8],
+        issue: impl FnOnce() -> std::result::Result<A, E>,
+    ) -> std::result::Result<A, E> {
+        self.stage_write(v, start_sector, data);
+        let acked = issue();
+        match acked {
+            Ok(_) => self.commit_staged(),
+            Err(_) => self.abandon_staged(),
+        }
+        acked
+    }
+
     /// After a cold start: resolve any pending unacked write by reading
     /// it back. The legal outcome is a *prefix* of the op's sectors
     /// holding the new data and the remainder still holding their
@@ -138,24 +190,23 @@ impl DurabilityOracle {
     /// and they commit in order). Per-sector garbage, or new data
     /// landing after an old sector (out-of-order durability), is a
     /// violation. The observed outcome is folded into the model.
-    pub fn settle(&mut self, a: &mut FlashArray) -> Vec<String> {
+    pub fn settle(&mut self, t: &mut impl ReadTarget) -> Vec<String> {
         let mut violations = Vec::new();
         let Some(w) = self.staged.take() else {
             return violations;
         };
-        let n = w.sectors.len();
-        match a.read(w.volume, w.start_sector * SECTOR as u64, n * SECTOR) {
+        match t.read(w.volume, w.start_sector, w.sectors.len()) {
             Err(e) => violations.push(format!(
                 "settle: read of pending write vol {} sector {} failed: {}",
                 w.volume.0, w.start_sector, e
             )),
-            Ok((read, _)) => {
+            Ok(read) => {
                 // True once a sector unambiguously held its pre-image;
                 // any unambiguously-new sector after that is a hole in
                 // the middle of the op — impossible under in-order
                 // intent commit.
                 let mut seen_old = false;
-                let vol = self.volumes.get_mut(&w.volume.0).unwrap();
+                let vol = self.volumes.get_mut(&w.volume.0).expect(REGISTERED);
                 for (i, (old, new)) in w.sectors.iter().enumerate() {
                     let got = &read[i * SECTOR..(i + 1) * SECTOR];
                     if got == &new[..] {
@@ -191,67 +242,77 @@ impl DurabilityOracle {
         read: &[u8],
         ctx: &str,
     ) -> Vec<String> {
-        let vol = &self.volumes[&v.0];
-        Self::check_extent(vol, start_sector, read, &format!("{ctx} vol {}", v.0))
+        let what = format!("{ctx} vol {}", v.0);
+        Self::check_extent(&self.volumes[&v.0], start_sector, read, &what, LOST)
     }
 
-    fn check_extent(state: &VolState, start_sector: u64, read: &[u8], what: &str) -> Vec<String> {
+    /// The same over an extent of a frozen snapshot — or of anything
+    /// that must hold the snapshot's image (a replica of it, a volume
+    /// promoted from it).
+    pub fn check_snapshot_read(
+        &self,
+        s: SnapshotId,
+        start_sector: u64,
+        read: &[u8],
+        ctx: &str,
+    ) -> Vec<String> {
+        let what = format!("{ctx} snap {}", s.0);
+        Self::check_extent(&self.snapshots[&s.0], start_sector, read, &what, CHANGED)
+    }
+
+    fn check_extent(
+        state: &VolState,
+        start_sector: u64,
+        read: &[u8],
+        what: &str,
+        fault: &str,
+    ) -> Vec<String> {
         let mut violations = Vec::new();
         for (i, got) in read.chunks_exact(SECTOR).enumerate() {
             let sector = start_sector + i as u64;
             let expect = state.sectors.get(&sector).copied().unwrap_or([0u8; SECTOR]);
             if got != expect {
-                violations.push(format!(
-                    "{what} sector {sector}: acked data lost or corrupt"
-                ));
+                violations.push(format!("{what} sector {sector}: {fault}"));
             }
         }
         violations
     }
 
-    /// Full sweep: every acked sector of every volume, every frozen
-    /// sector of every snapshot, must read back bit-exact.
-    pub fn verify_all(&self, a: &mut FlashArray) -> Vec<String> {
+    /// Full sweep: every sector of every volume and of every frozen
+    /// snapshot must read back bit-exact, the unwritten ones as zeros.
+    pub fn verify_all(&self, t: &mut impl ReadTarget) -> Vec<String> {
         let mut violations = Vec::new();
         for (&id, vol) in &self.volumes {
-            for (&sector, expect) in &vol.sectors {
-                match a.read(VolumeId(id), sector * SECTOR as u64, SECTOR) {
-                    Err(e) => {
-                        violations.push(format!("vol {id} sector {sector}: read failed: {e}"))
-                    }
-                    Ok((read, _)) => {
-                        if read[..] != expect[..] {
-                            violations.push(format!("vol {id} sector {sector}: acked write lost"));
-                        }
-                    }
-                }
-            }
+            let what = format!("vol {id}");
+            Self::sweep(vol, &what, LOST, &mut violations, |at, n| {
+                t.read(VolumeId(id), at, n)
+            });
         }
         for (&id, snap) in &self.snapshots {
-            for (&sector, expect) in &snap.sectors {
-                match a.read_snapshot(SnapshotId(id), sector * SECTOR as u64, SECTOR) {
-                    Err(e) => {
-                        violations.push(format!("snap {id} sector {sector}: read failed: {e}"))
-                    }
-                    Ok(read) => {
-                        if read[..] != expect[..] {
-                            violations
-                                .push(format!("snap {id} sector {sector}: frozen data changed"));
-                        }
-                    }
-                }
-            }
+            let what = format!("snap {id}");
+            Self::sweep(snap, &what, CHANGED, &mut violations, |at, n| {
+                t.read_snapshot(SnapshotId(id), at, n)
+            });
         }
         violations
     }
 
-    /// Expected contents of one frozen snapshot sector (for spot reads).
-    pub fn snapshot_sector(&self, s: SnapshotId, sector: u64) -> [u8; SECTOR] {
-        self.snapshots[&s.0]
-            .sectors
-            .get(&sector)
-            .copied()
-            .unwrap_or([0u8; SECTOR])
+    fn sweep(
+        state: &VolState,
+        what: &str,
+        fault: &str,
+        violations: &mut Vec<String>,
+        mut read: impl FnMut(u64, usize) -> Result<Vec<u8>>,
+    ) {
+        let mut at = 0;
+        while at < state.size_sectors {
+            let n = SWEEP_SECTORS.min(state.size_sectors - at);
+            match read(at, n as usize) {
+                Err(e) => violations.push(format!("{what} sector {at}: read failed: {e}")),
+                Ok(got) => violations.extend(Self::check_extent(state, at, &got, what, fault)),
+            }
+            at += n;
+        }
     }
 
     pub fn snapshot_size_sectors(&self, s: SnapshotId) -> u64 {
@@ -263,3 +324,7 @@ impl DurabilityOracle {
         self.volumes.values().map(|v| v.sectors.len()).sum()
     }
 }
+
+const REGISTERED: &str = "invariant: stage_write indexed this volume, so it is registered";
+const LOST: &str = "acked data lost or corrupt";
+const CHANGED: &str = "frozen data changed";

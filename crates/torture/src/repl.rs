@@ -8,9 +8,20 @@
 //! fully-acked source snapshot.** The replica *volume's anchor* may
 //! hold a torn, half-shipped delta after a crash; no lineage snapshot
 //! ever may. A run is a pure function of its [`ReplCampaignSpec`].
+//!
+//! The oracle models the source volume; each completed ship freezes that
+//! model as an oracle snapshot keyed by the *destination* snapshot the
+//! ship produced, so "the replica is some fully-acked source snapshot"
+//! is the oracle's ordinary frozen-snapshot check read through the
+//! destination.
 
-use purity_core::{ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, SECTOR};
-use purity_repl::{LinkConfig, ReplFabric, ReplicaLink};
+use crate::campaign::final_checks;
+use crate::oracle::DurabilityOracle;
+use crate::shrink::{halvings, Campaign, Field};
+use purity_core::{
+    ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, SnapshotId, VolumeId, SECTOR,
+};
+use purity_repl::{LinkConfig, ReplFabric, ReplicaLink, ShipReport};
 use purity_sim::{MS, SEC};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,16 +36,10 @@ pub struct ReplCampaignSpec {
     /// After the rounds, lose the source mid-transfer, promote the
     /// replica, verify it, then recover the source and reprotect.
     pub crash_source: bool,
-}
-
-impl ReplCampaignSpec {
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            rounds: 4,
-            crash_source: true,
-        }
-    }
+    /// Test-only sabotage: the first image shipped differs from the
+    /// acked source state by one sector the oracle never saw written. A
+    /// correct contract MUST flag this run.
+    pub sabotage: bool,
 }
 
 /// What a replication campaign did.
@@ -54,274 +59,344 @@ pub struct ReplCampaignOutcome {
     pub promoted_ok: bool,
 }
 
-/// Reads the full replica image of a lineage snapshot.
-fn snapshot_image(
-    arr: &mut FlashArray,
-    snap: purity_core::SnapshotId,
-    size: usize,
-) -> Result<Vec<u8>, String> {
-    arr.read_snapshot(snap, 0, size)
-        .map_err(|e| format!("lineage snapshot unreadable: {e:?}"))
+const VOLUME_BYTES: usize = 2 << 20;
+
+/// Run state: the two arrays, the fabric between them, the oracle.
+struct Drill {
+    src: FlashArray,
+    dst: FlashArray,
+    fabric: ReplFabric,
+    pg: u64,
+    vol: VolumeId,
+    oracle: DurabilityOracle,
+    /// The destination snapshot of every completed ship, oldest first:
+    /// index-aligned with the group's lineage.
+    shipped: Vec<SnapshotId>,
+    /// The sabotage has yet to be staged.
+    sabotage: bool,
+    out: ReplCampaignOutcome,
 }
 
-/// Runs one seeded crash-during-replication campaign.
-pub fn run_repl_campaign(spec: &ReplCampaignSpec) -> ReplCampaignOutcome {
-    let mut out = ReplCampaignOutcome::default();
-    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5EED_5EED);
+impl Drill {
+    fn new(spec: &ReplCampaignSpec) -> Result<Self, String> {
+        let bring_up = |what: &str| {
+            FlashArray::new(ArrayConfig::test_small())
+                .map_err(|e| format!("{what} bring-up failed: {e:?}"))
+        };
+        let (mut src, dst) = (bring_up("source")?, bring_up("destination")?);
+        let vol = src
+            .create_volume("prod", VOLUME_BYTES as u64)
+            .map_err(|e| format!("create_volume failed: {e:?}"))?;
+        let mut oracle = DurabilityOracle::new();
+        oracle.create_volume(vol, VOLUME_BYTES as u64);
 
-    let mut src = FlashArray::new(ArrayConfig::test_small()).expect("src array");
-    let mut dst = FlashArray::new(ArrayConfig::test_small()).expect("dst array");
-    let size = 2usize << 20;
-    let vol = src.create_volume("prod", size as u64).expect("volume");
-    let mut model = vec![0u8; size];
+        // Link personality varies by seed: some campaigns flap gently
+        // (retransmits), some brutally (stalls + resumes on top of the
+        // injected crashes).
+        let mean_down = MS * (4 + (spec.seed % 3) * 150);
+        let cfg = LinkConfig::flaky(50 << 20, spec.seed, 50 * MS, mean_down);
+        let mut fabric = ReplFabric::new(ReplicaLink::with_config(cfg));
+        let pg = fabric
+            .protect(&src, vol, "prod", SEC)
+            .map_err(|e| format!("protect failed: {e:?}"))?;
+        Ok(Drill {
+            src,
+            dst,
+            fabric,
+            pg,
+            vol,
+            oracle,
+            shipped: Vec::new(),
+            sabotage: spec.sabotage,
+            out: ReplCampaignOutcome::default(),
+        })
+    }
 
-    // Link personality varies by seed: some campaigns flap gently
-    // (retransmits), some brutally (stalls + resumes on top of the
-    // injected crashes).
-    let mean_down = MS * (4 + (spec.seed % 3) * 150);
-    let cfg = LinkConfig::flaky(50 << 20, spec.seed, 50 * MS, mean_down);
-    let mut fabric = ReplFabric::new(ReplicaLink::with_config(cfg));
-    let pg = fabric.protect(&src, vol, "prod", SEC).expect("protect");
+    /// One source write through the oracle; a refusal is a violation.
+    fn write(&mut self, off: usize, data: &[u8]) {
+        let (vol, src) = (self.vol, &mut self.src);
+        let acked = self
+            .oracle
+            .write_through(vol, (off / SECTOR) as u64, data, || {
+                src.write(vol, off as u64, data)
+            });
+        if let Err(e) = acked {
+            self.out.violations.push(format!(
+                "source write at sector {} failed: {e:?}",
+                off / SECTOR
+            ));
+            let settled = self.oracle.settle(&mut self.src);
+            self.out.violations.extend(settled);
+        }
+    }
 
-    // Golden history: the model image at each source snapshot, pushed
-    // when the ship for it completes (index-aligned with the lineage).
-    let mut golden: Vec<Vec<u8>> = Vec::new();
+    /// Starts or resumes the group's ship. Before the campaign's first,
+    /// a sabotaged run slips one sector into the source that the oracle
+    /// never sees written.
+    fn ship(&mut self) -> purity_core::Result<ShipReport> {
+        if std::mem::take(&mut self.sabotage) {
+            let last = (VOLUME_BYTES - SECTOR) as u64;
+            let _ = self.src.write(self.vol, last, &[0xA5; SECTOR]);
+        }
+        self.fabric.ship_now(self.pg, &mut self.src, &mut self.dst)
+    }
 
-    let verify_lineage_tip = |fabric: &ReplFabric,
-                              dst: &mut FlashArray,
-                              golden: &[Vec<u8>],
-                              out: &mut ReplCampaignOutcome,
-                              when: &str| {
-        let g = fabric.group(pg).expect("group");
-        if g.lineage.len() != golden.len() {
-            out.violations.push(format!(
-                "{when}: lineage has {} entries, {} ships completed",
-                g.lineage.len(),
-                golden.len()
+    /// Whether a ship has completed since the last one noted; if so its
+    /// destination snapshot must hold the source as the oracle has it.
+    fn note_completed_ship(&mut self) -> bool {
+        let lineage = self.fabric.group(self.pg).map(|g| g.lineage.as_slice());
+        match lineage {
+            Some(l) if l.len() == self.shipped.len() + 1 => {
+                let tip = l[l.len() - 1].dst_snapshot;
+                self.oracle.snapshot(tip, self.vol);
+                self.shipped.push(tip);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// `image` must be the source as the last completed ship froze it.
+    fn check_against_tip(&mut self, what: &str, image: purity_core::Result<Vec<u8>>) -> bool {
+        let Some(&tip) = self.shipped.last() else {
+            return true;
+        };
+        let bad = match image {
+            Ok(got) => self.oracle.check_snapshot_read(tip, 0, &got, what),
+            Err(e) => vec![format!("{what} unreadable: {e:?}")],
+        };
+        let ok = bad.is_empty();
+        self.out.violations.extend(bad);
+        ok
+    }
+
+    /// The lineage has one entry per completed ship, its tip is
+    /// bit-exact the acked source snapshot, and its mediums stack.
+    fn verify_lineage_tip(&mut self, when: &str) {
+        let entries = self.fabric.group(self.pg).map_or(0, |g| g.lineage.len());
+        if entries != self.shipped.len() {
+            self.out.violations.push(format!(
+                "{when}: lineage has {entries} entries, {} ships completed",
+                self.shipped.len()
             ));
             return;
         }
-        if let (Some(entry), Some(want)) = (g.lineage.last(), golden.last()) {
-            match snapshot_image(dst, entry.dst_snapshot, want.len()) {
-                Ok(got) => {
-                    if &got != want {
-                        let first = got
-                            .iter()
-                            .zip(want.iter())
-                            .position(|(a, b)| a != b)
-                            .unwrap_or(0);
-                        out.violations.push(format!(
-                            "{when}: lineage tip diverges from acked source snapshot \
-                                 (first bad sector {})",
-                            first / SECTOR
-                        ));
-                    }
-                }
-                Err(e) => out.violations.push(format!("{when}: {e}")),
-            }
+        if let Some(&tip) = self.shipped.last() {
+            let image = self.dst.read_snapshot(tip, 0, VOLUME_BYTES);
+            self.check_against_tip(&format!("{when}: lineage tip"), image);
         }
-        for p in fabric.verify_lineage(pg, dst) {
-            out.violations.push(format!("{when}: {p}"));
+        for p in self.fabric.verify_lineage(self.pg, &self.dst) {
+            self.out.violations.push(format!("{when}: {p}"));
         }
-    };
+    }
 
-    for round in 0..spec.rounds {
-        // Mutate the source.
-        let writes = if round == 0 {
-            8
-        } else {
-            2 + rng.gen_range(0..4)
-        };
-        for _ in 0..writes {
-            let len = SECTOR << rng.gen_range(0..8u32);
-            let off = rng.gen_range(0..(size - len) / SECTOR) * SECTOR;
-            let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-            src.write(vol, off as u64, &data).expect("src write");
-            model[off..off + len].copy_from_slice(&data);
+    /// Cold-starts the destination after an injected crash and checks the
+    /// contract *before* anything resumes: the lineage must still be
+    /// consistent, the torn delta confined to the replica volume's
+    /// anchor.
+    fn recover_destination(&mut self, when: &str) -> Result<(), String> {
+        self.out.dst_crashes += 1;
+        self.dst
+            .power_loss(PowerLossSpec::default())
+            .map_err(|e| format!("{when}: destination recovery failed: {e:?}"))?;
+        for p in self.dst.verify_integrity() {
+            self.out.violations.push(format!("{when}: {p}"));
         }
-        src.advance(5 * MS);
+        self.verify_lineage_tip(when);
+        Ok(())
+    }
 
-        // Stage a destination crash on most rounds: power dies mid
-        // NVRAM-append or mid segment-flush while replica chunks land.
-        if rng.gen_bool(0.7) {
-            let target = if rng.gen_bool(0.5) {
-                CrashTarget::NvramAppend
+    /// The campaign proper. `Err` is a violation nothing can follow.
+    fn run(&mut self, spec: &ReplCampaignSpec, rng: &mut StdRng) -> Result<(), String> {
+        for round in 0..spec.rounds {
+            // Mutate the source.
+            let writes = if round == 0 {
+                8
             } else {
-                CrashTarget::SegmentWrite
+                2 + rng.gen_range(0..4)
             };
-            let after = rng.gen_range(2..10);
-            let keep = rng.gen_range(1..512);
-            dst.arm_power_loss(target, after, keep);
-        }
+            for _ in 0..writes {
+                let len = SECTOR << rng.gen_range(0..8u32);
+                let off = rng.gen_range(0..(VOLUME_BYTES - len) / SECTOR) * SECTOR;
+                let data: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                self.write(off, &data);
+            }
+            self.src.advance(5 * MS);
 
-        // Drive the ship to completion through crashes and flaps.
-        let mut guard = 0;
-        loop {
-            let report = match fabric.ship_now(pg, &mut src, &mut dst) {
-                Ok(r) => r,
-                Err(e) => {
-                    if dst.powered() {
-                        out.violations
-                            .push(format!("round {round}: ship failed on live arrays: {e:?}"));
-                        break;
+            // Stage a destination crash on most rounds: power dies mid
+            // NVRAM-append or mid segment-flush while replica chunks land.
+            if rng.gen_bool(0.7) {
+                let target = if rng.gen_bool(0.5) {
+                    CrashTarget::NvramAppend
+                } else {
+                    CrashTarget::SegmentWrite
+                };
+                let after = rng.gen_range(2..10);
+                let keep = rng.gen_range(1..512);
+                self.dst.arm_power_loss(target, after, keep);
+            }
+
+            // Drive the ship to completion through crashes and flaps.
+            let mut guard = 0;
+            loop {
+                let report = match self.ship() {
+                    Ok(r) => r,
+                    Err(e) => {
+                        if self.dst.powered() {
+                            self.out
+                                .violations
+                                .push(format!("round {round}: ship failed on live arrays: {e:?}"));
+                            break;
+                        }
+                        // The crash tripped outside the transfer loop (e.g.
+                        // while snapshotting the replica) — recover below.
+                        ShipReport::default()
                     }
-                    // The crash tripped outside the transfer loop (e.g.
-                    // while snapshotting the replica) — recover below.
-                    purity_repl::ShipReport::default()
+                };
+                self.out.retransmits = self.fabric.stats().retransmits;
+                if report.resumed_from_chunk > 0 {
+                    self.out.cursor_resumes += 1;
                 }
-            };
-            out.retransmits = fabric.stats().retransmits;
-            if report.resumed_from_chunk > 0 {
-                out.cursor_resumes += 1;
-            }
-            if report.completed
-                && fabric.group(pg).expect("group").lineage.len() == golden.len() + 1
-            {
-                break;
-            }
-            if !dst.powered() {
-                // The injected crash fired mid-ship. Cold-start the
-                // destination and check the contract *before* resuming:
-                // the lineage must still be consistent, the torn delta
-                // confined to the replica volume's anchor.
-                out.dst_crashes += 1;
-                if let Err(e) = dst.power_loss(PowerLossSpec::default()) {
-                    out.violations
-                        .push(format!("round {round}: destination recovery failed: {e:?}"));
-                    return out;
+                if report.completed && self.note_completed_ship() {
+                    break;
                 }
-                for p in dst.verify_integrity() {
-                    out.violations
-                        .push(format!("round {round} post-crash: {p}"));
+                if !self.dst.powered() {
+                    self.recover_destination(&format!("round {round} post-crash"))?;
                 }
-                verify_lineage_tip(&fabric, &mut dst, &golden, &mut out, "post-crash");
+                self.src.advance(100 * MS);
+                guard += 1;
+                if guard > 300 {
+                    return Err(format!("round {round}: transfer never completed"));
+                }
             }
-            src.advance(100 * MS);
-            guard += 1;
-            if guard > 300 {
-                out.violations
-                    .push(format!("round {round}: transfer never completed"));
-                return out;
-            }
+            self.verify_lineage_tip(&format!("round {round}"));
+            self.src.advance(20 * MS);
         }
-        golden.push(model.clone());
-        verify_lineage_tip(
-            &fabric,
-            &mut dst,
-            &golden,
-            &mut out,
-            &format!("round {round}"),
-        );
-        src.advance(20 * MS);
-    }
-    out.ships_completed = fabric.stats().ships_completed;
+        self.out.ships_completed = self.fabric.stats().ships_completed;
 
-    // Discharge any leftover armed crash trigger with scratch writes so
-    // the DR drill below exercises source loss, not a stale
-    // destination trap.
-    if dst.power_loss_armed() {
-        let scratch = dst.create_volume("scratch", 1 << 20).ok();
-        let mut i = 0u64;
-        while dst.powered() && dst.power_loss_armed() && i < 128 {
-            if let Some(v) = scratch {
-                let _ = dst.write(v, (i % 256) * SECTOR as u64, &vec![i as u8; SECTOR]);
-            }
-            i += 1;
+        // A trigger still armed would fire inside the DR drill below, which
+        // exercises source loss: a clean destination power cycle disarms
+        // it, and is one more crash the lineage must survive.
+        if self.dst.power_loss_armed() {
+            self.recover_destination("post-rounds")?;
         }
-        if !dst.powered() {
-            out.dst_crashes += 1;
-            if let Err(e) = dst.power_loss(PowerLossSpec::default()) {
-                out.violations
-                    .push(format!("destination recovery failed: {e:?}"));
-                return out;
-            }
-            verify_lineage_tip(&fabric, &mut dst, &golden, &mut out, "post-discharge");
-        }
-    }
 
-    if spec.crash_source {
+        if !spec.crash_source {
+            return Ok(());
+        }
         // One more delta gets under way; the source dies before (or
         // while) it completes. Whatever was mid-flight must not leak
         // into what promotion produces.
         let data: Vec<u8> = (0..64 * 1024).map(|_| rng.gen()).collect();
-        src.write(vol, 0, &data).expect("src write");
-        let _ = fabric.ship_now(pg, &mut src, &mut dst); // may stall or complete
-        let completed_extra = fabric.group(pg).expect("group").lineage.len() == golden.len() + 1;
-        if completed_extra {
-            let mut m = model.clone();
-            m[..data.len()].copy_from_slice(&data);
-            golden.push(m);
+        self.write(0, &data);
+        let _ = self.ship(); // may stall or complete
+        self.note_completed_ship();
+        self.src.cut_power();
+        if self.shipped.is_empty() {
+            // Nothing ever completed: there is no replica to promote.
+            return Ok(());
         }
-        src.cut_power();
 
-        match fabric.promote(pg, &mut dst) {
+        match self.fabric.promote(self.pg, &mut self.dst) {
             Ok(promoted) => {
-                let want = golden.last().expect("at least one ship completed");
-                match dst.read(promoted, 0, size) {
-                    Ok((got, _)) => {
-                        if &got == want {
-                            out.promoted_ok = true;
-                        } else {
-                            out.violations.push(
-                                "promoted volume is not the last fully-acked source snapshot"
-                                    .into(),
-                            );
-                        }
-                    }
-                    Err(e) => out
-                        .violations
-                        .push(format!("promoted volume unreadable: {e:?}")),
-                }
+                let image = self.dst.read(promoted, 0, VOLUME_BYTES).map(|(got, _)| got);
+                self.out.promoted_ok = self.check_against_tip("promoted volume", image);
             }
-            Err(e) => out.violations.push(format!("promotion failed: {e:?}")),
+            Err(e) => self.out.violations.push(format!("promotion failed: {e:?}")),
         }
 
         // The old source recovers; reprotect ships the surviving state
         // back and the reverse replica must match the promoted volume.
-        if src.power_loss(PowerLossSpec::default()).is_err() {
-            out.violations.push("source recovery failed".into());
-            return out;
-        }
-        match fabric.reprotect(pg, &mut dst, &mut src) {
-            Ok((back_pg, mut report)) => {
-                let mut guard = 0;
-                while !report.completed {
-                    dst.advance(100 * MS);
-                    match fabric.resume(back_pg, &mut dst, &mut src) {
-                        Ok(r) => report = r,
-                        Err(e) => {
-                            out.violations
-                                .push(format!("reprotect resume failed: {e:?}"));
-                            return out;
-                        }
-                    }
-                    guard += 1;
-                    if guard > 300 {
-                        out.violations.push("reprotect never completed".into());
-                        return out;
-                    }
-                }
-                let back = fabric
-                    .group(back_pg)
-                    .and_then(|g| g.replica_volume)
-                    .expect("reverse replica");
-                let want = golden.last().expect("golden");
-                match src.read(back, 0, size) {
-                    Ok((got, _)) => {
-                        if &got != want {
-                            out.violations
-                                .push("reverse replica diverged from promoted volume".into());
-                        }
-                    }
-                    Err(e) => out
-                        .violations
-                        .push(format!("reverse replica unreadable: {e:?}")),
-                }
+        self.src
+            .power_loss(PowerLossSpec::default())
+            .map_err(|e| format!("source recovery failed: {e:?}"))?;
+        let (back_pg, mut report) = self
+            .fabric
+            .reprotect(self.pg, &mut self.dst, &mut self.src)
+            .map_err(|e| format!("reprotect failed: {e:?}"))?;
+        let mut guard = 0;
+        while !report.completed {
+            self.dst.advance(100 * MS);
+            report = self
+                .fabric
+                .resume(back_pg, &mut self.dst, &mut self.src)
+                .map_err(|e| format!("reprotect resume failed: {e:?}"))?;
+            guard += 1;
+            if guard > 300 {
+                return Err("reprotect never completed".into());
             }
-            Err(e) => out.violations.push(format!("reprotect failed: {e:?}")),
+        }
+        let back = self.fabric.group(back_pg).and_then(|g| g.replica_volume);
+        let back = back.ok_or("reprotect completed without a reverse replica")?;
+        let image = self.src.read(back, 0, VOLUME_BYTES).map(|(got, _)| got);
+        self.check_against_tip("reverse replica", image);
+        Ok(())
+    }
+}
+
+/// Runs one seeded crash-during-replication campaign.
+fn run(spec: &ReplCampaignSpec) -> ReplCampaignOutcome {
+    let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x5EED_5EED);
+    let mut d = match Drill::new(spec) {
+        Ok(d) => d,
+        Err(fatal) => {
+            return ReplCampaignOutcome {
+                violations: vec![fatal],
+                ..Default::default()
+            }
+        }
+    };
+    if let Err(fatal) = d.run(spec, &mut rng) {
+        d.out.violations.push(fatal);
+    }
+    for (who, a) in [("source: ", &d.src), ("destination: ", &d.dst)] {
+        d.out.violations.extend(final_checks(who, a));
+    }
+    d.out.retransmits = d.fabric.stats().retransmits;
+    d.out
+}
+
+impl Campaign for ReplCampaignSpec {
+    const KIND: &'static str = "repl";
+    type Outcome = ReplCampaignOutcome;
+
+    fn from_seed(seed: u64) -> Self {
+        Self {
+            seed,
+            rounds: 4,
+            crash_source: true,
+            sabotage: false,
         }
     }
 
-    out.retransmits = fabric.stats().retransmits;
-    out
+    fn run(&self) -> ReplCampaignOutcome {
+        run(self)
+    }
+
+    fn violations(outcome: &ReplCampaignOutcome) -> &[String] {
+        &outcome.violations
+    }
+
+    /// Fewer delta rounds first, then without the source-loss drill.
+    fn smaller(&self) -> Vec<Self> {
+        let mut out: Vec<Self> = halvings(self.rounds)
+            .map(|rounds| Self { rounds, ..*self })
+            .collect();
+        if self.crash_source {
+            out.push(Self {
+                crash_source: false,
+                ..*self
+            });
+        }
+        out
+    }
+
+    fn fields(&mut self) -> Vec<(&'static str, &mut dyn Field)> {
+        vec![
+            ("seed", &mut self.seed),
+            ("rounds", &mut self.rounds),
+            ("crash_source", &mut self.crash_source),
+            ("sabotage", &mut self.sabotage),
+        ]
+    }
 }

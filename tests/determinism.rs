@@ -7,9 +7,11 @@
 //! - exhibit-style workloads compare `export_observability_json()`
 //!   (stripped of the wall-clock `profile` section, the one block
 //!   that is *allowed* to differ) byte-for-byte;
-//! - torture campaigns compare the full `Debug` rendering of the
-//!   outcome — violations, torn-write descriptions, recovery reports,
-//!   virtual downtime, acked sector counts.
+//! - campaigns of every kind the engine registers compare the full
+//!   `Debug` rendering of the outcome — violations, torn-write
+//!   descriptions, recovery reports, virtual downtime, ack audits;
+//! - the model-check personality compares the export of the array it
+//!   leaves behind.
 //!
 //! What a second run can catch: iteration over a `HashMap` (its hasher
 //! is seeded per instance), an unseeded RNG, wall time or an address
@@ -17,10 +19,7 @@
 
 use purity_core::{Ack, ArrayConfig, FlashArray};
 use purity_obs::profiler::strip_profile_section;
-use purity_torture::{
-    run_campaign, run_cluster_campaign, run_repl_campaign, CampaignSpec, ClusterCampaignSpec,
-    CrashPhase, ReplCampaignSpec,
-};
+use purity_torture::{replay, run_model_check, CrashPhase, KINDS};
 use purity_wkld::{AccessPattern, ContentModel, Op, SizeMix, WorkloadGen};
 
 /// Runs `scenario` twice and asserts the two renderings are
@@ -164,50 +163,86 @@ fn tiered_workset_shift_export_is_deterministic() {
     });
 }
 
-/// Every tier-1 torture seed, run twice: the campaign outcome
-/// (violations, torn tails, recovery report, virtual downtime) must
-/// repeat exactly.
+/// The repro payloads replayed twice for one campaign kind: the seeds
+/// its tier-1 sweep uses, or seeds 0 and 1 of a kind not named here — so
+/// a kind added to `purity_torture::KINDS` is covered without an edit.
+fn campaign_lines(kind: &str) -> Vec<String> {
+    let seeds = |seeds: &[u64]| {
+        let line = |seed| format!("kind={kind},seed={seed}");
+        seeds.iter().map(line).collect()
+    };
+    match kind {
+        "array" => [
+            (CrashPhase::NvramTail, 0..6u64),
+            (CrashPhase::SegmentFlush, 10..16),
+            (CrashPhase::Checkpoint, 20..26),
+            (CrashPhase::OpBoundary, 30..36),
+            (CrashPhase::TierDemote, 60..63),
+            (CrashPhase::SegmentFlush, 7..8),
+        ]
+        .into_iter()
+        .flat_map(|(phase, seeds)| {
+            seeds.map(move |seed| format!("kind=array,seed={seed},phase={}", phase.name()))
+        })
+        .collect(),
+        "cluster" => seeds(&[0, 1, 2]),
+        "repl" => seeds(&[0, 1, 5]),
+        _ => seeds(&[0, 1]),
+    }
+}
+
+/// Same spec, run twice: byte-identical outcome. Violation strings,
+/// torn notes, recovery counters, detection instants — everything. This
+/// is what makes a failing line a repro rather than an anecdote.
+fn kind_is_deterministic(kind: &str) {
+    for line in campaign_lines(kind) {
+        assert_deterministic(&line, || {
+            replay(&line).expect("a line of a known kind").outcome
+        });
+    }
+}
+
+/// Every tier-1 array seed (27 specs over the five crash phases, and
+/// seed 7 mid-segment-flush).
 #[test]
 fn torture_outcomes_are_deterministic() {
-    let sweeps = [
-        (CrashPhase::NvramTail, 0..6u64),
-        (CrashPhase::SegmentFlush, 10..16),
-        (CrashPhase::Checkpoint, 20..26),
-        (CrashPhase::OpBoundary, 30..36),
-        (CrashPhase::TierDemote, 60..63),
-    ];
-    for (phase, seeds) in sweeps {
-        for seed in seeds {
-            let spec = CampaignSpec::new(seed, phase);
-            assert_deterministic(&format!("torture seed {seed} {}", phase.name()), || {
-                format!("{:?}", run_campaign(&spec))
-            });
-        }
-    }
+    kind_is_deterministic("array");
 }
 
 /// Crash-during-replication campaigns cross two arrays and a lossy
 /// link with seeded flap windows.
 #[test]
 fn repl_campaigns_are_deterministic() {
-    for seed in 0..2u64 {
-        let spec = ReplCampaignSpec::new(seed);
-        assert_deterministic(&format!("repl seed {seed}"), || {
-            format!("{:?}", run_repl_campaign(&spec))
-        });
-    }
+    kind_is_deterministic("repl");
 }
 
 /// Cluster fault campaigns: SWIM timing, rebuild ordering and ack
-/// audits across three arrays.
+/// audits across three or four arrays.
 #[test]
 fn cluster_campaigns_are_deterministic() {
-    for seed in 0..2u64 {
-        let spec = ClusterCampaignSpec::new(seed);
-        assert_deterministic(&format!("cluster seed {seed}"), || {
-            format!("{:?}", run_cluster_campaign(&spec))
-        });
+    kind_is_deterministic("cluster");
+}
+
+/// The three tests above split the engine's kinds so they run in
+/// parallel; a kind none of them names runs here.
+#[test]
+fn every_other_campaign_kind_is_deterministic() {
+    for kind in KINDS {
+        if !["array", "repl", "cluster"].contains(&kind.name) {
+            kind_is_deterministic(kind.name);
+        }
     }
+}
+
+/// The model-check personality: the engine's op mix with drive pulls
+/// and controller failovers in place of a power loss.
+#[test]
+fn model_check_export_is_deterministic() {
+    assert_deterministic("model check seed 11", || {
+        let (array, violations) = run_model_check(11, 300);
+        assert!(violations.is_empty(), "{violations:?}");
+        strip_profile_section(&array.export_observability_json()).to_string()
+    });
 }
 
 /// The causal-tracing spine (ISSUE 9): a compact GC-storm with

@@ -1,267 +1,45 @@
-//! Randomized model checking: the array vs a trivial in-memory
-//! reference model, across random interleavings of writes, overwrites,
+//! Randomized model checking: the array vs the durability oracle's
+//! sector map, across random interleavings of writes, overwrites,
 //! snapshots, clones, destroys, GC, scrub, drive pulls and failovers.
 //!
 //! This is the highest-leverage test in the suite: any divergence
 //! between the log-structured, deduped, compressed, erasure-coded,
-//! failure-injected array and a `HashMap<sector, bytes>` is a bug.
+//! failure-injected array and a `BTreeMap<sector, bytes>` is a bug. The
+//! op mix is the campaign engine's (`purity_torture::run_model_check`):
+//! the torture campaigns replay the same interleavings around a power
+//! loss.
 
-use purity_core::{ArrayConfig, FlashArray, SnapshotId, VolumeId, SECTOR};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
-
-/// Reference state of one volume. Sector contents live in a `BTreeMap`
-/// so the final verification sweep reads in sorted order — iterating a
-/// `HashMap` here issued reads in per-run-random order, whose
-/// order-dependent device queueing broke the byte-identical-replay
-/// regression test below.
-#[derive(Clone, Default)]
-struct ModelVolume {
-    sectors: BTreeMap<u64, [u8; SECTOR]>,
-    size_sectors: u64,
-}
-
-struct Model {
-    volumes: HashMap<u64, ModelVolume>,
-    snapshots: HashMap<u64, ModelVolume>,
-}
-
-fn content(rng: &mut StdRng, dedup_friendly: bool) -> [u8; SECTOR] {
-    let mut s = [0u8; SECTOR];
-    if dedup_friendly {
-        // Draw from a small pool of possible sector contents.
-        let tag = rng.gen_range(0..16u8);
-        s.fill(tag);
-        s[0] = 0xDD;
-    } else {
-        rng.fill(&mut s[..]);
-    }
-    s
-}
+use purity_core::FlashArray;
+use purity_torture::run_model_check;
 
 fn run_model(seed: u64, ops: usize) -> FlashArray {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
-    let mut model = Model {
-        volumes: HashMap::new(),
-        snapshots: HashMap::new(),
-    };
-    let mut live_vols: Vec<VolumeId> = Vec::new();
-    let mut live_snaps: Vec<(SnapshotId, VolumeId)> = Vec::new();
-    let mut pulled: Vec<usize> = Vec::new();
+    let (array, violations) = run_model_check(seed, ops);
+    assert!(
+        violations.is_empty(),
+        "seed {seed}, {ops} ops: the array diverged from the model:\n  {}",
+        violations.join("\n  ")
+    );
+    array
+}
 
-    // Start with two volumes.
-    for i in 0..2 {
-        let size = 2 << 20;
-        let v = a.create_volume(&format!("v{}", i), size).unwrap();
-        model.volumes.insert(
-            v.0,
-            ModelVolume {
-                sectors: BTreeMap::new(),
-                size_sectors: size / SECTOR as u64,
-            },
-        );
-        live_vols.push(v);
-    }
-
-    for op in 0..ops {
-        let dice = rng.gen_range(0..100);
-        match dice {
-            // 55%: write a random extent to a random volume.
-            0..=54 => {
-                let &v = &live_vols[rng.gen_range(0..live_vols.len())];
-                let mv_size = model.volumes[&v.0].size_sectors;
-                let n = rng.gen_range(1..=32usize);
-                let start = rng.gen_range(0..mv_size - n as u64);
-                let mut buf = Vec::with_capacity(n * SECTOR);
-                for i in 0..n {
-                    let friendly = rng.gen_bool(0.4);
-                    let c = content(&mut rng, friendly);
-                    model
-                        .volumes
-                        .get_mut(&v.0)
-                        .unwrap()
-                        .sectors
-                        .insert(start + i as u64, c);
-                    buf.extend_from_slice(&c);
-                }
-                a.write(v, start * SECTOR as u64, &buf).unwrap();
-                a.advance(rng.gen_range(10_000..500_000));
-            }
-            // 15%: read-verify a random extent.
-            55..=69 => {
-                let &v = &live_vols[rng.gen_range(0..live_vols.len())];
-                let mv = &model.volumes[&v.0];
-                let n = rng.gen_range(1..=32usize);
-                let start = rng.gen_range(0..mv.size_sectors - n as u64);
-                let (read, _) = a
-                    .read(v, start * SECTOR as u64, n * SECTOR)
-                    .unwrap_or_else(|e| panic!("op {}: {}", op, e));
-                for i in 0..n {
-                    let expect = mv
-                        .sectors
-                        .get(&(start + i as u64))
-                        .copied()
-                        .unwrap_or([0u8; SECTOR]);
-                    assert_eq!(
-                        &read[i * SECTOR..(i + 1) * SECTOR],
-                        &expect[..],
-                        "seed {} op {} vol {:?} sector {}",
-                        seed,
-                        op,
-                        v,
-                        start + i as u64
-                    );
-                }
-            }
-            // 8%: snapshot a volume.
-            70..=77 => {
-                let &v = &live_vols[rng.gen_range(0..live_vols.len())];
-                let s = a.snapshot(v, &format!("s{}", op)).unwrap();
-                model.snapshots.insert(s.0, model.volumes[&v.0].clone());
-                live_snaps.push((s, v));
-            }
-            // 5%: clone a snapshot into a new volume.
-            78..=82 => {
-                if let Some(&(s, _src)) = live_snaps.last() {
-                    let c = a.clone_snapshot(s, &format!("c{}", op)).unwrap();
-                    model.volumes.insert(c.0, model.snapshots[&s.0].clone());
-                    live_vols.push(c);
-                }
-            }
-            // 4%: verify a snapshot.
-            83..=86 => {
-                if !live_snaps.is_empty() {
-                    let &(s, _) = &live_snaps[rng.gen_range(0..live_snaps.len())];
-                    let ms = &model.snapshots[&s.0];
-                    let n = 8usize;
-                    let start = rng.gen_range(0..ms.size_sectors.max(9) - n as u64);
-                    let read = a
-                        .read_snapshot(s, start * SECTOR as u64, n * SECTOR)
-                        .unwrap();
-                    for i in 0..n {
-                        let expect = ms
-                            .sectors
-                            .get(&(start + i as u64))
-                            .copied()
-                            .unwrap_or([0u8; SECTOR]);
-                        assert_eq!(
-                            &read[i * SECTOR..(i + 1) * SECTOR],
-                            &expect[..],
-                            "seed {} op {} snap {:?}",
-                            seed,
-                            op,
-                            s
-                        );
-                    }
-                }
-            }
-            // 3%: destroy a snapshot (keep at least one volume alive).
-            87..=89 => {
-                if live_snaps.len() > 1 {
-                    let idx = rng.gen_range(0..live_snaps.len());
-                    let (s, _) = live_snaps.remove(idx);
-                    a.destroy_snapshot(s).unwrap();
-                    model.snapshots.remove(&s.0);
-                }
-            }
-            // 3%: GC.
-            90..=92 => {
-                a.run_gc().unwrap();
-            }
-            // 2%: scrub.
-            93..=94 => {
-                a.scrub().unwrap();
-            }
-            // 2%: checkpoint.
-            95..=96 => {
-                a.checkpoint().unwrap();
-            }
-            // 2%: pull / reinsert a drive (at most 2 out).
-            97..=98 => {
-                if pulled.len() < 2 && rng.gen_bool(0.6) {
-                    let d = rng.gen_range(0..11);
-                    if !pulled.contains(&d) {
-                        a.fail_drive(d);
-                        pulled.push(d);
-                    }
-                } else if let Some(d) = pulled.pop() {
-                    a.revive_drive(d);
-                }
-            }
-            // 1%: controller failover.
-            _ => {
-                a.fail_primary().unwrap();
-            }
+/// One test per (seed, op count), so a failure names its seed.
+macro_rules! model_seeds {
+    ($($name:ident: $seed:literal, $ops:literal;)*) => {$(
+        #[test]
+        fn $name() {
+            run_model($seed, $ops);
         }
-    }
-
-    // Final full verification of every volume and snapshot.
-    for &v in &live_vols {
-        let mv = &model.volumes[&v.0];
-        for (&sector, expect) in &mv.sectors {
-            let (read, _) = a.read(v, sector * SECTOR as u64, SECTOR).unwrap();
-            assert_eq!(
-                &read[..],
-                &expect[..],
-                "final: seed {} vol {:?} sector {}",
-                seed,
-                v,
-                sector
-            );
-        }
-    }
-    for &(s, _) in &live_snaps {
-        let ms = &model.snapshots[&s.0];
-        for (&sector, expect) in &ms.sectors {
-            let read = a.read_snapshot(s, sector * SECTOR as u64, SECTOR).unwrap();
-            assert_eq!(
-                &read[..],
-                &expect[..],
-                "final: seed {} snap {:?} sector {}",
-                seed,
-                s,
-                sector
-            );
-        }
-    }
-    a
+    )*};
 }
 
-#[test]
-fn model_seed_1() {
-    run_model(1, 400);
-}
-
-#[test]
-fn model_seed_2() {
-    run_model(2, 400);
-}
-
-#[test]
-fn model_seed_3() {
-    run_model(3, 400);
-}
-
-#[test]
-fn model_seed_4_long() {
-    run_model(4, 900);
-}
-
-#[test]
-fn model_seed_5_long() {
-    run_model(5, 900);
-}
-
-#[test]
-fn model_seed_6() {
-    run_model(6, 400);
-}
-
-#[test]
-fn model_seed_7_long() {
-    run_model(7, 900);
+model_seeds! {
+    model_seed_1: 1, 400;
+    model_seed_2: 2, 400;
+    model_seed_3: 3, 400;
+    model_seed_4_long: 4, 900;
+    model_seed_5_long: 5, 900;
+    model_seed_6: 6, 400;
+    model_seed_7_long: 7, 900;
 }
 
 /// Determinism regression: the same seed run twice must produce

@@ -1,63 +1,68 @@
-//! Crash–recovery torture: bounded seed sweeps for CI.
+//! The campaign engine's bounded seed sweeps for CI, one per kind.
 //!
-//! Each campaign loses whole-array power at an adversarial instant and
-//! must cold-start with every promise intact (see
-//! `purity_torture::oracle` for the contract). Wider sweeps live in the
-//! `exp_torture` bench binary; any failure there prints a one-line
-//! repro that replays under `exp_torture --repro`.
+//! Each array campaign loses whole-array power at an adversarial instant
+//! and must cold-start with every promise intact (see
+//! `purity_torture::oracle` for the contract); the cluster and
+//! replication campaigns hold their planes to the same oracle through
+//! their own faults. Wider sweeps live in the `exp_torture` exhibit; a
+//! failure there or here is shrunk and printed as a one-line repro that
+//! replays under `exp_torture --repro`, whatever the kind.
 
 use purity_torture::{
-    failing, run_campaign, run_cluster_campaign, run_repl_campaign, shrink, CampaignSpec,
-    ClusterCampaignSpec, ClusterFault, CrashPhase, ReplCampaignSpec,
+    failing, parse_repro, repro_line, shrink, sweep, Campaign, CampaignSpec, ClusterCampaignSpec,
+    ClusterFault, CrashPhase, Failure, ReplCampaignSpec,
 };
 
-/// Runs one seed sweep for a phase; asserts zero violations everywhere
-/// and returns how many campaigns actually hit the targeted phase.
-fn sweep(phase: CrashPhase, seeds: std::ops::Range<u64>) -> usize {
-    let mut hits = 0;
-    for seed in seeds {
-        let spec = CampaignSpec::new(seed, phase);
-        let out = run_campaign(&spec);
-        assert!(
-            out.violations.is_empty(),
-            "seed {} phase {} violated the durability contract:\n  {}\nrepro: exp_torture {}",
-            seed,
-            phase.name(),
-            out.violations.join("\n  "),
-            purity_torture::repro_line(&spec),
-        );
-        assert!(
-            out.acked_sectors > 0,
-            "seed {seed}: campaign acked nothing — not a meaningful run"
-        );
-        if out.phase_hit {
-            hits += 1;
-        }
+/// A sweep must come back clean; a failure prints its violations and the
+/// shrunk one-line repro.
+fn assert_clean(contract: &str, swept: Option<Failure>) {
+    if let Some(f) = swept {
+        panic!("{contract}: {f}");
     }
+}
+
+/// Runs one seed sweep of array specs; asserts zero violations
+/// everywhere and returns how many campaigns actually hit the targeted
+/// phase.
+fn array_sweep(specs: impl IntoIterator<Item = CampaignSpec>) -> usize {
+    let mut hits = 0;
+    let swept = sweep(specs, |spec, out| {
+        assert!(
+            !out.violations.is_empty() || out.acked_sectors > 0,
+            "seed {}: campaign acked nothing — not a meaningful run",
+            spec.seed
+        );
+        hits += usize::from(out.phase_hit);
+    });
+    assert_clean("the durability contract", swept);
     hits
+}
+
+fn phase_sweep(phase: CrashPhase, seeds: std::ops::Range<u64>) -> usize {
+    array_sweep(seeds.map(|seed| CampaignSpec::new(seed, phase)))
 }
 
 #[test]
 fn torture_nvram_tail() {
-    let hits = sweep(CrashPhase::NvramTail, 0..6);
+    let hits = phase_sweep(CrashPhase::NvramTail, 0..6);
     assert!(hits >= 4, "NVRAM-tail trigger rarely fired: {hits}/6");
 }
 
 #[test]
 fn torture_segment_flush() {
-    let hits = sweep(CrashPhase::SegmentFlush, 10..16);
+    let hits = phase_sweep(CrashPhase::SegmentFlush, 10..16);
     assert!(hits >= 4, "segment-flush trigger rarely fired: {hits}/6");
 }
 
 #[test]
 fn torture_checkpoint() {
-    let hits = sweep(CrashPhase::Checkpoint, 20..26);
+    let hits = phase_sweep(CrashPhase::Checkpoint, 20..26);
     assert!(hits >= 4, "checkpoint trigger rarely fired: {hits}/6");
 }
 
 #[test]
 fn torture_op_boundary() {
-    let hits = sweep(CrashPhase::OpBoundary, 30..36);
+    let hits = phase_sweep(CrashPhase::OpBoundary, 30..36);
     assert_eq!(hits, 6, "clean cuts always count as hits");
 }
 
@@ -66,7 +71,7 @@ fn torture_op_boundary() {
 /// never serve a stale or torn cold slot.
 #[test]
 fn torture_tier_demote() {
-    let hits = sweep(CrashPhase::TierDemote, 60..66);
+    let hits = phase_sweep(CrashPhase::TierDemote, 60..66);
     assert!(hits >= 4, "tier-demote trigger rarely fired: {hits}/6");
 }
 
@@ -74,36 +79,20 @@ fn torture_tier_demote() {
 /// frontier scan.
 #[test]
 fn torture_full_scan() {
-    for seed in 40..42u64 {
-        let spec = CampaignSpec {
-            full_scan: true,
-            ..CampaignSpec::new(seed, CrashPhase::SegmentFlush)
-        };
-        let out = run_campaign(&spec);
-        assert!(
-            out.violations.is_empty(),
-            "full-scan seed {seed}: {:?}",
-            out.violations
-        );
-    }
+    array_sweep((40..42).map(|seed| CampaignSpec {
+        full_scan: true,
+        ..CampaignSpec::new(seed, CrashPhase::SegmentFlush)
+    }));
 }
 
 /// The host engine stage (QoS + multipath front end) layered under the
 /// crash changes nothing about the contract.
 #[test]
 fn torture_with_host_stage() {
-    for seed in 50..52u64 {
-        let spec = CampaignSpec {
-            host_stage: true,
-            ..CampaignSpec::new(seed, CrashPhase::NvramTail)
-        };
-        let out = run_campaign(&spec);
-        assert!(
-            out.violations.is_empty(),
-            "host-stage seed {seed}: {:?}",
-            out.violations
-        );
-    }
+    array_sweep((50..52).map(|seed| CampaignSpec {
+        host_stage: true,
+        ..CampaignSpec::new(seed, CrashPhase::NvramTail)
+    }));
 }
 
 /// Crash-during-replication: destination power loss mid-ship (plus
@@ -114,22 +103,23 @@ fn torture_with_host_stage() {
 fn torture_replication_crash_consistency() {
     let mut crashes = 0;
     let mut resumes = 0;
-    for seed in 0..8u64 {
-        let spec = ReplCampaignSpec::new(seed);
-        let out = run_repl_campaign(&spec);
-        assert!(
-            out.violations.is_empty(),
-            "repl seed {seed} violated the replica-consistency contract:\n  {}",
-            out.violations.join("\n  ")
-        );
-        assert!(
-            out.ships_completed >= spec.rounds as u64,
-            "seed {seed}: {out:?}"
-        );
-        assert!(out.promoted_ok, "seed {seed}: promote drill did not verify");
+    let swept = sweep((0..8).map(ReplCampaignSpec::from_seed), |spec, out| {
+        if out.violations.is_empty() {
+            assert!(
+                out.ships_completed >= spec.rounds as u64,
+                "seed {}: {out:?}",
+                spec.seed
+            );
+            assert!(
+                out.promoted_ok,
+                "seed {}: promote drill did not verify",
+                spec.seed
+            );
+        }
         crashes += out.dst_crashes;
         resumes += out.cursor_resumes;
-    }
+    });
+    assert_clean("the replica-consistency contract", swept);
     assert!(
         crashes >= 8,
         "destination crash trigger rarely fired across the sweep: {crashes}"
@@ -149,15 +139,11 @@ fn torture_cluster_fault_sweep() {
     let mut kills = 0;
     let mut partitions = 0;
     let mut revives = 0;
-    for seed in 0..6u64 {
-        let spec = ClusterCampaignSpec::new(seed);
-        let out = run_cluster_campaign(&spec);
-        assert!(
-            out.violations.is_empty(),
-            "cluster seed {seed} ({:?}) violated the fleet contract:\n  {}",
-            spec.fault,
-            out.violations.join("\n  ")
-        );
+    let swept = sweep((0..6).map(ClusterCampaignSpec::from_seed), |spec, out| {
+        let seed = spec.seed;
+        if !out.violations.is_empty() {
+            return;
+        }
         assert!(
             out.audit.clean(),
             "cluster seed {seed}: ack audit dirty: {:?}",
@@ -178,9 +164,7 @@ fn torture_cluster_fault_sweep() {
                     out.detection_ns.is_some(),
                     "cluster seed {seed}: no detection"
                 );
-                if spec.revive {
-                    revives += 1;
-                }
+                revives += usize::from(spec.revive);
             }
             ClusterFault::Partition { .. } => {
                 partitions += 1;
@@ -192,93 +176,107 @@ fn torture_cluster_fault_sweep() {
                 );
             }
         }
-    }
+    });
+    assert_clean("the fleet contract", swept);
     assert!(
         kills >= 2 && partitions >= 1 && revives >= 1,
         "sweep personalities skewed: kills={kills} partitions={partitions} revives={revives}"
     );
 }
 
-/// Same cluster spec, run twice: identical outcome — violation
-/// strings, counters, detection instants, everything.
-#[test]
-fn cluster_campaign_is_deterministic() {
-    for seed in [1u64, 2] {
-        let spec = ClusterCampaignSpec::new(seed);
-        let a = format!("{:?}", run_cluster_campaign(&spec));
-        let b = format!("{:?}", run_cluster_campaign(&spec));
-        assert_eq!(
-            a, b,
-            "seed {seed}: same cluster spec must replay identically"
-        );
-    }
+/// `spec` with its test-only `sabotage` flag set. Per kind that is: NVRAM
+/// replay skipped at the cold start; one acked write withheld from one
+/// in-sync replica behind the cluster's back; one shipped snapshot's
+/// image altered by a sector.
+fn sabotaged<C: Campaign>(mut spec: C) -> C {
+    let flag = spec
+        .fields()
+        .into_iter()
+        .find(|(key, _)| *key == "sabotage");
+    flag.expect("every kind has the flag")
+        .1
+        .set("true")
+        .unwrap();
+    spec
 }
 
-/// Same replication spec, run twice: identical outcome.
-#[test]
-fn repl_campaign_is_deterministic() {
-    let spec = ReplCampaignSpec::new(5);
-    let a = format!("{:?}", run_repl_campaign(&spec));
-    let b = format!("{:?}", run_repl_campaign(&spec));
-    assert_eq!(a, b, "same replication spec must replay identically");
-}
-
-/// Same spec, run twice: byte-identical outcome. Violation strings,
-/// torn notes, recovery counters — everything. This is what makes a
-/// failing triple a repro rather than an anecdote.
-#[test]
-fn campaign_is_deterministic() {
-    let spec = CampaignSpec::new(7, CrashPhase::SegmentFlush);
-    let a = format!("{:?}", run_campaign(&spec));
-    let b = format!("{:?}", run_campaign(&spec));
-    assert_eq!(a, b, "same spec must replay identically");
-}
-
-/// Oracle power check: deliberately sabotage recovery (skip NVRAM
-/// replay) and the oracle MUST catch the missing acked writes. If this
-/// test fails, the whole suite is a rubber stamp.
+/// Oracle power check: the contract of every kind MUST flag its
+/// sabotaged run and pass the twin that differs only in the flag. If
+/// this test fails, the whole suite is a rubber stamp.
 #[test]
 fn sabotaged_recovery_is_caught() {
-    let spec = CampaignSpec {
-        sabotage: true,
-        ..CampaignSpec::new(3, CrashPhase::OpBoundary)
-    };
-    let out = run_campaign(&spec);
-    assert!(
-        !out.violations.is_empty(),
-        "skipping NVRAM replay must lose acked writes — the oracle saw nothing"
-    );
+    fn caught<C: Campaign>(clean: C) {
+        let line = repro_line(&sabotaged(clean));
+        assert!(!failing(&clean), "{}: the clean twin fails", C::KIND);
+        assert!(
+            failing(&sabotaged(clean)),
+            "the contract saw nothing: {line}"
+        );
+    }
+    caught(CampaignSpec::new(3, CrashPhase::OpBoundary));
+    caught(ClusterCampaignSpec::from_seed(0));
+    caught(ReplCampaignSpec::from_seed(0));
 }
 
-/// The shrinker takes a seeded failure down to a handful of ops and
+/// The shrinker takes a seeded failure of any kind down to a spec no
+/// larger than the input — an array campaign to a handful of ops — and
 /// prints a repro line that parses back to the same spec.
 #[test]
 fn shrinker_minimizes_a_seeded_failure() {
-    let spec = CampaignSpec {
-        sabotage: true,
-        ..CampaignSpec::new(3, CrashPhase::OpBoundary)
-    };
-    assert!(failing(&spec));
-    let shrunk = shrink(&spec);
-    assert!(
-        failing(&shrunk.spec),
-        "shrunk spec must still fail: {:?}",
+    fn shrunk<C: Campaign>(clean: C) -> C {
+        let shrunk = shrink(&sabotaged(clean));
+        assert!(failing(&shrunk), "must still fail: {shrunk:?}");
+        let line = repro_line(&shrunk);
+        let payload = line.strip_prefix("--repro ").unwrap();
+        assert_eq!(
+            parse_repro(payload),
+            Some(shrunk),
+            "repro line must parse back to the shrunk spec"
+        );
         shrunk
-    );
-    let total = shrunk.spec.crash_op + shrunk.spec.post_ops;
-    assert!(
-        total <= 25,
-        "expected <= 25 ops after shrinking, got {total} ({:?}, {} runs)",
-        shrunk.spec,
-        shrunk.runs
-    );
-    let line = purity_torture::repro_line(&shrunk.spec);
-    let payload = line.strip_prefix("--repro ").unwrap();
-    assert_eq!(
-        purity_torture::parse_repro(payload),
-        Some(shrunk.spec),
-        "repro line must parse back to the shrunk spec"
-    );
+    }
+    let a = shrunk(CampaignSpec::new(3, CrashPhase::OpBoundary));
+    assert!(a.crash_op + a.post_ops <= 25, "array: {a:?}");
+    let c = shrunk(ClusterCampaignSpec::from_seed(0));
+    assert!(c.ops <= 4 && !c.revive && !c.flaky_links, "cluster: {c:?}");
+    let r = shrunk(ReplCampaignSpec::from_seed(0));
+    assert!(r.rounds <= 1, "repl: {r:?}");
+}
+
+/// Every kind, at every size its shrinker can ask for from the floor to
+/// the default: an outcome, never a panic. (`ops < 4` used to die in
+/// `gen_range` and a source lost before any ship completed in an
+/// `expect`.) What a small run may report is that a fault never landed;
+/// the sizes the sweeps use are held to zero violations above.
+#[test]
+fn every_shrinkable_size_runs() {
+    let array = CampaignSpec::new(1, CrashPhase::NvramTail);
+    let sizes = (0..=array.crash_op).map(|n| (n, 0));
+    for (crash_op, post_ops) in sizes.chain((0..=array.post_ops).map(|n| (0, n))) {
+        CampaignSpec {
+            crash_op,
+            post_ops,
+            ..array
+        }
+        .run();
+    }
+    for seed in [0, 2] {
+        let cluster = ClusterCampaignSpec::from_seed(seed); // a kill; a partition
+        for ops in 0..=cluster.ops {
+            ClusterCampaignSpec { ops, ..cluster }.run();
+        }
+    }
+    let repl = ReplCampaignSpec::from_seed(2);
+    for rounds in 0..=repl.rounds {
+        for crash_source in [false, true] {
+            ReplCampaignSpec {
+                rounds,
+                crash_source,
+                ..repl
+            }
+            .run();
+        }
+    }
 }
 
 /// Repeated power loss with no GC in between (PR 11 finding 2): twenty
