@@ -7,8 +7,10 @@
 //! snapshot: per-variant latency
 //! quantiles, per-path read counters, reconstruction fraction, offered
 //! load, and the slowest captured op's stage-by-stage attribution.
+//! `--slowest N` prints the N slowest reads of each variant with their
+//! stage lists: where a tail question starts.
 
-use crate::{drive, enterprise_mix, flag, preload, Report};
+use crate::{drive, enterprise_mix, flag, preload, value, Report};
 use purity_core::{ArrayConfig, FlashArray, VolumeId};
 use purity_obs::json::JsonWriter;
 use purity_sim::units::format_nanos;
@@ -78,6 +80,7 @@ fn variant_json(
 
 pub fn run(args: &[String], r: &mut Report) {
     let fa450 = flag(args, "--fa450");
+    let slowest: usize = value(args, "--slowest").unwrap_or(0);
     let geometry = if fa450 {
         "full FA-450, 2816 dies"
     } else {
@@ -109,6 +112,21 @@ pub fn run(args: &[String], r: &mut Report) {
         ));
         if let Some(op) = a.obs().tracer.slowest() {
             r.line(format!("  slowest captured op: {}", op.describe()));
+        }
+        if slowest > 0 {
+            let tracer = &a.obs().tracer;
+            let mut reads = tracer.slow_ops();
+            reads.retain(|op| op.kind == "read");
+            reads.sort_by_key(|op| std::cmp::Reverse(op.latency));
+            r.line(format!(
+                "  slowest reads ({} over {} in the slow-op ring of {}):",
+                reads.len(),
+                format_nanos(tracer.threshold()),
+                tracer.capacity()
+            ));
+            for op in reads.iter().take(slowest) {
+                r.line(format!("    {}", op.describe()));
+            }
         }
         variants.raw_element(&variant_json(&d, &a, &offered, on));
     }

@@ -58,7 +58,7 @@ registry! {
          reinsertion";
     exp_tail_latency: NO_ARGS,
         "E2 (§1, §4.4): read p99.9 against the 1 ms budget with the read-around scheduler on and off \
-         (--fa450: the full 2816-die geometry)";
+         (--fa450: the full 2816-die geometry; --slowest N: the N slowest reads, stage by stage)";
     exp_recovery: NO_ARGS,
         "E3 (§4.3): failover scan with the frontier set vs a full scan, at two geometries";
     exp_read_around: NO_ARGS,

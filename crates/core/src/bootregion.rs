@@ -10,7 +10,7 @@
 
 use crate::error::{PurityError, Result};
 use crate::records::{MediumFact, SegmentFact};
-use crate::shelf::Shelf;
+use crate::shelf::{ColumnWrite, Shelf};
 use purity_compress::varint;
 use purity_dedup::hash::block_hash;
 use purity_lsm::Seq;
@@ -350,28 +350,18 @@ impl BootRegion {
         bytes.resize(padded, 0);
         let slot = (cp.version % 2) as usize;
         let offset = slot * self.slot_bytes();
-        let mut done = now;
-        let mut wrote_any = false;
         // Mirror writes honour the global §4.4 write pacing (at most two
         // drives busy writing at once) so checkpoints don't spike reads.
-        let mirrors: Vec<usize> = (0..BOOT_MIRRORS.min(shelf.n_drives()))
+        let mirrors: Vec<ColumnWrite<'_>> = (0..BOOT_MIRRORS.min(shelf.n_drives()))
             .filter(|&d| !shelf.drive(d).is_failed())
+            .map(|d| (d, offset, bytes.as_slice()))
             .collect();
-        for pair in mirrors.chunks(2) {
-            let start = shelf.write_slot_start(now);
-            let mut pair_end = start;
-            for &d in pair {
-                pair_end = pair_end.max(shelf.write_drive(d, offset, &bytes, start)?);
-                wrote_any = true;
-            }
-            shelf.commit_write_slot(pair_end);
-            done = done.max(pair_end);
-        }
-        if !wrote_any {
+        if mirrors.is_empty() {
             return Err(PurityError::Unavailable(
                 "all boot-region mirrors failed".into(),
             ));
         }
+        let done = shelf.write_paced(&mirrors, now).all_landed()?;
         self.writes += 1;
         Ok(done)
     }

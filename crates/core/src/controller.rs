@@ -1372,6 +1372,19 @@ impl Controller {
     }
 }
 
+/// The blame stage a drive read's queueing belongs to when it queued
+/// behind a program or an erase; `None` when it did not queue, or queued
+/// behind other reads only (that time stays in the read's own span).
+fn stall_stage(dr: &purity_ssd::DeviceRead) -> Option<&'static str> {
+    use purity_ssd::StallCause;
+    match (dr.stall, dr.stall_gc) {
+        (Some(StallCause::Erase), _) => Some("die_stall_erase"),
+        (Some(StallCause::Program), true) => Some("gc_interference"),
+        (Some(StallCause::Program), false) => Some("die_stall_program"),
+        _ => None,
+    }
+}
+
 /// Stamps the span(s) for one completed direct drive read. Die-stall
 /// queueing becomes its own blame span — `die_stall_program`,
 /// `die_stall_erase`, or `gc_interference` — ahead of the `drive_read`
@@ -1384,19 +1397,12 @@ fn stamp_drive_read(
     now: Nanos,
     fallback: bool,
 ) {
-    use purity_ssd::StallCause;
     let prefix = if fallback {
         "fallback (too few columns to rebuild): "
     } else {
         ""
     };
-    let stall_stage = match (dr.stall, dr.stall_gc) {
-        (Some(StallCause::Erase), _) => Some("die_stall_erase"),
-        (Some(StallCause::Program), true) => Some("gc_interference"),
-        (Some(StallCause::Program), false) => Some("die_stall_program"),
-        _ => None,
-    };
-    match stall_stage {
+    match stall_stage(dr) {
         Some(stage) => {
             // The critical-path page's completion is exactly
             // now + queued + service, so the stall span and the service
@@ -1432,10 +1438,108 @@ fn stamp_drive_read(
     }
 }
 
-/// Reads one extent of a segment, taking the §4.4 scheduling decision:
-/// a failed drive — or one the array is currently writing to, when
-/// read-around is enabled — is treated as failed and its data rebuilt
-/// from the other columns via Reed-Solomon.
+/// Stamps the span(s) for one completed rebuild, the way
+/// [`stamp_drive_read`] does for a direct read: the time the critical
+/// source column (`crit`, the last to arrive) spent queued behind a
+/// program or an erase is charged to that cause, and only the rest of
+/// `[now, done)` to `reconstruct`.
+fn stamp_reconstruct(
+    tr: &mut OpTrace,
+    crit: &purity_ssd::DeviceRead,
+    crit_drive: DriveId,
+    now: Nanos,
+    note: String,
+) {
+    let mut from = now;
+    if let Some(stage) = stall_stage(crit) {
+        from = now + crit.queued;
+        tr.stage_note(
+            stage,
+            now,
+            from,
+            format!(
+                "rebuild source queued {} behind {} on die {} of drive {}",
+                format_nanos(crit.queued),
+                crit.stall.map(|c| c.as_str()).unwrap_or("?"),
+                crit.die,
+                crit_drive
+            ),
+        );
+    }
+    tr.stage_note("reconstruct", from, crit.done, note);
+}
+
+/// The other columns of `ext`'s stripe a rebuild could read, soonest
+/// first: `(estimated completion, column)`, from the non-booking
+/// [`Shelf::read_eta`] at `now`. Columns whose drive would refuse the
+/// read are left out.
+fn rebuild_sources(
+    shelf: &Shelf,
+    info: &SegmentInfo,
+    layout: &SegmentLayout,
+    ext: &Extent,
+    now: Nanos,
+) -> Vec<(Nanos, usize)> {
+    let mut sources: Vec<(Nanos, usize)> = (0..info.columns.len())
+        .filter(|&c| c != ext.column)
+        .filter_map(|c| {
+            let au = info.columns[c];
+            let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+            Some((shelf.read_eta(au.drive, off, ext.len, now)?.end, c))
+        })
+        .collect();
+    sources.sort_unstable();
+    sources
+}
+
+/// The §4.4 scheduling decision for one extent, taken from the schedule
+/// the array itself made and booking nothing: `Some(sources)` to rebuild
+/// it from the other columns (see [`rebuild_sources`]), `None` to read
+/// it from its own drive.
+///
+/// A failed drive's data is always rebuilt. With read-around enabled, so
+/// is the data of a drive the array writes to at any point of the span
+/// the direct read would occupy it — but only when the `k` soonest
+/// other columns would all have delivered before the drive so much as
+/// starts on the direct read. A rebuild that merely shaves part of one
+/// page read off the wait costs `k` page reads to do it: it moves the
+/// wait onto whoever reads those dies next.
+pub(crate) fn plan_rebuild(
+    shelf: &Shelf,
+    info: &SegmentInfo,
+    layout: &SegmentLayout,
+    read_around: bool,
+    ext: &Extent,
+    now: Nanos,
+) -> Option<Vec<(Nanos, usize)>> {
+    let au = info.columns[ext.column];
+    if shelf.drive(au.drive).is_failed() {
+        return Some(rebuild_sources(shelf, info, layout, ext, now));
+    }
+    // Most reads meet a drive with no write scheduled at all, and need
+    // no estimate to know it.
+    if !read_around || !shelf.writes_overlap(au.drive, now, Nanos::MAX) {
+        return None;
+    }
+    // An extent the drive would refuse has no estimate: go direct and let
+    // the media error choose the rebuild.
+    let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+    let direct = shelf.read_eta(au.drive, off, ext.len, now)?;
+    if !shelf.writes_overlap(au.drive, now, direct.end) {
+        return None;
+    }
+    // At a pair hand-off four drives are within one read of a program and
+    // fewer than k columns are clear: waiting out the window that is
+    // ending is then the cheapest plan.
+    let sources = rebuild_sources(shelf, info, layout, ext, now);
+    (sources.len() >= layout.k && sources[layout.k - 1].0 < direct.start).then_some(sources)
+}
+
+/// Reads one extent of a segment as [`plan_rebuild`] decides: from its
+/// own drive, or rebuilt from `k` other columns via Reed-Solomon. A
+/// direct read that meets a media error falls through to the rebuild; a
+/// rebuild that finds too few readable columns falls back to waiting on
+/// the busy drive.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn read_extent(
     shelf: &mut Shelf,
@@ -1449,11 +1553,12 @@ pub(crate) fn read_extent(
     mut trace: Option<&mut OpTrace>,
 ) -> Result<(Vec<u8>, Nanos)> {
     let au = info.columns[ext.column];
+    let k = layout.k;
+    let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
     let failed = shelf.drive(au.drive).is_failed();
-    let busy = shelf.is_writing(au.drive, now);
+    let plan = plan_rebuild(shelf, info, layout, read_around, ext, now);
     let mut media_error = false;
-    if !(failed || (busy && read_around)) {
-        let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+    if plan.is_none() {
         match shelf.read_drive_traced(au.drive, off, ext.len, now) {
             Ok(dr) => {
                 stats.direct_reads += 1;
@@ -1471,35 +1576,28 @@ pub(crate) fn read_extent(
         }
     }
 
-    // Reconstruct from k other columns, preferring idle drives.
-    let k = layout.k;
-    let mut order: Vec<usize> = (0..info.columns.len())
-        .filter(|&c| c != ext.column)
-        .collect();
-    order.sort_by_key(|&c| {
-        let d = info.columns[c].drive;
-        (shelf.drive(d).is_failed(), shelf.is_writing(d, now))
-    });
+    // Reconstruct from the k other columns that deliver soonest.
+    let sources = plan.unwrap_or_else(|| rebuild_sources(shelf, info, layout, ext, now));
     let mut available: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
-    let mut done = now;
-    for c in order {
+    // The source read that arrives last, and its drive.
+    let mut crit: Option<(purity_ssd::DeviceRead, DriveId)> = None;
+    for (_, c) in sources {
         if available.len() == k {
             break;
         }
         let cau = info.columns[c];
-        if shelf.drive(cau.drive).is_failed() {
+        let coff = layout.wu_byte_offset(cau.index, ext.stripe, ext.within);
+        let Ok(mut dr) = shelf.read_drive_traced(cau.drive, coff, ext.len, now) else {
             continue;
-        }
-        let off = layout.wu_byte_offset(cau.index, ext.stripe, ext.within);
-        match shelf.read_drive(cau.drive, off, ext.len, now) {
-            Ok((bytes, t)) => {
-                done = done.max(t);
-                available.push((c, bytes));
-            }
-            Err(_) => continue,
+        };
+        available.push((c, std::mem::take(&mut dr.data)));
+        if crit.as_ref().is_none_or(|(worst, _)| dr.done > worst.done) {
+            crit = Some((dr, cau.drive));
         }
     }
     if available.len() >= k {
+        let (crit, crit_drive) = crit.expect("k >= 1 source columns were read");
+        let done = crit.done;
         let refs: Vec<(usize, &[u8])> = available.iter().map(|(c, b)| (*c, b.as_slice())).collect();
         let rebuilt = rs
             .reconstruct_one(ext.column, &refs)
@@ -1517,12 +1615,8 @@ pub(crate) fn read_extent(
             } else {
                 format!("read-around: drive {} busy writing", au.drive)
             };
-            tr.stage_note(
-                "reconstruct",
-                now,
-                done,
-                format!("{why}; rebuilt column {} from {k} columns", ext.column),
-            );
+            let note = format!("{why}; rebuilt column {} from {k} columns", ext.column);
+            stamp_reconstruct(tr, &crit, crit_drive, now, note);
         }
         return Ok((rebuilt, done));
     }
@@ -1532,7 +1626,6 @@ pub(crate) fn read_extent(
     // available (the scheduler is an optimization, not a requirement).
     let mut fallback_err = String::new();
     if !failed && !media_error {
-        let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
         match shelf.read_drive_traced(au.drive, off, ext.len, now) {
             Ok(dr) => {
                 stats.direct_reads += 1;
@@ -1661,6 +1754,11 @@ impl CtrlFetcher<'_> {
             .segments
             .get(&pba.segment.0)
             .ok_or_else(|| PurityError::Internal(format!("unknown segment {:?}", pba.segment)))?;
+        // Reading around a write buys latency for the op that waits on
+        // the read. A fetch that carries no op's trace — GC or tier
+        // relocation, dedup verification — has nobody waiting: a rebuild
+        // would spend k reads to save time no one is counting.
+        let read_around = self.read_around && trace.is_some();
         // The first extent's bytes become the buffer: most cblocks are
         // one extent, and need no second copy.
         let mut buf = Vec::new();
@@ -1671,7 +1769,7 @@ impl CtrlFetcher<'_> {
                 info,
                 self.layout,
                 self.rs,
-                self.read_around,
+                read_around,
                 self.stats,
                 &ext,
                 now,

@@ -4,12 +4,14 @@
 //! retention. Purity periodically reads every stripe, repairs anything
 //! unreadable from parity, and rewrites repaired data in place — which
 //! also refreshes retention, letting arrays run "well past rated wear
-//! out".
+//! out". Every rewrite goes out on the shelf's §4.4 pacer, two drives a
+//! slot, so a scrub or rebuild pass never takes more columns away from
+//! a reader than parity can rebuild.
 
 use crate::controller::Controller;
 use crate::error::{PurityError, Result};
 use crate::records::SegmentState;
-use crate::shelf::Shelf;
+use crate::shelf::{ColumnWrite, Shelf};
 use purity_sim::Nanos;
 
 /// Results of one scrub pass.
@@ -99,31 +101,39 @@ impl Controller {
                         report.unrecoverable += 1;
                         continue;
                     }
-                    for (c, au) in info.columns.iter().enumerate() {
-                        let off = layout.wu_byte_offset(au.index, stripe, 0);
-                        let data = units[c].as_ref().expect("all read");
-                        shelf.write_drive(au.drive, off, data, now)?;
-                        report.units_refreshed += 1;
-                    }
+                    let batch: Vec<ColumnWrite<'_>> = info
+                        .columns
+                        .iter()
+                        .zip(&units)
+                        .map(|(au, unit)| {
+                            let off = layout.wu_byte_offset(au.index, stripe, 0);
+                            (au.drive, off, unit.as_deref().expect("all read"))
+                        })
+                        .collect();
+                    shelf.write_paced(&batch, now).all_landed()?;
+                    report.units_refreshed += width as u64;
                     continue;
                 }
                 // Repair: need at least k readable columns.
                 let mut shards: Vec<Option<Vec<u8>>> = units.clone();
                 match self.rs.reconstruct(&mut shards) {
                     Ok(()) => {
-                        for (c, au) in info.columns.iter().enumerate() {
-                            if shelf.drive(au.drive).is_failed() {
-                                continue; // can't rewrite a pulled drive
-                            }
-                            let off = layout.wu_byte_offset(au.index, stripe, 0);
-                            let data = shards[c].as_ref().expect("reconstructed");
-                            shelf.write_drive(au.drive, off, data, now)?;
-                            if failed_cols.contains(&c) {
-                                report.units_repaired += 1;
-                            } else {
-                                report.units_refreshed += 1;
-                            }
-                        }
+                        // Can't rewrite a pulled drive.
+                        let live: Vec<usize> = (0..width)
+                            .filter(|&c| !shelf.drive(info.columns[c].drive).is_failed())
+                            .collect();
+                        let batch: Vec<ColumnWrite<'_>> = live
+                            .iter()
+                            .map(|&c| {
+                                let au = info.columns[c];
+                                let off = layout.wu_byte_offset(au.index, stripe, 0);
+                                (au.drive, off, shards[c].as_deref().expect("reconstructed"))
+                            })
+                            .collect();
+                        shelf.write_paced(&batch, now).all_landed()?;
+                        let repaired = live.iter().filter(|c| failed_cols.contains(c)).count();
+                        report.units_repaired += repaired as u64;
+                        report.units_refreshed += (live.len() - repaired) as u64;
                     }
                     Err(_) => report.unrecoverable += 1,
                 }
@@ -188,7 +198,7 @@ impl Controller {
             }
             .encode(self.cfg.ssd_geometry.page_size);
             let hdr_off = layout.au_byte_offset(target_au.index);
-            let _ = shelf.write_drive(drive, hdr_off, &header, now);
+            let _ = shelf.write_paced(&[(drive, hdr_off, &header)], now);
 
             for stripe in stripes {
                 let off = layout.wu_byte_offset(target_au.index, stripe, 0);
@@ -222,7 +232,9 @@ impl Controller {
                     available.iter().map(|(c, b)| (*c, b.as_slice())).collect();
                 match self.rs.reconstruct_one(target_col, &refs) {
                     Ok(data) => {
-                        shelf.write_drive(drive, off, &data, now)?;
+                        shelf
+                            .write_paced(&[(drive, off, &data)], now)
+                            .all_landed()?;
                         report.units_rebuilt += 1;
                     }
                     Err(_) => report.unrecoverable += 1,

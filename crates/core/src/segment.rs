@@ -15,7 +15,7 @@
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::records::{SegmentFact, SegmentState};
-use crate::shelf::Shelf;
+use crate::shelf::{ColumnWrite, Shelf};
 use crate::types::{AuId, Pba, SegmentId};
 use purity_compress::varint;
 use purity_ecc::ReedSolomon;
@@ -331,32 +331,25 @@ impl SegmentWriter {
     ) -> Result<Nanos> {
         assert!(self.open.is_none(), "seal the previous segment first");
         assert_eq!(columns.len(), self.layout.k + self.layout.m);
-        let mut done = now;
-        // Header pages also honour the global write pacing.
-        for pair in columns.chunks(2).zip((0..).step_by(2)) {
-            let (aus, base_c) = pair;
-            let start = shelf.write_slot_start(now);
-            let mut pair_end = start;
-            for (i, au) in aus.iter().enumerate() {
-                let header = AuHeader {
+        // Header pages go out on the pacer like any other column write; a
+        // failed drive in the stripe is tolerable (parity covers it).
+        let headers: Vec<Vec<u8>> = (0..columns.len())
+            .map(|column| {
+                AuHeader {
                     segment: id,
-                    column: base_c + i,
+                    column,
                     columns: columns.clone(),
                     seq_lo,
                 }
-                .encode(self.page_size);
-                let off = self.layout.au_byte_offset(au.index);
-                match shelf.write_drive(au.drive, off, &header, start) {
-                    Ok(t) => pair_end = pair_end.max(t),
-                    // A failed drive in the stripe is tolerable (degraded
-                    // writes): parity covers it.
-                    Err(PurityError::Device(_)) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            shelf.commit_write_slot(pair_end);
-            done = done.max(pair_end);
-        }
+                .encode(self.page_size)
+            })
+            .collect();
+        let batch: Vec<ColumnWrite<'_>> = columns
+            .iter()
+            .zip(&headers)
+            .map(|(au, h)| (au.drive, self.layout.au_byte_offset(au.index), h.as_slice()))
+            .collect();
+        let done = shelf.write_paced(&batch, now).done;
         self.open = Some(OpenSegment {
             info: SegmentInfo {
                 id,
@@ -488,37 +481,24 @@ impl SegmentWriter {
             .rs
             .encode(&shards)
             .map_err(|e| PurityError::Internal(format!("rs encode: {}", e)))?;
-        // §4.4: "we try to avoid writing to more than two SSDs per ECC
-        // group at the same time". Columns flush in staggered pairs, so
-        // reads always have >= k idle columns to reconstruct from —
-        // trading flush throughput for consistently low read latency.
-        let mut done = now;
-        let columns = open.info.columns.clone();
-        for pair in columns.chunks(2).zip((0..).step_by(2)) {
-            let (aus, base_c) = pair;
-            // Global pacing: only one column pair flushes at a time
-            // array-wide, so reads always find >= k idle columns.
-            let pair_start = shelf.write_slot_start(now);
-            let mut pair_end = pair_start;
-            for (i, au) in aus.iter().enumerate() {
-                let c = base_c + i;
+        // Degraded write: the shelf skips failed drives; parity columns
+        // on surviving drives keep the stripe recoverable.
+        let batch: Vec<ColumnWrite<'_>> = open
+            .info
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(c, au)| {
                 let payload: &[u8] = if c < self.layout.k {
                     shards[c]
                 } else {
                     &parity[c - self.layout.k]
                 };
                 let off = self.layout.wu_byte_offset(au.index, stripe, 0);
-                match shelf.write_drive(au.drive, off, payload, pair_start) {
-                    Ok(t) => pair_end = pair_end.max(t),
-                    // Degraded write: skip failed drives; parity columns
-                    // on surviving drives keep the stripe recoverable.
-                    Err(PurityError::Device(_)) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            shelf.commit_write_slot(pair_end);
-            done = done.max(pair_end);
-        }
+                (au.drive, off, payload)
+            })
+            .collect();
+        let done = shelf.write_paced(&batch, now).done;
         self.stripes_flushed += 1;
         Ok(done)
     }
@@ -868,6 +848,137 @@ mod tests {
                 .filter(|&d| shelf.is_writing(d, t))
                 .count();
             assert!(busy <= 2, "{} drives writing at {}", busy, t);
+        }
+    }
+
+    /// One stripe flushed on an otherwise idle shelf, and the columns of
+    /// its segment as the read planner sees them.
+    fn one_flushed_stripe() -> (Shelf, SegmentInfo, SegmentLayout, ArrayConfig, Nanos, Nanos) {
+        let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
+        let headers_done = w
+            .open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
+            .unwrap();
+        let blob: Vec<u8> = (0..w.layout().stripe_data_bytes())
+            .map(|i| (i % 253) as u8)
+            .collect();
+        let (_, done) = w.append_data(&mut shelf, &blob, 0).unwrap();
+        let info = w.open_segment().unwrap().clone();
+        (shelf, info, *w.layout(), cfg, headers_done, done)
+    }
+
+    /// The issue-instant sweep. A read planned at one instant used to
+    /// queue a whole 5.2 ms window when it was issued less than one read
+    /// before a pair opened. Plan (booking nothing, so one shelf serves
+    /// every instant) a one-page read of every column every 10 us, from
+    /// 1 ms before the stripe's first pair to the end of its last: no
+    /// read waits longer than one read service time — the hand-off,
+    /// where waiting out the window that is ending is the cheapest plan.
+    #[test]
+    fn no_issue_instant_makes_a_read_wait_out_a_window() {
+        use crate::controller::plan_rebuild;
+        let (shelf, info, l, cfg, first_pair, done) = one_flushed_stripe();
+        let page = cfg.ssd_geometry.page_size;
+        let service = cfg.ssd_latency.page_read(page);
+        let (mut rebuilt, mut handed_off) = (0, 0);
+        for now in (first_pair - 1_000_000..done).step_by(10_000) {
+            for column in 0..info.columns.len() {
+                let ext = Extent {
+                    column,
+                    stripe: 0,
+                    within: 0,
+                    len: page,
+                };
+                let au = info.columns[column];
+                let completes = match plan_rebuild(&shelf, &info, &l, true, &ext, now) {
+                    Some(sources) => {
+                        rebuilt += 1;
+                        sources[l.k - 1].0
+                    }
+                    None => {
+                        let off = l.wu_byte_offset(au.index, 0, 0);
+                        shelf.read_eta(au.drive, off, page, now).unwrap().end
+                    }
+                };
+                let waited = completes - now - service;
+                handed_off += usize::from(waited > 0);
+                assert!(
+                    waited <= service,
+                    "column {column} issued at {now} waits {waited} ns"
+                );
+            }
+        }
+        assert!(rebuilt > 0 && handed_off > 0, "the sweep met no window");
+    }
+
+    /// The same sweep's two hand-off plans, executed: what the planner
+    /// promised is what the read gets, and a rebuild that waits charges
+    /// the wait to the program it waited for, not to `reconstruct`.
+    #[test]
+    fn a_hand_off_read_gets_what_the_planner_promised() {
+        use crate::controller::{plan_rebuild, read_extent};
+        let (_, _, _, _, first_pair, _) = one_flushed_stripe();
+        // 50 us before the second pair opens: column 0 (its window is
+        // ending) reads direct; column 2 (its window is opening) rebuilds
+        // and one of its sources waits out the end of column 0's window.
+        for (column, want_rebuild) in [(0, false), (2, true)] {
+            let (mut shelf, info, l, cfg, first_again, _) = one_flushed_stripe();
+            assert_eq!(first_again, first_pair);
+            let page = cfg.ssd_geometry.page_size;
+            let service = cfg.ssd_latency.page_read(page);
+            let hand_off = (first_pair..)
+                .step_by(10_000)
+                .find(|&t| !shelf.is_writing(0, t))
+                .unwrap();
+            let now = hand_off - 50_000;
+            let ext = Extent {
+                column,
+                stripe: 0,
+                within: 0,
+                len: page,
+            };
+            let plan = plan_rebuild(&shelf, &info, &l, true, &ext, now);
+            assert_eq!(plan.is_some(), want_rebuild, "column {column}");
+            let rs = ReedSolomon::new(l.k, l.m);
+            let mut stats = crate::stats::ArrayStats::default();
+            let mut trace = purity_obs::OpTrace::new("read", now);
+            let (bytes, done) = read_extent(
+                &mut shelf,
+                &info,
+                &l,
+                &rs,
+                true,
+                &mut stats,
+                &ext,
+                now,
+                Some(&mut trace),
+            )
+            .unwrap();
+            let want: Vec<u8> = (column * l.wu..column * l.wu + page)
+                .map(|i| (i % 253) as u8)
+                .collect();
+            assert_eq!(bytes, want);
+            assert!(done - now <= 2 * service, "took {}", done - now);
+            if let Some(sources) = plan {
+                assert_eq!(done, sources[l.k - 1].0, "the estimate was the booking");
+            }
+            let stages = trace.stages();
+            let stall: Nanos = stages
+                .iter()
+                .filter(|s| s.stage == "die_stall_program")
+                .map(|s| s.duration())
+                .sum();
+            assert!(
+                stall > 0 && stall <= 50_000 + 10_000,
+                "program wait {stall}"
+            );
+            let last = if want_rebuild {
+                "reconstruct"
+            } else {
+                "drive_read"
+            };
+            assert_eq!(stages.last().unwrap().stage, last);
+            assert_eq!(stages.last().unwrap().duration(), service);
+            assert_eq!(stats.reconstructed_reads, u64::from(want_rebuild));
         }
     }
 

@@ -3,13 +3,14 @@
 //! SAS interposers connect every drive to both controllers, and the NVRAM
 //! lives in the shelf precisely so controllers stay stateless. The shelf
 //! is therefore the unit that *survives* a controller failover. It also
-//! tracks, per drive, until when the array is writing to it — the signal
-//! the I/O scheduler uses to read around busy drives (§4.4).
+//! owns the §4.4 write schedule: every array-issued bulk write goes out
+//! through [`Shelf::write_paced`], two drives a slot, and the windows
+//! those writes occupy are what the read planner reads around.
 
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::types::DriveId;
-use purity_sim::{Clock, Nanos};
+use purity_sim::{Clock, Nanos, Reservation};
 use purity_ssd::nvram::NvramError;
 use purity_ssd::{Nvram, Ssd};
 use std::sync::Arc;
@@ -40,6 +41,30 @@ struct PowerTrigger {
     keep_bytes: usize,
 }
 
+/// One column of a [`Shelf::write_paced`] batch: page-aligned bytes for
+/// a page-aligned byte offset of a drive.
+pub type ColumnWrite<'a> = (DriveId, usize, &'a [u8]);
+
+/// What one [`Shelf::write_paced`] batch did.
+#[derive(Debug)]
+pub struct Paced {
+    /// When the last column that landed completes (`now` if none did).
+    pub done: Nanos,
+    /// Why the first skipped column was refused, if any was.
+    pub refused: Option<PurityError>,
+}
+
+impl Paced {
+    /// For a batch that must not be degraded: the completion time, or
+    /// the refusal.
+    pub fn all_landed(self) -> Result<Nanos> {
+        match self.refused {
+            Some(e) => Err(e),
+            None => Ok(self.done),
+        }
+    }
+}
+
 /// The shared drive shelf.
 pub struct Shelf {
     /// The virtual clock every component shares.
@@ -51,11 +76,15 @@ pub struct Shelf {
     cold: Vec<Ssd>,
     nvram: Nvram,
     /// Per-drive intervals during which array-issued bulk writes occupy
-    /// the drive. Windows start at the paced device-issue time, not the
-    /// request arrival — a drive queued behind the pacer is still idle.
-    writing_windows: Vec<std::collections::VecDeque<(Nanos, Nanos)>>,
+    /// the drive: sorted, disjoint, merged where they touch. Windows
+    /// start at the paced device-issue time, not the request arrival — a
+    /// drive queued behind the pacer is still idle. Pruned by the clock
+    /// only: a window is dropped once it has ended, never for being one
+    /// too many.
+    writing_windows: Vec<Vec<(Nanos, Nanos)>>,
     /// Global write pacer (§4.4: at most two drives per ECC group busy
-    /// writing at once): bulk write-unit flushes chain through this.
+    /// writing at once): the end of the last slot [`Shelf::write_paced`]
+    /// handed out.
     write_pacer_until: Nanos,
     /// Boot-region extent at the front of the mirror drives (used to
     /// classify writes for [`CrashTarget`]).
@@ -110,7 +139,7 @@ impl Shelf {
             drives,
             cold,
             nvram: Nvram::new(config.nvram_bytes),
-            writing_windows: vec![std::collections::VecDeque::new(); config.n_drives],
+            writing_windows: vec![Vec::new(); config.n_drives],
             write_pacer_until: 0,
             boot_region_bytes: config.boot_region_bytes(),
             powered: true,
@@ -256,45 +285,73 @@ impl Shelf {
             .collect()
     }
 
-    /// Earliest time a new bulk write pair may start (global §4.4 pacing).
-    pub fn write_slot_start(&self, now: Nanos) -> Nanos {
-        self.write_pacer_until.max(now)
-    }
-
-    /// Records that a bulk write pair occupies the pacer until `end`.
-    pub fn commit_write_slot(&mut self, end: Nanos) {
-        self.write_pacer_until = self.write_pacer_until.max(end);
-    }
-
-    /// Marks a drive as servicing array writes over `[from, until)` (set
-    /// by the segment writer when it flushes a write unit).
-    pub fn mark_writing(&mut self, d: DriveId, from: Nanos, until: Nanos) {
-        let w = &mut self.writing_windows[d];
-        // Coalesce with the last window when contiguous.
-        if let Some(last) = w.back_mut() {
-            if from <= last.1 {
-                last.1 = last.1.max(until);
-                return;
+    /// The one paced write entry (§4.4: "we try to avoid writing to more
+    /// than two SSDs per ECC group at the same time"). The batch's
+    /// column writes go out in order, two drives a slot, each slot
+    /// starting where the last one — of this batch or any earlier one —
+    /// ended, so a read always finds at least `k` columns outside a
+    /// window. A column its drive refuses (pulled drive, power lost) is
+    /// skipped and the rest still go out: parity covers a degraded write.
+    pub fn write_paced(&mut self, columns: &[ColumnWrite<'_>], now: Nanos) -> Paced {
+        let mut out = Paced {
+            done: now,
+            refused: None,
+        };
+        for pair in columns.chunks(2) {
+            let start = self.write_pacer_until.max(now);
+            let mut pair_end = start;
+            for &(d, offset, data) in pair {
+                match self.write_drive(d, offset, data, start) {
+                    Ok(t) => pair_end = pair_end.max(t),
+                    Err(e) => {
+                        out.refused.get_or_insert(e);
+                    }
+                }
             }
+            self.write_pacer_until = pair_end;
+            out.done = out.done.max(pair_end);
         }
-        if w.len() >= 64 {
-            w.pop_front();
-        }
-        w.push_back((from, until));
+        out
     }
 
-    /// True if the array is writing to drive `d` at time `now` — the
-    /// §4.4 condition for treating the drive as failed for reads.
-    pub fn is_writing(&self, d: DriveId, now: Nanos) -> bool {
-        self.writing_windows[d]
-            .iter()
-            .any(|&(s, e)| s <= now && now < e)
+    /// Marks a drive as servicing array writes over `[from, until)`.
+    fn mark_writing(&mut self, d: DriveId, mut from: Nanos, mut until: Nanos) {
+        if from >= until {
+            return;
+        }
+        let present = self.clock.now();
+        let w = &mut self.writing_windows[d];
+        w.drain(..w.partition_point(|&(_, e)| e <= present));
+        // Everything from the first window that reaches `from` to the
+        // last that starts by `until` folds into the new one.
+        let lo = w.partition_point(|&(_, e)| e < from);
+        let hi = w.partition_point(|&(s, _)| s <= until);
+        if lo < hi {
+            from = from.min(w[lo].0);
+            until = until.max(w[hi - 1].1);
+        }
+        w.splice(lo..hi, [(from, until)]);
     }
 
-    /// Writes page-aligned bytes to a drive, updating the writing window.
-    /// The single choke point every durable drive mutation goes through:
-    /// power loss (armed via [`Shelf::arm_power_loss`]) fires here,
-    /// tearing this write and failing everything after it.
+    /// True if the array writes to drive `d` at some instant of
+    /// `[from, to)` — the §4.4 condition for treating the drive as
+    /// failed, asked over the whole span a read would occupy it.
+    pub fn writes_overlap(&self, d: DriveId, from: Nanos, to: Nanos) -> bool {
+        let w = &self.writing_windows[d];
+        w.get(w.partition_point(|&(_, e)| e <= from))
+            .is_some_and(|&(s, _)| s < to)
+    }
+
+    /// True if the array is writing to drive `d` at the instant `at`.
+    pub fn is_writing(&self, d: DriveId, at: Nanos) -> bool {
+        self.writes_overlap(d, at, at + 1)
+    }
+
+    /// Writes page-aligned bytes to a drive at `now`, unpaced, updating
+    /// the writing window. The single choke point every durable drive
+    /// mutation goes through ([`Shelf::write_paced`] is the scheduled
+    /// way in): power loss (armed via [`Shelf::arm_power_loss`]) fires
+    /// here, tearing this write and failing everything after it.
     pub fn write_drive(
         &mut self,
         d: DriveId,
@@ -396,6 +453,25 @@ impl Shelf {
         self.drives[d]
             .trim(offset, len)
             .map_err(|e| PurityError::Device(format!("drive {}: {}", d, e)))
+    }
+
+    /// What [`Shelf::read_drive_traced`] would be granted for the same
+    /// arguments, without booking anything on the drive: `end` is when
+    /// the read would complete, `start` when its critical-path page
+    /// would leave the die's queue. `None` where the read would be
+    /// refused: power off, drive failed, or a page of the extent
+    /// unmapped or unreadable.
+    pub fn read_eta(
+        &self,
+        d: DriveId,
+        offset: usize,
+        len: usize,
+        now: Nanos,
+    ) -> Option<Reservation> {
+        if !self.powered {
+            return None;
+        }
+        self.drives[d].read_eta(offset, len, now)
     }
 
     /// Reads from a drive.
@@ -523,6 +599,71 @@ mod tests {
         // Contiguous windows coalesce.
         s.mark_writing(3, 6_000_000, 7_000_000);
         assert!(s.is_writing(3, 6_500_000));
+    }
+
+    /// The old set kept 64 windows a drive and dropped the oldest — which
+    /// under a pacer backlog is the one open now.
+    #[test]
+    fn a_backlog_of_windows_never_evicts_the_live_one() {
+        let mut s = shelf();
+        for i in 0..70u64 {
+            s.mark_writing(3, i * 10_000_000, i * 10_000_000 + 5_000_000);
+        }
+        assert!(s.is_writing(3, 2_500_000), "the first window is still open");
+        assert!(s.writes_overlap(3, 690_000_000, 690_000_001));
+        assert!(!s.is_writing(3, 7_000_000), "and the gaps are still gaps");
+        // Only the clock retires a window.
+        s.clock.advance(12_000_000);
+        s.mark_writing(3, 900_000_000, 901_000_000);
+        assert_eq!(s.writing_windows[3].len(), 70, "one ended, one came");
+        assert!(s.is_writing(3, 12_000_000), "the window open now stays");
+    }
+
+    /// The old set merged a window that starts before the last one into
+    /// it without moving its start.
+    #[test]
+    fn a_window_marked_out_of_order_keeps_its_own_start() {
+        let mut s = shelf();
+        s.mark_writing(3, 5_000_000, 6_000_000);
+        s.mark_writing(3, 0, 1_000_000);
+        assert!(s.is_writing(3, 500_000));
+        assert!(!s.is_writing(3, 3_000_000));
+        assert!(s.is_writing(3, 5_500_000));
+        // Overlapping and touching windows fold into one; `[from, to)`
+        // queries see exactly the union.
+        s.mark_writing(3, 900_000, 5_000_000);
+        assert_eq!(s.writing_windows[3], vec![(0, 6_000_000)]);
+        assert!(s.writes_overlap(3, 5_999_999, 7_000_000));
+        assert!(!s.writes_overlap(3, 6_000_000, 7_000_000));
+    }
+
+    #[test]
+    fn paced_batch_goes_out_two_drives_a_slot_and_reports_refusals() {
+        let cfg = ArrayConfig::test_small();
+        let mut s = Shelf::new(&cfg, Clock::new());
+        let off = cfg.boot_region_bytes();
+        let page = vec![7u8; 4096];
+        s.drive_mut(2).fail();
+        let batch: Vec<ColumnWrite<'_>> = (0..5).map(|d| (d, off, page.as_slice())).collect();
+        let first = s.write_paced(&batch, 1_000);
+        assert!(
+            matches!(first.refused, Some(PurityError::Device(_))),
+            "the pulled drive is skipped and said so"
+        );
+        // Slots chain: (0,1) then (2,3) then (4), each starting where the
+        // last ended, so no instant has three drives in a window.
+        for t in (0..first.done).step_by(10_000) {
+            let busy = (0..5).filter(|&d| s.is_writing(d, t)).count();
+            assert!(busy <= 2, "{busy} drives writing at {t}");
+        }
+        assert!(!s.is_writing(0, 999) && s.is_writing(0, 1_000));
+        assert!(!s.is_writing(4, 1_000) && s.is_writing(4, first.done - 1));
+        // The next batch queues behind this one, whatever its issue time.
+        let second = s.write_paced(&[(5, off, page.as_slice())], 0);
+        assert!(!s.writes_overlap(5, 0, first.done));
+        assert!(s.is_writing(5, first.done));
+        assert!(second.all_landed().unwrap() > first.done);
+        assert!(first.all_landed().is_err());
     }
 
     #[test]

@@ -122,6 +122,55 @@ proptest! {
         }
     }
 
+    /// The planner's estimate is the booking: after any history of paced
+    /// writes, for reads of any extent at any issue time (each of which
+    /// books, so later ones queue behind earlier ones and pages of one
+    /// read share dies), `read_eta` is exactly what the read is then
+    /// granted — completion, queueing and service — and refuses exactly
+    /// the reads the drive refuses.
+    #[test]
+    fn read_eta_is_what_the_read_is_then_granted(
+        writes in proptest::collection::vec(
+            (0usize..3, 0usize..40, 1usize..24, 0u64..20_000_000),
+            1..10,
+        ),
+        reads in proptest::collection::vec(
+            (0usize..3, 0usize..48 * 4096, 1usize..12 * 4096, 0u64..40_000_000),
+            1..32,
+        ),
+    ) {
+        let cfg = ArrayConfig::test_small();
+        let mut shelf = Shelf::new(&cfg, Clock::new());
+        let page = cfg.ssd_geometry.page_size;
+        // Drives 0 and 1 start fully mapped, so their reads always have
+        // an estimate; drive 2 holds only what the history wrote, so some
+        // of its reads are refused.
+        let fill = vec![0xf1; 64 * page];
+        shelf.write_paced(&[(0, 0, &fill), (1, 0, &fill)], 0).all_landed().unwrap();
+        for (d, first, pages, at) in writes {
+            let data = vec![d as u8 + 1; pages * page];
+            shelf.write_paced(&[(d, first * page, &data)], at).all_landed().unwrap();
+        }
+        for (d, offset, len, now) in reads {
+            let eta = shelf.read_eta(d, offset, len, now);
+            prop_assert_eq!(shelf.read_eta(d, offset, len, now), eta, "an estimate books nothing");
+            match (eta, shelf.read_drive_traced(d, offset, len, now)) {
+                (Some(eta), Ok(dr)) => {
+                    prop_assert_eq!(eta.end, dr.done);
+                    prop_assert_eq!(eta.start, now + dr.queued);
+                    prop_assert_eq!(eta.service(), dr.service);
+                }
+                (None, Err(_)) => {}
+                (eta, read) => prop_assert!(
+                    false,
+                    "estimate {:?} but the read said {:?}",
+                    eta,
+                    read.map(|dr| dr.done)
+                ),
+            }
+        }
+    }
+
     /// Relocation places a cblock's stored bytes verbatim when no sector
     /// was dropped. That is only right if re-encoding what they decode to
     /// reproduces them — for every content class, compressed or raw.

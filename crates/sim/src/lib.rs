@@ -23,5 +23,5 @@ pub mod units;
 pub use clock::Clock;
 pub use dist::Zipf;
 pub use hist::LatencyHistogram;
-pub use timeline::Timeline;
+pub use timeline::{Reservation, Timeline};
 pub use units::{Nanos, GIB, KIB, MIB, MS, SEC, US};

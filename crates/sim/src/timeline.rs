@@ -59,10 +59,50 @@ impl Reservation {
     }
 }
 
+impl Inner {
+    /// The earliest gap of `duration` starting at or after `now`, and the
+    /// index a booking for it would be inserted at. Bookings that ended
+    /// by `now` never match, so pruning them first changes nothing.
+    ///
+    /// NOTE the contract: reservations are guaranteed non-overlapping
+    /// for issue times at or after the largest already-pruned booking.
+    /// An issuer lagging behind (a read arriving while a future paced
+    /// flush has already pruned history past it) may overlap intervals
+    /// that were pruned as complete — a bounded accounting
+    /// approximation, preferred over pushing present readers behind
+    /// future work.
+    #[inline]
+    fn earliest_gap(&self, now: Nanos, duration: Nanos) -> (usize, Reservation) {
+        let mut candidate = now;
+        let mut insert_at = self.bookings.len();
+        for (i, &(s, e)) in self.bookings.iter().enumerate() {
+            if candidate + duration <= s {
+                insert_at = i;
+                break;
+            }
+            candidate = candidate.max(e);
+        }
+        (
+            insert_at,
+            Reservation {
+                start: candidate,
+                end: candidate + duration,
+            },
+        )
+    }
+}
+
 impl Timeline {
     /// Creates an idle timeline.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The reservation [`Timeline::reserve`] would make for the same
+    /// arguments, without making it: nothing is booked and nothing is
+    /// pruned. What a planner asks before it commits to a resource.
+    pub fn probe(&self, now: Nanos, duration: Nanos) -> Reservation {
+        self.inner.lock().earliest_gap(now, duration).1
     }
 
     /// Schedules an operation of length `duration` issued at time `now`:
@@ -79,25 +119,7 @@ impl Timeline {
                 break;
             }
         }
-        // Find the earliest gap of `duration` starting at or after `now`.
-        // NOTE the contract: reservations are guaranteed non-overlapping
-        // for issue times at or after the largest already-pruned booking.
-        // An issuer lagging behind (a read arriving while a future paced
-        // flush has already pruned history past it) may overlap intervals
-        // that were pruned as complete — a bounded accounting
-        // approximation, preferred over pushing present readers behind
-        // future work.
-        let mut candidate = now;
-        let mut insert_at = inner.bookings.len();
-        for (i, &(s, e)) in inner.bookings.iter().enumerate() {
-            if candidate + duration <= s {
-                insert_at = i;
-                break;
-            }
-            candidate = candidate.max(e);
-        }
-        let start = candidate;
-        let end = start + duration;
+        let (insert_at, Reservation { start, end }) = inner.earliest_gap(now, duration);
         // Insert, merging with exactly-adjacent neighbours so back-to-
         // back chains stay O(1) in memory.
         let merge_prev = insert_at > 0 && inner.bookings[insert_at - 1].1 == start;

@@ -28,6 +28,25 @@ proptest! {
     }
 
     #[test]
+    fn probe_is_the_reservation_reserve_then_makes(
+        history in proptest::collection::vec((0u64..1_000_000, 1u64..50_000), 0..100),
+        asks in proptest::collection::vec((0u64..1_100_000, 1u64..50_000), 1..20),
+    ) {
+        // Any booking history, issue times in any order (paced work books
+        // future slots, so readers do lag): the estimate is the booking,
+        // and asking twice changes nothing.
+        let t = Timeline::new();
+        for (now, dur) in history {
+            t.reserve(now, dur);
+        }
+        for (now, dur) in asks {
+            let estimate = t.probe(now, dur);
+            prop_assert_eq!(t.probe(now, dur), estimate, "a probe must not book or prune");
+            prop_assert_eq!(t.reserve(now, dur), estimate);
+        }
+    }
+
+    #[test]
     fn busy_at_is_consistent_with_grants(reqs in proptest::collection::vec((0u64..100_000, 1u64..5_000), 1..50), probe in 0u64..110_000) {
         let t = Timeline::new();
         let mut granted: Vec<(u64, u64)> = Vec::new();

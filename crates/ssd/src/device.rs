@@ -7,7 +7,7 @@ use crate::ftl::{Ftl, FtlError, FtlStats};
 use crate::geometry::{Ppa, SsdGeometry};
 use crate::latency::{EnduranceModel, LatencyModel};
 use purity_obs::Frame;
-use purity_sim::{Clock, Nanos};
+use purity_sim::{Clock, Nanos, Reservation};
 use std::sync::Arc;
 
 /// Device-level errors.
@@ -294,6 +294,27 @@ impl Ssd {
         }
         crit.data.truncate(len);
         Ok(crit)
+    }
+
+    /// What [`Ssd::read_traced`] would report for the same arguments,
+    /// without booking a die: the reservation of the critical-path page,
+    /// so `end` is the read's `done` and `start - now` its `queued`.
+    /// What a planner compares before it chooses which drives to read.
+    /// `None` where the read would be refused (drive failed, a page
+    /// unmapped or unreadable).
+    pub fn read_eta(&self, offset: usize, len: usize, now: Nanos) -> Option<Reservation> {
+        if self.failed {
+            return None;
+        }
+        if len == 0 {
+            return Some(Reservation {
+                start: now,
+                end: now,
+            });
+        }
+        let first = offset / self.page_size;
+        let last = (offset + len - 1) / self.page_size;
+        self.ftl.read_eta(first..=last, now)
     }
 
     /// Writes the drive's cumulative FTL and flash counters, stall

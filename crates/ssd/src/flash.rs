@@ -13,7 +13,7 @@
 
 use crate::geometry::{Ppa, SsdGeometry};
 use crate::latency::{EnduranceModel, LatencyModel};
-use purity_sim::{Clock, Nanos, Timeline};
+use purity_sim::{Clock, Nanos, Reservation, Timeline};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -412,6 +412,47 @@ impl Flash {
             stall,
             stall_gc,
         })
+    }
+
+    /// What a read of `ppas`, every page issued at `now` in this order,
+    /// would be granted, without booking a die: the reservation of its
+    /// critical-path page — the one [`Flash::read_page_traced`] would
+    /// complete last, so `end` is when the read is done and `start` is
+    /// how long it queues first. Pages that share a die chain behind
+    /// each other, as the bookings would. `None` where the read would
+    /// fail before touching its die (bad block, page never programmed).
+    pub fn read_eta(&self, ppas: impl IntoIterator<Item = Ppa>, now: Nanos) -> Option<Reservation> {
+        let mut crit = Reservation {
+            start: now,
+            end: now,
+        };
+        // (die, end of this read's last page on it). Every page read of
+        // one device is the same length, so the gap the previous page
+        // took was the earliest that fits and the next page's search
+        // resumes exactly at its end. A tail is kept only while a later
+        // page could meet it, so a one-page read allocates nothing.
+        let mut tails: Vec<(usize, Nanos)> = Vec::new();
+        let mut ppas = ppas.into_iter().peekable();
+        while let Some(ppa) = ppas.next() {
+            let die = &self.dies[ppa.die];
+            let block = &die.blocks[ppa.block];
+            if block.bad {
+                return None;
+            }
+            let service = self.latency.page_read(block.data[ppa.page].as_ref()?.len());
+            let tail = tails.iter_mut().find(|(d, _)| *d == ppa.die);
+            let from = tail.as_ref().map_or(now, |(_, end)| *end);
+            let res = die.timeline.probe(from, service);
+            match tail {
+                Some(t) => t.1 = res.end,
+                None if ppas.peek().is_some() => tails.push((ppa.die, res.end)),
+                None => {}
+            }
+            if res.end >= crit.end {
+                crit = res;
+            }
+        }
+        Some(crit)
     }
 
     /// Programs one page. Pages must be erased and programmed in order.

@@ -20,7 +20,7 @@
 
 use crate::flash::{Flash, FlashError, PageRead};
 use crate::geometry::{Ppa, SsdGeometry};
-use purity_sim::Nanos;
+use purity_sim::{Nanos, Reservation};
 
 /// FTL-level errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,6 +206,25 @@ impl Ftl {
         }
         let ppa = Ppa::unflatten(phys as usize, &self.geo);
         Ok(self.flash.read_page_traced(ppa, now)?)
+    }
+
+    /// What a read of the logical pages `lpns`, all issued at `now`,
+    /// would be granted, without booking anything (see
+    /// [`Flash::read_eta`]). `None` where the read would fail on a page
+    /// out of range, unmapped or unreadable.
+    pub fn read_eta(
+        &self,
+        lpns: std::ops::RangeInclusive<usize>,
+        now: Nanos,
+    ) -> Option<Reservation> {
+        let pages = self.l2p.get(lpns)?;
+        if pages.contains(&NO_PAGE) {
+            return None;
+        }
+        let ppas = pages
+            .iter()
+            .map(|&phys| Ppa::unflatten(phys as usize, &self.geo));
+        self.flash.read_eta(ppas, now)
     }
 
     /// Writes a logical page. Returns the completion timestamp, which

@@ -402,3 +402,68 @@ fn fa450_full_geometry_smoke() {
     let space = a.space_report();
     assert!(space.allocated_bytes > 0);
 }
+
+/// `host_qd32`-shaped load — 32 uniform 32 KiB ops an instant, 30 %
+/// writes, a cache a sixteenth of the volume — queues about a hundred
+/// write units behind the §4.4 pacer, and the write schedule the read
+/// planner consults must still know every one of them. While the backlog
+/// drains the pacer always has a pair of drives out, back to back, so at
+/// every instant until the last program ends the schedule must call one
+/// or two drives writing: never none (a schedule capped at 64 windows a
+/// drive forgot the windows open *now*), never three. The dies cannot be
+/// asked directly — a die's timeline forgets what it booked before its
+/// latest paced slot — but the last die to go quiet does so exactly
+/// where the schedule's last window ends.
+#[test]
+fn write_schedule_never_calls_a_programming_drive_idle() {
+    const OP: usize = 32 * 1024;
+    let mut cfg = ArrayConfig::test_small();
+    cfg.cache_bytes = 1 << 20;
+    let mut a = FlashArray::new(cfg).expect("format");
+    let vol_bytes: u64 = 16 << 20;
+    let vol = a.create_volume("v", vol_bytes).unwrap();
+    for i in 0..vol_bytes / (4 * OP as u64) {
+        a.write(vol, i * 4 * OP as u64, &sectors(7_000 + i, 4 * OP / SECTOR))
+            .unwrap();
+        a.advance(50_000);
+    }
+    let mut rng = StdRng::seed_from_u64(32);
+    let mut incompressible = vec![0u8; OP];
+    let mut slowest_read = 0;
+    for _round in 0..260 {
+        for _slot in 0..32 {
+            let offset = rng.gen_range(0..vol_bytes / OP as u64) * OP as u64;
+            if rng.gen_range(0..100) < 30 {
+                rng.fill(&mut incompressible[..]);
+                a.write(vol, offset, &incompressible).unwrap();
+            } else {
+                let (_, ack) = a.read(vol, offset, OP).unwrap();
+                slowest_read = slowest_read.max(ack.latency);
+            }
+        }
+        a.advance(400_000);
+    }
+    a.advance(slowest_read);
+    let start = a.now();
+    let (_, shelf) = a.controller_and_shelf();
+    let last_program_ends = (0..shelf.n_drives())
+        .map(|d| shelf.drive(d).free_at())
+        .max()
+        .unwrap();
+    assert!(
+        last_program_ends > start + 1_000_000_000,
+        "the load queued no backlog to speak of ({} ns)",
+        last_program_ends.saturating_sub(start)
+    );
+    for t in (start..last_program_ends).step_by(100_000) {
+        let writing = (0..shelf.n_drives())
+            .filter(|&d| shelf.is_writing(d, t))
+            .count();
+        assert!(
+            (1..=2).contains(&writing),
+            "{writing} drives in a write window at {t}, mid-backlog"
+        );
+    }
+    let after = (0..shelf.n_drives()).any(|d| shelf.is_writing(d, last_program_ends));
+    assert!(!after, "a window outlives the last program");
+}

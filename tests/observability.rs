@@ -494,6 +494,15 @@ fn tier_stages_are_emitted_and_registered() {
 // series order, a dropped sticky series, an incident's `gauges`
 // evidence — fails here. A deliberate export change re-pins them: run
 // with `--nocapture`, each scenario prints its current digest.
+//
+// Re-pinned once since (ISSUE 24, the read planner compares costs): a
+// read rebuilds only where that beats the direct read to the die, so
+// `array_reads{path}`, the per-drive `flash_reads` / `flash_read_stall*`
+// and what derives from them moved in three scenarios —
+// `host_closed_loop` (117 reconstructed reads -> 4), `tiered_cycle`
+// (2 -> 0) and the replication source of `cluster_kill_and_repl_ship`
+// (2 -> 0; its other four documents are byte-identical). `plain_mix`
+// did not move.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -612,7 +621,7 @@ fn export_contract_tiered_cycle() {
     assert_export_digest(
         "tiered_cycle",
         &[a.export_observability_json()],
-        &[(79_739, 0xbd10_f295_1aaf_a5ab)],
+        &[(79_474, 0x91af_7aba_a4e4_13b3)],
     );
 }
 
@@ -652,7 +661,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(44_246, 0x56c5_f52a_757b_862c)],
+        &[(44_043, 0x75df_56f5_b875_6e41)],
     );
 }
 
@@ -724,7 +733,7 @@ fn export_contract_cluster_kill_and_repl_ship() {
             (16_538, 0x4aaa_df85_f810_8583),
             (355_093, 0x82d1_834a_43c9_451d),
             (349_579, 0xdab3_6e35_58d2_710a),
-            (89_013, 0x9550_e290_15e1_d8b5),
+            (88_911, 0x08f8_8a5a_60ca_d119),
             (87_321, 0x8d04_8e87_ac31_ec70),
         ],
     );
