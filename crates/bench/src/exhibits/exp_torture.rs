@@ -150,7 +150,7 @@ pub fn run(args: &[String], r: &mut Report) {
         root.str_field("kind", kind.name);
     }
     // Self-check: nothing failed, the oracle has teeth, and an array
-    // sweep covered at least 4 distinct phases with a real hit.
+    // sweep tore every crash phase at least once.
     let doc = r.json(root.finish());
     assert_eq!(
         doc.path("sabotage_caught"),
@@ -159,8 +159,9 @@ pub fn run(args: &[String], r: &mut Report) {
     );
     let phases_hit = phases.iter().filter(|(_, hits)| *hits > 0).count();
     assert!(
-        !array || phases_hit >= 4,
-        "sweep must hit >= 4 distinct crash phases, got {phases_hit}"
+        !array || phases_hit == CrashPhase::ALL.len(),
+        "sweep must hit all {} crash phases, got {phases_hit}",
+        CrashPhase::ALL.len()
     );
     assert_eq!(
         doc.u64_at("failures"),

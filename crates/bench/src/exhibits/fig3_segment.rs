@@ -4,7 +4,7 @@
 
 use crate::Report;
 use purity_core::config::ArrayConfig;
-use purity_core::segment::{SegmentLayout, SegmentWriter, LOG_STRIPE_MAGIC};
+use purity_core::segment::{SegmentInfo, SegmentLayout, SegmentWriter, LOG_STRIPE_MAGIC};
 use purity_core::shelf::Shelf;
 use purity_core::types::{AuId, SegmentId};
 use purity_sim::Clock;
@@ -27,8 +27,8 @@ pub fn run(_args: &[String], r: &mut Report) {
     let columns: Vec<AuId> = (0..cfg.stripe_width())
         .map(|d| AuId { drive: d, index: 0 })
         .collect();
-    w.open_segment_on(&mut shelf, SegmentId(1), columns.clone(), 1, 0)
-        .unwrap();
+    let info = SegmentInfo::open(SegmentId(1), columns.clone(), 1);
+    w.open_segment_on(&mut shelf, info, 0).unwrap();
 
     // Data from the front (varied content so parity differs visibly)...
     let data: Vec<u8> = (0..2 * layout.stripe_data_bytes())

@@ -99,7 +99,7 @@ registry! {
          power loss rotating through the five crash phases (--kind array, the default), a member \
          killed or partitioned (--kind cluster), the replication destination crashed mid-ship \
          (--kind repl); asserts zero violations, a sabotaged run of the kind caught, and for array \
-         at least four phases hit; a failure of any kind is shrunk to one line in \
+         every phase hit; a failure of any kind is shrunk to one line in \
          results/exp_torture_repro.txt (--seeds N, --repro LINE; --smoke: shorter array campaigns)";
     exp_replication: SMOKE,
         "§1, §4.1: seed plus incremental ships over a bandwidth x flap-rate grid; asserts clean links \

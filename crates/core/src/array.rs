@@ -578,8 +578,7 @@ impl FlashArray {
         );
         // The standby never heard the old primary's invalidations: keep
         // only segments the recovered table knows (ids are never reused,
-        // so those payloads are still right) and no cold slot at all — a
-        // slot may have been released and refilled since it was warmed.
+        // so those payloads are still right).
         let segments = &ctrl.segments;
         ctrl.cache
             .invalidate(|p| !segments.contains_key(&p.segment.0));
@@ -691,8 +690,9 @@ impl FlashArray {
     ///   are harmless" claim only holds for *facts*, never ownership);
     /// - every volume anchor medium exists and is writable;
     /// - every snapshot medium exists and is frozen (not writable);
-    /// - every live cold reference addresses a slot the allocator holds;
-    /// - every cached payload belongs to a location not yet freed.
+    /// - every reachable map fact, hot or cold, points inside the data
+    ///   bytes of a segment in the table;
+    /// - every cached payload belongs to a segment not yet freed.
     pub fn verify_integrity(&self) -> Vec<String> {
         let mut violations = Vec::new();
         let ctrl = &self.primary;
@@ -734,47 +734,27 @@ impl FlashArray {
                 ));
             }
         }
-        // Cold-tier invariants: no cold pseudo-segment leaks into the
-        // real segment table, and every live cold reference addresses an
-        // in-bounds slot the allocator also considers used.
-        let slot_bytes = self.cfg.cold_slot_bytes() as u64;
-        let slots_per_drive = if self.cfg.tiering_enabled() {
-            self.cfg.cold_slots_per_drive() as u64
-        } else {
-            0
-        };
-        for id in ctrl.segments.keys() {
-            if *id >= crate::tier::COLD_SEG_BASE {
-                violations.push(format!(
-                    "cold pseudo-segment {id} leaked into the segment table"
-                ));
+        // Every live reference, in both classes: a segment GC has not
+        // freed, and bytes it holds.
+        for (key, val) in ctrl.reachable_live() {
+            let pba = val.loc.pba;
+            match ctrl.segments.get(&pba.segment.0) {
+                None => violations.push(format!(
+                    "map fact {key:?} points into segment {} which is not in the table",
+                    pba.segment.0
+                )),
+                Some(seg) if pba.offset + pba.stored_len as u64 > seg.data_bytes => violations
+                    .push(format!(
+                        "map fact {key:?} points past the {} data bytes of segment {}",
+                        seg.data_bytes, pba.segment.0
+                    )),
+                Some(_) => {}
             }
         }
-        for (_key, val) in ctrl.reachable_live() {
-            let Some(d) = crate::tier::cold_drive_of(&val.loc.pba) else {
-                continue;
-            };
-            let slot = val.loc.pba.offset / slot_bytes;
-            if d >= self.cfg.cold_drives || slot >= slots_per_drive {
-                violations.push(format!(
-                    "live cold reference out of bounds: drive {d} slot {slot}"
-                ));
-            } else if !ctrl.tier.slot_used(d, slot) {
-                violations.push(format!(
-                    "live cold reference to slot {d}:{slot} the allocator considers free"
-                ));
-            }
-        }
-        // Cache invariant: a resident key names a location whose bytes
-        // are still its own — a live (or the open) segment, or a cold
-        // slot not yet released for reuse.
-        let open = ctrl.writer.open_segment().map(|s| s.id);
+        // Cache invariant: a resident key names a segment whose bytes are
+        // still its own.
         for pba in ctrl.cache.keys() {
-            let held = match crate::tier::cold_drive_of(pba) {
-                Some(d) => ctrl.tier.slot_held(d, pba.offset / slot_bytes),
-                None => ctrl.segments.contains_key(&pba.segment.0) || open == Some(pba.segment),
-            };
-            if !held {
+            if !ctrl.segments.contains_key(&pba.segment.0) {
                 violations.push(format!("cache holds a payload for freed location {pba:?}"));
             }
         }
@@ -943,9 +923,8 @@ impl FlashArray {
         let capacity = (self.cfg.aus_per_drive() * self.cfg.n_drives / self.cfg.stripe_width()
             * self.cfg.rs_data) as u64
             * self.cfg.au_bytes as u64;
-        let seg_cap =
-            (self.primary.layout.n_stripes * self.primary.layout.stripe_data_bytes()) as u64;
-        let allocated = self.primary.segment_count() as u64 * seg_cap;
+        let ctrl = &self.primary;
+        let allocated = ctrl.segments.values().map(|s| ctrl.capacity(s)).sum();
         let provisioned: u64 = self
             .primary
             .volumes()

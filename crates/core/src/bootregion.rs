@@ -350,8 +350,8 @@ impl BootRegion {
         bytes.resize(padded, 0);
         let slot = (cp.version % 2) as usize;
         let offset = slot * self.slot_bytes();
-        // Mirror writes honour the global §4.4 write pacing (at most two
-        // drives busy writing at once) so checkpoints don't spike reads.
+        // Mirror writes honour the hot group's §4.4 write pacing (at most
+        // two drives busy writing at once) so checkpoints don't spike reads.
         let mirrors: Vec<ColumnWrite<'_>> = (0..BOOT_MIRRORS.min(shelf.n_drives()))
             .filter(|&d| !shelf.drive(d).is_failed())
             .map(|d| (d, offset, bytes.as_slice()))

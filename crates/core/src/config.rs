@@ -77,9 +77,11 @@ pub struct ArrayConfig {
     pub slo_min_interval_reads: u64,
     /// Consecutive healthy intervals that close an open incident.
     pub slo_cooldown_intervals: u32,
-    /// Cold-tier drive slots behind the shelf (0 disables the tiering
-    /// engine's cold class entirely — the default for every legacy
-    /// preset, which keeps their behaviour byte-identical).
+    /// Cold-pool drive slots, numbered after the hot ones (0 disables the
+    /// tiering engine's cold class entirely — the default for every
+    /// legacy preset, which keeps their behaviour byte-identical). A cold
+    /// segment stripes across all of them, one column of parity: at
+    /// least two, at most a hot stripe's width.
     pub cold_drives: usize,
     /// Cold-tier drive geometry (ignored when `cold_drives == 0`).
     pub cold_geometry: SsdGeometry,
@@ -257,21 +259,10 @@ impl ArrayConfig {
         self.cold_drives > 0
     }
 
-    /// Cold-tier slot size: every demoted cblock lands in one fixed-size
-    /// slot, so the cold allocator is a free-slot set rather than a
-    /// second log-structured layout. Encoded cblocks are bounded by
-    /// `max_cblock_bytes` plus a small framing header (compression bails
-    /// out to raw when it would expand), so one page of slack suffices.
-    pub fn cold_slot_bytes(&self) -> usize {
-        let page = self.cold_geometry.page_size;
-        (self.max_cblock_bytes + 16).div_ceil(page) * page
-    }
-
-    /// Slots per cold drive.
-    pub fn cold_slots_per_drive(&self) -> usize {
-        let raw = self.cold_geometry.raw_bytes();
-        let usable = ((raw as f64) * (1.0 - self.ssd_over_provision)) as usize;
-        usable / self.cold_slot_bytes()
+    /// AUs per cold drive (the cold pool carries no boot region).
+    pub fn cold_aus_per_drive(&self) -> usize {
+        let raw = self.cold_geometry.raw_bytes() as f64;
+        (raw * (1.0 - self.ssd_over_provision)) as usize / self.au_bytes
     }
 
     /// Validates internal consistency; call once at array construction.
@@ -309,8 +300,19 @@ impl ArrayConfig {
             return Err("too few AUs per drive for frontier management".into());
         }
         if self.cold_drives > 0 {
-            if self.cold_slots_per_drive() == 0 {
-                return Err("cold drives too small for even one cold slot".into());
+            if self.cold_drives < 2 || self.cold_drives > self.stripe_width() {
+                return Err(format!(
+                    "{} cold drives: a cold segment needs a data column and a parity column, \
+                     and no more columns than a hot stripe",
+                    self.cold_drives
+                ));
+            }
+            if self.cold_aus_per_drive() == 0
+                || !self
+                    .write_unit_bytes
+                    .is_multiple_of(self.cold_geometry.page_size)
+            {
+                return Err("cold drives cannot hold a page-aligned AU".into());
             }
             if self.tier_interval_ns > 0 && self.tier_demote_after_ns == 0 {
                 return Err("migrator enabled without a demote-after threshold".into());
@@ -339,11 +341,7 @@ mod tests {
         assert!(!ArrayConfig::fa450().tiering_enabled());
         let t = ArrayConfig::tiered();
         assert!(t.tiering_enabled());
-        assert!(t.cold_slots_per_drive() > 0);
-        assert!(t.cold_slot_bytes() >= t.max_cblock_bytes + 16);
-        assert!(t
-            .cold_slot_bytes()
-            .is_multiple_of(t.cold_geometry.page_size));
+        assert!(t.cold_aus_per_drive() > t.frontier_aus_per_drive);
     }
 
     #[test]
@@ -378,6 +376,11 @@ mod tests {
 
         let mut c = ArrayConfig::test_small();
         c.max_cblock_bytes = c.write_unit_bytes * 2;
+        assert!(c.validate().is_err());
+
+        // A cold pool of one drive has nowhere to put parity.
+        let mut c = ArrayConfig::tiered();
+        c.cold_drives = 1;
         assert!(c.validate().is_err());
     }
 }

@@ -16,13 +16,15 @@ use crate::frontier::AuAllocator;
 use crate::medium::MediumTable;
 use crate::records::{
     encode_intent_parts, encode_meta, map_patch_records, MapFact, MediumFact, MetaIntent, MetaOp,
-    PATCH_CHUNK_FACTS,
+    SegmentFact, SegmentState,
 };
-use crate::segment::{Append, Extent, SegmentInfo, SegmentLayout, SegmentWriter};
+use crate::segment::{Append, Extent, SegmentInfo, SegmentLayout, SegmentWriter, COLD, HOT};
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
 use crate::tier::TierState;
-use crate::types::{BlockLoc, DriveId, MediumId, Pba, SegmentId, SnapshotId, VolumeId, SECTOR};
+use crate::types::{
+    AuId, BlockLoc, DriveId, MediumId, Pba, SegmentId, SnapshotId, VolumeId, SECTOR,
+};
 use parking_lot::RwLock;
 use purity_dedup::engine::{BlockFetcher, DedupEngine, Outcome};
 use purity_dedup::hash::block_hash;
@@ -170,8 +172,6 @@ pub struct Snapshot {
 pub struct Controller {
     /// Configuration (immutable).
     pub cfg: ArrayConfig,
-    pub(crate) layout: SegmentLayout,
-    pub(crate) rs: ReedSolomon,
     pub(crate) seq: SeqAllocator,
     /// The global VBA map (§4.5: "a single mapping structure for all
     /// user data, regardless of the volume").
@@ -180,9 +180,12 @@ pub struct Controller {
     pub(crate) mediums: MediumTable,
     pub(crate) volumes: BTreeMap<u64, Volume>,
     pub(crate) snapshots: BTreeMap<u64, Snapshot>,
-    pub(crate) allocator: AuAllocator,
+    /// Per device class ([`HOT`], [`COLD`]): its AU allocator.
+    pub(crate) allocators: [AuAllocator; 2],
     pub(crate) boot: BootRegion,
-    pub(crate) writer: SegmentWriter,
+    /// Per device class: its segment writer — open segment, layout and
+    /// Reed-Solomon code.
+    pub(crate) writers: [SegmentWriter; 2],
     pub(crate) dedup: DedupEngine<BlockLoc>,
     /// The DRAM read cache: decoded cblock payloads by location, LRU.
     /// Every site that frees a location a later write can reuse must
@@ -199,8 +202,7 @@ pub struct Controller {
     pub(crate) map_patches: Vec<PatchLoc>,
     /// Index of the last NVRAM record appended (for trims).
     pub(crate) last_nvram_index: Option<u64>,
-    /// Tiering engine state: heat watcher, cold-slot allocator.
-    /// Volatile — rebuilt from the map on every cold start.
+    /// Tiering engine state: the heat watcher. Volatile — it re-learns.
     pub(crate) tier: TierState,
     /// Telemetry.
     pub stats: ArrayStats,
@@ -233,48 +235,109 @@ impl Controller {
     /// first checkpoint.
     pub fn format(cfg: ArrayConfig, shelf: &mut Shelf, now: Nanos) -> Result<Self> {
         cfg.validate().map_err(PurityError::BadConfig)?;
-        let layout = SegmentLayout::from_config(&cfg);
-        let elided = Arc::new(RwLock::new(RangeTable::new()));
-        let mut ctrl = Self {
-            rs: ReedSolomon::new(cfg.rs_data, cfg.rs_parity),
-            layout,
-            seq: SeqAllocator::new(),
-            map: new_map(&elided),
-            segments: BTreeMap::new(),
-            mediums: MediumTable::new(),
-            volumes: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            allocator: AuAllocator::new(
-                cfg.n_drives,
-                cfg.aus_per_drive(),
-                cfg.frontier_aus_per_drive,
-            ),
-            boot: BootRegion::new(
-                cfg.boot_region_bytes(),
-                cfg.ssd_geometry.page_size,
-                cfg.stripe_width(),
-            ),
-            writer: SegmentWriter::new(layout, cfg.ssd_geometry.page_size),
+        let empty = Checkpoint {
+            next_segment: 1,
+            next_medium: 1,
+            next_volume: 1,
+            next_snapshot: 1,
+            ..Checkpoint::default()
+        };
+        let mut ctrl = Self::from_checkpoint(cfg, &empty, now);
+        ctrl.write_checkpoint(shelf, now)?;
+        Ok(ctrl)
+    }
+
+    /// The one constructor, for a formatted array and a recovered one
+    /// alike: the tables `cp` holds, with an empty map and fresh volatile
+    /// state — no open segments, cold caches, no heat, zeroed telemetry.
+    pub(crate) fn from_checkpoint(cfg: ArrayConfig, cp: &Checkpoint, now: Nanos) -> Self {
+        let layouts = [SegmentLayout::from_config(&cfg), SegmentLayout::cold(&cfg)];
+        let segments: BTreeMap<u64, SegmentInfo> = (cp.segment_rows.iter())
+            .map(|row| {
+                let mut info = SegmentInfo::from_fact(&SegmentFact::from_row(row));
+                // A segment the checkpoint saw open has no writer here,
+                // and its flushed stripes may reach past what the
+                // checkpoint recorded: sealed, and full.
+                if info.state == SegmentState::Open {
+                    let l = layouts[info.class(cfg.n_drives)];
+                    info.state = SegmentState::Sealed;
+                    info.data_bytes = (l.n_stripes * l.stripe_data_bytes()) as u64;
+                }
+                (info.id.0, info)
+            })
+            .collect();
+        let page = cfg.ssd_geometry.page_size;
+        let elided = RangeTable::from_pairs(&cp.elided_mediums);
+        let medium_facts: Vec<MediumFact> = cp
+            .medium_rows
+            .iter()
+            .map(|r| MediumFact::from_row(r))
+            .collect();
+        let in_use: Vec<AuId> = segments.values().flat_map(|s| s.columns.clone()).collect();
+        let (n, cold_aus) = (cfg.n_drives, cfg.cold_aus_per_drive());
+        let elided_mediums = Arc::new(RwLock::new(elided.clone()));
+        Self {
+            seq: SeqAllocator::resume_after(cp.high_seq),
+            map: new_map(&elided_mediums),
+            next_segment: cp
+                .next_segment
+                .max(segments.keys().last().map_or(0, |id| id + 1)),
+            segments,
+            mediums: MediumTable::from_facts(&medium_facts, elided),
+            volumes: (cp.volumes.iter())
+                .map(|v| {
+                    let (id, anchor) = (VolumeId(v.id), MediumId(v.anchor_medium));
+                    (
+                        v.id,
+                        Volume::new(id, v.name.clone(), v.size_sectors, anchor),
+                    )
+                })
+                .collect(),
+            snapshots: (cp.snapshots.iter())
+                .map(|s| {
+                    let snapshot = Snapshot {
+                        id: SnapshotId(s.id),
+                        volume: VolumeId(s.volume),
+                        medium: MediumId(s.medium),
+                        name: s.name.clone(),
+                    };
+                    (s.id, snapshot)
+                })
+                .collect(),
+            allocators: [
+                AuAllocator::restore(
+                    0..n,
+                    cfg.aus_per_drive(),
+                    cfg.frontier_aus_per_drive,
+                    &cp.frontier,
+                    &in_use,
+                ),
+                // The cold pool persists no frontier: its whole free set
+                // is allocatable.
+                AuAllocator::restore(n..n + cfg.cold_drives, cold_aus, cold_aus, &[], &in_use),
+            ],
+            boot: BootRegion::new(cfg.boot_region_bytes(), page, cfg.stripe_width()),
+            writers: [
+                SegmentWriter::new(layouts[HOT], page),
+                SegmentWriter::new(layouts[COLD], cfg.cold_geometry.page_size),
+            ],
             dedup: DedupEngine::new(DedupIndex::new(
                 cfg.dedup_recent_window,
                 cfg.dedup_hot_cache,
             )),
             cache: RamCache::lru(cfg.cache_bytes),
-            elided_mediums: elided,
-            next_segment: 1,
-            next_medium: 1,
-            next_volume: 1,
-            next_snapshot: 1,
-            checkpoint_version: 0,
-            map_patches: Vec::new(),
+            elided_mediums,
+            next_medium: cp.next_medium,
+            next_volume: cp.next_volume,
+            next_snapshot: cp.next_snapshot,
+            checkpoint_version: cp.version,
+            map_patches: cp.map_patches.clone(),
             last_nvram_index: None,
-            tier: TierState::new(&cfg),
+            tier: TierState::new(),
             stats: ArrayStats::default(),
             obs: Obs::with_config(cfg.obs_config(), now),
             cfg,
-        };
-        ctrl.write_checkpoint(shelf, now)?;
-        Ok(ctrl)
+        }
     }
 
     // ------------------------------------------------------------------
@@ -720,7 +783,7 @@ impl Controller {
             }
             self.stats.physical_bytes_stored += encoded.len() as u64;
 
-            Some(self.place_cblock(shelf, &encoded, now)?)
+            Some(self.place_cblock(shelf, HOT, &encoded, false, now)?.0)
         };
 
         // Map facts + dedup index records, batched into one LSM pass.
@@ -746,27 +809,29 @@ impl Controller {
         Ok(())
     }
 
-    /// Appends an encoded cblock into the open segment, handling
-    /// seal-and-reopen and frontier persistence. `use_reserve` lets
-    /// GC/metadata dig into the reserved AU headroom that user writes
-    /// may not touch — §4.10's guard against "running out of space
-    /// inside the garbage collector".
-    pub(crate) fn place_cblock_with(
+    /// Appends an encoded cblock into `class`'s open segment, handling
+    /// seal-and-reopen. Returns where it landed and when the stripe
+    /// writes it completed (`now` while it waits in the stripe buffer).
+    /// `use_reserve` lets GC/metadata dig into the reserved AU headroom
+    /// that user writes and tier moves may not touch — §4.10's guard
+    /// against "running out of space inside the garbage collector".
+    pub(crate) fn place_cblock(
         &mut self,
         shelf: &mut Shelf,
+        class: usize,
         encoded: &[u8],
         use_reserve: bool,
         now: Nanos,
-    ) -> Result<Pba> {
+    ) -> Result<(Pba, Nanos)> {
         for _ in 0..4 {
-            if self.writer.open_segment().is_none() {
-                self.open_new_segment(shelf, use_reserve, now)?;
+            if self.writers[class].open_segment().is_none() {
+                self.open_new_segment(shelf, class, use_reserve, now)?;
             }
-            let (result, _t) = self.writer.append_data(shelf, encoded, now)?;
-            self.sync_open_segment();
+            let (result, t) = self.writers[class].append_data(shelf, encoded, now)?;
+            self.sync_open_segment(class);
             match result {
-                Append::Placed(pba) => return Ok(pba),
-                Append::Full => self.seal_open_segment(shelf, now)?,
+                Append::Placed(pba) => return Ok((pba, t)),
+                Append::Full => self.seal_open_segment(shelf, class, now)?,
             }
         }
         Err(PurityError::Internal(
@@ -774,21 +839,11 @@ impl Controller {
         ))
     }
 
-    /// User-write placement: respects the reserved-AU headroom.
-    pub(crate) fn place_cblock(
-        &mut self,
-        shelf: &mut Shelf,
-        encoded: &[u8],
-        now: Nanos,
-    ) -> Result<Pba> {
-        self.place_cblock_with(shelf, encoded, false, now)
-    }
-
-    /// Keeps the in-memory segment table in sync with the writer: copies
-    /// the open segment's fill counters into the entry made when it
+    /// Keeps the in-memory segment table in sync with a writer: copies
+    /// its open segment's fill counters into the entry made when it
     /// opened (nothing else about it changes until it seals).
-    fn sync_open_segment(&mut self) {
-        let Some(open) = self.writer.open_segment() else {
+    fn sync_open_segment(&mut self, class: usize) {
+        let Some(open) = self.writers[class].open_segment() else {
             return;
         };
         let entry = self
@@ -801,9 +856,14 @@ impl Controller {
         entry.log_bytes = open.log_bytes;
     }
 
-    pub(crate) fn seal_open_segment(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<()> {
+    pub(crate) fn seal_open_segment(
+        &mut self,
+        shelf: &mut Shelf,
+        class: usize,
+        now: Nanos,
+    ) -> Result<()> {
         let seq = self.seq.next();
-        if let Some((info, _t)) = self.writer.seal(shelf, seq, now)? {
+        if let Some((info, _t)) = self.writers[class].seal(shelf, seq, now)? {
             self.segments.insert(info.id.0, info);
         }
         Ok(())
@@ -813,34 +873,47 @@ impl Controller {
     /// always delete and collect its way out (§4.10).
     pub(crate) const RESERVE_AUS: usize = 3;
 
-    /// Opens a new segment: picks stripe-width drives (rotating across
-    /// the write group, skipping failed drives), allocating one AU each.
-    /// Without `use_reserve`, drives whose available AUs are at or below
-    /// the reserve are not eligible.
+    /// Opens a new segment of `class`: picks its stripe width of the
+    /// class's drives (rotating, skipping failed drives), allocating one
+    /// AU each. Without `use_reserve`, drives whose available AUs are at
+    /// or below the reserve are not eligible.
     pub(crate) fn open_new_segment(
         &mut self,
         shelf: &mut Shelf,
+        class: usize,
         use_reserve: bool,
         now: Nanos,
     ) -> Result<()> {
-        let width = self.cfg.stripe_width();
+        let layout = self.writers[class].layout();
+        let width = layout.k + layout.m;
+        let (first, n) = if class == HOT {
+            (0, self.cfg.n_drives)
+        } else {
+            (self.cfg.n_drives, self.cfg.cold_drives)
+        };
         // Frontier discipline: persist a fresh frontier (boot-region
         // write) if any drive's persisted set ran dry (§4.3). This never
-        // trims NVRAM — a map patch may be mid-persist right now.
-        if self.allocator.any_needs_persist() {
-            self.persist_frontier(shelf, now)?;
+        // trims NVRAM — a map patch may be mid-persist right now. The
+        // cold pool persists no frontier.
+        if self.allocators[class].any_needs_persist() {
+            if class == HOT {
+                self.persist_frontier(shelf, now)?;
+            } else {
+                self.allocators[COLD].build_persist_set();
+            }
         }
-        let start = (self.next_segment as usize) % self.cfg.n_drives;
+        let start = (self.next_segment as usize) % n;
+        let allocator = &mut self.allocators[class];
         let mut columns = Vec::with_capacity(width);
-        for i in 0..self.cfg.n_drives {
-            let d: DriveId = (start + i) % self.cfg.n_drives;
+        for i in 0..n {
+            let d: DriveId = first + (start + i) % n;
             if shelf.drive(d).is_failed() {
                 continue;
             }
-            if !use_reserve && self.allocator.available(d) <= Self::RESERVE_AUS {
+            if !use_reserve && allocator.available(d) <= Self::RESERVE_AUS {
                 continue; // leave headroom for GC/metadata
             }
-            if let Some(au) = self.allocator.allocate(d) {
+            if let Some(au) = allocator.allocate(d) {
                 columns.push(au);
                 if columns.len() == width {
                     break;
@@ -850,17 +923,21 @@ impl Controller {
         if columns.len() < width {
             // Return whatever we took.
             for au in columns {
-                self.allocator.release(au);
+                allocator.release(au);
             }
             return Err(PurityError::OutOfSpace);
         }
         let id = SegmentId(self.next_segment);
         self.next_segment += 1;
-        let seq_lo = self.seq.high_water() + 1;
-        self.writer
-            .open_segment_on(shelf, id, columns, seq_lo, now)?;
-        let info = self.writer.open_segment().expect("just opened").clone();
-        self.segments.insert(id.0, info);
+        let info = SegmentInfo::open(id, columns, self.seq.high_water() + 1);
+        self.segments.insert(id.0, info.clone());
+        if class == COLD {
+            // In the durable segment table before a byte of it is
+            // written: recovery learns cold segments from the checkpoint
+            // alone and never probes a cold AU.
+            self.persist_frontier(shelf, now)?;
+        }
+        self.writers[class].open_segment_on(shelf, info, now)?;
         Ok(())
     }
 
@@ -1162,9 +1239,8 @@ impl Controller {
             shelf,
             cache: &mut self.cache,
             segments: &self.segments,
-            writer: &self.writer,
-            layout: &self.layout,
-            rs: &self.rs,
+            writers: &self.writers,
+            n_hot: self.cfg.n_drives,
             read_around: self.cfg.read_around_writes,
             stats: &mut self.stats,
             now,
@@ -1176,15 +1252,18 @@ impl Controller {
     // Persistence: patch flush + checkpoint (§4.3, Figure 4).
     // ------------------------------------------------------------------
 
-    /// Flushes the map memtable into a patch and persists it as a log
+    /// Flushes the map memtable into a patch and persists it as one log
     /// record in the open segment.
     pub fn flush_map_patch(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<()> {
         if self.map.memtable_facts() == 0 {
             return Ok(());
         }
-        // Data referenced by these facts must be durable first.
-        self.writer.pad_flush_data(shelf, now)?;
-        self.sync_open_segment();
+        // Data referenced by these facts must be durable first, in both
+        // classes.
+        for class in [HOT, COLD] {
+            self.writers[class].pad_flush_data(shelf, now)?;
+            self.sync_open_segment(class);
+        }
         let patch = self.map.flush().expect("memtable non-empty");
         let rows: Vec<[u64; MapFact::COLS]> = patch
             .iter()
@@ -1199,14 +1278,7 @@ impl Controller {
                 .to_row_fixed()
             })
             .collect();
-        // One record — unless it would outgrow a whole segment's log
-        // space, as the memtable a recovery refilled with every on-disk
-        // fact can; then the patch splits the way GC's rewrite does.
-        let mut records: Vec<Vec<u8>> = map_patch_records(&rows, rows.len()).collect();
-        if records[0].len() > self.layout.n_stripes * self.layout.log_stripe_payload() {
-            records = map_patch_records(&rows, PATCH_CHUNK_FACTS).collect();
-        }
-        for bytes in records {
+        for bytes in map_patch_records(&rows, rows.len()) {
             let loc = self.append_log_record(shelf, &bytes, now)?;
             self.map_patches.push(loc);
         }
@@ -1221,15 +1293,15 @@ impl Controller {
         now: Nanos,
     ) -> Result<PatchLoc> {
         for _ in 0..4 {
-            if self.writer.open_segment().is_none() {
+            if self.writers[HOT].open_segment().is_none() {
                 // Metadata may dig into the reserve.
-                self.open_new_segment(shelf, true, now)?;
+                self.open_new_segment(shelf, HOT, true, now)?;
             }
-            let (placed, full) = self.writer.append_log(shelf, bytes, now)?;
+            let (placed, full) = self.writers[HOT].append_log(shelf, bytes, now)?;
             if let Some((offset, _t)) = placed {
-                self.writer.flush_log(shelf, now)?;
-                self.sync_open_segment();
-                let segment = self.writer.open_segment().expect("open").id.0;
+                self.writers[HOT].flush_log(shelf, now)?;
+                self.sync_open_segment(HOT);
+                let segment = self.writers[HOT].open_segment().expect("open").id.0;
                 return Ok(PatchLoc {
                     segment,
                     log_offset: offset,
@@ -1237,19 +1309,19 @@ impl Controller {
                 });
             }
             if full {
-                self.seal_open_segment(shelf, now)?;
+                self.seal_open_segment(shelf, HOT, now)?;
             }
         }
         Err(PurityError::Internal("could not append log record".into()))
     }
 
-    /// Writes a frontier-refresh checkpoint *without* trimming NVRAM.
-    /// Used mid-operation (e.g. while a map patch is in flight inside a
-    /// segment open) where trimming would orphan un-persisted facts.
+    /// Writes a boot record *without* trimming NVRAM, so it is safe
+    /// mid-operation (a map patch may be in flight): the frontier refresh
+    /// when the hot allocator ran dry, and what makes a new cold segment
+    /// durable before its first write.
     pub(crate) fn persist_frontier(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Nanos> {
         self.checkpoint_version += 1;
-        let frontier = self.allocator.build_persist_set();
-        let cp = self.build_checkpoint(frontier);
+        let cp = self.build_checkpoint();
         self.boot.write(shelf, &cp, now)
     }
 
@@ -1262,25 +1334,24 @@ impl Controller {
         // is covered by the flush below.
         let trim_to = self.last_nvram_index;
         self.flush_map_patch(shelf, now)?;
-        self.checkpoint_version += 1;
-        let frontier = if self.allocator.any_needs_persist() {
-            self.allocator.build_persist_set()
-        } else {
-            self.allocator.snapshot_persisted()
-        };
-        let cp = self.build_checkpoint(frontier);
-        let t = self.boot.write(shelf, &cp, now)?;
+        let t = self.persist_frontier(shelf, now)?;
         if let Some(idx) = trim_to {
             shelf.nvram_trim(idx)?;
         }
-        // The boot record is durable: cold slots whose last reference was
-        // superseded by now-durable facts may re-enter the allocator.
-        self.release_pending_cold(shelf);
         self.stats.checkpoints += 1;
         Ok(t)
     }
 
-    fn build_checkpoint(&self, frontier: Vec<u64>) -> Checkpoint {
+    /// The checkpoint of the current tables, topping the hot frontier up
+    /// first if any drive's persisted set ran dry.
+    fn build_checkpoint(&mut self) -> Checkpoint {
+        let hot = &mut self.allocators[HOT];
+        let frontier = if hot.any_needs_persist() {
+            hot.build_persist_set()
+        } else {
+            hot.snapshot_persisted()
+        };
+        let width = self.cfg.stripe_width();
         Checkpoint {
             version: self.checkpoint_version,
             watermark: self.seq.high_water(),
@@ -1290,10 +1361,8 @@ impl Controller {
             next_volume: self.next_volume,
             next_snapshot: self.next_snapshot,
             frontier,
-            segment_rows: self
-                .segments
-                .values()
-                .map(|s| s.to_fact().to_row())
+            segment_rows: (self.segments.values())
+                .map(|s| s.to_fact().to_row(width))
                 .collect(),
             medium_rows: self
                 .mediums
@@ -1343,8 +1412,8 @@ impl Controller {
         self.seq.high_water()
     }
 
-    /// Writes every controller-owned series — data path, tiering
-    /// engine, map pyramid — into `out`.
+    /// Writes every controller-owned series — data path, per-volume
+    /// reads, map pyramid — into `out`.
     pub(crate) fn collect<'a>(&'a self, out: &mut Frame<'a>) {
         self.stats.collect(out);
         let (hits, misses, evictions) = self.cache.stats();
@@ -1678,9 +1747,8 @@ pub(crate) struct CtrlFetcher<'a> {
     shelf: &'a mut Shelf,
     cache: &'a mut RamCache<Pba>,
     segments: &'a BTreeMap<u64, SegmentInfo>,
-    writer: &'a SegmentWriter,
-    layout: &'a SegmentLayout,
-    rs: &'a ReedSolomon,
+    writers: &'a [SegmentWriter; 2],
+    n_hot: DriveId,
     read_around: bool,
     stats: &'a mut ArrayStats,
     now: Nanos,
@@ -1701,19 +1769,7 @@ impl CtrlFetcher<'_> {
                 done: now,
             });
         }
-        let (raw, done) = if crate::tier::cold_drive_of(pba).is_some() {
-            // Cold-resident cblock: one contiguous slot read off the QLC
-            // pool, no striping, no parity — the read pays the full
-            // device penalty.
-            let (raw, t) = Controller::read_cold_cblock(self.shelf, pba, now)?;
-            self.stats.cold_reads += 1;
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.stage("cold_read", now, t);
-            }
-            (raw, t)
-        } else {
-            self.read_stored(pba, trace)?
-        };
+        let (raw, done) = self.read_stored(pba, trace)?;
         let payload =
             Arc::new(purity_compress::decompress(&raw).map_err(|e| {
                 PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e))
@@ -1726,9 +1782,9 @@ impl CtrlFetcher<'_> {
         })
     }
 
-    /// Reads a flash-resident cblock's stored bytes. A cblock in the open
-    /// segment may straddle the flush boundary: head bytes already on
-    /// flash, tail still in the pending DRAM buffer.
+    /// Reads a cblock's stored bytes off its segment, in either class.
+    /// A cblock in an open segment may straddle the flush boundary: head
+    /// bytes already on flash, tail still in the pending DRAM buffer.
     fn read_stored(
         &mut self,
         pba: &Pba,
@@ -1736,13 +1792,18 @@ impl CtrlFetcher<'_> {
     ) -> Result<(Vec<u8>, Nanos)> {
         let now = self.now;
         let len = pba.stored_len as usize;
-        let flash_len = match self.writer.flushed_boundary(pba.segment) {
+        let info = self
+            .segments
+            .get(&pba.segment.0)
+            .ok_or_else(|| PurityError::Internal(format!("unknown segment {:?}", pba.segment)))?;
+        let class = info.class(self.n_hot);
+        let writer = &self.writers[class];
+        let flash_len = match writer.flushed_boundary(pba.segment) {
             Some(boundary) => (boundary.saturating_sub(pba.offset) as usize).min(len),
             None => len,
         };
         if flash_len == 0 {
-            let bytes = self
-                .writer
+            let bytes = writer
                 .read_pending(pba.segment, pba.offset, len)
                 .ok_or_else(|| PurityError::Internal(format!("pending read miss at {:?}", pba)))?;
             if let Some(tr) = trace.as_deref_mut() {
@@ -1750,30 +1811,32 @@ impl CtrlFetcher<'_> {
             }
             return Ok((bytes, now));
         }
-        let info = self
-            .segments
-            .get(&pba.segment.0)
-            .ok_or_else(|| PurityError::Internal(format!("unknown segment {:?}", pba.segment)))?;
         // Reading around a write buys latency for the op that waits on
         // the read. A fetch that carries no op's trace — GC or tier
         // relocation, dedup verification — has nobody waiting: a rebuild
         // would spend k reads to save time no one is counting.
         let read_around = self.read_around && trace.is_some();
+        // A cold read is charged to the tier, one span for all of it.
+        let mut extent_trace = if class == HOT {
+            trace.as_deref_mut()
+        } else {
+            None
+        };
         // The first extent's bytes become the buffer: most cblocks are
         // one extent, and need no second copy.
         let mut buf = Vec::new();
         let mut done = now;
-        for ext in self.layout.data_extents(pba.offset, flash_len) {
+        for ext in writer.layout().data_extents(pba.offset, flash_len) {
             let (bytes, t) = read_extent(
                 self.shelf,
                 info,
-                self.layout,
-                self.rs,
+                writer.layout(),
+                writer.rs(),
                 read_around,
                 self.stats,
                 &ext,
                 now,
-                trace.as_deref_mut(),
+                extent_trace.as_deref_mut(),
             )?;
             done = done.max(t);
             if buf.is_empty() {
@@ -1782,9 +1845,14 @@ impl CtrlFetcher<'_> {
                 buf.extend_from_slice(&bytes);
             }
         }
+        if class == COLD {
+            self.stats.cold_reads += 1;
+            if let Some(tr) = trace {
+                tr.stage("cold_read", now, done);
+            }
+        }
         if flash_len < len {
-            let tail = self
-                .writer
+            let tail = writer
                 .read_pending(pba.segment, pba.offset + flash_len as u64, len - flash_len)
                 .ok_or_else(|| PurityError::Internal(format!("pending tail miss at {:?}", pba)))?;
             buf.extend_from_slice(&tail);

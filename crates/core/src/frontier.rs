@@ -6,9 +6,14 @@
 //! *speculative* set (an approximation of the next frontier) is persisted
 //! alongside, so most refreshes need no boot-region write — which is how
 //! frontier writes stay "well under 1% of writes".
+//!
+//! Each device class has its own allocator over its own drives. Only the
+//! hot one's frontier is persisted: a cold segment is entered in the
+//! checkpoint before it is written, so recovery never scans a cold AU.
 
 use crate::types::{AuId, DriveId};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Allocation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,6 +37,8 @@ struct DriveAlloc {
 /// The per-drive AU allocator with frontier-set discipline.
 #[derive(Debug)]
 pub struct AuAllocator {
+    /// The first drive id this allocator serves.
+    first: DriveId,
     drives: Vec<DriveAlloc>,
     /// Frontier AUs per drive per persist (the speculative set doubles it).
     frontier_per_drive: usize,
@@ -39,11 +46,13 @@ pub struct AuAllocator {
 }
 
 impl AuAllocator {
-    /// Creates an allocator with every AU free and an empty persisted
-    /// set (callers must persist a frontier before allocating).
-    pub fn new(n_drives: usize, aus_per_drive: usize, frontier_per_drive: usize) -> Self {
+    /// Creates an allocator over `drives` with every AU free and an
+    /// empty persisted set (callers must persist a frontier before
+    /// allocating).
+    pub fn new(drives: Range<DriveId>, aus_per_drive: usize, frontier_per_drive: usize) -> Self {
         Self {
-            drives: (0..n_drives)
+            first: drives.start,
+            drives: drives
                 .map(|_| DriveAlloc {
                     free: (0..aus_per_drive as u32).collect(),
                     persisted: VecDeque::new(),
@@ -58,19 +67,19 @@ impl AuAllocator {
     /// when the persisted set is exhausted — the caller must persist a
     /// new frontier (boot-region write) and retry.
     pub fn allocate(&mut self, drive: DriveId) -> Option<AuId> {
-        let index = self.drives[drive].persisted.pop_front()?;
+        let index = self.drives[drive - self.first].persisted.pop_front()?;
         self.stats.allocated += 1;
         Some(AuId { drive, index })
     }
 
     /// True if `drive`'s persisted set is too thin to open a segment.
     pub fn needs_persist(&self, drive: DriveId) -> bool {
-        self.drives[drive].persisted.is_empty()
+        self.drives[drive - self.first].persisted.is_empty()
     }
 
     /// Whether any drive needs a frontier persist.
     pub fn any_needs_persist(&self) -> bool {
-        (0..self.drives.len()).any(|d| self.needs_persist(d))
+        self.drives.iter().any(|d| d.persisted.is_empty())
     }
 
     /// Promotes free AUs into the persisted set (frontier + speculative =
@@ -95,8 +104,8 @@ impl AuAllocator {
     pub fn snapshot_persisted(&self) -> Vec<u64> {
         self.drives
             .iter()
-            .enumerate()
-            .flat_map(|(drive, d)| {
+            .zip(self.first..)
+            .flat_map(|(d, drive)| {
                 d.persisted
                     .iter()
                     .map(move |&index| AuId { drive, index }.pack())
@@ -106,48 +115,48 @@ impl AuAllocator {
 
     /// Returns a freed AU (GC) to the free pool.
     pub fn release(&mut self, au: AuId) {
-        self.drives[au.drive].free.push_back(au.index);
+        self.drives[au.drive - self.first].free.push_back(au.index);
         self.stats.released += 1;
     }
 
     /// Free + persisted AUs on a drive.
     pub fn available(&self, drive: DriveId) -> usize {
-        self.drives[drive].free.len() + self.drives[drive].persisted.len()
+        let d = &self.drives[drive - self.first];
+        d.free.len() + d.persisted.len()
     }
 
     /// Rebuilds allocator state at recovery: `persisted` is the frontier
     /// snapshot from the checkpoint; `in_use` are AUs owned by live
-    /// segments. Everything else is free.
+    /// segments (those on other drives are ignored). Everything else is
+    /// free.
     pub fn restore(
-        n_drives: usize,
+        drives: Range<DriveId>,
         aus_per_drive: usize,
         frontier_per_drive: usize,
         persisted: &[u64],
         in_use: &[AuId],
     ) -> Self {
-        let mut a = Self::new(n_drives, aus_per_drive, frontier_per_drive);
-        let mut taken = vec![std::collections::BTreeSet::new(); n_drives];
-        for au in in_use {
-            taken[au.drive].insert(au.index);
+        let mut a = Self::new(drives.clone(), aus_per_drive, frontier_per_drive);
+        for au in persisted.iter().map(|&p| AuId::unpack(p)) {
+            a.claim(au);
+            a.drives[au.drive - drives.start]
+                .persisted
+                .push_back(au.index);
         }
-        let persisted_set: Vec<AuId> = persisted.iter().map(|&p| AuId::unpack(p)).collect();
-        for au in &persisted_set {
-            taken[au.drive].insert(au.index);
-        }
-        for (drive, d) in a.drives.iter_mut().enumerate() {
-            d.free = (0..aus_per_drive as u32)
-                .filter(|i| !taken[drive].contains(i))
-                .collect();
-            d.persisted.clear();
-        }
-        for au in persisted_set {
-            // AUs in the persisted frontier that live segments consumed
-            // stay consumed.
-            if !in_use.contains(&au) {
-                a.drives[au.drive].persisted.push_back(au.index);
-            }
+        // AUs in the persisted frontier that live segments consumed stay
+        // consumed.
+        for au in in_use.iter().filter(|au| drives.contains(&au.drive)) {
+            a.claim(*au);
         }
         a
+    }
+
+    /// Takes `au` out of the free and persisted sets: recovery found a
+    /// segment on it that the checkpoint did not list.
+    pub fn claim(&mut self, au: AuId) {
+        let d = &mut self.drives[au.drive - self.first];
+        d.persisted.retain(|&i| i != au.index);
+        d.free.retain(|&i| i != au.index);
     }
 
     /// Allocation counters.
@@ -162,7 +171,7 @@ mod tests {
 
     #[test]
     fn allocation_requires_a_persisted_frontier() {
-        let mut a = AuAllocator::new(2, 16, 4);
+        let mut a = AuAllocator::new(0..2, 16, 4);
         assert!(a.needs_persist(0));
         assert_eq!(a.allocate(0), None);
         a.build_persist_set();
@@ -172,7 +181,7 @@ mod tests {
 
     #[test]
     fn persisted_set_covers_frontier_plus_speculative() {
-        let mut a = AuAllocator::new(1, 32, 4);
+        let mut a = AuAllocator::new(0..1, 32, 4);
         let snap = a.build_persist_set();
         assert_eq!(snap.len(), 8, "frontier(4) + speculative(4)");
         // 8 allocations succeed without another persist.
@@ -184,7 +193,7 @@ mod tests {
 
     #[test]
     fn frontier_writes_are_rare_relative_to_allocations() {
-        let mut a = AuAllocator::new(4, 1024, 64);
+        let mut a = AuAllocator::new(0..4, 1024, 64);
         let mut allocations = 0u64;
         for _ in 0..3000 {
             let d = (allocations % 4) as usize;
@@ -208,7 +217,7 @@ mod tests {
 
     #[test]
     fn release_recycles_aus() {
-        let mut a = AuAllocator::new(1, 4, 2);
+        let mut a = AuAllocator::new(0..1, 4, 2);
         a.build_persist_set();
         let got: Vec<AuId> = (0..4).map(|_| a.allocate(0).unwrap()).collect();
         assert_eq!(a.allocate(0), None);
@@ -226,7 +235,7 @@ mod tests {
             AuId { drive: 0, index: 2 }.pack(),
             AuId { drive: 0, index: 3 }.pack(),
         ];
-        let mut a = AuAllocator::restore(1, 8, 2, &persisted, &in_use);
+        let mut a = AuAllocator::restore(0..1, 8, 2, &persisted, &in_use);
         // Persisted AUs allocatable immediately.
         assert_eq!(a.allocate(0), Some(AuId { drive: 0, index: 2 }));
         assert_eq!(a.allocate(0), Some(AuId { drive: 0, index: 3 }));
@@ -240,10 +249,50 @@ mod tests {
     fn restore_drops_persisted_aus_already_consumed() {
         let au = AuId { drive: 0, index: 2 };
         let persisted = [au.pack()];
-        let mut a = AuAllocator::restore(1, 4, 2, &persisted, &[au]);
+        let mut a = AuAllocator::restore(0..1, 4, 2, &persisted, &[au]);
         // The AU is in use; it must not be allocatable again.
         assert_eq!(a.allocate(0), None);
         let snap = a.build_persist_set();
         assert!(!snap.contains(&au.pack()));
+    }
+
+    #[test]
+    fn an_allocator_serves_only_its_own_drives() {
+        let hot = AuId { drive: 0, index: 1 };
+        let cold = AuId {
+            drive: 11,
+            index: 0,
+        };
+        let mut a = AuAllocator::restore(11..13, 4, 4, &[], &[hot, cold]);
+        assert!(a.needs_persist(11));
+        let snap = a.build_persist_set();
+        assert_eq!(snap.len(), 7, "AU 0 of drive 11 is in use");
+        assert!(snap.contains(
+            &AuId {
+                drive: 12,
+                index: 0
+            }
+            .pack()
+        ));
+        assert_eq!(
+            a.allocate(11),
+            Some(AuId {
+                drive: 11,
+                index: 1
+            })
+        );
+        a.release(cold);
+        assert_eq!(a.available(11), 3);
+        a.claim(AuId {
+            drive: 12,
+            index: 0,
+        });
+        assert_eq!(
+            a.allocate(12),
+            Some(AuId {
+                drive: 12,
+                index: 1
+            })
+        );
     }
 }

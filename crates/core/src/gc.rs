@@ -18,10 +18,15 @@
 //! * flattens the map pyramid and rewrites it as a compact patch set,
 //!   bounding recovery work;
 //! * shortcuts medium chains so reads touch ≤ 3 cblocks (§4.6).
+//!
+//! GC runs over both device classes: a cold segment's live cblocks are
+//! relocated into the cold open segment, and its AUs go back to the
+//! cold allocator — the only way cold space is ever freed.
 
 use crate::controller::{encode_cblock, Controller, MapKey, MapVal};
 use crate::error::Result;
 use crate::records::{map_patch_records, MapFact, SegmentState, PATCH_CHUNK_FACTS};
+use crate::segment::{SegmentInfo, HOT};
 use crate::shelf::Shelf;
 use crate::types::{BlockLoc, MediumId, Pba, SECTOR};
 use purity_dedup::engine::Outcome;
@@ -113,22 +118,23 @@ impl Controller {
             *seg_live_bytes.entry(pba.segment.0).or_default() += pba.stored_len as u64;
         }
 
-        // ---- Victim selection. ---------------------------------------
-        let open_id = self.writer.open_segment().map(|s| s.id.0);
+        // ---- Victim selection, in both classes. -----------------------
+        let open: Vec<u64> = (self.writers.iter())
+            .filter_map(|w| w.open_segment().map(|s| s.id.0))
+            .collect();
         let protected: HashSet<u64> = self.map_patches.iter().map(|p| p.segment).collect();
-        let capacity = (self.layout.n_stripes * self.layout.stripe_data_bytes()) as u64;
         // Ascending (segment-table order): membership is a binary search.
         let victims: Vec<u64> = self
             .segments
             .values()
             .filter(|s| {
                 s.state == SegmentState::Sealed
-                    && Some(s.id.0) != open_id
+                    && !open.contains(&s.id.0)
                     && !protected.contains(&s.id.0)
             })
             .filter(|s| {
                 let live = seg_live_bytes.get(&s.id.0).copied().unwrap_or(0);
-                (live as f64) < capacity as f64 * self.cfg.gc_occupancy_threshold
+                (live as f64) < self.capacity(s) as f64 * self.cfg.gc_occupancy_threshold
             })
             .map(|s| s.id.0)
             .collect();
@@ -150,11 +156,11 @@ impl Controller {
         if !shared.is_empty() {
             // Segregation boundary: dedup-heavy data goes to fresh
             // segments of its own.
-            self.seal_open_segment(shelf, now)?;
+            self.seal_open_segment(shelf, HOT, now)?;
             for refs in &shared {
                 self.relocate_cblock(shelf, refs, &victims, &mut report, now)?;
             }
-            self.seal_open_segment(shelf, now)?;
+            self.seal_open_segment(shelf, HOT, now)?;
         }
 
         // ---- Map maintenance: flush, flatten, compact patch set. -----
@@ -178,19 +184,27 @@ impl Controller {
                 None => continue,
             };
             self.cache.invalidate(|p| p.segment == info.id);
+            let class = info.class(self.cfg.n_drives);
+            let layout = *self.writers[class].layout();
             for au in &info.columns {
-                let off = self.layout.au_byte_offset(au.index);
+                let off = layout.au_byte_offset(au.index);
                 // Trim is advisory; a failed drive's AU is released anyway.
-                let _ = shelf.trim_drive(au.drive, off, self.layout.au_bytes);
-                self.allocator.release(*au);
+                let _ = shelf.trim_drive(au.drive, off, layout.au_bytes);
+                self.allocators[class].release(*au);
             }
             report.segments_freed += 1;
-            report.bytes_freed += capacity;
+            report.bytes_freed += self.capacity(&info);
         }
         self.stats.gc_passes += 1;
         self.stats.gc_segments_freed += report.segments_freed as u64;
         self.stats.gc_bytes_relocated += report.bytes_relocated;
         Ok(report)
+    }
+
+    /// Data bytes a segment of `info`'s class holds when full.
+    pub(crate) fn capacity(&self, info: &SegmentInfo) -> u64 {
+        let layout = self.writers[info.class(self.cfg.n_drives)].layout();
+        (layout.n_stripes * layout.stripe_data_bytes()) as u64
     }
 
     /// Computes the reachable-live fact set: for every user-visible root
@@ -304,8 +318,8 @@ impl Controller {
         }
     }
 
-    /// Relocates one live cblock of a GC victim into the open segment,
-    /// re-running dedup over its payload (§4.7).
+    /// Relocates one live cblock of a GC victim into the open segment of
+    /// the victim's class, re-running dedup over its payload (§4.7).
     fn relocate_cblock(
         &mut self,
         shelf: &mut Shelf,
@@ -314,6 +328,7 @@ impl Controller {
         report: &mut GcReport,
         now: Nanos,
     ) -> Result<()> {
+        let class = self.class_of(&refs[0].1.loc.pba);
         let moved = self.relocate(
             shelf,
             refs,
@@ -321,7 +336,7 @@ impl Controller {
             now,
             None,
             // GC may dig into the reserved AU headroom.
-            |ctrl, shelf, encoded| ctrl.place_cblock_with(shelf, encoded, true, now),
+            |ctrl, shelf, encoded| Ok(ctrl.place_cblock(shelf, class, encoded, true, now)?.0),
         )?;
         report.bytes_relocated += moved.payload_bytes;
         report.gc_dedup_sectors += moved.dedup_sectors;
@@ -335,8 +350,8 @@ impl Controller {
 
     /// The one relocation primitive — GC, demotion and promotion all
     /// move a cblock through here: fetch it, decide the bytes to place,
-    /// hand them to `place`, and repoint every referencing key at the
-    /// new location with one fresh-seq batch.
+    /// hand them to `place` (which picks the class), and repoint every
+    /// referencing key at the new location with one fresh-seq batch.
     ///
     /// Relocation is a copy. The fetch always decodes (that is the
     /// move's integrity check and the dedup pass's input), but when
@@ -610,7 +625,9 @@ impl Controller {
 
 #[cfg(test)]
 mod tests {
+    use crate::controller::MapVal;
     use crate::fault::{FaultEvent, FaultOutcome};
+    use crate::types::{BlockLoc, Pba};
     use crate::{ArrayConfig, FlashArray};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -638,9 +655,10 @@ mod tests {
         let ctrl = a.controller();
         let anchor = ctrl.volumes[&keep.0].anchor;
         let pba = ctrl.resolve_sector(anchor, 0).unwrap().loc.pba;
-        let ext = ctrl.layout.data_extents(pba.offset, 1)[0];
+        let layout = ctrl.writers[crate::segment::HOT].layout();
+        let ext = layout.data_extents(pba.offset, 1)[0];
         let au = ctrl.segments[&pba.segment.0].columns[ext.column];
-        let offset = ctrl.layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+        let offset = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
         let outcome = a.apply_fault(&FaultEvent::CorruptAt {
             drive: au.drive,
             offset,
@@ -660,5 +678,47 @@ mod tests {
         let (back, _) = a.read(keep, 0, keep_data.len()).unwrap();
         assert!(back == keep_data, "relocated data differs");
         assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A live map fact into a segment GC has freed is a violation: the
+    /// one rule over every reachable reference, hot or cold, catches it.
+    #[test]
+    fn a_fact_into_a_freed_segment_is_a_violation() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let keep = a.create_volume("keep", 2 << 20).unwrap();
+        let kill = a.create_volume("kill", 16 << 20).unwrap();
+        a.write(keep, 0, &[7u8; 64 * 1024]).unwrap();
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut chunk = vec![0u8; 256 * 1024];
+        for i in 0..24u64 {
+            rng.fill(&mut chunk[..]);
+            a.write(kill, i * 256 * 1024, &chunk).unwrap();
+        }
+        a.destroy_volume(kill).unwrap();
+        let before: Vec<u64> = a.controller().segments.keys().copied().collect();
+        a.run_gc().unwrap();
+        assert!(a.verify_integrity().is_empty());
+        let (ctrl, _) = a.controller_and_shelf();
+        let freed = *before
+            .iter()
+            .find(|id| !ctrl.segments.contains_key(id))
+            .expect("GC freed a segment");
+        let pba = Pba {
+            segment: crate::types::SegmentId(freed),
+            offset: 0,
+            stored_len: 4096,
+        };
+        let anchor = ctrl.volumes[&keep.0].anchor;
+        let val = MapVal {
+            loc: BlockLoc { pba, sector: 0 },
+            deduped: false,
+        };
+        let seq = ctrl.seq.next();
+        ctrl.map.insert((anchor.0, 0), val, seq);
+        let violations = a.verify_integrity();
+        assert!(
+            violations.iter().any(|v| v.contains("not in the table")),
+            "{violations:?}"
+        );
     }
 }

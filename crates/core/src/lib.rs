@@ -47,5 +47,5 @@ pub use error::{PurityError, Result};
 pub use fault::{AppliedFault, FaultEvent, FaultOutcome, FaultPlan};
 pub use recovery::{RecoveryOptions, RecoveryReport, ScanMode};
 pub use shelf::CrashTarget;
-pub use tier::{ExecutedMove, TierTickReport};
+pub use tier::ExecutedMove;
 pub use types::{MediumId, SnapshotId, VolumeId, SECTOR};

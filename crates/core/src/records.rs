@@ -199,14 +199,18 @@ impl SegmentState {
     }
 }
 
+/// The value of a column slot a narrower segment leaves empty: a cold
+/// segment has one column per cold drive, fewer than a hot stripe.
+const NO_COLUMN: u64 = u64::MAX;
+
 impl SegmentFact {
     /// Page arity for a given stripe width.
     pub fn cols(stripe_width: usize) -> usize {
         7 + stripe_width
     }
 
-    /// Encodes to a page row.
-    pub fn to_row(&self) -> Vec<u64> {
+    /// Encodes to a page row of [`SegmentFact::cols`]`(stripe_width)`.
+    pub fn to_row(&self, stripe_width: usize) -> Vec<u64> {
         let mut row = vec![
             self.segment.0,
             self.state.to_u64(),
@@ -217,6 +221,7 @@ impl SegmentFact {
             self.log_bytes,
         ];
         row.extend_from_slice(&self.columns);
+        row.resize(Self::cols(stripe_width), NO_COLUMN);
         row
     }
 
@@ -230,7 +235,7 @@ impl SegmentFact {
             data_stripes: r[4],
             log_stripes: r[5],
             log_bytes: r[6],
-            columns: r[7..].to_vec(),
+            columns: r[7..].iter().copied().filter(|&c| c != NO_COLUMN).collect(),
         }
     }
 }
@@ -280,13 +285,13 @@ pub fn encode_log_record(rec: &LogRecord, out: &mut Vec<u8>) {
     );
 }
 
-/// Facts per map-patch record when a patch is split (bounds log-record
-/// size so a record always fits a segment's log space).
+/// Facts per map-patch record when GC rewrites the map (bounds
+/// log-record size so a record always fits a segment's log space).
 pub(crate) const PATCH_CHUNK_FACTS: usize = 8192;
 
 /// Encodes map-fact rows as patch log records of at most `chunk` facts
 /// each, in row order — the one encoder behind both the memtable flush
-/// and GC's patch rewrite.
+/// (one record) and GC's patch rewrite.
 pub(crate) fn map_patch_records(
     rows: &[[u64; MapFact::COLS]],
     chunk: usize,
@@ -897,9 +902,17 @@ mod tests {
             log_bytes: 4096,
             seq: 88,
         };
-        let row = f.to_row();
+        let row = f.to_row(9);
         assert_eq!(row.len(), SegmentFact::cols(9));
         assert_eq!(SegmentFact::from_row(&row), f);
+        // A narrower (cold) segment pads to the checkpoint's arity.
+        let mirror = SegmentFact {
+            columns: vec![11 << 32, 12 << 32],
+            ..f
+        };
+        let row = mirror.to_row(9);
+        assert_eq!(row.len(), SegmentFact::cols(9));
+        assert_eq!(SegmentFact::from_row(&row), mirror);
     }
 
     #[test]

@@ -10,38 +10,28 @@
 //!    segment, forcing a scan of every AU header; the frontier set
 //!    restricts the scan to the AUs the allocator was allowed to use —
 //!    the paper's 12 s → 0.1 s startup-scan win, reproduced by
-//!    [`ScanMode`].
+//!    [`ScanMode`]. Cold segments are never scanned: each is in the
+//!    checkpoint before its first write. The map patches loaded stay
+//!    patches — recovery writes nothing back.
 //! 3. **NVRAM** — write/meta intents newer than what 1+2 made durable,
 //!    replayed through the normal code paths. Facts are immutable, so
 //!    replaying something already durable would be harmless; the seq
 //!    watermarks just avoid the wasted work (§4.3: "inserting stale or
 //!    duplicate records is harmless").
 
-use crate::bootregion::BootRegion;
+use crate::bootregion::{BootRegion, PatchLoc};
 use crate::config::ArrayConfig;
-use crate::controller::{new_map, Controller, MapKey, MapVal};
+use crate::controller::{read_extent, Controller, MapKey, MapVal};
 use crate::error::{PurityError, Result};
-use crate::frontier::AuAllocator;
-use crate::medium::MediumTable;
 use crate::records::{
-    decode_log_record, decode_nvram_entry, MapFact, MediumFact, NvramEntry, SegmentFact,
-    SegmentState, TableId,
+    decode_log_record, decode_nvram_entry, LogRecord, MapFact, NvramEntry, SegmentState, TableId,
 };
-use crate::segment::{
-    AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentWriter, LOG_STRIPE_MAGIC,
-};
+use crate::segment::{AuHeader, Extent, SegmentInfo, HOT, LOG_STRIPE_MAGIC};
 use crate::shelf::Shelf;
-use crate::stats::ArrayStats;
 use crate::types::{AuId, SegmentId};
-use parking_lot::RwLock;
-use purity_dedup::engine::DedupEngine;
-use purity_dedup::index::DedupIndex;
-use purity_ecc::ReedSolomon;
-use purity_format::RangeTable;
-use purity_lsm::{Pyramid, Seq, SeqAllocator};
+use purity_lsm::{Seq, SeqAllocator};
 use purity_sim::Nanos;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// How the log-record scan chooses candidate AUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,11 +116,8 @@ impl Controller {
         opts: RecoveryOptions,
         now: Nanos,
     ) -> Result<(Self, RecoveryReport)> {
-        let mode = opts.mode;
         cfg.validate().map_err(PurityError::BadConfig)?;
         let mut report = RecoveryReport::default();
-        let layout = SegmentLayout::from_config(&cfg);
-        let rs = ReedSolomon::new(cfg.rs_data, cfg.rs_parity);
         let boot = BootRegion::new(
             cfg.boot_region_bytes(),
             cfg.ssd_geometry.page_size,
@@ -138,71 +125,30 @@ impl Controller {
         );
         let (cp, mut done) = boot.read(shelf, now)?;
 
-        // --- 1. Rebuild small tables from the checkpoint. -------------
-        let mut segments: BTreeMap<u64, SegmentInfo> = BTreeMap::new();
-        for row in &cp.segment_rows {
-            let mut info = SegmentInfo::from_fact(&SegmentFact::from_row(row));
-            // The open segment's DRAM tail died with the old controller;
-            // what its flushed stripes hold is intact. Treat it as sealed.
-            if info.state == SegmentState::Open {
-                info.state = SegmentState::Sealed;
-            }
-            segments.insert(info.id.0, info);
-        }
-        let elided = RangeTable::from_pairs(&cp.elided_mediums);
-        let medium_facts: Vec<MediumFact> = cp
-            .medium_rows
-            .iter()
-            .map(|r| MediumFact::from_row(r))
-            .collect();
-        let mediums = MediumTable::from_facts(&medium_facts, elided.clone());
-        let elided_arc = Arc::new(RwLock::new(elided));
-        let mut map = new_map(&elided_arc);
-
-        let mut stats = ArrayStats::default();
-        let mut durable_map_seq: Seq = 0;
+        // --- 1. The controller over the checkpoint's tables. ---------
+        let mut ctrl = Controller::from_checkpoint(cfg, &cp, now);
+        let layout = *ctrl.writers[HOT].layout();
 
         // --- 2a. Load checkpoint-listed map patches. ------------------
+        // What the log holds stays in the log: the newest fact of each key
+        // goes to the map as one patch, at the end, and nothing is
+        // written back.
+        let mut facts = Facts::new();
         for loc in &cp.map_patches {
-            let info = segments.get(&loc.segment).ok_or_else(|| {
-                PurityError::Internal(format!("patch references unknown segment {}", loc.segment))
-            })?;
-            let mut buf = Vec::with_capacity(loc.len as usize);
-            for ext in layout.log_extents(loc.log_offset, loc.len as usize) {
-                let (bytes, t) = crate::controller::read_extent(
-                    shelf, info, &layout, &rs, false, &mut stats, &ext, now, None,
-                )?;
-                done = done.max(t);
-                buf.extend_from_slice(&bytes);
-            }
-            let (record, _) = decode_log_record(&buf).ok_or_else(|| {
-                PurityError::DataLoss(format!("undecodable map patch in segment {}", loc.segment))
-            })?;
-            if record.table == TableId::Map {
-                for row in &record.rows {
-                    let f = MapFact::from_row(row);
-                    durable_map_seq = durable_map_seq.max(f.seq);
-                    map.insert(
-                        (f.medium.0, f.sector),
-                        MapVal {
-                            loc: f.loc,
-                            deduped: f.deduped,
-                        },
-                        f.seq,
-                    );
-                    report.facts_loaded += 1;
-                }
-            }
-            report.patches_loaded += 1;
+            let extents = layout.log_extents(loc.log_offset, loc.len as usize);
+            let (bytes, t) = ctrl.read_hot(shelf, loc.segment, extents, now)?;
+            done = done.max(t);
+            let record = decode_log_record(&bytes).map(|(record, _)| record);
+            load_patch(record, loc.segment, &mut facts, &mut report)?;
         }
 
         // --- 2b. Scan AU headers for post-checkpoint segments. --------
         let scan_started = now;
-        let candidates: Vec<AuId> = match mode {
+        let candidates: Vec<AuId> = match opts.mode {
             ScanMode::Frontier => cp.frontier.iter().map(|&p| AuId::unpack(p)).collect(),
             ScanMode::FullScan => {
-                let aus = cfg.aus_per_drive();
-                (0..cfg.n_drives)
+                let aus = ctrl.cfg.aus_per_drive();
+                (0..ctrl.cfg.n_drives)
                     .flat_map(|d| (0..aus as u32).map(move |i| AuId { drive: d, index: i }))
                     .collect()
             }
@@ -212,7 +158,8 @@ impl Controller {
         // least a command round trip even when its header page was never
         // written (the device still parses and answers the read).
         const PROBE_NS: Nanos = 20_000;
-        let mut drive_busy: Vec<Nanos> = vec![now; cfg.n_drives];
+        let mut drive_busy: Vec<Nanos> = vec![now; ctrl.cfg.n_drives];
+        let header_bytes = ctrl.cfg.au_header_bytes();
         let mut discovered: Vec<SegmentId> = Vec::new();
         for au in &candidates {
             report.aus_scanned += 1;
@@ -221,8 +168,7 @@ impl Controller {
             }
             let off = layout.au_byte_offset(au.index);
             let probe_at = drive_busy[au.drive];
-            let Ok((page, t)) = shelf.read_drive(au.drive, off, cfg.au_header_bytes(), probe_at)
-            else {
+            let Ok((page, t)) = shelf.read_drive(au.drive, off, header_bytes, probe_at) else {
                 drive_busy[au.drive] = probe_at + PROBE_NS;
                 scan_done = scan_done.max(drive_busy[au.drive]);
                 continue; // never written
@@ -232,7 +178,7 @@ impl Controller {
             let Some(header) = AuHeader::decode(&page) else {
                 continue;
             };
-            if segments.contains_key(&header.segment.0) || discovered.contains(&header.segment) {
+            if ctrl.segments.contains_key(&header.segment.0) {
                 continue;
             }
             // Staleness guard: an AU freed by GC may still carry the
@@ -245,149 +191,48 @@ impl Controller {
                 continue;
             }
             discovered.push(header.segment);
+            // Frontier AUs the segment consumed stay consumed.
+            for au in &header.columns {
+                ctrl.allocators[HOT].claim(*au);
+            }
             // Conservative descriptor: reads only follow map facts, which
             // reference flushed data; GC rescans liveness anyway.
-            segments.insert(
+            ctrl.segments.insert(
                 header.segment.0,
                 SegmentInfo {
-                    id: header.segment,
-                    columns: header.columns.clone(),
-                    state: SegmentState::Sealed,
                     data_bytes: (layout.n_stripes * layout.stripe_data_bytes()) as u64,
                     data_stripes: layout.n_stripes as u64,
-                    log_stripes: 0,
-                    log_bytes: 0,
-                    seq: header.seq_lo,
+                    state: SegmentState::Sealed,
+                    ..SegmentInfo::open(header.segment, header.columns, header.seq_lo)
                 },
             );
         }
         report.segments_discovered = discovered.len();
+        // Post-checkpoint segment ids must not be re-issued.
+        for id in discovered.iter() {
+            ctrl.next_segment = ctrl.next_segment.max(id.0 + 1);
+        }
 
-        // Read the discovered segments' log stripes for newer map patches.
-        for seg_id in &discovered {
-            let info = segments.get(&seg_id.0).expect("just inserted").clone();
-            let sp = layout.log_stripe_payload();
-            let mut buffer: Vec<u8> = Vec::new();
-            let mut log_stripes = 0u64;
-            for log_idx in 0..layout.n_stripes {
-                // Frame probe: 16 bytes at the head of the stripe row.
-                let frame_ext = Extent {
-                    column: 0,
-                    stripe: layout.n_stripes - 1 - log_idx,
-                    within: 0,
-                    len: 16,
-                };
-                let Ok((frame, t)) = crate::controller::read_extent(
-                    shelf, &info, &layout, &rs, false, &mut stats, &frame_ext, now, None,
-                ) else {
-                    break;
-                };
-                scan_done = scan_done.max(t);
-                if frame[..8] != LOG_STRIPE_MAGIC.to_le_bytes() {
-                    break;
-                }
-                log_stripes += 1;
-                let payload_len =
-                    u64::from_le_bytes(frame[8..16].try_into().expect("16-byte frame")) as usize;
-                let payload_len = payload_len.min(sp);
-                let mut stripe_payload = Vec::with_capacity(payload_len);
-                for ext in layout.log_extents((log_idx * sp) as u64, payload_len) {
-                    let (bytes, t) = crate::controller::read_extent(
-                        shelf, &info, &layout, &rs, false, &mut stats, &ext, now, None,
-                    )?;
-                    scan_done = scan_done.max(t);
-                    stripe_payload.extend_from_slice(&bytes);
-                }
-                buffer.extend_from_slice(&stripe_payload);
-                // A short (padded) stripe terminates a record batch.
-                if payload_len < sp {
-                    Self::drain_log_records(&buffer, &mut map, &mut durable_map_seq, &mut report);
-                    buffer.clear();
-                }
-            }
-            if !buffer.is_empty() {
-                Self::drain_log_records(&buffer, &mut map, &mut durable_map_seq, &mut report);
-            }
-            if let Some(s) = segments.get_mut(&seg_id.0) {
-                s.log_stripes = log_stripes;
-            }
+        // Read the discovered segments' log stripes for newer map
+        // patches; each record found joins the persisted patch list.
+        discovered.sort();
+        for segment in discovered {
+            let t = ctrl.scan_log(shelf, segment, now, &mut facts, &mut report)?;
+            scan_done = scan_done.max(t);
         }
         report.scan_time = scan_done.saturating_sub(scan_started);
         done = done.max(scan_done);
-
-        // --- 3. Allocator restore (after discovery so consumed frontier
-        //        AUs are excluded). -----------------------------------
-        let in_use: Vec<AuId> = segments
-            .values()
-            .flat_map(|s| s.columns.iter().copied())
-            .collect();
-        let allocator = AuAllocator::restore(
-            cfg.n_drives,
-            cfg.aus_per_drive(),
-            cfg.frontier_aus_per_drive,
-            &cp.frontier,
-            &in_use,
+        ctrl.map.load(
+            facts
+                .into_iter()
+                .map(|(key, (seq, val))| (key, seq, val))
+                .collect(),
         );
+        ctrl.seq = SeqAllocator::resume_after(cp.high_seq.max(ctrl.map.max_seq()));
 
-        // --- Assemble the controller, then replay NVRAM. --------------
-        let mut ctrl = Controller {
-            rs,
-            layout,
-            seq: SeqAllocator::resume_after(cp.high_seq.max(durable_map_seq)),
-            map,
-            segments,
-            mediums,
-            volumes: BTreeMap::new(),
-            snapshots: BTreeMap::new(),
-            allocator,
-            boot,
-            writer: SegmentWriter::new(layout, cfg.ssd_geometry.page_size),
-            dedup: DedupEngine::new(DedupIndex::new(
-                cfg.dedup_recent_window,
-                cfg.dedup_hot_cache,
-            )),
-            cache: purity_tier::RamCache::lru(cfg.cache_bytes),
-            elided_mediums: elided_arc,
-            next_segment: cp.next_segment,
-            next_medium: cp.next_medium,
-            next_volume: cp.next_volume,
-            next_snapshot: cp.next_snapshot,
-            checkpoint_version: cp.version,
-            map_patches: cp.map_patches.clone(),
-            last_nvram_index: None,
-            tier: crate::tier::TierState::new(&cfg),
-            stats,
-            obs: purity_obs::Obs::with_config(cfg.obs_config(), now),
-            cfg,
-        };
-        for v in &cp.volumes {
-            ctrl.volumes.insert(
-                v.id,
-                crate::controller::Volume::new(
-                    crate::types::VolumeId(v.id),
-                    v.name.clone(),
-                    v.size_sectors,
-                    crate::types::MediumId(v.anchor_medium),
-                ),
-            );
-        }
-        for s in &cp.snapshots {
-            ctrl.snapshots.insert(
-                s.id,
-                crate::controller::Snapshot {
-                    id: crate::types::SnapshotId(s.id),
-                    volume: crate::types::VolumeId(s.volume),
-                    medium: crate::types::MediumId(s.medium),
-                    name: s.name.clone(),
-                },
-            );
-        }
-        // Post-checkpoint segment ids must not be re-issued.
-        for id in ctrl.segments.keys() {
-            ctrl.next_segment = ctrl.next_segment.max(id + 1);
-        }
-
+        // --- 3. Replay NVRAM. ----------------------------------------
         purity_obs::profile_scope!(purity_obs::Plane::NvramReplay);
+        let durable_map_seq = ctrl.map.max_seq();
         let (records, t) = shelf.nvram().scan(now)?;
         done = done.max(t);
         let mut max_seq_seen = ctrl.seq.high_water();
@@ -403,13 +248,12 @@ impl Controller {
             .find(|(_, r)| matches!(decode_nvram_entry(&r.payload), Some(NvramEntry::Seal(_))))
             .map(|(pos, _)| pos);
         for (pos, rec) in records.into_iter().enumerate() {
+            ctrl.last_nvram_index = Some(rec.index);
             if opts.skip_nvram_replay {
                 // Sabotage mode: pretend the log was read (indexes still
                 // advance so trims behave) but apply nothing.
-                ctrl.last_nvram_index = Some(rec.index);
                 continue;
             }
-            ctrl.last_nvram_index = Some(rec.index);
             match decode_nvram_entry(&rec.payload) {
                 Some(NvramEntry::Meta(mi)) => {
                     if mi.seq > cp.watermark {
@@ -453,42 +297,145 @@ impl Controller {
         ctrl.last_nvram_index = Some(seal_idx);
         done = done.max(t);
         ctrl.seq = SeqAllocator::resume_after(max_seq_seen.max(ctrl.map.max_seq()));
-        // Cold-tier allocator: the map is final, so every slot a live
-        // fact references is used; slots orphaned by a crash mid-demotion
-        // fall back into the free set.
-        ctrl.rebuild_cold_state();
         report.total_time = done.max(now).saturating_sub(now);
         Ok((ctrl, report))
     }
 
-    fn drain_log_records(
-        buffer: &[u8],
-        map: &mut Pyramid<MapKey, MapVal>,
-        durable_map_seq: &mut Seq,
+    /// Reads `extents` of a hot segment (log space, for recovery), one
+    /// after the other into one buffer.
+    fn read_hot(
+        &mut self,
+        shelf: &mut Shelf,
+        segment: u64,
+        extents: impl IntoIterator<Item = Extent>,
+        now: Nanos,
+    ) -> Result<(Vec<u8>, Nanos)> {
+        let info = self.segments.get(&segment).ok_or_else(|| {
+            PurityError::Internal(format!("log record in unknown segment {segment}"))
+        })?;
+        let (layout, rs) = (self.writers[HOT].layout(), self.writers[HOT].rs());
+        let (mut buf, mut done) = (Vec::new(), now);
+        for ext in extents {
+            let stats = &mut self.stats;
+            let (bytes, t) = read_extent(shelf, info, layout, rs, false, stats, &ext, now, None)?;
+            done = done.max(t);
+            buf.extend_from_slice(&bytes);
+        }
+        Ok((buf, done))
+    }
+
+    /// Reads a segment discovered by the scan for the log records it
+    /// holds, loads them, and lists each as a persisted patch. Returns
+    /// when the reads completed.
+    fn scan_log(
+        &mut self,
+        shelf: &mut Shelf,
+        segment: SegmentId,
+        now: Nanos,
+        facts: &mut Facts,
         report: &mut RecoveryReport,
-    ) {
-        let mut at = 0;
-        while at < buffer.len() {
-            let Some((record, used)) = decode_log_record(&buffer[at..]) else {
-                break; // padding / end of stream
+    ) -> Result<Nanos> {
+        let layout = *self.writers[HOT].layout();
+        let sp = layout.log_stripe_payload();
+        let mut done = now;
+        // Undrained log payload, and its offset in the log space.
+        let (mut buffer, mut at) = (Vec::new(), 0);
+        let mut log_stripes = 0u64;
+        for log_idx in 0..layout.n_stripes {
+            // Frame probe: 16 bytes at the head of the stripe row.
+            let frame_ext = Extent {
+                column: 0,
+                stripe: layout.n_stripes - 1 - log_idx,
+                within: 0,
+                len: 16,
             };
-            at += used;
-            if record.table == TableId::Map {
-                for row in &record.rows {
-                    let f = MapFact::from_row(row);
-                    *durable_map_seq = (*durable_map_seq).max(f.seq);
-                    map.insert(
-                        (f.medium.0, f.sector),
-                        MapVal {
-                            loc: f.loc,
-                            deduped: f.deduped,
-                        },
-                        f.seq,
-                    );
-                    report.facts_loaded += 1;
-                }
-                report.patches_loaded += 1;
+            let Ok((frame, t)) = self.read_hot(shelf, segment.0, [frame_ext], now) else {
+                break;
+            };
+            done = done.max(t);
+            if frame[..8] != LOG_STRIPE_MAGIC.to_le_bytes() {
+                break;
+            }
+            log_stripes += 1;
+            let payload_len =
+                u64::from_le_bytes(frame[8..16].try_into().expect("16-byte frame")) as usize;
+            let offset = (log_idx * sp) as u64;
+            let extents = layout.log_extents(offset, payload_len.min(sp));
+            let (payload, t) = self.read_hot(shelf, segment.0, extents, now)?;
+            done = done.max(t);
+            if buffer.is_empty() {
+                at = offset;
+            }
+            buffer.extend_from_slice(&payload);
+            // A short (padded) stripe terminates a record batch.
+            if payload.len() < sp {
+                self.drain_log_records(&buffer, segment.0, at, facts, report)?;
+                buffer.clear();
             }
         }
+        if !buffer.is_empty() {
+            self.drain_log_records(&buffer, segment.0, at, facts, report)?;
+        }
+        if let Some(s) = self.segments.get_mut(&segment.0) {
+            s.log_stripes = log_stripes;
+        }
+        Ok(done)
     }
+
+    /// Loads every whole record at the front of `buffer` (log-space
+    /// offset `at` of `segment`) and lists it as a persisted patch.
+    fn drain_log_records(
+        &mut self,
+        buffer: &[u8],
+        segment: u64,
+        at: u64,
+        facts: &mut Facts,
+        report: &mut RecoveryReport,
+    ) -> Result<()> {
+        let mut pos = 0;
+        while let Some((record, used)) = decode_log_record(&buffer[pos..]) {
+            if record.table == TableId::Map {
+                load_patch(Some(record), segment, facts, report)?;
+                self.map_patches.push(PatchLoc {
+                    segment,
+                    log_offset: at + pos as u64,
+                    len: used as u64,
+                });
+            }
+            pos += used;
+        }
+        Ok(())
+    }
+}
+
+/// The newest persisted fact of each map key recovery has read — older
+/// versions can never win a read, so they are not held.
+type Facts = BTreeMap<MapKey, (Seq, MapVal)>;
+
+/// Folds a persisted map patch's facts into `facts`; `None` is a record
+/// that did not decode.
+fn load_patch(
+    record: Option<LogRecord>,
+    segment: u64,
+    facts: &mut Facts,
+    report: &mut RecoveryReport,
+) -> Result<()> {
+    let record = record.ok_or_else(|| {
+        PurityError::DataLoss(format!("undecodable map patch in segment {segment}"))
+    })?;
+    if record.table == TableId::Map {
+        for f in record.rows.iter().map(|row| MapFact::from_row(row)) {
+            let val = MapVal {
+                loc: f.loc,
+                deduped: f.deduped,
+            };
+            let newest = facts.entry((f.medium.0, f.sector)).or_insert((f.seq, val));
+            if newest.0 < f.seq {
+                *newest = (f.seq, val);
+            }
+        }
+        report.facts_loaded += record.rows.len();
+    }
+    report.patches_loaded += 1;
+    Ok(())
 }

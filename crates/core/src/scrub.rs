@@ -4,9 +4,10 @@
 //! retention. Purity periodically reads every stripe, repairs anything
 //! unreadable from parity, and rewrites repaired data in place — which
 //! also refreshes retention, letting arrays run "well past rated wear
-//! out". Every rewrite goes out on the shelf's §4.4 pacer, two drives a
-//! slot, so a scrub or rebuild pass never takes more columns away from
-//! a reader than parity can rebuild.
+//! out". Every rewrite goes out on the shelf's §4.4 pacer, so a scrub or
+//! rebuild pass never takes more columns away from a reader than parity
+//! can rebuild. Both run over both device classes, each segment at its
+//! class's layout and code.
 
 use crate::controller::Controller;
 use crate::error::{PurityError, Result};
@@ -36,11 +37,8 @@ impl Controller {
     /// Scrubs every sealed segment: read, verify, repair, rewrite.
     pub fn scrub(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
-        let layout = self.layout;
-        let wu = layout.wu;
-        let width = layout.k + layout.m;
-        // Scrub sealed segments fully, and the open segment's already-
-        // flushed stripes (its pending tail lives in DRAM).
+        // Scrub sealed segments fully, and the open segments' already-
+        // flushed stripes (their pending tails live in DRAM).
         let segments: Vec<_> = self
             .segments
             .values()
@@ -49,6 +47,9 @@ impl Controller {
             .collect();
         for info in segments {
             report.segments_scanned += 1;
+            let writer = &self.writers[info.class(self.cfg.n_drives)];
+            let (layout, rs) = (*writer.layout(), writer.rs());
+            let (wu, width) = (layout.wu, layout.k + layout.m);
             // Written stripes: data from the front, log from the back.
             let mut stripes: Vec<usize> = (0..info.data_stripes as usize).collect();
             for l in 0..info.log_stripes as usize {
@@ -93,8 +94,7 @@ impl Controller {
                             .iter()
                             .map(|u| u.as_ref().expect("all read").as_slice())
                             .collect();
-                        self.rs
-                            .verify(&refs)
+                        rs.verify(&refs)
                             .map_err(|e| PurityError::Internal(e.to_string()))?
                     };
                     if !ok {
@@ -116,7 +116,7 @@ impl Controller {
                 }
                 // Repair: need at least k readable columns.
                 let mut shards: Vec<Option<Vec<u8>>> = units.clone();
-                match self.rs.reconstruct(&mut shards) {
+                match rs.reconstruct(&mut shards) {
                     Ok(()) => {
                         // Can't rewrite a pulled drive.
                         let live: Vec<usize> = (0..width)
@@ -168,8 +168,6 @@ impl Controller {
         now: Nanos,
     ) -> Result<RebuildReport> {
         let mut report = RebuildReport::default();
-        let layout = self.layout;
-        let wu = layout.wu;
         let segments: Vec<_> = self
             .segments
             .values()
@@ -178,6 +176,9 @@ impl Controller {
             .collect();
         for info in segments {
             report.segments_visited += 1;
+            let writer = &self.writers[info.class(self.cfg.n_drives)];
+            let (layout, rs) = (*writer.layout(), writer.rs());
+            let wu = layout.wu;
             let target_col = info
                 .columns
                 .iter()
@@ -196,7 +197,7 @@ impl Controller {
                 columns: info.columns.clone(),
                 seq_lo: info.seq,
             }
-            .encode(self.cfg.ssd_geometry.page_size);
+            .encode(layout.au_header);
             let hdr_off = layout.au_byte_offset(target_au.index);
             let _ = shelf.write_paced(&[(drive, hdr_off, &header)], now);
 
@@ -230,7 +231,7 @@ impl Controller {
                 }
                 let refs: Vec<(usize, &[u8])> =
                     available.iter().map(|(c, b)| (*c, b.as_slice())).collect();
-                match self.rs.reconstruct_one(target_col, &refs) {
+                match rs.reconstruct_one(target_col, &refs) {
                     Ok(data) => {
                         shelf
                             .write_paced(&[(drive, off, &data)], now)

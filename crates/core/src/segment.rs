@@ -16,7 +16,7 @@ use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::records::{SegmentFact, SegmentState};
 use crate::shelf::{ColumnWrite, Shelf};
-use crate::types::{AuId, Pba, SegmentId};
+use crate::types::{AuId, DriveId, Pba, SegmentId};
 use purity_compress::varint;
 use purity_ecc::ReedSolomon;
 use purity_lsm::Seq;
@@ -27,6 +27,13 @@ pub const LOG_STRIPE_MAGIC: u64 = 0x4C4F_4753_5452_4950; // "LOGSTRIP"
 
 /// Magic prefix of an AU header page.
 pub const AU_HEADER_MAGIC: u64 = 0x5345_4748_4452_0001; // "SEGHDR"
+
+/// The device classes, as indexes of the controller's per-class writers
+/// and allocators. A segment's class is where its columns sit
+/// ([`SegmentInfo::class`]).
+pub const HOT: usize = 0;
+/// The cold class: segments on the cold pool.
+pub const COLD: usize = 1;
 
 /// Pure layout math shared by the writer, the read path, recovery and GC.
 #[derive(Debug, Clone, Copy)]
@@ -71,6 +78,22 @@ impl SegmentLayout {
             au_bytes: cfg.au_bytes,
             au_header: cfg.au_header_bytes(),
             boot_region: cfg.boot_region_bytes(),
+        }
+    }
+
+    /// The cold class's layout: the same AU and write unit, every cold
+    /// drive a column and one of them parity — on two drives, a mirror
+    /// (an unused one when there is no cold pool). Cold drives carry no
+    /// boot region.
+    pub fn cold(cfg: &ArrayConfig) -> Self {
+        let au_header = cfg.cold_geometry.page_size;
+        Self {
+            k: cfg.cold_drives.max(2) - 1,
+            m: 1,
+            n_stripes: (cfg.au_bytes - au_header) / cfg.write_unit_bytes,
+            au_header,
+            boot_region: 0,
+            ..Self::from_config(cfg)
         }
     }
 
@@ -180,6 +203,26 @@ pub struct SegmentInfo {
 }
 
 impl SegmentInfo {
+    /// A segment opened on `columns`, holding nothing yet.
+    pub fn open(id: SegmentId, columns: Vec<AuId>, seq_lo: Seq) -> Self {
+        Self {
+            id,
+            columns,
+            state: SegmentState::Open,
+            data_bytes: 0,
+            data_stripes: 0,
+            log_stripes: 0,
+            log_bytes: 0,
+            seq: seq_lo,
+        }
+    }
+
+    /// The segment's device class: the shelf numbers its cold drives
+    /// after its `n_hot` hot ones.
+    pub fn class(&self, n_hot: DriveId) -> usize {
+        usize::from(self.columns[0].drive >= n_hot)
+    }
+
     /// Converts to the persisted fact form.
     pub fn to_fact(&self) -> SegmentFact {
         SegmentFact {
@@ -314,53 +357,48 @@ impl SegmentWriter {
         &self.layout
     }
 
+    /// The stripes' Reed-Solomon code.
+    pub fn rs(&self) -> &ReedSolomon {
+        &self.rs
+    }
+
     /// The open segment, if any.
     pub fn open_segment(&self) -> Option<&SegmentInfo> {
         self.open.as_ref().map(|o| &o.info)
     }
 
-    /// Opens a new segment on the given column AUs, writing AU headers.
-    /// Returns the header-write completion time.
+    /// Opens `info` (a fresh [`SegmentInfo::open`]), writing its AU
+    /// headers. Returns the header-write completion time.
     pub fn open_segment_on(
         &mut self,
         shelf: &mut Shelf,
-        id: SegmentId,
-        columns: Vec<AuId>,
-        seq_lo: Seq,
+        info: SegmentInfo,
         now: Nanos,
     ) -> Result<Nanos> {
         assert!(self.open.is_none(), "seal the previous segment first");
-        assert_eq!(columns.len(), self.layout.k + self.layout.m);
+        assert_eq!(info.columns.len(), self.layout.k + self.layout.m);
         // Header pages go out on the pacer like any other column write; a
         // failed drive in the stripe is tolerable (parity covers it).
-        let headers: Vec<Vec<u8>> = (0..columns.len())
+        let headers: Vec<Vec<u8>> = (0..info.columns.len())
             .map(|column| {
                 AuHeader {
-                    segment: id,
+                    segment: info.id,
                     column,
-                    columns: columns.clone(),
-                    seq_lo,
+                    columns: info.columns.clone(),
+                    seq_lo: info.seq,
                 }
                 .encode(self.page_size)
             })
             .collect();
-        let batch: Vec<ColumnWrite<'_>> = columns
+        let batch: Vec<ColumnWrite<'_>> = info
+            .columns
             .iter()
             .zip(&headers)
             .map(|(au, h)| (au.drive, self.layout.au_byte_offset(au.index), h.as_slice()))
             .collect();
         let done = shelf.write_paced(&batch, now).done;
         self.open = Some(OpenSegment {
-            info: SegmentInfo {
-                id,
-                columns,
-                state: SegmentState::Open,
-                data_bytes: 0,
-                data_stripes: 0,
-                log_stripes: 0,
-                log_bytes: 0,
-                seq: seq_lo,
-            },
+            info,
             data_pending: Vec::new(),
             log_pending: Vec::new(),
         });
@@ -701,20 +739,17 @@ mod tests {
         (writer, shelf, cfg)
     }
 
-    fn columns_for(cfg: &ArrayConfig, au_index: u32) -> Vec<AuId> {
-        (0..cfg.stripe_width())
-            .map(|d| AuId {
-                drive: d,
-                index: au_index,
-            })
-            .collect()
+    fn open_info(cfg: &ArrayConfig) -> SegmentInfo {
+        let columns = (0..cfg.stripe_width())
+            .map(|drive| AuId { drive, index: 0 })
+            .collect();
+        SegmentInfo::open(SegmentId(1), columns, 1)
     }
 
     #[test]
     fn append_flush_read_back_via_extents() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
-        w.open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
-            .unwrap();
+        w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
         // Fill more than one full stripe so data hits the drives.
         let blob: Vec<u8> = (0..w.layout().stripe_data_bytes() + 5000)
             .map(|i| (i % 251) as u8)
@@ -744,8 +779,7 @@ mod tests {
     #[test]
     fn parity_columns_reconstruct_lost_write_units() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
-        w.open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
-            .unwrap();
+        w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
         let l = *w.layout();
         let blob: Vec<u8> = (0..l.stripe_data_bytes()).map(|i| (i / 7) as u8).collect();
         w.append_data(&mut shelf, &blob, 0).unwrap();
@@ -770,8 +804,7 @@ mod tests {
     #[test]
     fn segment_fills_and_reports_full() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
-        w.open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
-            .unwrap();
+        w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
         let capacity = w.layout().n_stripes * w.layout().stripe_data_bytes();
         let chunk = vec![7u8; 16 * 1024];
         let mut placed_bytes = 0;
@@ -792,8 +825,7 @@ mod tests {
     #[test]
     fn log_records_round_trip_through_log_stripes() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
-        w.open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
-            .unwrap();
+        w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
         let rec1 = b"patch-one".to_vec();
         let rec2 = vec![0xCD; 3000];
         let (r1, _) = w.append_log(&mut shelf, &rec1, 0).unwrap();
@@ -831,8 +863,7 @@ mod tests {
     #[test]
     fn writes_mark_drives_busy_for_the_scheduler() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
-        w.open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
-            .unwrap();
+        w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
         let blob = vec![1u8; w.layout().stripe_data_bytes()];
         let (_, done) = w.append_data(&mut shelf, &blob, 0).unwrap();
         assert!(done > 0);
@@ -855,9 +886,7 @@ mod tests {
     /// its segment as the read planner sees them.
     fn one_flushed_stripe() -> (Shelf, SegmentInfo, SegmentLayout, ArrayConfig, Nanos, Nanos) {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
-        let headers_done = w
-            .open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
-            .unwrap();
+        let headers_done = w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
         let blob: Vec<u8> = (0..w.layout().stripe_data_bytes())
             .map(|i| (i % 253) as u8)
             .collect();
@@ -986,8 +1015,7 @@ mod tests {
     fn degraded_append_skips_failed_drives() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
         shelf.drive_mut(2).fail();
-        w.open_segment_on(&mut shelf, SegmentId(1), columns_for(&cfg, 0), 1, 0)
-            .unwrap();
+        w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
         let blob: Vec<u8> = (0..w.layout().stripe_data_bytes())
             .map(|i| i as u8)
             .collect();

@@ -4,11 +4,17 @@
 //! lives in the shelf precisely so controllers stay stateless. The shelf
 //! is therefore the unit that *survives* a controller failover. It also
 //! owns the §4.4 write schedule: every array-issued bulk write goes out
-//! through [`Shelf::write_paced`], two drives a slot, and the windows
-//! those writes occupy are what the read planner reads around.
+//! through [`Shelf::write_paced`], as many drives a slot as the write
+//! group has parity, and the windows those writes occupy are what the
+//! read planner reads around.
+//!
+//! Drives are numbered in one space: the hot drives first, then the cold
+//! pool. One write, read and trim path serves both, behind one power
+//! gate; the two are separate write groups with separate pacers.
 
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
+use crate::segment::{SegmentLayout, COLD, HOT};
 use crate::types::DriveId;
 use purity_sim::{Clock, Nanos, Reservation};
 use purity_ssd::nvram::NvramError;
@@ -16,7 +22,8 @@ use purity_ssd::{Nvram, Ssd};
 use std::sync::Arc;
 
 /// Which durable-device mutations a scheduled power loss counts toward
-/// its trigger (and tears when it fires).
+/// its trigger (and tears when it fires). Every variant but `AnyWrite`
+/// is also the kind of one mutation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashTarget {
     /// Any drive write or NVRAM append.
@@ -25,10 +32,25 @@ pub enum CrashTarget {
     NvramAppend,
     /// Boot-region mirror writes only (torn checkpoint slot).
     BootWrite,
-    /// Main-region drive writes only (torn segment flush / AU header).
+    /// Hot-drive writes outside the boot region (torn segment flush / AU
+    /// header).
     SegmentWrite,
-    /// Cold-tier drive writes only (torn mid-demotion slot).
+    /// Cold-drive writes (torn cold segment flush mid-relocation, as a
+    /// demotion is).
     ColdWrite,
+}
+
+impl CrashTarget {
+    /// How a torn note names a mutation of this kind.
+    fn noun(self) -> &'static str {
+        match self {
+            CrashTarget::AnyWrite => "write",
+            CrashTarget::NvramAppend => "NVRAM-append",
+            CrashTarget::BootWrite => "boot-region write",
+            CrashTarget::SegmentWrite => "segment write",
+            CrashTarget::ColdWrite => "cold write",
+        }
+    }
 }
 
 /// A pending whole-array power loss, armed on the shelf: the `after`-th
@@ -69,11 +91,10 @@ impl Paced {
 pub struct Shelf {
     /// The virtual clock every component shares.
     pub clock: Arc<Clock>,
+    /// The hot drives, then the cold pool (QLC-like).
     drives: Vec<Ssd>,
-    /// Cold-tier drives (QLC-like): a flat slot space the tiering engine
-    /// demotes into. Not part of the RAID write group — no AU/segment
-    /// structure, no read-around participation.
-    cold: Vec<Ssd>,
+    /// Hot drives: ids below this are hot, the rest cold.
+    n_hot: usize,
     nvram: Nvram,
     /// Per-drive intervals during which array-issued bulk writes occupy
     /// the drive: sorted, disjoint, merged where they touch. Windows
@@ -82,10 +103,11 @@ pub struct Shelf {
     /// only: a window is dropped once it has ended, never for being one
     /// too many.
     writing_windows: Vec<Vec<(Nanos, Nanos)>>,
-    /// Global write pacer (§4.4: at most two drives per ECC group busy
-    /// writing at once): the end of the last slot [`Shelf::write_paced`]
-    /// handed out.
-    write_pacer_until: Nanos,
+    /// The §4.4 write pacer of each write group, hot and cold: its slot
+    /// width (the group's parity count — no more drives writing at once
+    /// than a read can rebuild around) and the end of the last slot
+    /// [`Shelf::write_paced`] handed out.
+    pacers: [(usize, Nanos); 2],
     /// Boot-region extent at the front of the mirror drives (used to
     /// classify writes for [`CrashTarget`]).
     boot_region_bytes: usize,
@@ -103,7 +125,7 @@ pub struct Shelf {
 impl Shelf {
     /// Builds the shelf from a config.
     pub fn new(config: &ArrayConfig, clock: Arc<Clock>) -> Self {
-        let drives = (0..config.n_drives)
+        let mut drives: Vec<Ssd> = (0..config.n_drives)
             .map(|i| {
                 let mut ssd = Ssd::new(
                     config.ssd_geometry,
@@ -119,28 +141,29 @@ impl Shelf {
                 ssd
             })
             .collect();
-        let cold = (0..config.cold_drives)
-            .map(|i| {
-                Ssd::new(
-                    config.cold_geometry,
-                    config.cold_latency,
-                    config.cold_endurance,
-                    clock.clone(),
-                    config
-                        .seed
-                        .wrapping_add(0xC01D)
-                        .wrapping_add(i as u64 * 0x9E37),
-                    config.ssd_over_provision,
-                )
-            })
-            .collect();
+        drives.extend((0..config.cold_drives).map(|i| {
+            Ssd::new(
+                config.cold_geometry,
+                config.cold_latency,
+                config.cold_endurance,
+                clock.clone(),
+                config
+                    .seed
+                    .wrapping_add(0xC01D)
+                    .wrapping_add(i as u64 * 0x9E37),
+                config.ssd_over_provision,
+            )
+        }));
         Self {
             clock,
+            writing_windows: vec![Vec::new(); drives.len()],
             drives,
-            cold,
+            n_hot: config.n_drives,
             nvram: Nvram::new(config.nvram_bytes),
-            writing_windows: vec![Vec::new(); config.n_drives],
-            write_pacer_until: 0,
+            pacers: [
+                (SegmentLayout::from_config(config).m, 0),
+                (SegmentLayout::cold(config).m, 0),
+            ],
             boot_region_bytes: config.boot_region_bytes(),
             powered: true,
             trigger: None,
@@ -189,7 +212,9 @@ impl Shelf {
         for w in &mut self.writing_windows {
             w.clear();
         }
-        self.write_pacer_until = 0;
+        for pacer in &mut self.pacers {
+            pacer.1 = 0;
+        }
     }
 
     /// What the last power loss tore, if anything (phase classification
@@ -198,59 +223,56 @@ impl Shelf {
         self.torn_note.as_deref()
     }
 
-    /// Classifies a drive write and consumes one trigger count if it
-    /// matches. Returns `Some(keep_bytes)` when the trigger fires on
-    /// this write.
-    fn check_drive_trigger(&mut self, d: DriveId, offset: usize) -> Option<usize> {
+    /// The kind of durable mutation a write to drive `d` at `offset` is.
+    fn write_kind(&self, d: DriveId, offset: usize) -> CrashTarget {
+        if d >= self.n_hot {
+            CrashTarget::ColdWrite
+        } else if d < crate::bootregion::BOOT_MIRRORS && offset < self.boot_region_bytes {
+            CrashTarget::BootWrite
+        } else {
+            CrashTarget::SegmentWrite
+        }
+    }
+
+    /// Counts one durable mutation of `kind` against the armed trigger.
+    /// Returns `Some(keep_bytes)` when the trigger fires on this one; the
+    /// caller tears the mutation there, and power dies with it.
+    fn countdown(&mut self, kind: CrashTarget) -> Option<usize> {
         let t = self.trigger.as_mut()?;
-        let is_boot = d < crate::bootregion::BOOT_MIRRORS && offset < self.boot_region_bytes;
-        let matches = match t.target {
-            CrashTarget::AnyWrite => true,
-            CrashTarget::NvramAppend => false,
-            CrashTarget::BootWrite => is_boot,
-            CrashTarget::SegmentWrite => !is_boot,
-            CrashTarget::ColdWrite => false,
-        };
-        if !matches {
+        if t.target != kind && t.target != CrashTarget::AnyWrite {
             return None;
         }
         if t.after > 0 {
             t.after -= 1;
             return None;
         }
-        let keep = t.keep_bytes;
-        self.trigger = None;
-        Some(keep)
+        self.trigger.take().map(|t| t.keep_bytes)
     }
 
-    /// Classifies a cold-drive write against the armed trigger.
-    fn check_cold_trigger(&mut self) -> Option<usize> {
-        let t = self.trigger.as_mut()?;
-        if !matches!(t.target, CrashTarget::AnyWrite | CrashTarget::ColdWrite) {
-            return None;
-        }
-        if t.after > 0 {
-            t.after -= 1;
-            return None;
-        }
-        let keep = t.keep_bytes;
-        self.trigger = None;
-        Some(keep)
+    /// Cuts power after a torn mutation of `kind`; the note names it and
+    /// `what` it tore ("drive 3 offset 4096").
+    fn tear(&mut self, kind: CrashTarget, what: String, keep: usize, len: usize) -> PurityError {
+        self.powered = false;
+        self.torn_note = Some(format!(
+            "power lost mid-{}: {what} torn at {keep}/{len} bytes",
+            kind.noun()
+        ));
+        PurityError::Device(format!("{what}: power lost mid-write"))
     }
 
-    /// Number of drive slots.
+    /// Number of hot drive slots (ids `0..n_drives()`).
     pub fn n_drives(&self) -> usize {
-        self.drives.len()
+        self.n_hot
     }
 
-    /// Number of cold-tier drive slots.
+    /// Number of cold-pool drive slots (ids from `n_drives()` on).
     pub fn n_cold_drives(&self) -> usize {
-        self.cold.len()
+        self.drives.len() - self.n_hot
     }
 
-    /// Immutable cold-drive access.
+    /// Immutable access to cold drive `d` (drive id `n_drives() + d`).
     pub fn cold_drive(&self, d: usize) -> &Ssd {
-        &self.cold[d]
+        &self.drives[self.n_hot + d]
     }
 
     /// Immutable drive access.
@@ -278,7 +300,7 @@ impl Shelf {
         }
     }
 
-    /// Drives currently failed.
+    /// Drives currently failed, hot and cold.
     pub fn failed_drives(&self) -> Vec<DriveId> {
         (0..self.drives.len())
             .filter(|&d| self.drives[d].is_failed())
@@ -287,29 +309,35 @@ impl Shelf {
 
     /// The one paced write entry (§4.4: "we try to avoid writing to more
     /// than two SSDs per ECC group at the same time"). The batch's
-    /// column writes go out in order, two drives a slot, each slot
-    /// starting where the last one — of this batch or any earlier one —
-    /// ended, so a read always finds at least `k` columns outside a
-    /// window. A column its drive refuses (pulled drive, power lost) is
-    /// skipped and the rest still go out: parity covers a degraded write.
+    /// column writes go out in order, a slot of as many drives as its
+    /// write group has parity, each slot starting where the group's last
+    /// one — of this batch or any earlier one — ended, so a read always
+    /// finds at least `k` columns outside a window. The hot drives and
+    /// the cold pool are separate groups: neither waits for the other. A
+    /// column its drive refuses (pulled drive, power lost) is skipped and
+    /// the rest still go out: parity covers a degraded write.
     pub fn write_paced(&mut self, columns: &[ColumnWrite<'_>], now: Nanos) -> Paced {
         let mut out = Paced {
             done: now,
             refused: None,
         };
-        for pair in columns.chunks(2) {
-            let start = self.write_pacer_until.max(now);
-            let mut pair_end = start;
-            for &(d, offset, data) in pair {
+        let Some(&(first, _, _)) = columns.first() else {
+            return out;
+        };
+        let group = if first < self.n_hot { HOT } else { COLD };
+        for slot in columns.chunks(self.pacers[group].0) {
+            let start = self.pacers[group].1.max(now);
+            let mut slot_end = start;
+            for &(d, offset, data) in slot {
                 match self.write_drive(d, offset, data, start) {
-                    Ok(t) => pair_end = pair_end.max(t),
+                    Ok(t) => slot_end = slot_end.max(t),
                     Err(e) => {
                         out.refused.get_or_insert(e);
                     }
                 }
             }
-            self.write_pacer_until = pair_end;
-            out.done = out.done.max(pair_end);
+            self.pacers[group].1 = slot_end;
+            out.done = out.done.max(slot_end);
         }
         out
     }
@@ -362,26 +390,15 @@ impl Shelf {
         if !self.powered {
             return Err(PurityError::Device("shelf power lost".to_string()));
         }
-        if let Some(keep) = self.check_drive_trigger(d, offset) {
+        let kind = self.write_kind(d, offset);
+        if let Some(keep) = self.countdown(kind) {
             let keep = keep.min(data.len().saturating_sub(1));
             // The prefix reaches the medium; the straddling page is an
             // interrupted program (undefined contents); the tail never
             // started. Then the lights go out.
             let _ = self.drives[d].write_torn(offset, data, keep, now);
-            self.powered = false;
-            let kind = if d < crate::bootregion::BOOT_MIRRORS && offset < self.boot_region_bytes {
-                "boot-region write"
-            } else {
-                "segment write"
-            };
-            self.torn_note = Some(format!(
-                "power lost mid-{kind}: drive {d} offset {offset} torn at {keep}/{} bytes",
-                data.len()
-            ));
-            return Err(PurityError::Device(format!(
-                "drive {}: power lost mid-write",
-                d
-            )));
+            let what = format!("drive {d} offset {offset}");
+            return Err(self.tear(kind, what, keep, data.len()));
         }
         let done = self.drives[d]
             .write(offset, data, now)
@@ -398,33 +415,14 @@ impl Shelf {
         if !self.powered {
             return Err(PurityError::Device("shelf power lost".to_string()));
         }
-        let fire = match self.trigger {
-            Some(t) if matches!(t.target, CrashTarget::NvramAppend | CrashTarget::AnyWrite) => {
-                if self.trigger.as_mut().unwrap().after > 0 {
-                    self.trigger.as_mut().unwrap().after -= 1;
-                    None
-                } else {
-                    let keep = t.keep_bytes;
-                    self.trigger = None;
-                    Some(keep)
-                }
-            }
-            _ => None,
-        };
-        if let Some(keep) = fire {
+        if let Some(keep) = self.countdown(CrashTarget::NvramAppend) {
             let keep = keep.min(payload.len().saturating_sub(1));
             // Durably land the record first, then tear its tail: the
             // prefix genuinely reached the SLC medium before the outage.
             let _ = self.nvram.append(payload, now);
             self.nvram.tear_last_append(keep);
-            self.powered = false;
-            self.torn_note = Some(format!(
-                "power lost mid-NVRAM-append: record torn at {keep}/{} bytes",
-                payload.len()
-            ));
-            return Err(PurityError::Device(
-                "nvram: power lost mid-append".to_string(),
-            ));
+            let what = "nvram record".to_string();
+            return Err(self.tear(CrashTarget::NvramAppend, what, keep, payload.len()));
         }
         match self.nvram.append(payload, now) {
             Ok(v) => Ok(v),
@@ -488,65 +486,6 @@ impl Shelf {
         self.drives[d]
             .read(offset, len, now)
             .map_err(|e| PurityError::Device(format!("drive {}: {}", d, e)))
-    }
-
-    /// Writes page-aligned bytes to a cold-tier drive through the power
-    /// gate. An armed `ColdWrite`/`AnyWrite` trigger fires here, tearing
-    /// the slot write mid-demotion (the torture personality for the
-    /// tiering engine).
-    pub fn write_cold(
-        &mut self,
-        d: usize,
-        offset: usize,
-        data: &[u8],
-        now: Nanos,
-    ) -> Result<Nanos> {
-        if !self.powered {
-            return Err(PurityError::Device("shelf power lost".to_string()));
-        }
-        if let Some(keep) = self.check_cold_trigger() {
-            let keep = keep.min(data.len().saturating_sub(1));
-            let _ = self.cold[d].write_torn(offset, data, keep, now);
-            self.powered = false;
-            self.torn_note = Some(format!(
-                "power lost mid-cold write: cold drive {d} offset {offset} torn at {keep}/{} bytes",
-                data.len()
-            ));
-            return Err(PurityError::Device(format!(
-                "cold drive {}: power lost mid-write",
-                d
-            )));
-        }
-        self.cold[d]
-            .write(offset, data, now)
-            .map_err(|e| PurityError::Device(format!("cold drive {}: {}", d, e)))
-    }
-
-    /// Reads from a cold-tier drive through the power gate.
-    pub fn read_cold(
-        &mut self,
-        d: usize,
-        offset: usize,
-        len: usize,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos)> {
-        if !self.powered {
-            return Err(PurityError::Device("shelf power lost".to_string()));
-        }
-        self.cold[d]
-            .read(offset, len, now)
-            .map_err(|e| PurityError::Device(format!("cold drive {}: {}", d, e)))
-    }
-
-    /// TRIMs a cold slot through the power gate (slot reclamation after
-    /// the redirect facts are checkpoint-durable).
-    pub fn trim_cold(&mut self, d: usize, offset: usize, len: usize) -> Result<()> {
-        if !self.powered {
-            return Err(PurityError::Device("shelf power lost".to_string()));
-        }
-        self.cold[d]
-            .trim(offset, len)
-            .map_err(|e| PurityError::Device(format!("cold drive {}: {}", d, e)))
     }
 
     /// Reads from a drive with the latency decomposition of the
@@ -744,34 +683,64 @@ mod tests {
     fn cold_pool_round_trips_and_cold_trigger_tears_the_slot() {
         let cfg = ArrayConfig::tiered();
         let mut s = Shelf::new(&cfg, Clock::new());
-        assert_eq!(s.n_cold_drives(), 2);
+        assert_eq!((s.n_drives(), s.n_cold_drives()), (11, 2));
+        // The cold pool is numbered after the hot drives.
+        let (c0, c1) = (s.n_drives(), s.n_drives() + 1);
         let page = cfg.cold_geometry.page_size;
         let data = vec![0x3c; 2 * page];
-        let done = s.write_cold(0, 0, &data, 0).unwrap();
-        let (back, _) = s.read_cold(0, 0, data.len(), done).unwrap();
+        let done = s.write_drive(c0, 0, &data, 0).unwrap();
+        let (back, _) = s.read_drive(c0, 0, data.len(), done).unwrap();
         assert_eq!(back, data);
+        assert!(s.cold_drive(0).flash_counters().reads > 0);
+        assert_eq!(s.cold_drive(1).flash_counters().reads, 0);
         // Cold reads are slower than main-pool reads (QLC class).
         let main_done = s.write_drive(0, cfg.boot_region_bytes(), &data, 0).unwrap();
         let (_, t_main) = s
             .read_drive(0, cfg.boot_region_bytes(), data.len(), main_done)
             .unwrap();
-        let (_, t_cold) = s.read_cold(0, 0, data.len(), main_done).unwrap();
+        let (_, t_cold) = s.read_drive(c0, 0, data.len(), main_done).unwrap();
         assert!(t_cold - main_done > t_main - main_done);
         // A ColdWrite trigger ignores main-pool writes and fires on the
-        // next cold write, tearing the slot and killing power.
+        // next cold write, tearing it and killing power.
         s.arm_power_loss(CrashTarget::ColdWrite, 0, page);
         s.write_drive(1, cfg.boot_region_bytes(), &data, 0).unwrap();
         assert!(s.power_loss_armed());
-        assert!(s.write_cold(1, 0, &data, 0).is_err());
+        assert!(s.write_drive(c1, 0, &data, 0).is_err());
         assert!(!s.powered());
         assert!(s.torn_note().unwrap().contains("cold write"));
         s.power_restore();
-        let (p0, _) = s.read_cold(1, 0, page, 0).unwrap();
+        let (p0, _) = s.read_drive(c1, 0, page, 0).unwrap();
         assert_eq!(p0, vec![0x3c; page]);
         assert!(
-            s.read_cold(1, page, page, 0).is_err(),
+            s.read_drive(c1, page, page, 0).is_err(),
             "torn tail unreadable"
         );
+    }
+
+    /// The cold pool is a write group of its own, one parity column wide:
+    /// its stripe never waits for the hot pacer, and its two columns are
+    /// never both writing.
+    #[test]
+    fn a_cold_stripe_paces_on_its_own_group_one_drive_a_slot() {
+        let cfg = ArrayConfig::tiered();
+        let mut s = Shelf::new(&cfg, Clock::new());
+        let off = cfg.boot_region_bytes();
+        let unit = vec![7u8; cfg.write_unit_bytes];
+        let hot: Vec<ColumnWrite<'_>> = (0..9).map(|d| (d, off, unit.as_slice())).collect();
+        let hot_done = s.write_paced(&hot, 1_000).all_landed().unwrap();
+        let (c0, c1) = (s.n_drives(), s.n_drives() + 1);
+        let cold = [(c0, 0, unit.as_slice()), (c1, 0, unit.as_slice())];
+        let cold_done = s.write_paced(&cold, 1_000).all_landed().unwrap();
+        assert!(s.is_writing(c0, 1_000), "the cold stripe starts at once");
+        assert!(!s.is_writing(c1, 1_000));
+        for t in (1_000..cold_done).step_by(10_000) {
+            assert!(!(s.is_writing(c0, t) && s.is_writing(c1, t)), "both at {t}");
+        }
+        assert!(s.is_writing(c1, cold_done - 1));
+        // The hot group kept its own schedule: the next hot batch still
+        // queues behind the first, not behind the cold stripe.
+        let next = s.write_paced(&hot[..1], 1_000).all_landed().unwrap();
+        assert!(next > hot_done && s.is_writing(0, hot_done));
     }
 
     #[test]

@@ -1,57 +1,37 @@
 //! Tiering executor: the crash-safe half of the five-minute-rule engine.
 //!
 //! `purity-tier` decides *what* should move (heat watcher, reconciler);
-//! this module decides *how*, against the array's real durability
-//! machinery:
+//! this module decides *how*, and the answer is "as GC does": cold data
+//! lives in ordinary segments of the cold class — the same writer,
+//! allocator and Reed-Solomon stripes over the cold pool, one column of
+//! parity — and a move is `Controller::relocate` into the other class's
+//! open segment.
 //!
-//! * **Cold addressing** — demoted cblocks live on the QLC-like cold
-//!   drive pool in fixed-size slots. A cold location is an ordinary
-//!   [`Pba`] whose segment id sits in a reserved pseudo-segment
-//!   namespace ([`COLD_SEG_BASE`] + drive index), so map facts, patches
-//!   and checkpoints carry cold locations with zero format changes.
-//!   Cold pseudo-segments are *never* entered into the controller's
-//!   segment table: GC cannot pick them as victims and recovery's
-//!   segment bookkeeping never sees them.
-//! * **Demotion** is copy-then-switch through GC's relocation primitive
-//!   (`Controller::relocate`): fetch and decode the live cblock, write
-//!   its stored bytes to the cold slot, then rewrite the referencing
-//!   map keys with fresh-seq facts. Until those facts reach
+//! * **Demotion** is copy-then-switch: fetch and decode the live cblock,
+//!   place its stored bytes in the cold open segment, then rewrite the
+//!   referencing map keys with fresh-seq facts. Until those facts reach
 //!   a patch + checkpoint, recovery replays the *old* facts — which
 //!   still point at the flash copy GC has not freed (GC frees victims
-//!   only after its own checkpoint, which flushes these facts first).
-//!   Power loss mid-demotion therefore never loses an acked write and
-//!   never serves stale data: the move simply un-happens.
-//! * **Slot reclamation** — a slot whose last referencing fact was
-//!   superseded (overwrite, promotion) is swept into `pending_free` and
-//!   returned to the allocator only inside [`Controller::write_checkpoint`],
-//!   *after* the boot record that makes the superseding facts durable.
-//!   Reusing it earlier could let a crash resurrect old facts pointing
-//!   at a rewritten slot — the stale-read hazard the checkpoint barrier
-//!   exists to prevent.
-//! * **Recovery** rebuilds the cold allocator by scanning the recovered
-//!   map for live cold references; slots a crash orphaned mid-demotion
-//!   simply show up unreferenced and return to the free set.
+//!   only after its own checkpoint, which flushes these facts first, and
+//!   a map patch flush first flushes the cold stripes they point into).
+//!   Power loss mid-demotion is a power loss mid-relocation: the move
+//!   simply un-happens.
+//! * **Promotion** is the same move back into the hot open segment.
+//! * **Reclamation** is GC's: cold segments are collected into cold
+//!   segments and freed after GC's checkpoint, like any other.
+//! * **Recovery** finds every cold segment in the checkpoint: one is
+//!   entered in the durable segment table before its first write.
 
-use crate::config::ArrayConfig;
 use crate::controller::{Controller, MapKey, MapVal};
 use crate::error::{PurityError, Result};
+use crate::segment::{COLD, HOT};
 use crate::shelf::Shelf;
-use crate::types::{Pba, SegmentId};
+use crate::types::Pba;
 use purity_obs::{Frame, OpTrace};
 use purity_sim::Nanos;
 use purity_tier::plan::VolumePlacement;
 use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, Reconciler};
-use std::collections::{BTreeMap, BTreeSet};
-
-/// First segment id of the cold pseudo-segment namespace. Real segment
-/// ids are sequential from 1; 2^62 leaves the namespaces disjoint for
-/// any conceivable array lifetime.
-pub(crate) const COLD_SEG_BASE: u64 = 1 << 62;
-
-/// The cold drive index a pseudo-segment id addresses, if it is one.
-pub(crate) fn cold_drive_of(pba: &Pba) -> Option<usize> {
-    (pba.segment.0 >= COLD_SEG_BASE).then(|| (pba.segment.0 - COLD_SEG_BASE) as usize)
-}
+use std::collections::BTreeMap;
 
 /// A volume's live map entries — map key `(medium, sector)` plus its
 /// current value — ordered by backing pba, so each cblock's references
@@ -61,19 +41,6 @@ type VolumeRefs = Vec<(MapKey, MapVal)>;
 /// The per-cblock runs of a volume's refs.
 fn cblocks(refs: &VolumeRefs) -> impl Iterator<Item = &[(MapKey, MapVal)]> {
     refs.chunk_by(|a, b| a.1.loc.pba == b.1.loc.pba)
-}
-
-/// How many of a volume's live cblocks sit on flash vs cold.
-fn placement(refs: &VolumeRefs) -> VolumePlacement {
-    let mut placement = VolumePlacement::default();
-    for cblock in cblocks(refs) {
-        if cold_drive_of(&cblock[0].1.loc.pba).is_some() {
-            placement.cold_cblocks += 1;
-        } else {
-            placement.flash_cblocks += 1;
-        }
-    }
-    placement
 }
 
 /// One volume-level migration executed this tick (reporting).
@@ -87,29 +54,12 @@ pub struct ExecutedMove {
     pub cblocks: usize,
 }
 
-/// Report of one migrator tick (tests, exhibits).
-#[derive(Debug, Clone, Default)]
-pub struct TierTickReport {
-    /// Moves executed, in plan order.
-    pub moves: Vec<ExecutedMove>,
-    /// Cold slots swept into `pending_free` by the liveness sweep.
-    pub slots_swept: usize,
-}
-
-/// Volatile tiering state owned by the controller. Everything here is
-/// reconstructible: heat re-learns, and the cold allocator is rebuilt
-/// from the recovered map on every cold start.
+/// Volatile tiering state owned by the controller: heat re-learns after
+/// a cold start.
 #[derive(Debug)]
 pub struct TierState {
     /// Per-volume heat from the flight recorder's read time-series.
     pub watcher: HeatWatcher,
-    /// Free cold slots, ascending `(drive, slot)` — allocation takes the
-    /// lowest, so placement is deterministic.
-    free_slots: BTreeSet<(usize, u64)>,
-    /// Slots referenced (or possibly referenced) by map facts.
-    used_slots: BTreeSet<(usize, u64)>,
-    /// Dead slots awaiting the checkpoint durability barrier.
-    pending_free: Vec<(usize, u64)>,
     /// Virtual time of the last migrator tick.
     last_tick_at: Nanos,
     /// Recorder intervals already folded into the watcher.
@@ -119,37 +69,20 @@ pub struct TierState {
 }
 
 impl TierState {
-    /// Fresh state for a formatted or recovered controller: every slot
-    /// free, no heat history.
-    pub(crate) fn new(cfg: &ArrayConfig) -> Self {
-        let mut free_slots = BTreeSet::new();
-        for d in 0..cfg.cold_drives {
-            for s in 0..cfg.cold_slots_per_drive() as u64 {
-                free_slots.insert((d, s));
-            }
-        }
+    /// Fresh state for a formatted or recovered controller: no heat
+    /// history.
+    pub(crate) fn new() -> Self {
         Self {
             watcher: HeatWatcher::new(),
-            free_slots,
-            used_slots: BTreeSet::new(),
-            pending_free: Vec::new(),
             last_tick_at: 0,
             heat_intervals_seen: 0,
             vol_reads: BTreeMap::new(),
         }
     }
 
-    /// Writes the tiering engine's series into `out`: cold-pool
-    /// occupancy and the per-volume read counts of `volumes` (the live
-    /// ones) that feed the heat watcher.
+    /// Writes the per-volume read counts of `volumes` (the live ones)
+    /// that feed the heat watcher into `out`.
     pub(crate) fn collect<'v>(&self, volumes: impl Iterator<Item = &'v u64>, out: &mut Frame<'_>) {
-        out.gauge("tier_cold_slots_free", &[], self.free_slots.len() as i64);
-        out.gauge("tier_cold_slots_used", &[], self.used_slots.len() as i64);
-        out.gauge(
-            "tier_cold_slots_pending_free",
-            &[],
-            self.pending_free.len() as i64,
-        );
         for vol in volumes {
             out.counter(
                 "volume_reads",
@@ -163,30 +96,20 @@ impl TierState {
     pub(crate) fn volume_reads(&self, volume: u64) -> u64 {
         self.vol_reads.get(&volume).copied().unwrap_or(0)
     }
-
-    /// Whether a slot is currently marked used (integrity checks).
-    pub(crate) fn slot_used(&self, drive: usize, slot: u64) -> bool {
-        self.used_slots.contains(&(drive, slot))
-    }
-
-    /// Whether a slot still holds its last occupant's bytes: used, or
-    /// dead but not yet released for reuse (integrity checks).
-    pub(crate) fn slot_held(&self, drive: usize, slot: u64) -> bool {
-        self.slot_used(drive, slot) || self.pending_free.contains(&(drive, slot))
-    }
 }
 
 impl Controller {
-    /// Runs the watcher → reconciler → migrator loop if a tick is due.
-    /// Called from [`crate::FlashArray::advance`]; a no-op unless the
-    /// config enables the cold tier and the tick interval elapsed.
-    pub fn tier_maintenance(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<TierTickReport> {
-        let mut report = TierTickReport::default();
+    /// Runs the watcher → reconciler → migrator loop if a tick is due,
+    /// returning the moves it made. Called from
+    /// [`crate::FlashArray::advance`]; a no-op unless the config enables
+    /// the cold tier and the tick interval elapsed.
+    pub fn tier_maintenance(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Vec<ExecutedMove>> {
+        let mut executed = Vec::new();
         if !self.cfg.tiering_enabled() || self.cfg.tier_interval_ns == 0 {
-            return Ok(report);
+            return Ok(executed);
         }
         if now.saturating_sub(self.tier.last_tick_at) < self.cfg.tier_interval_ns {
-            return Ok(report);
+            return Ok(executed);
         }
         self.tier.last_tick_at = now;
         self.feed_heat_from_recorder();
@@ -198,7 +121,10 @@ impl Controller {
         let mut refs: BTreeMap<u64, VolumeRefs> = (self.volumes.keys())
             .map(|&id| (id, self.volume_refs(id)))
             .collect();
-        let placements = refs.iter().map(|(&id, r)| (id, placement(r))).collect();
+        let placements = refs
+            .iter()
+            .map(|(&id, r)| (id, self.placement(r)))
+            .collect();
         let plan: MigrationPlan =
             Reconciler::plan(&placements, &self.tier.watcher, now, &policy, 8);
 
@@ -218,21 +144,16 @@ impl Controller {
                 Some(refs) if !repointed => refs,
                 _ => self.volume_refs(volume),
             };
-            let (moved, t) = match *mv {
-                Move::Promote { .. } => {
-                    self.promote_volume(shelf, refs, budget, now, trace.as_mut())?
-                }
-                Move::Demote { .. } => {
-                    self.demote_volume(shelf, volume, refs, budget, now, trace.as_mut())?
-                }
-            };
+            let demote = matches!(mv, Move::Demote { .. });
+            let (moved, t) =
+                self.move_volume(shelf, volume, refs, demote, budget, now, trace.as_mut())?;
             budget = budget.saturating_sub(moved);
             done = done.max(t);
             if moved > 0 {
                 repointed = true;
-                report.moves.push(ExecutedMove {
+                executed.push(ExecutedMove {
                     volume,
-                    demote: matches!(mv, Move::Demote { .. }),
+                    demote,
                     cblocks: moved,
                 });
             }
@@ -240,8 +161,7 @@ impl Controller {
         if let Some(tr) = trace {
             self.obs.tracer.finish(tr, done);
         }
-        report.slots_swept = self.sweep_cold_liveness();
-        Ok(report)
+        Ok(executed)
     }
 
     /// Folds recorder intervals the watcher has not yet seen into the
@@ -288,200 +208,84 @@ impl Controller {
         runs.into_iter().flatten().flatten().copied().collect()
     }
 
-    /// Demotes up to `budget` of a volume's flash-resident cblocks (its
-    /// current `refs`) to the cold pool: copy-then-switch, one fixed-size
-    /// slot per cblock.
-    fn demote_volume(
+    /// The device class of the segment holding `pba` (hot for a segment
+    /// the table lacks: a fetch from it reports that).
+    pub(crate) fn class_of(&self, pba: &Pba) -> usize {
+        let segment = self.segments.get(&pba.segment.0);
+        segment.map_or(HOT, |s| s.class(self.cfg.n_drives))
+    }
+
+    /// How many of a volume's live cblocks sit on flash vs cold.
+    fn placement(&self, refs: &VolumeRefs) -> VolumePlacement {
+        let mut placement = VolumePlacement::default();
+        for cblock in cblocks(refs) {
+            match self.class_of(&cblock[0].1.loc.pba) {
+                HOT => placement.flash_cblocks += 1,
+                _ => placement.cold_cblocks += 1,
+            }
+        }
+        placement
+    }
+
+    /// Moves up to `budget` of a volume's cblocks (its current `refs`)
+    /// out of their class: demotes hot ones into the cold open segment,
+    /// or promotes cold ones into the hot one. A move is optional work:
+    /// it never eats the reserve, and stops for this tick when the target
+    /// class is out of space. Returns the cblocks moved and when the last
+    /// finished.
+    #[allow(clippy::too_many_arguments)]
+    fn move_volume(
         &mut self,
         shelf: &mut Shelf,
         volume: u64,
         refs: VolumeRefs,
+        demote: bool,
         budget: usize,
         now: Nanos,
         mut trace: Option<&mut OpTrace>,
     ) -> Result<(usize, Nanos)> {
-        let slot_bytes = self.cfg.cold_slot_bytes();
+        let (from, to) = if demote { (HOT, COLD) } else { (COLD, HOT) };
         let mut moved = 0usize;
         let mut done = now;
         for refs in cblocks(&refs) {
             if moved >= budget {
                 break;
             }
-            if cold_drive_of(&refs[0].1.loc.pba).is_some() {
+            if self.class_of(&refs[0].1.loc.pba) != from {
                 continue;
             }
-            let Some(&(d, slot)) = self.tier.free_slots.iter().next() else {
-                break; // cold pool full
+            // A demotion's fetch is nobody's read; a promotion's is
+            // charged to the move.
+            let fetch_trace = if demote { None } else { trace.as_deref_mut() };
+            let mut placed = None;
+            let place = |ctrl: &mut Self, shelf: &mut Shelf, encoded: &[u8]| {
+                let (pba, at) = ctrl.place_cblock(shelf, to, encoded, false, now)?;
+                placed = Some((pba, at));
+                Ok(pba)
             };
-            let page = self.cfg.cold_geometry.page_size;
-            let mut t1 = now;
-            let copy = self.relocate(shelf, refs, None, now, None, |ctrl, shelf, encoded| {
-                if encoded.len() > slot_bytes {
-                    return Err(PurityError::Internal(format!(
-                        "encoded cblock ({} B) exceeds cold slot ({} B)",
-                        encoded.len(),
-                        slot_bytes
-                    )));
-                }
-                let mut padded = encoded.to_vec();
-                padded.resize(padded.len().div_ceil(page) * page, 0);
-                let off = slot * slot_bytes as u64;
-                t1 = shelf.write_cold(d, off as usize, &padded, now)?;
-                ctrl.tier.free_slots.remove(&(d, slot));
-                ctrl.tier.used_slots.insert((d, slot));
-                Ok(Pba {
-                    segment: SegmentId(COLD_SEG_BASE + d as u64),
-                    offset: off,
-                    stored_len: encoded.len() as u32,
-                })
-            })?;
-            done = done.max(copy.fetched_at).max(t1);
-            self.stats.tier_demotions += 1;
-            self.stats.tier_bytes_demoted += copy.placed_bytes;
-            if let Some(tr) = trace.as_deref_mut() {
-                tr.stage_note(
-                    "tier_demote",
-                    now,
-                    t1,
-                    format!("vol {volume} cblock -> cold {d}:{slot}"),
-                );
-            }
-            moved += 1;
-        }
-        Ok((moved, done))
-    }
-
-    /// Promotes up to `budget` of a volume's cold-resident cblocks (its
-    /// current `refs`) back into the flash log. The vacated slots are
-    /// reclaimed later by the liveness sweep + checkpoint barrier, never
-    /// inline.
-    fn promote_volume(
-        &mut self,
-        shelf: &mut Shelf,
-        refs: VolumeRefs,
-        budget: usize,
-        now: Nanos,
-        mut trace: Option<&mut OpTrace>,
-    ) -> Result<(usize, Nanos)> {
-        let mut moved = 0usize;
-        let mut done = now;
-        for refs in cblocks(&refs) {
-            if moved >= budget {
-                break;
-            }
-            if cold_drive_of(&refs[0].1.loc.pba).is_none() {
-                continue;
-            }
-            let copy = match self.relocate(
-                shelf,
-                refs,
-                None,
-                now,
-                trace.as_deref_mut(),
-                |ctrl, shelf, encoded| ctrl.place_cblock_with(shelf, encoded, false, now),
-            ) {
+            let copy = match self.relocate(shelf, refs, None, now, fetch_trace, place) {
                 Ok(copy) => copy,
-                // Promotion is optional work: never eat the reserve, just
-                // stop for this tick if flash is tight.
                 Err(PurityError::OutOfSpace) => break,
                 Err(e) => return Err(e),
             };
             done = done.max(copy.fetched_at);
-            self.stats.tier_promotions += 1;
-            self.stats.tier_bytes_promoted += copy.placed_bytes;
+            if demote {
+                self.stats.tier_demotions += 1;
+                self.stats.tier_bytes_demoted += copy.placed_bytes;
+                if let Some((pba, at)) = placed {
+                    done = done.max(at);
+                    if let Some(tr) = trace.as_deref_mut() {
+                        let note = format!("vol {volume} cblock -> cold segment {}", pba.segment.0);
+                        tr.stage_note("tier_demote", now, at, note);
+                    }
+                }
+            } else {
+                self.stats.tier_promotions += 1;
+                self.stats.tier_bytes_promoted += copy.placed_bytes;
+            }
             moved += 1;
         }
         Ok((moved, done))
-    }
-
-    /// Sweeps cold slots no live fact references into `pending_free`.
-    /// Dead slots arise from overwrites and promotions; they stay out of
-    /// the allocator until [`Controller::write_checkpoint`] makes the
-    /// superseding facts durable.
-    pub(crate) fn sweep_cold_liveness(&mut self) -> usize {
-        // No slot in use, none can be dead: skip the walk.
-        if self.tier.used_slots.is_empty() {
-            return 0;
-        }
-        let live = self.live_cold_slots();
-        let dead: Vec<(usize, u64)> = self
-            .tier
-            .used_slots
-            .iter()
-            .filter(|s| !live.contains(s))
-            .copied()
-            .collect();
-        for s in &dead {
-            self.tier.used_slots.remove(s);
-            self.tier.pending_free.push(*s);
-        }
-        dead.len()
-    }
-
-    /// The cold slots some live fact references.
-    fn live_cold_slots(&self) -> BTreeSet<(usize, u64)> {
-        let slot_bytes = self.cfg.cold_slot_bytes() as u64;
-        let mut slots: Vec<(usize, u64)> = self
-            .reachable_live()
-            .iter()
-            .filter_map(|(_key, val)| {
-                cold_drive_of(&val.loc.pba).map(|d| (d, val.loc.pba.offset / slot_bytes))
-            })
-            .collect();
-        // A cblock's sectors are neighbours: one entry per run.
-        slots.dedup();
-        slots.into_iter().collect()
-    }
-
-    /// Checkpoint hook: the boot record is durable, so slots freed by
-    /// now-durable facts may re-enter the allocator. TRIM is advisory.
-    pub(crate) fn release_pending_cold(&mut self, shelf: &mut Shelf) {
-        if self.tier.pending_free.is_empty() {
-            return;
-        }
-        let slot_bytes = self.cfg.cold_slot_bytes();
-        let released = std::mem::take(&mut self.tier.pending_free);
-        // The next occupant gets the same `Pba` whenever its encoded
-        // length matches, so the old payload must leave the cache now.
-        self.cache.invalidate(|p| {
-            cold_drive_of(p).is_some_and(|d| released.contains(&(d, p.offset / slot_bytes as u64)))
-        });
-        for (d, slot) in released {
-            let _ = shelf.trim_cold(d, (slot * slot_bytes as u64) as usize, slot_bytes);
-            self.tier.free_slots.insert((d, slot));
-        }
-    }
-
-    /// Recovery hook: rebuilds the cold allocator from the recovered
-    /// map. Every slot a live fact references is used; everything else —
-    /// including slots a crash orphaned mid-demotion — is free.
-    pub(crate) fn rebuild_cold_state(&mut self) {
-        if !self.cfg.tiering_enabled() {
-            return;
-        }
-        self.tier = TierState::new(&self.cfg);
-        for s in self.live_cold_slots() {
-            self.tier.free_slots.remove(&s);
-            self.tier.used_slots.insert(s);
-        }
-    }
-
-    /// Reads one cold-resident cblock (raw encoded bytes) for the fetch
-    /// path. Kept here so the pseudo-segment decoding lives in one file.
-    pub(crate) fn read_cold_cblock(
-        shelf: &mut Shelf,
-        pba: &Pba,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos)> {
-        let d = cold_drive_of(pba)
-            .ok_or_else(|| PurityError::Internal(format!("not a cold pba: {:?}", pba)))?;
-        if d >= shelf.n_cold_drives() {
-            return Err(PurityError::Internal(format!(
-                "cold pba {:?} addresses missing drive {d}",
-                pba
-            )));
-        }
-        shelf.read_cold(d, pba.offset as usize, pba.stored_len as usize, now)
     }
 
     /// Per-volume heat classification right now (exhibits).
@@ -496,6 +300,9 @@ mod tests {
     use super::*;
     use crate::array::FlashArray;
     use crate::config::ArrayConfig;
+    use crate::segment::SegmentInfo;
+    use crate::types::AuId;
+    use std::collections::BTreeSet;
 
     const MS: Nanos = 1_000_000;
 
@@ -503,20 +310,39 @@ mod tests {
         FlashArray::new(ArrayConfig::tiered()).unwrap()
     }
 
+    fn is_cold(c: &Controller, s: &SegmentInfo) -> bool {
+        s.class(c.cfg.n_drives) == COLD
+    }
+
+    /// The AUs the cold segments in the table hold.
+    fn cold_aus(c: &Controller) -> BTreeSet<AuId> {
+        (c.segments.values())
+            .filter(|s| is_cold(c, s))
+            .flat_map(|s| s.columns.clone())
+            .collect()
+    }
+
+    /// Cold data is no namespace of its own: a demoted cblock's segment
+    /// is in the one segment table, with its columns on the cold drives
+    /// at the pool's (k, m) = (1, 1) — a mirror.
     #[test]
     fn cold_namespace_never_collides_with_real_segments() {
-        let pba = Pba {
-            segment: SegmentId(COLD_SEG_BASE + 1),
-            offset: 0,
-            stored_len: 4096,
-        };
-        assert_eq!(cold_drive_of(&pba), Some(1));
-        let real = Pba {
-            segment: SegmentId(123),
-            offset: 0,
-            stored_len: 4096,
-        };
-        assert_eq!(cold_drive_of(&real), None);
+        let mut a = tiered_array();
+        let vol = a.create_volume("idle", 1 << 20).unwrap();
+        a.write(vol, 0, &noise(7)).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        run(&mut a, &[], &|c| on_flash(c, vol) == 0);
+        let c = a.controller();
+        let cold = c.writers[COLD].layout();
+        assert_eq!((cold.k, cold.m), (1, 1));
+        let cold_drives = c.cfg.n_drives..c.cfg.n_drives + c.cfg.cold_drives;
+        for refs in cblocks(&c.volume_refs(vol.0)) {
+            let seg = &c.segments[&refs[0].1.loc.pba.segment.0];
+            assert!(is_cold(c, seg));
+            assert_eq!(seg.columns.len(), 2);
+            assert!(seg.columns.iter().all(|au| cold_drives.contains(&au.drive)));
+        }
+        assert!(a.verify_integrity().is_empty());
     }
 
     #[test]
@@ -537,8 +363,11 @@ mod tests {
             }
         }
         assert!(demoted, "idle volume never demoted");
-        let used = a.controller().tier.used_slots.len();
-        assert!(used > 0, "demotion consumed no cold slots");
+        let c = a.controller();
+        assert!(!cold_aus(c).is_empty(), "demotion opened no cold segment");
+        // The cblocks compress to less than a stripe: a checkpoint pads
+        // the stripe out onto the cold drives.
+        a.checkpoint().unwrap();
         // Reads still return the exact bytes, now paying the cold path.
         let (back, _) = a.read(vol, 0, data.len()).unwrap();
         assert_eq!(back, data, "cold-resident data corrupted");
@@ -586,8 +415,8 @@ mod tests {
         );
     }
 
-    /// 256 KiB the compressor cannot shrink, so every encoded cblock of
-    /// every volume has the same `stored_len` and cold `Pba`s collide.
+    /// 256 KiB the compressor cannot shrink, so every cblock fills a
+    /// cold stripe.
     fn noise(seed: u64) -> Vec<u8> {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut data = vec![0u8; 256 * 1024];
@@ -611,42 +440,50 @@ mod tests {
     }
 
     fn on_flash(c: &Controller, v: crate::VolumeId) -> u64 {
-        placement(&c.volume_refs(v.0)).flash_cblocks
+        c.placement(&c.volume_refs(v.0)).flash_cblocks
     }
 
     fn on_cold(c: &Controller, v: crate::VolumeId) -> u64 {
-        placement(&c.volume_refs(v.0)).cold_cblocks
+        c.placement(&c.volume_refs(v.0)).cold_cblocks
     }
 
+    /// A cold AU GC freed is reused by a later demotion, and nothing —
+    /// this controller's cache, or the standby's warm one after a
+    /// failover — serves its previous occupant: locations are segment
+    /// ids, and those are never reused. The pool is shrunk to 16 AUs a
+    /// drive so reuse comes after one volume's round trip.
     #[test]
-    fn reused_cold_slot_never_serves_the_previous_occupant() {
+    fn reused_cold_aus_never_serve_the_previous_occupant() {
         for failover in [false, true] {
-            let mut a = tiered_array();
-            let one = a.create_volume("one", 1 << 20).unwrap();
-            let two = a.create_volume("two", 1 << 20).unwrap();
-            let (d1, d2) = (noise(1), noise(2));
+            let mut cfg = ArrayConfig::tiered();
+            cfg.cold_geometry.blocks_per_die = 8;
+            let mut a = FlashArray::new(cfg).unwrap();
+            assert_eq!(a.config().cold_aus_per_drive(), 16);
+            let one = a.create_volume("one", 2 << 20).unwrap();
+            let two = a.create_volume("two", 2 << 20).unwrap();
+            let d1: Vec<u8> = (10..18).flat_map(noise).collect();
+            let d2: Vec<u8> = (20..28).flat_map(noise).collect();
             a.write(one, 0, &d1).unwrap();
             a.write(two, 0, &d2).unwrap();
             // One touch gives the heat watcher evidence of `one`.
             a.read(one, 0, 4096).unwrap();
             run(&mut a, &[two], &|c| on_flash(c, one) == 0);
-            let first_slots = a.controller().tier.used_slots.clone();
+            let first_aus = cold_aus(a.controller());
             // `one` fills the cache under its cold keys; enough writes
             // follow for a warming pass to copy them to the standby.
             assert_eq!(a.read(one, 0, d1.len()).unwrap().0, d1);
             for _ in 0..128 {
-                a.write(one, 512 * 1024, &d1[..512]).unwrap();
+                a.write(one, 1 << 20, &d1[..512]).unwrap();
             }
-            // `one` re-heats: promoted, its slots swept, then released.
-            run(&mut a, &[one, two], &|c| {
-                on_cold(c, one) == 0 && c.tier.used_slots.is_empty()
-            });
-            a.checkpoint().unwrap();
-            assert!(a.controller().tier.pending_free.is_empty());
+            // `one` re-heats and is promoted; GC frees its cold segments.
+            run(&mut a, &[one, two], &|c| on_cold(c, one) == 0);
+            let report = a.run_gc().unwrap();
+            assert!(report.segments_freed > 0);
             assert_eq!(a.verify_integrity(), Vec::<String>::new());
-            // `two` idles into the very slots `one` vacated.
+            // `two` idles into AUs `one` vacated.
             run(&mut a, &[one], &|c| on_flash(c, two) == 0);
-            assert!(first_slots.is_subset(&a.controller().tier.used_slots));
+            let reused = first_aus.intersection(&cold_aus(a.controller())).count();
+            assert!(reused > 0, "setup: no cold AU was reused");
             if failover {
                 // Made durable first, or the takeover un-happens the move.
                 a.checkpoint().unwrap();
@@ -656,10 +493,10 @@ mod tests {
             let (back, _) = a.read(two, 0, d2.len()).unwrap();
             assert!(
                 back == d2,
-                "failover={failover}: a reused slot served stale bytes (`one`'s: {})",
-                back == d1
+                "failover={failover}: a reused AU served stale bytes (`one`'s: {})",
+                back[..d1.len() / 2] == d1[..d1.len() / 2]
             );
-            assert_eq!(a.read(one, 0, d1.len()).unwrap().0, d1);
+            assert_eq!(a.read(one, 0, 1 << 20).unwrap().0, d1[..1 << 20]);
             assert!(a.verify_integrity().is_empty());
         }
     }
@@ -676,15 +513,18 @@ mod tests {
         data.extend_from_slice(&noise(3)[..128 * 1024]);
         a.write(vol, 0, &data).unwrap();
         a.read(vol, 0, 4096).unwrap();
-        // The stored bytes of every cold cblock, by first volume sector.
+        // The stored bytes of every cold cblock, by first volume sector,
+        // read past the cache.
         let cold_image = |a: &mut FlashArray| -> BTreeMap<u64, Vec<u8>> {
             let now = a.now();
             let (ctrl, shelf) = a.controller_and_shelf();
-            cblocks(&ctrl.volume_refs(vol.0))
+            ctrl.cache.invalidate(|_| true);
+            let refs = ctrl.volume_refs(vol.0);
+            cblocks(&refs)
                 .map(|refs| {
-                    let pba = &refs[0].1.loc.pba;
-                    let (stored, _) = Controller::read_cold_cblock(shelf, pba, now).unwrap();
-                    (refs[0].0 .1, stored)
+                    let pba = refs[0].1.loc.pba;
+                    let fetched = ctrl.fetch_cblock(shelf, &pba, now, None).unwrap();
+                    (refs[0].0 .1, fetched.stored.unwrap())
                 })
                 .collect()
         };
@@ -750,7 +590,7 @@ mod tests {
         let data: Vec<u8> = (0..(256 * 1024)).map(|i| (i % 239) as u8).collect();
         a.write(vol, 0, &data).unwrap();
         a.read(vol, 0, 4096).unwrap();
-        // Tear the very first cold write mid-slot.
+        // Tear the very first cold write mid-page.
         a.arm_power_loss(crate::shelf::CrashTarget::ColdWrite, 0, 512);
         for _ in 0..20 {
             a.advance(100 * MS);
@@ -771,29 +611,123 @@ mod tests {
         assert!(a.verify_integrity().is_empty());
     }
 
+    /// Recovery learns the cold pool from the checkpoint alone: it reads
+    /// no cold drive, even with a cold segment open, and no cold AU is in
+    /// the persisted frontier it scans.
     #[test]
-    fn recovery_rebuilds_cold_allocator_from_the_map() {
+    fn recovery_restores_the_cold_pool_without_reading_it() {
         let mut a = tiered_array();
         let vol = a.create_volume("survivor", 1 << 20).unwrap();
         let data: Vec<u8> = (0..(256 * 1024)).map(|i| (i % 233) as u8).collect();
         a.write(vol, 0, &data).unwrap();
         a.read(vol, 0, 4096).unwrap();
-        for _ in 0..12 {
-            a.advance(100 * MS);
-        }
-        assert!(a.stats().tier_demotions > 0);
+        run(&mut a, &[], &|c| on_flash(c, vol) == 0);
         a.checkpoint().unwrap();
-        let used_before = a.controller().tier.used_slots.len();
-        assert!(used_before > 0);
+        let c = a.controller();
+        assert!(c.writers[COLD].open_segment().is_some(), "setup: none open");
+        let frontier = c.allocators[HOT].snapshot_persisted();
+        assert!(frontier
+            .iter()
+            .all(|&au| AuId::unpack(au).drive < c.cfg.n_drives));
+        let before = cold_aus(c);
+        let cold_reads = |a: &mut FlashArray| -> u64 {
+            let (_, shelf) = a.controller_and_shelf();
+            (0..shelf.n_cold_drives())
+                .map(|d| shelf.cold_drive(d).flash_counters().reads)
+                .sum()
+        };
+        let reads = cold_reads(&mut a);
         a.power_loss(crate::array::PowerLossSpec::default())
             .unwrap();
-        let used_after = a.controller().tier.used_slots.len();
-        assert_eq!(
-            used_before, used_after,
-            "recovered cold allocator disagrees with pre-crash state"
-        );
+        assert_eq!(cold_reads(&mut a), reads, "recovery read a cold drive");
+        assert_eq!(cold_aus(a.controller()), before);
         let (back, _) = a.read(vol, 0, data.len()).unwrap();
         assert_eq!(back, data);
+        assert!(a.stats().cold_reads > 0);
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A cold drive fails with data on it: every byte reads back through
+    /// the mirror, and reinserting the drive rebuilds what it missed.
+    #[test]
+    fn a_failed_cold_drive_is_read_around_and_rebuilt() {
+        let mut a = tiered_array();
+        let vol = a.create_volume("mirrored", 1 << 20).unwrap();
+        let data: Vec<u8> = (0..3).flat_map(noise).collect();
+        a.write(vol, 0, &data).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        run(&mut a, &[], &|c| c.stats.tier_demotions > 0);
+        let cold0 = a.config().n_drives;
+        a.fail_drive(cold0);
+        // Demotion goes on into the open segment, its stripes degraded,
+        // until that fills: a new one needs both drives. The checkpoint
+        // pads its last stripe out.
+        for _ in 0..8 {
+            a.advance(50 * MS);
+        }
+        a.checkpoint().unwrap();
+        assert!(on_cold(a.controller(), vol) > 0);
+        let rebuilt = a.stats().reconstructed_reads;
+        a.controller_and_shelf().0.cache.invalidate(|_| true);
+        assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
+        assert!(
+            a.stats().reconstructed_reads > rebuilt,
+            "no read went around"
+        );
+        let report = a.revive_drive(cold0);
+        assert!(
+            report.units_rebuilt > 0 && report.unrecoverable == 0,
+            "{report:?}"
+        );
+        // The rebuilt drive alone now serves every byte.
+        a.fail_drive(cold0 + 1);
+        a.controller_and_shelf().0.cache.invalidate(|_| true);
+        assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// GC is what frees cold space: a demoted volume with every other
+    /// cblock overwritten leaves its cold segments half dead, and one
+    /// pass collects their live cblocks into the cold class and hands
+    /// the AUs back. (No dedup: GC's pass would repoint some cold refs at
+    /// their stale hot copies, still in the open segment.)
+    #[test]
+    fn gc_reclaims_cold_segments() {
+        const CBLOCK: usize = 32 * 1024;
+        let mut cfg = ArrayConfig::tiered();
+        cfg.dedup_enabled = false;
+        let mut a = FlashArray::new(cfg).unwrap();
+        let vol = a.create_volume("cooling", 1 << 20).unwrap();
+        let mut data: Vec<u8> = (0..4).flat_map(noise).collect();
+        a.write(vol, 0, &data).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        run(&mut a, &[], &|c| on_flash(c, vol) == 0);
+        let fresh = noise(8);
+        for (i, at) in (0..data.len()).step_by(2 * CBLOCK).enumerate() {
+            let bytes = &fresh[i * 4096..][..CBLOCK / 4];
+            let bytes: Vec<u8> = bytes.iter().cycle().take(CBLOCK).copied().collect();
+            a.write(vol, at as u64, &bytes).unwrap();
+            data[at..at + CBLOCK].copy_from_slice(&bytes);
+        }
+        let cold_segments = |c: &Controller| c.segments.values().filter(|s| is_cold(c, s)).count();
+        let c = a.controller();
+        let cold_drive = c.cfg.n_drives;
+        let (segments, available) = (cold_segments(c), c.allocators[COLD].available(cold_drive));
+        let cold_cblocks = on_cold(c, vol);
+        let report = a.run_gc().unwrap();
+        let c = a.controller();
+        assert!(
+            cold_segments(c) < segments,
+            "no cold segment freed: {report:?}"
+        );
+        assert!(c.allocators[COLD].available(cold_drive) > available);
+        assert!(report.bytes_relocated > 0, "{report:?}");
+        assert_eq!(
+            on_cold(c, vol),
+            cold_cblocks,
+            "GC moved cold data out of its class"
+        );
+        assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
         assert!(a.verify_integrity().is_empty());
     }
 }

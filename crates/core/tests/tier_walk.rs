@@ -1,6 +1,6 @@
 //! The migrator tick walks the map once: each volume is resolved a single
-//! time, and the cold-liveness sweep walks only while a cold slot is in
-//! use. Counted in `purity_obs::profiler` Lsm-plane events, which are
+//! time, whether or not cold data is in use — GC, not the tick, frees
+//! cold space. Counted in `purity_obs::profiler` Lsm-plane events, which are
 //! seed-exact: `resolve_range_entries` adds one per sector it resolves
 //! and a relocation one per fact it repoints. The profiler is
 //! process-global, so this is the only test in its binary.
@@ -39,15 +39,15 @@ fn a_tick_resolves_each_volume_once() {
         let events = lsm_events() - events;
         let repointed = a.metrics_snapshot().counter_total("lsm_inserts") - inserts;
         if repointed > 0 {
-            // The walk, the facts the move repointed, then the sweep's
-            // walk — and no second walk of the volume that moved.
-            assert_eq!(events, sectors + repointed + sectors, "demoting tick");
+            // The walk and the facts the move repointed — no second walk
+            // of the volume that moved.
+            assert_eq!(events, sectors + repointed, "demoting tick");
             demoting += 1;
         } else if cold_in_use {
-            assert_eq!(events, 2 * sectors, "tick with cold slots to sweep");
+            assert_eq!(events, sectors, "tick with cold data and nothing to move");
             settled += 1;
         } else {
-            assert_eq!(events, sectors, "tick with nothing to move or sweep");
+            assert_eq!(events, sectors, "tick with nothing to move");
             quiet += 1;
         }
     }

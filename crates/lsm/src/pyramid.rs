@@ -386,6 +386,15 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
         }
     }
 
+    /// Installs facts the owner has already persisted as one patch below
+    /// everything the pyramid holds, bypassing the memtable: how recovery
+    /// reloads the patches it read without holding every fact twice.
+    pub fn load(&mut self, entries: Vec<(K, Seq, V)>) {
+        if !entries.is_empty() {
+            self.patches.push(Arc::new(Patch::from_entries(entries)));
+        }
+    }
+
     /// Freezes the memtable into a patch. Returns it (also kept in the
     /// pyramid) so the owner can persist its facts into segments.
     pub fn flush(&mut self) -> Option<Arc<Patch<K, V>>> {
@@ -687,5 +696,19 @@ mod tests {
         p.flatten();
         assert_eq!(p.total_facts(), 1);
         assert_eq!(p.get(&42), Some((50, 50)));
+    }
+
+    #[test]
+    fn loaded_facts_sit_below_the_memtable_and_later_flushes() {
+        let mut p: Pyramid<u64, u64> = Pyramid::new();
+        p.load(vec![(1, 5, 10), (2, 6, 20)]);
+        assert_eq!((p.memtable_facts(), p.patch_count()), (0, 1));
+        assert_eq!(p.get(&1), Some((10, 5)));
+        p.insert(1, 11, 7);
+        assert_eq!(p.get(&1), Some((11, 7)));
+        p.flush();
+        assert_eq!(p.get(&1), Some((11, 7)));
+        assert_eq!(p.get(&2), Some((20, 6)));
+        assert_eq!(p.max_seq(), 7);
     }
 }

@@ -533,7 +533,7 @@ fn stage_crash(spec: &CampaignSpec, run: &mut Run, rng: &mut StdRng) -> bool {
             finish_stage(run, "boot-region write")
         }
         CrashPhase::TierDemote => {
-            // Tear a cold-slot write mid-demotion: idle the volumes
+            // Tear a cold-segment write mid-demotion: idle the volumes
             // past `tier_demote_after_ns` so the migrator starts
             // copying them down, straight into the armed trigger.
             let after = rng.gen_range(0..3);

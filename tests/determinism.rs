@@ -111,7 +111,7 @@ fn preaged_export_is_deterministic() {
 /// The tiering engine's exhibit arc (ISSUE 10, `exp_fiveminute_live`
 /// seed): a working-set shift that demotes an idle volume to the cold
 /// class, pays cold reads on its return, and promotes it back. RAM-cache
-/// admissions, migrator ticks, cold-slot allocation and the tier blame
+/// admissions, migrator ticks, cold segment placement and the tier blame
 /// category must all repeat exactly.
 #[test]
 fn tiered_workset_shift_export_is_deterministic() {

@@ -2,7 +2,7 @@
 //! unplug controllers" evaluation stance (§1), 7+2 Reed-Solomon
 //! protection (§4.2), corruption repair and scrubbing (§5.1).
 
-use purity_core::{ArrayConfig, FlashArray, PurityError, SECTOR};
+use purity_core::{ArrayConfig, FlashArray, PowerLossSpec, PurityError, SECTOR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,4 +210,48 @@ fn write_heavy_interference_triggers_read_around() {
         "read-around-writes should have reconstructed: {:?}",
         a.stats().reconstruction_fraction()
     );
+}
+
+/// Recovery writes nothing back: thirty power losses on one tiered
+/// array, a write burst and a checkpoint before each, and every cold
+/// start loads what the one before it did plus the burst's facts — never
+/// another copy of the whole map, which used to grow with every loss
+/// until a write failed. Every write acks.
+#[test]
+fn thirty_cold_starts_load_each_fact_once() {
+    let mut a = FlashArray::new(ArrayConfig::tiered()).unwrap();
+    let vol = a.create_volume("v", 2 << 20).unwrap();
+    let mut image = sectors(30, (2 << 20) / SECTOR);
+    a.write(vol, 0, &image).unwrap();
+    a.checkpoint().unwrap();
+    let mut loaded = a
+        .power_loss(PowerLossSpec::default())
+        .unwrap()
+        .recovery
+        .facts_loaded;
+    let mut rng = StdRng::seed_from_u64(30);
+    for loss in 0..30 {
+        let mut burst = 0;
+        for _ in 0..16 {
+            let n = rng.gen_range(1..=16usize);
+            let at = rng.gen_range(0..image.len() / SECTOR - n) * SECTOR;
+            let data = sectors(rng.gen(), n);
+            a.write(vol, at as u64, &data).unwrap();
+            image[at..at + data.len()].copy_from_slice(&data);
+            burst += n;
+        }
+        a.checkpoint().unwrap();
+        let facts = a
+            .power_loss(PowerLossSpec::default())
+            .unwrap()
+            .recovery
+            .facts_loaded;
+        assert!(
+            facts <= loaded + burst,
+            "loss {loss}: {facts} facts loaded after {loaded} and a {burst}-sector burst"
+        );
+        loaded = facts;
+    }
+    assert!(a.read(vol, 0, image.len()).unwrap().0 == image);
+    assert!(a.verify_integrity().is_empty());
 }

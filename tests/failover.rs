@@ -219,11 +219,11 @@ fn availability_accounting() {
     );
 }
 
-/// Recovery replays every on-disk fact into the memtable, so the first
-/// flush after a failover carries them all at once: after 64 MiB of
-/// writes, more than one segment's whole log space. The flush must split
-/// into records that fit instead of giving up with "could not append
-/// log record" — a recovered controller has to take writes.
+/// A recovered controller has to take writes. Recovery used to refill
+/// the memtable with every on-disk fact, so the first flush after a
+/// failover — after 64 MiB of writes, more than one segment's whole log
+/// space — gave up with "could not append log record"; it now holds only
+/// what was written since.
 #[test]
 fn recovered_controller_takes_writes() {
     use purity_wkld::{AccessPattern, ContentModel, Op, SizeMix, WorkloadGen};

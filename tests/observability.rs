@@ -503,6 +503,17 @@ fn tier_stages_are_emitted_and_registered() {
 // (2 -> 0) and the replication source of `cluster_kill_and_repl_ship`
 // (2 -> 0; its other four documents are byte-identical). `plain_mix`
 // did not move.
+//
+// Re-pinned again when cold data became ordinary segments: every
+// document lost the three cold-pool occupancy gauges (in `metrics`,
+// `timeseries` and incident evidence), and the cluster scenario moved by
+// nothing else. `plain_mix` and `host_closed_loop` also count fewer
+// `lsm_inserts` (2 240 -> 0, 31 136 -> 1 664): the standby loads the
+// persisted patches as one patch, not through the memtable. In
+// `tiered_cycle` cold reads are segment reads (`array_reads{path=
+// "direct"}` 74 -> 105, `tier_cold` blame 259 -> 567 ms), each new cold
+// segment is one boot-record write (`flash_programs` +6 on the three
+// mirror drives) and `array_allocated_bytes` counts cold segments.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -584,7 +595,7 @@ fn export_contract_plain_mix() {
     assert_export_digest(
         "plain_mix",
         &[a.export_observability_json()],
-        &[(109_604, 0xf2a4_3b32_aaa9_9328)],
+        &[(108_708, 0x805e_7db5_1f10_05fd)],
     );
 }
 
@@ -621,7 +632,7 @@ fn export_contract_tiered_cycle() {
     assert_export_digest(
         "tiered_cycle",
         &[a.export_observability_json()],
-        &[(79_474, 0x91af_7aba_a4e4_13b3)],
+        &[(79_201, 0x6568_6ae6_d409_e681)],
     );
 }
 
@@ -661,7 +672,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(44_043, 0x75df_56f5_b875_6e41)],
+        &[(43_660, 0x91b8_ff4e_f642_908b)],
     );
 }
 
@@ -730,11 +741,11 @@ fn export_contract_cluster_kill_and_repl_ship() {
         "cluster_kill_and_repl_ship",
         &docs,
         &[
-            (16_538, 0x4aaa_df85_f810_8583),
-            (355_093, 0x82d1_834a_43c9_451d),
-            (349_579, 0xdab3_6e35_58d2_710a),
-            (88_911, 0x08f8_8a5a_60ca_d119),
-            (87_321, 0x8d04_8e87_ac31_ec70),
+            (16_368, 0x3eeb_3a31_a202_d0a5),
+            (352_950, 0x266b_7e90_9dfb_c36a),
+            (347_436, 0x0507_31b2_6acd_01db),
+            (88_262, 0x5851_ebf3_13f6_11ca),
+            (86_672, 0x7e5e_0e27_efda_cb3f),
         ],
     );
 }

@@ -66,9 +66,9 @@ fn torture_op_boundary() {
     assert_eq!(hits, 6, "clean cuts always count as hits");
 }
 
-/// ISSUE 10: power loss mid-demotion. The migrator's cold-slot copy is
-/// torn on a tiered array; recovery must keep every acked write and
-/// never serve a stale or torn cold slot.
+/// Power loss mid-demotion: a write of the migrator's copy into a cold
+/// segment is torn on a tiered array; recovery must keep every acked
+/// write and never serve a stale or torn cold stripe.
 #[test]
 fn torture_tier_demote() {
     let hits = phase_sweep(CrashPhase::TierDemote, 60..66);
@@ -281,12 +281,12 @@ fn every_shrinkable_size_runs() {
 
 /// Repeated power loss with no GC in between (PR 11 finding 2): twenty
 /// cold starts on one tiered array, rotating through the crash phases.
-/// Nothing but a GC pass compacts the on-disk patches, so every cold
-/// start reloads every fact ever written and the post-recovery flush
-/// keeps growing; it used to outgrow a segment's log space, fail the
-/// write with an internal error and take acked data with it. A write
-/// may fail only because power is off or with the typed `OutOfSpace`,
-/// and every acked sector must read back after every cold start.
+/// Recovery used to write every fact it reloaded back as one patch, which
+/// grew with each cold start until it outgrew a segment's log space,
+/// failed the write with an internal error and took acked data with it.
+/// A write may fail only because power is off or with the typed
+/// `OutOfSpace`, and every acked sector must read back after every cold
+/// start.
 #[test]
 fn repeated_power_loss_without_gc_never_returns_wrong_data() {
     use purity_core::{ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, PurityError, SECTOR};
