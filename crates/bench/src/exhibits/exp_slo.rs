@@ -121,6 +121,11 @@ fn scenario(smoke: bool) -> Trace {
         20_000,
     );
     drive(&mut a, noise, &mut storm, 400 * scale, 10);
+    // The recorder judges an interval, and an incident freezes its
+    // evidence, only once the clock has left it. Keep the drive out for
+    // one interval more, so the storm's last interval is judged while it
+    // is still pulled.
+    a.advance(INTERVAL);
     let rebuild = a.revive_drive(PULLED_DRIVE);
     assert_eq!(rebuild.unrecoverable, 0, "RS must cover a single pull");
     // The storm queues device work well past the clock; idle until the

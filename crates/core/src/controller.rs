@@ -1062,9 +1062,10 @@ impl Controller {
                 );
             }
         }
+        let pbas: Vec<Pba> = plan.keys().copied().collect();
+        let fetched = self.fetcher(shelf, now).1.fetch_run(&pbas, trace)?;
         let mut done = now;
-        for (pba, uses) in plan {
-            let fetched = self.fetch_cblock(shelf, &pba, now, trace.as_deref_mut())?;
+        for ((pba, uses), fetched) in plan.into_iter().zip(fetched) {
             done = done.max(fetched.done);
             let payload = fetched.payload;
             for (i, cs) in uses {
@@ -1215,9 +1216,10 @@ impl Controller {
         }
     }
 
-    /// Fetches and decodes a cblock (cache → pending → flash), stamping
-    /// `trace` if given. The stored bytes the fetch read come back
-    /// beside the payload: relocation places them verbatim.
+    /// Fetches and decodes one cblock (cache → pending → flash), stamping
+    /// `trace` if given: a run of one (see [`CtrlFetcher::fetch_run`]).
+    /// The stored bytes the fetch read come back beside the payload:
+    /// relocation places them verbatim.
     pub(crate) fn fetch_cblock(
         &mut self,
         shelf: &mut Shelf,
@@ -1225,7 +1227,8 @@ impl Controller {
         now: Nanos,
         trace: Option<&mut OpTrace>,
     ) -> Result<Fetched> {
-        self.fetcher(shelf, now).1.fetch_cblock(pba, trace)
+        let mut fetched = self.fetcher(shelf, now).1.fetch_run(&[*pba], trace)?;
+        Ok(fetched.remove(0))
     }
 
     /// Splits the controller into the dedup engine and the fetch path
@@ -1454,6 +1457,17 @@ fn stall_stage(dr: &purity_ssd::DeviceRead) -> Option<&'static str> {
     }
 }
 
+/// Which copy a direct read took, for its span note.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// The extent's own column, as planned.
+    Own,
+    /// A mirror's other column, which the planner found sooner.
+    Mirror,
+    /// The extent's own column, after a rebuild found too few columns.
+    Fallback,
+}
+
 /// Stamps the span(s) for one completed direct drive read. Die-stall
 /// queueing becomes its own blame span — `die_stall_program`,
 /// `die_stall_erase`, or `gc_interference` — ahead of the `drive_read`
@@ -1464,12 +1478,12 @@ fn stamp_drive_read(
     dr: &purity_ssd::DeviceRead,
     drive: DriveId,
     now: Nanos,
-    fallback: bool,
+    via: Via,
 ) {
-    let prefix = if fallback {
-        "fallback (too few columns to rebuild): "
-    } else {
-        ""
+    let prefix = match via {
+        Via::Own => "",
+        Via::Mirror => "mirror copy: ",
+        Via::Fallback => "fallback (too few columns to rebuild): ",
     };
     match stall_stage(dr) {
         Some(stage) => {
@@ -1500,7 +1514,8 @@ fn stamp_drive_read(
                     dr.die,
                     drive
                 ),
-                None => format!("{prefix}direct from drive {}", drive),
+                None if via == Via::Mirror => format!("mirror copy from drive {drive}"),
+                None => format!("{prefix}direct from drive {drive}"),
             };
             tr.stage_note("drive_read", now, dr.done, note);
         }
@@ -1561,10 +1576,18 @@ fn rebuild_sources(
     sources
 }
 
+/// How [`read_extent`] reads one extent, as [`plan_rebuild`] decides.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum ReadPlan {
+    /// Read it off this column's drive: the extent's own column, or in a
+    /// mirror the other copy when that one is done sooner.
+    Direct(usize),
+    /// Rebuild it from these other columns (see [`rebuild_sources`]).
+    Rebuild(Vec<(Nanos, usize)>),
+}
+
 /// The §4.4 scheduling decision for one extent, taken from the schedule
-/// the array itself made and booking nothing: `Some(sources)` to rebuild
-/// it from the other columns (see [`rebuild_sources`]), `None` to read
-/// it from its own drive.
+/// the array itself made and booking nothing.
 ///
 /// A failed drive's data is always rebuilt. With read-around enabled, so
 /// is the data of a drive the array writes to at any point of the span
@@ -1573,6 +1596,12 @@ fn rebuild_sources(
 /// starts on the direct read. A rebuild that merely shaves part of one
 /// page read off the wait costs `k` page reads to do it: it moves the
 /// wait onto whoever reads those dies next.
+///
+/// A mirror (`k == 1`) has nothing to rebuild: the RS generator row is
+/// `[1]`, so its other column is a byte-identical copy. With read-around
+/// enabled it reads whichever copy would be done first, write scheduled
+/// or not — one page read either way, so choosing costs nothing. A tie
+/// keeps the data column.
 pub(crate) fn plan_rebuild(
     shelf: &Shelf,
     info: &SegmentInfo,
@@ -1580,32 +1609,81 @@ pub(crate) fn plan_rebuild(
     read_around: bool,
     ext: &Extent,
     now: Nanos,
-) -> Option<Vec<(Nanos, usize)>> {
+) -> ReadPlan {
     let au = info.columns[ext.column];
     if shelf.drive(au.drive).is_failed() {
-        return Some(rebuild_sources(shelf, info, layout, ext, now));
+        return ReadPlan::Rebuild(rebuild_sources(shelf, info, layout, ext, now));
+    }
+    let own = ReadPlan::Direct(ext.column);
+    if !read_around {
+        return own;
+    }
+    let eta = |c: usize| {
+        let au = info.columns[c];
+        let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+        shelf.read_eta(au.drive, off, ext.len, now)
+    };
+    if layout.k == 1 {
+        let soonest = (0..info.columns.len())
+            .filter_map(|c| Some((eta(c)?.end, c)))
+            .min();
+        return soonest.map_or(own, |(_, c)| ReadPlan::Direct(c));
     }
     // Most reads meet a drive with no write scheduled at all, and need
     // no estimate to know it.
-    if !read_around || !shelf.writes_overlap(au.drive, now, Nanos::MAX) {
-        return None;
+    if !shelf.writes_overlap(au.drive, now, Nanos::MAX) {
+        return own;
     }
     // An extent the drive would refuse has no estimate: go direct and let
     // the media error choose the rebuild.
-    let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
-    let direct = shelf.read_eta(au.drive, off, ext.len, now)?;
+    let Some(direct) = eta(ext.column) else {
+        return own;
+    };
     if !shelf.writes_overlap(au.drive, now, direct.end) {
-        return None;
+        return own;
     }
     // At a pair hand-off four drives are within one read of a program and
     // fewer than k columns are clear: waiting out the window that is
     // ending is then the cheapest plan.
     let sources = rebuild_sources(shelf, info, layout, ext, now);
-    (sources.len() >= layout.k && sources[layout.k - 1].0 < direct.start).then_some(sources)
+    if sources.len() >= layout.k && sources[layout.k - 1].0 < direct.start {
+        ReadPlan::Rebuild(sources)
+    } else {
+        own
+    }
 }
 
-/// Reads one extent of a segment as [`plan_rebuild`] decides: from its
-/// own drive, or rebuilt from `k` other columns via Reed-Solomon. A
+/// Reads `ext` straight off column `column`'s drive, counting it as a
+/// direct read and stamping its span(s).
+#[allow(clippy::too_many_arguments)]
+fn read_direct(
+    shelf: &mut Shelf,
+    info: &SegmentInfo,
+    layout: &SegmentLayout,
+    stats: &mut ArrayStats,
+    ext: &Extent,
+    column: usize,
+    via: Via,
+    now: Nanos,
+    trace: Option<&mut OpTrace>,
+) -> Result<(Vec<u8>, Nanos)> {
+    let au = info.columns[column];
+    let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+    let dr = shelf.read_drive_traced(au.drive, off, ext.len, now)?;
+    stats.direct_reads += 1;
+    stats.read_queueing.record(dr.queued);
+    stats.read_service.record(dr.service);
+    stats
+        .direct_read_latency
+        .record(dr.done.saturating_sub(now));
+    if let Some(tr) = trace {
+        stamp_drive_read(tr, &dr, au.drive, now, via);
+    }
+    Ok((dr.data, dr.done))
+}
+
+/// Reads one extent of a segment as [`plan_rebuild`] decides: off one
+/// column's drive, or rebuilt from `k` other columns via Reed-Solomon. A
 /// direct read that meets a media error falls through to the rebuild; a
 /// rebuild that finds too few readable columns falls back to waiting on
 /// the busy drive.
@@ -1623,30 +1701,41 @@ pub(crate) fn read_extent(
 ) -> Result<(Vec<u8>, Nanos)> {
     let au = info.columns[ext.column];
     let k = layout.k;
-    let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
     let failed = shelf.drive(au.drive).is_failed();
-    let plan = plan_rebuild(shelf, info, layout, read_around, ext, now);
     let mut media_error = false;
-    if plan.is_none() {
-        match shelf.read_drive_traced(au.drive, off, ext.len, now) {
-            Ok(dr) => {
-                stats.direct_reads += 1;
-                stats.read_queueing.record(dr.queued);
-                stats.read_service.record(dr.service);
-                stats
-                    .direct_read_latency
-                    .record(dr.done.saturating_sub(now));
-                if let Some(tr) = trace.as_deref_mut() {
-                    stamp_drive_read(tr, &dr, au.drive, now, false);
-                }
-                return Ok((dr.data, dr.done));
+    let sources = match plan_rebuild(shelf, info, layout, read_around, ext, now) {
+        ReadPlan::Rebuild(sources) => sources,
+        ReadPlan::Direct(column) => {
+            let via = if column == ext.column {
+                Via::Own
+            } else {
+                Via::Mirror
+            };
+            let read = read_direct(
+                shelf,
+                info,
+                layout,
+                stats,
+                ext,
+                column,
+                via,
+                now,
+                trace.as_deref_mut(),
+            );
+            if read.is_ok() {
+                return read;
             }
-            Err(_) => media_error = true, // corrupt page: rebuild below
+            // A corrupt page: rebuild below, from columns other than the
+            // copy that just failed. Only the extent's own column failing
+            // rules out the fallback read of it.
+            media_error = via == Via::Own;
+            let mut sources = rebuild_sources(shelf, info, layout, ext, now);
+            sources.retain(|&(_, c)| c != column);
+            sources
         }
-    }
+    };
 
     // Reconstruct from the k other columns that deliver soonest.
-    let sources = plan.unwrap_or_else(|| rebuild_sources(shelf, info, layout, ext, now));
     let mut available: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
     // The source read that arrives last, and its drive.
     let mut crit: Option<(purity_ssd::DeviceRead, DriveId)> = None;
@@ -1695,19 +1784,19 @@ pub(crate) fn read_extent(
     // available (the scheduler is an optimization, not a requirement).
     let mut fallback_err = String::new();
     if !failed && !media_error {
-        match shelf.read_drive_traced(au.drive, off, ext.len, now) {
-            Ok(dr) => {
-                stats.direct_reads += 1;
-                stats.read_queueing.record(dr.queued);
-                stats.read_service.record(dr.service);
-                stats
-                    .direct_read_latency
-                    .record(dr.done.saturating_sub(now));
-                if let Some(tr) = trace {
-                    stamp_drive_read(tr, &dr, au.drive, now, true);
-                }
-                return Ok((dr.data, dr.done));
-            }
+        let column = ext.column;
+        match read_direct(
+            shelf,
+            info,
+            layout,
+            stats,
+            ext,
+            column,
+            Via::Fallback,
+            now,
+            trace,
+        ) {
+            Ok(read) => return Ok(read),
             Err(e) => fallback_err = format!("; fallback: {}", e),
         }
     }
@@ -1755,57 +1844,123 @@ pub(crate) struct CtrlFetcher<'a> {
 }
 
 impl CtrlFetcher<'_> {
-    /// Cache → open-segment pending buffer → flash, then decode.
-    fn fetch_cblock(&mut self, pba: &Pba, mut trace: Option<&mut OpTrace>) -> Result<Fetched> {
+    /// Fetches and decodes the cblocks at `pbas`, in ascending order as a
+    /// read plan holds them, and returns one [`Fetched`] for each, in
+    /// that order. Each cblock is looked up in the cache once. The ones
+    /// it misses go to their segment in *runs*: consecutive misses in one
+    /// segment, each starting no later than the page after the run's last
+    /// byte. A run is read as one byte range (open-segment pending buffer
+    /// → flash) and each cblock decoded from its own slice, so a page
+    /// that `n` adjacent cblocks share is read once, not `n` times in
+    /// series on one die — and a run reads no page that fetching its
+    /// cblocks one by one would not have read.
+    fn fetch_run(&mut self, pbas: &[Pba], mut trace: Option<&mut OpTrace>) -> Result<Vec<Fetched>> {
         let now = self.now;
-        if let Some(payload) = self.cache.get(pba) {
+        let mut out = Vec::with_capacity(pbas.len());
+        // The misses not yet read: `pbas[run]`.
+        let mut run = 0..0;
+        for (i, pba) in pbas.iter().enumerate() {
+            let hit = self.cache.get(pba);
+            if hit.is_some() || (!run.is_empty() && !self.adjoins(&pbas[run.end - 1], pba)) {
+                self.read_run(&pbas[run], &mut out, trace.as_deref_mut())?;
+                run = i..i;
+            }
+            let Some(payload) = hit else {
+                run.end = i + 1;
+                continue;
+            };
+            run = i + 1..i + 1;
             self.stats.cache_reads += 1;
             if let Some(tr) = trace.as_deref_mut() {
                 tr.stage("cache_hit", now, now);
             }
-            return Ok(Fetched {
+            out.push(Fetched {
                 payload,
                 stored: None,
                 done: now,
             });
         }
-        let (raw, done) = self.read_stored(pba, trace)?;
-        let payload =
-            Arc::new(purity_compress::decompress(&raw).map_err(|e| {
-                PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e))
-            })?);
-        self.cache.put(*pba, payload.clone());
-        Ok(Fetched {
-            payload,
-            stored: Some(raw),
-            done,
-        })
+        self.read_run(&pbas[run], &mut out, trace)?;
+        Ok(out)
     }
 
-    /// Reads a cblock's stored bytes off its segment, in either class.
-    /// A cblock in an open segment may straddle the flush boundary: head
-    /// bytes already on flash, tail still in the pending DRAM buffer.
+    /// Whether `next` may extend a run that ends with `last`: same
+    /// segment, and starting no later than the page after `last`'s final
+    /// byte, in the segment's class's page size.
+    fn adjoins(&self, last: &Pba, next: &Pba) -> bool {
+        let Some(info) = self.segments.get(&last.segment.0) else {
+            return false;
+        };
+        let page = self.writers[info.class(self.n_hot)].page_size() as u64;
+        let end = last.offset + u64::from(last.stored_len);
+        next.segment == last.segment && next.offset <= end.next_multiple_of(page)
+    }
+
+    /// Reads one run (see [`CtrlFetcher::fetch_run`]) and appends its
+    /// decoded cblocks to `out`, each admitted to the cache. A cblock
+    /// that does not decode is data loss at its own address.
+    fn read_run(
+        &mut self,
+        run: &[Pba],
+        out: &mut Vec<Fetched>,
+        trace: Option<&mut OpTrace>,
+    ) -> Result<()> {
+        let (Some(first), Some(last)) = (run.first(), run.last()) else {
+            return Ok(());
+        };
+        let start = first.offset;
+        let len = (last.offset + u64::from(last.stored_len) - start) as usize;
+        let (mut raw, done) = self.read_stored(first.segment, start, len, run.len(), trace)?;
+        for pba in run {
+            let at = (pba.offset - start) as usize;
+            let stored = &raw[at..at + pba.stored_len as usize];
+            let payload = Arc::new(purity_compress::decompress(stored).map_err(|e| {
+                PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e))
+            })?);
+            self.cache.put(*pba, payload.clone());
+            // A run of one is its cblock's bytes: relocation copies none.
+            let stored = if run.len() == 1 {
+                std::mem::take(&mut raw)
+            } else {
+                stored.to_vec()
+            };
+            out.push(Fetched {
+                payload,
+                stored: Some(stored),
+                done,
+            });
+        }
+        Ok(())
+    }
+
+    /// Reads `len` stored bytes at data-space `offset` of `segment`, in
+    /// either class; `cblocks` is how many cblocks the range holds (a
+    /// cold read counts each). A range in an open segment may straddle
+    /// the flush boundary: head bytes already on flash, tail still in the
+    /// pending DRAM buffer. The flash part is read write unit by write
+    /// unit, each extent planned on its own.
     fn read_stored(
         &mut self,
-        pba: &Pba,
+        segment: SegmentId,
+        offset: u64,
+        len: usize,
+        cblocks: usize,
         mut trace: Option<&mut OpTrace>,
     ) -> Result<(Vec<u8>, Nanos)> {
         let now = self.now;
-        let len = pba.stored_len as usize;
-        let info = self
-            .segments
-            .get(&pba.segment.0)
-            .ok_or_else(|| PurityError::Internal(format!("unknown segment {:?}", pba.segment)))?;
+        let miss = |what: &str| PurityError::Internal(format!("{what} at {segment:?}+{offset}"));
+        let info = (self.segments.get(&segment.0))
+            .ok_or_else(|| PurityError::Internal(format!("unknown segment {segment:?}")))?;
         let class = info.class(self.n_hot);
         let writer = &self.writers[class];
-        let flash_len = match writer.flushed_boundary(pba.segment) {
-            Some(boundary) => (boundary.saturating_sub(pba.offset) as usize).min(len),
+        let flash_len = match writer.flushed_boundary(segment) {
+            Some(boundary) => (boundary.saturating_sub(offset) as usize).min(len),
             None => len,
         };
         if flash_len == 0 {
             let bytes = writer
-                .read_pending(pba.segment, pba.offset, len)
-                .ok_or_else(|| PurityError::Internal(format!("pending read miss at {:?}", pba)))?;
+                .read_pending(segment, offset, len)
+                .ok_or_else(|| miss("pending read miss"))?;
             if let Some(tr) = trace.as_deref_mut() {
                 tr.stage("pending_buffer", now, now);
             }
@@ -1822,11 +1977,11 @@ impl CtrlFetcher<'_> {
         } else {
             None
         };
-        // The first extent's bytes become the buffer: most cblocks are
-        // one extent, and need no second copy.
+        // The first extent's bytes become the buffer: most runs are one
+        // extent, and need no second copy.
         let mut buf = Vec::new();
         let mut done = now;
-        for ext in writer.layout().data_extents(pba.offset, flash_len) {
+        for ext in writer.layout().data_extents(offset, flash_len) {
             let (bytes, t) = read_extent(
                 self.shelf,
                 info,
@@ -1846,22 +2001,23 @@ impl CtrlFetcher<'_> {
             }
         }
         if class == COLD {
-            self.stats.cold_reads += 1;
+            self.stats.cold_reads += cblocks as u64;
             if let Some(tr) = trace {
                 tr.stage("cold_read", now, done);
             }
         }
         if flash_len < len {
             let tail = writer
-                .read_pending(pba.segment, pba.offset + flash_len as u64, len - flash_len)
-                .ok_or_else(|| PurityError::Internal(format!("pending tail miss at {:?}", pba)))?;
+                .read_pending(segment, offset + flash_len as u64, len - flash_len)
+                .ok_or_else(|| miss("pending tail miss"))?;
             buf.extend_from_slice(&tail);
         }
         Ok((buf, done))
     }
 
     fn payload(&mut self, pba: &Pba) -> Option<Arc<Vec<u8>>> {
-        self.fetch_cblock(pba, None).ok().map(|f| f.payload)
+        let mut fetched = self.fetch_run(std::slice::from_ref(pba), None).ok()?;
+        Some(fetched.remove(0).payload)
     }
 }
 
@@ -1894,5 +2050,154 @@ impl BlockFetcher<BlockLoc> for CtrlFetcher<'_> {
         let payload = self.payload(&loc.pba)?;
         let start = sector as usize * SECTOR;
         (start + SECTOR <= payload.len()).then(|| &payload[start..start + SECTOR] == expect)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::array::FlashArray;
+    use purity_sim::SEC;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::ops::Range;
+
+    const BLOCK: usize = 4096;
+
+    /// `n` 4 KiB writes in volume order, each sector half random and half
+    /// constant, so each block is one cblock stored at about half its
+    /// size: two to a page, packed back to back. The first stripe is on
+    /// flash, the rest still in the open segment's pending buffer, and no
+    /// write is in flight.
+    fn packed(n: u64) -> (FlashArray, VolumeId, Vec<u8>) {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let vol = a.create_volume("packed", n * BLOCK as u64).unwrap();
+        let mut rng = StdRng::seed_from_u64(n);
+        let mut image = vec![0x5a; n as usize * BLOCK];
+        for (i, block) in image.chunks_mut(BLOCK).enumerate() {
+            for sector in block.chunks_mut(SECTOR) {
+                rng.fill(&mut sector[..SECTOR / 2]);
+            }
+            a.write(vol, (i * BLOCK) as u64, block).unwrap();
+        }
+        a.advance(SEC);
+        (a, vol, image)
+    }
+
+    /// The cblocks behind `blocks` of `vol`, one per block.
+    fn pbas(a: &FlashArray, vol: VolumeId, blocks: Range<u64>) -> Vec<Pba> {
+        let c = a.controller();
+        let per_block = (BLOCK / SECTOR) as u64;
+        let n_sectors = (blocks.end - blocks.start) * per_block;
+        let anchor = c.volume(vol).unwrap().anchor;
+        let mut pbas: Vec<Pba> =
+            (c.resolve_range_entries(anchor, blocks.start * per_block, n_sectors as usize))
+                .into_iter()
+                .map(|entry| entry.unwrap().1.loc.pba)
+                .collect();
+        pbas.dedup();
+        assert_eq!(pbas.len() as u64, blocks.end - blocks.start);
+        pbas
+    }
+
+    fn end(pba: &Pba) -> u64 {
+        pba.offset + u64::from(pba.stored_len)
+    }
+
+    fn read_blocks(a: &mut FlashArray, vol: VolumeId, blocks: &Range<u64>) -> Vec<u8> {
+        let len = (blocks.end - blocks.start) as usize * BLOCK;
+        a.read(vol, blocks.start * BLOCK as u64, len).unwrap().0
+    }
+
+    fn uncache(a: &mut FlashArray) {
+        a.controller_and_shelf().0.cache.invalidate(|_| true);
+    }
+
+    /// Page reads booked on the hot drives so far.
+    fn flash_reads(a: &mut FlashArray) -> u64 {
+        let (_, shelf) = a.controller_and_shelf();
+        (0..shelf.n_drives())
+            .map(|d| shelf.drive(d).flash_counters().reads)
+            .sum()
+    }
+
+    /// A read of the cblocks packed into one write unit books each page
+    /// they cover once. Fetched one by one, they booked every page once
+    /// per cblock on it, in series on its die.
+    #[test]
+    fn a_run_books_each_page_once() {
+        let (mut a, vol, image) = packed(160);
+        let page = a.config().ssd_geometry.page_size as u64;
+        let wu = a.config().write_unit_bytes as u64;
+        let all = pbas(&a, vol, 0..160);
+        let n = all.iter().take_while(|p| end(p) <= wu).count();
+        let run = &all[..n];
+        assert!(n >= 8 && run.iter().all(|p| p.segment == run[0].segment));
+        let pages = |lo: u64, hi: u64| (hi - 1) / page - lo / page + 1;
+        let distinct = pages(run[0].offset, end(&run[n - 1]));
+        let per_cblock: u64 = run.iter().map(|p| pages(p.offset, end(p))).sum();
+        assert!(per_cblock > distinct, "setup: no page is shared");
+
+        let (before, rebuilt) = (flash_reads(&mut a), a.stats().reconstructed_reads);
+        let blocks = 0..n as u64;
+        assert_eq!(read_blocks(&mut a, vol, &blocks), image[..n * BLOCK]);
+        assert_eq!(
+            flash_reads(&mut a) - before,
+            distinct,
+            "{n} cblocks on {distinct} pages ({per_cblock} cblock-pages)"
+        );
+        assert_eq!(a.stats().reconstructed_reads, rebuilt);
+    }
+
+    /// Runs read back what was written wherever they lie: across the open
+    /// segment's flush boundary, on either side of a cache hit that
+    /// splits them, and over a corrupt page, whose extent is rebuilt from
+    /// parity while every cblock in the run still decodes.
+    #[test]
+    fn runs_read_back_what_was_written() {
+        const N: u64 = 160;
+        let (mut a, vol, image) = packed(N);
+        let want =
+            |r: &Range<u64>| image[r.start as usize * BLOCK..r.end as usize * BLOCK].to_vec();
+        let all = pbas(&a, vol, 0..N);
+        let segment = all[0].segment;
+        assert!(all.iter().all(|p| p.segment == segment));
+
+        // Across the flush boundary: head on flash, tail in DRAM.
+        let boundary = a.controller().writers[HOT]
+            .flushed_boundary(segment)
+            .unwrap();
+        let b = all.iter().position(|p| end(p) > boundary).unwrap() as u64;
+        let across = b - 4..b + 4;
+        assert!(
+            all[across.start as usize].offset < boundary && end(&all[b as usize + 3]) > boundary
+        );
+        uncache(&mut a);
+        assert_eq!(read_blocks(&mut a, vol, &across), want(&across));
+
+        // Around a cache hit: two runs.
+        uncache(&mut a);
+        let hit = b - 20;
+        read_blocks(&mut a, vol, &(hit..hit + 1));
+        let hits = a.stats().cache_reads;
+        let around = hit - 4..hit + 4;
+        assert_eq!(read_blocks(&mut a, vol, &around), want(&around));
+        assert_eq!(a.stats().cache_reads, hits + 1);
+
+        // Over a corrupt page in the middle of a run.
+        let victim = all[16];
+        let layout = *a.controller().writers[HOT].layout();
+        let ext = layout.data_extents(victim.offset, 1)[0];
+        let au = a.controller().segments[&segment.0].columns[ext.column];
+        let at = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+        assert!(a.corrupt_drive_at(au.drive, at));
+        uncache(&mut a);
+        let rebuilt = a.stats().reconstructed_reads;
+        let over = 8..24;
+        assert_eq!(read_blocks(&mut a, vol, &over), want(&over));
+        assert!(
+            a.stats().reconstructed_reads > rebuilt,
+            "the corrupt extent was not rebuilt"
+        );
     }
 }

@@ -362,6 +362,11 @@ impl SegmentWriter {
         &self.rs
     }
 
+    /// The class's flash page size: the unit its drives read.
+    pub fn page_size(&self) -> usize {
+        self.page_size
+    }
+
     /// The open segment, if any.
     pub fn open_segment(&self) -> Option<&SegmentInfo> {
         self.open.as_ref().map(|o| &o.info)
@@ -904,7 +909,7 @@ mod tests {
     /// where waiting out the window that is ending is the cheapest plan.
     #[test]
     fn no_issue_instant_makes_a_read_wait_out_a_window() {
-        use crate::controller::plan_rebuild;
+        use crate::controller::{plan_rebuild, ReadPlan};
         let (shelf, info, l, cfg, first_pair, done) = one_flushed_stripe();
         let page = cfg.ssd_geometry.page_size;
         let service = cfg.ssd_latency.page_read(page);
@@ -919,11 +924,12 @@ mod tests {
                 };
                 let au = info.columns[column];
                 let completes = match plan_rebuild(&shelf, &info, &l, true, &ext, now) {
-                    Some(sources) => {
+                    ReadPlan::Rebuild(sources) => {
                         rebuilt += 1;
                         sources[l.k - 1].0
                     }
-                    None => {
+                    ReadPlan::Direct(c) => {
+                        assert_eq!(c, column, "a 7+2 stripe has no copy to choose");
                         let off = l.wu_byte_offset(au.index, 0, 0);
                         shelf.read_eta(au.drive, off, page, now).unwrap().end
                     }
@@ -944,7 +950,7 @@ mod tests {
     /// the wait to the program it waited for, not to `reconstruct`.
     #[test]
     fn a_hand_off_read_gets_what_the_planner_promised() {
-        use crate::controller::{plan_rebuild, read_extent};
+        use crate::controller::{plan_rebuild, read_extent, ReadPlan};
         let (_, _, _, _, first_pair, _) = one_flushed_stripe();
         // 50 us before the second pair opens: column 0 (its window is
         // ending) reads direct; column 2 (its window is opening) rebuilds
@@ -966,7 +972,8 @@ mod tests {
                 len: page,
             };
             let plan = plan_rebuild(&shelf, &info, &l, true, &ext, now);
-            assert_eq!(plan.is_some(), want_rebuild, "column {column}");
+            let rebuilds = matches!(plan, ReadPlan::Rebuild(_));
+            assert_eq!(rebuilds, want_rebuild, "column {column}");
             let rs = ReedSolomon::new(l.k, l.m);
             let mut stats = crate::stats::ArrayStats::default();
             let mut trace = purity_obs::OpTrace::new("read", now);
@@ -987,7 +994,7 @@ mod tests {
                 .collect();
             assert_eq!(bytes, want);
             assert!(done - now <= 2 * service, "took {}", done - now);
-            if let Some(sources) = plan {
+            if let ReadPlan::Rebuild(sources) = plan {
                 assert_eq!(done, sources[l.k - 1].0, "the estimate was the booking");
             }
             let stages = trace.stages();

@@ -686,6 +686,64 @@ mod tests {
         assert!(a.verify_integrity().is_empty());
     }
 
+    /// A mirror reads whichever copy is done first, with or without a
+    /// write in the way: a long read of one cold segment, with no cold
+    /// write scheduled, spreads its pages over both drives instead of
+    /// queueing them all on the drive holding the data column.
+    #[test]
+    fn a_long_cold_read_takes_both_mirror_copies() {
+        const CBLOCK: usize = 32 * 1024;
+        let mut a = tiered_array();
+        let vol = a.create_volume("mirrored", 1 << 20).unwrap();
+        let data: Vec<u8> = (0..3).flat_map(noise).collect();
+        a.write(vol, 0, &data).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        run(&mut a, &[], &|c| on_flash(c, vol) == 0);
+        a.checkpoint().unwrap();
+        a.advance(1_000 * MS);
+        // The longest stretch of the volume in one cold segment: each
+        // segment's data column sits on one drive or the other.
+        let c = a.controller();
+        let anchor = c.volume(vol).unwrap().anchor;
+        let segment_of = |i: usize| {
+            let sector = (i * CBLOCK / crate::types::SECTOR) as u64;
+            c.resolve_sector(anchor, sector).unwrap().loc.pba.segment
+        };
+        let (n, mut start, mut stretch) = (data.len() / CBLOCK, 0, 0..0);
+        for i in 1..=n {
+            if i == n || segment_of(i) != segment_of(start) {
+                if i - start > stretch.len() {
+                    stretch = start..i;
+                }
+                start = i;
+            }
+        }
+        assert!(stretch.len() >= 4, "setup: {stretch:?}");
+        let (offset, len) = (stretch.start * CBLOCK, stretch.len() * CBLOCK);
+        let now = a.now();
+        let cold0 = a.config().n_drives;
+        let (ctrl, shelf) = a.controller_and_shelf();
+        assert!(!(0..2).any(|d| shelf.writes_overlap(cold0 + d, now, Nanos::MAX)));
+        ctrl.cache.invalidate(|_| true);
+        let reads = |a: &mut FlashArray| -> Vec<u64> {
+            let (_, shelf) = a.controller_and_shelf();
+            (0..2)
+                .map(|d| shelf.cold_drive(d).flash_counters().reads)
+                .collect()
+        };
+        let before = reads(&mut a);
+        let back = a.read(vol, offset as u64, len).unwrap().0;
+        assert!(back == data[offset..offset + len]);
+        let after = reads(&mut a);
+        for d in 0..2 {
+            assert!(
+                after[d] > before[d],
+                "cold drive {d} served none of the read: {before:?} -> {after:?}"
+            );
+        }
+        assert!(a.verify_integrity().is_empty());
+    }
+
     /// GC is what frees cold space: a demoted volume with every other
     /// cblock overwritten leaves its cold segments half dead, and one
     /// pass collects their live cblocks into the cold class and hands
