@@ -8,13 +8,14 @@
 //!   merge rather than relocated, which is the fast space reclamation of
 //!   elision (§4.10);
 //! * runs the "more expensive deduplication pass" over relocated data
-//!   (§4.7), catching duplicates inline dedup missed — and moves a
-//!   cblock the pass left whole as a copy of its stored bytes
-//!   (`Controller::relocate`, shared with the tiering migrator);
-//! * **segregates deduplicated blocks into their own segments** (§4.7) —
-//!   multiply-referenced cblocks are relocated into a separate fresh
-//!   segment, "since blocks with multiple references are less likely to
-//!   become completely unreferenced";
+//!   (§4.7), catching duplicates inline dedup missed — and keeps only
+//!   the sectors some key still reads, moving a cblock that stays whole
+//!   as a copy of its stored bytes (`Controller::relocate`, shared with
+//!   the tiering migrator);
+//! * **segregates its output** (§4.7 segregates deduplicated blocks,
+//!   "less likely to become completely unreferenced") — GC seals the
+//!   open segment before and after relocating, so what it moves lands in
+//!   segments of its own, apart from host writes;
 //! * flattens the map pyramid and rewrites it as a compact patch set,
 //!   bounding recovery work;
 //! * shortcuts medium chains so reads touch ≤ 3 cblocks (§4.6).
@@ -50,6 +51,8 @@ pub(crate) struct Relocated {
     pub fetched_at: Nanos,
     /// References repointed at a duplicate the dedup pass found.
     pub dedup_sectors: u64,
+    /// Sectors no key reads, left behind.
+    pub sectors_dropped: u64,
     /// The stored bytes were placed verbatim: no pack, no compress.
     pub copied: bool,
 }
@@ -67,9 +70,12 @@ pub struct GcReport {
     pub gc_dedup_sectors: u64,
     /// cblocks relocated by placing their stored bytes verbatim.
     pub cblocks_copied: u64,
-    /// cblocks relocated by re-packing and re-encoding the payload (the
-    /// pass found a new duplicate, or the fetch was a cache hit).
+    /// cblocks relocated by re-packing and re-encoding the payload (a
+    /// sector was dead or the pass found a new duplicate for it, or the
+    /// fetch was a cache hit).
     pub cblocks_repacked: u64,
+    /// Sectors of relocated cblocks that no key reads, not carried over.
+    pub sectors_dropped: u64,
     /// Medium-table rows shortcut.
     pub medium_shortcuts: usize,
     /// Map facts dropped by the flatten (superseded + elided).
@@ -139,26 +145,18 @@ impl Controller {
             .map(|s| s.id.0)
             .collect();
 
-        // ---- Relocation. ---------------------------------------------
-        // Split each victim's live cblocks into singly- and multiply-
-        // referenced groups; the latter get their own segments (§4.7).
-        let (shared, normal): (Vec<Cow<CblockRefs>>, Vec<Cow<CblockRefs>>) = by_cblock()
+        // ---- Relocation, into hot segments host writes never share. ----
+        let mut moving = by_cblock()
             .filter(|cblock| victims.binary_search(&pba_of(&cblock[0]).segment.0).is_ok())
-            .map(|cblock| match cblock {
-                [run] => Cow::Borrowed(*run),
-                runs => Cow::Owned(runs.concat()),
-            })
-            .partition(|refs| refs.len() > 1 || refs[0].1.deduped);
-
-        for refs in &normal {
-            self.relocate_cblock(shelf, refs, &victims, &mut report, now)?;
-        }
-        if !shared.is_empty() {
-            // Segregation boundary: dedup-heavy data goes to fresh
-            // segments of its own.
+            .peekable();
+        if moving.peek().is_some() {
             self.seal_open_segment(shelf, HOT, now)?;
-            for refs in &shared {
-                self.relocate_cblock(shelf, refs, &victims, &mut report, now)?;
+            for cblock in moving {
+                let refs = match cblock {
+                    [run] => Cow::Borrowed(*run),
+                    runs => Cow::Owned(runs.concat()),
+                };
+                self.relocate_cblock(shelf, &refs, &victims, &mut report, now)?;
             }
             self.seal_open_segment(shelf, HOT, now)?;
         }
@@ -340,6 +338,7 @@ impl Controller {
         )?;
         report.bytes_relocated += moved.payload_bytes;
         report.gc_dedup_sectors += moved.dedup_sectors;
+        report.sectors_dropped += moved.sectors_dropped;
         if moved.copied {
             report.cblocks_copied += 1;
         } else {
@@ -353,13 +352,13 @@ impl Controller {
     /// hand them to `place` (which picks the class), and repoint every
     /// referencing key at the new location with one fresh-seq batch.
     ///
-    /// Relocation is a copy. The fetch always decodes (that is the
-    /// move's integrity check and the dedup pass's input), but when
-    /// every sector survives the stored bytes it read *are*
-    /// `encode_cblock(payload)`, so they are placed verbatim. The cblock
-    /// is re-packed and re-encoded only when the dedup pass dropped a
-    /// sector, or the payload came from the cache and no stored bytes
-    /// are in hand.
+    /// A sector survives when some ref reads it and the dedup pass found
+    /// no duplicate for it. The fetch always decodes (that is the move's
+    /// integrity check and the dedup pass's input), and when every
+    /// sector survives the stored bytes it read *are*
+    /// `encode_cblock(payload)`, so they are placed verbatim. Otherwise
+    /// the survivors are re-packed and re-encoded, as is a cblock whose
+    /// payload came from the cache with no stored bytes in hand.
     ///
     /// `refs` is every live reference to the cblock (at least one).
     /// `dedup_victims` asks for the "more expensive" dedup pass (§4.7)
@@ -377,8 +376,7 @@ impl Controller {
         let fetched = self.fetch_cblock(shelf, &pba, now, trace)?;
         let payload = fetched.payload;
 
-        // The dedup pass, when asked for; no outcomes = every sector
-        // survives.
+        // The dedup pass, when asked for; no outcomes = no duplicates.
         let mut outcomes: Vec<Outcome<BlockLoc>> = Vec::new();
         if let Some(victims) = dedup_victims.filter(|_| self.cfg.dedup_enabled) {
             let (dedup, mut fetcher) = self.fetcher(shelf, now);
@@ -394,12 +392,20 @@ impl Controller {
             }
         }
 
+        let mut survives = vec![false; payload.len() / SECTOR];
+        refs.iter()
+            .for_each(|(_, val)| survives[val.loc.sector as usize] = true);
+        let sectors_dropped = survives.iter().filter(|&&s| !s).count() as u64;
+        for (s, o) in survives.iter_mut().zip(&outcomes) {
+            *s &= matches!(o, Outcome::Unique);
+        }
+
         // Bytes to place, and where each surviving sector lands in them
         // (`packed_index` stays empty when every sector keeps its index).
         let compression = self.cfg.compression_enabled;
         let mut packed_index: Vec<u16> = Vec::new();
         let mut copied = false;
-        let encoded = if outcomes.iter().all(|o| matches!(o, Outcome::Unique)) {
+        let encoded = if survives.iter().all(|&s| s) {
             Some(match fetched.stored {
                 Some(stored) => {
                     debug_assert_eq!(stored, encode_cblock(&payload, compression));
@@ -410,9 +416,9 @@ impl Controller {
             })
         } else {
             let mut packed = Vec::with_capacity(payload.len());
-            packed_index = vec![u16::MAX; outcomes.len()];
+            packed_index = vec![u16::MAX; survives.len()];
             for (i, sector) in payload.chunks_exact(SECTOR).enumerate() {
-                if matches!(outcomes[i], Outcome::Unique) {
+                if survives[i] {
                     packed_index[i] = (packed.len() / SECTOR) as u16;
                     packed.extend_from_slice(sector);
                 }
@@ -453,6 +459,7 @@ impl Controller {
             placed_bytes: encoded.map_or(0, |e| e.len() as u64),
             fetched_at: fetched.done,
             dedup_sectors,
+            sectors_dropped,
             copied,
         })
     }
@@ -677,6 +684,54 @@ mod tests {
         assert_ne!(moved.segment, pba.segment, "the victim was not collected");
         let (back, _) = a.read(keep, 0, keep_data.len()).unwrap();
         assert!(back == keep_data, "relocated data differs");
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A cblock half overwritten moves with only its live half: the
+    /// relocated cblock decodes to exactly the sectors a key still reads.
+    #[test]
+    fn relocation_drops_the_sectors_no_key_reads() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let keep = a.create_volume("keep", 2 << 20).unwrap();
+        let kill = a.create_volume("kill", 16 << 20).unwrap();
+        let mut rng = StdRng::seed_from_u64(19);
+        // One 64-sector cblock, then new data over its first 32 sectors.
+        let mut data = vec![0u8; 32 * 1024];
+        rng.fill(&mut data[..]);
+        a.write(keep, 0, &data).unwrap();
+        let mut head = vec![0u8; 16 * 1024];
+        rng.fill(&mut head[..]);
+        a.write(keep, 0, &head).unwrap();
+        data[..head.len()].copy_from_slice(&head);
+        let mut chunk = vec![0u8; 256 * 1024];
+        for i in 0..24u64 {
+            rng.fill(&mut chunk[..]);
+            a.write(kill, i * 256 * 1024, &chunk).unwrap();
+        }
+        a.destroy_volume(kill).unwrap();
+
+        let anchor = a.controller().volumes[&keep.0].anchor;
+        let tail_loc = |a: &FlashArray| a.controller().resolve_sector(anchor, 32).unwrap().loc;
+        let before = tail_loc(&a);
+        assert_eq!(before.sector, 32);
+        let report = a.run_gc().unwrap();
+        let after = tail_loc(&a);
+        assert_ne!(
+            after.pba.segment, before.pba.segment,
+            "the victim was not collected"
+        );
+        assert_eq!(report.sectors_dropped, 32, "{report:?}");
+        assert_eq!(after.sector, 0, "the live half is packed to the front");
+
+        let (ctrl, shelf) = a.controller_and_shelf();
+        let now = shelf.clock.now();
+        let moved = ctrl.fetch_cblock(shelf, &after.pba, now, None).unwrap();
+        assert!(
+            moved.payload[..] == data[16 * 1024..],
+            "the relocated cblock holds dead sectors"
+        );
+        let (back, _) = a.read(keep, 0, data.len()).unwrap();
+        assert!(back == data, "relocated data differs");
         assert!(a.verify_integrity().is_empty());
     }
 
