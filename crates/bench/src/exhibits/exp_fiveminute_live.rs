@@ -6,11 +6,11 @@
 //! analysis predicted.
 //!
 //! * **Part 1 — crossover frontier from the running cache.** For each
-//!   reduction ratio (1×/4×/10×) a standalone 2Q cache is sized with
+//!   reduction ratio (1×/4×/10×) a standalone LRU cache is sized with
 //!   [`purity_tier::capacity_for_crossover`] from the measured
 //!   flash-vs-DIMM crossover interval (~31/22/21 minutes). A one-touch
 //!   arrival stream of the paper's 55 KiB items then flows through the
-//!   real 2Q cache on virtual time, and the *measured* retention — how
+//!   real LRU cache on virtual time, and the *measured* retention — how
 //!   long an item stays resident before eviction — must reproduce the
 //!   predicted crossover, including the ordering (less reduction ⇒
 //!   colder crossover ⇒ longer retention). A probe sweep at multiples
@@ -75,7 +75,7 @@ struct FrontierRow {
     cost_at_crossover: (f64, f64),
 }
 
-/// Streams one-touch 55 KiB items through a crossover-sized 2Q cache
+/// Streams one-touch 55 KiB items through a crossover-sized LRU cache
 /// and measures retention plus the hit-rate knee.
 fn frontier_for(label: &'static str, reduction: f64, expect_minutes: u64) -> FrontierRow {
     let flash = dev(label);
@@ -359,7 +359,7 @@ fn phase_json(name: &str, d: &PhaseDelta) -> String {
 pub fn run(_args: &[String], r: &mut Report) {
     r.line("=== E18: five-minute-rule tiering engine, live ===");
 
-    // --- Part 1: crossover frontier from the running 2Q cache ---
+    // --- Part 1: crossover frontier from the running LRU cache ---
     let rows = vec![
         frontier_for("1x", 1.0, 31),
         frontier_for("4x", 4.0, 22),

@@ -63,7 +63,7 @@ pub fn run(_args: &[String], r: &mut Report) {
 
     // Reads queue behind an erase on the same die but not other dies.
     let t_erase = flash.erase_block(0, 1, 0).unwrap();
-    let (_, t_same) = flash.read_page(p0, 0).unwrap();
+    let t_same = flash.read_page(p0, 0).unwrap().done;
     flash
         .program_page(
             Ppa {

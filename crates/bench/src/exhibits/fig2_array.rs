@@ -20,7 +20,7 @@ pub fn run(_args: &[String], r: &mut Report) {
     ));
     r.line(format!(
         "stripe:      {}+{} Reed-Solomon over a {}-drive write group",
-        cfg.rs_data, cfg.rs_parity, cfg.write_group
+        cfg.rs_data, cfg.rs_parity, cfg.n_drives
     ));
 
     let mut a = FlashArray::new(cfg).unwrap();
@@ -29,8 +29,8 @@ pub fn run(_args: &[String], r: &mut Report) {
     a.write(vol, 0, &data).unwrap();
 
     // Active-active: both ports serve; the standby's adds a forward hop.
-    let (_, ack_p) = a.read_via(Port::Primary, vol, 0, 32 * 1024).unwrap();
-    let (_, ack_s) = a.read_via(Port::Secondary, vol, 0, 32 * 1024).unwrap();
+    let (_, _, ack_p) = a.submit_read(Port::Primary, vol, 0, 32 * 1024, None).unwrap();
+    let (_, _, ack_s) = a.submit_read(Port::Secondary, vol, 0, 32 * 1024, None).unwrap();
     r.line(format!(
         "\nread via primary port:   {}",
         format_nanos(ack_p.latency)

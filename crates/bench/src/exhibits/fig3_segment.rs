@@ -61,7 +61,7 @@ pub fn run(_args: &[String], r: &mut Report) {
     r.line("\nstripe 0, byte 0 of each column (D=data, P/Q=parity):");
     for (c, au) in columns.iter().enumerate() {
         let off = layout.wu_byte_offset(au.index, 0, 0);
-        let (b, _) = shelf.read_drive(au.drive, off, 1, 0).unwrap();
+        let b = shelf.read_drive(au.drive, off, 1, 0).unwrap().data;
         let role = if c < layout.k { "D" } else { "P/Q" };
         r.line(format!(
             "  column {} (drive {}) [{}]: {:#04x}",
@@ -72,7 +72,7 @@ pub fn run(_args: &[String], r: &mut Report) {
     // The last stripe starts with the log-stripe frame magic.
     let au = columns[0];
     let off = layout.wu_byte_offset(au.index, layout.n_stripes - 1, 0);
-    let (frame, _) = shelf.read_drive(au.drive, off, 8, 0).unwrap();
+    let frame = shelf.read_drive(au.drive, off, 8, 0).unwrap().data;
     assert_eq!(frame, LOG_STRIPE_MAGIC.to_le_bytes());
     r.line("\nlast stripe begins with LOG_STRIPE_MAGIC: yes (log grows from the back)");
 }

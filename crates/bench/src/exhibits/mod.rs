@@ -114,7 +114,7 @@ registry! {
          categories with read-around off, a >=5x cut with it on, cluster_redirect/reconstruct blame \
          only inside a member-kill window, and byte-identical same-seed exports";
     exp_fiveminute_live: NO_ARGS,
-        "E18 (§5.2.2): Figure 7's crossovers measured from the running 2Q cache, and the migrator's \
+        "E18 (§5.2.2): Figure 7's crossovers measured from the running LRU cache, and the migrator's \
          demote / cold-read / promote cycle over a VDI day; asserts retention falls with reduction, \
          tier_cold blame is charged, the last wave recovers, and two runs agree";
     bench_perf: None,

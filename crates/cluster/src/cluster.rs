@@ -499,7 +499,7 @@ impl Cluster {
                 let backing = sh.backing[o].expect("owner without backing volume");
                 let member_now = self.arrays[o].now();
                 let mut leg = OpTrace::new("cluster_write_leg", member_now);
-                let (_, ack) = self.arrays[o].submit_write_traced(
+                let (_, ack) = self.arrays[o].submit_write(
                     Port::Primary,
                     backing,
                     within * SECTOR as u64,
@@ -555,7 +555,7 @@ impl Cluster {
             let backing = sh.backing[o].expect("owner without backing volume");
             let member_now = self.arrays[o].now();
             let mut leg = OpTrace::new("cluster_read_leg", member_now);
-            let (_, bytes, ack) = self.arrays[o].submit_read_traced(
+            let (_, bytes, ack) = self.arrays[o].submit_read(
                 Port::Primary,
                 backing,
                 within * SECTOR as u64,

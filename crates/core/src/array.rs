@@ -13,12 +13,13 @@ use crate::controller::{Ack, Controller, Volume};
 use crate::error::Result;
 use crate::fault::{AppliedFault, FaultEvent, FaultOutcome, FaultPlan};
 use crate::gc::GcReport;
+use crate::read::check_read;
 use crate::recovery::{RecoveryOptions, RecoveryReport, ScanMode};
 use crate::scrub::ScrubReport;
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
-use crate::types::{DriveId, Pba, SnapshotId, VolumeId};
-use purity_obs::{Frame, MetricsSnapshot, Obs};
+use crate::types::{DriveId, Pba, SnapshotId, VolumeId, SECTOR};
+use purity_obs::{Frame, MetricsSnapshot, Obs, OpTrace};
 use purity_sim::{Clock, Nanos};
 use purity_tier::RamCache;
 use std::collections::VecDeque;
@@ -133,7 +134,7 @@ impl FlashArray {
         let clock = Clock::new();
         let mut shelf = Shelf::new(&cfg, clock.clone());
         let primary = Controller::format(cfg.clone(), &mut shelf, clock.now())?;
-        let secondary_cache = RamCache::lru(cfg.cache_bytes);
+        let secondary_cache = RamCache::new(cfg.cache_bytes);
         Ok(Self {
             cfg,
             clock,
@@ -231,59 +232,37 @@ impl FlashArray {
 
     /// Writes through the primary's ports.
     pub fn write(&mut self, volume: VolumeId, offset: u64, data: &[u8]) -> Result<Ack> {
-        self.write_via(Port::Primary, volume, offset, data)
-    }
-
-    /// Writes through a chosen port.
-    pub fn write_via(
-        &mut self,
-        port: Port,
-        volume: VolumeId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<Ack> {
-        self.submit_write(port, volume, offset, data)
+        self.submit_write(Port::Primary, volume, offset, data, None)
             .map(|(_, a)| a)
     }
 
     /// Writes through a chosen port, returning the array op id alongside
     /// the ack — the completion-event hook a discrete-event host uses:
     /// the ack lands at `issue time + ack.latency`, and if a failover
-    /// intervenes the id appears in [`FailoverReport::aborted`].
+    /// intervenes the id appears in [`FailoverReport::aborted`]. With an
+    /// upstream `trace`, array-plane spans (and the secondary-port `wan`
+    /// forward hop) are stamped into it instead of being finished here,
+    /// so the initiator owns the end-to-end span tree.
     pub fn submit_write(
         &mut self,
         port: Port,
         volume: VolumeId,
         offset: u64,
         data: &[u8],
-    ) -> Result<(u64, Ack)> {
-        self.submit_write_traced(port, volume, offset, data, None)
-    }
-
-    /// [`FlashArray::submit_write`] with an optional upstream trace
-    /// context: array-plane spans (and the secondary-port `wan` forward
-    /// hop) are stamped into it instead of being finished here, so the
-    /// initiator owns the end-to-end span tree.
-    pub fn submit_write_traced(
-        &mut self,
-        port: Port,
-        volume: VolumeId,
-        offset: u64,
-        data: &[u8],
-        mut ext: Option<&mut purity_obs::OpTrace>,
+        mut trace: Option<&mut OpTrace>,
     ) -> Result<(u64, Ack)> {
         self.check_powered()?;
         let now = self.clock.now();
-        let mut ack = self.primary.write_ext(
+        let mut ack = self.primary.write(
             &mut self.shelf,
             volume,
             offset,
             data,
             now,
-            ext.as_deref_mut(),
+            trace.as_deref_mut(),
         )?;
         if port == Port::Secondary {
-            if let Some(tr) = ext {
+            if let Some(tr) = trace {
                 tr.stage("wan", now + ack.latency, now + ack.latency + FORWARD_NS);
             }
             ack.latency += FORWARD_NS;
@@ -300,55 +279,32 @@ impl FlashArray {
 
     /// Reads through the primary's ports.
     pub fn read(&mut self, volume: VolumeId, offset: u64, len: usize) -> Result<(Vec<u8>, Ack)> {
-        self.read_via(Port::Primary, volume, offset, len)
-    }
-
-    /// Reads through a chosen port.
-    pub fn read_via(
-        &mut self,
-        port: Port,
-        volume: VolumeId,
-        offset: u64,
-        len: usize,
-    ) -> Result<(Vec<u8>, Ack)> {
-        self.submit_read(port, volume, offset, len)
+        self.submit_read(Port::Primary, volume, offset, len, None)
             .map(|(_, d, a)| (d, a))
     }
 
-    /// Reads through a chosen port, returning the array op id (see
-    /// [`FlashArray::submit_write`]).
+    /// Reads through a chosen port, returning the array op id and taking
+    /// an optional upstream trace (see [`FlashArray::submit_write`]).
     pub fn submit_read(
         &mut self,
         port: Port,
         volume: VolumeId,
         offset: u64,
         len: usize,
-    ) -> Result<(u64, Vec<u8>, Ack)> {
-        self.submit_read_traced(port, volume, offset, len, None)
-    }
-
-    /// [`FlashArray::submit_read`] with an optional upstream trace
-    /// context (see [`FlashArray::submit_write_traced`]).
-    pub fn submit_read_traced(
-        &mut self,
-        port: Port,
-        volume: VolumeId,
-        offset: u64,
-        len: usize,
-        mut ext: Option<&mut purity_obs::OpTrace>,
+        mut trace: Option<&mut OpTrace>,
     ) -> Result<(u64, Vec<u8>, Ack)> {
         self.check_powered()?;
         let now = self.clock.now();
-        let (data, mut ack) = self.primary.read_ext(
+        let (data, mut ack) = self.primary.read(
             &mut self.shelf,
             volume,
             offset,
             len,
             now,
-            ext.as_deref_mut(),
+            trace.as_deref_mut(),
         )?;
         if port == Port::Secondary {
-            if let Some(tr) = ext {
+            if let Some(tr) = trace {
                 tr.stage("wan", now + ack.latency, now + ack.latency + FORWARD_NS);
             }
             ack.latency += FORWARD_NS;
@@ -387,12 +343,17 @@ impl FlashArray {
             .snapshot_info(snapshot)
             .ok_or(crate::error::PurityError::NoSuchSnapshot)?
             .medium;
+        // The extent is the frozen medium's own: its volume may already
+        // be destroyed.
+        let rows = self.primary.mediums.rows_of(medium);
+        check_read(offset, len, rows.last().map_or(0, |(_, row)| row.end))?;
         let (data, _t) = self.primary.read_medium(
             &mut self.shelf,
             medium,
-            offset / crate::types::SECTOR as u64,
-            len / crate::types::SECTOR,
+            offset / SECTOR as u64,
+            len / SECTOR,
             now,
+            None,
         )?;
         Ok(data)
     }
@@ -556,25 +517,17 @@ impl FlashArray {
     /// Failover with an explicit scan mode (experiment E3 uses
     /// [`ScanMode::FullScan`] as the pre-frontier-set baseline).
     pub fn fail_primary_with(&mut self, mode: ScanMode) -> Result<FailoverReport> {
-        let start = self.clock.now();
-        // Acks not yet delivered at the moment of the crash die with the
-        // old primary; their op ids are surfaced so a host front end can
-        // time out and resubmit them. Everything older has been seen.
-        let aborted: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|op| op.completes_at > start)
-            .map(|op| op.id)
-            .collect();
-        self.inflight.clear();
-        let (mut ctrl, recovery) =
-            Controller::recover(self.cfg.clone(), &mut self.shelf, mode, start)?;
+        let opts = RecoveryOptions {
+            mode,
+            ..RecoveryOptions::default()
+        };
+        let (mut ctrl, report) = self.restart(opts)?;
         // The standby starts with the warm cache the old primary fed it,
         // and the array's cumulative telemetry carries over (fleet
         // history outlives any one controller).
         ctrl.cache = std::mem::replace(
             &mut self.secondary_cache,
-            RamCache::lru(self.cfg.cache_bytes),
+            RamCache::new(self.cfg.cache_bytes),
         );
         // The standby never heard the old primary's invalidations: keep
         // only segments the recovered table knows (ids are never reused,
@@ -587,15 +540,35 @@ impl FlashArray {
         // likewise outlives the controller: the standby inherits it.
         ctrl.obs = Arc::clone(&self.primary.obs);
         self.primary = ctrl;
+        self.failovers += 1;
+        Ok(report)
+    }
+
+    /// The restart a failover and a cold start share. Acks not yet
+    /// delivered now die with the old controller(s); their op ids are
+    /// surfaced so a host front end can time out and resubmit them
+    /// (everything older has been seen). A controller is then recovered
+    /// from the shelf, and its recovery time passes on the clock as
+    /// downtime.
+    fn restart(&mut self, opts: RecoveryOptions) -> Result<(Controller, FailoverReport)> {
+        let start = self.clock.now();
+        let aborted: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|op| op.completes_at > start)
+            .map(|op| op.id)
+            .collect();
+        self.inflight.clear();
+        let (ctrl, recovery) = Controller::recover(self.cfg.clone(), &mut self.shelf, opts, start)?;
         let downtime = recovery.total_time;
         self.clock.advance_to(start + downtime);
         self.downtime_total += downtime;
-        self.failovers += 1;
-        Ok(FailoverReport {
+        let report = FailoverReport {
             downtime,
             recovery,
             aborted,
-        })
+        };
+        Ok((ctrl, report))
     }
 
     // ---- Whole-array power loss (torture harness). ---------------------
@@ -648,36 +621,24 @@ impl FlashArray {
     /// telemetry, no in-flight acks. If power is still on (no trigger
     /// fired), it is cut cleanly first. Power is then restored and a
     /// fresh controller rebuilds purely from durable shelf state via
-    /// [`Controller::recover_with`].
+    /// [`Controller::recover`].
     pub fn power_loss(&mut self, spec: PowerLossSpec) -> Result<PowerLossReport> {
-        let start = self.clock.now();
         if self.shelf.powered() {
             self.shelf.cut_power();
         }
         let torn = self.shelf.torn_note().map(str::to_owned);
-        let aborted: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|op| op.completes_at > start)
-            .map(|op| op.id)
-            .collect();
-        self.inflight.clear();
         self.shelf.power_restore();
-        let (ctrl, recovery) =
-            Controller::recover_with(self.cfg.clone(), &mut self.shelf, spec.recovery, start)?;
+        let (ctrl, report) = self.restart(spec.recovery)?;
         // Cold start: the secondary's warm cache died too, and a fresh
         // observability registry boots with the new controller.
-        self.secondary_cache = RamCache::lru(self.cfg.cache_bytes);
+        self.secondary_cache = RamCache::new(self.cfg.cache_bytes);
         self.writes_since_warm = 0;
         self.primary = ctrl;
-        let downtime = recovery.total_time;
-        self.clock.advance_to(start + downtime);
-        self.downtime_total += downtime;
         self.power_losses += 1;
         Ok(PowerLossReport {
-            downtime,
-            recovery,
-            aborted,
+            downtime: report.downtime,
+            recovery: report.recovery,
+            aborted: report.aborted,
             torn,
         })
     }

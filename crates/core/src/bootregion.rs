@@ -378,9 +378,9 @@ impl BootRegion {
                 let offset = slot * self.slot_bytes();
                 // Progressive read: first page tells us the total length.
                 let first = match shelf.read_drive(d, offset, self.page_size, now) {
-                    Ok((bytes, t)) => {
-                        done = done.max(t);
-                        bytes
+                    Ok(read) => {
+                        done = done.max(read.done);
+                        read.data
                     }
                     Err(_) => continue, // slot never written / unreadable
                 };
@@ -392,9 +392,9 @@ impl BootRegion {
                 } else {
                     let padded = total.div_ceil(self.page_size) * self.page_size;
                     match shelf.read_drive(d, offset, padded.min(self.slot_bytes()), now) {
-                        Ok((bytes, t)) => {
-                            done = done.max(t);
-                            bytes
+                        Ok(read) => {
+                            done = done.max(read.done);
+                            read.data
                         }
                         Err(_) => continue,
                     }

@@ -6,12 +6,12 @@ use purity_ssd::latency::{EnduranceModel, LatencyModel};
 /// Shape and policy of a simulated Flash Array.
 #[derive(Debug, Clone)]
 pub struct ArrayConfig {
-    /// Drive slots in the shelf (the paper ships 11–24 per shelf).
-    pub n_drives: usize,
-    /// Drives per write group; each segment stripes across a subset
+    /// Drive slots in the shelf (the paper ships 11–24 per shelf). Each
+    /// segment stripes across a stripe-width subset of them, rotating
     /// (§4.4: "each segment written across a (potentially different) set
-    /// of the 11 drives in a write group").
-    pub write_group: usize,
+    /// of the 11 drives in a write group"): here the hot drives are one
+    /// write group.
+    pub n_drives: usize,
     /// Reed-Solomon data shards (7 in production).
     pub rs_data: usize,
     /// Reed-Solomon parity shards (2 in production).
@@ -107,7 +107,6 @@ impl ArrayConfig {
     pub fn test_small() -> Self {
         Self {
             n_drives: 11,
-            write_group: 11,
             rs_data: 7,
             rs_parity: 2,
             // 7 stripes of 32 KiB write units + one 4 KiB header page.
@@ -184,7 +183,6 @@ impl ArrayConfig {
     pub fn fa450() -> Self {
         Self {
             n_drives: 22,
-            write_group: 11,
             ssd_geometry: SsdGeometry::fa450_drive(),
             ..Self::bench_medium()
         }
@@ -267,17 +265,11 @@ impl ArrayConfig {
 
     /// Validates internal consistency; call once at array construction.
     pub fn validate(&self) -> Result<(), String> {
-        if self.write_group > self.n_drives {
+        if self.stripe_width() > self.n_drives {
             return Err(format!(
-                "write group {} exceeds drive count {}",
-                self.write_group, self.n_drives
-            ));
-        }
-        if self.stripe_width() > self.write_group {
-            return Err(format!(
-                "stripe width {} exceeds write group {}",
+                "stripe width {} exceeds drive count {}",
                 self.stripe_width(),
-                self.write_group
+                self.n_drives
             ));
         }
         if self.au_bytes <= self.au_header_bytes()
@@ -362,10 +354,6 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let mut c = ArrayConfig::test_small();
-        c.write_group = 20;
-        assert!(c.validate().is_err());
-
         let mut c = ArrayConfig::test_small();
         c.rs_data = 12;
         assert!(c.validate().is_err());

@@ -24,12 +24,13 @@
 //! relocated into the cold open segment, and its AUs go back to the
 //! cold allocator — the only way cold space is ever freed.
 
-use crate::controller::{encode_cblock, Controller, MapKey, MapVal};
+use crate::controller::{Controller, MapKey, MapVal};
 use crate::error::Result;
 use crate::records::{map_patch_records, MapFact, SegmentState, PATCH_CHUNK_FACTS};
 use crate::segment::{SegmentInfo, HOT};
 use crate::shelf::Shelf;
 use crate::types::{BlockLoc, MediumId, Pba, SECTOR};
+use crate::write::encode_cblock;
 use purity_dedup::engine::Outcome;
 use purity_lsm::Seq;
 use purity_obs::OpTrace;

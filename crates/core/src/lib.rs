@@ -31,6 +31,7 @@ pub mod fault;
 pub mod frontier;
 pub mod gc;
 pub mod medium;
+pub mod read;
 pub mod records;
 pub mod recovery;
 pub mod scrub;
@@ -39,6 +40,7 @@ pub mod shelf;
 pub mod stats;
 pub mod tier;
 pub mod types;
+pub mod write;
 
 pub use array::{FailoverReport, FlashArray, InflightOp, Port, PowerLossReport, PowerLossSpec};
 pub use config::ArrayConfig;

@@ -1,4 +1,9 @@
-//! Recovery and failover (§4.3, Figure 5).
+//! Construction, recovery and failover (§4.3, Figure 5).
+//!
+//! A formatted array and a recovered one are built the same way: a
+//! controller over a checkpoint's tables ([`Controller::from_checkpoint`]).
+//! Formatting starts from the empty checkpoint and writes it out; recovery
+//! reads the newest one back and brings it forward.
 //!
 //! A controller is rebuilt from three durable sources, in order:
 //!
@@ -19,19 +24,34 @@
 //!    watermarks just avoid the wasted work (§4.3: "inserting stale or
 //!    duplicate records is harmless").
 
-use crate::bootregion::{BootRegion, PatchLoc};
+use crate::bootregion::{BootRegion, Checkpoint, PatchLoc};
 use crate::config::ArrayConfig;
-use crate::controller::{read_extent, Controller, MapKey, MapVal};
+use crate::controller::{new_map, Controller, MapKey, MapVal, Snapshot, Volume};
 use crate::error::{PurityError, Result};
+use crate::frontier::AuAllocator;
+use crate::medium::MediumTable;
+use crate::read::read_extent;
 use crate::records::{
-    decode_log_record, decode_nvram_entry, LogRecord, MapFact, NvramEntry, SegmentState, TableId,
+    decode_log_record, decode_nvram_entry, LogRecord, MapFact, MediumFact, NvramEntry, SegmentFact,
+    SegmentState, TableId,
 };
-use crate::segment::{AuHeader, Extent, SegmentInfo, HOT, LOG_STRIPE_MAGIC};
+use crate::segment::{
+    AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentWriter, COLD, HOT, LOG_STRIPE_MAGIC,
+};
 use crate::shelf::Shelf;
-use crate::types::{AuId, SegmentId};
+use crate::stats::ArrayStats;
+use crate::tier::TierState;
+use crate::types::{AuId, MediumId, SegmentId, SnapshotId, VolumeId};
+use parking_lot::RwLock;
+use purity_dedup::engine::DedupEngine;
+use purity_dedup::index::DedupIndex;
+use purity_format::RangeTable;
 use purity_lsm::{Seq, SeqAllocator};
+use purity_obs::Obs;
 use purity_sim::Nanos;
+use purity_tier::RamCache;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How the log-record scan chooses candidate AUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +63,7 @@ pub enum ScanMode {
     FullScan,
 }
 
-/// Knobs for [`Controller::recover_with`]. The defaults are production
+/// Knobs for [`Controller::recover`]. The defaults are production
 /// behaviour; the extra flags exist for the torture harness.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoveryOptions {
@@ -91,26 +111,117 @@ pub struct RecoveryReport {
 }
 
 impl Controller {
-    /// Rebuilds a controller from the shelf's durable state.
-    pub fn recover(
-        cfg: ArrayConfig,
-        shelf: &mut Shelf,
-        mode: ScanMode,
-        now: Nanos,
-    ) -> Result<(Self, RecoveryReport)> {
-        Self::recover_with(
-            cfg,
-            shelf,
-            RecoveryOptions {
-                mode,
-                ..RecoveryOptions::default()
-            },
-            now,
-        )
+    /// Builds a fresh controller over an empty shelf and lays down the
+    /// first checkpoint.
+    pub fn format(cfg: ArrayConfig, shelf: &mut Shelf, now: Nanos) -> Result<Self> {
+        cfg.validate().map_err(PurityError::BadConfig)?;
+        let empty = Checkpoint {
+            next_segment: 1,
+            next_medium: 1,
+            next_volume: 1,
+            next_snapshot: 1,
+            ..Checkpoint::default()
+        };
+        let mut ctrl = Self::from_checkpoint(cfg, &empty, now);
+        ctrl.write_checkpoint(shelf, now)?;
+        Ok(ctrl)
     }
 
-    /// [`Controller::recover`] with explicit [`RecoveryOptions`].
-    pub fn recover_with(
+    /// The one constructor, for a formatted array and a recovered one
+    /// alike: the tables `cp` holds, with an empty map and fresh volatile
+    /// state — no open segments, cold caches, no heat, zeroed telemetry.
+    pub(crate) fn from_checkpoint(cfg: ArrayConfig, cp: &Checkpoint, now: Nanos) -> Self {
+        let layouts = [SegmentLayout::from_config(&cfg), SegmentLayout::cold(&cfg)];
+        let segments: BTreeMap<u64, SegmentInfo> = (cp.segment_rows.iter())
+            .map(|row| {
+                let mut info = SegmentInfo::from_fact(&SegmentFact::from_row(row));
+                // A segment the checkpoint saw open has no writer here,
+                // and its flushed stripes may reach past what the
+                // checkpoint recorded: sealed, and full.
+                if info.state == SegmentState::Open {
+                    let l = layouts[info.class(cfg.n_drives)];
+                    info.state = SegmentState::Sealed;
+                    info.data_bytes = (l.n_stripes * l.stripe_data_bytes()) as u64;
+                }
+                (info.id.0, info)
+            })
+            .collect();
+        let page = cfg.ssd_geometry.page_size;
+        let elided = RangeTable::from_pairs(&cp.elided_mediums);
+        let medium_facts: Vec<MediumFact> = cp
+            .medium_rows
+            .iter()
+            .map(|r| MediumFact::from_row(r))
+            .collect();
+        let in_use: Vec<AuId> = segments.values().flat_map(|s| s.columns.clone()).collect();
+        let (n, cold_aus) = (cfg.n_drives, cfg.cold_aus_per_drive());
+        let elided_mediums = Arc::new(RwLock::new(elided.clone()));
+        Self {
+            seq: SeqAllocator::resume_after(cp.high_seq),
+            map: new_map(&elided_mediums),
+            next_segment: cp
+                .next_segment
+                .max(segments.keys().last().map_or(0, |id| id + 1)),
+            segments,
+            mediums: MediumTable::from_facts(&medium_facts, elided),
+            volumes: (cp.volumes.iter())
+                .map(|v| {
+                    let (id, anchor) = (VolumeId(v.id), MediumId(v.anchor_medium));
+                    (
+                        v.id,
+                        Volume::new(id, v.name.clone(), v.size_sectors, anchor),
+                    )
+                })
+                .collect(),
+            snapshots: (cp.snapshots.iter())
+                .map(|s| {
+                    let snapshot = Snapshot {
+                        id: SnapshotId(s.id),
+                        volume: VolumeId(s.volume),
+                        medium: MediumId(s.medium),
+                        name: s.name.clone(),
+                    };
+                    (s.id, snapshot)
+                })
+                .collect(),
+            allocators: [
+                AuAllocator::restore(
+                    0..n,
+                    cfg.aus_per_drive(),
+                    cfg.frontier_aus_per_drive,
+                    &cp.frontier,
+                    &in_use,
+                ),
+                // The cold pool persists no frontier: its whole free set
+                // is allocatable.
+                AuAllocator::restore(n..n + cfg.cold_drives, cold_aus, cold_aus, &[], &in_use),
+            ],
+            boot: BootRegion::new(cfg.boot_region_bytes(), page, cfg.stripe_width()),
+            writers: [
+                SegmentWriter::new(layouts[HOT], page),
+                SegmentWriter::new(layouts[COLD], cfg.cold_geometry.page_size),
+            ],
+            dedup: DedupEngine::new(DedupIndex::new(
+                cfg.dedup_recent_window,
+                cfg.dedup_hot_cache,
+            )),
+            cache: RamCache::new(cfg.cache_bytes),
+            elided_mediums,
+            next_medium: cp.next_medium,
+            next_volume: cp.next_volume,
+            next_snapshot: cp.next_snapshot,
+            checkpoint_version: cp.version,
+            map_patches: cp.map_patches.clone(),
+            last_nvram_index: None,
+            tier: TierState::new(),
+            stats: ArrayStats::default(),
+            obs: Obs::with_config(cfg.obs_config(), now),
+            cfg,
+        }
+    }
+
+    /// Rebuilds a controller from the shelf's durable state.
+    pub fn recover(
         cfg: ArrayConfig,
         shelf: &mut Shelf,
         opts: RecoveryOptions,
@@ -168,14 +279,14 @@ impl Controller {
             }
             let off = layout.au_byte_offset(au.index);
             let probe_at = drive_busy[au.drive];
-            let Ok((page, t)) = shelf.read_drive(au.drive, off, header_bytes, probe_at) else {
+            let Ok(read) = shelf.read_drive(au.drive, off, header_bytes, probe_at) else {
                 drive_busy[au.drive] = probe_at + PROBE_NS;
                 scan_done = scan_done.max(drive_busy[au.drive]);
                 continue; // never written
             };
-            drive_busy[au.drive] = t.max(probe_at + PROBE_NS);
-            scan_done = scan_done.max(t);
-            let Some(header) = AuHeader::decode(&page) else {
+            drive_busy[au.drive] = read.done.max(probe_at + PROBE_NS);
+            scan_done = scan_done.max(read.done);
+            let Some(header) = AuHeader::decode(&read.data) else {
                 continue;
             };
             if ctrl.segments.contains_key(&header.segment.0) {

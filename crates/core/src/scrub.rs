@@ -67,7 +67,7 @@ impl Controller {
                         continue;
                     }
                     match shelf.read_drive(au.drive, off, wu, now) {
-                        Ok((bytes, _t)) => units.push(Some(bytes)),
+                        Ok(read) => units.push(Some(read.data)),
                         Err(PurityError::Device(msg)) if msg.contains("unmapped") => {
                             // Either a never-written stripe (recovery can
                             // over-approximate stripe counts) or a column
@@ -216,8 +216,8 @@ impl Controller {
                         break;
                     }
                     let o = layout.wu_byte_offset(au.index, stripe, 0);
-                    if let Ok((bytes, _)) = shelf.read_drive(au.drive, o, wu, now) {
-                        available.push((c, bytes));
+                    if let Ok(read) = shelf.read_drive(au.drive, o, wu, now) {
+                        available.push((c, read.data));
                     }
                 }
                 if available.len() < layout.k {

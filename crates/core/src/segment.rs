@@ -771,7 +771,7 @@ mod tests {
         for ext in l.data_extents(0, l.stripe_data_bytes()) {
             let au = info.columns[ext.column];
             let off = l.wu_byte_offset(au.index, ext.stripe, ext.within);
-            let (bytes, _) = shelf.read_drive(au.drive, off, ext.len, 1).unwrap();
+            let bytes = shelf.read_drive(au.drive, off, ext.len, 1).unwrap().data;
             let logical_start = ext.stripe * l.stripe_data_bytes() + ext.column * l.wu + ext.within;
             assert_eq!(bytes, blob[logical_start..logical_start + ext.len]);
         }
@@ -798,7 +798,7 @@ mod tests {
                 continue;
             }
             let off = l.wu_byte_offset(au.index, 0, 0);
-            let (bytes, _) = shelf.read_drive(au.drive, off, l.wu, 1).unwrap();
+            let bytes = shelf.read_drive(au.drive, off, l.wu, 1).unwrap().data;
             available.push((c, bytes));
         }
         let refs: Vec<(usize, &[u8])> = available.iter().map(|(c, b)| (*c, b.as_slice())).collect();
@@ -850,7 +850,7 @@ mod tests {
         for e in ext {
             let au = info.columns[e.column];
             let off = l.wu_byte_offset(au.index, e.stripe, e.within);
-            let (bytes, _) = shelf.read_drive(au.drive, off, e.len, 1).unwrap();
+            let bytes = shelf.read_drive(au.drive, off, e.len, 1).unwrap().data;
             buf.extend_from_slice(&bytes);
         }
         assert_eq!(&buf[..rec1.len()], rec1.as_slice());
@@ -859,7 +859,7 @@ mod tests {
         // The raw stripe carries the magic + payload-length frame.
         let au = info.columns[0];
         let off = l.wu_byte_offset(au.index, l.n_stripes - 1, 0);
-        let (frame, _) = shelf.read_drive(au.drive, off, 16, 1).unwrap();
+        let frame = shelf.read_drive(au.drive, off, 16, 1).unwrap().data;
         assert_eq!(frame[..8], LOG_STRIPE_MAGIC.to_le_bytes());
         let len = u64::from_le_bytes(frame[8..16].try_into().unwrap()) as usize;
         assert_eq!(len, rec1.len() + rec2.len());
@@ -909,7 +909,7 @@ mod tests {
     /// where waiting out the window that is ending is the cheapest plan.
     #[test]
     fn no_issue_instant_makes_a_read_wait_out_a_window() {
-        use crate::controller::{plan_rebuild, ReadPlan};
+        use crate::read::{plan_rebuild, ReadPlan};
         let (shelf, info, l, cfg, first_pair, done) = one_flushed_stripe();
         let page = cfg.ssd_geometry.page_size;
         let service = cfg.ssd_latency.page_read(page);
@@ -950,7 +950,7 @@ mod tests {
     /// the wait to the program it waited for, not to `reconstruct`.
     #[test]
     fn a_hand_off_read_gets_what_the_planner_promised() {
-        use crate::controller::{plan_rebuild, read_extent, ReadPlan};
+        use crate::read::{plan_rebuild, read_extent, ReadPlan};
         let (_, _, _, _, first_pair, _) = one_flushed_stripe();
         // 50 us before the second pair opens: column 0 (its window is
         // ending) reads direct; column 2 (its window is opening) rebuilds
@@ -1037,7 +1037,7 @@ mod tests {
                 continue;
             }
             let off = l.wu_byte_offset(au.index, 0, 0);
-            let (bytes, _) = shelf.read_drive(au.drive, off, l.wu, 1).unwrap();
+            let bytes = shelf.read_drive(au.drive, off, l.wu, 1).unwrap().data;
             available.push((c, bytes));
         }
         let refs: Vec<(usize, &[u8])> = available.iter().map(|(c, b)| (*c, b.as_slice())).collect();

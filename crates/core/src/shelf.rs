@@ -453,7 +453,7 @@ impl Shelf {
             .map_err(|e| PurityError::Device(format!("drive {}: {}", d, e)))
     }
 
-    /// What [`Shelf::read_drive_traced`] would be granted for the same
+    /// What [`Shelf::read_drive`] would be granted for the same
     /// arguments, without booking anything on the drive: `end` is when
     /// the read would complete, `start` when its critical-path page
     /// would leave the die's queue. `None` where the read would be
@@ -472,27 +472,11 @@ impl Shelf {
         self.drives[d].read_eta(offset, len, now)
     }
 
-    /// Reads from a drive.
+    /// Reads from a drive: the bytes, their completion time and the
+    /// latency decomposition of the critical-path page (queueing vs
+    /// service, and what it queued behind) — the per-drive attribution
+    /// the read path stamps into slow-op traces.
     pub fn read_drive(
-        &mut self,
-        d: DriveId,
-        offset: usize,
-        len: usize,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos)> {
-        if !self.powered {
-            return Err(PurityError::Device("shelf power lost".to_string()));
-        }
-        self.drives[d]
-            .read(offset, len, now)
-            .map_err(|e| PurityError::Device(format!("drive {}: {}", d, e)))
-    }
-
-    /// Reads from a drive with the latency decomposition of the
-    /// critical-path page (queueing vs service, and what it queued
-    /// behind) — the per-drive attribution the read path stamps into
-    /// slow-op traces.
-    pub fn read_drive_traced(
         &mut self,
         d: DriveId,
         offset: usize,
@@ -503,7 +487,7 @@ impl Shelf {
             return Err(PurityError::Device("shelf power lost".to_string()));
         }
         self.drives[d]
-            .read_traced(offset, len, now)
+            .read(offset, len, now)
             .map_err(|e| PurityError::Device(format!("drive {}: {}", d, e)))
     }
 }
@@ -612,7 +596,7 @@ mod tests {
         let done = s.write_drive(2, 4096, &data, 0).unwrap();
         assert!(done > 0);
         assert!(s.is_writing(2, 0), "write marks the drive busy");
-        let (read, _) = s.read_drive(2, 4096, 8192, done).unwrap();
+        let read = s.read_drive(2, 4096, 8192, done).unwrap().data;
         assert_eq!(read, data);
     }
 
@@ -637,7 +621,7 @@ mod tests {
         assert!(s.trim_drive(2, 0, 4096).is_err());
         s.power_restore();
         // Durable contents survive the outage.
-        let (data, _) = s.read_drive(2, 0, 4096, 0).unwrap();
+        let data = s.read_drive(2, 0, 4096, 0).unwrap().data;
         assert_eq!(data, vec![1; 4096]);
         // Volatile scheduling state did not.
         assert!(!s.is_writing(2, 0));
@@ -659,7 +643,7 @@ mod tests {
         s.power_restore();
         // Prefix page reached the medium; straddle/tail did not survive
         // intact (interrupted program or never written).
-        let (p0, _) = s.read_drive(4, page, page, 0).unwrap();
+        let p0 = s.read_drive(4, page, page, 0).unwrap().data;
         assert_eq!(p0, vec![0xbb; page]);
         assert!(s.read_drive(4, 2 * page, page, 0).is_err());
     }
@@ -689,16 +673,17 @@ mod tests {
         let page = cfg.cold_geometry.page_size;
         let data = vec![0x3c; 2 * page];
         let done = s.write_drive(c0, 0, &data, 0).unwrap();
-        let (back, _) = s.read_drive(c0, 0, data.len(), done).unwrap();
+        let back = s.read_drive(c0, 0, data.len(), done).unwrap().data;
         assert_eq!(back, data);
         assert!(s.cold_drive(0).flash_counters().reads > 0);
         assert_eq!(s.cold_drive(1).flash_counters().reads, 0);
         // Cold reads are slower than main-pool reads (QLC class).
         let main_done = s.write_drive(0, cfg.boot_region_bytes(), &data, 0).unwrap();
-        let (_, t_main) = s
+        let t_main = s
             .read_drive(0, cfg.boot_region_bytes(), data.len(), main_done)
-            .unwrap();
-        let (_, t_cold) = s.read_drive(c0, 0, data.len(), main_done).unwrap();
+            .unwrap()
+            .done;
+        let t_cold = s.read_drive(c0, 0, data.len(), main_done).unwrap().done;
         assert!(t_cold - main_done > t_main - main_done);
         // A ColdWrite trigger ignores main-pool writes and fires on the
         // next cold write, tearing it and killing power.
@@ -709,7 +694,7 @@ mod tests {
         assert!(!s.powered());
         assert!(s.torn_note().unwrap().contains("cold write"));
         s.power_restore();
-        let (p0, _) = s.read_drive(c1, 0, page, 0).unwrap();
+        let p0 = s.read_drive(c1, 0, page, 0).unwrap().data;
         assert_eq!(p0, vec![0x3c; page]);
         assert!(
             s.read_drive(c1, page, page, 0).is_err(),

@@ -1,6 +1,6 @@
 //! Property tests for the boot region's A/B slot alternation (§4.3),
-//! for the identity relocation's copy rests on, and for relocation's
-//! dropping of sectors no key reads.
+//! for the identity relocation's copy rests on, for relocation's
+//! dropping of sectors no key reads, and for the snapshot diff.
 //!
 //! The checkpoint writer alternates slots (`version % 2`), so a torn
 //! write can only ever damage the *newest* checkpoint — the previous one
@@ -12,11 +12,11 @@
 use proptest::prelude::*;
 use purity_core::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use purity_core::config::ArrayConfig;
-use purity_core::controller::encode_cblock;
 use purity_core::gc::GcReport;
 use purity_core::records::{MediumFact, SegmentFact};
 use purity_core::shelf::Shelf;
 use purity_core::stats::ArrayStats;
+use purity_core::write::encode_cblock;
 use purity_core::{FlashArray, SnapshotId, VolumeId, SECTOR};
 use purity_sim::{Clock, MS};
 use purity_wkld::ContentModel;
@@ -158,7 +158,7 @@ proptest! {
         for (d, offset, len, now) in reads {
             let eta = shelf.read_eta(d, offset, len, now);
             prop_assert_eq!(shelf.read_eta(d, offset, len, now), eta, "an estimate books nothing");
-            match (eta, shelf.read_drive_traced(d, offset, len, now)) {
+            match (eta, shelf.read_drive(d, offset, len, now)) {
                 (Some(eta), Ok(dr)) => {
                     prop_assert_eq!(eta.end, dr.done);
                     prop_assert_eq!(eta.start, now + dr.queued);
@@ -324,5 +324,132 @@ proptest! {
         s.reads_back("the promotion")?;
         s.gc(seed_of(102));
         s.reads_back("the last GC pass")?;
+    }
+}
+
+const DIFF_VOL_SECTORS: u64 = 256;
+
+/// One volume of the diff property, and what the model says it holds:
+/// its bytes now, and each snapshot with the bytes it froze.
+struct DiffVol {
+    id: VolumeId,
+    image: Vec<u8>,
+    snaps: Vec<(SnapshotId, Vec<u8>)>,
+}
+
+/// Checks `snapshot_diff(base, newer)` of one volume: the runs are
+/// sorted, disjoint, non-empty and inside the volume; outside them both
+/// sides read the same bytes; and every sector the model holds different
+/// bytes for lies in a run. `None` is the empty base, which reads zeros.
+fn check_diff(
+    array: &mut FlashArray,
+    base: Option<&(SnapshotId, Vec<u8>)>,
+    newer: &(SnapshotId, Vec<u8>),
+) -> Result<(), TestCaseError> {
+    let runs = array.snapshot_diff(base.map(|b| b.0), newer.0).unwrap();
+    let len = newer.1.len();
+    let (base_read, base_model) = match base {
+        Some((snap, image)) => (array.read_snapshot(*snap, 0, len).unwrap(), image.clone()),
+        None => (vec![0; len], vec![0; len]),
+    };
+    let newer_read = array.read_snapshot(newer.0, 0, len).unwrap();
+    prop_assert!(
+        newer_read == newer.1,
+        "setup: {:?} does not read back",
+        newer.0
+    );
+    let sectors = (len / SECTOR) as u64;
+    let mut in_run = vec![false; sectors as usize];
+    let mut prev_end = 0;
+    for &(start, end) in &runs {
+        prop_assert!(
+            prev_end <= start && start < end && end <= sectors,
+            "runs {:?} are not sorted, disjoint, non-empty runs of {} sectors",
+            runs,
+            sectors
+        );
+        in_run[start as usize..end as usize].fill(true);
+        prev_end = end;
+    }
+    for (i, _) in in_run.iter().enumerate().filter(|(_, inside)| !**inside) {
+        let at = i * SECTOR..(i + 1) * SECTOR;
+        prop_assert!(
+            newer_read[at.clone()] == base_read[at.clone()],
+            "sector {} reads differently outside the runs {:?}",
+            i,
+            runs
+        );
+        prop_assert!(
+            newer.1[at.clone()] == base_model[at],
+            "sector {} changed but lies in none of the runs {:?}",
+            i,
+            runs
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `snapshot_diff`, which replication and cluster rebuild ship from,
+    /// names every sector whose bytes changed between two snapshots and
+    /// nothing that reads the same. Random writes, some repeating earlier
+    /// content so dedup shares locations, with snapshots at random points
+    /// and writes over a clone of one: every pair of one volume's
+    /// snapshots, and every snapshot against the empty base, passes
+    /// [`check_diff`].
+    #[test]
+    fn snapshot_diff_names_every_changed_sector(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(
+            (0u8..10, 0..DIFF_VOL_SECTORS, 1u64..24, any::<bool>()),
+            4..24,
+        ),
+    ) {
+        let mut array = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let bytes = DIFF_VOL_SECTORS as usize * SECTOR;
+        let id = array.create_volume("v", bytes as u64).unwrap();
+        let mut vols = vec![DiffVol { id, image: vec![0; bytes], snaps: Vec::new() }];
+        let mut written: Vec<Vec<u8>> = Vec::new();
+        for (i, (kind, first, n, repeat)) in ops.into_iter().enumerate() {
+            let vol = vols.last_mut().expect("one volume at least");
+            match kind {
+                0..=6 => {
+                    let n = n.min(DIFF_VOL_SECTORS - first) as usize;
+                    let data = match written.iter().find(|w| repeat && w.len() >= n * SECTOR) {
+                        Some(earlier) => earlier[..n * SECTOR].to_vec(),
+                        None => ContentModel::Random.buffer(seed ^ i as u64, first, n),
+                    };
+                    let at = first as usize * SECTOR;
+                    array.write(vol.id, at as u64, &data).unwrap();
+                    vol.image[at..at + data.len()].copy_from_slice(&data);
+                    written.push(data);
+                }
+                7 | 8 => {
+                    let snap = array.snapshot(vol.id, &format!("s{i}")).unwrap();
+                    vol.snaps.push((snap, vol.image.clone()));
+                }
+                _ => {
+                    let Some((snap, image)) = vol.snaps.last().cloned() else {
+                        continue;
+                    };
+                    let id = array.clone_snapshot(snap, &format!("c{i}")).unwrap();
+                    vols.push(DiffVol { id, image, snaps: Vec::new() });
+                }
+            }
+        }
+        for vol in &mut vols {
+            let snap = array.snapshot(vol.id, "last").unwrap();
+            vol.snaps.push((snap, vol.image.clone()));
+        }
+        for vol in &vols {
+            for (j, newer) in vol.snaps.iter().enumerate() {
+                check_diff(&mut array, None, newer)?;
+                for base in &vol.snaps[..j] {
+                    check_diff(&mut array, Some(base), newer)?;
+                }
+            }
+        }
     }
 }

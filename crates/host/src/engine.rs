@@ -545,18 +545,13 @@ impl<'a> Run<'a> {
             ReqKind::Read { offset, len } => {
                 let (offset, len) = (*offset, *len);
                 self.array
-                    .submit_read_traced(path.port(), self.volume, offset, len, Some(&mut trace))
+                    .submit_read(path.port(), self.volume, offset, len, Some(&mut trace))
                     .map(|(id, _, ack)| (id, ack))
             }
             ReqKind::Write { .. } => {
                 let (offset, data) = self.coalesce(req, now).expect("write payload");
-                self.array.submit_write_traced(
-                    path.port(),
-                    self.volume,
-                    offset,
-                    &data,
-                    Some(&mut trace),
-                )
+                self.array
+                    .submit_write(path.port(), self.volume, offset, &data, Some(&mut trace))
             }
         };
         let r = &mut self.requests[req as usize];

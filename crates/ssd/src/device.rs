@@ -235,23 +235,13 @@ impl Ssd {
         Ok(done)
     }
 
-    /// Reads `len` bytes at any byte offset. Returns data + the
-    /// completion timestamp of the slowest constituent page read.
-    pub fn read(
-        &mut self,
-        offset: usize,
-        len: usize,
-        now: Nanos,
-    ) -> Result<(Vec<u8>, Nanos), DeviceError> {
-        self.read_traced(offset, len, now).map(|r| (r.data, r.done))
-    }
-
-    /// Reads `len` bytes at any byte offset, reporting the latency
-    /// decomposition of the critical-path page (see [`DeviceRead`]).
+    /// Reads `len` bytes at any byte offset: the data, the completion
+    /// timestamp of the slowest constituent page read, and that
+    /// critical-path page's latency decomposition (see [`DeviceRead`]).
     /// Pages are read in address order and the first failure ends the
     /// read: pages before it have charged their dies, pages after it are
     /// never attempted.
-    pub fn read_traced(
+    pub fn read(
         &mut self,
         offset: usize,
         len: usize,
@@ -280,7 +270,7 @@ impl Ssd {
         crit.data
             .reserve_exact((last - first + 1) * self.page_size - skip);
         for lpn in first..=last {
-            let page = self.ftl.read_traced(lpn, now)?;
+            let page = self.ftl.read(lpn, now)?;
             let from = if lpn == first { skip } else { 0 };
             crit.data.extend_from_slice(&page.data[from..]);
             if page.done >= crit.done {
@@ -296,7 +286,7 @@ impl Ssd {
         Ok(crit)
     }
 
-    /// What [`Ssd::read_traced`] would report for the same arguments,
+    /// What [`Ssd::read`] would report for the same arguments,
     /// without booking a die: the reservation of the critical-path page,
     /// so `end` is the read's `done` and `start - now` its `queued`.
     /// What a planner compares before it chooses which drives to read.
@@ -432,11 +422,9 @@ mod tests {
         let mut ssd = mk();
         let data: Vec<u8> = (0..8192).map(|i| (i % 255) as u8).collect();
         ssd.write(4096, &data, 0).unwrap();
-        let (read, _) = ssd.read(4096, 8192, 0).unwrap();
-        assert_eq!(read, data);
+        assert_eq!(ssd.read(4096, 8192, 0).unwrap().data, data);
         // Sub-page read within the written range.
-        let (part, _) = ssd.read(5000, 100, 0).unwrap();
-        assert_eq!(part, data[904..1004]);
+        assert_eq!(ssd.read(5000, 100, 0).unwrap().data, data[904..1004]);
     }
 
     #[test]
@@ -465,7 +453,7 @@ mod tests {
         );
         assert_eq!(ssd.trim(0, 4096).unwrap_err(), DeviceError::Failed);
         ssd.revive();
-        assert_eq!(ssd.read(0, 4096, 0).unwrap().0, [7u8; 4096]);
+        assert_eq!(ssd.read(0, 4096, 0).unwrap().data, [7u8; 4096]);
     }
 
     #[test]
@@ -530,7 +518,7 @@ mod tests {
         ssd.trim(2 * ps, ps).unwrap();
         let (reads, before) = (ssd.flash_counters().reads, after);
         assert_eq!(
-            ssd.read_traced(0, 4 * ps, 0).unwrap_err(),
+            ssd.read(0, 4 * ps, 0).unwrap_err(),
             DeviceError::Ftl(FtlError::Unmapped)
         );
         assert_eq!(ssd.flash_counters().reads, reads + 2);
@@ -549,18 +537,18 @@ mod tests {
         // Tear mid-second-page: page 0 fully new, page 1 undefined
         // (corrupt), page 2 untouched (still old).
         ssd.write_torn(0, &new, 4096 + 100, 0).unwrap();
-        assert_eq!(ssd.read(0, 4096, 0).unwrap().0, vec![0xBB; 4096]);
+        assert_eq!(ssd.read(0, 4096, 0).unwrap().data, vec![0xBB; 4096]);
         assert!(matches!(
             ssd.read(4096, 4096, 0),
             Err(DeviceError::Ftl(FtlError::Flash(
                 crate::flash::FlashError::Corrupt
             )))
         ));
-        assert_eq!(ssd.read(2 * 4096, 4096, 0).unwrap().0, vec![0xAA; 4096]);
+        assert_eq!(ssd.read(2 * 4096, 4096, 0).unwrap().data, vec![0xAA; 4096]);
         // A page-aligned tear keeps whole pages and corrupts nothing.
         let mut ssd2 = mk();
         ssd2.write_torn(0, &new, 4096, 0).unwrap();
-        assert_eq!(ssd2.read(0, 4096, 0).unwrap().0, vec![0xBB; 4096]);
+        assert_eq!(ssd2.read(0, 4096, 0).unwrap().data, vec![0xBB; 4096]);
         assert!(matches!(
             ssd2.read(4096, 1, 0),
             Err(DeviceError::Ftl(FtlError::Unmapped))
@@ -574,7 +562,7 @@ mod tests {
         let done = ssd.write(0, &big, 0).unwrap();
         assert!(done > 0);
         // Immediately-issued read completes after pending programs on its die.
-        let (_, t) = ssd.read(0, 4096, 0).unwrap();
+        let t = ssd.read(0, 4096, 0).unwrap().done;
         assert!(t > LatencyModel::consumer_mlc().read_ns);
     }
 

@@ -312,21 +312,15 @@ impl Flash {
         }
     }
 
-    /// Reads one page. Returns the data and the completion timestamp
-    /// (includes any queueing behind programs/erases on the die).
-    pub fn read_page(&mut self, ppa: Ppa, now: Nanos) -> Result<(Vec<u8>, Nanos), FlashError> {
-        self.read_page_traced(ppa, now)
-            .map(|r| (r.data.to_vec(), r.done))
-    }
-
-    /// Reads one page with its latency decomposition: how long it queued,
-    /// how long the die worked, and what the queueing was behind
-    /// (program / erase / other reads) — the per-die attribution the
-    /// observability layer surfaces for tail samples. A bad-block or
-    /// never-programmed page fails before touching the die; a corrupt or
-    /// leaked page is only discovered by reading it, so it charges the
-    /// die's timeline first.
-    pub fn read_page_traced(&mut self, ppa: Ppa, now: Nanos) -> Result<PageRead<'_>, FlashError> {
+    /// Reads one page: its bytes, its completion timestamp (includes any
+    /// queueing behind programs/erases on the die) and its latency
+    /// decomposition — how long it queued, how long the die worked, and
+    /// what the queueing was behind (program / erase / other reads), the
+    /// per-die attribution the observability layer surfaces for tail
+    /// samples. A bad-block or never-programmed page fails before
+    /// touching the die; a corrupt or leaked page is only discovered by
+    /// reading it, so it charges the die's timeline first.
+    pub fn read_page(&mut self, ppa: Ppa, now: Nanos) -> Result<PageRead<'_>, FlashError> {
         let virtual_now = self.clock.now();
         let die = &mut self.dies[ppa.die];
         let service = {
@@ -416,7 +410,7 @@ impl Flash {
 
     /// What a read of `ppas`, every page issued at `now` in this order,
     /// would be granted, without booking a die: the reservation of its
-    /// critical-path page — the one [`Flash::read_page_traced`] would
+    /// critical-path page — the one [`Flash::read_page`] would
     /// complete last, so `end` is when the read is done and `start` is
     /// how long it queues first. Pages that share a die chain behind
     /// each other, as the bookings would. `None` where the read would
@@ -583,8 +577,7 @@ mod tests {
         };
         let data = page(0xab, 4096);
         f.program_page(ppa, &data, 0).unwrap();
-        let (read, _) = f.read_page(ppa, 0).unwrap();
-        assert_eq!(read, data);
+        assert_eq!(f.read_page(ppa, 0).unwrap().data, data);
     }
 
     #[test]
@@ -613,7 +606,7 @@ mod tests {
         );
         f.erase_block(0, 0, 0).unwrap();
         f.program_page(ppa, &page(2, 4096), 0).unwrap();
-        assert_eq!(f.read_page(ppa, 0).unwrap().0, page(2, 4096));
+        assert_eq!(f.read_page(ppa, 0).unwrap().data, page(2, 4096));
     }
 
     #[test]
@@ -684,7 +677,7 @@ mod tests {
         let done = f.program_page(w, &page(7, 4096), 0).unwrap();
         assert!(done >= LatencyModel::consumer_mlc().program_ns);
         // Read on the same die waits for the program.
-        let (_, read_done) = f.read_page(w, 1000).unwrap();
+        let read_done = f.read_page(w, 1000).unwrap().done;
         assert!(read_done > done, "read should queue behind the program");
         // Read on another die proceeds immediately.
         f.program_page(
@@ -712,7 +705,7 @@ mod tests {
         };
         // Host-origin program: a queued read blames a plain program stall.
         f.program_page(host, &page(1, 4096), 0).unwrap();
-        let r = f.read_page_traced(host, 0).unwrap();
+        let r = f.read_page(host, 0).unwrap();
         assert_eq!(r.stall, Some(StallCause::Program));
         assert!(!r.stall_gc, "host program is not GC interference");
         // GC-origin program on another die: the stall is GC-attributed.
@@ -724,7 +717,7 @@ mod tests {
         f.set_gc_mode(true);
         f.program_page(gc, &page(2, 4096), 0).unwrap();
         f.set_gc_mode(false);
-        let r = f.read_page_traced(gc, 0).unwrap();
+        let r = f.read_page(gc, 0).unwrap();
         assert_eq!(r.stall, Some(StallCause::Program));
         assert!(r.stall_gc, "relocation program is GC interference");
     }

@@ -187,16 +187,10 @@ impl Ftl {
         flat_page / self.geo.pages_per_block
     }
 
-    /// Reads a logical page. Returns data + completion timestamp.
-    pub fn read(&mut self, lpn: usize, now: Nanos) -> Result<(Vec<u8>, Nanos), FtlError> {
-        self.read_traced(lpn, now)
-            .map(|r| (r.data.to_vec(), r.done))
-    }
-
-    /// Reads a logical page with its latency decomposition (queueing vs
-    /// service, plus what the queueing was behind); [`Ftl::read`] is the
-    /// projection for callers that only want data + completion time.
-    pub fn read_traced(&mut self, lpn: usize, now: Nanos) -> Result<PageRead<'_>, FtlError> {
+    /// Reads a logical page: its bytes, completion timestamp and latency
+    /// decomposition (queueing vs service, plus what the queueing was
+    /// behind).
+    pub fn read(&mut self, lpn: usize, now: Nanos) -> Result<PageRead<'_>, FtlError> {
         if lpn >= self.logical_pages {
             return Err(FtlError::OutOfRange);
         }
@@ -205,7 +199,7 @@ impl Ftl {
             return Err(FtlError::Unmapped);
         }
         let ppa = Ppa::unflatten(phys as usize, &self.geo);
-        Ok(self.flash.read_page_traced(ppa, now)?)
+        Ok(self.flash.read_page(ppa, now)?)
     }
 
     /// What a read of the logical pages `lpns`, all issued at `now`,
@@ -401,8 +395,9 @@ impl Ftl {
                 continue;
             }
             let ppa = Ppa::unflatten(flat, &self.geo);
-            let (data, t_read) = self.flash.read_page(ppa, done)?;
-            done = done.max(t_read);
+            let read = self.flash.read_page(ppa, done)?;
+            let data = read.data.to_vec();
+            done = done.max(read.done);
             let t_prog = self.program_to_active(lpn as usize, &data, done)?;
             self.stats.gc_programs += 1;
             done = done.max(t_prog);
@@ -471,8 +466,8 @@ mod tests {
         let mut ftl = mk_ftl();
         ftl.write(0, &page_of(0x11), 0).unwrap();
         ftl.write(1, &page_of(0x22), 0).unwrap();
-        assert_eq!(ftl.read(0, 0).unwrap().0, page_of(0x11));
-        assert_eq!(ftl.read(1, 0).unwrap().0, page_of(0x22));
+        assert_eq!(ftl.read(0, 0).unwrap().data, page_of(0x11));
+        assert_eq!(ftl.read(1, 0).unwrap().data, page_of(0x22));
     }
 
     #[test]
@@ -481,7 +476,7 @@ mod tests {
         for v in 0..10u8 {
             ftl.write(5, &page_of(v), 0).unwrap();
         }
-        assert_eq!(ftl.read(5, 0).unwrap().0, page_of(9));
+        assert_eq!(ftl.read(5, 0).unwrap().data, page_of(9));
     }
 
     #[test]
@@ -513,7 +508,7 @@ mod tests {
         assert!(wa < 1.05, "sequential fill WA should be ~1.0, got {}", wa);
         // Verify a sample of the data survived.
         for lpn in (0..n).step_by(97) {
-            assert_eq!(ftl.read(lpn, 0).unwrap().0, page_of((lpn % 251) as u8));
+            assert_eq!(ftl.read(lpn, 0).unwrap().data, page_of((lpn % 251) as u8));
         }
     }
 
@@ -545,7 +540,7 @@ mod tests {
             }
         }
         for lpn in (0..n).step_by(131) {
-            assert_eq!(ftl.read(lpn, 0).unwrap().0, page_of(4));
+            assert_eq!(ftl.read(lpn, 0).unwrap().data, page_of(4));
         }
     }
 

@@ -69,7 +69,7 @@ proptest! {
                 Op::Read(l) => {
                     let lpn = l as usize % n;
                     match (ftl.read(lpn, t), reference.get(&lpn)) {
-                        (Ok((data, _)), Some(&v)) => prop_assert_eq!(data, vec![v; 512]),
+                        (Ok(r), Some(&v)) => prop_assert_eq!(r.data, vec![v; 512]),
                         (Err(FtlError::Unmapped), None) => {}
                         (got, want) => prop_assert!(
                             false,
@@ -85,7 +85,7 @@ proptest! {
         // Full final verification.
         for lpn in 0..n {
             match (ftl.read(lpn, t), reference.get(&lpn)) {
-                (Ok((data, _)), Some(&v)) => prop_assert_eq!(data, vec![v; 512]),
+                (Ok(r), Some(&v)) => prop_assert_eq!(r.data, vec![v; 512]),
                 (Err(FtlError::Unmapped), None) => {}
                 (got, want) => prop_assert!(false, "final lpn {}: {:?} vs {:?}", lpn, got.map(|_| "data"), want),
             }
@@ -172,7 +172,7 @@ fn read_paged(
     let mut crit: Option<ReadOutcome> = None;
     let mut data = Vec::new();
     for p in page..page + pages {
-        let r = outcome(ssd.read_traced(p * PS, PS, now)?);
+        let r = outcome(ssd.read(p * PS, PS, now)?);
         data.extend_from_slice(&r.0);
         if crit.as_ref().is_none_or(|c| r.1 >= c.1) {
             crit = Some(r);
@@ -186,7 +186,7 @@ fn read_paged(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// One drive driven by whole-range `write`/`read_traced` and a
+    /// One drive driven by whole-range `write`/`read` and a
     /// same-seed twin driven one page at a time see the same device:
     /// every completion timestamp, every read decomposition, every
     /// error, and the FTL and flash counters — through foreground GC,
@@ -221,7 +221,7 @@ proptest! {
                     let page = p as usize % logical;
                     let pages = (n as usize).min(logical - page);
                     prop_assert_eq!(
-                        whole.read_traced(page * PS, pages * PS, now).map(outcome),
+                        whole.read(page * PS, pages * PS, now).map(outcome),
                         read_paged(&mut paged, page, pages, now)
                     );
                 }

@@ -5,11 +5,11 @@
 //! minutes at 1×/4×/10× data reduction against 2014 ECC DRAM. This crate
 //! turns that analysis into a running policy engine:
 //!
-//! * [`cache::RamCache`] — a deterministic, byte-bounded read cache for
-//!   controller DRAM. The array runs one as its LRU cblock cache; under
-//!   2Q admission it is sized from the measured crossover interval
-//!   (capacity = arrival byte rate × break-even time keeps exactly the
-//!   blocks whose re-reference interval beats the DRAM price).
+//! * [`cache::RamCache`] — a deterministic, byte-bounded LRU read cache
+//!   for controller DRAM. The array runs one as its cblock cache; E18
+//!   sizes one from the measured crossover interval (capacity = arrival
+//!   byte rate × break-even time keeps exactly the blocks whose
+//!   re-reference interval beats the DRAM price).
 //! * [`heat::HeatWatcher`] — folds the flight recorder's per-volume read
 //!   time-series into an exponentially-weighted activity estimate and an
 //!   idle clock, classifying each volume hot, warm or cold.

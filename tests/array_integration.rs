@@ -116,6 +116,29 @@ fn snapshots_freeze_content() {
     assert_eq!(snap_data, v1);
 }
 
+/// A snapshot read is checked like a volume read: a partial sector and a
+/// range past the end are refused, not served short or as zeros — also
+/// once the volume itself is gone.
+#[test]
+fn snapshot_reads_refuse_what_volume_reads_refuse() {
+    let mut a = array();
+    let size = 64 * SECTOR;
+    let vol = a.create_volume("v", size as u64).unwrap();
+    let data = sectors(12, 64);
+    a.write(vol, 0, &data).unwrap();
+    let snap = a.snapshot(vol, "s").unwrap();
+    a.destroy_volume(vol).unwrap();
+    assert!(matches!(
+        a.read_snapshot(snap, 0, 1000),
+        Err(PurityError::BadRequest(_))
+    ));
+    assert!(matches!(
+        a.read_snapshot(snap, (size - SECTOR) as u64, 2 * SECTOR),
+        Err(PurityError::BadRequest(_))
+    ));
+    assert_eq!(a.read_snapshot(snap, 0, size).unwrap(), data);
+}
+
 #[test]
 fn snapshot_chain_reads_fall_through() {
     let mut a = array();
