@@ -27,16 +27,20 @@ pub(super) fn setup(qd: usize, vol_bytes: u64) -> (FlashArray, VolumeId, HostEng
     let mut a = FlashArray::new(cfg).unwrap();
     let vol = a.create_volume("db", vol_bytes).unwrap();
 
-    // Warm the working set with unique (dedup-proof) content.
+    // Warm the working set with unique (dedup-proof) content, then let
+    // the clock reach the last warm-up ack, so the sweep point measures
+    // its own ops rather than the warm-up's queued NVRAM programs.
     let mut warm = vec![0u8; 1 << 20];
+    let mut warm_acked = 0;
     for c in 0..(vol_bytes >> 20) {
         for (i, b) in warm.iter_mut().enumerate() {
             *b = (i as u64)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(c) as u8;
         }
-        a.write(vol, c << 20, &warm).unwrap();
+        warm_acked = warm_acked.max(a.write(vol, c << 20, &warm).unwrap().latency);
     }
+    a.advance(warm_acked);
 
     let engine = HostEngine::new(HostConfig {
         initiators: 4,

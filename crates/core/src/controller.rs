@@ -197,6 +197,9 @@ pub struct Controller {
     pub(crate) map_patches: Vec<PatchLoc>,
     /// Index of the last NVRAM record appended (for trims).
     pub(crate) last_nvram_index: Option<u64>,
+    /// The intent sizes of the write in progress, its NVRAM commit
+    /// group; kept so each write reuses one buffer.
+    pub(crate) intent_sizes: Vec<usize>,
     /// Tiering engine state: the heat watcher. Volatile — it re-learns.
     pub(crate) tier: TierState,
     /// Telemetry.
@@ -222,26 +225,24 @@ impl Controller {
     fn commit_meta(&mut self, shelf: &mut Shelf, op: MetaOp, now: Nanos) -> Result<(Seq, Nanos)> {
         let seq = self.seq.next();
         let bytes = encode_meta(&MetaIntent { seq, op });
-        let (idx, t) = self.nvram_append(shelf, &bytes, now)?;
-        self.last_nvram_index = Some(idx);
-        Ok((seq, t))
+        let len = bytes.len();
+        self.nvram_log(shelf, bytes, now)?;
+        Ok((seq, shelf.nvram_program(&[len], now)))
     }
 
-    pub(crate) fn nvram_append(
+    /// Logs one NVRAM record, checkpointing first (which trims the log)
+    /// if it would not fit. The caller books its commit group.
+    pub(crate) fn nvram_log(
         &mut self,
         shelf: &mut Shelf,
-        bytes: &[u8],
+        bytes: Vec<u8>,
         now: Nanos,
-    ) -> Result<(u64, Nanos)> {
-        match shelf.nvram_append(bytes, now) {
-            Ok(ok) => Ok(ok),
-            Err(PurityError::OutOfSpace) => {
-                // Trim by checkpointing, then retry once.
-                self.write_checkpoint(shelf, now)?;
-                shelf.nvram_append(bytes, now)
-            }
-            Err(e) => Err(e),
+    ) -> Result<()> {
+        if !shelf.nvram().fits(bytes.len()) {
+            self.write_checkpoint(shelf, now)?;
         }
+        self.last_nvram_index = Some(shelf.nvram_log(bytes)?);
+        Ok(())
     }
 
     /// Creates a volume of `size_bytes` (thin-provisioned).

@@ -213,6 +213,7 @@ impl Controller {
             checkpoint_version: cp.version,
             map_patches: cp.map_patches.clone(),
             last_nvram_index: None,
+            intent_sizes: Vec::new(),
             tier: TierState::new(),
             stats: ArrayStats::default(),
             obs: Obs::with_config(cfg.obs_config(), now),
@@ -402,7 +403,7 @@ impl Controller {
         // Seal the replayed log so the *next* cold start can tell this
         // run's tolerated torn tail apart from real mid-log corruption.
         let (seal_idx, t) = shelf.nvram_append(
-            &crate::records::encode_recovery_seal(ctrl.last_nvram_index.unwrap_or(0)),
+            crate::records::encode_recovery_seal(ctrl.last_nvram_index.unwrap_or(0)),
             done.max(now),
         )?;
         ctrl.last_nvram_index = Some(seal_idx);

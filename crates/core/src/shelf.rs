@@ -407,30 +407,53 @@ impl Shelf {
         Ok(done)
     }
 
-    /// Appends to NVRAM through the power gate. An armed
-    /// `NvramAppend`/`AnyWrite` trigger fires here: the record's tail is
-    /// torn at `keep_bytes` and power dies with it — the caller never
-    /// gets an index back, so the intent was never acknowledgeable.
-    pub fn nvram_append(&mut self, payload: &[u8], now: Nanos) -> Result<(u64, Nanos)> {
+    /// Logs an NVRAM record through the power gate and returns its index;
+    /// [`Shelf::nvram_program`] books its commit group's SLC time. An
+    /// armed `NvramAppend`/`AnyWrite` trigger fires here: the record's
+    /// tail is torn at `keep_bytes` and power dies with it — the caller
+    /// never gets an index back, so the intent was never acknowledgeable.
+    pub fn nvram_log(&mut self, payload: Vec<u8>) -> Result<u64> {
         if !self.powered {
             return Err(PurityError::Device("shelf power lost".to_string()));
         }
         if let Some(keep) = self.countdown(CrashTarget::NvramAppend) {
-            let keep = keep.min(payload.len().saturating_sub(1));
+            let len = payload.len();
             // Durably land the record first, then tear its tail: the
             // prefix genuinely reached the SLC medium before the outage.
-            let _ = self.nvram.append(payload, now);
-            self.nvram.tear_last_append(keep);
+            // A record the log refuses (full, failed) lands nothing, and
+            // the record before it — acknowledged — stays whole.
+            let keep = match self.nvram.log(payload) {
+                Ok(_) => {
+                    let keep = keep.min(len.saturating_sub(1));
+                    self.nvram.tear_last_append(keep);
+                    keep
+                }
+                Err(_) => 0,
+            };
             let what = "nvram record".to_string();
-            return Err(self.tear(CrashTarget::NvramAppend, what, keep, payload.len()));
+            return Err(self.tear(CrashTarget::NvramAppend, what, keep, len));
         }
-        match self.nvram.append(payload, now) {
-            Ok(v) => Ok(v),
+        self.nvram.log(payload).map_err(|e| match e {
             // Full is recoverable: the controller checkpoints to trim
-            // the log and retries, so it must stay distinguishable.
-            Err(NvramError::Full) => Err(PurityError::OutOfSpace),
-            Err(e) => Err(PurityError::Device(format!("nvram: {}", e))),
-        }
+            // the log, so it must stay distinguishable.
+            NvramError::Full => PurityError::OutOfSpace,
+            e => PurityError::Device(format!("nvram: {}", e)),
+        })
+    }
+
+    /// Books the SLC programs of one commit group — records of `sizes`
+    /// bytes, logged in that order — issued at `now`, and returns when
+    /// the group is durable enough to acknowledge.
+    pub fn nvram_program(&mut self, sizes: &[usize], now: Nanos) -> Nanos {
+        self.nvram.program(sizes, now)
+    }
+
+    /// Logs one record as a commit group of its own: its index and when
+    /// it can be acknowledged.
+    pub fn nvram_append(&mut self, payload: Vec<u8>, now: Nanos) -> Result<(u64, Nanos)> {
+        let len = payload.len();
+        let index = self.nvram_log(payload)?;
+        Ok((index, self.nvram_program(&[len], now)))
     }
 
     /// Trims NVRAM through the power gate (trims are durable mutations
@@ -616,7 +639,7 @@ mod tests {
         assert!(!s.powered());
         assert!(s.write_drive(2, 4096, &[2; 4096], 0).is_err());
         assert!(s.read_drive(2, 0, 4096, 0).is_err());
-        assert!(s.nvram_append(b"x", 0).is_err());
+        assert!(s.nvram_append(b"x".to_vec(), 0).is_err());
         assert!(s.nvram_trim(0).is_err());
         assert!(s.trim_drive(2, 0, 4096).is_err());
         s.power_restore();
@@ -651,9 +674,9 @@ mod tests {
     #[test]
     fn nvram_trigger_tears_the_append_tail() {
         let mut s = shelf();
-        s.nvram_append(&[7u8; 64], 0).unwrap();
+        s.nvram_append(vec![7u8; 64], 0).unwrap();
         s.arm_power_loss(CrashTarget::NvramAppend, 0, 10);
-        assert!(s.nvram_append(&[9u8; 64], 0).is_err());
+        assert!(s.nvram_append(vec![9u8; 64], 0).is_err());
         assert!(!s.powered());
         assert!(s.torn_note().unwrap().contains("NVRAM"));
         s.power_restore();
@@ -661,6 +684,24 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].payload, vec![7u8; 64]);
         assert_eq!(records[1].payload, vec![9u8; 10]);
+    }
+
+    /// A trigger on an append the full log refuses cuts power with
+    /// nothing torn: the acknowledged record before it stays whole.
+    #[test]
+    fn nvram_trigger_on_a_full_log_leaves_the_last_record_whole() {
+        let mut s = shelf();
+        let acked = s.nvram().capacity_bytes() - 32;
+        s.nvram_append(vec![7u8; acked], 0).unwrap();
+        s.arm_power_loss(CrashTarget::NvramAppend, 0, 10);
+        assert!(s.nvram_append(vec![9u8; 64], 0).is_err());
+        assert!(!s.powered());
+        assert!(s.torn_note().unwrap().contains("torn at 0/64 bytes"));
+        s.power_restore();
+        let (records, _) = s.nvram().scan(0).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].payload.len(), acked);
+        assert_eq!(s.nvram().torn_tails(), 0);
     }
 
     #[test]

@@ -67,19 +67,21 @@ impl Controller {
         let compress_before = self.stats.compress_bytes_saved;
         let stored_before = self.stats.physical_bytes_stored;
         let mut start_sector = offset / SECTOR as u64;
-        let mut ack_at = now;
+        // One intent per cblock, durable as it is logged; the write's
+        // intents then commit as one group (each NVRAM channel programs
+        // its share once), acknowledged when the last channel is done.
+        let mut sizes = std::mem::take(&mut self.intent_sizes);
+        sizes.clear();
         for chunk in data.chunks(cblock_bytes) {
             let seq = self.seq.next();
-            let (idx, t) = self.nvram_append(
-                shelf,
-                &encode_intent_parts(seq, medium, start_sector, chunk),
-                now,
-            )?;
-            self.last_nvram_index = Some(idx);
-            ack_at = ack_at.max(t);
+            let intent = encode_intent_parts(seq, medium, start_sector, chunk);
+            sizes.push(intent.len());
+            self.nvram_log(shelf, intent, now)?;
             self.apply_write(shelf, medium, start_sector, chunk, seq, now)?;
             start_sector += (chunk.len() / SECTOR) as u64;
         }
+        let ack_at = shelf.nvram_program(&sizes, now);
+        self.intent_sizes = sizes;
         self.stats.logical_bytes_written += data.len() as u64;
         let latency = ack_at.saturating_sub(now) + CPU_OVERHEAD_NS;
         self.stats.write_latency.record(latency);

@@ -6,6 +6,13 @@
 //! because that is how it behaves. We model it as an append-only record
 //! log with SLC timing: commits append; the segio writer trims records
 //! once their facts are durable in segments (Figure 4).
+//!
+//! An append is two steps. [`Nvram::log`] makes a record durable and
+//! gives it its index; [`Nvram::program`] books the SLC time of a
+//! *commit group* — the records one operation logged — as one program
+//! per channel of that channel's share. A write of many cblocks thus
+//! pays the fixed program cost once per channel it touches, and the
+//! per-KiB transfer for every byte; [`Nvram::append`] is a group of one.
 
 use crate::latency::LatencyModel;
 use purity_sim::{Nanos, Timeline};
@@ -42,7 +49,7 @@ pub struct NvramRecord {
 /// The append-only SLC log device.
 ///
 /// Real shelves carry several NVRAM parts; `channels` models their
-/// parallelism (appends round-robin across channels; each channel
+/// parallelism (records round-robin across channels; each channel
 /// serializes its own programs).
 pub struct Nvram {
     latency: LatencyModel,
@@ -97,28 +104,53 @@ impl Nvram {
         self.appends
     }
 
-    /// Durably appends a record. Returns its index and the completion
-    /// timestamp (the commit becomes acknowledgeable at that time).
-    pub fn append(&mut self, payload: &[u8], now: Nanos) -> Result<(u64, Nanos), NvramError> {
+    /// Whether a record of `len` bytes fits in the free space.
+    pub fn fits(&self, len: usize) -> bool {
+        self.used_bytes + len <= self.capacity_bytes
+    }
+
+    /// Durably logs a record and returns its index. Its SLC time is
+    /// booked separately, by the [`Nvram::program`] of its commit group.
+    pub fn log(&mut self, payload: Vec<u8>) -> Result<u64, NvramError> {
         if self.failed {
             return Err(NvramError::Failed);
         }
-        if self.used_bytes + payload.len() > self.capacity_bytes {
+        if !self.fits(payload.len()) {
             return Err(NvramError::Full);
         }
-        let service = self.latency.page_program(payload.len());
-        let channel = self.next_channel;
-        self.next_channel = (self.next_channel + 1) % self.timelines.len();
-        let res = self.timelines[channel].reserve(now, service);
         let index = self.next_index;
         self.next_index += 1;
         self.used_bytes += payload.len();
-        self.records.push(NvramRecord {
-            index,
-            payload: payload.to_vec(),
-        });
+        self.records.push(NvramRecord { index, payload });
         self.appends += 1;
-        Ok((index, res.end))
+        Ok(index)
+    }
+
+    /// Books one commit group of records of `sizes` bytes issued at
+    /// `now`: record `i` goes to channel `next + i` (round-robin), and
+    /// each channel used programs its share in one SLC program. Returns
+    /// when the last channel finishes (the group becomes acknowledgeable
+    /// then); `now` for an empty group.
+    pub fn program(&mut self, sizes: &[usize], now: Nanos) -> Nanos {
+        let n = self.timelines.len();
+        let mut end = now;
+        for k in 0..sizes.len().min(n) {
+            let bytes: usize = sizes[k..].iter().step_by(n).sum();
+            let channel = (self.next_channel + k) % n;
+            let service = self.latency.page_program(bytes);
+            end = end.max(self.timelines[channel].reserve(now, service).end);
+        }
+        self.next_channel = (self.next_channel + sizes.len()) % n;
+        end
+    }
+
+    /// Durably appends one record as a commit group of its own. Returns
+    /// its index and the completion timestamp (the commit becomes
+    /// acknowledgeable at that time).
+    pub fn append(&mut self, payload: Vec<u8>, now: Nanos) -> Result<(u64, Nanos), NvramError> {
+        let len = payload.len();
+        let index = self.log(payload)?;
+        Ok((index, self.program(&[len], now)))
     }
 
     /// Scans all live records (recovery path). Returns records and the
@@ -160,7 +192,7 @@ impl Nvram {
     /// program buffer. The first `keep_bytes` of the last record survive;
     /// the rest never reached the medium. Durable state (all earlier
     /// records) is frozen untouched; there is no volatile state to
-    /// discard — appends are durable at completion by construction.
+    /// discard — a record is durable once logged, by construction.
     ///
     /// Returns `true` if a record was actually torn (`keep_bytes` was
     /// shorter than the record).
@@ -206,15 +238,15 @@ mod tests {
     #[test]
     fn append_assigns_monotonic_indexes() {
         let mut nv = Nvram::new(1024);
-        let (i0, t0) = nv.append(b"alpha", 0).unwrap();
-        let (i1, t1) = nv.append(b"beta", 0).unwrap();
+        let (i0, t0) = nv.append(b"alpha".to_vec(), 0).unwrap();
+        let (i1, t1) = nv.append(b"beta".to_vec(), 0).unwrap();
         assert_eq!((i0, i1), (0, 1));
         // Different channels: both complete at the single-program time.
         assert_eq!(t1, t0, "parallel channels absorb concurrent appends");
         // A single-channel device serializes.
         let mut nv1 = Nvram::with_channels(1024, 1);
-        let (_, a) = nv1.append(b"x", 0).unwrap();
-        let (_, b) = nv1.append(b"y", 0).unwrap();
+        let (_, a) = nv1.append(b"x".to_vec(), 0).unwrap();
+        let (_, b) = nv1.append(b"y".to_vec(), 0).unwrap();
         assert!(b > a, "single channel serializes");
     }
 
@@ -222,23 +254,89 @@ mod tests {
     fn scan_returns_live_records_in_order() {
         let mut nv = Nvram::new(1024);
         for i in 0..5u8 {
-            nv.append(&[i], 0).unwrap();
+            nv.append(vec![i], 0).unwrap();
         }
         let (records, _) = nv.scan(0).unwrap();
         assert_eq!(records.len(), 5);
         assert!(records.windows(2).all(|w| w[0].index < w[1].index));
     }
 
+    /// A device with three earlier appends of different sizes booked, so
+    /// a group starts mid-rotation against busy channels.
+    fn warmed() -> Nvram {
+        let mut nv = Nvram::new(1 << 20);
+        for len in [300, 2000, 700] {
+            nv.append(vec![1; len], 0).unwrap();
+        }
+        nv
+    }
+
+    #[test]
+    fn a_group_of_up_to_one_record_a_channel_books_what_single_appends_do() {
+        for n in 1..=8usize {
+            let sizes: Vec<usize> = (1..=n).map(|i| 500 * i).collect();
+            let (mut grouped, mut single) = (warmed(), warmed());
+            for &len in &sizes {
+                grouped.log(vec![2; len]).unwrap();
+            }
+            let group_end = grouped.program(&sizes, 10);
+            let single_end = (sizes.iter())
+                .map(|&len| single.append(vec![2; len], 10).unwrap().1)
+                .max()
+                .unwrap();
+            assert_eq!(group_end, single_end, "{n} records");
+            // Same channels, same bookings: every later append agrees.
+            for len in [100, 4000, 900, 50, 3000, 10, 600, 2500, 1] {
+                let g = grouped.append(vec![3; len], 20).unwrap();
+                let s = single.append(vec![3; len], 20).unwrap();
+                assert_eq!(g, s, "{n} records, then a {len} B append");
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_records_on_eight_channels_cost_one_program_of_two() {
+        let slc = LatencyModel::slc_nvram();
+        let mut nv = Nvram::new(1 << 20);
+        let sizes = [4096usize; 16];
+        for len in sizes {
+            nv.log(vec![0; len]).unwrap();
+        }
+        let end = nv.program(&sizes, 0);
+        assert_eq!(end, slc.page_program(2 * 4096));
+        assert!(end < 2 * slc.page_program(4096), "not two in series");
+        // The rotation moved on by the whole group.
+        let (_, t) = nv.append(vec![0; 4096], 0).unwrap();
+        assert_eq!(t, end + slc.page_program(4096), "channel 0 is next");
+    }
+
+    #[test]
+    fn a_group_logs_consecutive_indexes_that_scan_in_order() {
+        let mut nv = warmed();
+        let indexes: Vec<u64> = (0..16u8).map(|i| nv.log(vec![i; 64]).unwrap()).collect();
+        assert_eq!(indexes, (3..19).collect::<Vec<u64>>());
+        nv.program(&[64; 16], 0);
+        let (records, _) = nv.scan(0).unwrap();
+        let tail: Vec<(u64, u8)> = records[3..]
+            .iter()
+            .map(|r| (r.index, r.payload[0]))
+            .collect();
+        assert_eq!(
+            tail,
+            (0..16u8).map(|i| (3 + i as u64, i)).collect::<Vec<_>>()
+        );
+    }
+
     #[test]
     fn trim_frees_space_and_hides_records() {
         let mut nv = Nvram::new(64);
         for _ in 0..4 {
-            nv.append(&[0u8; 16], 0).unwrap();
+            nv.append(vec![0u8; 16], 0).unwrap();
         }
-        assert_eq!(nv.append(&[0u8; 16], 0).unwrap_err(), NvramError::Full);
+        assert_eq!(nv.append(vec![0u8; 16], 0).unwrap_err(), NvramError::Full);
         nv.trim_through(1);
         assert_eq!(nv.used_bytes(), 32);
-        nv.append(&[0u8; 16], 0).unwrap();
+        nv.append(vec![0u8; 16], 0).unwrap();
         let (records, _) = nv.scan(0).unwrap();
         let indexes: Vec<u64> = records.iter().map(|r| r.index).collect();
         assert_eq!(indexes, vec![2, 3, 4]);
@@ -247,7 +345,7 @@ mod tests {
     #[test]
     fn commit_latency_is_bounded_and_low() {
         let mut nv = Nvram::new(1024 * 1024);
-        let (_, t) = nv.append(&[0u8; 512], 0).unwrap();
+        let (_, t) = nv.append(vec![0u8; 512], 0).unwrap();
         // SLC program + transfer: well under the MLC program time.
         assert!(
             t < LatencyModel::consumer_mlc().program_ns / 2,
@@ -259,8 +357,8 @@ mod tests {
     #[test]
     fn torn_tail_truncates_only_the_last_record() {
         let mut nv = Nvram::new(1024);
-        nv.append(b"stable-record", 0).unwrap();
-        nv.append(b"torn-record", 0).unwrap();
+        nv.append(b"stable-record".to_vec(), 0).unwrap();
+        nv.append(b"torn-record".to_vec(), 0).unwrap();
         let before = nv.used_bytes();
         assert!(nv.tear_last_append(4));
         assert_eq!(nv.used_bytes(), before - (b"torn-record".len() - 4));
@@ -278,9 +376,9 @@ mod tests {
     #[test]
     fn failure_blocks_io_but_preserves_content() {
         let mut nv = Nvram::new(1024);
-        nv.append(b"persisted", 0).unwrap();
+        nv.append(b"persisted".to_vec(), 0).unwrap();
         nv.fail();
-        assert_eq!(nv.append(b"x", 0).unwrap_err(), NvramError::Failed);
+        assert_eq!(nv.append(b"x".to_vec(), 0).unwrap_err(), NvramError::Failed);
         assert_eq!(nv.scan(0).unwrap_err(), NvramError::Failed);
         nv.revive();
         let (records, _) = nv.scan(0).unwrap();

@@ -2,7 +2,7 @@
 //! unplug controllers" evaluation stance (§1), 7+2 Reed-Solomon
 //! protection (§4.2), corruption repair and scrubbing (§5.1).
 
-use purity_core::{ArrayConfig, FlashArray, PowerLossSpec, PurityError, SECTOR};
+use purity_core::{ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, PurityError, SECTOR};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -210,6 +210,29 @@ fn write_heavy_interference_triggers_read_around() {
         "read-around-writes should have reconstructed: {:?}",
         a.stats().reconstruction_fraction()
     );
+}
+
+/// A write's intents are durable one by one, in order, though they
+/// commit as one group: power lost on the tenth intent of a 16-intent
+/// write leaves chunks 0–8 new (their intents replay) and 9–15 as they
+/// were (the torn tenth is dropped, the rest never reached NVRAM).
+#[test]
+fn power_lost_mid_group_keeps_the_logged_prefix_of_a_write() {
+    let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+    let vol = a.create_volume("db", 8 << 20).unwrap();
+    let (old, new) = (sectors(1, 1024), sectors(2, 1024)); // 512 KiB each
+    a.write(vol, 0, &old).unwrap();
+    a.arm_power_loss(CrashTarget::NvramAppend, 9, 100);
+    assert!(a.write(vol, 0, &new).is_err());
+    assert!(!a.powered());
+    a.power_loss(PowerLossSpec::default()).unwrap();
+    let (read, _) = a.read(vol, 0, new.len()).unwrap();
+    let chunk = 32 * 1024;
+    for (i, got) in read.chunks(chunk).enumerate() {
+        let want = if i < 9 { &new } else { &old };
+        assert!(got == &want[i * chunk..(i + 1) * chunk], "chunk {i}");
+    }
+    assert!(a.verify_integrity().is_empty());
 }
 
 /// Recovery writes nothing back: thirty power losses on one tiered

@@ -325,6 +325,17 @@ fn uncontended_ops_cost_what_the_device_constants_say() {
     assert_eq!(CPU_OVERHEAD_NS + nvram.page_program(4096 + 1), 116_750);
     assert_eq!(CPU_OVERHEAD_NS + nvram.page_program(32 * 1024 + 1), 143_350);
 
+    // A write of more cblocks than NVRAM channels commits its intents as
+    // one group: 16 intents of 32 KiB on 8 channels are one program of
+    // two records on each, not two programs in series.
+    let ack = a
+        .write(vol, 4 << 20, &compressible(&mut rng, 512 * 1024))
+        .unwrap();
+    let two_records = nvram.page_program(2 * (32 * 1024 + 1));
+    assert_eq!(ack.latency, CPU_OVERHEAD_NS + two_records, "512 KiB write");
+    assert_eq!(CPU_OVERHEAD_NS + two_records, 173_750);
+    a.advance(purity_sim::MS);
+
     // Push both cblocks out of the segment writer's DRAM tail and let the
     // paced programs finish.
     let mut filler = vec![0u8; 128 * 1024];
