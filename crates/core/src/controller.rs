@@ -530,7 +530,7 @@ impl Controller {
                     deduped: val.deduped,
                     seq: *seq,
                 }
-                .to_row_fixed()
+                .to_row()
             })
             .collect();
         for bytes in map_patch_records(&rows, rows.len()) {

@@ -479,7 +479,7 @@ impl Controller {
                         deduped: val.deduped,
                         seq,
                     }
-                    .to_row_fixed(),
+                    .to_row(),
                 );
             });
         let mut new_patches = Vec::new();

@@ -58,15 +58,10 @@ impl MapFact {
     /// Fixed page arity for map facts.
     pub const COLS: usize = 8;
 
-    /// Encodes to a page row.
-    pub fn to_row(&self) -> Vec<u64> {
-        self.to_row_fixed().to_vec()
-    }
-
-    /// Encodes to a fixed-arity row without allocating — the bulk
+    /// Encodes to a page row. Fixed-arity, without allocating — the bulk
     /// encoders (map-patch flush, GC patch rewrite) stream millions of
     /// these, where a heap `Vec` per row dominates the cost.
-    pub fn to_row_fixed(&self) -> [u64; Self::COLS] {
+    pub fn to_row(&self) -> [u64; Self::COLS] {
         [
             self.medium.0,
             self.sector,
@@ -253,7 +248,7 @@ pub enum TableId {
 }
 
 impl TableId {
-    fn from_u64(v: u64) -> Option<Self> {
+    fn from_u8(v: u8) -> Option<Self> {
         match v {
             1 => Some(TableId::Map),
             2 => Some(TableId::Medium),
@@ -263,26 +258,23 @@ impl TableId {
     }
 }
 
-/// One log record: a serialized patch of `table` facts.
+/// One log record: a patch of `table` facts, one per page row in the
+/// table's row format.
 #[derive(Debug, Clone)]
 pub struct LogRecord {
     /// Which pyramid the facts belong to.
     pub table: TableId,
-    /// Facts, one per row, in the table's row format.
-    pub rows: Vec<Vec<u64>>,
+    /// The facts (§4.9).
+    pub page: Page,
 }
 
-/// Serializes a log record: tag, row count, arity, the row-major varint
-/// stream, then an 8-byte checksum over all of it.
+/// Serializes a log record: the table tag, the page's byte form, then an
+/// 8-byte checksum over both.
 pub fn encode_log_record(rec: &LogRecord, out: &mut Vec<u8>) {
-    let arity = rec.rows.first().map(|r| r.len()).unwrap_or(0);
-    encode_log_record_rows(
-        rec.table,
-        arity,
-        rec.rows.len(),
-        rec.rows.iter().map(|r| r.as_slice()),
-        out,
-    );
+    let start = out.len();
+    out.push(rec.table as u8);
+    rec.page.write_to(out);
+    put_checksum(out, start);
 }
 
 /// Facts per map-patch record when GC rewrites the map (bounds
@@ -297,72 +289,25 @@ pub(crate) fn map_patch_records(
     chunk: usize,
 ) -> impl Iterator<Item = Vec<u8>> + '_ {
     rows.chunks(chunk).map(|rows| {
-        let mut bytes = Vec::with_capacity(rows.len() * MapFact::COLS * 4 + 64);
-        encode_log_record_rows(TableId::Map, MapFact::COLS, rows.len(), rows, &mut bytes);
+        let record = LogRecord {
+            table: TableId::Map,
+            page: Page::encode(rows),
+        };
+        let mut bytes = Vec::new();
+        encode_log_record(&record, &mut bytes);
         bytes
     })
 }
 
-/// Streaming form of [`encode_log_record`]: encodes `n_rows` fixed-arity
-/// rows straight into `out` without materializing a `Vec<Vec<u64>>`.
-/// Byte-identical to the non-streaming form for the same rows.
-pub fn encode_log_record_rows<R: AsRef<[u64]>, I: IntoIterator<Item = R>>(
-    table: TableId,
-    arity: usize,
-    n_rows: usize,
-    rows: I,
-    out: &mut Vec<u8>,
-) {
-    let start = out.len();
-    varint::encode(table as u64, out);
-    varint::encode(n_rows as u64, out);
-    varint::encode(arity as u64, out);
-    // Row-major varint stream; the Page form is used for in-memory scans,
-    // varints are friendlier for a byte log. Dictionary compression of
-    // persisted patches is applied by measuring Page size for stats.
-    let mut seen = 0usize;
-    for row in rows {
-        let row = row.as_ref();
-        debug_assert_eq!(row.len(), arity);
-        for &v in row {
-            varint::encode(v, out);
-        }
-        seen += 1;
-    }
-    debug_assert_eq!(seen, n_rows, "row iterator length must match n_rows");
-    put_checksum(out, start);
-}
-
 /// Decodes one log record from the front of `input`; returns it and the
-/// bytes consumed. `None` on truncation, an unknown table tag, or a
-/// checksum mismatch — a bit flip anywhere in the record is detected.
+/// bytes consumed. `None` on truncation, an unknown table tag, a
+/// malformed page, or a checksum mismatch — a bit flip anywhere in the
+/// record is detected.
 pub fn decode_log_record(input: &[u8]) -> Option<(LogRecord, usize)> {
-    let mut at = 0;
-    let (tag, n) = varint::decode(&input[at..])?;
-    at += n;
-    let table = TableId::from_u64(tag)?;
-    let (n_rows, n) = varint::decode(&input[at..])?;
-    at += n;
-    let (arity, n) = varint::decode(&input[at..])?;
-    at += n;
-    let mut rows = Vec::with_capacity((n_rows as usize).min(input.len()));
-    for _ in 0..n_rows {
-        let mut row = Vec::with_capacity(arity as usize);
-        for _ in 0..arity {
-            let (v, n) = varint::decode(&input[at..])?;
-            at += n;
-            row.push(v);
-        }
-        rows.push(row);
-    }
-    let consumed = check_checksum(input, at)?;
-    Some((LogRecord { table, rows }, consumed))
-}
-
-/// Measures the dictionary-compressed size of a patch (what §4.9's page
-/// format achieves) — used by stats and experiment E10.
-pub fn patch_page_bytes(rows: &[Vec<u64>]) -> usize {
-    Page::encode(rows).encoded_bytes()
+    let table = TableId::from_u8(*input.first()?)?;
+    let (page, used) = Page::read_from(&input[1..]).ok()?;
+    let consumed = check_checksum(input, 1 + used)?;
+    Some((LogRecord { table, page }, consumed))
 }
 
 /// An NVRAM write intent: everything needed to replay an acknowledged
@@ -917,41 +862,142 @@ mod tests {
 
     #[test]
     fn log_record_round_trip_with_trailing_data() {
-        let rec = LogRecord {
-            table: TableId::Map,
-            rows: (0..50)
-                .map(|i| {
-                    MapFact {
-                        medium: MediumId(1),
-                        sector: i,
-                        loc: sample_loc(),
-                        deduped: false,
-                        seq: 100 + i,
-                    }
-                    .to_row()
-                })
-                .collect(),
-        };
-        let mut buf = Vec::new();
-        encode_log_record(&rec, &mut buf);
+        let rows: Vec<[u64; MapFact::COLS]> = (0..50)
+            .map(|i| {
+                MapFact {
+                    medium: MediumId(1),
+                    sector: i,
+                    loc: sample_loc(),
+                    deduped: false,
+                    seq: 100 + i,
+                }
+                .to_row()
+            })
+            .collect();
+        let mut buf = map_patch_records(&rows, rows.len()).next().unwrap();
         let used = buf.len();
         buf.extend_from_slice(&[0xff; 16]);
         let (back, consumed) = decode_log_record(&buf).unwrap();
         assert_eq!(consumed, used);
-        assert_eq!(back.rows, rec.rows);
-        assert_eq!(back.table as u64, rec.table as u64);
+        assert_eq!(back.table, TableId::Map);
+        let decoded: Vec<_> = back.page.rows::<{ MapFact::COLS }>().unwrap().collect();
+        assert_eq!(decoded, rows);
     }
 
     #[test]
     fn empty_log_record_round_trips() {
         let rec = LogRecord {
             table: TableId::Segment,
-            rows: vec![],
+            page: Page::encode::<Vec<u64>>(&[]),
         };
         let mut buf = Vec::new();
         encode_log_record(&rec, &mut buf);
-        let (back, _) = decode_log_record(&buf).unwrap();
-        assert!(back.rows.is_empty());
+        let (back, used) = decode_log_record(&buf).unwrap();
+        assert_eq!(
+            (back.table, back.page.n_rows(), used),
+            (TableId::Segment, 0, buf.len())
+        );
+    }
+
+    #[test]
+    fn patches_split_into_chunks_in_row_order() {
+        let rows: Vec<[u64; MapFact::COLS]> = (0..20u64)
+            .map(|i| [1, i, i, 2, i * 512, 512, 0, 0])
+            .collect();
+        let records: Vec<Vec<u8>> = map_patch_records(&rows, 8).collect();
+        assert_eq!(records.len(), 3);
+        let back: Vec<[u64; MapFact::COLS]> = (records.iter())
+            .flat_map(|r| {
+                let (rec, _) = decode_log_record(r).unwrap();
+                rec.page
+                    .rows::<{ MapFact::COLS }>()
+                    .unwrap()
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(back, rows);
+    }
+
+    #[test]
+    fn patch_pages_compress_dense_facts() {
+        // Map facts with sequential sectors/seqs and constant fields
+        // should compress far below 8 u64s per row.
+        let rows: Vec<[u64; MapFact::COLS]> = (0..1000u64)
+            .map(|i| {
+                MapFact {
+                    medium: MediumId(5),
+                    sector: 1_000_000 + i,
+                    loc: BlockLoc {
+                        pba: Pba {
+                            segment: SegmentId(3),
+                            offset: i * 4096,
+                            stored_len: 4096,
+                        },
+                        sector: 0,
+                    },
+                    deduped: false,
+                    seq: 5000 + i,
+                }
+                .to_row()
+            })
+            .collect();
+        let raw = 1000 * MapFact::COLS * 8;
+        let record = map_patch_records(&rows, rows.len()).next().unwrap();
+        assert!(
+            record.len() < raw / 4,
+            "page format should compress 4x+: {} vs {}",
+            record.len(),
+            raw
+        );
+    }
+
+    /// A memtable flush shaped like `oltp_zipf`'s: 4 KiB cblocks written
+    /// one to eight at a time at random spots of a 96 MiB volume, each
+    /// write one seq, appended to an open segment of up to 8 MiB at the
+    /// size it compressed to, sorted by key with the newest fact of each.
+    /// As row-major varints these rows took 14.9 B a fact; a page, 6.4.
+    #[test]
+    fn a_map_patch_page_takes_at_most_8_bytes_a_fact() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const FACTS: usize = 16_384;
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut newest = std::collections::BTreeMap::new();
+        let (mut seq, mut segment, mut offset) = (40_000u64, 11u64, 0u64);
+        while newest.len() < FACTS {
+            seq += 1;
+            let first: u64 = rng.gen_range(0..(96u64 << 20) / 4096 - 8) * 8;
+            for cblock in 0..rng.gen_range(1..=8u64) {
+                let stored_len = rng.gen_range(255..900u32);
+                if offset + u64::from(stored_len) > 8 << 20 {
+                    (segment, offset) = (segment + 1, 0);
+                }
+                for s in 0..8u16 {
+                    let fact = MapFact {
+                        medium: MediumId(1),
+                        sector: first + cblock * 8 + s as u64,
+                        loc: BlockLoc {
+                            pba: Pba {
+                                segment: SegmentId(segment),
+                                offset,
+                                stored_len,
+                            },
+                            sector: s,
+                        },
+                        deduped: rng.gen_range(0..50) == 0,
+                        seq,
+                    };
+                    newest.insert((fact.medium.0, fact.sector), fact.to_row());
+                }
+                offset += u64::from(stored_len);
+            }
+        }
+        let rows: Vec<[u64; MapFact::COLS]> = newest.into_values().take(FACTS).collect();
+        let record = map_patch_records(&rows, rows.len()).next().unwrap();
+        let per_fact = record.len() as f64 / FACTS as f64;
+        assert!(per_fact <= 8.0, "{per_fact:.2} B a fact");
+        let (back, _) = decode_log_record(&record).unwrap();
+        assert!(back.page.rows::<{ MapFact::COLS }>().unwrap().eq(rows));
     }
 
     #[test]
@@ -979,39 +1025,6 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = 0;
         assert_eq!(decode_intent(&bad), None, "bad tag");
-    }
-
-    #[test]
-    fn patch_pages_compress_dense_facts() {
-        // Map facts with sequential sectors/seqs and constant fields
-        // should compress far below 8 u64s per row.
-        let rows: Vec<Vec<u64>> = (0..1000u64)
-            .map(|i| {
-                MapFact {
-                    medium: MediumId(5),
-                    sector: 1_000_000 + i,
-                    loc: BlockLoc {
-                        pba: Pba {
-                            segment: SegmentId(3),
-                            offset: i * 4096,
-                            stored_len: 4096,
-                        },
-                        sector: 0,
-                    },
-                    deduped: false,
-                    seq: 5000 + i,
-                }
-                .to_row()
-            })
-            .collect();
-        let raw = 1000 * MapFact::COLS * 8;
-        let compressed = patch_page_bytes(&rows);
-        assert!(
-            compressed < raw / 4,
-            "page format should compress 4x+: {} vs {}",
-            compressed,
-            raw
-        );
     }
 }
 

@@ -532,11 +532,15 @@ fn load_patch(
     facts: &mut Facts,
     report: &mut RecoveryReport,
 ) -> Result<()> {
-    let record = record.ok_or_else(|| {
-        PurityError::DataLoss(format!("undecodable map patch in segment {segment}"))
-    })?;
+    let undecodable =
+        || PurityError::DataLoss(format!("undecodable map patch in segment {segment}"));
+    let record = record.ok_or_else(undecodable)?;
     if record.table == TableId::Map {
-        for f in record.rows.iter().map(|row| MapFact::from_row(row)) {
+        let rows = record.page.rows::<{ MapFact::COLS }>();
+        for f in rows
+            .map_err(|_| undecodable())?
+            .map(|row| MapFact::from_row(&row))
+        {
             let val = MapVal {
                 loc: f.loc,
                 deduped: f.deduped,
@@ -546,7 +550,7 @@ fn load_patch(
                 *newest = (f.seq, val);
             }
         }
-        report.facts_loaded += record.rows.len();
+        report.facts_loaded += record.page.n_rows();
     }
     report.patches_loaded += 1;
     Ok(())

@@ -203,18 +203,16 @@ impl Shelf {
         self.torn_note = Some("clean cut at op boundary".to_string());
     }
 
-    /// Restores power. Durable contents (flash, NVRAM) are intact;
-    /// volatile shelf-side scheduling state (writing windows, the write
-    /// pacer) is gone with the outage.
+    /// Restores power. Durable contents (flash, NVRAM) are intact, and
+    /// so is the §4.4 write schedule: the drives still hold every program
+    /// booked before the loss, so the writing windows and both pacers
+    /// stay, pruned by the clock like every window. A read planner blind
+    /// to that backlog would queue reads behind it, and new flushes paced
+    /// from now would put more drives to work at once than a read can
+    /// rebuild around.
     pub fn power_restore(&mut self) {
         self.powered = true;
         self.trigger = None;
-        for w in &mut self.writing_windows {
-            w.clear();
-        }
-        for pacer in &mut self.pacers {
-            pacer.1 = 0;
-        }
     }
 
     /// What the last power loss tore, if anything (phase classification
@@ -646,8 +644,9 @@ mod tests {
         // Durable contents survive the outage.
         let data = s.read_drive(2, 0, 4096, 0).unwrap().data;
         assert_eq!(data, vec![1; 4096]);
-        // Volatile scheduling state did not.
-        assert!(!s.is_writing(2, 0));
+        // So does the write schedule: the drive is still programming what
+        // was booked before the cut, and a read planned now must see it.
+        assert!(s.is_writing(2, 0));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Fuzz-style decode hardening: 10k mutated valid records against
-//! `decode_nvram_entry` and `decode_log_record`.
+//! `decode_nvram_entry` and `decode_log_record`, every single-byte flip
+//! and truncation of map-patch pages, and random bytes.
 //!
 //! Recovery treats "undecodable" as a load-bearing signal (a torn NVRAM
 //! tail is *expected* to be undecodable; an undecodable mid-log record
@@ -10,9 +11,11 @@
 
 use purity_core::records::{
     decode_log_record, decode_nvram_entry, encode_intent, encode_log_record, encode_meta,
-    LogRecord, MetaIntent, MetaOp, NvramEntry, TableId, WriteIntent,
+    LogRecord, MapFact, MetaIntent, MetaOp, NvramEntry, TableId, WriteIntent,
 };
 use purity_core::MediumId;
+use purity_dedup::hash::block_hash;
+use purity_format::Page;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -119,32 +122,61 @@ fn nvram_entry_decode_survives_10k_mutations() {
     );
 }
 
+/// Map-patch records shaped like a flush: keys in order, a few seqs and
+/// segments, clustered offsets, a constant medium.
+fn map_patch_corpus(rng: &mut StdRng) -> Vec<(Vec<u8>, Vec<[u64; MapFact::COLS]>)> {
+    (0..8u64)
+        .map(|i| {
+            let rows: Vec<[u64; MapFact::COLS]> = (0..rng.gen_range(1..60u64))
+                .map(|r| {
+                    let seq = 1000 + i * 100 + r / 8;
+                    [
+                        3,
+                        i * 4096 + r,
+                        seq,
+                        7 + r / 40,
+                        (r / 8) * 700,
+                        650,
+                        r % 8,
+                        0,
+                    ]
+                })
+                .collect();
+            let rec = LogRecord {
+                table: TableId::Map,
+                page: Page::encode(&rows),
+            };
+            let mut buf = Vec::new();
+            encode_log_record(&rec, &mut buf);
+            (buf, rows)
+        })
+        .collect()
+}
+
+fn decoded_rows(bytes: &[u8]) -> Option<Vec<[u64; MapFact::COLS]>> {
+    let (rec, _) = decode_log_record(bytes)?;
+    Some(rec.page.rows::<{ MapFact::COLS }>().ok()?.collect())
+}
+
 #[test]
 fn log_record_decode_survives_10k_mutations() {
     let mut rng = StdRng::seed_from_u64(0x106_F422);
-    let mut corpus: Vec<Vec<u8>> = Vec::new();
-    for i in 0..8u64 {
-        let rec = LogRecord {
-            table: TableId::Map,
-            rows: (0..rng.gen_range(1..60))
-                .map(|r| (0..8).map(|c| i * 1000 + r * 8 + c).collect())
-                .collect(),
-        };
-        let mut buf = Vec::new();
-        encode_log_record(&rec, &mut buf);
-        corpus.push(buf);
-    }
+    let corpus = map_patch_corpus(&mut rng);
     let mut rejected = 0u32;
     for round in 0..10_000 {
-        let orig = &corpus[round % corpus.len()];
+        let (orig, orig_rows) = &corpus[round % corpus.len()];
         let Some(mutant) = mutate(&mut rng, orig) else {
             continue;
         };
-        let orig_rows = decode_log_record(orig).expect("pristine decodes").0.rows;
-        match decode_log_record(&mutant) {
+        assert_eq!(
+            decoded_rows(orig).as_ref(),
+            Some(orig_rows),
+            "pristine decodes"
+        );
+        match decoded_rows(&mutant) {
             None => rejected += 1,
-            Some((got, _)) => assert_eq!(
-                got.rows, orig_rows,
+            Some(got) => assert_eq!(
+                &got, orig_rows,
                 "round {round}: mutated log record decoded to different rows"
             ),
         }
@@ -153,4 +185,64 @@ fn log_record_decode_survives_10k_mutations() {
         rejected > 9_000,
         "expected nearly all mutants rejected, got {rejected}"
     );
+}
+
+#[test]
+fn every_byte_flip_and_truncation_of_a_map_patch_is_rejected() {
+    let mut rng = StdRng::seed_from_u64(0xF11B);
+    for (orig, _) in map_patch_corpus(&mut rng) {
+        for keep in 0..orig.len() {
+            assert!(
+                decode_log_record(&orig[..keep]).is_none(),
+                "truncated to {keep}"
+            );
+        }
+        for i in 0..orig.len() {
+            for flip in (0..8).map(|b| 1u8 << b).chain([0xff]) {
+                let mut bad = orig.clone();
+                bad[i] ^= flip;
+                assert!(
+                    decode_log_record(&bad).is_none(),
+                    "byte {i} ^ {flip:#04x} of {} decoded",
+                    orig.len()
+                );
+            }
+        }
+    }
+}
+
+/// Random bytes, behind a real table tag and under a valid checksum, so
+/// the page decoder itself meets them: it may reject them or decode
+/// something, but it must never panic.
+#[test]
+fn random_bytes_never_panic_the_log_decoder() {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let mut decoded = 0;
+    for round in 0..20_000 {
+        let len = rng.gen_range(0..200);
+        let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        if round % 2 == 0 && !bytes.is_empty() {
+            bytes[0] = TableId::Map as u8;
+            // A small header most of the time, so rows get decoded.
+            if bytes.len() > 3 {
+                bytes[1] = rng.gen_range(0..40);
+                bytes[2] = rng.gen_range(0..10);
+            }
+            let body = bytes.len();
+            let at = rng.gen_range(0..=body);
+            bytes.truncate(at);
+            let h = block_hash(&bytes);
+            bytes.extend_from_slice(&h.to_le_bytes());
+        }
+        if let Some((rec, used)) = decode_log_record(&bytes) {
+            assert!(used <= bytes.len());
+            decoded += 1;
+            if let Ok(rows) = rec.page.rows::<{ MapFact::COLS }>() {
+                for row in rows.take(1000) {
+                    std::hint::black_box(MapFact::from_row(&row));
+                }
+            }
+        }
+    }
+    assert!(decoded > 0, "no random page got past the checksum");
 }

@@ -2,13 +2,17 @@
 //!
 //! Pages store fixed-stride tuples, so readers seek straight to
 //! `row * stride + field_offset` and pull an arbitrary-width field without
-//! touching neighbouring bits.
+//! touching neighbouring bits. Both sides move a 64-bit word at a time:
+//! the writer fills an accumulator and spills it whole, the reader loads
+//! the (unaligned) word a field starts in.
 
 /// Append-only bit writer.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    bit_len: usize,
+    /// Bits not yet spilled to `buf`, LSB first; fewer than 64.
+    acc: u64,
+    acc_bits: u32,
 }
 
 impl BitWriter {
@@ -17,38 +21,47 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bits` bits.
+    pub fn with_capacity(bits: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bits.div_ceil(8) + 8),
+            ..Self::default()
+        }
+    }
+
     /// Appends the low `n` bits of `v` (LSB first). `n` may be 0..=64.
+    #[inline]
     pub fn write_bits(&mut self, v: u64, n: usize) {
         debug_assert!(n <= 64);
         debug_assert!(n == 64 || v < (1u64 << n).max(1), "value wider than field");
-        let mut remaining = n;
-        let mut value = v;
-        while remaining > 0 {
-            let byte_pos = self.bit_len / 8;
-            let bit_pos = self.bit_len % 8;
-            if byte_pos == self.buf.len() {
-                self.buf.push(0);
-            }
-            let take = (8 - bit_pos).min(remaining);
-            let mask = if take == 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            self.buf[byte_pos] |= ((value & mask) as u8) << bit_pos;
-            value >>= take;
-            self.bit_len += take;
-            remaining -= take;
+        if n == 0 {
+            return;
         }
+        self.acc |= v << self.acc_bits;
+        let total = self.acc_bits + n as u32;
+        if total < 64 {
+            self.acc_bits = total;
+            return;
+        }
+        self.buf.extend_from_slice(&self.acc.to_le_bytes());
+        // The high bits of `v` that did not fit the spilled word.
+        self.acc = if self.acc_bits == 0 {
+            0
+        } else {
+            v >> (64 - self.acc_bits)
+        };
+        self.acc_bits = total - 64;
     }
 
     /// Total bits written.
     pub fn bit_len(&self) -> usize {
-        self.bit_len
+        self.buf.len() * 8 + self.acc_bits as usize
     }
 
     /// Finishes and returns the byte buffer (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        let tail = (self.acc_bits as usize).div_ceil(8);
+        self.buf.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
         self.buf
     }
 }
@@ -65,27 +78,40 @@ impl<'a> BitReader<'a> {
         Self { data }
     }
 
+    /// The little-endian word at byte `at`, zero past the end.
+    #[inline]
+    fn word(&self, at: usize) -> u64 {
+        match self.data.get(at..at.saturating_add(8)) {
+            Some(w) => u64::from_le_bytes(w.try_into().expect("8 bytes")),
+            None => {
+                let mut w = [0u8; 8];
+                let tail = self.data.get(at..).unwrap_or(&[]);
+                w[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(w)
+            }
+        }
+    }
+
     /// Reads `n` bits starting at absolute bit offset `at` (LSB first).
     /// Bits beyond the end of the slice read as zero.
+    #[inline]
     pub fn read_bits(&self, at: usize, n: usize) -> u64 {
         debug_assert!(n <= 64);
-        let mut out = 0u64;
-        let mut got = 0;
-        let mut pos = at;
-        while got < n {
-            let byte_pos = pos / 8;
-            if byte_pos >= self.data.len() {
-                break;
-            }
-            let bit_pos = pos % 8;
-            let take = (8 - bit_pos).min(n - got);
-            let mask = ((1u16 << take) - 1) as u8;
-            let bits = (self.data[byte_pos] >> bit_pos) & mask;
-            out |= (bits as u64) << got;
-            got += take;
-            pos += take;
+        if n == 0 {
+            return 0;
         }
-        out
+        let (byte, shift) = (at / 8, (at % 8) as u32);
+        let mut v = self.word(byte) >> shift;
+        if shift as usize + n > 64 {
+            // A field of up to 64 bits can straddle nine bytes.
+            let next = self.data.get(byte + 8).copied().unwrap_or(0);
+            v |= u64::from(next) << (64 - shift);
+        }
+        if n == 64 {
+            v
+        } else {
+            v & ((1u64 << n) - 1)
+        }
     }
 }
 
@@ -112,6 +138,7 @@ mod tests {
         w.write_bits(1, 1); // bit 12
         assert_eq!(w.bit_len(), 13);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 2);
         let r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(0, 3), 5);
         assert_eq!(r.read_bits(3, 9), 0x1ff);
@@ -124,10 +151,12 @@ mod tests {
         w.write_bits(3, 2);
         w.write_bits(u64::MAX, 64);
         w.write_bits(1, 1);
+        w.write_bits(u64::MAX - 1, 64);
         let bytes = w.into_bytes();
         let r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(2, 64), u64::MAX);
         assert_eq!(r.read_bits(66, 1), 1);
+        assert_eq!(r.read_bits(67, 64), u64::MAX - 1);
     }
 
     #[test]
@@ -135,6 +164,7 @@ mod tests {
         let r = BitReader::new(&[0xff]);
         assert_eq!(r.read_bits(0, 16), 0xff);
         assert_eq!(r.read_bits(100, 8), 0);
+        assert_eq!(r.read_bits(4, 64), 0xf);
     }
 
     #[test]
@@ -158,7 +188,10 @@ mod tests {
             for &(v, n) in &fields {
                 w.write_bits(v, n);
             }
+            let total: usize = fields.iter().map(|&(_, n)| n).sum();
+            assert_eq!(w.bit_len(), total);
             let bytes = w.into_bytes();
+            assert_eq!(bytes.len(), total.div_ceil(8));
             let r = BitReader::new(&bytes);
             let mut at = 0;
             for &(v, n) in &fields {

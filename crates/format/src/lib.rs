@@ -11,7 +11,8 @@
 //! encoded bit pattern at a fixed stride.
 //!
 //! * [`bitstream`] — LSB-first bit packing with random access.
-//! * [`page`] — the dictionary page codec and compressed-domain scan.
+//! * [`page`] — the dictionary page codec, its byte serialization (the
+//!   on-flash form of a map patch) and compressed-domain scan.
 //! * [`range_table`] — the "extremely efficient range encoding schemes
 //!   ... used to bound the size of the elide tables" (§4.9–4.10).
 
@@ -19,5 +20,5 @@ pub mod bitstream;
 pub mod page;
 pub mod range_table;
 
-pub use page::{Page, PageError};
+pub use page::{Page, PageError, Rows};
 pub use range_table::RangeTable;

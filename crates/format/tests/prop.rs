@@ -1,5 +1,6 @@
-//! Property tests: page codec fidelity, compressed-domain scan
-//! equivalence, range-table vs reference-set semantics.
+//! Property tests: page codec fidelity, the page's byte form,
+//! compressed-domain scan equivalence, range-table vs reference-set
+//! semantics.
 
 use proptest::prelude::*;
 use purity_format::{Page, RangeTable};
@@ -16,8 +17,41 @@ fn row_strategy() -> impl Strategy<Value = Vec<u64>> {
     )
 }
 
+/// One fixed-arity row: a constant column, the extremes mixed with
+/// anything (a 63-bit offset behind a selector: a full 64-bit field),
+/// sequence-like ids, tiny enums, and the extremes around small values.
+fn fixed_row_strategy() -> impl Strategy<Value = [u64; 5]> {
+    (
+        Just(0xdead_beef_u64),
+        prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+        1_000_000u64..1_004_096,
+        0u64..4,
+        prop_oneof![Just(0u64), Just(u64::MAX), 0u64..1 << 40],
+    )
+        .prop_map(|(a, b, c, d, e)| [a, b, c, d, e])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn fixed_rows_round_trip_through_bytes(rows in proptest::collection::vec(fixed_row_strategy(), 0..300)) {
+        let page = Page::encode(&rows);
+        let mut bytes = Vec::new();
+        page.write_to(&mut bytes);
+        prop_assert_eq!(bytes.len(), page.encoded_bytes());
+        bytes.push(0x5a);
+        let (back, used) = Page::read_from(&bytes).unwrap();
+        prop_assert_eq!(used, bytes.len() - 1);
+        let decoded: Vec<[u64; 5]> = back.rows::<5>().unwrap().collect();
+        prop_assert_eq!(&decoded, &rows);
+        let random_access: Vec<Vec<u64>> = back.decode_all();
+        prop_assert_eq!(random_access, rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>());
+        if let Some(first) = rows.first() {
+            // The constant column costs nothing, so it is in no row's bits.
+            prop_assert_eq!(back.scan_col_eq(0, first[0]).unwrap().len(), rows.len());
+        }
+    }
 
     #[test]
     fn page_round_trips(rows in proptest::collection::vec(row_strategy(), 0..200)) {
