@@ -74,8 +74,8 @@ fn array_scenario(read_around: bool) -> ArrayTrace {
         pages_per_block: 32,
         page_size: 4096,
     };
-    cfg.telemetry_interval_ns = INTERVAL;
-    cfg.telemetry_window_intervals = 16 * 1024;
+    cfg.obs.recorder.interval_ns = INTERVAL;
+    cfg.obs.recorder.window_intervals = 16 * 1024;
     let mut a = FlashArray::new(cfg).unwrap();
     let vol_bytes: u64 = 2 << 20;
     let noise = a.create_volume("noise", vol_bytes).unwrap();

@@ -276,7 +276,7 @@ fn workset_scenario() -> ShiftTrace {
     let boot = run_phase(&mut a, vdi, chunks, 4);
 
     // Quiet night: the batch volume takes over; the boot image idles
-    // past `tier_demote_after_ns` and the migrator demotes it.
+    // past `TIER_DEMOTE_AFTER_NS` and the migrator demotes it.
     let night = run_phase(&mut a, batch, chunks, 12);
     let vdi_heat_after_night = a.controller().volume_heat(vdi.0, a.now()).as_str();
 

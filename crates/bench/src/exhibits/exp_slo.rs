@@ -57,17 +57,17 @@ fn scenario(smoke: bool) -> Trace {
         pages_per_block: 32,
         page_size: 4096,
     };
-    cfg.telemetry_interval_ns = INTERVAL;
+    cfg.obs.recorder.interval_ns = INTERVAL;
     // The full run's post-storm drain spans thousands of intervals;
     // widen the bounded window so the calm prelude is still in the
     // series when the exhibit checks it.
-    cfg.telemetry_window_intervals = 16 * 1024;
-    cfg.slo_min_interval_reads = 8;
+    cfg.obs.recorder.window_intervals = 16 * 1024;
+    cfg.obs.recorder.slo.min_interval_count = 8;
     // A storm interval can dip under budget for a beat; a longer
     // cooldown keeps one incident from reading as several.
-    cfg.slo_cooldown_intervals = 4;
-    let budget = cfg.slo_read_p999_budget_ns;
-    let min_count = cfg.slo_min_interval_reads;
+    cfg.obs.recorder.slo.cooldown_intervals = 4;
+    let budget = cfg.obs.recorder.slo.p999_budget_ns;
+    let min_count = cfg.obs.recorder.slo.min_interval_count;
     let mut a = FlashArray::new(cfg).unwrap();
     let vol_bytes: u64 = 2 << 20;
     // Two volumes: the storm lands on `noise` while both calm phases

@@ -44,7 +44,7 @@ struct Trace {
 /// watched by the flight recorder at a one-second cadence.
 fn five_minute_trace(smoke: bool) -> Trace {
     let mut cfg = ArrayConfig::test_small();
-    cfg.telemetry_interval_ns = TRACE_INTERVAL;
+    cfg.obs.recorder.interval_ns = TRACE_INTERVAL;
     let mut a = FlashArray::new(cfg).unwrap();
     let vol_bytes: u64 = 4 << 20;
     let vol = a.create_volume("fig7", vol_bytes).unwrap();

@@ -13,11 +13,11 @@ use purity_obs::json::parse_json;
 fn exported_run() -> String {
     let mut cfg = ArrayConfig::test_small();
     cfg.cache_bytes = 0;
-    cfg.telemetry_interval_ns = 1_000_000;
-    cfg.slow_op_capture_ns = 1;
-    cfg.slo_read_p999_budget_ns = 1;
-    cfg.slo_min_interval_reads = 4;
-    cfg.slo_cooldown_intervals = 2;
+    cfg.obs.recorder.interval_ns = 1_000_000;
+    cfg.obs.slow_op_threshold = 1;
+    cfg.obs.recorder.slo.p999_budget_ns = 1;
+    cfg.obs.recorder.slo.min_interval_count = 4;
+    cfg.obs.recorder.slo.cooldown_intervals = 2;
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("rt", 1 << 20).unwrap();
     // Distinct byte stream: constant fill would dedup into a single

@@ -23,7 +23,7 @@ static PROFILER_LOCK: Mutex<()> = Mutex::new(());
 /// A small mixed run with telemetry sampling on a 1 ms grid.
 fn telemetry_run(seed: u64) -> String {
     let mut cfg = ArrayConfig::test_small();
-    cfg.telemetry_interval_ns = 1_000_000;
+    cfg.obs.recorder.interval_ns = 1_000_000;
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("prof", 4 << 20).unwrap();
     let mut gen = WorkloadGen::new(

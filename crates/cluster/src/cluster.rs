@@ -5,7 +5,7 @@
 //! ## Data model
 //!
 //! A *cluster volume* is striped into fixed-size shards; each shard is
-//! backed by a node-local volume (`cv{v}.s{shard}`) on the `replicas`
+//! backed by a node-local volume (`cv{v}.s{shard}`) on the [`REPLICAS`]
 //! arrays that rendezvous hashing places it on. Writes go to every
 //! live in-sync replica; reads come from the first. A replica that
 //! misses writes (its node was dead or still rebuilding) is *out of
@@ -43,27 +43,25 @@ use purity_obs::{profile_scope, OpTrace, Plane};
 use purity_repl::{ship_snapshot, FabricStats, LinkConfig, LinkMesh, WireOutcome};
 use purity_sim::Nanos;
 
+/// Replicas per shard.
+pub const REPLICAS: usize = 2;
+
 /// Everything that shapes a cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
     /// Member arrays.
     pub nodes: usize,
-    /// Replicas per shard.
-    pub replicas: usize,
     /// Sectors per shard.
     pub shard_sectors: u64,
-    /// Seed for the placement map (cluster-lifetime constant).
-    pub placement_seed: u64,
-    /// Seed deriving every pair link's flap schedule.
-    pub mesh_seed: u64,
+    /// Seed the placement map (a cluster-lifetime constant) and every
+    /// pair link's flap schedule derive from.
+    pub seed: u64,
     /// Per-pair WAN link shape.
     pub link: LinkConfig,
     /// Failure-detector knobs.
     pub swim: SwimConfig,
     /// Per-node array configuration.
     pub array: ArrayConfig,
-    /// Rebuild tasks progressed per tick (foreground interleave grain).
-    pub rebuild_tasks_per_tick: usize,
 }
 
 impl ClusterSpec {
@@ -71,17 +69,14 @@ impl ClusterSpec {
     pub fn test_small(nodes: usize, seed: u64) -> Self {
         Self {
             nodes,
-            replicas: 2,
             shard_sectors: 2048, // 1 MiB shards at 512 B sectors
-            placement_seed: seed ^ 0xC1A5_7E12,
-            mesh_seed: seed ^ 0x3E5B_0D11,
+            seed,
             link: LinkConfig::reliable(200 << 20),
             swim: SwimConfig {
                 seed: seed ^ 0x51_13,
                 ..SwimConfig::default()
             },
             array: ArrayConfig::test_small(),
-            rebuild_tasks_per_tick: 1,
         }
     }
 }
@@ -187,21 +182,18 @@ impl Cluster {
     /// map — then replicates the config record to every node.
     pub fn new(spec: ClusterSpec) -> Result<Self> {
         assert!(spec.nodes >= 2, "a cluster needs at least two arrays");
-        assert!(
-            spec.replicas >= 1 && spec.replicas <= spec.nodes,
-            "replicas must fit the membership"
-        );
         let mut arrays = Vec::with_capacity(spec.nodes);
         for _ in 0..spec.nodes {
             arrays.push(FlashArray::new(spec.array.clone())?);
         }
-        let mesh = LinkMesh::new(spec.nodes, spec.link, spec.mesh_seed);
+        let placement_seed = spec.seed ^ 0xC1A5_7E12;
+        let mesh = LinkMesh::new(spec.nodes, spec.link, spec.seed ^ 0x3E5B_0D11);
         let members: Vec<u64> = (0..spec.nodes as u64).collect();
-        let placement = PlacementMap::new(spec.placement_seed, &members);
+        let placement = PlacementMap::new(placement_seed, &members);
         let config = ClusterConfigRecord {
             epoch: 1,
             placement_version: placement.version(),
-            placement_seed: spec.placement_seed,
+            placement_seed,
             members: members
                 .iter()
                 .map(|&node| ClusterMember {
@@ -343,7 +335,7 @@ impl Cluster {
         for s in 0..nshards {
             let owners: Vec<usize> = self
                 .placement
-                .owners(Self::shard_key(vid, s), self.spec.replicas)
+                .owners(Self::shard_key(vid, s), REPLICAS)
                 .into_iter()
                 .map(|n| n as usize)
                 .collect();
@@ -587,7 +579,7 @@ impl Cluster {
     pub fn fully_redundant(&self) -> bool {
         self.volumes.iter().all(|vol| {
             vol.shards.iter().all(|sh| {
-                sh.owners.len() == self.spec.replicas
+                sh.owners.len() == REPLICAS
                     && sh
                         .owners
                         .iter()
@@ -686,7 +678,7 @@ impl Cluster {
             for s in 0..self.volumes[v].shards.len() {
                 let new_owners: Vec<usize> = self
                     .placement
-                    .owners(Self::shard_key(v, s), self.spec.replicas)
+                    .owners(Self::shard_key(v, s), REPLICAS)
                     .into_iter()
                     .map(|n| n as usize)
                     .collect();
@@ -782,13 +774,9 @@ impl Cluster {
                 self.confirm_death(subject);
             }
         }
-        // Rebuild shipping, bounded per tick so it competes with (and
+        // Rebuild shipping, one task per tick so it competes with (and
         // never starves) foreground traffic.
-        for _ in 0..self.spec.rebuild_tasks_per_tick {
-            if !self.pump_rebuild() {
-                break;
-            }
-        }
+        self.pump_rebuild();
         self.sync_clocks();
     }
 
@@ -800,10 +788,10 @@ impl Cluster {
     }
 
     /// Progresses the active rebuild task (activating the next queued
-    /// one if idle). Returns whether any work remains worth pumping.
-    fn pump_rebuild(&mut self) -> bool {
+    /// one if idle).
+    fn pump_rebuild(&mut self) {
         if !self.rebuild.activate() {
-            return false;
+            return;
         }
         let active = self.rebuild.active().expect("activated");
         let task = active.task;
@@ -817,11 +805,11 @@ impl Cluster {
         };
         if stale {
             self.rebuild.finish_active(false);
-            return true;
+            return;
         }
         let Some(src) = self.rebuild_source(&task) else {
             self.rebuild.stats_mut().starved_ticks += 1;
-            return false;
+            return;
         };
 
         // Ensure the destination has a backing volume.
@@ -833,7 +821,7 @@ impl Cluster {
                 Ok(v) => v,
                 Err(_) => {
                     self.rebuild.finish_active(false);
-                    return true;
+                    return;
                 }
             };
             self.volumes[task.volume].shards[task.shard].backing[task.dst] = Some(local);
@@ -860,7 +848,7 @@ impl Cluster {
                 Ok(s) => s,
                 Err(_) => {
                     self.rebuild.finish_active(false);
-                    return true;
+                    return;
                 }
             };
             let active = self.rebuild.active().expect("still active");
@@ -896,7 +884,7 @@ impl Cluster {
                 Ok(r) => r,
                 Err(_) => {
                     self.rebuild.finish_active(false);
-                    return true;
+                    return;
                 }
             };
             if !report.completed {
@@ -904,7 +892,7 @@ impl Cluster {
                 let active = self.rebuild.active().expect("still active");
                 active.cursor = cursor;
                 self.rebuild.stats_mut().stalls += 1;
-                return false;
+                return;
             }
             // Leg complete. Take a catch-up snapshot; if nothing
             // changed since `newer`, the replica is in sync.
@@ -913,7 +901,7 @@ impl Cluster {
                 Ok(s) => s,
                 Err(_) => {
                     self.rebuild.finish_active(false);
-                    return true;
+                    return;
                 }
             };
             let diff = self.arrays[src]
@@ -934,7 +922,7 @@ impl Cluster {
                 if self.fully_redundant() && self.last_redundant_at.is_none() {
                     self.last_redundant_at = Some(self.now());
                 }
-                return true;
+                return;
             }
             self.rebuild.stats_mut().catchup_legs += 1;
             let active = self.rebuild.active().expect("still active");

@@ -25,18 +25,20 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
+/// Gap between one node's successive probes.
+pub const PROBE_INTERVAL: Nanos = 200 * MS;
+
+/// Indirect probes (ping-req relays) tried after a failed direct probe.
+const INDIRECT_PROBES: usize = 2;
+
+/// Wire size of one probe or ack message.
+const PROBE_BYTES: u64 = 64;
+
 /// Failure-detector knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SwimConfig {
-    /// Gap between one node's successive probes.
-    pub probe_interval: Nanos,
     /// How long a node stays suspect before it is confirmed dead.
     pub suspicion_timeout: Nanos,
-    /// Indirect probes (ping-req relays) tried after a failed direct
-    /// probe.
-    pub indirect_probes: usize,
-    /// Wire size of one probe or ack message.
-    pub probe_bytes: u64,
     /// Seed for the per-observer probe-order shuffles.
     pub seed: u64,
 }
@@ -44,10 +46,7 @@ pub struct SwimConfig {
 impl Default for SwimConfig {
     fn default() -> Self {
         Self {
-            probe_interval: 200 * MS,
             suspicion_timeout: 2 * SEC,
-            indirect_probes: 2,
-            probe_bytes: 64,
             seed: 0x5717,
         }
     }
@@ -236,7 +235,7 @@ impl SwimDetector {
             }
             while self.next_probe[o] <= now {
                 let at = self.next_probe[o];
-                self.next_probe[o] += self.cfg.probe_interval;
+                self.next_probe[o] += PROBE_INTERVAL;
                 if self.order[o].is_empty() {
                     continue;
                 }
@@ -281,7 +280,7 @@ impl SwimDetector {
         events: &mut Vec<SwimEvent>,
     ) {
         self.stats.probes += 1;
-        let bytes = self.cfg.probe_bytes;
+        let bytes = PROBE_BYTES;
         let mut answered = Self::reaches(mesh, bytes, o, t, powered, at);
         if !answered {
             self.stats.probe_losses += 1;
@@ -291,7 +290,7 @@ impl SwimDetector {
                 .iter()
                 .copied()
                 .filter(|&r| r != t && powered[r] && members.contains(&r))
-                .take(self.cfg.indirect_probes)
+                .take(INDIRECT_PROBES)
                 .collect();
             for r in relays {
                 self.stats.indirect_probes += 1;
@@ -379,7 +378,7 @@ mod tests {
         // Bounded detection: a probe reaches it within (n-1) intervals,
         // then the suspicion must age out.
         assert!(
-            at <= (n as u64) * cfg.probe_interval + cfg.suspicion_timeout + SEC,
+            at <= (n as u64) * PROBE_INTERVAL + cfg.suspicion_timeout + SEC,
             "detection too slow: {at}"
         );
         assert_eq!(det.stats().refutations, 0);

@@ -100,9 +100,17 @@ fn encode_string(s: &str, out: &mut Vec<u8>) {
 fn decode_string(input: &[u8], at: &mut usize) -> Option<String> {
     let (len, n) = varint::decode(&input[*at..])?;
     *at += n;
-    let bytes = input.get(*at..*at + len as usize)?;
-    *at += len as usize;
+    let end = at.checked_add(usize::try_from(len).ok()?)?;
+    let bytes = input.get(*at..end)?;
+    *at = end;
     String::from_utf8(bytes.to_vec()).ok()
+}
+
+/// Capacity for `n` items read from a body with `left` bytes to go:
+/// every item takes at least a byte, so a count no body could hold
+/// never reaches the allocator.
+fn capacity(n: u64, left: usize) -> usize {
+    n.min(left as u64) as usize
 }
 
 fn encode_rows(rows: &[Vec<u64>], arity: usize, out: &mut Vec<u8>) {
@@ -118,7 +126,7 @@ fn encode_rows(rows: &[Vec<u64>], arity: usize, out: &mut Vec<u8>) {
 fn decode_rows(input: &[u8], at: &mut usize, arity: usize) -> Option<Vec<Vec<u64>>> {
     let (n, used) = varint::decode(&input[*at..])?;
     *at += used;
-    let mut rows = Vec::with_capacity(n as usize);
+    let mut rows = Vec::with_capacity(capacity(n, input.len() - *at));
     for _ in 0..n {
         let mut row = Vec::with_capacity(arity);
         for _ in 0..arity {
@@ -202,9 +210,9 @@ impl Checkpoint {
         at += n;
         let (body_len, n) = varint::decode(&input[at..])?;
         at += n;
-        let body = input.get(at..at.checked_add(body_len as usize)?)?;
-        let csum_at = at + body_len as usize;
-        let csum_bytes = input.get(csum_at..csum_at + 8)?;
+        let csum_at = at.checked_add(usize::try_from(body_len).ok()?)?;
+        let body = input.get(at..csum_at)?;
+        let csum_bytes = input.get(csum_at..csum_at.checked_add(8)?)?;
         if u64::from_le_bytes(csum_bytes.try_into().ok()?) != block_hash(&input[8..csum_at]) {
             return None;
         }
@@ -224,14 +232,14 @@ impl Checkpoint {
         let next_volume = next(&mut at)?;
         let next_snapshot = next(&mut at)?;
         let n_frontier = next(&mut at)?;
-        let mut frontier = Vec::with_capacity(n_frontier as usize);
+        let mut frontier = Vec::with_capacity(capacity(n_frontier, body.len() - at));
         for _ in 0..n_frontier {
             frontier.push(next(&mut at)?);
         }
         let segment_rows = decode_rows(body, &mut at, SegmentFact::cols(stripe_width))?;
         let medium_rows = decode_rows(body, &mut at, MediumFact::COLS)?;
         let n_vols = next(&mut at)?;
-        let mut volumes = Vec::with_capacity(n_vols as usize);
+        let mut volumes = Vec::with_capacity(capacity(n_vols, body.len() - at));
         for _ in 0..n_vols {
             let id = next(&mut at)?;
             let anchor_medium = next(&mut at)?;
@@ -245,7 +253,7 @@ impl Checkpoint {
             });
         }
         let n_snaps = next(&mut at)?;
-        let mut snapshots = Vec::with_capacity(n_snaps as usize);
+        let mut snapshots = Vec::with_capacity(capacity(n_snaps, body.len() - at));
         for _ in 0..n_snaps {
             let id = next(&mut at)?;
             let volume = next(&mut at)?;
@@ -259,12 +267,12 @@ impl Checkpoint {
             });
         }
         let n_elided = next(&mut at)?;
-        let mut elided_mediums = Vec::with_capacity(n_elided as usize);
+        let mut elided_mediums = Vec::with_capacity(capacity(n_elided, body.len() - at));
         for _ in 0..n_elided {
             elided_mediums.push((next(&mut at)?, next(&mut at)?));
         }
         let n_patches = next(&mut at)?;
-        let mut map_patches = Vec::with_capacity(n_patches as usize);
+        let mut map_patches = Vec::with_capacity(capacity(n_patches, body.len() - at));
         for _ in 0..n_patches {
             map_patches.push(PatchLoc {
                 segment: next(&mut at)?,
@@ -331,7 +339,8 @@ impl BootRegion {
         at += n;
         let (body_len, n) = varint::decode(&bytes[at..])?;
         at += n;
-        Some(at + body_len as usize + 8)
+        at.checked_add(usize::try_from(body_len).ok()?)?
+            .checked_add(8)
     }
 
     /// Writes a checkpoint to slot `version % 2` on every mirror drive.

@@ -1,7 +1,10 @@
 //! Array configuration.
 
+use crate::shelf::SSD_OVER_PROVISION;
+use crate::write::MAX_CBLOCK_BYTES;
+use purity_obs::ObsConfig;
 use purity_ssd::geometry::SsdGeometry;
-use purity_ssd::latency::{EnduranceModel, LatencyModel};
+use purity_ssd::latency::EnduranceModel;
 
 /// Shape and policy of a simulated Flash Array.
 #[derive(Debug, Clone)]
@@ -24,28 +27,18 @@ pub struct ArrayConfig {
     pub nvram_bytes: usize,
     /// Per-drive flash geometry.
     pub ssd_geometry: SsdGeometry,
-    /// Per-drive timing.
-    pub ssd_latency: LatencyModel,
     /// Per-drive endurance rating.
     pub ssd_endurance: EnduranceModel,
-    /// Drive-internal over-provisioning.
-    pub ssd_over_provision: f64,
     /// Inline deduplication on/off (ablation hook).
     pub dedup_enabled: bool,
     /// Inline compression on/off (ablation hook).
     pub compression_enabled: bool,
     /// Read-around-writes scheduling on/off (ablation hook, §4.4).
     pub read_around_writes: bool,
-    /// Largest cblock payload (32 KiB, §4.6).
-    pub max_cblock_bytes: usize,
-    /// GC collects segments whose live fraction is below this.
-    pub gc_occupancy_threshold: f64,
     /// AUs per drive listed in one persisted frontier set (§4.3).
     pub frontier_aus_per_drive: usize,
     /// Dedup index recent-window capacity (blocks).
     pub dedup_recent_window: usize,
-    /// Dedup hot-cache capacity (entries).
-    pub dedup_hot_cache: usize,
     /// Controller DRAM read-cache capacity in bytes: the one LRU of
     /// decoded cblocks every read, on every preset, goes through (and
     /// whose hot set warms the standby). 0 disables it.
@@ -55,28 +48,10 @@ pub struct ArrayConfig {
     /// Pre-age every drive by this many P/E cycles at shelf construction
     /// (the paper's worn-flash validation, §5.1).
     pub preage_cycles: u64,
-    /// Ops slower than this (virtual ns) are captured with their full
-    /// per-stage trace in the observability ring (see OBSERVABILITY.md).
-    /// The default is the paper's 1 ms headline p99.9 bound — anything
-    /// over it is exactly the tail worth explaining.
-    pub slow_op_capture_ns: u64,
-    /// Slow-op ring capacity (captures retained). Exhibits that want a
-    /// deeper tail record trade memory for it here; both this and the
-    /// threshold are also runtime-adjustable via `Tracer`.
-    pub slow_op_ring_capacity: usize,
-    /// Flight-recorder sampling cadence in virtual ns (see
-    /// OBSERVABILITY.md "Flight recorder").
-    pub telemetry_interval_ns: u64,
-    /// Flight-recorder bounded window, in intervals.
-    pub telemetry_window_intervals: usize,
-    /// Per-interval read p99.9 budget the SLO monitor burns against
-    /// (the paper's 1 ms bound).
-    pub slo_read_p999_budget_ns: u64,
-    /// Intervals with fewer reads than this are not judged against the
-    /// budget.
-    pub slo_min_interval_reads: u64,
-    /// Consecutive healthy intervals that close an open incident.
-    pub slo_cooldown_intervals: u32,
+    /// Slow-op capture, flight recorder and SLO monitor (see
+    /// OBSERVABILITY.md): exhibits that want a deeper tail or a finer
+    /// cadence trade memory for it here.
+    pub obs: ObsConfig,
     /// Cold-pool drive slots, numbered after the hot ones (0 disables the
     /// tiering engine's cold class entirely — the default for every
     /// legacy preset, which keeps their behaviour byte-identical). A cold
@@ -85,20 +60,6 @@ pub struct ArrayConfig {
     pub cold_drives: usize,
     /// Cold-tier drive geometry (ignored when `cold_drives == 0`).
     pub cold_geometry: SsdGeometry,
-    /// Cold-tier timing (QLC-like; ignored when `cold_drives == 0`).
-    pub cold_latency: LatencyModel,
-    /// Cold-tier endurance rating (ignored when `cold_drives == 0`).
-    pub cold_endurance: EnduranceModel,
-    /// Migrator tick cadence in virtual ns (0 disables the migrator;
-    /// the watcher → reconciler → migrator loop runs at most this often
-    /// from the background path).
-    pub tier_interval_ns: u64,
-    /// A volume whose EWMA re-access interval exceeds this is cold and
-    /// eligible for demotion (virtual ns).
-    pub tier_demote_after_ns: u64,
-    /// Cap on extents migrated per migrator tick (bounds the per-tick
-    /// foreground interference).
-    pub tier_migration_budget: usize,
 }
 
 impl ArrayConfig {
@@ -114,34 +75,18 @@ impl ArrayConfig {
             write_unit_bytes: 32 * 1024,
             nvram_bytes: 8 * 1024 * 1024,
             ssd_geometry: SsdGeometry::test_small(),
-            ssd_latency: LatencyModel::consumer_mlc(),
             ssd_endurance: EnduranceModel::consumer_mlc(),
-            ssd_over_provision: 0.08,
             dedup_enabled: true,
             compression_enabled: true,
             read_around_writes: true,
-            max_cblock_bytes: 32 * 1024,
-            gc_occupancy_threshold: 0.55,
             frontier_aus_per_drive: 8,
             dedup_recent_window: 4096,
-            dedup_hot_cache: 1024,
             cache_bytes: 4 * 1024 * 1024,
             seed: 0x9E3779B9,
             preage_cycles: 0,
-            slow_op_capture_ns: 1_000_000,
-            slow_op_ring_capacity: 256,
-            telemetry_interval_ns: 100_000_000,
-            telemetry_window_intervals: 4096,
-            slo_read_p999_budget_ns: 1_000_000,
-            slo_min_interval_reads: 16,
-            slo_cooldown_intervals: 2,
+            obs: ObsConfig::default(),
             cold_drives: 0,
             cold_geometry: SsdGeometry::test_small(),
-            cold_latency: LatencyModel::qlc_cold(),
-            cold_endurance: EnduranceModel::qlc(),
-            tier_interval_ns: 0,
-            tier_demote_after_ns: 0,
-            tier_migration_budget: 0,
         }
     }
 
@@ -150,12 +95,6 @@ impl ArrayConfig {
     pub fn tiered() -> Self {
         Self {
             cold_drives: 2,
-            cold_geometry: SsdGeometry::test_small(),
-            cold_latency: LatencyModel::qlc_cold(),
-            cold_endurance: EnduranceModel::qlc(),
-            tier_interval_ns: 50_000_000,
-            tier_demote_after_ns: 400_000_000,
-            tier_migration_budget: 16,
             ..Self::test_small()
         }
     }
@@ -193,24 +132,6 @@ impl ArrayConfig {
         self.n_drives * self.ssd_geometry.dies
     }
 
-    /// The observability-hub configuration these knobs describe.
-    pub fn obs_config(&self) -> purity_obs::ObsConfig {
-        purity_obs::ObsConfig {
-            slow_op_threshold: self.slow_op_capture_ns,
-            slow_op_capacity: self.slow_op_ring_capacity,
-            recorder: purity_obs::RecorderConfig {
-                interval_ns: self.telemetry_interval_ns,
-                window_intervals: self.telemetry_window_intervals,
-                slo: purity_obs::SloConfig {
-                    series: "array_read_latency".to_string(),
-                    p999_budget_ns: self.slo_read_p999_budget_ns,
-                    min_interval_count: self.slo_min_interval_reads,
-                    cooldown_intervals: self.slo_cooldown_intervals,
-                },
-            },
-        }
-    }
-
     /// Shards per stripe (data + parity).
     pub fn stripe_width(&self) -> usize {
         self.rs_data + self.rs_parity
@@ -243,7 +164,7 @@ impl ArrayConfig {
     /// Logical bytes per drive.
     pub fn drive_bytes(&self) -> usize {
         let raw = self.ssd_geometry.raw_bytes();
-        ((raw as f64) * (1.0 - self.ssd_over_provision)) as usize
+        ((raw as f64) * (1.0 - SSD_OVER_PROVISION)) as usize
     }
 
     /// Bytes reserved per drive for the boot region ("a tiny percentage
@@ -260,7 +181,7 @@ impl ArrayConfig {
     /// AUs per cold drive (the cold pool carries no boot region).
     pub fn cold_aus_per_drive(&self) -> usize {
         let raw = self.cold_geometry.raw_bytes() as f64;
-        (raw * (1.0 - self.ssd_over_provision)) as usize / self.au_bytes
+        (raw * (1.0 - SSD_OVER_PROVISION)) as usize / self.au_bytes
     }
 
     /// Validates internal consistency; call once at array construction.
@@ -285,7 +206,7 @@ impl ArrayConfig {
         {
             return Err("write unit must be page-aligned".into());
         }
-        if self.max_cblock_bytes > self.write_unit_bytes {
+        if MAX_CBLOCK_BYTES > self.write_unit_bytes {
             return Err("cblocks must fit in a write unit".into());
         }
         if self.aus_per_drive() < self.frontier_aus_per_drive * 2 {
@@ -305,9 +226,6 @@ impl ArrayConfig {
                     .is_multiple_of(self.cold_geometry.page_size)
             {
                 return Err("cold drives cannot hold a page-aligned AU".into());
-            }
-            if self.tier_interval_ns > 0 && self.tier_demote_after_ns == 0 {
-                return Err("migrator enabled without a demote-after threshold".into());
             }
         }
         Ok(())
@@ -362,8 +280,9 @@ mod tests {
         c.write_unit_bytes = 1000;
         assert!(c.validate().is_err());
 
+        // A 16 KiB write unit cannot hold a 32 KiB cblock.
         let mut c = ArrayConfig::test_small();
-        c.max_cblock_bytes = c.write_unit_bytes * 2;
+        c.write_unit_bytes = MAX_CBLOCK_BYTES / 2;
         assert!(c.validate().is_err());
 
         // A cold pool of one drive has nowhere to put parity.

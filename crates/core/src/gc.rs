@@ -39,6 +39,9 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 
+/// GC collects sealed segments whose live fraction is below this.
+const GC_OCCUPANCY_THRESHOLD: f64 = 0.55;
+
 /// All live references to one cblock: (map key, value) pairs.
 type CblockRefs = [(MapKey, MapVal)];
 
@@ -141,7 +144,7 @@ impl Controller {
             })
             .filter(|s| {
                 let live = seg_live_bytes.get(&s.id.0).copied().unwrap_or(0);
-                (live as f64) < self.capacity(s) as f64 * self.cfg.gc_occupancy_threshold
+                (live as f64) < self.capacity(s) as f64 * GC_OCCUPANCY_THRESHOLD
             })
             .map(|s| s.id.0)
             .collect();

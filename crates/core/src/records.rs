@@ -235,26 +235,18 @@ impl SegmentFact {
     }
 }
 
-/// A pyramid patch persisted as a log record: which table it belongs to
-/// plus its facts as a dictionary-compressed page.
+/// The table a log record's patch belongs to. Only the global VBA map
+/// is patched through the log; segment and medium rows go to the
+/// checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableId {
-    /// The global VBA map.
+    /// The global VBA map (tag byte 1 on flash).
     Map = 1,
-    /// The medium table.
-    Medium = 2,
-    /// The segment table.
-    Segment = 3,
 }
 
 impl TableId {
     fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(TableId::Map),
-            2 => Some(TableId::Medium),
-            3 => Some(TableId::Segment),
-            _ => None,
-        }
+        (v == TableId::Map as u8).then_some(TableId::Map)
     }
 }
 
@@ -887,7 +879,7 @@ mod tests {
     #[test]
     fn empty_log_record_round_trips() {
         let rec = LogRecord {
-            table: TableId::Segment,
+            table: TableId::Map,
             page: Page::encode::<Vec<u64>>(&[]),
         };
         let mut buf = Vec::new();
@@ -895,7 +887,7 @@ mod tests {
         let (back, used) = decode_log_record(&buf).unwrap();
         assert_eq!(
             (back.table, back.page.n_rows(), used),
-            (TableId::Segment, 0, buf.len())
+            (TableId::Map, 0, buf.len())
         );
     }
 

@@ -33,7 +33,7 @@ use crate::medium::MediumTable;
 use crate::read::read_extent;
 use crate::records::{
     decode_log_record, decode_nvram_entry, LogRecord, MapFact, MediumFact, NvramEntry, SegmentFact,
-    SegmentState, TableId,
+    SegmentState,
 };
 use crate::segment::{
     AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentWriter, COLD, HOT, LOG_STRIPE_MAGIC,
@@ -52,6 +52,9 @@ use purity_sim::Nanos;
 use purity_tier::RamCache;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Dedup hot-cache capacity (entries).
+const DEDUP_HOT_CACHE: usize = 1024;
 
 /// How the log-record scan chooses candidate AUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,10 +204,7 @@ impl Controller {
                 SegmentWriter::new(layouts[HOT], page),
                 SegmentWriter::new(layouts[COLD], cfg.cold_geometry.page_size),
             ],
-            dedup: DedupEngine::new(DedupIndex::new(
-                cfg.dedup_recent_window,
-                cfg.dedup_hot_cache,
-            )),
+            dedup: DedupEngine::new(DedupIndex::new(cfg.dedup_recent_window, DEDUP_HOT_CACHE)),
             cache: RamCache::new(cfg.cache_bytes),
             elided_mediums,
             next_medium: cp.next_medium,
@@ -216,7 +216,7 @@ impl Controller {
             intent_sizes: Vec::new(),
             tier: TierState::new(),
             stats: ArrayStats::default(),
-            obs: Obs::with_config(cfg.obs_config(), now),
+            obs: Obs::with_config(cfg.obs, now),
             cfg,
         }
     }
@@ -506,14 +506,12 @@ impl Controller {
     ) -> Result<()> {
         let mut pos = 0;
         while let Some((record, used)) = decode_log_record(&buffer[pos..]) {
-            if record.table == TableId::Map {
-                load_patch(Some(record), segment, facts, report)?;
-                self.map_patches.push(PatchLoc {
-                    segment,
-                    log_offset: at + pos as u64,
-                    len: used as u64,
-                });
-            }
+            load_patch(Some(record), segment, facts, report)?;
+            self.map_patches.push(PatchLoc {
+                segment,
+                log_offset: at + pos as u64,
+                len: used as u64,
+            });
             pos += used;
         }
         Ok(())
@@ -535,23 +533,21 @@ fn load_patch(
     let undecodable =
         || PurityError::DataLoss(format!("undecodable map patch in segment {segment}"));
     let record = record.ok_or_else(undecodable)?;
-    if record.table == TableId::Map {
-        let rows = record.page.rows::<{ MapFact::COLS }>();
-        for f in rows
-            .map_err(|_| undecodable())?
-            .map(|row| MapFact::from_row(&row))
-        {
-            let val = MapVal {
-                loc: f.loc,
-                deduped: f.deduped,
-            };
-            let newest = facts.entry((f.medium.0, f.sector)).or_insert((f.seq, val));
-            if newest.0 < f.seq {
-                *newest = (f.seq, val);
-            }
+    let rows = record.page.rows::<{ MapFact::COLS }>();
+    for f in rows
+        .map_err(|_| undecodable())?
+        .map(|row| MapFact::from_row(&row))
+    {
+        let val = MapVal {
+            loc: f.loc,
+            deduped: f.deduped,
+        };
+        let newest = facts.entry((f.medium.0, f.sector)).or_insert((f.seq, val));
+        if newest.0 < f.seq {
+            *newest = (f.seq, val);
         }
-        report.facts_loaded += record.page.n_rows();
     }
+    report.facts_loaded += record.page.n_rows();
     report.patches_loaded += 1;
     Ok(())
 }

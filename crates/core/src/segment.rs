@@ -912,7 +912,7 @@ mod tests {
         use crate::read::{plan_rebuild, ReadPlan};
         let (shelf, info, l, cfg, first_pair, done) = one_flushed_stripe();
         let page = cfg.ssd_geometry.page_size;
-        let service = cfg.ssd_latency.page_read(page);
+        let service = crate::shelf::SSD_LATENCY.page_read(page);
         let (mut rebuilt, mut handed_off) = (0, 0);
         for now in (first_pair - 1_000_000..done).step_by(10_000) {
             for column in 0..info.columns.len() {
@@ -959,7 +959,7 @@ mod tests {
             let (mut shelf, info, l, cfg, first_again, _) = one_flushed_stripe();
             assert_eq!(first_again, first_pair);
             let page = cfg.ssd_geometry.page_size;
-            let service = cfg.ssd_latency.page_read(page);
+            let service = crate::shelf::SSD_LATENCY.page_read(page);
             let hand_off = (first_pair..)
                 .step_by(10_000)
                 .find(|&t| !shelf.is_writing(0, t))

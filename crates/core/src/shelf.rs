@@ -17,9 +17,22 @@ use crate::error::{PurityError, Result};
 use crate::segment::{SegmentLayout, COLD, HOT};
 use crate::types::DriveId;
 use purity_sim::{Clock, Nanos, Reservation};
+use purity_ssd::latency::{EnduranceModel, LatencyModel};
 use purity_ssd::nvram::NvramError;
 use purity_ssd::{Nvram, Ssd};
 use std::sync::Arc;
+
+/// Hot-drive timing: the consumer MLC parts Purity shelves are built from.
+pub const SSD_LATENCY: LatencyModel = LatencyModel::consumer_mlc();
+
+/// Drive-internal over-provisioning, hot and cold.
+pub const SSD_OVER_PROVISION: f64 = 0.08;
+
+/// Cold-drive timing (QLC-like).
+pub const COLD_LATENCY: LatencyModel = LatencyModel::qlc_cold();
+
+/// Cold-drive endurance rating.
+pub const COLD_ENDURANCE: EnduranceModel = EnduranceModel::qlc();
 
 /// Which durable-device mutations a scheduled power loss counts toward
 /// its trigger (and tears when it fires). Every variant but `AnyWrite`
@@ -129,11 +142,11 @@ impl Shelf {
             .map(|i| {
                 let mut ssd = Ssd::new(
                     config.ssd_geometry,
-                    config.ssd_latency,
+                    SSD_LATENCY,
                     config.ssd_endurance,
                     clock.clone(),
                     config.seed.wrapping_add(i as u64 * 0x9E37),
-                    config.ssd_over_provision,
+                    SSD_OVER_PROVISION,
                 );
                 if config.preage_cycles > 0 {
                     ssd.preage(config.preage_cycles);
@@ -144,14 +157,14 @@ impl Shelf {
         drives.extend((0..config.cold_drives).map(|i| {
             Ssd::new(
                 config.cold_geometry,
-                config.cold_latency,
-                config.cold_endurance,
+                COLD_LATENCY,
+                COLD_ENDURANCE,
                 clock.clone(),
                 config
                     .seed
                     .wrapping_add(0xC01D)
                     .wrapping_add(i as u64 * 0x9E37),
-                config.ssd_over_provision,
+                SSD_OVER_PROVISION,
             )
         }));
         Self {

@@ -33,6 +33,18 @@ use purity_tier::plan::VolumePlacement;
 use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, Reconciler};
 use std::collections::BTreeMap;
 
+/// Migrator tick cadence in virtual ns: the watcher → reconciler →
+/// migrator loop runs at most this often from the background path.
+pub const TIER_INTERVAL_NS: Nanos = 50_000_000;
+
+/// A volume whose EWMA re-access interval exceeds this (virtual ns) is
+/// cold and eligible for demotion.
+pub const TIER_DEMOTE_AFTER_NS: Nanos = 400_000_000;
+
+/// Cap on extents migrated per migrator tick (bounds the per-tick
+/// foreground interference).
+pub const TIER_MIGRATION_BUDGET: usize = 16;
+
 /// A volume's live map entries — map key `(medium, sector)` plus its
 /// current value — ordered by backing pba, so each cblock's references
 /// are one run (in key order) and cblocks come in pba order.
@@ -105,10 +117,10 @@ impl Controller {
     /// the cold tier and the tick interval elapsed.
     pub fn tier_maintenance(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Vec<ExecutedMove>> {
         let mut executed = Vec::new();
-        if !self.cfg.tiering_enabled() || self.cfg.tier_interval_ns == 0 {
+        if !self.cfg.tiering_enabled() {
             return Ok(executed);
         }
-        if now.saturating_sub(self.tier.last_tick_at) < self.cfg.tier_interval_ns {
+        if now.saturating_sub(self.tier.last_tick_at) < TIER_INTERVAL_NS {
             return Ok(executed);
         }
         self.tier.last_tick_at = now;
@@ -117,7 +129,7 @@ impl Controller {
         // Desired vs actual placement, volume by volume (BTreeMap order).
         // Each volume is resolved once; its refs serve the placement
         // count and, if the plan moves it, the move.
-        let policy = HeatPolicy::with_demote_after(self.cfg.tier_demote_after_ns);
+        let policy = HeatPolicy::with_demote_after(TIER_DEMOTE_AFTER_NS);
         let mut refs: BTreeMap<u64, VolumeRefs> = (self.volumes.keys())
             .map(|&id| (id, self.volume_refs(id)))
             .collect();
@@ -128,7 +140,7 @@ impl Controller {
         let plan: MigrationPlan =
             Reconciler::plan(&placements, &self.tier.watcher, now, &policy, 8);
 
-        let mut budget = self.cfg.tier_migration_budget.max(1);
+        let mut budget = TIER_MIGRATION_BUDGET;
         let mut trace = (!plan.is_empty()).then(|| OpTrace::new("tier_migrate", now));
         let mut done = now;
         // A move repoints map keys, and a clone shares keys with its
@@ -290,7 +302,7 @@ impl Controller {
 
     /// Per-volume heat classification right now (exhibits).
     pub fn volume_heat(&self, volume: u64, now: Nanos) -> purity_tier::Heat {
-        let policy = HeatPolicy::with_demote_after(self.cfg.tier_demote_after_ns.max(1));
+        let policy = HeatPolicy::with_demote_after(TIER_DEMOTE_AFTER_NS);
         self.tier.watcher.classify(volume, now, &policy)
     }
 }

@@ -13,6 +13,10 @@ use purity_lsm::Seq;
 use purity_obs::OpTrace;
 use purity_sim::Nanos;
 
+/// Largest cblock payload (32 KiB, §4.6); smaller cblocks are inferred
+/// from each volume's observed writes.
+pub const MAX_CBLOCK_BYTES: usize = 32 * 1024;
+
 /// The stored form of a cblock payload. A pure function of its input —
 /// relocation rests on that: re-encoding what a stored cblock decodes to
 /// gives back the stored bytes, so an unchanged cblock moves as a copy.
@@ -58,7 +62,7 @@ impl Controller {
         }
         let medium = vol.anchor;
         // §4.6: size cblocks to match this volume's observed writes.
-        let cblock_bytes = vol.inferred_cblock_bytes(self.cfg.max_cblock_bytes);
+        let cblock_bytes = vol.inferred_cblock_bytes(MAX_CBLOCK_BYTES);
         if let Some(v) = self.volumes.get_mut(&volume.0) {
             v.observe_write(data.len());
         }

@@ -1,6 +1,7 @@
 //! Fuzz-style decode hardening: 10k mutated valid records against
 //! `decode_nvram_entry` and `decode_log_record`, every single-byte flip
-//! and truncation of map-patch pages, and random bytes.
+//! and truncation of map-patch pages, cluster config records and
+//! replication cursors, and random bytes.
 //!
 //! Recovery treats "undecodable" as a load-bearing signal (a torn NVRAM
 //! tail is *expected* to be undecodable; an undecodable mid-log record
@@ -10,8 +11,10 @@
 //! original record.
 
 use purity_core::records::{
-    decode_log_record, decode_nvram_entry, encode_intent, encode_log_record, encode_meta,
-    LogRecord, MapFact, MetaIntent, MetaOp, NvramEntry, TableId, WriteIntent,
+    decode_cluster_config, decode_log_record, decode_nvram_entry, decode_repl_cursor,
+    encode_cluster_config, encode_intent, encode_log_record, encode_meta, encode_repl_cursor,
+    ClusterConfigRecord, ClusterMember, LogRecord, MapFact, MemberStatus, MetaIntent, MetaOp,
+    NvramEntry, ReplCursor, TableId, WriteIntent,
 };
 use purity_core::MediumId;
 use purity_dedup::hash::block_hash;
@@ -187,27 +190,88 @@ fn log_record_decode_survives_10k_mutations() {
     );
 }
 
+/// Every truncation of `orig`, and every single-byte flip (each bit,
+/// and all eight), is refused by `decodes`.
+fn assert_every_flip_and_truncation_rejected(orig: &[u8], decodes: impl Fn(&[u8]) -> bool) {
+    for keep in 0..orig.len() {
+        assert!(!decodes(&orig[..keep]), "truncated to {keep}");
+    }
+    for i in 0..orig.len() {
+        for flip in (0..8).map(|b| 1u8 << b).chain([0xff]) {
+            let mut bad = orig.to_vec();
+            bad[i] ^= flip;
+            assert!(
+                !decodes(&bad),
+                "byte {i} ^ {flip:#04x} of {} decoded",
+                orig.len()
+            );
+        }
+    }
+}
+
 #[test]
 fn every_byte_flip_and_truncation_of_a_map_patch_is_rejected() {
     let mut rng = StdRng::seed_from_u64(0xF11B);
     for (orig, _) in map_patch_corpus(&mut rng) {
-        for keep in 0..orig.len() {
-            assert!(
-                decode_log_record(&orig[..keep]).is_none(),
-                "truncated to {keep}"
-            );
-        }
-        for i in 0..orig.len() {
-            for flip in (0..8).map(|b| 1u8 << b).chain([0xff]) {
-                let mut bad = orig.clone();
-                bad[i] ^= flip;
-                assert!(
-                    decode_log_record(&bad).is_none(),
-                    "byte {i} ^ {flip:#04x} of {} decoded",
-                    orig.len()
-                );
-            }
-        }
+        assert_every_flip_and_truncation_rejected(&orig, |b| decode_log_record(b).is_some());
+    }
+}
+
+/// Cluster config records as replication writes them: a few epochs,
+/// every member status, incarnations past one byte.
+fn cluster_config_corpus(rng: &mut StdRng) -> Vec<Vec<u8>> {
+    let statuses = [
+        MemberStatus::Alive,
+        MemberStatus::Suspect,
+        MemberStatus::Dead,
+    ];
+    (0..8u64)
+        .map(|i| {
+            let members = (0..i % 5)
+                .map(|node| ClusterMember {
+                    node,
+                    status: statuses[rng.gen_range(0..3usize)],
+                    incarnation: rng.gen_range(0..1000),
+                })
+                .collect();
+            encode_cluster_config(&ClusterConfigRecord {
+                epoch: 1 + i,
+                placement_version: rng.gen_range(1..1 << 20),
+                placement_seed: rng.gen(),
+                members,
+            })
+        })
+        .collect()
+}
+
+/// Replication cursors mid-transfer, full seeds and deltas.
+fn repl_cursor_corpus(rng: &mut StdRng) -> Vec<Vec<u8>> {
+    (0..8u64)
+        .map(|i| {
+            let total_chunks = rng.gen_range(1..5000);
+            encode_repl_cursor(&ReplCursor {
+                pg: i,
+                src_volume: rng.gen_range(0..64),
+                src_snapshot: rng.gen_range(0..1 << 16),
+                base_snapshot: (i % 2 == 1).then(|| rng.gen_range(0..1 << 16)),
+                next_chunk: rng.gen_range(0..=total_chunks),
+                total_chunks,
+                wire_seq: rng.gen(),
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn every_byte_flip_and_truncation_of_a_cluster_record_is_rejected() {
+    let mut rng = StdRng::seed_from_u64(0xC1A5);
+    for orig in cluster_config_corpus(&mut rng) {
+        assert!(decode_cluster_config(&orig).is_some(), "pristine decodes");
+        assert_every_flip_and_truncation_rejected(&orig, |b| decode_cluster_config(b).is_some());
+    }
+    for orig in repl_cursor_corpus(&mut rng) {
+        assert!(decode_repl_cursor(&orig).is_some(), "pristine decodes");
+        assert_every_flip_and_truncation_rejected(&orig, |b| decode_repl_cursor(b).is_some());
     }
 }
 

@@ -10,6 +10,7 @@
 //! garbage checkpoint that passes validation.
 
 use proptest::prelude::*;
+use purity_compress::varint;
 use purity_core::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use purity_core::config::ArrayConfig;
 use purity_core::gc::GcReport;
@@ -18,6 +19,7 @@ use purity_core::shelf::Shelf;
 use purity_core::stats::ArrayStats;
 use purity_core::write::encode_cblock;
 use purity_core::{FlashArray, SnapshotId, VolumeId, SECTOR};
+use purity_dedup::hash::block_hash;
 use purity_sim::{Clock, MS};
 use purity_wkld::ContentModel;
 
@@ -199,6 +201,65 @@ proptest! {
         prop_assert_eq!(&decoded, &payload);
         prop_assert_eq!(encode_cblock(&decoded, compression), stored);
     }
+}
+
+/// A checkpoint re-encoded to claim `u64::MAX` frontier AUs, under a
+/// valid checksum, is refused: the count is not trusted to size an
+/// allocation before the body backs it up.
+#[test]
+fn a_checkpoint_counting_u64_max_frontier_aus_decodes_to_none() {
+    let orig = sample_checkpoint(3).encode(9);
+    // The frame: magic, stripe width, body length, body, checksum.
+    let (width, n) = varint::decode(&orig[8..]).unwrap();
+    let (body_len, m) = varint::decode(&orig[8 + n..]).unwrap();
+    let at = 8 + n + m;
+    let body = &orig[at..at + body_len as usize];
+    // Seven scalar varints precede the frontier count.
+    let mut count_at = 0;
+    for _ in 0..7 {
+        count_at += varint::decode(&body[count_at..]).unwrap().1;
+    }
+    let (count, used) = varint::decode(&body[count_at..]).unwrap();
+    assert_eq!(count, 4);
+    let mut forged = body[..count_at].to_vec();
+    varint::encode(u64::MAX, &mut forged);
+    forged.extend_from_slice(&body[count_at + used..]);
+
+    let mut bytes = orig[..8].to_vec();
+    varint::encode(width, &mut bytes);
+    varint::encode(forged.len() as u64, &mut bytes);
+    bytes.extend_from_slice(&forged);
+    let h = block_hash(&bytes[8..]);
+    bytes.extend_from_slice(&h.to_le_bytes());
+    assert!(Checkpoint::decode(&bytes).is_none());
+}
+
+/// A first page whose body-length varint is `u64::MAX` names no
+/// checkpoint length: the slot is skipped and recovery reads the older
+/// one.
+#[test]
+fn a_first_page_claiming_a_u64_max_body_falls_back_to_the_older_slot() {
+    let cfg = ArrayConfig::test_small();
+    let mut shelf = Shelf::new(&cfg, Clock::new());
+    let page = cfg.ssd_geometry.page_size;
+    let mut boot = BootRegion::new(cfg.boot_region_bytes(), page, cfg.stripe_width());
+    let old = sample_checkpoint(1); // slot 1
+    boot.write(&mut shelf, &old, 0).unwrap();
+    let newest = sample_checkpoint(2); // slot 0
+    boot.write(&mut shelf, &newest, 0).unwrap();
+
+    let encoded = newest.encode(cfg.stripe_width());
+    let mut first = encoded[..8].to_vec();
+    varint::encode(cfg.stripe_width() as u64, &mut first);
+    varint::encode(u64::MAX, &mut first);
+    first.resize(page, 0);
+    for d in 0..3 {
+        shelf.write_drive(d, 0, &first, 0).unwrap();
+    }
+    let (cp, _) = boot
+        .read(&mut shelf, 0)
+        .expect("older slot must remain readable");
+    assert_eq!(cp, old);
 }
 
 const SHARED_VOL_SECTORS: u64 = 512;

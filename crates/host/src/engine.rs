@@ -36,6 +36,12 @@ use purity_wkld::{Op, WorkloadGen};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
+/// Cool-down before a failed path is probed again.
+const PATH_PROBE_INTERVAL: Nanos = 10_000_000; // 10 ms
+
+/// Upper bound on a coalesced write.
+const MAX_COALESCE_BYTES: usize = 256 * 1024;
+
 /// Host engine knobs.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
@@ -49,12 +55,8 @@ pub struct HostConfig {
     pub backoff: Nanos,
     /// Attempts before an op is failed to the application.
     pub max_retries: u32,
-    /// Cool-down before a failed path is probed again.
-    pub probe_interval: Nanos,
     /// Merge adjacent queued writes into one array op.
     pub coalesce: bool,
-    /// Upper bound on a coalesced write.
-    pub max_coalesce_bytes: usize,
     /// Per-volume submission-queue bound; arrivals beyond it get
     /// QFULL'd and re-admitted after a backoff.
     pub admission_limit: usize,
@@ -70,9 +72,7 @@ impl Default for HostConfig {
             timeout: 250_000_000, // 250 ms
             backoff: 50_000,      // 50 µs
             max_retries: 8,
-            probe_interval: 10_000_000, // 10 ms
             coalesce: true,
-            max_coalesce_bytes: 256 * 1024,
             admission_limit: 4096,
             qos: QosSpec::default(),
         }
@@ -260,7 +260,7 @@ impl HostEngine {
                 self.cfg.timeout,
                 self.cfg.backoff,
                 self.cfg.max_retries,
-                self.cfg.probe_interval,
+                PATH_PROBE_INTERVAL,
             ),
             events: BinaryHeap::new(),
             eseq: 0,
@@ -464,7 +464,7 @@ impl<'a> Run<'a> {
         }
         let mut riders = Vec::new();
         loop {
-            if data.len() >= self.cfg.max_coalesce_bytes {
+            if data.len() >= MAX_COALESCE_BYTES {
                 break;
             }
             let next = self
@@ -475,7 +475,7 @@ impl<'a> Run<'a> {
                         offset,
                         data: rider_data,
                     } if *offset == offset_end
-                        && data.len() + rider_data.len() <= self.cfg.max_coalesce_bytes =>
+                        && data.len() + rider_data.len() <= MAX_COALESCE_BYTES =>
                     {
                         Some(p.req)
                     }
@@ -908,7 +908,7 @@ mod tests {
     #[test]
     fn traces_split_host_wait_into_queue_and_throttle_spans() {
         let mut acfg = ArrayConfig::test_small();
-        acfg.slow_op_capture_ns = 1; // capture every op's span tree
+        acfg.obs.slow_op_threshold = 1; // capture every op's span tree
         let mut a = FlashArray::new(acfg).unwrap();
         let vol = a.create_volume("host", 8 << 20).unwrap();
         let engine = HostEngine::new(HostConfig {
@@ -948,7 +948,7 @@ mod tests {
     #[test]
     fn qfull_backoff_wait_is_charged_to_host_queue() {
         let mut acfg = ArrayConfig::test_small();
-        acfg.slow_op_capture_ns = 1;
+        acfg.obs.slow_op_threshold = 1;
         let mut a = FlashArray::new(acfg).unwrap();
         let vol = a.create_volume("host", 8 << 20).unwrap();
         // No rate caps: wait accrues only from QFULL re-admission

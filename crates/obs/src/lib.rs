@@ -40,7 +40,7 @@ pub use blame::{
 pub use profiler::{Plane, PlaneStat, ProfileSnapshot};
 pub use recorder::{
     EvidenceSection, Incident, IntervalStats, Recorder, RecorderConfig, SloConfig, SloEvent,
-    TailBlame,
+    TailBlame, SLO_SERIES,
 };
 pub use registry::{Frame, HistogramSummary, MetricsRegistry, MetricsSnapshot};
 pub use trace::{FoldedOp, OpTrace, SlowOp, StageRecord, Tracer};
@@ -55,8 +55,9 @@ pub const DEFAULT_SLOW_OP_THRESHOLD: Nanos = 1_000_000;
 pub const DEFAULT_SLOW_OP_CAPACITY: usize = 256;
 
 /// Full hub configuration: slow-op capture knobs plus the flight
-/// recorder's cadence/window/SLO settings.
-#[derive(Debug, Clone)]
+/// recorder's cadence/window/SLO settings. [`ObsConfig::default`] is
+/// the one place their defaults are written.
+#[derive(Debug, Clone, Copy)]
 pub struct ObsConfig {
     /// Ops slower than this (virtual ns) are captured with their full
     /// per-stage trace.

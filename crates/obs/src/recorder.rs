@@ -16,8 +16,8 @@
 //!   ([`LatencyHistogram::delta_since`]) so p50/p99/p99.9 exist *per
 //!   interval*.
 //!
-//! An [`SloConfig`]-driven monitor watches one latency series (by
-//! default the array read path) against the paper's 1 ms p99.9 budget.
+//! An [`SloConfig`]-driven monitor watches one latency series (the
+//! array read path, [`SLO_SERIES`]) against the paper's 1 ms p99.9 budget.
 //! A violating interval opens an [`Incident`]: a frozen causal-evidence
 //! bundle — the violating interval's quantiles, the slow-op ring
 //! contents at that instant, and caller-attached [`EvidenceSection`]s
@@ -47,11 +47,12 @@ pub const DEFAULT_SAMPLE_INTERVAL_NS: Nanos = 100_000_000;
 /// default cadence — enough to hold the paper's five-minute trace).
 pub const DEFAULT_WINDOW_INTERVALS: usize = 4096;
 
+/// The (unlabeled) latency histogram series the SLO monitor watches.
+pub const SLO_SERIES: &str = "array_read_latency";
+
 /// SLO monitor configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SloConfig {
-    /// Name of the (unlabeled) latency histogram series to monitor.
-    pub series: String,
     /// Per-interval p99.9 budget (the paper's 1 ms read bound).
     pub p999_budget_ns: Nanos,
     /// Intervals with fewer samples than this are not judged (a p99.9
@@ -64,7 +65,6 @@ pub struct SloConfig {
 impl Default for SloConfig {
     fn default() -> Self {
         Self {
-            series: "array_read_latency".to_string(),
             p999_budget_ns: 1_000_000,
             min_interval_count: 16,
             cooldown_intervals: 2,
@@ -73,7 +73,7 @@ impl Default for SloConfig {
 }
 
 /// Recorder configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct RecorderConfig {
     /// Virtual-time sampling cadence.
     pub interval_ns: Nanos,
@@ -522,7 +522,7 @@ impl Recorder {
                     IntervalStats::of(h)
                 }
             };
-            if id.labels.is_empty() && id.name == self.slo.series {
+            if id.labels.is_empty() && id.name == SLO_SERIES {
                 slo_stats = stats;
             }
             s.values.push_back(stats);

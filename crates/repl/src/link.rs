@@ -14,6 +14,13 @@ use purity_sim::{Nanos, Timeline, MS, SEC, US};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// How long after serialization completes a sender waits for an ack
+/// before declaring the message lost.
+const ACK_TIMEOUT: Nanos = 20 * MS;
+
+/// First retry backoff; doubles per attempt (capped at 2^10).
+const BACKOFF_BASE: Nanos = 2 * MS;
+
 /// Everything that shapes a link's behaviour.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkConfig {
@@ -28,11 +35,6 @@ pub struct LinkConfig {
     pub mean_up: Nanos,
     /// Mean flap duration.
     pub mean_down: Nanos,
-    /// How long after serialization completes the sender waits for an
-    /// ack before declaring the message lost.
-    pub ack_timeout: Nanos,
-    /// First retry backoff; doubles per attempt (capped at 2^10).
-    pub backoff_base: Nanos,
     /// Send attempts per message before the transfer stalls and hands
     /// control back to the caller (which persists its cursor).
     pub max_attempts: u32,
@@ -49,8 +51,6 @@ impl LinkConfig {
             flap_seed: 0,
             mean_up: 0,
             mean_down: 0,
-            ack_timeout: 20 * MS,
-            backoff_base: 2 * MS,
             max_attempts: 6,
         }
     }
@@ -220,7 +220,7 @@ impl ReplicaLink {
         if self.partitioned || self.flap_overlaps(r.start, acked_at) {
             self.stats.losses += 1;
             SendResult::Lost {
-                timeout_at: r.end + self.cfg.ack_timeout,
+                timeout_at: r.end + ACK_TIMEOUT,
             }
         } else {
             SendResult::Delivered { acked_at }
@@ -244,7 +244,7 @@ impl ReplicaLink {
                         };
                     }
                     self.stats.retransmits += 1;
-                    let backoff = self.cfg.backoff_base << (attempts - 1).min(10);
+                    let backoff = BACKOFF_BASE << (attempts - 1).min(10);
                     now = timeout_at + backoff;
                 }
             }

@@ -23,7 +23,7 @@ pub struct LatencyModel {
 
 impl LatencyModel {
     /// Consumer MLC NAND: the drives Purity shelves are built from.
-    pub fn consumer_mlc() -> Self {
+    pub const fn consumer_mlc() -> Self {
         Self {
             read_ns: 90_000,        // 90 us
             program_ns: 1_300_000,  // 1.3 ms
@@ -34,7 +34,7 @@ impl LatencyModel {
 
     /// SLC NAND: the "NVRAM" device (§4.1) — bounded low latency, huge
     /// P/E budget.
-    pub fn slc_nvram() -> Self {
+    pub const fn slc_nvram() -> Self {
         Self {
             read_ns: 25_000,      // 25 us
             program_ns: 100_000,  // 100 us
@@ -48,7 +48,7 @@ impl LatencyModel {
     /// erases several times slower, and the link is a shared low-cost
     /// SATA lane — the latency asymmetry the five-minute-rule economics
     /// (Figure 7) trade against $/GB.
-    pub fn qlc_cold() -> Self {
+    pub const fn qlc_cold() -> Self {
         Self {
             read_ns: 140_000,       // 140 us
             program_ns: 3_500_000,  // 3.5 ms
@@ -83,14 +83,14 @@ pub struct EnduranceModel {
 
 impl EnduranceModel {
     /// Consumer MLC rating.
-    pub fn consumer_mlc() -> Self {
+    pub const fn consumer_mlc() -> Self {
         Self {
             rated_pe_cycles: 3000,
         }
     }
 
     /// SLC rating.
-    pub fn slc() -> Self {
+    pub const fn slc() -> Self {
         Self {
             rated_pe_cycles: 100_000,
         }
@@ -98,7 +98,7 @@ impl EnduranceModel {
 
     /// QLC rating: the cold tier's tiny P/E budget (~500–1000 cycles).
     /// Demotion traffic must stay rare enough to live within it.
-    pub fn qlc() -> Self {
+    pub const fn qlc() -> Self {
         Self {
             rated_pe_cycles: 800,
         }

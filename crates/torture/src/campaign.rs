@@ -534,7 +534,7 @@ fn stage_crash(spec: &CampaignSpec, run: &mut Run, rng: &mut StdRng) -> bool {
         }
         CrashPhase::TierDemote => {
             // Tear a cold-segment write mid-demotion: idle the volumes
-            // past `tier_demote_after_ns` so the migrator starts
+            // past `TIER_DEMOTE_AFTER_NS` so the migrator starts
             // copying them down, straight into the armed trigger.
             let after = rng.gen_range(0..3);
             let keep = rng.gen_range(1..4096);

@@ -5,8 +5,9 @@
 #
 # A code line is a line of a `crates/*/src/**/*.rs` file above that
 # file's first `#[cfg(test)]` that is neither blank nor a `//` comment
-# (doc comments included). Prints one line per crate, the total, and the
-# five largest files.
+# (doc comments included). Prints one line per crate, the total, the
+# five largest files, and the public-field count of each configuration
+# struct.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -35,3 +36,16 @@ echo "$counts" | awk '
 '
 echo "largest files:"
 echo "$counts" | sort -rn | head -5 | awk '{ printf "  %6d %s\n", $1, $2 }'
+
+# Public fields of each configuration struct: the knobs a caller can set.
+echo "config fields:"
+for s in ArrayConfig HostConfig ClusterSpec SwimConfig LinkConfig ObsConfig RecorderConfig SloConfig; do
+  f=$(grep -l "^pub struct $s {" crates/*/src/*.rs)
+  n=$(awk -v s="$s" '
+    $0 ~ "^pub struct " s " \\{" { inside = 1; next }
+    inside && /^}/ { exit }
+    inside && /^    pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }
+  ' "$f")
+  printf "  %-14s %3d  %s\n" "$s" "$n" "$f"
+done

@@ -3,6 +3,7 @@
 //! redundancy, rejoin, config-record replication, and same-seed
 //! determinism.
 
+use purity_cluster::swim::PROBE_INTERVAL;
 use purity_cluster::{Cluster, ClusterSpec, SwimEvent};
 use purity_core::records::{decode_cluster_config, MemberStatus};
 use purity_core::SECTOR;
@@ -405,7 +406,7 @@ fn swim_confirmation_time_is_bounded() {
     }
     let at = confirmed_at.expect("never confirmed");
     let cfg = c.spec().swim;
-    let bound = (c.spec().nodes as u64 + 1) * cfg.probe_interval + cfg.suspicion_timeout + 2 * SEC;
+    let bound = (c.spec().nodes as u64 + 1) * PROBE_INTERVAL + cfg.suspicion_timeout + 2 * SEC;
     assert!(
         at - killed_at <= bound,
         "confirm took {} ns, bound {} ns",

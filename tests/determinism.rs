@@ -262,7 +262,7 @@ fn blame_traces_and_tail_blame_are_deterministic() {
         cfg.read_around_writes = false;
         cfg.dedup_enabled = false;
         cfg.compression_enabled = false;
-        cfg.telemetry_interval_ns = 5_000_000;
+        cfg.obs.recorder.interval_ns = 5_000_000;
         let mut a = FlashArray::new(cfg).expect("format");
         let vol_bytes: u64 = 1 << 20;
         let vol = a.create_volume("blame", vol_bytes).unwrap();

@@ -150,7 +150,7 @@ fn tail_reads_are_attributed_to_die_busy_time() {
     // The capture carries the full decomposition: a drive_read stage with
     // die/drive attribution, and an end-to-end latency above threshold.
     let slow = a.obs().tracer.slowest().expect("ring not empty");
-    assert!(slow.latency >= a.config().slow_op_capture_ns);
+    assert!(slow.latency >= a.config().obs.slow_op_threshold);
     let dominant = slow.dominant_stage().expect("stages recorded");
     assert!(
         matches!(
@@ -256,7 +256,7 @@ fn metrics_snapshot_and_export_are_consistent() {
 /// overwrite burst for slow-op captures, and a final settle.
 fn telemetry_run(seed: u64) -> FlashArray {
     let mut cfg = churn_config();
-    cfg.telemetry_interval_ns = 1_000_000;
+    cfg.obs.recorder.interval_ns = 1_000_000;
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("t", 2 << 20).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -325,8 +325,8 @@ fn same_seed_runs_export_identical_telemetry() {
 #[test]
 fn slow_op_ring_capacity_comes_from_config() {
     let mut cfg = stall_config();
-    cfg.slow_op_ring_capacity = 4;
-    cfg.slow_op_capture_ns = 1; // capture everything
+    cfg.obs.slow_op_capacity = 4;
+    cfg.obs.slow_op_threshold = 1; // capture everything
     let mut a = FlashArray::new(cfg).expect("format");
     assert_eq!(a.obs().tracer.capacity(), 4);
     let vol = a.create_volume("v", 1 << 20).unwrap();
@@ -347,7 +347,7 @@ fn slow_op_ring_capacity_comes_from_config() {
 #[test]
 fn threshold_change_applies_only_to_subsequent_captures() {
     let mut cfg = stall_config();
-    cfg.slow_op_capture_ns = 1;
+    cfg.obs.slow_op_threshold = 1;
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("v", 1 << 20).unwrap();
     let mut rng = StdRng::seed_from_u64(6);
@@ -435,7 +435,7 @@ fn emitted_stage_names_are_registered() {
 #[test]
 fn tier_stages_are_emitted_and_registered() {
     let mut cfg = ArrayConfig::tiered();
-    cfg.slow_op_capture_ns = 1; // capture every op, fast or slow
+    cfg.obs.slow_op_threshold = 1; // capture every op, fast or slow
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("t", 512 * 1024).unwrap();
     let mut rng = StdRng::seed_from_u64(13);
@@ -575,9 +575,9 @@ fn assert_export_digest(scenario: &str, docs: &[String], want: &[(usize, u64)]) 
 #[test]
 fn export_contract_plain_mix() {
     let mut cfg = churn_config();
-    cfg.telemetry_interval_ns = 1_000_000;
-    cfg.slo_read_p999_budget_ns = 50_000;
-    cfg.slo_min_interval_reads = 2;
+    cfg.obs.recorder.interval_ns = 1_000_000;
+    cfg.obs.recorder.slo.p999_budget_ns = 50_000;
+    cfg.obs.recorder.slo.min_interval_count = 2;
     let mut a = FlashArray::new(cfg).expect("format");
     let keep = a.create_volume("keep", 2 << 20).unwrap();
     let gone = a.create_volume("gone", 1 << 20).unwrap();
@@ -640,7 +640,7 @@ fn export_contract_plain_mix() {
 #[test]
 fn export_contract_tiered_cycle() {
     let mut cfg = ArrayConfig::tiered();
-    cfg.slow_op_capture_ns = 1;
+    cfg.obs.slow_op_threshold = 1;
     let mut a = FlashArray::new(cfg).expect("format");
     let hot = a.create_volume("hot", 512 * 1024).unwrap();
     let idle = a.create_volume("idle", 512 * 1024).unwrap();
@@ -681,7 +681,7 @@ fn export_contract_host_closed_loop() {
     use purity_host::{HostConfig, HostEngine};
     use purity_wkld::{AccessPattern, ContentModel, SizeMix, WorkloadGen};
     let mut cfg = ArrayConfig::test_small();
-    cfg.telemetry_interval_ns = 5_000_000;
+    cfg.obs.recorder.interval_ns = 5_000_000;
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("db", 16 << 20).unwrap();
     let mut gen = WorkloadGen::new(

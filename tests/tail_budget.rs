@@ -59,8 +59,8 @@ fn scaled_e2(seed: u64) -> (LatencyHistogram, Nanos) {
     let mut cfg = ArrayConfig::bench_medium();
     assert_eq!(VOL_BYTES, 6 * cfg.cache_bytes as u64);
     // Keep every read that waited at all long enough to matter.
-    cfg.slow_op_capture_ns = MS / 2;
-    cfg.slow_op_ring_capacity = OPS as usize;
+    cfg.obs.slow_op_threshold = MS / 2;
+    cfg.obs.slow_op_capacity = OPS as usize;
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("db", VOL_BYTES).unwrap();
     let unit = 128 * 1024;
@@ -415,7 +415,10 @@ fn uncontended_ops_cost_what_the_device_constants_say() {
     use purity_core::controller::CPU_OVERHEAD_NS;
     let cfg = ArrayConfig::bench_medium();
     let page = cfg.ssd_geometry.page_size;
-    let (nand, nvram) = (cfg.ssd_latency, purity_ssd::LatencyModel::slc_nvram());
+    let (nand, nvram) = (
+        purity_core::shelf::SSD_LATENCY,
+        purity_ssd::LatencyModel::slc_nvram(),
+    );
     let mut a = FlashArray::new(cfg).expect("format");
     let vol = a.create_volume("v", 8 << 20).unwrap();
     let mut rng = StdRng::seed_from_u64(2);
