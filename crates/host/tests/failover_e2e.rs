@@ -41,10 +41,11 @@ fn failover_under_qd32_loses_no_acks() {
     // Mixed load so both the NVRAM commit path and the read path have
     // in-flight ops when the controller dies.
     let mut gen = workload(50);
-    // Let the run reach steady state, then kill the primary. With QD=32
-    // the array always has ops in flight, so the failover is guaranteed
-    // to abort some acks (asserted below).
-    let mut plan = FaultPlan::new().at(20 * MS, FaultEvent::FailPrimary);
+    // Let the run reach steady state, then kill the primary well inside
+    // the run (3 000 ops last about 20 virt-ms). With QD=32 the array
+    // always has ops in flight, so the failover is guaranteed to abort
+    // some acks (asserted below).
+    let mut plan = FaultPlan::new().at(10 * MS, FaultEvent::FailPrimary);
     let engine = engine_qd32();
     let report = engine.run_closed_loop(&mut a, vol, &mut gen, 3_000, Some(&mut plan));
 

@@ -108,6 +108,15 @@ impl Timeline {
     /// Schedules an operation of length `duration` issued at time `now`:
     /// it runs in the earliest idle gap at or after `now` that fits.
     pub fn reserve(&self, now: Nanos, duration: Nanos) -> Reservation {
+        self.reserve_from(now, now, duration)
+    }
+
+    /// Schedules an operation issued at `now` that cannot start before
+    /// `earliest` (its input is still arriving): it runs in the earliest
+    /// idle gap at or after `earliest` that fits. Pruning goes by the
+    /// issue time, so a booking still running at `now` stays visible to
+    /// later issuers.
+    pub fn reserve_from(&self, now: Nanos, earliest: Nanos, duration: Nanos) -> Reservation {
         let mut inner = self.inner.lock();
         // Drop bookings fully in the past (nothing can be scheduled
         // before `now` anyway); remember how far we pruned.
@@ -119,7 +128,8 @@ impl Timeline {
                 break;
             }
         }
-        let (insert_at, Reservation { start, end }) = inner.earliest_gap(now, duration);
+        let (insert_at, Reservation { start, end }) =
+            inner.earliest_gap(earliest.max(now), duration);
         // Insert, merging with exactly-adjacent neighbours so back-to-
         // back chains stay O(1) in memory.
         let merge_prev = insert_at > 0 && inner.bookings[insert_at - 1].1 == start;
@@ -233,6 +243,26 @@ mod tests {
         assert!(t.busy_at(1_200_000));
         assert!(!t.busy_at(1_600_000));
         assert_eq!(t.free_at(), 1_500_000);
+    }
+
+    #[test]
+    fn reserve_from_starts_no_earlier_and_prunes_by_issue_time() {
+        let t = Timeline::new();
+        t.reserve(0, 1_000);
+        // Issued at 500, its input ready at 1_200: it runs from 1_200,
+        // and the booking still running at 500 is kept.
+        let r = t.reserve_from(500, 1_200, 100);
+        assert_eq!((r.start, r.end), (1_200, 1_300));
+        assert_eq!(
+            t.probe(600, 1).start,
+            1_000,
+            "the first booking was not pruned"
+        );
+        assert_eq!(
+            t.probe(600, 300).start,
+            1_300,
+            "no 300 ns gap before it ends"
+        );
     }
 
     #[test]

@@ -9,10 +9,24 @@
 //!
 //! An append is two steps. [`Nvram::log`] makes a record durable and
 //! gives it its index; [`Nvram::program`] books the SLC time of a
-//! *commit group* — the records one operation logged — as one program
-//! per channel of that channel's share. A write of many cblocks thus
-//! pays the fixed program cost once per channel it touches, and the
-//! per-KiB transfer for every byte; [`Nvram::append`] is a group of one.
+//! *commit group* — the records one operation logged — one share per
+//! channel, round-robin. [`Nvram::append`] is a group of one.
+//!
+//! Each channel keeps one open group, so shares of different operations
+//! program together. A share of `b` bytes issued at `now`, `x =
+//! xfer(b)`, takes the first rule that matches:
+//! - **join**: the open group programs from `S` and its data is loaded
+//!   by `L`; if `now < S` and `max(L, now) + x <= S`, the share loads
+//!   behind it and acks when it ends, `S + program_ns`;
+//! - **idle**: the channel is free at `now`: load, then program, done at
+//!   `now + x + program_ns` (the uncontended cost);
+//! - **busy**: the share loads while the channel finishes its current
+//!   program (NAND cache program), then programs from `max(free, now +
+//!   x)`. That program becomes the channel's open group.
+//!
+//! A joiner never moves its group's end, so an acknowledgement, once
+//! returned, never moves; and no share acks later than it would as a
+//! program of its own queued behind the one before.
 
 use crate::latency::LatencyModel;
 use purity_sim::{Nanos, Timeline};
@@ -46,6 +60,23 @@ pub struct NvramRecord {
     pub payload: Vec<u8>,
 }
 
+/// One NVRAM part: its SLC bookings, and the last program it granted
+/// (the open group while that program has not started).
+#[derive(Default)]
+struct Channel {
+    timeline: Timeline,
+    group: Group,
+}
+
+/// A granted program: it runs from `start` to `end`, and the link has
+/// loaded the group's records by `loaded`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Group {
+    start: Nanos,
+    loaded: Nanos,
+    end: Nanos,
+}
+
 /// The append-only SLC log device.
 ///
 /// Real shelves carry several NVRAM parts; `channels` models their
@@ -53,7 +84,7 @@ pub struct NvramRecord {
 /// serializes its own programs).
 pub struct Nvram {
     latency: LatencyModel,
-    timelines: Vec<Timeline>,
+    channels: Vec<Channel>,
     next_channel: usize,
     capacity_bytes: usize,
     used_bytes: usize,
@@ -77,7 +108,7 @@ impl Nvram {
         assert!(channels >= 1);
         Self {
             latency: LatencyModel::slc_nvram(),
-            timelines: (0..channels).map(|_| Timeline::new()).collect(),
+            channels: (0..channels).map(|_| Channel::default()).collect(),
             next_channel: 0,
             capacity_bytes,
             used_bytes: 0,
@@ -128,20 +159,46 @@ impl Nvram {
 
     /// Books one commit group of records of `sizes` bytes issued at
     /// `now`: record `i` goes to channel `next + i` (round-robin), and
-    /// each channel used programs its share in one SLC program. Returns
-    /// when the last channel finishes (the group becomes acknowledgeable
-    /// then); `now` for an empty group.
+    /// each channel used commits its share by the module's rules.
+    /// Returns when the last share acks (the group becomes
+    /// acknowledgeable then); `now` for an empty group.
     pub fn program(&mut self, sizes: &[usize], now: Nanos) -> Nanos {
-        let n = self.timelines.len();
+        let n = self.channels.len();
         let mut end = now;
         for k in 0..sizes.len().min(n) {
             let bytes: usize = sizes[k..].iter().step_by(n).sum();
             let channel = (self.next_channel + k) % n;
-            let service = self.latency.page_program(bytes);
-            end = end.max(self.timelines[channel].reserve(now, service).end);
+            end = end.max(self.commit_share(channel, bytes, now));
         }
         self.next_channel = (self.next_channel + sizes.len()) % n;
         end
+    }
+
+    /// Commits one channel's share of a group, `bytes` issued at `now`,
+    /// by the join / idle / busy rules; returns when the share acks.
+    fn commit_share(&mut self, channel: usize, bytes: usize, now: Nanos) -> Nanos {
+        let (x, program_ns) = (self.latency.xfer(bytes), self.latency.program_ns);
+        let Channel { timeline, group } = &mut self.channels[channel];
+        let loaded = group.loaded.max(now) + x;
+        if now < group.start && loaded <= group.start {
+            group.loaded = loaded;
+            return group.end;
+        }
+        let free = timeline.free_at();
+        let start = if free <= now {
+            timeline.reserve(now, x + program_ns).end - program_ns
+        } else {
+            // Booked at the issue time: the program running now stays on
+            // the timeline for whoever is issued before it ends.
+            let start = free.max(now + x);
+            timeline.reserve_from(now, start, program_ns).start
+        };
+        *group = Group {
+            start,
+            loaded: now + x,
+            end: start + program_ns,
+        };
+        group.end
     }
 
     /// Durably appends one record as a commit group of its own. Returns
@@ -160,12 +217,12 @@ impl Nvram {
             return Err(NvramError::Failed);
         }
         // Scans stream from all channels in parallel.
-        let per_channel = self.used_bytes.div_ceil(self.timelines.len()).max(1);
+        let per_channel = self.used_bytes.div_ceil(self.channels.len()).max(1);
         let service = self.latency.page_read(per_channel);
         let end = self
-            .timelines
+            .channels
             .iter()
-            .map(|t| t.reserve(now, service).end)
+            .map(|c| c.timeline.reserve(now, service).end)
             .max()
             .unwrap_or(now);
         Ok((self.records.clone(), end))
@@ -305,9 +362,36 @@ mod tests {
         let end = nv.program(&sizes, 0);
         assert_eq!(end, slc.page_program(2 * 4096));
         assert!(end < 2 * slc.page_program(4096), "not two in series");
-        // The rotation moved on by the whole group.
+        // The rotation moved on by the whole group. Channel 0 is next; its
+        // record loads while the group programs, then programs alone.
         let (_, t) = nv.append(vec![0; 4096], 0).unwrap();
-        assert_eq!(t, end + slc.page_program(4096), "channel 0 is next");
+        assert_eq!(t, end + slc.program_ns, "channel 0 is next");
+        assert_eq!(t, 207_600);
+    }
+
+    #[test]
+    fn a_same_instant_burst_costs_two_programs_a_channel() {
+        let slc = LatencyModel::slc_nvram();
+        let mut nv = Nvram::new(1 << 20);
+        // Twenty 4 KiB writes a channel, all issued at once: each
+        // channel's first programs alone, the other nineteen load behind
+        // it and program as one group.
+        let acks: Vec<Nanos> = (0..160)
+            .map(|_| nv.append(vec![0; 4096], 0).unwrap().1)
+            .collect();
+        let first = slc.page_program(4096);
+        assert!(acks[..8].iter().all(|&t| t == first));
+        assert!(acks[8..].iter().all(|&t| t == first + slc.program_ns));
+        assert_eq!(acks[159], 203_800, "not 20 programs in series");
+        // A group holds what the link loads while the program before it
+        // runs: 27 records of 4 KiB. The 28th on a channel opens the
+        // group after.
+        let mut nv1 = Nvram::with_channels(1 << 20, 1);
+        let acks: Vec<Nanos> = (0..29)
+            .map(|_| nv1.append(vec![0; 4096], 0).unwrap().1)
+            .collect();
+        assert!(acks[1..=27].iter().all(|&t| t == first + slc.program_ns));
+        assert_eq!(acks[28], first + 2 * slc.program_ns);
     }
 
     #[test]
@@ -371,6 +455,88 @@ mod tests {
         // An empty log has nothing to tear.
         let mut empty = Nvram::new(64);
         assert!(!empty.tear_last_append(0));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The channels audited against the per-op model they replaced,
+        /// in which each share is its own program queued behind the one
+        /// before (`reserve(now, page_program(bytes))`), for any record
+        /// sizes, channel count and non-decreasing issue times:
+        /// - no two programs granted on one channel overlap, and nothing
+        ///   issued later is granted time inside one;
+        /// - no share acks later than the per-op model acks it;
+        /// - every ack returned is its group's final end.
+        #[test]
+        fn grouped_channels_never_overlap_and_never_ack_later_than_one_program_per_op(
+            channels in 1usize..9,
+            ops in proptest::collection::vec(
+                (0u64..150_000, proptest::collection::vec(1usize..40_000, 1..20)),
+                1..80,
+            ),
+        ) {
+            let slc = LatencyModel::slc_nvram();
+            let mut nv = Nvram::with_channels(1 << 30, channels);
+            let reference: Vec<Timeline> = (0..channels).map(|_| Timeline::new()).collect();
+            // Per channel, every program granted, in grant order.
+            let mut granted: Vec<Vec<Group>> = vec![Vec::new(); channels];
+            // Per op: its ack and the (channel, program) of each share.
+            let mut acks: Vec<(Nanos, Vec<(usize, usize)>)> = Vec::new();
+            let mut now = 0;
+            for (gap, sizes) in ops {
+                now += gap;
+                let first = nv.next_channel;
+                for &len in &sizes {
+                    nv.log(vec![0; len]).unwrap();
+                }
+                let ack = nv.program(&sizes, now);
+                let mut shares = Vec::new();
+                for k in 0..sizes.len().min(channels) {
+                    let c = (first + k) % channels;
+                    let bytes: usize = sizes[k..].iter().step_by(channels).sum();
+                    let group = nv.channels[c].group;
+                    match granted[c].last_mut() {
+                        Some(last) if last.start == group.start => *last = group,
+                        _ => granted[c].push(group),
+                    }
+                    let own = reference[c].reserve(now, slc.page_program(bytes)).end;
+                    proptest::prop_assert!(
+                        group.end <= own,
+                        "share acks {} > per-op {}",
+                        group.end,
+                        own
+                    );
+                    shares.push((c, granted[c].len() - 1));
+                }
+                acks.push((ack, shares));
+                // Nothing issued now is granted time inside a program:
+                // the timelines forget no program that is still running.
+                for (c, programs) in granted.iter().enumerate() {
+                    let probe = nv.channels[c].timeline.probe(now, 1).start;
+                    let inside = programs.iter().find(|g| g.start <= probe && probe < g.end);
+                    proptest::prop_assert!(
+                        inside.is_none(),
+                        "channel {} grants {} inside {:?}",
+                        c,
+                        probe,
+                        inside
+                    );
+                }
+            }
+            for programs in &granted {
+                for g in programs {
+                    proptest::prop_assert_eq!(g.end - g.start, slc.program_ns);
+                }
+                for w in programs.windows(2) {
+                    proptest::prop_assert!(w[0].end <= w[1].start, "{:?} overlaps {:?}", w[0], w[1]);
+                }
+            }
+            for (ack, shares) in acks {
+                let last = shares.iter().map(|&(c, g)| granted[c][g].end).max().unwrap();
+                proptest::prop_assert_eq!(ack, last);
+            }
+        }
     }
 
     #[test]

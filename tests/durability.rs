@@ -235,6 +235,53 @@ fn power_lost_mid_group_keeps_the_logged_prefix_of_a_write() {
     assert!(a.verify_integrity().is_empty());
 }
 
+/// The same across writes: writes issued at one instant commit in groups
+/// that load while their NVRAM channels are busy. Power lost on the
+/// second intent of a write whose records join such a group (it has not
+/// programmed yet) loses no acknowledged write, and tears that write at
+/// its logged prefix: a record is durable once logged, grouped or not.
+#[test]
+fn power_lost_mid_group_of_several_writes_keeps_every_acked_write() {
+    let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+    let vol = a.create_volume("db", 8 << 20).unwrap();
+    let unit = 64 * 1024; // two 32 KiB intents, on two of the 8 channels
+    let old = sectors(1, 13 * unit / SECTOR);
+    a.write(vol, 0, &old).unwrap();
+    a.advance(10_000_000);
+    let new = sectors(2, 13 * unit / SECTOR);
+    // Writes 0–3 find their channels idle and program alone, 4–7 open a
+    // group behind them, 8–11 join those groups: same ack, no program
+    // of their own.
+    let acks: Vec<_> = (0..12)
+        .map(|i| {
+            let at = i * unit;
+            a.write(vol, at as u64, &new[at..at + unit])
+                .unwrap()
+                .latency
+        })
+        .collect();
+    assert!(acks[4] > acks[0], "channels busy after the first round");
+    assert_eq!(
+        acks[8..],
+        acks[4..8],
+        "the third round joins the second's groups"
+    );
+    // Write 12 joins too; power is lost on its second intent.
+    a.arm_power_loss(CrashTarget::NvramAppend, 1, 100);
+    let at = 12 * unit;
+    assert!(a.write(vol, at as u64, &new[at..]).is_err());
+    assert!(!a.powered());
+    a.power_loss(PowerLossSpec::default()).unwrap();
+    let (read, _) = a.read(vol, 0, new.len()).unwrap();
+    let chunk = 32 * 1024;
+    for (i, got) in read.chunks(chunk).enumerate() {
+        // Writes 0–11 and the first intent of write 12 are new.
+        let want = if i <= 24 { &new } else { &old };
+        assert!(got == &want[i * chunk..(i + 1) * chunk], "chunk {i}");
+    }
+    assert!(a.verify_integrity().is_empty());
+}
+
 /// Recovery writes nothing back: thirty power losses on one tiered
 /// array, a write burst and a checkpoint before each, and every cold
 /// start loads what the one before it did plus the burst's facts — never

@@ -551,6 +551,35 @@ fn tier_stages_are_emitted_and_registered() {
 // reads of that interval queue less (read-queueing p99 294.9 -> 196.6
 // us, max 488.0 -> 292.8 us). No host op count moved. The other two
 // scenarios are byte-identical.
+//
+// Re-pinned when writes began committing in groups across ops: a share
+// of an NVRAM channel issued while the channel programs loads behind
+// that program and joins the next one. Only write acks moved, and what
+// follows from them; `plain_mix` is byte-identical (no write of it
+// finds its channel busy).
+// - `tiered_cycle`: its two 512 KiB writes, issued at one instant behind
+//   the volume creations' meta commits on channels 0 and 1, ack at
+//   212.95 us (274.70: the meta program, then 161.75 us of transfer and
+//   program; now the 65 KiB loads while the meta program runs) and
+//   312.95 us (436.45). So `array_write_latency`, the two write slow
+//   ops' spans, `trace_blame_ns{category="nvram_commit"}` 687.15 ->
+//   501.90 us and the first interval's tail-blame cohort moved.
+// - `host_closed_loop`: the 973 writes ack sooner (mean 399.5 -> 185.5
+//   us, max 517.6 -> 228.2 us, `nvram_commit` blame 377.0 -> 168.8
+//   ms), so the closed loop issues its reads closer together and they
+//   queue more at the drives (`drive_queue` blame 47.7 -> 54.8 ms,
+//   direct-read queueing p99 196.6 -> 278.5 us, read p99 294.9 -> 327.7
+//   us; 3 more reads rebuilt, `array_reads{path="reconstructed"}` 4 ->
+//   7). The 2 000 ops fill two recorder intervals instead of three, so
+//   the failover, due at 20 ms after the last op either way, is counted
+//   an interval earlier, and the document is 219 bytes shorter. Its
+//   downtime (491.35 us) and every host op count are unchanged.
+// - `cluster_kill_and_repl_ship`: the slowest write of cluster nodes 0
+//   and 1 is 214.85 us (217.70), of the replication source and
+//   destination 243.35 us (274.70: a write's 33 KiB intent queued
+//   behind the previous write's 131.35 us program now loads while it
+//   runs). Their `array_write_latency` tails, `nvram_commit` blame and
+//   tail-blame cohorts moved; node 2 is byte-identical.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -669,7 +698,7 @@ fn export_contract_tiered_cycle() {
     assert_export_digest(
         "tiered_cycle",
         &[a.export_observability_json()],
-        &[(79_196, 0x1476_8e00_27f3_8d16)],
+        &[(79_196, 0x503a_6a4e_7577_5fab)],
     );
 }
 
@@ -709,7 +738,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(43_659, 0x7714_756b_489b_72c7)],
+        &[(43_440, 0x93e2_5e42_ed4d_a4d3)],
     );
 }
 
@@ -778,11 +807,11 @@ fn export_contract_cluster_kill_and_repl_ship() {
         "cluster_kill_and_repl_ship",
         &docs,
         &[
-            (16_368, 0x3eeb_3a31_a202_d0a5),
-            (352_950, 0x266b_7e90_9dfb_c36a),
+            (16_368, 0xae77_55fe_519b_5bfb),
+            (352_950, 0x5d4f_400d_74a9_c451),
             (347_436, 0x0507_31b2_6acd_01db),
-            (88_262, 0x6694_55f3_1357_86bc),
-            (86_672, 0x7e5e_0e27_efda_cb3f),
+            (88_262, 0xaff0_b49d_5813_14ad),
+            (86_672, 0xca0d_fcb9_b002_b5ce),
         ],
     );
 }

@@ -29,20 +29,21 @@ const VOL_BYTES: u64 = 96 << 20;
 const OPS: u64 = 8_000;
 
 /// Issues `ops` generated ops, advancing the clock by the generator's
-/// gap after each; `gc_every` > 0 runs a GC pass that often.
+/// gap after each; `gc_every` > 0 runs a GC pass that often. Returns the
+/// read latencies and the write latencies.
 fn drive(
     a: &mut FlashArray,
     vol: purity_core::VolumeId,
     gen: &mut WorkloadGen,
     ops: u64,
     gc_every: u64,
-) -> LatencyHistogram {
-    let mut reads = LatencyHistogram::new();
+) -> (LatencyHistogram, LatencyHistogram) {
+    let (mut reads, mut writes) = (LatencyHistogram::new(), LatencyHistogram::new());
     for i in 1..=ops {
         match gen.next_op() {
             Op::Read { offset, len } => reads.record(a.read(vol, offset, len).unwrap().1.latency),
             Op::Write { offset, data } => {
-                a.write(vol, offset, &data).unwrap();
+                writes.record(a.write(vol, offset, &data).unwrap().latency)
             }
         }
         a.advance(gen.interarrival);
@@ -50,7 +51,7 @@ fn drive(
             a.run_gc().unwrap();
         }
     }
-    reads
+    (reads, writes)
 }
 
 /// Runs the scaled mix; returns the window's read latencies and the
@@ -85,7 +86,7 @@ fn scaled_e2(seed: u64) -> (LatencyHistogram, Nanos) {
         ContentModel::Rdbms,
         650_000,
     );
-    let reads = drive(&mut a, vol, &mut mix, OPS, 0);
+    let (reads, _) = drive(&mut a, vol, &mut mix, OPS, 0);
     let worst_program_stall = a
         .obs()
         .tracer
@@ -168,7 +169,7 @@ fn tier_shift(seed: u64) -> LatencyHistogram {
             400_000,
         )
     };
-    let mut reads = drive(&mut a, day, &mut phase(1), TIER_OPS_PER_PHASE, 0);
+    let (mut reads, _) = drive(&mut a, day, &mut phase(1), TIER_OPS_PER_PHASE, 0);
     for _ in 0..12 {
         a.advance(50 * MS);
     }
@@ -176,9 +177,9 @@ fn tier_shift(seed: u64) -> LatencyHistogram {
         a.stats().tier_demotions > 0,
         "seed {seed}: nothing was demoted"
     );
-    reads.merge(&drive(&mut a, night, &mut phase(2), TIER_OPS_PER_PHASE, 0));
+    reads.merge(&drive(&mut a, night, &mut phase(2), TIER_OPS_PER_PHASE, 0).0);
     let cold_reads = a.stats().cold_reads;
-    reads.merge(&drive(&mut a, day, &mut phase(3), TIER_OPS_PER_PHASE, 0));
+    reads.merge(&drive(&mut a, day, &mut phase(3), TIER_OPS_PER_PHASE, 0).0);
     assert!(
         a.stats().cold_reads > cold_reads,
         "seed {seed}: the morning read nothing cold"
@@ -256,7 +257,7 @@ fn gc_churn(seed: u64) -> LatencyHistogram {
     let mut warm = gen(0x03_11, AccessPattern::Uniform, 0, 100_000);
     drive(&mut a, vol, &mut warm, 256, 25);
     let mut window = gen(0x03_7F, AccessPattern::Uniform, 60, 100_000);
-    drive(&mut a, vol, &mut window, CHURN_OPS, 50)
+    drive(&mut a, vol, &mut window, CHURN_OPS, 50).0
 }
 
 /// A quarter of the scorecard's 4 000 window ops. When a relocation
@@ -294,8 +295,9 @@ fn gc_churn_meets_the_budget_seed_2() {
 /// checkpoint, then the five crash phases in the sweep's order, each
 /// staged after 60 ops of the sweep's mix (uniform, 40 % reads of 512 B
 /// to 16 KiB, one op every 200 us) on the volumes in turn. Returns every
-/// read's latency.
-fn crash_life(seed: u64) -> LatencyHistogram {
+/// read's latency and every write's after the preload, the staged
+/// bursts' included.
+fn crash_life(seed: u64) -> (LatencyHistogram, LatencyHistogram) {
     const CRASH_VOL_BYTES: u64 = 2 << 20;
     let mut a = FlashArray::new(ArrayConfig::tiered()).expect("format");
     let vols = [
@@ -327,33 +329,39 @@ fn crash_life(seed: u64) -> LatencyHistogram {
         ContentModel::Rdbms,
         200_000,
     );
-    // Writes until one is refused: the armed power loss fired.
+    let (mut reads, mut writes) = (LatencyHistogram::new(), LatencyHistogram::new());
+    // Writes, all at one instant, until one is refused: the armed power
+    // loss fired.
     let push_writes = |a: &mut FlashArray, gen: &mut WorkloadGen, vol, n: usize| {
+        let mut writes = LatencyHistogram::new();
         for _ in 0..n {
             let (offset, data) = loop {
                 if let Op::Write { offset, data } = gen.next_op() {
                     break (offset, data);
                 }
             };
-            if a.write(vol, offset, &data).is_err() {
-                break;
+            match a.write(vol, offset, &data) {
+                Ok(ack) => writes.record(ack.latency),
+                Err(_) => break,
             }
         }
+        writes
     };
-    let mut reads = LatencyHistogram::new();
     for phase in 0..5 {
         let vol = vols[phase % vols.len()];
-        reads.merge(&drive(&mut a, vol, &mut gen, 60, 0));
+        let (r, w) = drive(&mut a, vol, &mut gen, 60, 0);
+        reads.merge(&r);
+        writes.merge(&w);
         // `CrashPhase::ALL`'s order: a torn NVRAM tail, a torn segment
         // flush, a torn checkpoint, a clean cut, a torn demotion.
         match phase {
             0 => {
                 a.arm_power_loss(CrashTarget::NvramAppend, 0, 17);
-                push_writes(&mut a, &mut gen, vol, 4);
+                writes.merge(&push_writes(&mut a, &mut gen, vol, 4));
             }
             1 => {
                 a.arm_power_loss(CrashTarget::SegmentWrite, 1, 1000);
-                push_writes(&mut a, &mut gen, vol, 256);
+                writes.merge(&push_writes(&mut a, &mut gen, vol, 256));
                 if a.powered() {
                     let _ = a.checkpoint();
                 }
@@ -375,7 +383,7 @@ fn crash_life(seed: u64) -> LatencyHistogram {
         }
         a.power_loss(PowerLossSpec::default()).unwrap();
     }
-    reads
+    (reads, writes)
 }
 
 /// When a cold start forgot the write schedule, the programs the drives
@@ -385,7 +393,7 @@ fn crash_life(seed: u64) -> LatencyHistogram {
 /// them. Now 207.2 us.
 #[test]
 fn a_crash_sweep_life_meets_the_budget() {
-    let reads = crash_life(1);
+    let (reads, _) = crash_life(1);
     assert!(reads.count() > 100, "only {} reads", reads.count());
     assert!(
         reads.p99() < MS,
@@ -393,6 +401,25 @@ fn a_crash_sweep_life_meets_the_budget() {
         reads.p99(),
         reads.count(),
         reads.max()
+    );
+}
+
+/// The staged bursts issue up to 256 writes at one instant. While each
+/// write's share of an NVRAM channel was a program of its own, queued
+/// behind the one before, the burst's writes alone had p99 2.62 / 2.51
+/// / 2.52 ms on seeds 1–3. Now a write that finds its channel busy joins
+/// the group loading behind the running program: p99 221 us, max 317 us
+/// on seed 1.
+#[test]
+fn a_crash_sweep_life_meets_the_write_budget() {
+    let (_, writes) = crash_life(1);
+    assert!(writes.count() > 200, "only {} writes", writes.count());
+    assert!(
+        writes.p99() < MS,
+        "write p99 across five cold starts {} ns over {} writes (max {} ns)",
+        writes.p99(),
+        writes.count(),
+        writes.max()
     );
 }
 
