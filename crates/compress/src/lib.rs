@@ -20,6 +20,10 @@ const MIN_MATCH: usize = 4;
 /// Match offsets are 16-bit, so the effective window is 64 KiB — matched
 /// to Purity's 32 KiB maximum cblock size with room to spare.
 const MAX_OFFSET: usize = 65_535;
+/// The largest block [`compress`] LZ-encodes (a larger one is stored
+/// raw), and so the largest LZ length [`decompress`] accepts: twice
+/// Purity's 32 KiB maximum cblock.
+const MAX_BLOCK: usize = 64 * 1024;
 
 const FORMAT_RAW: u8 = 0;
 const FORMAT_LZ: u8 = 1;
@@ -33,7 +37,8 @@ pub enum CompressError {
     BadFormat,
     /// A match referenced data before the start of the output.
     BadMatchOffset,
-    /// Declared size does not match decoded size.
+    /// Declared size does not match decoded size, or is larger than any
+    /// block [`compress`] LZ-encodes.
     LengthMismatch,
 }
 
@@ -142,6 +147,9 @@ fn common_prefix(data: &[u8], a_at: usize, b_at: usize) -> usize {
 /// Compresses a block. Output always begins with a format byte and the
 /// varint original length; incompressible input is stored raw.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    if input.len() > MAX_BLOCK {
+        return store_raw(input);
+    }
     TABLE.with(|t| compress_with(&mut t.borrow_mut(), input))
 }
 
@@ -235,7 +243,21 @@ fn emit_token(out: &mut Vec<u8>, literals: &[u8], m: Option<(usize, usize)>) {
     }
 }
 
-/// Decompresses a block produced by [`compress`].
+/// A length nibble of 15 continues in the varint at `cursor`: `base` plus
+/// that varint. No run is longer than a block, which keeps every length
+/// sum in range.
+fn extended(base: usize, input: &[u8], cursor: &mut usize) -> Result<usize, CompressError> {
+    let (ext, n) = varint::decode(&input[*cursor..]).ok_or(CompressError::Truncated)?;
+    *cursor += n;
+    match usize::try_from(ext) {
+        Ok(ext) if ext <= MAX_BLOCK => Ok(base + ext),
+        _ => Err(CompressError::LengthMismatch),
+    }
+}
+
+/// Decompresses a block produced by [`compress`]. Total on any input: a
+/// corrupt block is an error, never a panic, and never sizes more output
+/// than the largest block [`compress`] LZ-encodes.
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
     let mut cursor = 0;
     let format = *input.first().ok_or(CompressError::Truncated)?;
@@ -253,6 +275,9 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
             Ok(body.to_vec())
         }
         FORMAT_LZ => {
+            if orig_len > MAX_BLOCK {
+                return Err(CompressError::LengthMismatch);
+            }
             let mut out = Vec::with_capacity(orig_len);
             while out.len() < orig_len {
                 let token = *input.get(cursor).ok_or(CompressError::Truncated)?;
@@ -260,16 +285,15 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
                 let mut lit_len = (token >> 4) as usize;
                 let mut match_code = (token & 0xf) as usize;
                 if lit_len == 15 {
-                    let (ext, n) =
-                        varint::decode(&input[cursor..]).ok_or(CompressError::Truncated)?;
-                    cursor += n;
-                    lit_len += ext as usize;
+                    lit_len = extended(lit_len, input, &mut cursor)?;
                 }
                 if match_code == 15 {
-                    let (ext, n) =
-                        varint::decode(&input[cursor..]).ok_or(CompressError::Truncated)?;
-                    cursor += n;
-                    match_code += ext as usize;
+                    match_code = extended(match_code, input, &mut cursor)?;
+                }
+                // Neither the literals nor the match may run past the
+                // declared length.
+                if lit_len > orig_len - out.len() {
+                    return Err(CompressError::LengthMismatch);
                 }
                 let lits = input
                     .get(cursor..cursor + lit_len)
@@ -283,6 +307,9 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, CompressError> {
                     cursor += 2;
                     let offset = u16::from_le_bytes([off_bytes[0], off_bytes[1]]) as usize;
                     let match_len = match_code - 1 + MIN_MATCH;
+                    if match_len > orig_len - out.len() {
+                        return Err(CompressError::LengthMismatch);
+                    }
                     if offset == 0 || offset > out.len() {
                         return Err(CompressError::BadMatchOffset);
                     }
@@ -435,6 +462,42 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = 9;
         assert_eq!(decompress(&bad).unwrap_err(), CompressError::BadFormat);
+    }
+
+    #[test]
+    fn an_lz_block_declaring_u64_max_bytes_is_an_error() {
+        let mut block = vec![FORMAT_LZ];
+        varint::encode(u64::MAX, &mut block);
+        assert_eq!(decompress(&block), Err(CompressError::LengthMismatch));
+    }
+
+    #[test]
+    fn a_literal_run_of_u64_max_bytes_is_an_error() {
+        let mut block = vec![FORMAT_LZ];
+        varint::encode(100, &mut block);
+        block.push(0xF0);
+        varint::encode(u64::MAX, &mut block);
+        assert_eq!(decompress(&block), Err(CompressError::LengthMismatch));
+    }
+
+    #[test]
+    fn a_match_of_u64_max_bytes_is_an_error() {
+        let mut block = vec![FORMAT_LZ];
+        varint::encode(100, &mut block);
+        // One literal, then a match whose length continues in a varint.
+        block.push(0x1F);
+        varint::encode(u64::MAX, &mut block);
+        block.extend_from_slice(&[b'a', 1, 0]);
+        assert_eq!(decompress(&block), Err(CompressError::LengthMismatch));
+    }
+
+    #[test]
+    fn blocks_past_the_lz_bound_are_stored_raw() {
+        let data = vec![7u8; MAX_BLOCK + 1];
+        let packed = compress(&data);
+        assert_eq!(packed[0], FORMAT_RAW);
+        assert_eq!(decompress(&packed).unwrap(), data);
+        assert!(round_trip(&data[..MAX_BLOCK]) < 1024);
     }
 
     #[test]

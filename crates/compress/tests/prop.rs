@@ -32,6 +32,18 @@ proptest! {
         let _ = decompress(&enc[..cut]); // may Err, must not panic
     }
 
+    /// Arbitrary bytes after either format byte are a block or an error,
+    /// never a panic.
+    #[test]
+    fn arbitrary_blocks_never_panic(
+        lz in any::<bool>(),
+        body in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        let mut block = vec![u8::from(lz)];
+        block.extend_from_slice(&body);
+        let _ = decompress(&block);
+    }
+
     #[test]
     fn varint_round_trips(v in any::<u64>()) {
         let mut buf = Vec::new();

@@ -9,10 +9,9 @@
 //! (segments, mediums, volumes) serialized whole.
 
 use crate::error::{PurityError, Result};
-use crate::records::{MediumFact, SegmentFact};
+use crate::records::{MediumFact, RecordReader, RecordWriter};
+use crate::segment::SegmentInfo;
 use crate::shelf::{ColumnWrite, Shelf};
-use purity_compress::varint;
-use purity_dedup::hash::block_hash;
 use purity_lsm::Seq;
 use purity_sim::Nanos;
 
@@ -92,213 +91,111 @@ pub struct Checkpoint {
     pub map_patches: Vec<PatchLoc>,
 }
 
-fn encode_string(s: &str, out: &mut Vec<u8>) {
-    varint::encode(s.len() as u64, out);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn decode_string(input: &[u8], at: &mut usize) -> Option<String> {
-    let (len, n) = varint::decode(&input[*at..])?;
-    *at += n;
-    let end = at.checked_add(usize::try_from(len).ok()?)?;
-    let bytes = input.get(*at..end)?;
-    *at = end;
-    String::from_utf8(bytes.to_vec()).ok()
-}
-
-/// Capacity for `n` items read from a body with `left` bytes to go:
-/// every item takes at least a byte, so a count no body could hold
-/// never reaches the allocator.
-fn capacity(n: u64, left: usize) -> usize {
-    n.min(left as u64) as usize
-}
-
-fn encode_rows(rows: &[Vec<u64>], arity: usize, out: &mut Vec<u8>) {
-    varint::encode(rows.len() as u64, out);
-    for row in rows {
-        debug_assert_eq!(row.len(), arity);
-        for &v in row {
-            varint::encode(v, out);
-        }
-    }
-}
-
-fn decode_rows(input: &[u8], at: &mut usize, arity: usize) -> Option<Vec<Vec<u64>>> {
-    let (n, used) = varint::decode(&input[*at..])?;
-    *at += used;
-    let mut rows = Vec::with_capacity(capacity(n, input.len() - *at));
-    for _ in 0..n {
-        let mut row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let (v, used) = varint::decode(&input[*at..])?;
-            *at += used;
-            row.push(v);
-        }
-        rows.push(row);
-    }
-    Some(rows)
-}
-
 impl Checkpoint {
-    /// Serializes with magic, length and trailing checksum.
+    /// Serializes as magic, stripe width, then the body behind its length
+    /// and a trailing checksum.
     pub fn encode(&self, stripe_width: usize) -> Vec<u8> {
-        let mut body = Vec::with_capacity(4096);
-        varint::encode(self.version, &mut body);
-        varint::encode(self.watermark, &mut body);
-        varint::encode(self.high_seq, &mut body);
-        varint::encode(self.next_segment, &mut body);
-        varint::encode(self.next_medium, &mut body);
-        varint::encode(self.next_volume, &mut body);
-        varint::encode(self.next_snapshot, &mut body);
-        varint::encode(self.frontier.len() as u64, &mut body);
-        for &f in &self.frontier {
-            varint::encode(f, &mut body);
+        let segment_cols = SegmentInfo::ROW_FIELDS + stripe_width;
+        let row = |arity: usize| {
+            move |w: &mut RecordWriter, row: &Vec<u64>| {
+                debug_assert_eq!(row.len(), arity);
+                for &v in row {
+                    w.uint(v);
+                }
+            }
+        };
+        let mut body = RecordWriter::new(Vec::with_capacity(4096));
+        for v in [
+            self.version,
+            self.watermark,
+            self.high_seq,
+            self.next_segment,
+            self.next_medium,
+            self.next_volume,
+            self.next_snapshot,
+        ] {
+            body.uint(v);
         }
-        encode_rows(
-            &self.segment_rows,
-            SegmentFact::cols(stripe_width),
-            &mut body,
-        );
-        encode_rows(&self.medium_rows, MediumFact::COLS, &mut body);
-        varint::encode(self.volumes.len() as u64, &mut body);
-        for v in &self.volumes {
-            varint::encode(v.id, &mut body);
-            varint::encode(v.anchor_medium, &mut body);
-            varint::encode(v.size_sectors, &mut body);
-            encode_string(&v.name, &mut body);
-        }
-        varint::encode(self.snapshots.len() as u64, &mut body);
-        for s in &self.snapshots {
-            varint::encode(s.id, &mut body);
-            varint::encode(s.volume, &mut body);
-            varint::encode(s.medium, &mut body);
-            encode_string(&s.name, &mut body);
-        }
-        varint::encode(self.elided_mediums.len() as u64, &mut body);
-        for &(a, b) in &self.elided_mediums {
-            varint::encode(a, &mut body);
-            varint::encode(b, &mut body);
-        }
-        varint::encode(self.map_patches.len() as u64, &mut body);
-        for p in &self.map_patches {
-            varint::encode(p.segment, &mut body);
-            varint::encode(p.log_offset, &mut body);
-            varint::encode(p.len, &mut body);
-        }
+        body.list(&self.frontier, |w, &au| {
+            w.uint(au);
+        })
+        .list(&self.segment_rows, row(segment_cols))
+        .list(&self.medium_rows, row(MediumFact::COLS))
+        .list(&self.volumes, |w, v| {
+            w.uint(v.id)
+                .uint(v.anchor_medium)
+                .uint(v.size_sectors)
+                .str(&v.name);
+        })
+        .list(&self.snapshots, |w, s| {
+            w.uint(s.id).uint(s.volume).uint(s.medium).str(&s.name);
+        })
+        .list(&self.elided_mediums, |w, &(a, b)| {
+            w.uint(a).uint(b);
+        })
+        .list(&self.map_patches, |w, p| {
+            w.uint(p.segment).uint(p.log_offset).uint(p.len);
+        });
+        let body = body.into_bytes();
 
-        let mut out = Vec::with_capacity(body.len() + 32);
-        out.extend_from_slice(&BOOT_MAGIC.to_le_bytes());
-        varint::encode(stripe_width as u64, &mut out);
-        varint::encode(body.len() as u64, &mut out);
-        out.extend_from_slice(&body);
-        // Checksum covers the header varints too, not just the body: a
-        // flipped stripe_width changes SegmentFact arity parsing, which
+        // The checksum covers the header varints too, not just the body:
+        // a flipped stripe_width changes the segment rows' arity, which
         // would otherwise decode the body into garbage rows while the
         // body checksum still passed.
-        out.extend_from_slice(&block_hash(&out[8..]).to_le_bytes());
-        out
+        let mut w = RecordWriter::magic(Vec::with_capacity(body.len() + 32), BOOT_MAGIC);
+        w.uint(stripe_width as u64).bytes(&body);
+        w.finish()
     }
 
     /// Deserializes and verifies a checkpoint. Returns `None` for
     /// missing/corrupt slots (recovery falls back to the other slot).
     pub fn decode(input: &[u8]) -> Option<(Self, usize)> {
-        if input.len() < 8 || input[..8] != BOOT_MAGIC.to_le_bytes() {
-            return None;
-        }
-        let mut at = 8;
-        let (stripe_width, n) = varint::decode(&input[at..])?;
-        at += n;
-        let (body_len, n) = varint::decode(&input[at..])?;
-        at += n;
-        let csum_at = at.checked_add(usize::try_from(body_len).ok()?)?;
-        let body = input.get(at..csum_at)?;
-        let csum_bytes = input.get(csum_at..csum_at.checked_add(8)?)?;
-        if u64::from_le_bytes(csum_bytes.try_into().ok()?) != block_hash(&input[8..csum_at]) {
-            return None;
-        }
-        let stripe_width = stripe_width as usize;
-
-        let mut at = 0;
-        let next = |at: &mut usize| -> Option<u64> {
-            let (v, n) = varint::decode(&body[*at..])?;
-            *at += n;
-            Some(v)
+        let mut frame = RecordReader::magic(input, BOOT_MAGIC)?;
+        let stripe_width = frame.uint()?;
+        let body = frame.bytes()?;
+        let used = frame.finish()?;
+        // A width no row could have is refused before it sizes anything.
+        let segment_cols = usize::try_from(stripe_width)
+            .ok()?
+            .checked_add(SegmentInfo::ROW_FIELDS)?;
+        let mut r = RecordReader::new(body);
+        let cp = Self {
+            version: r.uint()?,
+            watermark: r.uint()?,
+            high_seq: r.uint()?,
+            next_segment: r.uint()?,
+            next_medium: r.uint()?,
+            next_volume: r.uint()?,
+            next_snapshot: r.uint()?,
+            frontier: r.list(1, RecordReader::uint)?,
+            segment_rows: r.list(segment_cols, |r| r.row(segment_cols))?,
+            medium_rows: r.list(MediumFact::COLS, |r| r.row(MediumFact::COLS))?,
+            volumes: r.list(4, |r| {
+                Some(VolumeMeta {
+                    id: r.uint()?,
+                    anchor_medium: r.uint()?,
+                    size_sectors: r.uint()?,
+                    name: r.string()?,
+                })
+            })?,
+            snapshots: r.list(4, |r| {
+                Some(SnapMeta {
+                    id: r.uint()?,
+                    volume: r.uint()?,
+                    medium: r.uint()?,
+                    name: r.string()?,
+                })
+            })?,
+            elided_mediums: r.list(2, |r| Some((r.uint()?, r.uint()?)))?,
+            map_patches: r.list(3, |r| {
+                Some(PatchLoc {
+                    segment: r.uint()?,
+                    log_offset: r.uint()?,
+                    len: r.uint()?,
+                })
+            })?,
         };
-        let version = next(&mut at)?;
-        let watermark = next(&mut at)?;
-        let high_seq = next(&mut at)?;
-        let next_segment = next(&mut at)?;
-        let next_medium = next(&mut at)?;
-        let next_volume = next(&mut at)?;
-        let next_snapshot = next(&mut at)?;
-        let n_frontier = next(&mut at)?;
-        let mut frontier = Vec::with_capacity(capacity(n_frontier, body.len() - at));
-        for _ in 0..n_frontier {
-            frontier.push(next(&mut at)?);
-        }
-        let segment_rows = decode_rows(body, &mut at, SegmentFact::cols(stripe_width))?;
-        let medium_rows = decode_rows(body, &mut at, MediumFact::COLS)?;
-        let n_vols = next(&mut at)?;
-        let mut volumes = Vec::with_capacity(capacity(n_vols, body.len() - at));
-        for _ in 0..n_vols {
-            let id = next(&mut at)?;
-            let anchor_medium = next(&mut at)?;
-            let size_sectors = next(&mut at)?;
-            let name = decode_string(body, &mut at)?;
-            volumes.push(VolumeMeta {
-                id,
-                anchor_medium,
-                size_sectors,
-                name,
-            });
-        }
-        let n_snaps = next(&mut at)?;
-        let mut snapshots = Vec::with_capacity(capacity(n_snaps, body.len() - at));
-        for _ in 0..n_snaps {
-            let id = next(&mut at)?;
-            let volume = next(&mut at)?;
-            let medium = next(&mut at)?;
-            let name = decode_string(body, &mut at)?;
-            snapshots.push(SnapMeta {
-                id,
-                volume,
-                medium,
-                name,
-            });
-        }
-        let n_elided = next(&mut at)?;
-        let mut elided_mediums = Vec::with_capacity(capacity(n_elided, body.len() - at));
-        for _ in 0..n_elided {
-            elided_mediums.push((next(&mut at)?, next(&mut at)?));
-        }
-        let n_patches = next(&mut at)?;
-        let mut map_patches = Vec::with_capacity(capacity(n_patches, body.len() - at));
-        for _ in 0..n_patches {
-            map_patches.push(PatchLoc {
-                segment: next(&mut at)?,
-                log_offset: next(&mut at)?,
-                len: next(&mut at)?,
-            });
-        }
-        Some((
-            Self {
-                version,
-                watermark,
-                high_seq,
-                next_segment,
-                next_medium,
-                next_volume,
-                next_snapshot,
-                frontier,
-                segment_rows,
-                medium_rows,
-                volumes,
-                snapshots,
-                elided_mediums,
-                map_patches,
-            },
-            csum_at + 8,
-        ))
+        Some((cp, used))
     }
 }
 
@@ -331,16 +228,10 @@ impl BootRegion {
     /// Total serialized length of a checkpoint whose prefix is `bytes`,
     /// or `None` if the prefix is not a checkpoint header.
     fn total_len(bytes: &[u8]) -> Option<usize> {
-        if bytes.len() < 8 || bytes[..8] != BOOT_MAGIC.to_le_bytes() {
-            return None;
-        }
-        let mut at = 8;
-        let (_, n) = varint::decode(&bytes[at..])?;
-        at += n;
-        let (body_len, n) = varint::decode(&bytes[at..])?;
-        at += n;
-        at.checked_add(usize::try_from(body_len).ok()?)?
-            .checked_add(8)
+        let mut r = RecordReader::magic(bytes, BOOT_MAGIC)?;
+        r.uint()?; // stripe width
+        let body_len = usize::try_from(r.uint()?).ok()?;
+        r.consumed().checked_add(body_len)?.checked_add(8)
     }
 
     /// Writes a checkpoint to slot `version % 2` on every mirror drive.
@@ -440,8 +331,8 @@ mod tests {
             next_volume: 2,
             next_snapshot: 3,
             frontier: vec![1, 2, 3, (7 << 32) | 4],
-            segment_rows: vec![vec![0; SegmentFact::cols(9)], {
-                let mut r = vec![1; SegmentFact::cols(9)];
+            segment_rows: vec![vec![0; 16], {
+                let mut r = vec![1; 16];
                 r[0] = 3;
                 r
             }],

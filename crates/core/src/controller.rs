@@ -18,7 +18,7 @@ use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
 use crate::medium::MediumTable;
-use crate::records::{encode_meta, map_patch_records, MapFact, MediumFact, MetaIntent, MetaOp};
+use crate::records::{encode_meta, map_patch_records, MediumFact, MetaIntent, MetaOp};
 use crate::segment::{SegmentInfo, SegmentWriter, COLD, HOT};
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
@@ -520,20 +520,8 @@ impl Controller {
             self.sync_open_segment(class);
         }
         let patch = self.map.flush().expect("memtable non-empty");
-        let rows: Vec<[u64; MapFact::COLS]> = patch
-            .iter()
-            .map(|((medium, sector), seq, val)| {
-                MapFact {
-                    medium: MediumId(*medium),
-                    sector: *sector,
-                    loc: val.loc,
-                    deduped: val.deduped,
-                    seq: *seq,
-                }
-                .to_row()
-            })
-            .collect();
-        for bytes in map_patch_records(&rows, rows.len()) {
+        let facts = patch.range_slice(Bound::Unbounded, Bound::Unbounded);
+        for bytes in map_patch_records(facts, facts.len()) {
             let loc = self.append_log_record(shelf, &bytes, now)?;
             self.map_patches.push(loc);
         }
@@ -616,9 +604,7 @@ impl Controller {
             next_volume: self.next_volume,
             next_snapshot: self.next_snapshot,
             frontier,
-            segment_rows: (self.segments.values())
-                .map(|s| s.to_fact().to_row(width))
-                .collect(),
+            segment_rows: (self.segments.values()).map(|s| s.to_row(width)).collect(),
             medium_rows: self
                 .mediums
                 .to_facts()

@@ -26,8 +26,8 @@
 
 use crate::controller::{Controller, MapKey, MapVal};
 use crate::error::Result;
-use crate::records::{map_patch_records, MapFact, SegmentState, PATCH_CHUNK_FACTS};
-use crate::segment::{SegmentInfo, HOT};
+use crate::records::{map_patch_records, PATCH_CHUNK_FACTS};
+use crate::segment::{SegmentInfo, SegmentState, HOT};
 use crate::shelf::Shelf;
 use crate::types::{BlockLoc, MediumId, Pba, SECTOR};
 use crate::write::encode_cblock;
@@ -471,19 +471,10 @@ impl Controller {
     /// Rewrites the flattened map as a compact set of patch records in
     /// the current segment and swaps the checkpoint patch list to them.
     fn rewrite_map_patches(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<()> {
-        let mut facts: Vec<[u64; MapFact::COLS]> = Vec::with_capacity(self.map.total_facts());
+        let mut facts = Vec::with_capacity(self.map.total_facts());
         self.map
-            .range_for_each(Bound::Unbounded, Bound::Unbounded, |key, val, seq| {
-                facts.push(
-                    MapFact {
-                        medium: MediumId(key.0),
-                        sector: key.1,
-                        loc: val.loc,
-                        deduped: val.deduped,
-                        seq,
-                    }
-                    .to_row(),
-                );
+            .range_for_each(Bound::Unbounded, Bound::Unbounded, |&key, &val, seq| {
+                facts.push((key, seq, val));
             });
         let mut new_patches = Vec::new();
         for bytes in map_patch_records(&facts, PATCH_CHUNK_FACTS) {

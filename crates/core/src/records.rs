@@ -10,31 +10,199 @@
 //! * **The checkpoint** — the boot region payload (§4.3): frontier set,
 //!   persisted-patch locations, medium/volume state, elide tables, and
 //!   the NVRAM trim watermark.
+//!
+//! Every durable record kind — these, the AU header, the replication
+//! cursor and the cluster config — is written by one [`RecordWriter`]
+//! and read by one [`RecordReader`].
 
+use crate::controller::{MapKey, MapVal};
 use crate::types::{BlockLoc, MediumId, Pba, SegmentId};
 use purity_compress::varint;
 use purity_dedup::hash::block_hash;
 use purity_format::Page;
 use purity_lsm::Seq;
 
-/// Appends an 8-byte content checksum over everything already in `out`
-/// starting at `from`. Every durable record carries one so that torn
-/// tails and bit flips *decode to an error* instead of garbage — the
+/// Builds one durable record in the frame every kind shares: a tag byte
+/// or an 8-byte magic, varint fields, length-prefixed bytes and counted
+/// lists, then an 8-byte content checksum. The checksum is what lets a
+/// torn tail or a bit flip *decode to an error* instead of garbage — the
 /// recovery paths lean on "undecodable" being a reliable signal.
-fn put_checksum(out: &mut Vec<u8>, from: usize) {
-    let h = block_hash(&out[from..]);
-    out.extend_from_slice(&h.to_le_bytes());
+pub(crate) struct RecordWriter {
+    out: Vec<u8>,
+    /// Where the span the checksum covers starts.
+    covered: usize,
 }
 
-/// Verifies the 8-byte checksum at `input[at..at + 8]` over
-/// `input[..at]`. Returns the total length consumed (body + checksum).
-fn check_checksum(input: &[u8], at: usize) -> Option<usize> {
-    let stored = input.get(at..at + 8)?;
-    let h = block_hash(&input[..at]);
-    if stored != h.to_le_bytes() {
-        return None;
+impl RecordWriter {
+    /// A bare section appended to `out`: no tag, and a checksum (if any)
+    /// over what is written from here on.
+    pub(crate) fn new(out: Vec<u8>) -> Self {
+        Self {
+            covered: out.len(),
+            out,
+        }
     }
-    Some(at + 8)
+
+    /// A record opening with `tag`, appended to `out`; its checksum
+    /// covers the tag.
+    pub(crate) fn tagged(out: Vec<u8>, tag: u8) -> Self {
+        let mut w = Self::new(out);
+        w.out.push(tag);
+        w
+    }
+
+    /// A record opening with an 8-byte `magic`; its checksum starts past
+    /// the magic, which readers compare as it is.
+    pub(crate) fn magic(mut out: Vec<u8>, magic: u64) -> Self {
+        out.extend_from_slice(&magic.to_le_bytes());
+        Self::new(out)
+    }
+
+    /// Appends a varint.
+    #[inline]
+    pub(crate) fn uint(&mut self, v: u64) -> &mut Self {
+        varint::encode(v, &mut self.out);
+        self
+    }
+
+    /// Appends `bytes` behind their length.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.uint(bytes.len() as u64);
+        self.out.extend_from_slice(bytes);
+        self
+    }
+
+    /// Appends a UTF-8 string behind its length.
+    pub(crate) fn str(&mut self, s: &str) -> &mut Self {
+        self.bytes(s.as_bytes())
+    }
+
+    /// Appends the count of `items`, then each as `put` writes it.
+    pub(crate) fn list<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) -> &mut Self {
+        self.uint(items.len() as u64);
+        for item in items {
+            put(self, item);
+        }
+        self
+    }
+
+    /// Appends the checksum and returns the record.
+    pub(crate) fn finish(mut self) -> Vec<u8> {
+        let h = block_hash(&self.out[self.covered..]);
+        self.out.extend_from_slice(&h.to_le_bytes());
+        self.out
+    }
+
+    /// The bytes written, without a checksum.
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
+        self.out
+    }
+}
+
+/// Reads one record a [`RecordWriter`] framed. Total on any input: every
+/// read is bounds-checked, and a count is bounded by the bytes left
+/// before it sizes an allocation, so damage yields `None` — never a
+/// panic, never an allocation the input could not back.
+pub(crate) struct RecordReader<'a> {
+    input: &'a [u8],
+    at: usize,
+    /// Where the span the checksum covers starts.
+    covered: usize,
+}
+
+impl<'a> RecordReader<'a> {
+    /// A bare section (no tag, checksum over everything read).
+    pub(crate) fn new(input: &'a [u8]) -> Self {
+        Self {
+            input,
+            at: 0,
+            covered: 0,
+        }
+    }
+
+    /// A record that must open with `tag`.
+    pub(crate) fn tagged(input: &'a [u8], tag: u8) -> Option<Self> {
+        (*input.first()? == tag).then_some(Self {
+            at: 1,
+            ..Self::new(input)
+        })
+    }
+
+    /// A record that must open with the 8-byte `magic`.
+    pub(crate) fn magic(input: &'a [u8], magic: u64) -> Option<Self> {
+        (*input.get(..8)? == magic.to_le_bytes()).then_some(Self {
+            input,
+            at: 8,
+            covered: 8,
+        })
+    }
+
+    /// Bytes read so far, the tag or magic included.
+    pub(crate) fn consumed(&self) -> usize {
+        self.at
+    }
+
+    /// Reads a varint.
+    #[inline]
+    pub(crate) fn uint(&mut self) -> Option<u64> {
+        let (v, n) = varint::decode(self.input.get(self.at..)?)?;
+        self.at += n;
+        Some(v)
+    }
+
+    /// Reads length-prefixed bytes.
+    pub(crate) fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = usize::try_from(self.uint()?).ok()?;
+        let bytes = self.input.get(self.at..self.at.checked_add(len)?)?;
+        self.at += len;
+        Some(bytes)
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub(crate) fn string(&mut self) -> Option<String> {
+        String::from_utf8(self.bytes()?.to_vec()).ok()
+    }
+
+    /// Reads a count of items that take at least `min_bytes` each, and
+    /// then the items; `None` if the bytes left cannot hold that many.
+    pub(crate) fn list<T>(
+        &mut self,
+        min_bytes: usize,
+        item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = usize::try_from(self.uint()?).ok()?;
+        self.items(n, min_bytes, item)
+    }
+
+    /// Reads `n` varints.
+    pub(crate) fn row(&mut self, n: usize) -> Option<Vec<u64>> {
+        self.items(n, 1, Self::uint)
+    }
+
+    fn items<T>(
+        &mut self,
+        n: usize,
+        min_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        if n.checked_mul(min_bytes)? > self.input.len() - self.at {
+            return None;
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Some(items)
+    }
+
+    /// Verifies the checksum that follows what was read; returns the
+    /// record's whole length.
+    pub(crate) fn finish(self) -> Option<usize> {
+        let end = self.at.checked_add(8)?;
+        let stored = self.input.get(self.at..end)?;
+        let h = block_hash(self.input.get(self.covered..self.at)?);
+        (*stored == h.to_le_bytes()).then_some(end)
+    }
 }
 
 /// Map-table fact: one 512 B sector of a medium resolves to a block
@@ -144,162 +312,57 @@ impl MediumFact {
     }
 }
 
-/// Segment-table fact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentFact {
-    /// The segment described.
-    pub segment: SegmentId,
-    /// Lifecycle state.
-    pub state: SegmentState,
-    /// AUs making up the stripe, in column order (data then parity).
-    pub columns: Vec<u64>,
-    /// Bytes of user data the segment holds (capacity used, not live).
-    pub data_bytes: u64,
-    /// Data stripes flushed (from the front).
-    pub data_stripes: u64,
-    /// Log stripes flushed (from the back).
-    pub log_stripes: u64,
-    /// Bytes of log records written.
-    pub log_bytes: u64,
-    /// Sequence number of the fact.
-    pub seq: Seq,
-}
+/// A log record's tag: the global VBA map, the one table patched through
+/// the log (segment and medium rows go to the checkpoint).
+const MAP_LOG_TAG: u8 = 1;
 
-/// Segment lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SegmentState {
-    /// Accepting appends.
-    Open,
-    /// Fully written; immutable until GC frees it.
-    Sealed,
-    /// Freed by GC; its AUs are reusable.
-    Free,
-}
-
-impl SegmentState {
-    fn to_u64(self) -> u64 {
-        match self {
-            SegmentState::Open => 0,
-            SegmentState::Sealed => 1,
-            SegmentState::Free => 2,
-        }
-    }
-
-    fn from_u64(v: u64) -> Self {
-        match v {
-            0 => SegmentState::Open,
-            1 => SegmentState::Sealed,
-            _ => SegmentState::Free,
-        }
-    }
-}
-
-/// The value of a column slot a narrower segment leaves empty: a cold
-/// segment has one column per cold drive, fewer than a hot stripe.
-const NO_COLUMN: u64 = u64::MAX;
-
-impl SegmentFact {
-    /// Page arity for a given stripe width.
-    pub fn cols(stripe_width: usize) -> usize {
-        7 + stripe_width
-    }
-
-    /// Encodes to a page row of [`SegmentFact::cols`]`(stripe_width)`.
-    pub fn to_row(&self, stripe_width: usize) -> Vec<u64> {
-        let mut row = vec![
-            self.segment.0,
-            self.state.to_u64(),
-            self.data_bytes,
-            self.seq,
-            self.data_stripes,
-            self.log_stripes,
-            self.log_bytes,
-        ];
-        row.extend_from_slice(&self.columns);
-        row.resize(Self::cols(stripe_width), NO_COLUMN);
-        row
-    }
-
-    /// Decodes from a page row.
-    pub fn from_row(r: &[u64]) -> Self {
-        Self {
-            segment: SegmentId(r[0]),
-            state: SegmentState::from_u64(r[1]),
-            data_bytes: r[2],
-            seq: r[3],
-            data_stripes: r[4],
-            log_stripes: r[5],
-            log_bytes: r[6],
-            columns: r[7..].iter().copied().filter(|&c| c != NO_COLUMN).collect(),
-        }
-    }
-}
-
-/// The table a log record's patch belongs to. Only the global VBA map
-/// is patched through the log; segment and medium rows go to the
-/// checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableId {
-    /// The global VBA map (tag byte 1 on flash).
-    Map = 1,
-}
-
-impl TableId {
-    fn from_u8(v: u8) -> Option<Self> {
-        (v == TableId::Map as u8).then_some(TableId::Map)
-    }
-}
-
-/// One log record: a patch of `table` facts, one per page row in the
-/// table's row format.
-#[derive(Debug, Clone)]
-pub struct LogRecord {
-    /// Which pyramid the facts belong to.
-    pub table: TableId,
-    /// The facts (§4.9).
-    pub page: Page,
-}
-
-/// Serializes a log record: the table tag, the page's byte form, then an
-/// 8-byte checksum over both.
-pub fn encode_log_record(rec: &LogRecord, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.push(rec.table as u8);
-    rec.page.write_to(out);
-    put_checksum(out, start);
+/// Serializes a map log record onto `out`: the tag, the page's byte
+/// form, then an 8-byte checksum over both.
+pub fn encode_log_record(page: &Page, out: &mut Vec<u8>) {
+    let mut w = RecordWriter::tagged(std::mem::take(out), MAP_LOG_TAG);
+    page.write_to(&mut w.out);
+    *out = w.finish();
 }
 
 /// Facts per map-patch record when GC rewrites the map (bounds
 /// log-record size so a record always fits a segment's log space).
 pub(crate) const PATCH_CHUNK_FACTS: usize = 8192;
 
-/// Encodes map-fact rows as patch log records of at most `chunk` facts
-/// each, in row order — the one encoder behind both the memtable flush
-/// (one record) and GC's patch rewrite.
+/// Encodes the map pyramid's `(key, seq, value)` facts as patch log
+/// records of at most `chunk` facts each, in order — the one encoder
+/// behind both the memtable flush (one record) and GC's patch rewrite.
 pub(crate) fn map_patch_records(
-    rows: &[[u64; MapFact::COLS]],
+    facts: &[(MapKey, Seq, MapVal)],
     chunk: usize,
 ) -> impl Iterator<Item = Vec<u8>> + '_ {
-    rows.chunks(chunk).map(|rows| {
-        let record = LogRecord {
-            table: TableId::Map,
-            page: Page::encode(rows),
-        };
+    facts.chunks(chunk).map(|facts| {
+        let rows: Vec<[u64; MapFact::COLS]> = (facts.iter())
+            .map(|&((medium, sector), seq, val)| {
+                MapFact {
+                    medium: MediumId(medium),
+                    sector,
+                    loc: val.loc,
+                    deduped: val.deduped,
+                    seq,
+                }
+                .to_row()
+            })
+            .collect();
         let mut bytes = Vec::new();
-        encode_log_record(&record, &mut bytes);
+        encode_log_record(&Page::encode(&rows), &mut bytes);
         bytes
     })
 }
 
-/// Decodes one log record from the front of `input`; returns it and the
-/// bytes consumed. `None` on truncation, an unknown table tag, a
+/// Decodes one map log record from the front of `input`; returns its
+/// page and the bytes consumed. `None` on truncation, a foreign tag, a
 /// malformed page, or a checksum mismatch — a bit flip anywhere in the
 /// record is detected.
-pub fn decode_log_record(input: &[u8]) -> Option<(LogRecord, usize)> {
-    let table = TableId::from_u8(*input.first()?)?;
-    let (page, used) = Page::read_from(&input[1..]).ok()?;
-    let consumed = check_checksum(input, 1 + used)?;
-    Some((LogRecord { table, page }, consumed))
+pub fn decode_log_record(input: &[u8]) -> Option<(Page, usize)> {
+    let mut r = RecordReader::tagged(input, MAP_LOG_TAG)?;
+    let (page, used) = Page::read_from(&input[r.at..]).ok()?;
+    r.at += used;
+    Some((page, r.finish()?))
 }
 
 /// An NVRAM write intent: everything needed to replay an acknowledged
@@ -386,84 +449,60 @@ const META_TAG: u8 = 0xA8;
 
 /// Serializes a meta intent for the NVRAM log.
 pub fn encode_meta(intent: &MetaIntent) -> Vec<u8> {
-    let mut out = vec![META_TAG];
-    varint::encode(intent.seq, &mut out);
-    let put_name = |tag: u64, fields: &[u64], name: &str, out: &mut Vec<u8>| {
-        varint::encode(tag, out);
-        for &f in fields {
-            varint::encode(f, out);
-        }
-        varint::encode(name.len() as u64, out);
-        out.extend_from_slice(name.as_bytes());
-    };
-    match &intent.op {
+    let (tag, fields, name): (u64, &[u64], &str) = match &intent.op {
         MetaOp::CreateVolume {
             volume,
             medium,
             size_sectors,
             name,
-        } => put_name(1, &[*volume, *medium, *size_sectors], name, &mut out),
+        } => (1, &[*volume, *medium, *size_sectors], name),
         MetaOp::SnapshotVolume {
             snapshot,
             volume,
             frozen_medium,
             new_anchor,
             name,
-        } => put_name(
-            2,
-            &[*snapshot, *volume, *frozen_medium, *new_anchor],
-            name,
-            &mut out,
-        ),
+        } => (2, &[*snapshot, *volume, *frozen_medium, *new_anchor], name),
         MetaOp::CloneToVolume {
             volume,
             source_medium,
             new_anchor,
             size_sectors,
             name,
-        } => put_name(
+        } => (
             3,
             &[*volume, *source_medium, *new_anchor, *size_sectors],
             name,
-            &mut out,
         ),
-        MetaOp::DestroyVolume { volume, medium } => put_name(4, &[*volume, *medium], "", &mut out),
-        MetaOp::DestroySnapshot { snapshot, medium } => {
-            put_name(5, &[*snapshot, *medium], "", &mut out)
-        }
+        MetaOp::DestroyVolume { volume, medium } => (4, &[*volume, *medium], ""),
+        MetaOp::DestroySnapshot { snapshot, medium } => (5, &[*snapshot, *medium], ""),
+    };
+    let mut w = RecordWriter::tagged(Vec::new(), META_TAG);
+    w.uint(intent.seq).uint(tag);
+    for &f in fields {
+        w.uint(f);
     }
-    put_checksum(&mut out, 0);
-    out
+    w.str(name);
+    w.finish()
 }
 
 /// Deserializes a meta intent.
 pub fn decode_meta(input: &[u8]) -> Option<MetaIntent> {
-    if *input.first()? != META_TAG {
-        return None;
-    }
-    let mut at = 1;
-    let next = |at: &mut usize| -> Option<u64> {
-        let (v, n) = varint::decode(&input[*at..])?;
-        *at += n;
-        Some(v)
-    };
-    let seq = next(&mut at)?;
-    let tag = next(&mut at)?;
+    let mut r = RecordReader::tagged(input, META_TAG)?;
+    let seq = r.uint()?;
+    let tag = r.uint()?;
     let n_fields = match tag {
         1 => 3,
-        2 => 4,
-        3 => 4,
+        2 | 3 => 4,
         4 | 5 => 2,
         _ => return None,
     };
-    let mut f = Vec::with_capacity(n_fields);
-    for _ in 0..n_fields {
-        f.push(next(&mut at)?);
+    let mut f = [0; 4];
+    for v in &mut f[..n_fields] {
+        *v = r.uint()?;
     }
-    let name_len = next(&mut at)? as usize;
-    let name = String::from_utf8(input.get(at..at.checked_add(name_len)?)?.to_vec()).ok()?;
-    at += name_len;
-    check_checksum(input, at)?;
+    let name = r.string()?;
+    r.finish()?;
     let op = match tag {
         1 => MetaOp::CreateVolume {
             volume: f[0],
@@ -529,47 +568,32 @@ pub struct ReplCursor {
 
 /// Serializes a replication cursor (checksummed).
 pub fn encode_repl_cursor(c: &ReplCursor) -> Vec<u8> {
-    let mut out = vec![REPL_CURSOR_TAG];
-    varint::encode(c.pg, &mut out);
-    varint::encode(c.src_volume, &mut out);
-    varint::encode(c.src_snapshot, &mut out);
-    varint::encode(c.base_snapshot.map(|s| s + 1).unwrap_or(0), &mut out);
-    varint::encode(c.next_chunk, &mut out);
-    varint::encode(c.total_chunks, &mut out);
-    varint::encode(c.wire_seq, &mut out);
-    put_checksum(&mut out, 0);
-    out
+    let mut w = RecordWriter::tagged(Vec::new(), REPL_CURSOR_TAG);
+    w.uint(c.pg)
+        .uint(c.src_volume)
+        .uint(c.src_snapshot)
+        .uint(c.base_snapshot.map_or(0, |s| s + 1))
+        .uint(c.next_chunk)
+        .uint(c.total_chunks)
+        .uint(c.wire_seq);
+    w.finish()
 }
 
 /// Deserializes a replication cursor. `None` on truncation, a foreign
 /// tag, or any bit flip.
 pub fn decode_repl_cursor(input: &[u8]) -> Option<ReplCursor> {
-    if *input.first()? != REPL_CURSOR_TAG {
-        return None;
-    }
-    let mut at = 1;
-    let next = |at: &mut usize| -> Option<u64> {
-        let (v, n) = varint::decode(&input[*at..])?;
-        *at += n;
-        Some(v)
+    let mut r = RecordReader::tagged(input, REPL_CURSOR_TAG)?;
+    let cursor = ReplCursor {
+        pg: r.uint()?,
+        src_volume: r.uint()?,
+        src_snapshot: r.uint()?,
+        base_snapshot: r.uint()?.checked_sub(1),
+        next_chunk: r.uint()?,
+        total_chunks: r.uint()?,
+        wire_seq: r.uint()?,
     };
-    let pg = next(&mut at)?;
-    let src_volume = next(&mut at)?;
-    let src_snapshot = next(&mut at)?;
-    let base = next(&mut at)?;
-    let next_chunk = next(&mut at)?;
-    let total_chunks = next(&mut at)?;
-    let wire_seq = next(&mut at)?;
-    check_checksum(input, at)?;
-    Some(ReplCursor {
-        pg,
-        src_volume,
-        src_snapshot,
-        base_snapshot: base.checked_sub(1),
-        next_chunk,
-        total_chunks,
-        wire_seq,
-    })
+    r.finish()?;
+    Some(cursor)
 }
 
 const CLUSTER_CONFIG_TAG: u8 = 0xAB;
@@ -640,54 +664,34 @@ pub struct ClusterConfigRecord {
 
 /// Serializes a cluster config record (checksummed).
 pub fn encode_cluster_config(c: &ClusterConfigRecord) -> Vec<u8> {
-    let mut out = vec![CLUSTER_CONFIG_TAG];
-    varint::encode(c.epoch, &mut out);
-    varint::encode(c.placement_version, &mut out);
-    varint::encode(c.placement_seed, &mut out);
-    varint::encode(c.members.len() as u64, &mut out);
-    for m in &c.members {
-        varint::encode(m.node, &mut out);
-        varint::encode(m.status.to_u64(), &mut out);
-        varint::encode(m.incarnation, &mut out);
-    }
-    put_checksum(&mut out, 0);
-    out
+    let mut w = RecordWriter::tagged(Vec::new(), CLUSTER_CONFIG_TAG);
+    w.uint(c.epoch)
+        .uint(c.placement_version)
+        .uint(c.placement_seed)
+        .list(&c.members, |w, m| {
+            w.uint(m.node).uint(m.status.to_u64()).uint(m.incarnation);
+        });
+    w.finish()
 }
 
 /// Deserializes a cluster config record. `None` on truncation, a
 /// foreign tag, an unknown status, or any bit flip.
 pub fn decode_cluster_config(input: &[u8]) -> Option<ClusterConfigRecord> {
-    if *input.first()? != CLUSTER_CONFIG_TAG {
-        return None;
-    }
-    let mut at = 1;
-    let next = |at: &mut usize| -> Option<u64> {
-        let (v, n) = varint::decode(&input[*at..])?;
-        *at += n;
-        Some(v)
+    let mut r = RecordReader::tagged(input, CLUSTER_CONFIG_TAG)?;
+    let config = ClusterConfigRecord {
+        epoch: r.uint()?,
+        placement_version: r.uint()?,
+        placement_seed: r.uint()?,
+        members: r.list(3, |r| {
+            Some(ClusterMember {
+                node: r.uint()?,
+                status: MemberStatus::from_u64(r.uint()?)?,
+                incarnation: r.uint()?,
+            })
+        })?,
     };
-    let epoch = next(&mut at)?;
-    let placement_version = next(&mut at)?;
-    let placement_seed = next(&mut at)?;
-    let n = next(&mut at)? as usize;
-    let mut members = Vec::with_capacity(n.min(input.len()));
-    for _ in 0..n {
-        let node = next(&mut at)?;
-        let status = MemberStatus::from_u64(next(&mut at)?)?;
-        let incarnation = next(&mut at)?;
-        members.push(ClusterMember {
-            node,
-            status,
-            incarnation,
-        });
-    }
-    check_checksum(input, at)?;
-    Some(ClusterConfigRecord {
-        epoch,
-        placement_version,
-        placement_seed,
-        members,
-    })
+    r.finish()?;
+    Some(config)
 }
 
 const INTENT_TAG: u8 = 0xA7;
@@ -719,19 +723,16 @@ pub fn decode_nvram_entry(input: &[u8]) -> Option<NvramEntry> {
 
 /// Serializes a recovery seal.
 pub fn encode_recovery_seal(replayed_through: u64) -> Vec<u8> {
-    let mut out = vec![SEAL_TAG];
-    varint::encode(replayed_through, &mut out);
-    put_checksum(&mut out, 0);
-    out
+    let mut w = RecordWriter::tagged(Vec::new(), SEAL_TAG);
+    w.uint(replayed_through);
+    w.finish()
 }
 
 /// Deserializes a recovery seal. `None` on truncation or any bit flip.
 pub fn decode_recovery_seal(input: &[u8]) -> Option<u64> {
-    if *input.first()? != SEAL_TAG {
-        return None;
-    }
-    let (through, n) = varint::decode(&input[1..])?;
-    check_checksum(input, 1 + n)?;
+    let mut r = RecordReader::tagged(input, SEAL_TAG)?;
+    let through = r.uint()?;
+    r.finish()?;
     Some(through)
 }
 
@@ -742,45 +743,26 @@ pub fn encode_intent(intent: &WriteIntent) -> Vec<u8> {
 
 /// Encodes a write intent straight from its parts — the foreground
 /// write path journals every chunk, and building a `WriteIntent` first
-/// would copy the payload an extra time.
+/// would copy the payload an extra time. One allocation, sized up front.
 pub fn encode_intent_parts(seq: Seq, medium: MediumId, start_sector: u64, data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() + 32);
-    out.push(INTENT_TAG);
-    varint::encode(seq, &mut out);
-    varint::encode(medium.0, &mut out);
-    varint::encode(start_sector, &mut out);
-    varint::encode(data.len() as u64, &mut out);
-    out.extend_from_slice(data);
-    put_checksum(&mut out, 0);
-    out
+    let mut w = RecordWriter::tagged(Vec::with_capacity(data.len() + 32), INTENT_TAG);
+    w.uint(seq).uint(medium.0).uint(start_sector).bytes(data);
+    w.finish()
 }
 
 /// Deserializes a write intent. `None` on truncation or any bit flip
 /// (checksum-verified) — a torn NVRAM tail must never replay as a
 /// shorter-but-plausible write.
 pub fn decode_intent(input: &[u8]) -> Option<WriteIntent> {
-    let mut at = 0;
-    if *input.first()? != INTENT_TAG {
-        return None;
-    }
-    at += 1;
-    let (seq, n) = varint::decode(&input[at..])?;
-    at += n;
-    let (medium, n) = varint::decode(&input[at..])?;
-    at += n;
-    let (start_sector, n) = varint::decode(&input[at..])?;
-    at += n;
-    let (len, n) = varint::decode(&input[at..])?;
-    at += n;
-    let data = input.get(at..at.checked_add(len as usize)?)?.to_vec();
-    at += len as usize;
-    check_checksum(input, at)?;
-    Some(WriteIntent {
-        seq,
-        medium: MediumId(medium),
-        start_sector,
-        data,
-    })
+    let mut r = RecordReader::tagged(input, INTENT_TAG)?;
+    let intent = WriteIntent {
+        seq: r.uint()?,
+        medium: MediumId(r.uint()?),
+        start_sector: r.uint()?,
+        data: r.bytes()?.to_vec(),
+    };
+    r.finish()?;
+    Some(intent)
 }
 
 #[cfg(test)]
@@ -827,68 +809,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn segment_fact_row_round_trip() {
-        let f = SegmentFact {
-            segment: SegmentId(3),
-            state: SegmentState::Sealed,
-            columns: (0..9).map(|i| i * 1000).collect(),
-            data_bytes: 1 << 20,
-            data_stripes: 6,
-            log_stripes: 1,
-            log_bytes: 4096,
-            seq: 88,
+    /// The map pyramid's form of `fact`.
+    fn entry(fact: &MapFact) -> (MapKey, Seq, MapVal) {
+        let val = MapVal {
+            loc: fact.loc,
+            deduped: fact.deduped,
         };
-        let row = f.to_row(9);
-        assert_eq!(row.len(), SegmentFact::cols(9));
-        assert_eq!(SegmentFact::from_row(&row), f);
-        // A narrower (cold) segment pads to the checkpoint's arity.
-        let mirror = SegmentFact {
-            columns: vec![11 << 32, 12 << 32],
-            ..f
-        };
-        let row = mirror.to_row(9);
-        assert_eq!(row.len(), SegmentFact::cols(9));
-        assert_eq!(SegmentFact::from_row(&row), mirror);
+        ((fact.medium.0, fact.sector), fact.seq, val)
     }
 
     #[test]
     fn log_record_round_trip_with_trailing_data() {
-        let rows: Vec<[u64; MapFact::COLS]> = (0..50)
-            .map(|i| {
-                MapFact {
-                    medium: MediumId(1),
-                    sector: i,
-                    loc: sample_loc(),
-                    deduped: false,
-                    seq: 100 + i,
-                }
-                .to_row()
+        let facts: Vec<MapFact> = (0..50)
+            .map(|i| MapFact {
+                medium: MediumId(1),
+                sector: i,
+                loc: sample_loc(),
+                deduped: false,
+                seq: 100 + i,
             })
             .collect();
-        let mut buf = map_patch_records(&rows, rows.len()).next().unwrap();
+        let entries: Vec<_> = facts.iter().map(entry).collect();
+        let mut buf = map_patch_records(&entries, entries.len()).next().unwrap();
         let used = buf.len();
         buf.extend_from_slice(&[0xff; 16]);
-        let (back, consumed) = decode_log_record(&buf).unwrap();
+        let (page, consumed) = decode_log_record(&buf).unwrap();
         assert_eq!(consumed, used);
-        assert_eq!(back.table, TableId::Map);
-        let decoded: Vec<_> = back.page.rows::<{ MapFact::COLS }>().unwrap().collect();
-        assert_eq!(decoded, rows);
+        let decoded: Vec<_> = (page.rows::<{ MapFact::COLS }>().unwrap())
+            .map(|row| MapFact::from_row(&row))
+            .collect();
+        assert_eq!(decoded, facts);
     }
 
     #[test]
     fn empty_log_record_round_trips() {
-        let rec = LogRecord {
-            table: TableId::Map,
-            page: Page::encode::<Vec<u64>>(&[]),
-        };
         let mut buf = Vec::new();
-        encode_log_record(&rec, &mut buf);
-        let (back, used) = decode_log_record(&buf).unwrap();
-        assert_eq!(
-            (back.table, back.page.n_rows(), used),
-            (TableId::Map, 0, buf.len())
-        );
+        encode_log_record(&Page::encode::<Vec<u64>>(&[]), &mut buf);
+        let (page, used) = decode_log_record(&buf).unwrap();
+        assert_eq!((page.n_rows(), used), (0, buf.len()));
     }
 
     #[test]
@@ -896,13 +854,15 @@ mod tests {
         let rows: Vec<[u64; MapFact::COLS]> = (0..20u64)
             .map(|i| [1, i, i, 2, i * 512, 512, 0, 0])
             .collect();
-        let records: Vec<Vec<u8>> = map_patch_records(&rows, 8).collect();
+        let entries: Vec<_> = (rows.iter())
+            .map(|row| entry(&MapFact::from_row(row)))
+            .collect();
+        let records: Vec<Vec<u8>> = map_patch_records(&entries, 8).collect();
         assert_eq!(records.len(), 3);
         let back: Vec<[u64; MapFact::COLS]> = (records.iter())
             .flat_map(|r| {
-                let (rec, _) = decode_log_record(r).unwrap();
-                rec.page
-                    .rows::<{ MapFact::COLS }>()
+                let (page, _) = decode_log_record(r).unwrap();
+                page.rows::<{ MapFact::COLS }>()
                     .unwrap()
                     .collect::<Vec<_>>()
             })
@@ -914,9 +874,9 @@ mod tests {
     fn patch_pages_compress_dense_facts() {
         // Map facts with sequential sectors/seqs and constant fields
         // should compress far below 8 u64s per row.
-        let rows: Vec<[u64; MapFact::COLS]> = (0..1000u64)
+        let entries: Vec<_> = (0..1000u64)
             .map(|i| {
-                MapFact {
+                entry(&MapFact {
                     medium: MediumId(5),
                     sector: 1_000_000 + i,
                     loc: BlockLoc {
@@ -929,12 +889,11 @@ mod tests {
                     },
                     deduped: false,
                     seq: 5000 + i,
-                }
-                .to_row()
+                })
             })
             .collect();
         let raw = 1000 * MapFact::COLS * 8;
-        let record = map_patch_records(&rows, rows.len()).next().unwrap();
+        let record = map_patch_records(&entries, entries.len()).next().unwrap();
         assert!(
             record.len() < raw / 4,
             "page format should compress 4x+: {} vs {}",
@@ -979,17 +938,19 @@ mod tests {
                         deduped: rng.gen_range(0..50) == 0,
                         seq,
                     };
-                    newest.insert((fact.medium.0, fact.sector), fact.to_row());
+                    newest.insert((fact.medium.0, fact.sector), fact);
                 }
                 offset += u64::from(stored_len);
             }
         }
-        let rows: Vec<[u64; MapFact::COLS]> = newest.into_values().take(FACTS).collect();
-        let record = map_patch_records(&rows, rows.len()).next().unwrap();
+        let facts: Vec<MapFact> = newest.into_values().take(FACTS).collect();
+        let entries: Vec<_> = facts.iter().map(entry).collect();
+        let record = map_patch_records(&entries, entries.len()).next().unwrap();
         let per_fact = record.len() as f64 / FACTS as f64;
         assert!(per_fact <= 8.0, "{per_fact:.2} B a fact");
-        let (back, _) = decode_log_record(&record).unwrap();
-        assert!(back.page.rows::<{ MapFact::COLS }>().unwrap().eq(rows));
+        let (page, _) = decode_log_record(&record).unwrap();
+        let rows = page.rows::<{ MapFact::COLS }>().unwrap();
+        assert!(rows.map(|row| MapFact::from_row(&row)).eq(facts));
     }
 
     #[test]

@@ -31,12 +31,10 @@ use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
 use crate::medium::MediumTable;
 use crate::read::read_extent;
-use crate::records::{
-    decode_log_record, decode_nvram_entry, LogRecord, MapFact, MediumFact, NvramEntry, SegmentFact,
-    SegmentState,
-};
+use crate::records::{decode_log_record, decode_nvram_entry, MapFact, MediumFact, NvramEntry};
 use crate::segment::{
-    AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentWriter, COLD, HOT, LOG_STRIPE_MAGIC,
+    AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentState, SegmentWriter, COLD, HOT,
+    LOG_STRIPE_MAGIC,
 };
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
@@ -45,6 +43,7 @@ use crate::types::{AuId, MediumId, SegmentId, SnapshotId, VolumeId};
 use parking_lot::RwLock;
 use purity_dedup::engine::DedupEngine;
 use purity_dedup::index::DedupIndex;
+use purity_format::Page;
 use purity_format::RangeTable;
 use purity_lsm::{Seq, SeqAllocator};
 use purity_obs::Obs;
@@ -137,7 +136,7 @@ impl Controller {
         let layouts = [SegmentLayout::from_config(&cfg), SegmentLayout::cold(&cfg)];
         let segments: BTreeMap<u64, SegmentInfo> = (cp.segment_rows.iter())
             .map(|row| {
-                let mut info = SegmentInfo::from_fact(&SegmentFact::from_row(row));
+                let mut info = SegmentInfo::from_row(row);
                 // A segment the checkpoint saw open has no writer here,
                 // and its flushed stripes may reach past what the
                 // checkpoint recorded: sealed, and full.
@@ -250,8 +249,8 @@ impl Controller {
             let extents = layout.log_extents(loc.log_offset, loc.len as usize);
             let (bytes, t) = ctrl.read_hot(shelf, loc.segment, extents, now)?;
             done = done.max(t);
-            let record = decode_log_record(&bytes).map(|(record, _)| record);
-            load_patch(record, loc.segment, &mut facts, &mut report)?;
+            let page = decode_log_record(&bytes).map(|(page, _)| page);
+            load_patch(page, loc.segment, &mut facts, &mut report)?;
         }
 
         // --- 2b. Scan AU headers for post-checkpoint segments. --------
@@ -505,8 +504,8 @@ impl Controller {
         report: &mut RecoveryReport,
     ) -> Result<()> {
         let mut pos = 0;
-        while let Some((record, used)) = decode_log_record(&buffer[pos..]) {
-            load_patch(Some(record), segment, facts, report)?;
+        while let Some((page, used)) = decode_log_record(&buffer[pos..]) {
+            load_patch(Some(page), segment, facts, report)?;
             self.map_patches.push(PatchLoc {
                 segment,
                 log_offset: at + pos as u64,
@@ -525,15 +524,15 @@ type Facts = BTreeMap<MapKey, (Seq, MapVal)>;
 /// Folds a persisted map patch's facts into `facts`; `None` is a record
 /// that did not decode.
 fn load_patch(
-    record: Option<LogRecord>,
+    page: Option<Page>,
     segment: u64,
     facts: &mut Facts,
     report: &mut RecoveryReport,
 ) -> Result<()> {
     let undecodable =
         || PurityError::DataLoss(format!("undecodable map patch in segment {segment}"));
-    let record = record.ok_or_else(undecodable)?;
-    let rows = record.page.rows::<{ MapFact::COLS }>();
+    let page = page.ok_or_else(undecodable)?;
+    let rows = page.rows::<{ MapFact::COLS }>();
     for f in rows
         .map_err(|_| undecodable())?
         .map(|row| MapFact::from_row(&row))
@@ -547,7 +546,7 @@ fn load_patch(
             *newest = (f.seq, val);
         }
     }
-    report.facts_loaded += record.page.n_rows();
+    report.facts_loaded += page.n_rows();
     report.patches_loaded += 1;
     Ok(())
 }

@@ -11,7 +11,7 @@
 
 use crate::controller::Controller;
 use crate::error::{PurityError, Result};
-use crate::records::SegmentState;
+use crate::segment::SegmentState;
 use crate::shelf::{ColumnWrite, Shelf};
 use purity_sim::Nanos;
 

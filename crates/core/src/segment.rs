@@ -14,10 +14,9 @@
 
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
-use crate::records::{SegmentFact, SegmentState};
+use crate::records::{RecordReader, RecordWriter};
 use crate::shelf::{ColumnWrite, Shelf};
 use crate::types::{AuId, DriveId, Pba, SegmentId};
-use purity_compress::varint;
 use purity_ecc::ReedSolomon;
 use purity_lsm::Seq;
 use purity_sim::Nanos;
@@ -181,6 +180,39 @@ impl SegmentLayout {
     }
 }
 
+/// Segment lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentState {
+    /// Accepting appends.
+    Open,
+    /// Fully written; immutable until GC frees it.
+    Sealed,
+    /// Freed by GC; its AUs are reusable.
+    Free,
+}
+
+impl SegmentState {
+    fn to_u64(self) -> u64 {
+        match self {
+            SegmentState::Open => 0,
+            SegmentState::Sealed => 1,
+            SegmentState::Free => 2,
+        }
+    }
+
+    fn from_u64(v: u64) -> Self {
+        match v {
+            0 => SegmentState::Open,
+            1 => SegmentState::Sealed,
+            _ => SegmentState::Free,
+        }
+    }
+}
+
+/// The value of a column slot a narrower segment leaves empty: a cold
+/// segment has one column per cold drive, fewer than a hot stripe.
+const NO_COLUMN: u64 = u64::MAX;
+
 /// In-memory descriptor of a segment (the segment table's value type).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentInfo {
@@ -203,6 +235,9 @@ pub struct SegmentInfo {
 }
 
 impl SegmentInfo {
+    /// Fields of a checkpoint row ahead of its column AUs.
+    pub(crate) const ROW_FIELDS: usize = 7;
+
     /// A segment opened on `columns`, holding nothing yet.
     pub fn open(id: SegmentId, columns: Vec<AuId>, seq_lo: Seq) -> Self {
         Self {
@@ -223,36 +258,44 @@ impl SegmentInfo {
         usize::from(self.columns[0].drive >= n_hot)
     }
 
-    /// Converts to the persisted fact form.
-    pub fn to_fact(&self) -> SegmentFact {
-        SegmentFact {
-            segment: self.id,
-            state: self.state,
-            columns: self.columns.iter().map(|a| a.pack()).collect(),
-            data_bytes: self.data_bytes,
-            data_stripes: self.data_stripes,
-            log_stripes: self.log_stripes,
-            log_bytes: self.log_bytes,
-            seq: self.seq,
-        }
+    /// The segment's checkpoint row: [`Self::ROW_FIELDS`] fields, then
+    /// one packed AU per column, padded to `stripe_width` columns.
+    pub(crate) fn to_row(&self, stripe_width: usize) -> Vec<u64> {
+        let mut row = vec![
+            self.id.0,
+            self.state.to_u64(),
+            self.data_bytes,
+            self.seq,
+            self.data_stripes,
+            self.log_stripes,
+            self.log_bytes,
+        ];
+        row.extend(self.columns.iter().map(AuId::pack));
+        row.resize(Self::ROW_FIELDS + stripe_width, NO_COLUMN);
+        row
     }
 
-    /// Converts from the persisted fact form.
-    pub fn from_fact(f: &SegmentFact) -> Self {
+    /// Reads a checkpoint row [`Self::to_row`] wrote.
+    pub(crate) fn from_row(r: &[u64]) -> Self {
         Self {
-            id: f.segment,
-            columns: f.columns.iter().map(|&v| AuId::unpack(v)).collect(),
-            state: f.state,
-            data_bytes: f.data_bytes,
-            data_stripes: f.data_stripes,
-            log_stripes: f.log_stripes,
-            log_bytes: f.log_bytes,
-            seq: f.seq,
+            id: SegmentId(r[0]),
+            state: SegmentState::from_u64(r[1]),
+            data_bytes: r[2],
+            seq: r[3],
+            data_stripes: r[4],
+            log_stripes: r[5],
+            log_bytes: r[6],
+            columns: (r[Self::ROW_FIELDS..].iter())
+                .filter(|&&c| c != NO_COLUMN)
+                .map(|&c| AuId::unpack(c))
+                .collect(),
         }
     }
 }
 
-/// The AU header page (§4.3: segments are self-describing).
+/// The AU header page (§4.3: segments are self-describing). It carries
+/// no checksum: recovery trusts a header only for a segment opened after
+/// the checkpoint (its `seq_lo` staleness guard).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuHeader {
     /// Owning segment.
@@ -268,15 +311,14 @@ pub struct AuHeader {
 impl AuHeader {
     /// Serializes the header into a page-sized buffer.
     pub fn encode(&self, page_size: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(page_size);
-        out.extend_from_slice(&AU_HEADER_MAGIC.to_le_bytes());
-        varint::encode(self.segment.0, &mut out);
-        varint::encode(self.column as u64, &mut out);
-        varint::encode(self.columns.len() as u64, &mut out);
-        for au in &self.columns {
-            varint::encode(au.pack(), &mut out);
-        }
-        varint::encode(self.seq_lo, &mut out);
+        let mut w = RecordWriter::magic(Vec::with_capacity(page_size), AU_HEADER_MAGIC);
+        w.uint(self.segment.0)
+            .uint(self.column as u64)
+            .list(&self.columns, |w, au| {
+                w.uint(au.pack());
+            })
+            .uint(self.seq_lo);
+        let mut out = w.into_bytes();
         assert!(out.len() <= page_size, "AU header exceeds a page");
         out.resize(page_size, 0);
         out
@@ -284,28 +326,12 @@ impl AuHeader {
 
     /// Parses a header page; `None` if the page is not a header.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        if bytes.len() < 8 || bytes[..8] != AU_HEADER_MAGIC.to_le_bytes() {
-            return None;
-        }
-        let mut at = 8;
-        let next = |at: &mut usize| -> Option<u64> {
-            let (v, n) = varint::decode(&bytes[*at..])?;
-            *at += n;
-            Some(v)
-        };
-        let segment = SegmentId(next(&mut at)?);
-        let column = next(&mut at)? as usize;
-        let n = next(&mut at)?;
-        let mut columns = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            columns.push(AuId::unpack(next(&mut at)?));
-        }
-        let seq_lo = next(&mut at)?;
+        let mut r = RecordReader::magic(bytes, AU_HEADER_MAGIC)?;
         Some(Self {
-            segment,
-            column,
-            columns,
-            seq_lo,
+            segment: SegmentId(r.uint()?),
+            column: usize::try_from(r.uint()?).ok()?,
+            columns: r.list(1, |r| Some(AuId::unpack(r.uint()?)))?,
+            seq_lo: r.uint()?,
         })
     }
 }
@@ -734,6 +760,49 @@ mod tests {
         assert_eq!(page.len(), 4096);
         assert_eq!(AuHeader::decode(&page), Some(h));
         assert_eq!(AuHeader::decode(&[0u8; 4096]), None);
+    }
+
+    /// `ScanMode::FullScan` decodes the first page of every AU, whatever
+    /// it holds: a column count no page could back is refused before it
+    /// sizes the column list.
+    #[test]
+    fn an_au_header_counting_u64_max_columns_decodes_to_none() {
+        let mut page = AU_HEADER_MAGIC.to_le_bytes().to_vec();
+        // Segment 1, column 0, then a count of u64::MAX as a varint.
+        page.extend_from_slice(&[1, 0]);
+        page.extend_from_slice(&[0xff; 9]);
+        page.push(0x01);
+        page.resize(4096, 0);
+        assert_eq!(AuHeader::decode(&page), None);
+    }
+
+    #[test]
+    fn segment_row_round_trips() {
+        let columns: Vec<AuId> = (0..9)
+            .map(|drive| AuId {
+                drive,
+                index: drive as u32 * 1000,
+            })
+            .collect();
+        let info = SegmentInfo {
+            state: SegmentState::Sealed,
+            data_bytes: 1 << 20,
+            data_stripes: 6,
+            log_stripes: 1,
+            log_bytes: 4096,
+            ..SegmentInfo::open(SegmentId(3), columns, 88)
+        };
+        let row = info.to_row(9);
+        assert_eq!(row.len(), SegmentInfo::ROW_FIELDS + 9);
+        assert_eq!(SegmentInfo::from_row(&row), info);
+        // A narrower (cold) segment pads to the checkpoint's arity.
+        let cold = SegmentInfo {
+            columns: vec![AuId::unpack(11 << 32), AuId::unpack(12 << 32)],
+            ..info
+        };
+        let row = cold.to_row(9);
+        assert_eq!(row.len(), SegmentInfo::ROW_FIELDS + 9);
+        assert_eq!(SegmentInfo::from_row(&row), cold);
     }
 
     fn mk_writer_and_shelf() -> (SegmentWriter, Shelf, ArrayConfig) {

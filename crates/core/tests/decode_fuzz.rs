@@ -1,7 +1,8 @@
 //! Fuzz-style decode hardening: 10k mutated valid records against
 //! `decode_nvram_entry` and `decode_log_record`, every single-byte flip
-//! and truncation of map-patch pages, cluster config records and
-//! replication cursors, and random bytes.
+//! and truncation of map-patch pages, cluster config records,
+//! replication cursors and checkpoints, and random bytes against the log
+//! record, checkpoint and AU header decoders.
 //!
 //! Recovery treats "undecodable" as a load-bearing signal (a torn NVRAM
 //! tail is *expected* to be undecodable; an undecodable mid-log record
@@ -10,12 +11,15 @@
 //! never panic, never silently decode to something other than the
 //! original record.
 
+use purity_compress::varint;
+use purity_core::bootregion::{Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use purity_core::records::{
     decode_cluster_config, decode_log_record, decode_nvram_entry, decode_repl_cursor,
     encode_cluster_config, encode_intent, encode_log_record, encode_meta, encode_repl_cursor,
-    ClusterConfigRecord, ClusterMember, LogRecord, MapFact, MemberStatus, MetaIntent, MetaOp,
-    NvramEntry, ReplCursor, TableId, WriteIntent,
+    ClusterConfigRecord, ClusterMember, MapFact, MemberStatus, MetaIntent, MetaOp, NvramEntry,
+    ReplCursor, WriteIntent,
 };
+use purity_core::segment::{AuHeader, AU_HEADER_MAGIC};
 use purity_core::MediumId;
 use purity_dedup::hash::block_hash;
 use purity_format::Page;
@@ -145,20 +149,16 @@ fn map_patch_corpus(rng: &mut StdRng) -> Vec<(Vec<u8>, Vec<[u64; MapFact::COLS]>
                     ]
                 })
                 .collect();
-            let rec = LogRecord {
-                table: TableId::Map,
-                page: Page::encode(&rows),
-            };
             let mut buf = Vec::new();
-            encode_log_record(&rec, &mut buf);
+            encode_log_record(&Page::encode(&rows), &mut buf);
             (buf, rows)
         })
         .collect()
 }
 
 fn decoded_rows(bytes: &[u8]) -> Option<Vec<[u64; MapFact::COLS]>> {
-    let (rec, _) = decode_log_record(bytes)?;
-    Some(rec.page.rows::<{ MapFact::COLS }>().ok()?.collect())
+    let (page, _) = decode_log_record(bytes)?;
+    Some(page.rows::<{ MapFact::COLS }>().ok()?.collect())
 }
 
 #[test]
@@ -275,19 +275,68 @@ fn every_byte_flip_and_truncation_of_a_cluster_record_is_rejected() {
     }
 }
 
-/// Random bytes, behind a real table tag and under a valid checksum, so
-/// the page decoder itself meets them: it may reject them or decode
-/// something, but it must never panic.
+/// A checkpoint with every list non-empty, one segment row padded for
+/// a cold segment.
+fn sample_checkpoint() -> Checkpoint {
+    let mut cold_row = vec![12, 0, 65_536, 90, 1, 0, 0, 11 << 32, 12 << 32];
+    cold_row.resize(16, u64::MAX);
+    Checkpoint {
+        version: 9,
+        watermark: 4_000,
+        high_seq: 4_100,
+        next_segment: 13,
+        next_medium: 7,
+        next_volume: 3,
+        next_snapshot: 2,
+        frontier: vec![1, (3 << 32) | 40, (8 << 32) | 300],
+        segment_rows: vec![(0..16).map(|c| 1 + c * 1000).collect(), cold_row],
+        medium_rows: vec![vec![2, 0, 2048, 0, 0, 0, 1, 5]],
+        volumes: vec![VolumeMeta {
+            id: 1,
+            anchor_medium: 2,
+            size_sectors: 2048,
+            name: "oracle-data".into(),
+        }],
+        snapshots: vec![SnapMeta {
+            id: 1,
+            volume: 1,
+            medium: 4,
+            name: "nightly".into(),
+        }],
+        elided_mediums: vec![(5, 6)],
+        map_patches: vec![PatchLoc {
+            segment: 12,
+            log_offset: 8_176,
+            len: 700,
+        }],
+    }
+}
+
 #[test]
-fn random_bytes_never_panic_the_log_decoder() {
+fn every_byte_flip_and_truncation_of_a_checkpoint_is_rejected() {
+    let cp = sample_checkpoint();
+    let orig = cp.encode(9);
+    assert_eq!(Checkpoint::decode(&orig), Some((cp, orig.len())));
+    assert_every_flip_and_truncation_rejected(&orig, |b| Checkpoint::decode(b).is_some());
+}
+
+/// Random bytes meet each decoder a cold start runs, past its framing:
+/// a log record behind the map tag and under a valid checksum, so the
+/// page decoder itself meets them; a checkpoint body under a valid
+/// frame and checksum; an AU header page after the magic, which carries
+/// no checksum at all. Each may reject them or decode something, but
+/// must never panic.
+#[test]
+fn random_bytes_never_panic_the_decoders() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
-    let mut decoded = 0;
+    let boot_magic = Checkpoint::default().encode(9)[..8].to_vec();
+    let (mut logs, mut checkpoints, mut headers) = (0, 0, 0);
     for round in 0..20_000 {
         let len = rng.gen_range(0..200);
         let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
         if round % 2 == 0 && !bytes.is_empty() {
-            bytes[0] = TableId::Map as u8;
-            // A small header most of the time, so rows get decoded.
+            bytes[0] = 1; // the map table's tag
+                          // A small header most of the time, so rows get decoded.
             if bytes.len() > 3 {
                 bytes[1] = rng.gen_range(0..40);
                 bytes[2] = rng.gen_range(0..10);
@@ -298,15 +347,37 @@ fn random_bytes_never_panic_the_log_decoder() {
             let h = block_hash(&bytes);
             bytes.extend_from_slice(&h.to_le_bytes());
         }
-        if let Some((rec, used)) = decode_log_record(&bytes) {
+        if let Some((page, used)) = decode_log_record(&bytes) {
             assert!(used <= bytes.len());
-            decoded += 1;
-            if let Ok(rows) = rec.page.rows::<{ MapFact::COLS }>() {
+            logs += 1;
+            if let Ok(rows) = page.rows::<{ MapFact::COLS }>() {
                 for row in rows.take(1000) {
                     std::hint::black_box(MapFact::from_row(&row));
                 }
             }
         }
+
+        // Small counts most of the time, so lists get decoded.
+        for b in bytes.iter_mut().filter(|_| rng.gen_range(0..4) == 0) {
+            *b &= 0x07;
+        }
+        let mut frame = boot_magic.clone();
+        varint::encode(rng.gen_range(0..12), &mut frame);
+        varint::encode(bytes.len() as u64, &mut frame);
+        frame.extend_from_slice(&bytes);
+        let h = block_hash(&frame[8..]);
+        frame.extend_from_slice(&h.to_le_bytes());
+        if let Some((cp, used)) = Checkpoint::decode(&frame) {
+            assert_eq!(used, frame.len());
+            checkpoints += 1;
+            std::hint::black_box(cp);
+        }
+
+        let mut page = AU_HEADER_MAGIC.to_le_bytes().to_vec();
+        page.extend_from_slice(&bytes);
+        headers += usize::from(AuHeader::decode(&page).is_some());
     }
-    assert!(decoded > 0, "no random page got past the checksum");
+    assert!(logs > 0, "no random page got past the checksum");
+    assert!(checkpoints > 0, "no random body decoded to a checkpoint");
+    assert!(headers > 0, "no random page decoded to an AU header");
 }

@@ -14,7 +14,7 @@ use purity_compress::varint;
 use purity_core::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use purity_core::config::ArrayConfig;
 use purity_core::gc::GcReport;
-use purity_core::records::{MediumFact, SegmentFact};
+use purity_core::records::MediumFact;
 use purity_core::shelf::Shelf;
 use purity_core::stats::ArrayStats;
 use purity_core::write::encode_cblock;
@@ -33,7 +33,7 @@ fn sample_checkpoint(version: u64) -> Checkpoint {
         next_volume: 2,
         next_snapshot: 3,
         frontier: vec![1, 2, 3, (7 << 32) | 4],
-        segment_rows: vec![vec![version; SegmentFact::cols(9)]],
+        segment_rows: vec![vec![version; 16]],
         medium_rows: vec![vec![2; MediumFact::COLS]],
         volumes: vec![VolumeMeta {
             id: 1,
@@ -203,17 +203,34 @@ proptest! {
     }
 }
 
+/// A checkpoint's frame, split: stripe width and body.
+fn width_and_body(encoded: &[u8]) -> (u64, &[u8]) {
+    // The frame: magic, stripe width, body length, body, checksum.
+    let (width, n) = varint::decode(&encoded[8..]).unwrap();
+    let (body_len, m) = varint::decode(&encoded[8 + n..]).unwrap();
+    let at = 8 + n + m;
+    (width, &encoded[at..at + body_len as usize])
+}
+
+/// A checkpoint frame around `body` with a valid checksum, the way a
+/// forger would build one.
+fn frame(width: u64, body: &[u8]) -> Vec<u8> {
+    let mut bytes = Checkpoint::default().encode(9)[..8].to_vec();
+    varint::encode(width, &mut bytes);
+    varint::encode(body.len() as u64, &mut bytes);
+    bytes.extend_from_slice(body);
+    let h = block_hash(&bytes[8..]);
+    bytes.extend_from_slice(&h.to_le_bytes());
+    bytes
+}
+
 /// A checkpoint re-encoded to claim `u64::MAX` frontier AUs, under a
 /// valid checksum, is refused: the count is not trusted to size an
 /// allocation before the body backs it up.
 #[test]
 fn a_checkpoint_counting_u64_max_frontier_aus_decodes_to_none() {
     let orig = sample_checkpoint(3).encode(9);
-    // The frame: magic, stripe width, body length, body, checksum.
-    let (width, n) = varint::decode(&orig[8..]).unwrap();
-    let (body_len, m) = varint::decode(&orig[8 + n..]).unwrap();
-    let at = 8 + n + m;
-    let body = &orig[at..at + body_len as usize];
+    let (width, body) = width_and_body(&orig);
     // Seven scalar varints precede the frontier count.
     let mut count_at = 0;
     for _ in 0..7 {
@@ -224,14 +241,29 @@ fn a_checkpoint_counting_u64_max_frontier_aus_decodes_to_none() {
     let mut forged = body[..count_at].to_vec();
     varint::encode(u64::MAX, &mut forged);
     forged.extend_from_slice(&body[count_at + used..]);
+    assert!(Checkpoint::decode(&frame(width, &forged)).is_none());
+}
 
-    let mut bytes = orig[..8].to_vec();
-    varint::encode(width, &mut bytes);
-    varint::encode(forged.len() as u64, &mut bytes);
-    bytes.extend_from_slice(&forged);
-    let h = block_hash(&bytes[8..]);
-    bytes.extend_from_slice(&h.to_le_bytes());
-    assert!(Checkpoint::decode(&bytes).is_none());
+/// A stripe width of `u64::MAX` gives segment rows an arity no count of
+/// bytes can name: refused, not an overflow.
+#[test]
+fn a_checkpoint_claiming_a_u64_max_stripe_width_decodes_to_none() {
+    let orig = Checkpoint::default().encode(9);
+    let (_, body) = width_and_body(&orig);
+    assert!(Checkpoint::decode(&frame(u64::MAX, body)).is_none());
+}
+
+/// A stripe width of 2^40 under one segment row asks for a row far
+/// larger than the body: refused before the row is sized.
+#[test]
+fn a_checkpoint_claiming_a_2_pow_40_stripe_width_decodes_to_none() {
+    let cp = Checkpoint {
+        segment_rows: vec![vec![0; 16]],
+        ..Checkpoint::default()
+    };
+    let orig = cp.encode(9);
+    let (_, body) = width_and_body(&orig);
+    assert!(Checkpoint::decode(&frame(1 << 40, body)).is_none());
 }
 
 /// A first page whose body-length varint is `u64::MAX` names no
