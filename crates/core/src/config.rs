@@ -43,8 +43,6 @@ pub struct ArrayConfig {
     /// decoded cblocks every read, on every preset, goes through (and
     /// whose hot set warms the standby). 0 disables it.
     pub cache_bytes: usize,
-    /// Seed for all deterministic randomness.
-    pub seed: u64,
     /// Pre-age every drive by this many P/E cycles at shelf construction
     /// (the paper's worn-flash validation, §5.1).
     pub preage_cycles: u64,
@@ -82,7 +80,6 @@ impl ArrayConfig {
             frontier_aus_per_drive: 8,
             dedup_recent_window: 4096,
             cache_bytes: 4 * 1024 * 1024,
-            seed: 0x9E3779B9,
             preage_cycles: 0,
             obs: ObsConfig::default(),
             cold_drives: 0,

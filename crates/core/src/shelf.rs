@@ -34,6 +34,10 @@ pub const COLD_LATENCY: LatencyModel = LatencyModel::qlc_cold();
 /// Cold-drive endurance rating.
 pub const COLD_ENDURANCE: EnduranceModel = EnduranceModel::qlc();
 
+/// Seed of the drives' deterministic randomness; each drive derives its
+/// own from it.
+const DRIVE_SEED: u64 = 0x9E3779B9;
+
 /// Which durable-device mutations a scheduled power loss counts toward
 /// its trigger (and tears when it fires). Every variant but `AnyWrite`
 /// is also the kind of one mutation.
@@ -145,7 +149,7 @@ impl Shelf {
                     SSD_LATENCY,
                     config.ssd_endurance,
                     clock.clone(),
-                    config.seed.wrapping_add(i as u64 * 0x9E37),
+                    DRIVE_SEED.wrapping_add(i as u64 * 0x9E37),
                     SSD_OVER_PROVISION,
                 );
                 if config.preage_cycles > 0 {
@@ -160,8 +164,7 @@ impl Shelf {
                 COLD_LATENCY,
                 COLD_ENDURANCE,
                 clock.clone(),
-                config
-                    .seed
+                DRIVE_SEED
                     .wrapping_add(0xC01D)
                     .wrapping_add(i as u64 * 0x9E37),
                 SSD_OVER_PROVISION,

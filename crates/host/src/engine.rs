@@ -5,9 +5,10 @@
 //! (§2, §4.4). This engine closes that gap without threads: it runs an
 //! event loop in *virtual* time over [`purity_core::FlashArray`]'s
 //! clock. Requests arrive (open-loop Poisson or closed-loop per-
-//! initiator queue depths), pass a per-volume QoS dispatch queue
-//! ([`crate::qos`]), are coalesced with adjacent queued writes, and are
-//! dispatched down an ALUA multipath layer ([`crate::multipath`]).
+//! initiator queue depths), wait in the volume's first-come-first-served
+//! dispatch queue ([`crate::queue`]), are coalesced with adjacent queued
+//! writes, and are dispatched down an ALUA multipath layer
+//! ([`crate::multipath`]).
 //!
 //! Dispatching an op calls the array synchronously; the returned ack
 //! latency *schedules the completion event* at `dispatch + latency`,
@@ -27,7 +28,7 @@
 
 use crate::audit::AckAudit;
 use crate::multipath::{Multipath, PathId};
-use crate::qos::{DispatchQueue, PopOutcome, QosSpec};
+use crate::queue::DispatchQueue;
 use crate::report::HostReport;
 use purity_core::{FaultOutcome, FaultPlan, FlashArray, VolumeId};
 use purity_obs::OpTrace;
@@ -42,6 +43,9 @@ const PATH_PROBE_INTERVAL: Nanos = 10_000_000; // 10 ms
 /// Upper bound on a coalesced write.
 const MAX_COALESCE_BYTES: usize = 256 * 1024;
 
+/// Attempts before an op is failed to the application.
+const MAX_RETRIES: u32 = 8;
+
 /// Host engine knobs.
 #[derive(Debug, Clone)]
 pub struct HostConfig {
@@ -53,15 +57,11 @@ pub struct HostConfig {
     pub timeout: Nanos,
     /// Base retry backoff (exponential per attempt).
     pub backoff: Nanos,
-    /// Attempts before an op is failed to the application.
-    pub max_retries: u32,
     /// Merge adjacent queued writes into one array op.
     pub coalesce: bool,
     /// Per-volume submission-queue bound; arrivals beyond it get
     /// QFULL'd and re-admitted after a backoff.
     pub admission_limit: usize,
-    /// QoS contract applied to the driven volume.
-    pub qos: QosSpec,
 }
 
 impl Default for HostConfig {
@@ -71,10 +71,8 @@ impl Default for HostConfig {
             queue_depth: 8,
             timeout: 250_000_000, // 250 ms
             backoff: 50_000,      // 50 µs
-            max_retries: 8,
             coalesce: true,
             admission_limit: 4096,
-            qos: QosSpec::default(),
         }
     }
 }
@@ -117,7 +115,7 @@ enum ReqState {
     Riding(u64),
     /// Ack delivered.
     Completed,
-    /// Gave up after `max_retries`.
+    /// Gave up after [`MAX_RETRIES`].
     Failed,
 }
 
@@ -126,7 +124,6 @@ struct Request {
     initiator: usize,
     kind: ReqKind,
     arrival: Nanos,
-    deadline: Nanos,
     state: ReqState,
     /// Dispatch attempts so far; completion/timeout events are stamped
     /// with the attempt they belong to and ignored if stale.
@@ -246,61 +243,55 @@ impl HostEngine {
         mode: LoopMode,
         plan: Option<&mut FaultPlan>,
     ) -> HostReport {
-        let start = array.now();
-        let mut run = Run {
-            cfg: &self.cfg,
-            array,
-            volume,
-            gen,
-            mode,
-            plan,
-            requests: Vec::with_capacity(total_ops as usize),
-            queue: DispatchQueue::new(self.cfg.qos),
-            mp: Multipath::new(
-                self.cfg.timeout,
-                self.cfg.backoff,
-                self.cfg.max_retries,
-                PATH_PROBE_INTERVAL,
-            ),
-            events: BinaryHeap::new(),
-            eseq: 0,
-            outstanding: vec![0; self.cfg.initiators],
-            next_sink: 0,
-            issued: 0,
-            target: total_ops,
-            dispatched_ops: Vec::new(),
-            audit: AckAudit::new(),
-            report: HostReport::new(self.cfg.initiators),
-            start,
-            last_completion: start,
-        };
+        let mut run = Run::new(&self.cfg, array, volume, gen, mode, plan, total_ops);
         run.seed_arrivals();
         run.drive();
         run.finish()
     }
 }
 
-/// Splits the host-side wait interval `[from, to)` into `qos_throttle`
-/// spans (the intersections with the dispatch queue's logged rate-cap
-/// windows) and `host_queue` spans for the remainder.
-fn stamp_wait_spans(trace: &mut OpTrace, queue: &DispatchQueue, from: Nanos, to: Nanos) {
-    if to <= from {
-        return;
-    }
-    let mut cursor = from;
-    for (s, e) in queue.throttled_spans(from, to) {
-        if s > cursor {
-            trace.stage("host_queue", cursor, s);
-        }
-        trace.stage_note("qos_throttle", s, e, "held by volume rate cap".into());
-        cursor = e;
-    }
-    if cursor < to {
-        trace.stage("host_queue", cursor, to);
+/// Charges the host-side wait `[from, to)` to `host_queue`.
+fn stamp_wait(trace: &mut OpTrace, from: Nanos, to: Nanos) {
+    if from < to {
+        trace.stage("host_queue", from, to);
     }
 }
 
 impl<'a> Run<'a> {
+    fn new(
+        cfg: &'a HostConfig,
+        array: &'a mut FlashArray,
+        volume: VolumeId,
+        gen: &'a mut WorkloadGen,
+        mode: LoopMode,
+        plan: Option<&'a mut FaultPlan>,
+        total_ops: u64,
+    ) -> Self {
+        let start = array.now();
+        Self {
+            cfg,
+            array,
+            volume,
+            gen,
+            mode,
+            plan,
+            requests: Vec::with_capacity(total_ops as usize),
+            queue: DispatchQueue::default(),
+            mp: Multipath::new(cfg.backoff, PATH_PROBE_INTERVAL),
+            events: BinaryHeap::new(),
+            eseq: 0,
+            outstanding: vec![0; cfg.initiators],
+            next_sink: 0,
+            issued: 0,
+            target: total_ops,
+            dispatched_ops: Vec::new(),
+            audit: AckAudit::new(),
+            report: HostReport::new(cfg.initiators),
+            start,
+            last_completion: start,
+        }
+    }
+
     fn schedule(&mut self, t: Nanos, e: Event) {
         self.events.push(Reverse((t, self.eseq, e)));
         self.eseq += 1;
@@ -349,7 +340,6 @@ impl<'a> Run<'a> {
             initiator,
             kind,
             arrival: now,
-            deadline: now + self.queue.spec().target_latency,
             state: ReqState::Queued,
             attempts: 0,
             aborted: false,
@@ -373,9 +363,7 @@ impl<'a> Run<'a> {
             self.schedule(t, Event::Admit { req });
             return;
         }
-        let r = &self.requests[req as usize];
-        let (arrival, deadline, bytes) = (r.arrival, r.deadline, r.kind.bytes());
-        self.queue.push_with_deadline(req, arrival, deadline, bytes);
+        self.requeue(req);
         self.schedule(now, Event::TryDispatch);
     }
 
@@ -429,91 +417,67 @@ impl<'a> Run<'a> {
             let now = t.max(self.array.now());
             // All paths down: leave the queue intact and come back
             // after a backoff.
-            if self.mp.select(now).is_none() {
+            let Some(path) = self.mp.select(now) else {
                 if !self.queue.is_empty() {
                     let retry = now + self.cfg.backoff;
                     self.schedule(retry, Event::TryDispatch);
                 }
                 return;
-            }
-            match self.queue.pop_ready(now) {
-                PopOutcome::Empty => return,
-                PopOutcome::Throttled { until } => {
-                    self.report.throttle_events += 1;
-                    self.schedule(until, Event::TryDispatch);
-                    return;
-                }
-                PopOutcome::Ready(p) => self.dispatch(p.req, now),
-            }
+            };
+            let Some(req) = self.queue.pop() else {
+                return;
+            };
+            self.dispatch(req, path, now);
         }
     }
 
-    /// Pulls queued writes exactly adjacent to `head` (offset chains
-    /// upward) out of the queue and returns the combined payload.
-    fn coalesce(&mut self, head: u64, now: Nanos) -> Option<(u64, Vec<u8>)> {
-        let (mut offset_end, mut data) = match &self.requests[head as usize].kind {
-            ReqKind::Write { offset, data } => (offset + data.len() as u64, data.clone()),
-            ReqKind::Read { .. } => return None,
-        };
+    /// Pulls queued writes exactly adjacent to the head write at
+    /// `offset` (offset chains upward) out of the queue and appends
+    /// their payloads to the head's `data`.
+    fn coalesce(&mut self, head: u64, offset: u64, mut data: Vec<u8>, now: Nanos) -> Vec<u8> {
         if !self.cfg.coalesce {
-            let r = &self.requests[head as usize];
-            let ReqKind::Write { offset, .. } = r.kind else {
-                unreachable!()
-            };
-            return Some((offset, data));
+            return data;
         }
+        let mut offset_end = offset + data.len() as u64;
         let mut riders = Vec::new();
-        loop {
-            if data.len() >= MAX_COALESCE_BYTES {
-                break;
-            }
+        while data.len() < MAX_COALESCE_BYTES {
             let next = self
                 .queue
                 .iter()
-                .find_map(|p| match &self.requests[p.req as usize].kind {
+                .find_map(|req| match &self.requests[req as usize].kind {
                     ReqKind::Write {
                         offset,
                         data: rider_data,
                     } if *offset == offset_end
                         && data.len() + rider_data.len() <= MAX_COALESCE_BYTES =>
                     {
-                        Some(p.req)
+                        Some((req, rider_data))
                     }
                     _ => None,
                 });
-            let Some(rider) = next else { break };
-            let removed = self.queue.remove(rider).expect("rider was queued");
-            // Rider bytes still count against the volume's QoS window.
-            self.queue.charge(now, 0, removed.bytes);
-            let ReqKind::Write {
-                data: rider_data, ..
-            } = &self.requests[rider as usize].kind
-            else {
-                unreachable!()
+            let Some((rider, rider_data)) = next else {
+                break;
             };
             data.extend_from_slice(rider_data);
             offset_end += rider_data.len() as u64;
-            let arrival = self.requests[rider as usize].arrival;
-            let mut rt = OpTrace::new("host_write", arrival);
-            stamp_wait_spans(&mut rt, &self.queue, arrival, now);
-            self.requests[rider as usize].state = ReqState::Riding(head);
-            self.requests[rider as usize].trace = Some(rt);
+            self.queue.remove(rider);
+            let r = &mut self.requests[rider as usize];
+            let mut rt = OpTrace::new("host_write", r.arrival);
+            stamp_wait(&mut rt, r.arrival, now);
+            r.state = ReqState::Riding(head);
+            r.trace = Some(rt);
             riders.push(rider);
             self.report.coalesced_writes += 1;
         }
         self.requests[head as usize].riders = riders;
-        let ReqKind::Write { offset, .. } = self.requests[head as usize].kind else {
-            unreachable!()
-        };
-        Some((offset, data))
+        data
     }
 
-    fn dispatch(&mut self, req: u64, now: Nanos) {
-        let path = self.mp.select(now).expect("checked before pop");
+    fn dispatch(&mut self, req: u64, path: PathId, now: Nanos) {
         self.array.clock().advance_to(now);
         // Trace context: the first leg charges [arrival, now) to
-        // host_queue/qos_throttle; each retry leg charges the dead time
-        // since the previous dispatch to multipath_retry.
+        // host_queue; each retry leg charges the dead time since the
+        // previous dispatch to multipath_retry.
         let prior = self.requests[req as usize].trace.take();
         let mut trace = {
             let r = &self.requests[req as usize];
@@ -527,7 +491,7 @@ impl<'a> Run<'a> {
                 )
             });
             if r.attempts == 0 {
-                stamp_wait_spans(&mut t, &self.queue, r.arrival, now);
+                stamp_wait(&mut t, r.arrival, now);
             } else {
                 t.stage_note(
                     "multipath_retry",
@@ -548,8 +512,9 @@ impl<'a> Run<'a> {
                     .submit_read(path.port(), self.volume, offset, len, Some(&mut trace))
                     .map(|(id, _, ack)| (id, ack))
             }
-            ReqKind::Write { .. } => {
-                let (offset, data) = self.coalesce(req, now).expect("write payload");
+            ReqKind::Write { offset, data } => {
+                let (offset, data) = (*offset, data.clone());
+                let data = self.coalesce(req, offset, data, now);
                 self.array
                     .submit_write(path.port(), self.volume, offset, &data, Some(&mut trace))
             }
@@ -574,7 +539,7 @@ impl<'a> Run<'a> {
                 self.schedule(now + ack.latency, Event::Complete { req, attempt });
                 self.schedule(now + self.cfg.timeout, Event::Timeout { req, attempt });
             }
-            Err(e) => {
+            Err(_) => {
                 // The array refused the op outright (no ack to wait
                 // for). Riders dissolve back into the queue; the head
                 // retries with backoff or fails permanently.
@@ -589,8 +554,8 @@ impl<'a> Run<'a> {
                     self.requeue(rider);
                 }
                 self.report.dispatch_errors += 1;
-                if attempts > self.cfg.max_retries {
-                    self.fail_request(req, now, &format!("{e}"));
+                if attempts > MAX_RETRIES {
+                    self.fail_request(req);
                 } else {
                     self.requeue(req);
                     let retry = now + self.mp.backoff_for(attempts);
@@ -600,10 +565,9 @@ impl<'a> Run<'a> {
         }
     }
 
+    /// Queues `req` at its arrival's place.
     fn requeue(&mut self, req: u64) {
-        let r = &self.requests[req as usize];
-        let (arrival, deadline, bytes) = (r.arrival, r.deadline, r.kind.bytes());
-        self.queue.push_with_deadline(req, arrival, deadline, bytes);
+        self.queue.push(req, self.requests[req as usize].arrival);
     }
 
     /// Delivers the ack for `req` (and its riders) if this completion
@@ -699,8 +663,8 @@ impl<'a> Run<'a> {
             self.requests[rider as usize].trace = None;
             self.requeue(rider);
         }
-        if attempts > self.cfg.max_retries {
-            self.fail_request(req, t, "host timeout budget exhausted");
+        if attempts > MAX_RETRIES {
+            self.fail_request(req);
             self.schedule(t, Event::TryDispatch);
             return;
         }
@@ -711,7 +675,7 @@ impl<'a> Run<'a> {
         self.schedule(retry, Event::TryDispatch);
     }
 
-    fn fail_request(&mut self, req: u64, _t: Nanos, _why: &str) {
+    fn fail_request(&mut self, req: u64) {
         self.audit.fail(req);
         let r = &mut self.requests[req as usize];
         r.state = ReqState::Failed;
@@ -758,7 +722,6 @@ impl<'a> Run<'a> {
 
     fn finish(mut self) -> HostReport {
         self.report.elapsed = self.last_completion.saturating_sub(self.start);
-        self.report.qos_throttled = self.queue.throttled;
         // Close the exactly-once audit: every issued request must have
         // exactly one ack unless it permanently failed.
         for r in &self.requests {
@@ -882,7 +845,6 @@ mod tests {
         let engine = HostEngine::new(HostConfig {
             initiators: 1,
             queue_depth: 16,
-            qos: QosSpec::default(),
             ..HostConfig::default()
         });
         // Sequential writes: every dispatch sees its successors queued
@@ -911,23 +873,20 @@ mod tests {
         acfg.obs.slow_op_threshold = 1; // capture every op's span tree
         let mut a = FlashArray::new(acfg).unwrap();
         let vol = a.create_volume("host", 8 << 20).unwrap();
+        // A one-entry admission limit makes requests wait at the host
+        // before dispatch.
         let engine = HostEngine::new(HostConfig {
             initiators: 2,
             queue_depth: 8,
             coalesce: false,
-            qos: QosSpec {
-                iops_cap: 2,
-                bytes_cap: 0,
-                window: 1_000_000,
-                target_latency: 5_000_000,
-            },
+            admission_limit: 1,
             ..HostConfig::default()
         });
         let mut gen = workload(17, 50);
         let folded_before = a.obs().tracer.folded_count();
         let report = engine.run_closed_loop(&mut a, vol, &mut gen, 100, None);
         assert_eq!(report.ops, 100);
-        assert!(report.qos_throttled > 0, "cap must bite for this test");
+        assert!(report.qfull > 0, "host wait must accrue for this test");
         // Every host op folds into blame accounting...
         assert!(a.obs().tracer.folded_count() >= folded_before + 100);
         // ...and the captured span trees carry both halves of the story:
@@ -937,8 +896,16 @@ mod tests {
             .iter()
             .flat_map(|o| o.stages.iter().map(|s| s.stage))
             .collect();
-        assert!(stages.contains("qos_throttle"), "stages seen: {stages:?}");
+        assert!(stages.contains("host_queue"), "stages seen: {stages:?}");
         assert!(stages.contains("nvram_commit"), "stages seen: {stages:?}");
+        // No rate cap holds a request back, so the whole wait is queue:
+        // no throttle span appears, and each wait starts at its arrival.
+        assert!(!stages.contains("qos_throttle"), "stages seen: {stages:?}");
+        for o in slow.iter().filter(|o| o.kind.starts_with("host_")) {
+            for s in o.stages.iter().filter(|s| s.stage == "host_queue") {
+                assert_eq!(s.start, o.issued_at, "host wait must start at arrival");
+            }
+        }
         assert!(
             slow.iter().any(|o| o.kind.starts_with("host_")),
             "ring should hold host-initiated end-to-end traces"
@@ -951,9 +918,8 @@ mod tests {
         acfg.obs.slow_op_threshold = 1;
         let mut a = FlashArray::new(acfg).unwrap();
         let vol = a.create_volume("host", 8 << 20).unwrap();
-        // No rate caps: wait accrues only from QFULL re-admission
-        // backoff, which the trace must charge to host_queue (there are
-        // no logged throttle windows to blame).
+        // Wait accrues from QFULL re-admission backoff, which the trace
+        // charges to host_queue.
         let engine = HostEngine::new(HostConfig {
             initiators: 2,
             queue_depth: 8,
@@ -976,30 +942,30 @@ mod tests {
     }
 
     #[test]
-    fn qos_cap_throttles_dispatch() {
+    fn retried_request_dispatches_ahead_of_later_arrivals() {
         let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
         let vol = a.create_volume("host", 8 << 20).unwrap();
-        let engine = HostEngine::new(HostConfig {
-            initiators: 2,
-            queue_depth: 8,
+        let cfg = HostConfig {
+            initiators: 1,
+            queue_depth: 1,
             coalesce: false,
-            qos: QosSpec {
-                iops_cap: 2,
-                bytes_cap: 0,
-                window: 1_000_000,
-                target_latency: 5_000_000,
-            },
             ..HostConfig::default()
-        });
-        let mut gen = workload(17, 50);
-        let report = engine.run_closed_loop(&mut a, vol, &mut gen, 100, None);
-        assert_eq!(report.ops, 100);
-        assert!(report.qos_throttled > 0, "cap must bite");
-        // 100 ops at 2 per ms ≥ 49 windows ≈ 49 ms.
-        assert!(
-            report.elapsed >= 45_000_000,
-            "throttled run finished too fast: {} ns",
-            report.elapsed
-        );
+        };
+        let mut gen = workload(29, 50);
+        let mut run = Run::new(&cfg, &mut a, vol, &mut gen, LoopMode::Open, None, 3);
+        let t0 = run.start;
+        run.arrive(0, t0);
+        run.try_dispatch(t0);
+        // Requests 1 and 2 arrive while request 0 is in flight.
+        run.arrive(0, t0 + 1_000);
+        run.arrive(0, t0 + 2_000);
+        // Request 0's ack never lands: its path times out and it goes
+        // back to the queue at its arrival's place.
+        let expiry = t0 + cfg.timeout;
+        run.timeout(0, 1, expiry);
+        run.try_dispatch(expiry);
+        let order: Vec<u64> = run.dispatched_ops.iter().map(|&(_, req)| req).collect();
+        assert_eq!(order, vec![0, 0, 1, 2]);
+        assert_eq!(run.requests[0].path, PathId::B, "retried on the survivor");
     }
 }

@@ -3,8 +3,7 @@
 //! A discrete-virtual-time **host front end** for the Purity array
 //! reproduction: the piece between applications and
 //! [`purity_core::FlashArray`] that real deployments get from FC/iSCSI
-//! initiators, multipath drivers and array QoS (§2, §4.1, §4.4 of the
-//! paper).
+//! initiators and multipath drivers (§2, §4.1, §4.4 of the paper).
 //!
 //! * [`engine`] — the event loop: N initiators with configurable queue
 //!   depths (closed-loop) or Poisson arrivals (open-loop), request
@@ -13,9 +12,8 @@
 //!   exactly once, even across controller failover).
 //! * [`audit`] — the exactly-once ack oracle itself, shared with the
 //!   torture campaigns and extended cluster-wide by `purity-cluster`.
-//! * [`qos`] — per-volume submission queues: admission control, IOPS
-//!   and bandwidth caps per accounting window, and an earliest-
-//!   deadline-first dispatch order that is FIFO within equal deadlines.
+//! * [`queue`] — the volume's dispatch queue: first come, first served,
+//!   with retried requests keeping their arrival's place.
 //! * [`multipath`] — ALUA-style two-path model: primary-preferred,
 //!   standby reachable at a forwarding penalty, timeout-driven
 //!   failover and probe-based failback.
@@ -31,11 +29,11 @@
 pub mod audit;
 pub mod engine;
 pub mod multipath;
-pub mod qos;
+pub mod queue;
 pub mod report;
 
 pub use audit::{AckAudit, AckAuditReport};
 pub use engine::{HostConfig, HostEngine};
 pub use multipath::{Multipath, PathId, PathState};
-pub use qos::{DispatchQueue, Pending, PopOutcome, QosSpec};
+pub use queue::DispatchQueue;
 pub use report::HostReport;

@@ -63,24 +63,21 @@ pub struct PathInfo {
     pub timeouts: u64,
 }
 
-/// The host's two-path view of the array, with the retry policy knobs.
+/// The host's two-path view of the array, with its retry backoff and
+/// probe cool-down.
 #[derive(Debug, Clone)]
 pub struct Multipath {
     a: PathInfo,
     b: PathInfo,
-    /// Host I/O timeout: an op with no ack after this long is retried.
-    pub timeout: Nanos,
     /// Base retry backoff; attempt `n` waits `backoff << min(n, 6)`.
     pub backoff: Nanos,
-    /// Attempts before an op is reported failed to the application.
-    pub max_retries: u32,
     /// Cool-down before a failed path is probed again.
     pub probe_interval: Nanos,
 }
 
 impl Multipath {
     /// Both paths up.
-    pub fn new(timeout: Nanos, backoff: Nanos, max_retries: u32, probe_interval: Nanos) -> Self {
+    pub fn new(backoff: Nanos, probe_interval: Nanos) -> Self {
         let fresh = PathInfo {
             state: PathState::Up,
             dispatched: 0,
@@ -89,9 +86,7 @@ impl Multipath {
         Self {
             a: fresh,
             b: fresh,
-            timeout,
             backoff,
-            max_retries,
             probe_interval,
         }
     }
@@ -161,7 +156,7 @@ mod tests {
     use super::*;
 
     fn mp() -> Multipath {
-        Multipath::new(1_000_000, 10_000, 4, 500_000)
+        Multipath::new(10_000, 500_000)
     }
 
     #[test]

@@ -46,10 +46,6 @@ pub struct HostReport {
     pub coalesced_writes: u64,
     /// Arrivals deferred by the admission bound.
     pub qfull: u64,
-    /// Dispatch-loop throttle events (cap hit).
-    pub throttle_events: u64,
-    /// Times the QoS queue deferred its head within a window.
-    pub qos_throttled: u64,
     /// Array-rejected dispatch attempts.
     pub dispatch_errors: u64,
     /// Requests that exhausted their retry budget.
@@ -88,8 +84,6 @@ impl HostReport {
             stranded_ops: 0,
             coalesced_writes: 0,
             qfull: 0,
-            throttle_events: 0,
-            qos_throttled: 0,
             dispatch_errors: 0,
             failed_ops: 0,
             failovers_observed: 0,
@@ -153,7 +147,6 @@ impl HostReport {
         registry.set_counter("host_duplicate_acks", &vol, self.duplicate_acks);
         registry.set_counter("host_coalesced_writes", &vol, self.coalesced_writes);
         registry.set_counter("host_qfull", &vol, self.qfull);
-        registry.set_counter("host_qos_throttled", &vol, self.qos_throttled);
         registry.set_counter("host_failed_ops", &vol, self.failed_ops);
         registry.set_counter("host_failovers_observed", &vol, self.failovers_observed);
         for (path, dispatched, timeouts) in [
@@ -217,7 +210,6 @@ impl HostReport {
             .u64_field("stranded_ops", self.stranded_ops)
             .u64_field("coalesced_writes", self.coalesced_writes)
             .u64_field("qfull", self.qfull)
-            .u64_field("qos_throttled", self.qos_throttled)
             .u64_field("failed_ops", self.failed_ops)
             .u64_field("failovers_observed", self.failovers_observed)
             .u64_field("path_a_dispatched", self.path_a_dispatched)

@@ -17,7 +17,6 @@ fn engine_qd32() -> HostEngine {
         queue_depth: 8, // 4 × 8 = QD 32 outstanding
         timeout: 50 * MS,
         backoff: 100_000,
-        max_retries: 8,
         ..HostConfig::default()
     })
 }

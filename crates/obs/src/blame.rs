@@ -27,11 +27,11 @@ use purity_sim::Nanos;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(usize)]
 pub enum BlameCategory {
-    /// Waiting in the host submission/dispatch queue (EDF order, path
-    /// down, retry backoff) — everything between arrival and dispatch
-    /// that is not an explicit QoS throttle window.
+    /// Waiting in the host submission/dispatch queue (FIFO order, path
+    /// down, QFULL backoff) — everything between arrival and dispatch.
     HostQueue,
-    /// Held by the per-volume QoS window cap (iops/bytes).
+    /// Held by a per-volume rate cap. No layer emits its stage (the host
+    /// queue has no cap); the slot keeps every export's vector at 13.
     QosThrottle,
     /// A dispatch leg that never delivered its ack: timeout wait plus
     /// backoff until the next leg dispatched.

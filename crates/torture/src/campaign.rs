@@ -14,7 +14,7 @@
 //! 1. seed an op mix (writes, read-verifies, snapshots, clones,
 //!    destroys, GC, scrub, checkpoints) against a fresh array, with an
 //!    optional host-engine stage driving a separate volume through the
-//!    QoS/multipath front end first;
+//!    queue/multipath front end first;
 //! 2. at `crash_op`, arm the phase's power-loss trigger and drive I/O
 //!    into it: mid-NVRAM-append, mid-segment-flush, or mid-checkpoint
 //!    (boot slot torn). `OpBoundary` cuts power cleanly instead;
@@ -104,7 +104,7 @@ pub struct CampaignSpec {
     /// Test-only recovery sabotage: skip NVRAM replay. A correct oracle
     /// MUST flag this run (acked writes vanish).
     pub sabotage: bool,
-    /// Run a host-engine (QoS + multipath) stage on a separate volume
+    /// Run a host-engine (queue + multipath) stage on a separate volume
     /// before the op mix, so the crash lands on full-stack state.
     pub host_stage: bool,
 }
@@ -373,8 +373,8 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
     let frontier_bound = 2 * cfg.frontier_aus_per_drive * cfg.n_drives;
     let mut run = Run::new(cfg, None);
 
-    // Optional full-stack warm-up: the host engine (QoS, queue depths,
-    // multipath) pounds a separate volume whose contents the oracle
+    // Optional full-stack warm-up: the host engine (queue depths,
+    // coalescing, multipath) pounds a separate volume whose contents the oracle
     // does not track — it exists to leave realistic segment/NVRAM/cache
     // state behind before the crash.
     if spec.host_stage {

@@ -7,7 +7,7 @@
 # file's first `#[cfg(test)]` that is neither blank nor a `//` comment
 # (doc comments included). Prints one line per crate, the total, the
 # five largest files, and the public-field count of each configuration
-# struct.
+# struct, found by name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,15 +37,14 @@ echo "$counts" | awk '
 echo "largest files:"
 echo "$counts" | sort -rn | head -5 | awk '{ printf "  %6d %s\n", $1, $2 }'
 
-# Public fields of each configuration struct: the knobs a caller can set.
+# Public fields of each configuration struct (every `pub struct` named
+# `*Config`, `*Spec`, `*Options` or `*Policy`): the knobs a caller can set.
 echo "config fields:"
-for s in ArrayConfig HostConfig ClusterSpec SwimConfig LinkConfig ObsConfig RecorderConfig SloConfig; do
-  f=$(grep -l "^pub struct $s {" crates/*/src/*.rs)
-  n=$(awk -v s="$s" '
-    $0 ~ "^pub struct " s " \\{" { inside = 1; next }
-    inside && /^}/ { exit }
-    inside && /^    pub [a-z_0-9]+:/ { n++ }
-    END { print n + 0 }
-  ' "$f")
-  printf "  %-14s %3d  %s\n" "$s" "$n" "$f"
-done
+awk '
+  FNR == 1 { inside = 0 }
+  /^pub struct [A-Za-z0-9_]+(Config|Spec|Options|Policy) [{]/ {
+    name = $3; n = 0; inside = 1; next
+  }
+  inside && /^}/ { printf "  %-20s %3d  %s\n", name, n, FILENAME; inside = 0 }
+  inside && /^    pub [a-z_0-9]+:/ { n++ }
+' $(find crates/*/src -name '*.rs' | sort)

@@ -85,7 +85,7 @@ fn torture_full_scan() {
     }));
 }
 
-/// The host engine stage (QoS + multipath front end) layered under the
+/// The host engine stage (queue + multipath front end) layered under the
 /// crash changes nothing about the contract.
 #[test]
 fn torture_with_host_stage() {
