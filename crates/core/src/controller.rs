@@ -82,7 +82,8 @@ impl ElideFilter<MapKey> for ElidedMediums {
 /// Builds the (empty) map pyramid, for a fresh array and for recovery
 /// alike. Its memtable never flushes itself: a flushed patch has to
 /// reach a log record, after the data its facts point at is durable, so
-/// [`Controller::flush_map_patch`] owns flushing.
+/// [`Controller::flush_map_patch`] owns flushing (and a GC pass, which
+/// compacts the memtable into the map it rewrites).
 pub(crate) fn new_map(elided: &Arc<RwLock<RangeTable>>) -> Pyramid<MapKey, MapVal> {
     let mut map = Pyramid::with_thresholds(usize::MAX, 8);
     map.set_elide_filter(Arc::new(ElidedMediums(elided.clone())));
@@ -513,17 +514,22 @@ impl Controller {
         if self.map.memtable_facts() == 0 {
             return Ok(());
         }
-        // Data referenced by these facts must be durable first, in both
-        // classes.
-        for class in [HOT, COLD] {
-            self.writers[class].pad_flush_data(shelf, now)?;
-            self.sync_open_segment(class);
-        }
+        self.persist_memtable_data(shelf, now)?;
         let patch = self.map.flush().expect("memtable non-empty");
         let facts = patch.range_slice(Bound::Unbounded, Bound::Unbounded);
         for bytes in map_patch_records(facts, facts.len()) {
             let loc = self.append_log_record(shelf, &bytes, now)?;
             self.map_patches.push(loc);
+        }
+        Ok(())
+    }
+
+    /// Pads both classes' pending data to the drives: the data the
+    /// memtable's facts point at must be durable before they are.
+    pub(crate) fn persist_memtable_data(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<()> {
+        for class in [HOT, COLD] {
+            self.writers[class].pad_flush_data(shelf, now)?;
+            self.sync_open_segment(class);
         }
         Ok(())
     }

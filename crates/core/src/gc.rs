@@ -8,16 +8,18 @@
 //!   merge rather than relocated, which is the fast space reclamation of
 //!   elision (§4.10);
 //! * runs the "more expensive deduplication pass" over relocated data
-//!   (§4.7), catching duplicates inline dedup missed — and keeps only
-//!   the sectors some key still reads, moving a cblock that stays whole
-//!   as a copy of its stored bytes (`Controller::relocate`, shared with
-//!   the tiering migrator);
+//!   (§4.7), catching duplicates inline dedup missed — a hash hit on the
+//!   cblock being moved or on a segment being collected is a miss, never
+//!   fetched or verified — and keeps only the sectors some key still
+//!   reads, moving a cblock that stays whole as a copy of its stored
+//!   bytes (`Controller::relocate`, shared with the tiering migrator);
 //! * **segregates its output** (§4.7 segregates deduplicated blocks,
 //!   "less likely to become completely unreferenced") — GC seals the
 //!   open segment before and after relocating, so what it moves lands in
 //!   segments of its own, apart from host writes;
-//! * flattens the map pyramid and rewrites it as a compact patch set,
-//!   bounding recovery work;
+//! * compacts the map pyramid (memtable and patches in one merge) and
+//!   writes it once, as the patch set the checkpoint names, bounding
+//!   recovery work;
 //! * shortcuts medium chains so reads touch ≤ 3 cblocks (§4.6).
 //!
 //! GC runs over both device classes: a cold segment's live cblocks are
@@ -25,7 +27,7 @@
 //! cold allocator — the only way cold space is ever freed.
 
 use crate::controller::{Controller, MapKey, MapVal};
-use crate::error::Result;
+use crate::error::{PurityError, Result};
 use crate::records::{map_patch_records, PATCH_CHUNK_FACTS};
 use crate::segment::{SegmentInfo, SegmentState, HOT};
 use crate::shelf::Shelf;
@@ -37,7 +39,7 @@ use purity_obs::OpTrace;
 use purity_sim::Nanos;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
-use std::ops::Bound;
+use std::ops::Bound::{self, Unbounded};
 
 /// GC collects sealed segments whose live fraction is below this.
 const GC_OCCUPANCY_THRESHOLD: f64 = 0.55;
@@ -165,12 +167,24 @@ impl Controller {
             self.seal_open_segment(shelf, HOT, now)?;
         }
 
-        // ---- Map maintenance: flush, flatten, compact patch set. -----
+        // ---- Map maintenance: compact once, encode once. -------------
+        // The memtable is not flushed on its own: the checkpoint below
+        // names only the compacted records, so a flushed record would be
+        // dead before anything pointed at it.
         let before_facts = self.map.total_facts() as u64;
-        self.flush_map_patch(shelf, now)?;
-        self.map.flatten();
+        if self.map.memtable_facts() > 0 {
+            self.persist_memtable_data(shelf, now)?;
+        }
+        let whole = self.map.compact();
         report.map_facts_dropped = before_facts.saturating_sub(self.map.total_facts() as u64);
-        self.rewrite_map_patches(shelf, now)?;
+        let facts = whole
+            .as_deref()
+            .map_or(&[][..], |p| p.range_slice(Unbounded, Unbounded));
+        let mut patches = Vec::new();
+        for bytes in map_patch_records(facts, PATCH_CHUNK_FACTS) {
+            patches.push(self.append_log_record(shelf, &bytes, now)?);
+        }
+        self.map_patches = patches;
 
         // ---- Medium chain shortcuts + tree flattening. ----------------
         let seq = self.seq.next();
@@ -380,26 +394,28 @@ impl Controller {
         let fetched = self.fetch_cblock(shelf, &pba, now, trace)?;
         let payload = fetched.payload;
 
+        let mut survives = vec![false; payload.len() / SECTOR];
+        for (_, val) in refs {
+            let sector = val.loc.sector;
+            *survives.get_mut(sector as usize).ok_or_else(|| {
+                PurityError::DataLoss(format!(
+                    "cblock at {pba:?} shorter than mapped sector {sector}"
+                ))
+            })? = true;
+        }
+        let sectors_dropped = survives.iter().filter(|&&s| !s).count() as u64;
+
         // The dedup pass, when asked for; no outcomes = no duplicates.
+        // A hit on this cblock or on a segment being collected is a
+        // miss, and an anchor's run stays inside its own hit's cblock,
+        // so no outcome points into either.
         let mut outcomes: Vec<Outcome<BlockLoc>> = Vec::new();
         if let Some(victims) = dedup_victims.filter(|_| self.cfg.dedup_enabled) {
             let (dedup, mut fetcher) = self.fetcher(shelf, now);
-            outcomes = dedup.process(&payload, &mut fetcher);
-            for o in &mut outcomes {
-                // Never dedup into a segment being collected (or this
-                // cblock itself).
-                if matches!(o, Outcome::Dup { loc, .. }
-                    if victims.binary_search(&loc.pba.segment.0).is_ok() || loc.pba == pba)
-                {
-                    *o = Outcome::Unique;
-                }
-            }
+            outcomes = dedup.process_excluding(&payload, &mut fetcher, |loc| {
+                loc.pba == pba || victims.binary_search(&loc.pba.segment.0).is_ok()
+            });
         }
-
-        let mut survives = vec![false; payload.len() / SECTOR];
-        refs.iter()
-            .for_each(|(_, val)| survives[val.loc.sector as usize] = true);
-        let sectors_dropped = survives.iter().filter(|&&s| !s).count() as u64;
         for (s, o) in survives.iter_mut().zip(&outcomes) {
             *s &= matches!(o, Outcome::Unique);
         }
@@ -466,22 +482,6 @@ impl Controller {
             sectors_dropped,
             copied,
         })
-    }
-
-    /// Rewrites the flattened map as a compact set of patch records in
-    /// the current segment and swaps the checkpoint patch list to them.
-    fn rewrite_map_patches(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<()> {
-        let mut facts = Vec::with_capacity(self.map.total_facts());
-        self.map
-            .range_for_each(Bound::Unbounded, Bound::Unbounded, |&key, &val, seq| {
-                facts.push((key, seq, val));
-            });
-        let mut new_patches = Vec::new();
-        for bytes in map_patch_records(&facts, PATCH_CHUNK_FACTS) {
-            new_patches.push(self.append_log_record(shelf, &bytes, now)?);
-        }
-        self.map_patches = new_patches;
-        Ok(())
     }
 
     /// §4.6: "Purity's garbage collector rewrites trees of mediums in a
@@ -628,10 +628,14 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use crate::controller::MapVal;
+    use crate::error::PurityError;
     use crate::fault::{FaultEvent, FaultOutcome};
-    use crate::types::{BlockLoc, Pba};
+    use crate::records::PATCH_CHUNK_FACTS;
+    use crate::segment::HOT;
+    use crate::types::{BlockLoc, Pba, SECTOR};
     use crate::{ArrayConfig, FlashArray};
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     /// A corrupt flash page under a live cblock of a GC victim: the
     /// relocation reads around it, and what it places is what it decoded
@@ -770,5 +774,83 @@ mod tests {
             violations.iter().any(|v| v.contains("not in the table")),
             "{violations:?}"
         );
+    }
+
+    /// A pass over a non-empty memtable writes the map once: the
+    /// compacted map's ⌈facts / `PATCH_CHUNK_FACTS`⌉ records are the only
+    /// log stripes it appends — no record of the memtable alone — and
+    /// the checkpoint's patch list names exactly them.
+    #[test]
+    fn a_pass_writes_the_map_once() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let vol = a.create_volume("v", 8 << 20).unwrap();
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut chunk = vec![0u8; 256 * 1024];
+        // 24 × 256 KiB: 12 288 sector facts, two records' worth.
+        for i in 0..24u64 {
+            rng.fill(&mut chunk[..]);
+            a.write(vol, i * 256 * 1024, &chunk).unwrap();
+        }
+        let ctrl = a.controller();
+        assert!(ctrl.map.memtable_facts() > 0);
+        let log_before: BTreeMap<u64, (u64, u64)> = (ctrl.segments.iter())
+            .map(|(&id, s)| (id, (s.log_stripes, s.log_bytes)))
+            .collect();
+
+        a.run_gc().unwrap();
+        let ctrl = a.controller();
+        let facts = ctrl.map.total_facts();
+        assert_eq!(ctrl.map.memtable_facts(), 0);
+        assert!(facts > PATCH_CHUNK_FACTS, "{facts} facts fill one record");
+        let records = &ctrl.map_patches;
+        assert_eq!(records.len(), facts.div_ceil(PATCH_CHUNK_FACTS));
+        let sp = ctrl.writers[HOT].layout().log_stripe_payload() as u64;
+        let record_stripes: u64 = records.iter().map(|r| r.len.div_ceil(sp)).sum();
+        let appended: u64 = (ctrl.segments.iter())
+            .map(|(id, s)| s.log_stripes - log_before.get(id).map_or(0, |b| b.0))
+            .sum();
+        assert_eq!(appended, record_stripes, "the pass appended another record");
+        for r in records {
+            let old_end = log_before.get(&r.segment).map_or(0, |b| b.1);
+            assert!(r.log_offset >= old_end, "{r:?} predates the pass");
+        }
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A map fact whose sector lies past its cblock's payload: GC's
+    /// relocation refuses it with the host read path's typed error.
+    #[test]
+    fn a_fact_past_its_cblock_is_data_loss() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let keep = a.create_volume("keep", 2 << 20).unwrap();
+        let kill = a.create_volume("kill", 16 << 20).unwrap();
+        a.write(keep, 0, &[7u8; 64 * 1024]).unwrap();
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut chunk = vec![0u8; 256 * 1024];
+        for i in 0..24u64 {
+            rng.fill(&mut chunk[..]);
+            a.write(kill, i * 256 * 1024, &chunk).unwrap();
+        }
+        a.destroy_volume(kill).unwrap();
+        // Sector 1000 of `keep` mapped to sector 200 of its first
+        // cblock, which holds 64.
+        let (ctrl, _) = a.controller_and_shelf();
+        let anchor = ctrl.volumes[&keep.0].anchor;
+        let pba = ctrl.resolve_sector(anchor, 0).unwrap().loc.pba;
+        let val = MapVal {
+            loc: BlockLoc { pba, sector: 200 },
+            deduped: false,
+        };
+        let seq = ctrl.seq.next();
+        ctrl.map.insert((anchor.0, 1000), val, seq);
+
+        let shorter = |e: &PurityError| match e {
+            PurityError::DataLoss(m) => m.contains("shorter than mapped sector 200"),
+            _ => false,
+        };
+        let read = a.read(keep, 1000 * SECTOR as u64, SECTOR).unwrap_err();
+        assert!(shorter(&read), "{read:?}");
+        let gc = a.run_gc().unwrap_err();
+        assert!(shorter(&gc), "{gc:?}");
     }
 }

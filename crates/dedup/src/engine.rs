@@ -94,6 +94,20 @@ impl<L: Copy + Eq> DedupEngine<L> {
     /// a duplicate run's sampled hash may sit at its tail, and the run's
     /// head must still be claimable.
     pub fn process<F: BlockFetcher<L>>(&mut self, data: &[u8], fetcher: &mut F) -> Vec<Outcome<L>> {
+        self.process_excluding(data, fetcher, |_| false)
+    }
+
+    /// [`DedupEngine::process`] where no duplicate may point at a
+    /// location `skip` names: a hash hit on one is a miss. It is never
+    /// fetched, verified, promoted or forgotten, and it anchors nothing.
+    /// GC's pass skips the cblock it relocates and the segments it
+    /// collects.
+    pub fn process_excluding<F: BlockFetcher<L>>(
+        &mut self,
+        data: &[u8],
+        fetcher: &mut F,
+        skip: impl Fn(&L) -> bool,
+    ) -> Vec<Outcome<L>> {
         assert_eq!(data.len() % DEDUP_BLOCK, 0, "whole blocks only");
         let n = data.len() / DEDUP_BLOCK;
         let mut out: Vec<Option<Outcome<L>>> = vec![None; n];
@@ -105,7 +119,7 @@ impl<L: Copy + Eq> DedupEngine<L> {
         for i in 0..n {
             self.stats.blocks += 1;
             let h = block_hash(block(i));
-            let Some(loc) = self.index.lookup(h) else {
+            let Some(loc) = self.index.lookup(h).filter(|loc| !skip(loc)) else {
                 continue;
             };
             match fetcher.matches(&loc, 0, block(i)) {
@@ -375,6 +389,98 @@ mod tests {
         let physical = store.blocks.len() * DEDUP_BLOCK;
         let ratio = logical as f64 / physical as f64;
         assert!(ratio > 4.0, "VDI clones should dedup >4x, got {:.2}", ratio);
+    }
+
+    /// A [`MemStore`] that counts the engine's reads of it.
+    struct Counting {
+        store: MemStore,
+        reads: usize,
+    }
+
+    impl BlockFetcher<u64> for Counting {
+        fn fetch(&mut self, loc: &u64, delta: i64) -> Option<Vec<u8>> {
+            self.reads += 1;
+            self.store.fetch(loc, delta)
+        }
+
+        fn displace(&self, loc: &u64, delta: i64) -> Option<u64> {
+            self.store.displace(loc, delta)
+        }
+    }
+
+    /// A hit on a skipped location costs nothing and changes nothing:
+    /// no fetch, no verify (true or false), no promotion, no forget.
+    #[test]
+    fn a_skipped_hit_is_never_fetched_verified_promoted_or_forgotten() {
+        // Every hash sampled, no recent window: a lookup's tier shows
+        // whether the hit was promoted to the hot set.
+        let mut eng = DedupEngine::new(DedupIndex::new(0, 64));
+        eng.index_mut().set_sample_rate(1);
+        let mut store = Counting {
+            store: MemStore::new(),
+            reads: 0,
+        };
+        let data = blocks_of(b"skipme", 16);
+        write_through(&mut eng, &mut store.store, &data);
+        // A poisoned entry too: a verify of it would fail and forget it.
+        let fake = vec![9u8; DEDUP_BLOCK];
+        eng.index_mut().record_write(block_hash(&fake), 3);
+        let mut again = data.clone();
+        again.extend_from_slice(&fake);
+
+        let outcomes = eng.process_excluding(&again, &mut store, |_| true);
+        assert!(outcomes.iter().all(|o| *o == Outcome::Unique));
+        assert_eq!(store.reads, 0, "a skipped hit was fetched");
+        let s = eng.stats();
+        assert_eq!(
+            (s.verified_dups, s.failed_verifies, s.anchored_dups),
+            (0, 0, 0)
+        );
+        let index = eng.index_mut();
+        let hot_before = index.stats().hot_hits;
+        for (i, block) in again.chunks_exact(DEDUP_BLOCK).enumerate() {
+            let want = if i < 16 { i as u64 } else { 3 };
+            assert_eq!(index.lookup(block_hash(block)), Some(want), "forgotten");
+        }
+        assert_eq!(index.stats().hot_hits, hot_before, "promoted");
+
+        // The same hits, not skipped: fetched, verified and promoted.
+        let outcomes = eng.process_excluding(&data, &mut store, |_| false);
+        assert!(outcomes.iter().all(|o| matches!(o, Outcome::Dup { .. })));
+        assert!(store.reads > 0);
+        assert!(eng.stats().verified_dups > 0);
+    }
+
+    /// `process` is `process_excluding` with nothing skipped: two engines
+    /// fed the same random stream, one through each, decide alike.
+    #[test]
+    fn process_is_process_excluding_nothing() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut plain = (engine(), MemStore::new());
+        let mut excl = (engine(), MemStore::new());
+        for _ in 0..200 {
+            // A small alphabet of block contents keeps hits frequent.
+            let n = rng.gen_range(1..24);
+            let data: Vec<u8> = (0..n)
+                .flat_map(|_| blocks_of(b"rand", rng.gen_range(1..6)))
+                .take(n * DEDUP_BLOCK)
+                .collect();
+            let a = plain.0.process(&data, &mut plain.1);
+            let b = excl.0.process_excluding(&data, &mut excl.1, |_| false);
+            assert_eq!(a, b);
+            for (eng, store) in [&mut plain, &mut excl] {
+                for (i, o) in a.iter().enumerate() {
+                    if *o == Outcome::Unique {
+                        let blk = &data[i * DEDUP_BLOCK..(i + 1) * DEDUP_BLOCK];
+                        let loc = store.append(blk);
+                        eng.index_mut().record_write(block_hash(blk), loc);
+                    }
+                }
+            }
+        }
+        assert_eq!(plain.0.stats(), excl.0.stats());
+        assert!(plain.0.stats().verified_dups > 0, "the stream never hit");
     }
 
     /// Location map sanity: anchored dups must point at the displaced

@@ -399,15 +399,7 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     /// pyramid) so the owner can persist its facts into segments.
     pub fn flush(&mut self) -> Option<Arc<Patch<K, V>>> {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
-        if self.memtable.is_empty() {
-            return None;
-        }
-        let entries: Vec<(K, Seq, V)> = std::mem::take(&mut self.memtable)
-            .into_iter()
-            .flat_map(|(k, versions)| versions.into_iter().map(move |(s, v)| (k.clone(), s, v)))
-            .collect();
-        self.mem_facts = 0;
-        let patch = Arc::new(Patch::from_entries(entries));
+        let patch = self.freeze_memtable()?;
         self.patches.insert(0, patch.clone());
         self.stats.flushes += 1;
         // Fold as deep as the ratio reaches, in one k-way merge. The fact
@@ -430,6 +422,19 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
             self.merge_cheapest_adjacent_pair();
         }
         Some(patch)
+    }
+
+    /// Drains the memtable into a patch (not yet on the stack).
+    fn freeze_memtable(&mut self) -> Option<Arc<Patch<K, V>>> {
+        if self.memtable.is_empty() {
+            return None;
+        }
+        let entries: Vec<(K, Seq, V)> = std::mem::take(&mut self.memtable)
+            .into_iter()
+            .flat_map(|(k, versions)| versions.into_iter().map(move |(s, v)| (k.clone(), s, v)))
+            .collect();
+        self.mem_facts = 0;
+        Some(Arc::new(Patch::from_entries(entries)))
     }
 
     /// Merges the adjacent pair with the smallest combined size (ties
@@ -468,6 +473,23 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
         if !self.patches.is_empty() {
             self.merge_span(0..self.patches.len());
         }
+    }
+
+    /// Folds the memtable and every patch into one patch, in one k-way
+    /// merge through the elide filter, and returns it: the whole map as
+    /// one sorted run, which GC persists in place of every older patch.
+    /// The memtable is not flushed first, so its facts are merged once.
+    /// `None` when the pyramid holds nothing.
+    pub fn compact(&mut self) -> Option<Arc<Patch<K, V>>> {
+        purity_obs::profile_scope!(purity_obs::Plane::Lsm);
+        if let Some(memtable) = self.freeze_memtable() {
+            self.patches.insert(0, memtable);
+        }
+        if self.patches.is_empty() {
+            return None;
+        }
+        self.merge_span(0..self.patches.len());
+        Some(self.patches[0].clone())
     }
 
     /// Replaces the adjacent patches `span` with their merge through the
@@ -632,6 +654,44 @@ mod tests {
         let s = p.stats();
         assert_eq!((s.elided_dropped, s.superseded_dropped), (11, 3));
         assert_eq!(p.total_facts(), 10);
+    }
+
+    #[test]
+    fn compact_books_elided_and_superseded_drops_apart() {
+        // `merge_books_elided_and_superseded_drops_apart`, with the
+        // memtable folded in by the same merge instead of flushed first
+        // (a memtable that never flushes itself, as the map's).
+        let mut p = Pyramid::with_thresholds(usize::MAX, 4);
+        for i in 0..20u64 {
+            p.insert(i, i * 10, i + 1);
+        }
+        p.set_elide_filter(Arc::new(|k: &u64, _s: Seq| *k < 10));
+        let whole = p.compact().expect("facts held");
+        let s = p.stats();
+        assert_eq!((s.elided_dropped, s.superseded_dropped), (10, 0));
+        assert_eq!((s.flushes, s.merges), (0, 1));
+        assert_eq!(whole.len(), 10);
+        // Versions of one key split between a patch and the memtable.
+        p.insert(15, 1, 30);
+        p.flush();
+        p.insert(15, 2, 31);
+        p.insert(3, 3, 32);
+        p.insert(3, 4, 33);
+        let whole = p.compact().expect("facts held");
+        let s = p.stats();
+        assert_eq!((s.elided_dropped, s.superseded_dropped), (11, 3));
+        assert_eq!((p.patch_count(), p.memtable_facts()), (1, 0));
+        assert_eq!(p.total_facts(), 10);
+        assert_eq!(whole.len(), 10);
+        assert_eq!(p.get(&15), Some((2, 31)));
+        assert_eq!(p.get(&3), None);
+    }
+
+    #[test]
+    fn compact_of_nothing_is_nothing() {
+        let mut p = pyramid();
+        assert!(p.compact().is_none());
+        assert_eq!((p.patch_count(), p.stats().merges), (0, 0));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests: pyramids vs a reference map, under arbitrary
-//! interleavings of inserts, flushes, merges and flattens — and the
-//! §3.2 invariants (insert-order independence, duplicate harmlessness).
+//! interleavings of inserts, flushes, merges, flattens and compactions
+//! — and the §3.2 invariants (insert-order independence, duplicate
+//! harmlessness).
 
 use proptest::prelude::*;
 use purity_lsm::{ElideFilter, Patch, Pyramid, RangeElision, Seq};
@@ -14,6 +15,7 @@ enum Op {
     Flush,
     Merge,
     Flatten,
+    Compact,
 }
 
 /// Elides whole key prefixes, and says so for any range inside one.
@@ -38,12 +40,27 @@ impl ElideFilter<(u8, u8)> for PrefixFilter {
     }
 }
 
+/// What a pyramid answers, as (key, seq) pairs — equal-seq values are
+/// ambiguous: `get` of every key, `iter_live()`, and `range()` over
+/// `[lo, hi)`.
+fn answers(p: &Pyramid<u8, u16>, lo: u8, hi: u8) -> [Vec<(u8, Seq)>; 3] {
+    let pairs = |facts: Vec<(u8, u16, Seq)>| facts.into_iter().map(|(k, _, s)| (k, s)).collect();
+    [
+        (0..=255u8)
+            .filter_map(|k| p.get(&k).map(|(_, s)| (k, s)))
+            .collect(),
+        pairs(p.iter_live()),
+        pairs(p.range(Bound::Included(&lo), Bound::Excluded(&hi))),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => (any::<u8>(), any::<u16>(), 1u64..1000).prop_map(|(k, v, s)| Op::Insert(k, v, s)),
         2 => Just(Op::Flush),
         1 => Just(Op::Merge),
         1 => Just(Op::Flatten),
+        1 => Just(Op::Compact),
     ]
 }
 
@@ -78,6 +95,16 @@ proptest! {
                 }
                 Op::Merge => p.merge_oldest_pair(),
                 Op::Flatten => p.flatten(),
+                Op::Compact => {
+                    // One patch, an empty memtable, and every answer as
+                    // before.
+                    let held = p.total_facts() > 0;
+                    let before = answers(&p, lo, hi);
+                    prop_assert_eq!(p.compact().is_some(), held);
+                    prop_assert_eq!(p.patch_count(), usize::from(held));
+                    prop_assert_eq!(p.memtable_facts(), 0);
+                    prop_assert_eq!(answers(&p, lo, hi), before);
+                }
             }
             // Spot-check a few keys every step is too slow; check after.
         }

@@ -18,8 +18,10 @@ step() { printf '\n==> %s\n' "$*"; }
 step "cargo build --release"
 cargo build --release --workspace
 
-step "cargo test -q"
-cargo test -q --workspace
+# --no-fail-fast: every failing test binary is reported, not just the
+# first; the step still fails if any did.
+step "cargo test -q --no-fail-fast"
+cargo test -q --workspace --no-fail-fast
 
 # Exhibit smoke + results gate: every gated exhibit is re-run with the
 # arguments its committed results/ files were produced with, asserts
