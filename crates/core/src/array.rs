@@ -19,6 +19,7 @@ use crate::scrub::ScrubReport;
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
 use crate::types::{DriveId, Pba, SnapshotId, VolumeId, SECTOR};
+use purity_dedup::engine::BlockFetcher;
 use purity_obs::{Frame, MetricsSnapshot, Obs, OpTrace};
 use purity_sim::{Clock, Nanos};
 use purity_tier::RamCache;
@@ -402,13 +403,11 @@ impl FlashArray {
         self.check_powered().ok()?;
         let now = self.clock.now();
         let loc = self.primary.dedup.index_mut().lookup(hash)?;
-        let payload = self
+        let data = self
             .primary
-            .fetch_cblock(&mut self.shelf, &loc.pba, now, None)
-            .ok()?
-            .payload;
-        let start = loc.sector as usize * crate::types::SECTOR;
-        let data = payload.get(start..start + crate::types::SECTOR)?.to_vec();
+            .fetcher(&mut self.shelf, now)
+            .1
+            .fetch(&loc, 0)?;
         (purity_dedup::hash::block_hash(&data) == hash).then_some(data)
     }
 

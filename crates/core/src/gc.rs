@@ -13,6 +13,9 @@
 //!   fetched or verified — and keeps only the sectors some key still
 //!   reads, moving a cblock that stays whole as a copy of its stored
 //!   bytes (`Controller::relocate`, shared with the tiering migrator);
+//! * leaves the host's hot set in the read cache: a move's fetch is
+//!   served from the cache on a hit but never admits the cblock, whose
+//!   old address no reference keeps once it has moved;
 //! * **segregates its output** (§4.7 segregates deduplicated blocks,
 //!   "less likely to become completely unreferenced") — GC seals the
 //!   open segment before and after relocating, so what it moves lands in
@@ -370,6 +373,10 @@ impl Controller {
     /// hand them to `place` (which picks the class), and repoint every
     /// referencing key at the new location with one fresh-seq batch.
     ///
+    /// The fetch looks the cache up but admits nothing: its entry would
+    /// be keyed by the address the move leaves, so it could only evict
+    /// what host reads hit.
+    ///
     /// A sector survives when some ref reads it and the dedup pass found
     /// no duplicate for it. The fetch always decodes (that is the move's
     /// integrity check and the dedup pass's input), and when every
@@ -391,7 +398,7 @@ impl Controller {
         place: impl FnOnce(&mut Self, &mut Shelf, &[u8]) -> Result<Pba>,
     ) -> Result<Relocated> {
         let pba = refs[0].1.loc.pba;
-        let fetched = self.fetch_cblock(shelf, &pba, now, trace)?;
+        let fetched = self.fetch_for_move(shelf, &pba, now, trace)?;
         let payload = fetched.payload;
 
         let mut survives = vec![false; payload.len() / SECTOR];
@@ -724,13 +731,68 @@ mod tests {
 
         let (ctrl, shelf) = a.controller_and_shelf();
         let now = shelf.clock.now();
-        let moved = ctrl.fetch_cblock(shelf, &after.pba, now, None).unwrap();
+        let moved = ctrl.fetch_for_move(shelf, &after.pba, now, None).unwrap();
         assert!(
             moved.payload[..] == data[16 * 1024..],
             "the relocated cblock holds dead sectors"
         );
         let (back, _) = a.read(keep, 0, data.len()).unwrap();
         assert!(back == data, "relocated data differs");
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A move admits nothing to the read cache: with the cache full of
+    /// cblocks host reads put there, a pass that relocates more live
+    /// bytes than the cache holds evicts none of them.
+    #[test]
+    fn a_pass_leaves_the_host_hot_set_in_the_cache() {
+        const CBLOCK: usize = 32 * 1024;
+        let cfg = ArrayConfig {
+            cache_bytes: 8 * CBLOCK,
+            ..ArrayConfig::test_small()
+        };
+        let mut a = FlashArray::new(cfg).unwrap();
+        let hot = a.create_volume("hot", 4 << 20).unwrap();
+        let keep = a.create_volume("keep", 4 << 20).unwrap();
+        let kill = a.create_volume("kill", 4 << 20).unwrap();
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut chunk = vec![0u8; 256 * 1024];
+        // The hot volume fills a segment of its own, which stays whole.
+        for i in 0..8u64 {
+            rng.fill(&mut chunk[..]);
+            a.write(hot, i * chunk.len() as u64, &chunk).unwrap();
+        }
+        // Half-live segments: `keep` and `kill` interleaved, then `kill`
+        // destroyed.
+        let half = &mut chunk[..128 * 1024];
+        for i in 0..24u64 {
+            for vol in [keep, kill] {
+                rng.fill(&mut half[..]);
+                a.write(vol, i * half.len() as u64, half).unwrap();
+            }
+        }
+        a.destroy_volume(kill).unwrap();
+        a.read(hot, 0, 16 * CBLOCK).unwrap();
+
+        let cache = &a.controller().cache;
+        assert!(cache.used_bytes() + CBLOCK > cache.capacity_bytes());
+        let resident: Vec<Pba> = cache.keys().copied().collect();
+        let evictions = cache.stats().2;
+        let segments: Vec<u64> = a.controller().segments.keys().copied().collect();
+
+        let report = a.run_gc().unwrap();
+        let ctrl = a.controller();
+        assert!(
+            report.bytes_relocated > ctrl.cache.capacity_bytes() as u64,
+            "{report:?}"
+        );
+        assert_eq!(ctrl.cache.stats().2, evictions, "the pass evicted");
+        assert!(segments.iter().any(|s| !ctrl.segments.contains_key(s)));
+        for pba in &resident {
+            let victim = !ctrl.segments.contains_key(&pba.segment.0);
+            assert!(!victim, "setup: hot cblock {pba:?} was in a victim");
+            assert!(ctrl.cache.contains(pba), "{pba:?} left the cache");
+        }
         assert!(a.verify_integrity().is_empty());
     }
 

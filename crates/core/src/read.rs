@@ -255,18 +255,22 @@ impl Controller {
         }
     }
 
-    /// Fetches and decodes one cblock (cache → pending → flash), stamping
-    /// `trace` if given: a run of one (see [`CtrlFetcher::fetch_run`]).
-    /// The stored bytes the fetch read come back beside the payload:
-    /// relocation places them verbatim.
-    pub(crate) fn fetch_cblock(
+    /// Fetches and decodes one cblock for a move (cache → pending →
+    /// flash), stamping `trace` if given: a run of one (see
+    /// [`CtrlFetcher::fetch_run`]) that admits nothing to the cache, as
+    /// the move repoints every reference away from `pba`. The stored
+    /// bytes the fetch read come back beside the payload: relocation
+    /// places them verbatim.
+    pub(crate) fn fetch_for_move(
         &mut self,
         shelf: &mut Shelf,
         pba: &Pba,
         now: Nanos,
         trace: Option<&mut OpTrace>,
     ) -> Result<Fetched> {
-        let mut fetched = self.fetcher(shelf, now).1.fetch_run(&[*pba], trace)?;
+        let mut fetcher = self.fetcher(shelf, now).1;
+        fetcher.admit = false;
+        let mut fetched = fetcher.fetch_run(&[*pba], trace)?;
         Ok(fetched.remove(0))
     }
 
@@ -286,6 +290,7 @@ impl Controller {
             read_around: self.cfg.read_around_writes,
             stats: &mut self.stats,
             now,
+            admit: true,
         };
         (&mut self.dedup, fetcher)
     }
@@ -688,6 +693,11 @@ pub(crate) struct CtrlFetcher<'a> {
     read_around: bool,
     stats: &'a mut ArrayStats,
     now: Nanos,
+    /// Whether a cblock read from a device is put in the cache. Every
+    /// fetch looks the cache up; only a move's fetch admits nothing —
+    /// its entry would be keyed by an address no reference keeps, and
+    /// could only evict entries host reads hit.
+    admit: bool,
 }
 
 impl CtrlFetcher<'_> {
@@ -744,8 +754,9 @@ impl CtrlFetcher<'_> {
     }
 
     /// Reads one run (see [`CtrlFetcher::fetch_run`]) and appends its
-    /// decoded cblocks to `out`, each admitted to the cache. A cblock
-    /// that does not decode is data loss at its own address.
+    /// decoded cblocks to `out`, each admitted to the cache unless this
+    /// fetch is a move's. A cblock that does not decode is data loss at
+    /// its own address.
     fn read_run(
         &mut self,
         run: &[Pba],
@@ -764,7 +775,9 @@ impl CtrlFetcher<'_> {
             let payload = Arc::new(purity_compress::decompress(stored).map_err(|e| {
                 PurityError::DataLoss(format!("cblock decode at {:?}: {}", pba, e))
             })?);
-            self.cache.put(*pba, payload.clone());
+            if self.admit {
+                self.cache.put(*pba, payload.clone());
+            }
             // A run of one is its cblock's bytes: relocation copies none.
             let stored = if run.len() == 1 {
                 std::mem::take(&mut raw)

@@ -535,7 +535,7 @@ mod tests {
             cblocks(&refs)
                 .map(|refs| {
                     let pba = refs[0].1.loc.pba;
-                    let fetched = ctrl.fetch_cblock(shelf, &pba, now, None).unwrap();
+                    let fetched = ctrl.fetch_for_move(shelf, &pba, now, None).unwrap();
                     (refs[0].0 .1, fetched.stored.unwrap())
                 })
                 .collect()
@@ -554,6 +554,39 @@ mod tests {
         }
         assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
         assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A demotion admits nothing to the read cache: with the cache full
+    /// of a busy volume's cblocks, demoting more bytes than the cache
+    /// holds evicts none of them.
+    #[test]
+    fn a_demotion_leaves_the_host_hot_set_in_the_cache() {
+        const CBLOCK: usize = 32 * 1024;
+        let cfg = ArrayConfig {
+            cache_bytes: 8 * CBLOCK,
+            ..ArrayConfig::tiered()
+        };
+        let mut a = FlashArray::new(cfg).unwrap();
+        let busy = a.create_volume("busy", 1 << 20).unwrap();
+        let idle = a.create_volume("idle", 1 << 20).unwrap();
+        a.write(busy, 0, &[noise(5), noise(6)].concat()).unwrap();
+        a.write(idle, 0, &[noise(7), noise(8)].concat()).unwrap();
+        a.read(idle, 0, 4096).unwrap();
+        // The tick's read of `busy` is last, so it stays a hit.
+        a.read(busy, 0, 16 * CBLOCK).unwrap();
+        a.read(busy, 0, 8192).unwrap();
+
+        let cache = &a.controller().cache;
+        assert!(cache.used_bytes() + CBLOCK > cache.capacity_bytes());
+        let resident: Vec<Pba> = cache.keys().copied().collect();
+        let evictions = cache.stats().2;
+        run(&mut a, &[busy], &|c| on_flash(c, idle) == 0);
+        let ctrl = a.controller();
+        assert!(ctrl.stats.tier_bytes_demoted > ctrl.cache.capacity_bytes() as u64);
+        assert_eq!(ctrl.cache.stats().2, evictions, "the demotion evicted");
+        for pba in &resident {
+            assert!(ctrl.cache.contains(pba), "{pba:?} left the cache");
+        }
     }
 
     /// Nothing here runs GC, so nothing flattens: the fold at flush alone

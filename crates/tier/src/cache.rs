@@ -116,9 +116,12 @@ impl<K: Ord + Copy> RamCache<K> {
         }
     }
 
-    /// Copies the hot set into another cache (standby warming), hottest
-    /// first, stopping at the first entry that does not fit.
+    /// Replaces another cache's contents with this one's hot set
+    /// (standby warming): `other` is emptied, then filled hottest first,
+    /// stopping at the first entry that does not fit. Emptying first is
+    /// what lets a full standby learn a hot set that has moved.
     pub fn warm_into(&self, other: &mut Self) {
+        other.invalidate(|_| true);
         let mut hot: Vec<(&K, &Entry)> = self.entries.iter().collect();
         hot.sort_by_key(|(_, e)| std::cmp::Reverse(e.stamp));
         for (key, e) in hot {
@@ -284,6 +287,27 @@ mod tests {
         primary.warm_into(&mut secondary);
         assert!(secondary.get(&0).is_some(), "hottest entry warmed");
         assert!(secondary.used_bytes() <= 500);
+    }
+
+    /// A full standby learns the new hot set: a second warm after the
+    /// primary's hot set moved leaves the standby holding the new set,
+    /// not the first one.
+    #[test]
+    fn lru_warming_replaces_a_full_standby() {
+        let keys = |c: &RamCache<u64>| c.keys().copied().collect::<Vec<_>>();
+        let mut primary = RamCache::new(400);
+        let mut standby = RamCache::new(400);
+        for k in 0..4 {
+            put(&mut primary, k, 100);
+        }
+        primary.warm_into(&mut standby);
+        assert_eq!(keys(&standby), [0, 1, 2, 3]);
+        for k in 10..14 {
+            put(&mut primary, k, 100);
+        }
+        primary.warm_into(&mut standby);
+        assert_eq!(keys(&standby), [10, 11, 12, 13]);
+        assert_eq!(standby.used_bytes(), 400);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Local verification gate: what CI runs, runnable offline.
 #
-#   scripts/verify.sh          # build + test + fmt + clippy
+#   scripts/verify.sh          # build + test + fmt + clippy + benchmark lint
 #   scripts/verify.sh --quick  # build + test only
 #
-# fmt/clippy are skipped with a warning when the rustup components are
-# not installed (minimal container images often lack them); the build
-# and test steps are always required.
+# fmt/clippy (and the benchmark lint, which needs both) are skipped with
+# a warning when the rustup components are not installed (minimal
+# container images often lack them); the build and test steps are
+# always required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,6 +48,16 @@ if cargo clippy --version >/dev/null 2>&1; then
   cargo clippy --workspace --all-targets -- -D warnings
 else
   echo "WARNING: clippy not installed; skipping cargo clippy" >&2
+fi
+
+# benchmark/ is its own workspace, so nothing above compiles it: a core
+# API change that breaks it would pass here and fail only in CI's lint
+# job. Its lint mode is fmt + clippy + its unit tests.
+if cargo fmt --version >/dev/null 2>&1 && cargo clippy --version >/dev/null 2>&1; then
+  step "benchmark/run.sh --lint"
+  bash benchmark/run.sh --lint
+else
+  echo "WARNING: rustfmt or clippy not installed; skipping benchmark/run.sh --lint" >&2
 fi
 
 echo

@@ -203,6 +203,49 @@ fn secondary_cache_is_warm_after_failover() {
     }
 }
 
+/// A full standby cache learns a hot set that has moved: after the
+/// primary's reads move from set A to set B, failover serves B from the
+/// cache the old primary warmed, not the A of the standby's first fill.
+#[test]
+fn a_full_standby_learns_the_new_hot_set() {
+    const CBLOCK: usize = 32 * 1024;
+    let cfg = ArrayConfig {
+        cache_bytes: 8 * CBLOCK,
+        ..ArrayConfig::test_small()
+    };
+    let mut a = FlashArray::new(cfg).unwrap();
+    let vol = a.create_volume("db", 4 << 20).unwrap();
+    let side = a.create_volume("side", 1 << 20).unwrap();
+    // Two hot sets of eight cblocks each: the cache holds one.
+    let set_a = 0u64;
+    let set_b = 2 << 20;
+    a.write(vol, set_a, &sectors(11, 8 * CBLOCK / SECTOR))
+        .unwrap();
+    a.write(vol, set_b, &sectors(12, 8 * CBLOCK / SECTOR))
+        .unwrap();
+    // Durable where they stand: the takeover replays neither set to a
+    // new address.
+    a.checkpoint().unwrap();
+    // Warming runs every 128 writes: one round reading only A, then
+    // one reading only B. The side writes never repeat, so no dedup
+    // verification puts their cblocks in the cache.
+    for (round, set) in [set_a, set_b].into_iter().enumerate() {
+        for i in 0..128u64 {
+            let tag = 100 + 128 * round as u64 + i;
+            a.write(side, 0, &sectors(tag, 4)).unwrap();
+            a.read(vol, set, 8 * CBLOCK).unwrap();
+        }
+    }
+    let hits = |a: &mut FlashArray| {
+        let before = a.stats().cache_reads;
+        a.read(vol, set_b, 8 * CBLOCK).unwrap();
+        a.stats().cache_reads - before
+    };
+    assert_eq!(hits(&mut a), 8, "the primary serves B from its cache");
+    a.fail_primary().unwrap();
+    assert_eq!(hits(&mut a), 8, "the standby was warmed with B");
+}
+
 #[test]
 fn availability_accounting() {
     let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
