@@ -233,7 +233,7 @@ fn wl_cluster(smoke: bool) -> WorkloadResult {
 
 /// W6: the five-minute-rule tiering engine — read-heavy Zipfian
 /// traffic on a tiered array with a mid-run working-set shift, so the
-/// RAM LRU cache, the heat watcher and the migrator (demotions, cold
+/// RAM LRU cache, heat classification and the migrator (demotions, cold
 /// reads, promotions) all run inside the measured window.
 fn wl_tier(smoke: bool) -> WorkloadResult {
     let mut a = FlashArray::new(ArrayConfig::tiered()).unwrap();

@@ -416,7 +416,7 @@ pub fn run(_args: &[String], r: &mut Report) {
     assert_eq!(
         trace.vdi_heat_after_night,
         Heat::Cold.as_str(),
-        "the watcher must classify the idle vdi volume cold"
+        "the idle vdi volume must be cold after the night"
     );
     assert!(
         morning.cold_reads > 0 && trace.morning_waves[0].cold_reads > 0,

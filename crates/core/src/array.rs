@@ -209,10 +209,11 @@ impl FlashArray {
     pub fn destroy_volume(&mut self, volume: VolumeId) -> Result<()> {
         let now = self.clock.now();
         self.primary.destroy_volume(&mut self.shelf, volume, now)?;
+        let reads = self.primary.tier.forget(volume.0);
         self.primary.obs.registry.set_counter(
             "volume_reads",
             &[("volume", &volume.0.to_string())],
-            self.primary.tier.volume_reads(volume.0),
+            reads,
         );
         Ok(())
     }
@@ -521,13 +522,15 @@ impl FlashArray {
             ..RecoveryOptions::default()
         };
         let (mut ctrl, report) = self.restart(opts)?;
-        // The standby starts with the warm cache the old primary fed it,
-        // and the array's cumulative telemetry carries over (fleet
-        // history outlives any one controller).
+        // The standby starts with the warm cache the old primary fed it
+        // and the old primary's tiering state (each volume's reads, so
+        // heat survives), and the array's cumulative telemetry carries
+        // over (fleet history outlives any one controller).
         ctrl.cache = std::mem::replace(
             &mut self.secondary_cache,
             RamCache::new(self.cfg.cache_bytes),
         );
+        ctrl.tier = std::mem::take(&mut self.primary.tier);
         // The standby never heard the old primary's invalidations: keep
         // only segments the recovered table knows (ids are never reused,
         // so those payloads are still right).

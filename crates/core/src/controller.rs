@@ -201,7 +201,8 @@ pub struct Controller {
     /// The intent sizes of the write in progress, its NVRAM commit
     /// group; kept so each write reuses one buffer.
     pub(crate) intent_sizes: Vec<usize>,
-    /// Tiering engine state: the heat watcher. Volatile — it re-learns.
+    /// Tiering engine state: each volume's reads and the tick clock.
+    /// Volatile — a failover hands it over, a cold start re-learns it.
     pub(crate) tier: TierState,
     /// Telemetry.
     pub stats: ArrayStats,

@@ -62,9 +62,9 @@ impl Controller {
             Some(&mut op),
         )?;
         self.stats.logical_bytes_read += len as u64;
-        // Heat evidence: the recorder samples this per-volume counter
-        // each interval; the watcher folds the series into temperature.
-        *self.tier.vol_reads.entry(volume.0).or_insert(0) += 1;
+        // Heat: the time of a volume's last read decides its class; the
+        // count is published as `volume_reads`.
+        self.tier.record_read(volume.0, now);
         let latency = done.saturating_sub(now) + CPU_OVERHEAD_NS;
         self.stats.read_latency.record(latency);
         op.stage("cpu", done, done + CPU_OVERHEAD_NS);

@@ -213,7 +213,7 @@ impl Controller {
             map_patches: cp.map_patches.clone(),
             last_nvram_index: None,
             intent_sizes: Vec::new(),
-            tier: TierState::new(),
+            tier: TierState::default(),
             stats: ArrayStats::default(),
             obs: Obs::with_config(cfg.obs, now),
             cfg,

@@ -1,11 +1,12 @@
-//! Tiering executor: the crash-safe half of the five-minute-rule engine.
+//! Tiering executor: the five-minute rule run by the controller.
 //!
-//! `purity-tier` decides *what* should move (heat watcher, reconciler);
-//! this module decides *how*, and the answer is "as GC does": cold data
-//! lives in ordinary segments of the cold class — the same writer,
-//! allocator and Reed-Solomon stripes over the cold pool, one column of
-//! parity — and a move is `Controller::relocate` into the other class's
-//! open segment.
+//! Heat is the time since a volume's last read — the re-access interval
+//! the rule is a break-even on — stamped by [`Controller::read`] itself.
+//! Each tick classifies every volume and moves whole volumes between
+//! classes, and a move is done "as GC does": cold data lives in ordinary
+//! segments of the cold class — the same writer, allocator and
+//! Reed-Solomon stripes over the cold pool, one column of parity — and a
+//! move is `Controller::relocate` into the other class's open segment.
 //!
 //! * **Demotion** is copy-then-switch: fetch and decode the live cblock,
 //!   place its stored bytes in the cold open segment, then rewrite the
@@ -29,16 +30,15 @@ use crate::shelf::Shelf;
 use crate::types::Pba;
 use purity_obs::{Frame, OpTrace};
 use purity_sim::Nanos;
-use purity_tier::plan::VolumePlacement;
-use purity_tier::{HeatPolicy, HeatWatcher, MigrationPlan, Move, Reconciler};
+use purity_tier::Heat;
 use std::collections::BTreeMap;
 
-/// Migrator tick cadence in virtual ns: the watcher → reconciler →
-/// migrator loop runs at most this often from the background path.
+/// Migrator tick cadence in virtual ns: heat is classified and volumes
+/// moved at most this often from the background path.
 pub const TIER_INTERVAL_NS: Nanos = 50_000_000;
 
-/// A volume whose EWMA re-access interval exceeds this (virtual ns) is
-/// cold and eligible for demotion.
+/// A volume unread for this long (virtual ns) is cold and eligible for
+/// demotion; one read within a quarter of it is hot.
 pub const TIER_DEMOTE_AFTER_NS: Nanos = 400_000_000;
 
 /// Cap on extents migrated per migrator tick (bounds the per-tick
@@ -66,34 +66,56 @@ pub struct ExecutedMove {
     pub cblocks: usize,
 }
 
-/// Volatile tiering state owned by the controller: heat re-learns after
-/// a cold start.
+/// The reads one volume has served on this array.
 #[derive(Debug)]
+struct VolumeReads {
+    /// How many (published as `volume_reads`).
+    count: u64,
+    /// Virtual time of the last one: the volume's heat.
+    last_at: Nanos,
+}
+
+/// Volatile tiering state owned by the controller. A failover hands it
+/// to the standby, as it does the cache; a cold start begins from none.
+#[derive(Debug, Default)]
 pub struct TierState {
-    /// Per-volume heat from the flight recorder's read time-series.
-    pub watcher: HeatWatcher,
     /// Virtual time of the last migrator tick.
     last_tick_at: Nanos,
-    /// Recorder intervals already folded into the watcher.
-    heat_intervals_seen: u64,
-    /// Cumulative reads per volume (published as `volume_reads`).
-    pub(crate) vol_reads: BTreeMap<u64, u64>,
+    /// Per live volume, its reads.
+    reads: BTreeMap<u64, VolumeReads>,
 }
 
 impl TierState {
-    /// Fresh state for a formatted or recovered controller: no heat
-    /// history.
-    pub(crate) fn new() -> Self {
-        Self {
-            watcher: HeatWatcher::new(),
-            last_tick_at: 0,
-            heat_intervals_seen: 0,
-            vol_reads: BTreeMap::new(),
+    /// Counts one read of `volume` at `now` (the array's clock, which
+    /// never runs back).
+    pub(crate) fn record_read(&mut self, volume: u64, now: Nanos) {
+        let r = self.reads.entry(volume).or_insert(VolumeReads {
+            count: 0,
+            last_at: now,
+        });
+        r.count += 1;
+        r.last_at = now;
+    }
+
+    /// Classifies a volume as of `now` by the time since its last read.
+    /// A never-read volume is warm: there is no evidence either way, and
+    /// moving data on no evidence is how migrators thrash.
+    fn heat(&self, volume: u64, now: Nanos) -> Heat {
+        let Some(r) = self.reads.get(&volume) else {
+            return Heat::Warm;
+        };
+        let idle = now.saturating_sub(r.last_at);
+        if idle >= TIER_DEMOTE_AFTER_NS {
+            Heat::Cold
+        } else if idle < TIER_DEMOTE_AFTER_NS / 4 {
+            Heat::Hot
+        } else {
+            Heat::Warm
         }
     }
 
     /// Writes the per-volume read counts of `volumes` (the live ones)
-    /// that feed the heat watcher into `out`.
+    /// into `out`.
     pub(crate) fn collect<'v>(&self, volumes: impl Iterator<Item = &'v u64>, out: &mut Frame<'_>) {
         for vol in volumes {
             out.counter(
@@ -104,17 +126,21 @@ impl TierState {
         }
     }
 
-    /// Cumulative reads of one volume since this controller booted.
+    /// Cumulative reads of one volume.
     pub(crate) fn volume_reads(&self, volume: u64) -> u64 {
-        self.vol_reads.get(&volume).copied().unwrap_or(0)
+        self.reads.get(&volume).map_or(0, |r| r.count)
+    }
+
+    /// Drops a destroyed volume's entry, returning its read count.
+    pub(crate) fn forget(&mut self, volume: u64) -> u64 {
+        self.reads.remove(&volume).map_or(0, |r| r.count)
     }
 }
 
 impl Controller {
-    /// Runs the watcher → reconciler → migrator loop if a tick is due,
-    /// returning the moves it made. Called from
-    /// [`crate::FlashArray::advance`]; a no-op unless the config enables
-    /// the cold tier and the tick interval elapsed.
+    /// Runs the migrator if a tick is due, returning the moves it made.
+    /// Called from [`crate::FlashArray::advance`]; a no-op unless the
+    /// config enables the cold tier and the tick interval elapsed.
     pub fn tier_maintenance(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Vec<ExecutedMove>> {
         let mut executed = Vec::new();
         if !self.cfg.tiering_enabled() {
@@ -124,39 +150,42 @@ impl Controller {
             return Ok(executed);
         }
         self.tier.last_tick_at = now;
-        self.feed_heat_from_recorder();
 
-        // Desired vs actual placement, volume by volume (BTreeMap order).
-        // Each volume is resolved once; its refs serve the placement
-        // count and, if the plan moves it, the move.
-        let policy = HeatPolicy::with_demote_after(TIER_DEMOTE_AFTER_NS);
+        // Each volume is resolved once, in id order; its refs count
+        // where its cblocks live and, if it moves, serve the move. Hot
+        // volumes with cold data are promoted first — their reads pay
+        // the cold path right now — then cold volumes with flash data
+        // demoted; at most 8 volumes a tick. Warm volumes stay put.
         let mut refs: BTreeMap<u64, VolumeRefs> = (self.volumes.keys())
             .map(|&id| (id, self.volume_refs(id)))
             .collect();
-        let placements = refs
-            .iter()
-            .map(|(&id, r)| (id, self.placement(r)))
-            .collect();
-        let plan: MigrationPlan =
-            Reconciler::plan(&placements, &self.tier.watcher, now, &policy, 8);
+        let (mut moves, mut demotes) = (Vec::new(), Vec::new());
+        for (&volume, r) in &refs {
+            let (flash, cold) = self.placement(r);
+            match self.tier.heat(volume, now) {
+                Heat::Hot if cold > 0 => moves.push((volume, false)),
+                Heat::Cold if flash > 0 => demotes.push((volume, true)),
+                _ => {}
+            }
+        }
+        moves.extend(demotes);
+        moves.truncate(8);
 
         let mut budget = TIER_MIGRATION_BUDGET;
-        let mut trace = (!plan.is_empty()).then(|| OpTrace::new("tier_migrate", now));
+        let mut trace = (!moves.is_empty()).then(|| OpTrace::new("tier_migrate", now));
         let mut done = now;
         // A move repoints map keys, and a clone shares keys with its
         // parent: what was resolved before the first move is stale
         // after it.
         let mut repointed = false;
-        for mv in &plan.moves {
+        for (volume, demote) in moves {
             if budget == 0 {
                 break;
             }
-            let volume = mv.volume();
             let refs = match refs.remove(&volume) {
                 Some(refs) if !repointed => refs,
                 _ => self.volume_refs(volume),
             };
-            let demote = matches!(mv, Move::Demote { .. });
             let (moved, t) =
                 self.move_volume(shelf, volume, refs, demote, budget, now, trace.as_mut())?;
             budget = budget.saturating_sub(moved);
@@ -174,31 +203,6 @@ impl Controller {
             self.obs.tracer.finish(tr, done);
         }
         Ok(executed)
-    }
-
-    /// Folds recorder intervals the watcher has not yet seen into the
-    /// per-volume heat state.
-    fn feed_heat_from_recorder(&mut self) {
-        let rec = &self.obs.recorder;
-        let total_closed = rec.dropped_intervals() + rec.intervals() as u64;
-        let new = total_closed.saturating_sub(self.tier.heat_intervals_seen);
-        if new == 0 {
-            return;
-        }
-        let first_start = rec.first_interval_start();
-        let interval = rec.interval_ns();
-        let vols: Vec<u64> = self.volumes.keys().copied().collect();
-        for vol in vols {
-            let label = vol.to_string();
-            let series = rec.counter_series("volume_reads", &[("volume", &label)]);
-            let take = (new as usize).min(series.len());
-            let skip = series.len() - take;
-            for (j, &reads) in series.iter().enumerate().skip(skip) {
-                let end = first_start + (j as u64 + 1) * interval;
-                self.tier.watcher.observe(vol, reads, end);
-            }
-        }
-        self.tier.heat_intervals_seen = total_closed;
     }
 
     /// The live refs of one volume: every map key its reads resolve
@@ -227,16 +231,12 @@ impl Controller {
         segment.map_or(HOT, |s| s.class(self.cfg.n_drives))
     }
 
-    /// How many of a volume's live cblocks sit on flash vs cold.
-    fn placement(&self, refs: &VolumeRefs) -> VolumePlacement {
-        let mut placement = VolumePlacement::default();
-        for cblock in cblocks(refs) {
-            match self.class_of(&cblock[0].1.loc.pba) {
-                HOT => placement.flash_cblocks += 1,
-                _ => placement.cold_cblocks += 1,
-            }
-        }
-        placement
+    /// How many of a volume's live cblocks sit on flash and on cold.
+    fn placement(&self, refs: &VolumeRefs) -> (u64, u64) {
+        let flash = cblocks(refs)
+            .filter(|cblock| self.class_of(&cblock[0].1.loc.pba) == HOT)
+            .count() as u64;
+        (flash, cblocks(refs).count() as u64 - flash)
     }
 
     /// Moves up to `budget` of a volume's cblocks (its current `refs`)
@@ -301,9 +301,8 @@ impl Controller {
     }
 
     /// Per-volume heat classification right now (exhibits).
-    pub fn volume_heat(&self, volume: u64, now: Nanos) -> purity_tier::Heat {
-        let policy = HeatPolicy::with_demote_after(TIER_DEMOTE_AFTER_NS);
-        self.tier.watcher.classify(volume, now, &policy)
+    pub fn volume_heat(&self, volume: u64, now: Nanos) -> Heat {
+        self.tier.heat(volume, now)
     }
 }
 
@@ -363,8 +362,8 @@ mod tests {
         let vol = a.create_volume("idle", 1 << 20).unwrap();
         let data: Vec<u8> = (0..(256 * 1024)).map(|i| (i % 251) as u8).collect();
         a.write(vol, 0, &data).unwrap();
-        // Touch it once so the watcher has evidence, then go quiet long
-        // past the demote threshold while ticks fire.
+        // Touch it once so it has heat, then go quiet long past the
+        // demote threshold while ticks fire.
         a.read(vol, 0, 4096).unwrap();
         let mut demoted = false;
         for _ in 0..20 {
@@ -412,6 +411,172 @@ mod tests {
         assert!(a.verify_integrity().is_empty());
     }
 
+    fn heat(a: &FlashArray, v: crate::VolumeId) -> Heat {
+        a.controller().volume_heat(v.0, a.now())
+    }
+
+    /// Heat is the time since the last read: idle past the demotion
+    /// threshold is cold, and one read makes the volume hot again.
+    #[test]
+    fn idle_volume_goes_cold_and_one_read_makes_it_hot() {
+        let mut a = tiered_array();
+        let vol = a.create_volume("idle", 1 << 20).unwrap();
+        a.write(vol, 0, &noise(1)).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        a.advance(10 * MS);
+        assert_eq!(heat(&a, vol), Heat::Hot);
+        for _ in 0..8 {
+            a.advance(50 * MS);
+        }
+        assert_eq!(heat(&a, vol), Heat::Cold);
+        a.read(vol, 0, 4096).unwrap();
+        assert_eq!(heat(&a, vol), Heat::Hot);
+    }
+
+    /// Between a quarter of the demotion threshold and the threshold a
+    /// volume is warm, at both edges.
+    #[test]
+    fn hysteresis_band_is_warm() {
+        let mut a = tiered_array();
+        let vol = a.create_volume("band", 1 << 20).unwrap();
+        a.read(vol, 0, 4096).unwrap();
+        a.advance(TIER_DEMOTE_AFTER_NS / 4 - 1);
+        assert_eq!(heat(&a, vol), Heat::Hot);
+        a.advance(1);
+        assert_eq!(heat(&a, vol), Heat::Warm);
+        a.advance(TIER_DEMOTE_AFTER_NS * 3 / 4 - 1);
+        assert_eq!(heat(&a, vol), Heat::Warm);
+        a.advance(1);
+        assert_eq!(heat(&a, vol), Heat::Cold);
+    }
+
+    /// Writes are no evidence of heat: a volume nobody reads is warm
+    /// however long it idles, and no tick moves it. So is a volume the
+    /// array does not know.
+    #[test]
+    fn never_read_volumes_are_warm_and_stay_put() {
+        let mut a = tiered_array();
+        let vol = a.create_volume("unread", 1 << 20).unwrap();
+        a.write(vol, 0, &noise(2)).unwrap();
+        for _ in 0..40 {
+            a.advance(50 * MS);
+        }
+        assert_eq!(heat(&a, vol), Heat::Warm);
+        assert_eq!(heat(&a, crate::VolumeId(99)), Heat::Warm);
+        let s = a.stats();
+        assert_eq!((s.tier_demotions, s.tier_promotions), (0, 0));
+    }
+
+    /// One tick promotes before it demotes, and its cblock budget bounds
+    /// it: a hot volume with more cold cblocks than the budget takes the
+    /// whole of it, and the cold volume waits. A volume in the band
+    /// stays where it is, split between the classes.
+    #[test]
+    fn promotes_lead_demotes_and_warm_stays_put() {
+        let mut a = tiered_array();
+        let busy = a.create_volume("busy", 1 << 20).unwrap();
+        let warm = a.create_volume("warm", 1 << 20).unwrap();
+        let idle = a.create_volume("idle", 1 << 20).unwrap();
+        a.write(busy, 0, &(0..3).flat_map(noise).collect::<Vec<u8>>())
+            .unwrap();
+        a.write(warm, 0, &noise(4)).unwrap();
+        a.read(busy, 0, 4096).unwrap();
+        a.read(warm, 0, 4096).unwrap();
+        run(&mut a, &[], &|c| on_flash(c, busy) + on_flash(c, warm) == 0);
+        assert!(on_cold(a.controller(), busy) > TIER_MIGRATION_BUDGET as u64);
+        a.write(idle, 0, &noise(5)).unwrap();
+        let moves = |a: &FlashArray| (a.stats().tier_promotions, a.stats().tier_demotions);
+
+        // One step to each edge, so no tick falls inside a hot window.
+        a.read(idle, 0, 4096).unwrap();
+        a.advance(200 * MS);
+        a.write(warm, 0, &noise(6)[..64 * 1024]).unwrap();
+        a.read(warm, 0, 4096).unwrap();
+        let split = (
+            on_flash(a.controller(), warm),
+            on_cold(a.controller(), warm),
+        );
+        assert!(split.0 > 0 && split.1 > 0, "setup: {split:?}");
+        let before = moves(&a);
+        a.advance(190 * MS);
+        assert_eq!(moves(&a), before, "setup: nothing is hot or cold yet");
+        a.advance(10 * MS);
+        a.read(busy, 0, 4096).unwrap();
+        a.advance(40 * MS);
+        assert_eq!(
+            [heat(&a, busy), heat(&a, warm), heat(&a, idle)],
+            [Heat::Hot, Heat::Warm, Heat::Cold]
+        );
+        let (promoted, demoted) = moves(&a);
+        assert_eq!(
+            (promoted - before.0, demoted - before.1),
+            (TIER_MIGRATION_BUDGET as u64, 0)
+        );
+        a.advance(50 * MS);
+        assert_eq!(on_cold(a.controller(), busy), 0);
+        assert!(moves(&a).1 > demoted, "the cold volume never demoted");
+        let c = a.controller();
+        assert_eq!((on_flash(c, warm), on_cold(c, warm)), split);
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A tick moves at most 8 volumes, lowest ids first, and passes over
+    /// volumes already in their class.
+    #[test]
+    fn a_tick_is_bounded_and_placed_volumes_are_skipped() {
+        let mut a = tiered_array();
+        let vols: Vec<_> = (0..10u64)
+            .map(|i| {
+                let vol = a.create_volume(&format!("v{i}"), 1 << 20).unwrap();
+                a.write(vol, 0, &noise(20 + i)[..32 * 1024]).unwrap();
+                a.read(vol, 0, 4096).unwrap();
+                vol
+            })
+            .collect();
+        a.advance(TIER_DEMOTE_AFTER_NS);
+        let c = a.controller();
+        let placed: Vec<u64> = vols.iter().map(|&v| on_cold(c, v)).collect();
+        assert_eq!(placed, [1, 1, 1, 1, 1, 1, 1, 1, 0, 0]);
+        a.advance(50 * MS);
+        assert_eq!(a.stats().tier_demotions, 10);
+        a.advance(50 * MS);
+        assert_eq!(a.stats().tier_demotions, 10);
+        assert!(vols.iter().all(|&v| heat(&a, v) == Heat::Cold));
+    }
+
+    /// Heat is the controller's own read clock: the recorder's cadence
+    /// moves no data. A volume busy for 1 s, idle for 2 s and busy for
+    /// 1 s — one 8 KiB read and one 50 ms step at a time — sees the same
+    /// moves at every step whatever the recorder interval.
+    #[test]
+    fn the_recorder_cadence_moves_no_data() {
+        let moves = |interval: Nanos| -> Vec<(u64, u64)> {
+            let mut cfg = ArrayConfig::tiered();
+            cfg.obs.recorder.interval_ns = interval;
+            let mut a = FlashArray::new(cfg).unwrap();
+            let vol = a.create_volume("swing", 1 << 20).unwrap();
+            a.write(vol, 0, &noise(9)).unwrap();
+            (0..80)
+                .map(|step| {
+                    if !(20..60).contains(&step) {
+                        a.read(vol, 0, 8192).unwrap();
+                    }
+                    a.advance(50 * MS);
+                    (a.stats().tier_demotions, a.stats().tier_promotions)
+                })
+                .collect()
+        };
+        let want = moves(50 * MS);
+        assert!(want[79].0 > 0 && want[79].1 > 0, "setup: {:?}", want[79]);
+        for interval in [100, 250, 1000] {
+            assert_eq!(
+                moves(interval * MS),
+                want,
+                "recorder interval {interval} ms"
+            );
+        }
+    }
+
     #[test]
     fn cache_hits_short_circuit_and_count() {
         let mut a = tiered_array();
@@ -452,11 +617,11 @@ mod tests {
     }
 
     fn on_flash(c: &Controller, v: crate::VolumeId) -> u64 {
-        c.placement(&c.volume_refs(v.0)).flash_cblocks
+        c.placement(&c.volume_refs(v.0)).0
     }
 
     fn on_cold(c: &Controller, v: crate::VolumeId) -> u64 {
-        c.placement(&c.volume_refs(v.0)).cold_cblocks
+        c.placement(&c.volume_refs(v.0)).1
     }
 
     /// A cold AU GC freed is reused by a later demotion, and nothing —
@@ -477,7 +642,7 @@ mod tests {
             let d2: Vec<u8> = (20..28).flat_map(noise).collect();
             a.write(one, 0, &d1).unwrap();
             a.write(two, 0, &d2).unwrap();
-            // One touch gives the heat watcher evidence of `one`.
+            // One touch gives `one` heat.
             a.read(one, 0, 4096).unwrap();
             run(&mut a, &[two], &|c| on_flash(c, one) == 0);
             let first_aus = cold_aus(a.controller());

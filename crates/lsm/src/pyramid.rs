@@ -143,10 +143,7 @@ impl<V> IntoIterator for Versions<V> {
 /// A log-structured merge index over immutable facts.
 ///
 /// Readers see the union of the memtable and all patches, newest sequence
-/// number winning per key, with elided facts filtered out — except via
-/// [`Pyramid::get_relaxed`], the paper's relaxed consistency mode that
-/// skips elide checks (§3.2: readers "may observe tuples that no longer
-/// exist" with no ill effect).
+/// number winning per key, with elided facts filtered out.
 pub struct Pyramid<K: Ord + Clone, V: Clone> {
     /// Key -> seq-ascending facts.
     memtable: BTreeMap<K, Versions<V>>,
@@ -253,12 +250,6 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
         } else {
             Some(newest)
         }
-    }
-
-    /// Relaxed-consistency read: ignores retraction/elide state entirely,
-    /// so it may return a fact that has been deleted (§3.2).
-    pub fn get_relaxed(&self, key: &K) -> Option<(V, Seq)> {
-        self.newest_fact(key)
     }
 
     fn newest_fact(&self, key: &K) -> Option<(V, Seq)> {
@@ -623,8 +614,6 @@ mod tests {
         p.set_elide_filter(Arc::new(|k: &u64, _s: Seq| *k < 10));
         assert_eq!(p.get(&5), None);
         assert_eq!(p.get(&15), Some((150, 16)));
-        // Relaxed readers still see the elided fact — allowed by §3.2.
-        assert_eq!(p.get_relaxed(&5), Some((50, 6)));
         // Flatten reclaims elided facts immediately.
         p.flatten();
         assert_eq!(p.total_facts(), 10);

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use purity_sim::units::format_nanos;
 use purity_sim::Nanos;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One span inside an operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,7 +192,7 @@ struct BlameState {
 #[derive(Debug)]
 pub struct Tracer {
     threshold: AtomicU64,
-    capacity: AtomicUsize,
+    capacity: usize,
     ring: Mutex<VecDeque<SlowOp>>,
     finished: AtomicU64,
     captured: AtomicU64,
@@ -205,7 +205,7 @@ impl Tracer {
     pub fn new(threshold: Nanos, capacity: usize) -> Self {
         Self {
             threshold: AtomicU64::new(threshold),
-            capacity: AtomicUsize::new(capacity.max(1)),
+            capacity: capacity.max(1),
             ring: Mutex::new(VecDeque::new()),
             finished: AtomicU64::new(0),
             captured: AtomicU64::new(0),
@@ -229,18 +229,7 @@ impl Tracer {
 
     /// Current ring capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Resizes the ring at runtime (exhibits trade capture depth for
-    /// memory per run). Shrinking evicts oldest captures immediately.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        let mut ring = self.ring.lock();
-        while ring.len() > capacity {
-            ring.pop_front();
-        }
-        self.capacity.store(capacity, Ordering::Relaxed);
+        self.capacity
     }
 
     /// Completes an operation; returns its end-to-end latency and whether
@@ -411,24 +400,6 @@ mod tests {
         assert_eq!(ops.len(), 3);
         assert_eq!(ops[0].issued_at, 7);
         assert_eq!(tr.captured_count(), 10);
-    }
-
-    #[test]
-    fn capacity_is_adjustable_and_shrinks_eagerly() {
-        let tr = Tracer::new(0, 8);
-        for i in 0..8u64 {
-            tr.finish(op("w", i, i + 100), i + 100);
-        }
-        assert_eq!(tr.slow_ops().len(), 8);
-        tr.set_capacity(2);
-        let ops = tr.slow_ops();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].issued_at, 6, "shrink keeps the newest captures");
-        tr.set_capacity(4);
-        for i in 10..20u64 {
-            tr.finish(op("w", i, i + 100), i + 100);
-        }
-        assert_eq!(tr.slow_ops().len(), 4);
     }
 
     #[test]

@@ -3,32 +3,49 @@
 //! The paper's Figure 7 analysis prices each storage class in $/(access/s)
 //! and $/byte and finds the break-even re-reference interval — ~31/22/21
 //! minutes at 1×/4×/10× data reduction against 2014 ECC DRAM. This crate
-//! turns that analysis into a running policy engine:
+//! holds the pieces of that analysis the array runs:
 //!
 //! * [`cache::RamCache`] — a deterministic, byte-bounded LRU read cache
 //!   for controller DRAM. The array runs one as its cblock cache; E18
 //!   sizes one from the measured crossover interval (capacity = arrival
 //!   byte rate × break-even time keeps exactly the blocks whose
 //!   re-reference interval beats the DRAM price).
-//! * [`heat::HeatWatcher`] — folds the flight recorder's per-volume read
-//!   time-series into an exponentially-weighted activity estimate and an
-//!   idle clock, classifying each volume hot, warm or cold.
-//! * [`plan::Reconciler`] — compares desired placement (from heat)
-//!   against actual placement and emits a bounded [`plan::MigrationPlan`]
-//!   of volume-level promote/demote moves for the executor in
-//!   `purity-core` to carry out crash-safely.
+//! * [`Heat`] — a volume's temperature. The executor in `purity-core`
+//!   classifies each volume by the time since its last read, the
+//!   re-access interval the rule is a break-even on, and moves hot
+//!   volumes to flash and cold ones to the cold class.
 //!
 //! Everything here is pure policy on the array's virtual clock: no I/O,
-//! no wall time, `BTreeMap`-ordered iteration throughout, so the same
-//! seed produces the same byte-identical decision stream on every run.
+//! no wall time, so the same seed produces the same byte-identical
+//! decision stream on every run.
 
 pub mod cache;
-pub mod heat;
-pub mod plan;
 
 pub use cache::RamCache;
-pub use heat::{Heat, HeatPolicy, HeatWatcher};
-pub use plan::{MigrationPlan, Move, Reconciler};
+
+/// A volume's temperature.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Heat {
+    /// Recently read: belongs on flash, worth RAM-cache residency.
+    Hot,
+    /// Between thresholds, or never read: left where it is (the
+    /// hysteresis band keeps a volume whose activity hovers at the
+    /// threshold from thrashing between classes).
+    Warm,
+    /// Unread past the demotion threshold: eligible for the cold class.
+    Cold,
+}
+
+impl Heat {
+    /// Canonical `snake_case` name (exports, logs).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Heat::Hot => "hot",
+            Heat::Warm => "warm",
+            Heat::Cold => "cold",
+        }
+    }
+}
 
 /// Five-minute-rule cache sizing: the DRAM capacity that retains data
 /// for exactly the break-even re-reference interval at the observed

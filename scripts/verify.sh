@@ -2,9 +2,10 @@
 # Local verification gate: what CI runs, runnable offline.
 #
 #   scripts/verify.sh          # build + test + fmt + clippy + benchmark lint
+#                              #   + scorecard correctness smoke
 #   scripts/verify.sh --quick  # build + test only
 #
-# fmt/clippy (and the benchmark lint, which needs both) are skipped with
+# fmt/clippy (and the benchmark lint and smoke, which need both) are skipped with
 # a warning when the rustup components are not installed (minimal
 # container images often lack them); the build and test steps are
 # always required.
@@ -56,8 +57,17 @@ fi
 if cargo fmt --version >/dev/null 2>&1 && cargo clippy --version >/dev/null 2>&1; then
   step "benchmark/run.sh --lint"
   bash benchmark/run.sh --lint
+  # One short untraced run of each scorecard workload: the JSON line
+  # says "correct": true only if the mirror / read-back verifier agreed
+  # and every round's virtual metrics were identical.
+  step "scorecard correctness smoke"
+  for w in oltp_zipf host_qd32 gc_churn tier_shift crash_sweep fleet_rebuild; do
+    line=$(bash benchmark/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$w: $line"
+    [[ "$line" == *'"correct": true'* ]] || { echo "scorecard: $w is not correct" >&2; exit 1; }
+  done
 else
-  echo "WARNING: rustfmt or clippy not installed; skipping benchmark/run.sh --lint" >&2
+  echo "WARNING: rustfmt or clippy not installed; skipping benchmark/run.sh --lint and the scorecard smoke" >&2
 fi
 
 echo

@@ -315,3 +315,55 @@ fn recovered_controller_takes_writes() {
         assert!(read == image[off..off + chunk], "chunk at {off} diverged");
     }
 }
+
+/// The standby takes over the old primary's per-volume read counts: the
+/// flight recorder's `volume_reads` series records every interval's
+/// reads across a failover, where a count restarting at zero lost the
+/// interval the takeover fell in.
+#[test]
+fn volume_reads_lose_no_interval_across_failover() {
+    let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+    let vol = a.create_volume("db", 1 << 20).unwrap();
+    a.write(vol, 0, &sectors(40, 16)).unwrap();
+    for step in 0..60 {
+        if step == 30 {
+            a.fail_primary().unwrap();
+        }
+        a.read(vol, 0, 4096).unwrap();
+        a.advance(20 * MS);
+    }
+    let label = vol.0.to_string();
+    let series = a
+        .obs()
+        .recorder
+        .counter_series("volume_reads", &[("volume", &label)]);
+    assert!(series.len() >= 10, "{series:?}");
+    assert!(
+        series.iter().all(|&reads| reads > 0),
+        "an interval lost its reads: {series:?}"
+    );
+    assert_eq!(series.iter().sum::<u64>(), 60);
+}
+
+/// Heat survives a failover: a volume read before the takeover and idle
+/// after it still goes cold and is demoted by the standby.
+#[test]
+fn a_volume_idle_after_failover_still_demotes() {
+    let mut a = FlashArray::new(ArrayConfig::tiered()).unwrap();
+    let vol = a.create_volume("db", 1 << 20).unwrap();
+    let data = sectors(41, 512);
+    a.write(vol, 0, &data).unwrap();
+    a.read(vol, 0, 4096).unwrap();
+    a.advance(100 * MS);
+    a.checkpoint().unwrap();
+    a.fail_primary().unwrap();
+    for _ in 0..20 {
+        a.advance(50 * MS);
+    }
+    assert!(
+        a.stats().tier_demotions > 0,
+        "the idle volume stayed on flash"
+    );
+    assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
+    assert!(a.verify_integrity().is_empty());
+}

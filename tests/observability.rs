@@ -635,6 +635,35 @@ fn tier_stages_are_emitted_and_registered() {
 // served differently. The document is 10 bytes shorter. The other three
 // scenarios are byte-identical; warming replacing the standby's
 // contents moved none of them.
+//
+// Re-pinned when heat became the time since a volume's last read,
+// stamped by the controller, and a failover began handing the read
+// counts to the standby. The cluster scenario is byte-identical.
+// - `plain_mix` and `host_closed_loop` moved only by the
+//   `volume_reads{volume="1"}` series. The standby's count no longer
+//   restarts at 0, so the interval the failover falls in reads its real
+//   reads (`plain_mix` interval 52: 0 -> 3; `host_closed_loop` interval
+//   1: 0 -> 300), and the final value counts the array's reads, not the
+//   standby's (32 -> 128; 0 -> 1 027). The documents are 1 and 5 bytes
+//   longer.
+// - `tiered_cycle`: every move comes one 100 ms recorder interval
+//   sooner, since heat no longer waits for the interval holding a read
+//   to close. `idle`, read at 0, demotes at the 400 ms tick (interval 4,
+//   was 5), is promoted at the tick after the re-heat's first read
+//   (interval 12, was 13), and `hot` demotes in interval 15 (16). The
+//   totals are unchanged: 32 demotions, 16 promotions, 16 cold reads,
+//   37 cache hits. The 16 cold reads all fall in interval 12 (4 + 12),
+//   so `tier_cold` blame is 565.69 ms (566.00). The move fetches queue
+//   differently on drives 5–7: the direct drive-read histograms, which
+//   count them, end at 2.64 ms (2.33) and queueing 2.48 ms (2.17). Host
+//   reads wait less: the read at 1.6 s no longer queues behind the
+//   second demotion's fetches (207.2 us, was 500.0), two reads after
+//   it are cache hits, `drive_queue` blame is 4.29 ms (4.59) and
+//   `array_read_latency`'s mean 104.74 us (121.98). The slowest read,
+//   792.8 us behind the first demotion's fetches, is unchanged.
+//   `cache_ram_used_bytes` ends at 884 736 (950 272). The slow-op ring
+//   holds the same 58 ops, two `tier_migrate` ops sooner in it. The
+//   document is 16 bytes longer.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -716,7 +745,7 @@ fn export_contract_plain_mix() {
     assert_export_digest(
         "plain_mix",
         &[a.export_observability_json()],
-        &[(108_618, 0x5673_4fa2_8b15_e05f)],
+        &[(108_619, 0xc1ae_a267_934c_67ce)],
     );
 }
 
@@ -753,7 +782,7 @@ fn export_contract_tiered_cycle() {
     assert_export_digest(
         "tiered_cycle",
         &[a.export_observability_json()],
-        &[(79_186, 0xeb8e_f25d_f128_fa35)],
+        &[(79_202, 0xa430_519d_d98b_220b)],
     );
 }
 
@@ -792,7 +821,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(43_297, 0xc523_88fb_2cfc_fda5)],
+        &[(43_302, 0x3536_8dfc_0720_3a0c)],
     );
 }
 
