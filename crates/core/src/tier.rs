@@ -451,10 +451,9 @@ mod tests {
     }
 
     /// Writes are no evidence of heat: a volume nobody reads is warm
-    /// however long it idles, and no tick moves it. So is a volume the
-    /// array does not know.
+    /// however long it idles. So is a volume the array does not know.
     #[test]
-    fn never_read_volumes_are_warm_and_stay_put() {
+    fn never_read_volumes_are_warm() {
         let mut a = tiered_array();
         let vol = a.create_volume("unread", 1 << 20).unwrap();
         a.write(vol, 0, &noise(2)).unwrap();
@@ -463,8 +462,25 @@ mod tests {
         }
         assert_eq!(heat(&a, vol), Heat::Warm);
         assert_eq!(heat(&a, crate::VolumeId(99)), Heat::Warm);
+    }
+
+    /// With no read there is nothing to chase: ticks over an array whose
+    /// volumes were only written, or that has no volume, move nothing.
+    #[test]
+    fn ticks_over_unread_volumes_move_nothing() {
+        let mut a = tiered_array();
+        for _ in 0..10 {
+            a.advance(50 * MS);
+        }
+        let vol = a.create_volume("unread", 1 << 20).unwrap();
+        a.write(vol, 0, &noise(2)).unwrap();
+        for _ in 0..40 {
+            a.advance(50 * MS);
+        }
         let s = a.stats();
         assert_eq!((s.tier_demotions, s.tier_promotions), (0, 0));
+        assert!(on_flash(a.controller(), vol) > 0);
+        assert_eq!(on_cold(a.controller(), vol), 0);
     }
 
     /// One tick promotes before it demotes, and its cblock budget bounds
