@@ -87,7 +87,9 @@ pub struct Checkpoint {
     pub snapshots: Vec<SnapMeta>,
     /// Elided medium id ranges (the medium elide table).
     pub elided_mediums: Vec<(u64, u64)>,
-    /// Persisted map-table patches, oldest first.
+    /// The persisted map records a recovery reads, oldest first: each
+    /// holds the newest durable fact of at least one key. A record
+    /// whose every fact a named record supersedes is left out.
     pub map_patches: Vec<PatchLoc>,
 }
 

@@ -17,6 +17,7 @@ use crate::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
+use crate::map_records::MapRecords;
 use crate::medium::MediumTable;
 use crate::records::{encode_meta, map_patch_records, MediumFact, MetaIntent, MetaOp};
 use crate::segment::{SegmentInfo, SegmentWriter, COLD, HOT};
@@ -194,8 +195,9 @@ pub struct Controller {
     pub(crate) next_volume: u64,
     pub(crate) next_snapshot: u64,
     pub(crate) checkpoint_version: u64,
-    /// Persisted map patches (checkpoint payload).
-    pub(crate) map_patches: Vec<PatchLoc>,
+    /// The persisted map records the next checkpoint names: those still
+    /// holding some key's newest durable fact.
+    pub(crate) map_records: MapRecords,
     /// Index of the last NVRAM record appended (for trims).
     pub(crate) last_nvram_index: Option<u64>,
     /// The intent sizes of the write in progress, its NVRAM commit
@@ -518,10 +520,11 @@ impl Controller {
         self.persist_memtable_data(shelf, now)?;
         let patch = self.map.flush().expect("memtable non-empty");
         let facts = patch.range_slice(Bound::Unbounded, Bound::Unbounded);
-        for bytes in map_patch_records(facts, facts.len()) {
-            let loc = self.append_log_record(shelf, &bytes, now)?;
-            self.map_patches.push(loc);
-        }
+        let bytes = (map_patch_records(facts, facts.len()).next()).expect("one record");
+        let loc = self.append_log_record(shelf, &bytes, now)?;
+        // Only now, with the record on flash, may the records it
+        // supersedes stop being named.
+        self.map_records.name(loc, facts);
         Ok(())
     }
 
@@ -639,7 +642,7 @@ impl Controller {
                 })
                 .collect(),
             elided_mediums: self.mediums.elided_set().to_pairs(),
-            map_patches: self.map_patches.clone(),
+            map_patches: self.map_records(),
         }
     }
 
@@ -658,6 +661,17 @@ impl Controller {
     /// Seq high-water accessor (tests, experiments).
     pub fn high_seq(&self) -> Seq {
         self.seq.high_water()
+    }
+
+    /// The map records the next checkpoint names, oldest first.
+    pub fn map_records(&self) -> Vec<PatchLoc> {
+        self.map_records.locs().collect()
+    }
+
+    /// Every live map fact, newest per key, elided mediums left out
+    /// (tests).
+    pub fn map_live(&self) -> Vec<(MapKey, MapVal, Seq)> {
+        self.map.iter_live()
     }
 
     /// Writes every controller-owned series — data path, per-volume

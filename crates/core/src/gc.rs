@@ -31,6 +31,7 @@
 
 use crate::controller::{Controller, MapKey, MapVal};
 use crate::error::{PurityError, Result};
+use crate::map_records::MapRecords;
 use crate::records::{map_patch_records, PATCH_CHUNK_FACTS};
 use crate::segment::{SegmentInfo, SegmentState, HOT};
 use crate::shelf::Shelf;
@@ -137,7 +138,10 @@ impl Controller {
         let open: Vec<u64> = (self.writers.iter())
             .filter_map(|w| w.open_segment().map(|s| s.id.0))
             .collect();
-        let protected: HashSet<u64> = self.map_patches.iter().map(|p| p.segment).collect();
+        // A segment holding a record the checkpoint names stays. One whose
+        // records are all dead is fair game: nothing names them, and the
+        // checkpoint below is written before any victim is freed.
+        let protected: HashSet<u64> = self.map_records.locs().map(|p| p.segment).collect();
         // Ascending (segment-table order): membership is a binary search.
         let victims: Vec<u64> = self
             .segments
@@ -183,11 +187,14 @@ impl Controller {
         let facts = whole
             .as_deref()
             .map_or(&[][..], |p| p.range_slice(Unbounded, Unbounded));
-        let mut patches = Vec::new();
+        let mut locs = Vec::new();
         for bytes in map_patch_records(facts, PATCH_CHUNK_FACTS) {
-            patches.push(self.append_log_record(shelf, &bytes, now)?);
+            locs.push(self.append_log_record(shelf, &bytes, now)?);
         }
-        self.map_patches = patches;
+        // Every older record is superseded: the compacted ones hold each
+        // key once.
+        let newest = (facts.iter().enumerate()).map(|(i, f)| (f.0, f.1, i / PATCH_CHUNK_FACTS));
+        self.map_records = MapRecords::new(&locs, newest);
 
         // ---- Medium chain shortcuts + tree flattening. ----------------
         let seq = self.seq.next();
@@ -864,7 +871,7 @@ mod tests {
         let facts = ctrl.map.total_facts();
         assert_eq!(ctrl.map.memtable_facts(), 0);
         assert!(facts > PATCH_CHUNK_FACTS, "{facts} facts fill one record");
-        let records = &ctrl.map_patches;
+        let records = &ctrl.map_records();
         assert_eq!(records.len(), facts.div_ceil(PATCH_CHUNK_FACTS));
         let sp = ctrl.writers[HOT].layout().log_stripe_payload() as u64;
         let record_stripes: u64 = records.iter().map(|r| r.len.div_ceil(sp)).sum();

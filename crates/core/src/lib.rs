@@ -30,6 +30,7 @@ pub mod error;
 pub mod fault;
 pub mod frontier;
 pub mod gc;
+mod map_records;
 pub mod medium;
 pub mod read;
 pub mod records;

@@ -9,15 +9,19 @@
 //!
 //! 1. **The boot region** — the newest checkpoint: small tables whole
 //!    (segments, mediums, volumes, elide sets), allocator frontier, and
-//!    the locations of persisted map patches.
-//! 2. **Segment log records** — map patches flushed after the
-//!    checkpoint. Without a frontier set these can hide in *any*
-//!    segment, forcing a scan of every AU header; the frontier set
-//!    restricts the scan to the AUs the allocator was allowed to use —
-//!    the paper's 12 s → 0.1 s startup-scan win, reproduced by
-//!    [`ScanMode`]. Cold segments are never scanned: each is in the
-//!    checkpoint before its first write. The map patches loaded stay
-//!    patches — recovery writes nothing back.
+//!    the locations of the map records that still held some key's
+//!    newest fact when it was written.
+//! 2. **Segment log records** — the records the checkpoint names, then
+//!    map records flushed after it. Without a frontier set the latter
+//!    can hide in *any* segment, forcing a scan of every AU header; the
+//!    frontier set restricts the scan to the AUs the allocator was
+//!    allowed to use — the paper's 12 s → 0.1 s startup-scan win,
+//!    reproduced by [`ScanMode`]. Cold segments are never scanned: each
+//!    is in the checkpoint before its first write. The newest fact of
+//!    each key goes to the map as one patch — recovery writes nothing
+//!    back — and the recovered controller names only the records some
+//!    key took its newest fact from, so the next checkpoint drops the
+//!    rest.
 //! 3. **NVRAM** — write/meta intents newer than what 1+2 made durable,
 //!    replayed through the normal code paths. Facts are immutable, so
 //!    replaying something already durable would be harmless; the seq
@@ -29,6 +33,7 @@ use crate::config::ArrayConfig;
 use crate::controller::{new_map, Controller, MapKey, MapVal, Snapshot, Volume};
 use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
+use crate::map_records::MapRecords;
 use crate::medium::MediumTable;
 use crate::read::read_extent;
 use crate::records::{decode_log_record, decode_nvram_entry, MapFact, MediumFact, NvramEntry};
@@ -210,7 +215,7 @@ impl Controller {
             next_volume: cp.next_volume,
             next_snapshot: cp.next_snapshot,
             checkpoint_version: cp.version,
-            map_patches: cp.map_patches.clone(),
+            map_records: MapRecords::default(),
             last_nvram_index: None,
             intent_sizes: Vec::new(),
             tier: TierState::default(),
@@ -240,17 +245,15 @@ impl Controller {
         let mut ctrl = Controller::from_checkpoint(cfg, &cp, now);
         let layout = *ctrl.writers[HOT].layout();
 
-        // --- 2a. Load checkpoint-listed map patches. ------------------
+        // --- 2a. Load checkpoint-listed map records. ------------------
         // What the log holds stays in the log: the newest fact of each key
         // goes to the map as one patch, at the end, and nothing is
         // written back.
-        let mut facts = Facts::new();
+        let mut fold = Fold::default();
         for loc in &cp.map_patches {
-            let extents = layout.log_extents(loc.log_offset, loc.len as usize);
-            let (bytes, t) = ctrl.read_hot(shelf, loc.segment, extents, now)?;
+            let (page, t) = ctrl.read_map_record(shelf, loc, now)?;
             done = done.max(t);
-            let page = decode_log_record(&bytes).map(|(page, _)| page);
-            load_patch(page, loc.segment, &mut facts, &mut report)?;
+            fold.load(page, *loc, &mut report)?;
         }
 
         // --- 2b. Scan AU headers for post-checkpoint segments. --------
@@ -325,18 +328,22 @@ impl Controller {
         }
 
         // Read the discovered segments' log stripes for newer map
-        // patches; each record found joins the persisted patch list.
+        // records; each record found joins the fold.
         discovered.sort();
         for segment in discovered {
-            let t = ctrl.scan_log(shelf, segment, now, &mut facts, &mut report)?;
+            let t = ctrl.scan_log(shelf, segment, now, &mut fold, &mut report)?;
             scan_done = scan_done.max(t);
         }
         report.scan_time = scan_done.saturating_sub(scan_started);
         done = done.max(scan_done);
+        // Named from here on: each record some key's newest fact came from.
+        let Fold { facts, records } = fold;
+        let newest = facts.iter().map(|(&key, &(seq, _, at))| (key, seq, at));
+        ctrl.map_records = MapRecords::new(&records, newest);
         ctrl.map.load(
             facts
                 .into_iter()
-                .map(|(key, (seq, val))| (key, seq, val))
+                .map(|(key, (seq, val, _))| (key, seq, val))
                 .collect(),
         );
         ctrl.seq = SeqAllocator::resume_after(cp.high_seq.max(ctrl.map.max_seq()));
@@ -412,6 +419,21 @@ impl Controller {
         Ok((ctrl, report))
     }
 
+    /// Reads the map log record at `loc`; returns its page and when the
+    /// read completed. A record that does not decode is data loss.
+    pub fn read_map_record(
+        &mut self,
+        shelf: &mut Shelf,
+        loc: &PatchLoc,
+        now: Nanos,
+    ) -> Result<(Page, Nanos)> {
+        let layout = self.writers[HOT].layout();
+        let extents = layout.log_extents(loc.log_offset, loc.len as usize);
+        let (bytes, t) = self.read_hot(shelf, loc.segment, extents, now)?;
+        let page = decode_log_record(&bytes).ok_or_else(|| undecodable(loc.segment))?;
+        Ok((page.0, t))
+    }
+
     /// Reads `extents` of a hot segment (log space, for recovery), one
     /// after the other into one buffer.
     fn read_hot(
@@ -436,14 +458,13 @@ impl Controller {
     }
 
     /// Reads a segment discovered by the scan for the log records it
-    /// holds, loads them, and lists each as a persisted patch. Returns
-    /// when the reads completed.
+    /// holds and loads them. Returns when the reads completed.
     fn scan_log(
         &mut self,
         shelf: &mut Shelf,
         segment: SegmentId,
         now: Nanos,
-        facts: &mut Facts,
+        fold: &mut Fold,
         report: &mut RecoveryReport,
     ) -> Result<Nanos> {
         let layout = *self.writers[HOT].layout();
@@ -480,73 +501,76 @@ impl Controller {
             buffer.extend_from_slice(&payload);
             // A short (padded) stripe terminates a record batch.
             if payload.len() < sp {
-                self.drain_log_records(&buffer, segment.0, at, facts, report)?;
+                drain_log_records(&buffer, segment.0, at, fold, report)?;
                 buffer.clear();
             }
         }
         if !buffer.is_empty() {
-            self.drain_log_records(&buffer, segment.0, at, facts, report)?;
+            drain_log_records(&buffer, segment.0, at, fold, report)?;
         }
         if let Some(s) = self.segments.get_mut(&segment.0) {
             s.log_stripes = log_stripes;
         }
         Ok(done)
     }
+}
 
-    /// Loads every whole record at the front of `buffer` (log-space
-    /// offset `at` of `segment`) and lists it as a persisted patch.
-    fn drain_log_records(
-        &mut self,
-        buffer: &[u8],
-        segment: u64,
-        at: u64,
-        facts: &mut Facts,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
-        let mut pos = 0;
-        while let Some((page, used)) = decode_log_record(&buffer[pos..]) {
-            load_patch(Some(page), segment, facts, report)?;
-            self.map_patches.push(PatchLoc {
-                segment,
-                log_offset: at + pos as u64,
-                len: used as u64,
-            });
-            pos += used;
+/// Loads every whole record at the front of `buffer` (log-space offset
+/// `at` of `segment`).
+fn drain_log_records(
+    buffer: &[u8],
+    segment: u64,
+    at: u64,
+    fold: &mut Fold,
+    report: &mut RecoveryReport,
+) -> Result<()> {
+    let mut pos = 0;
+    while let Some((page, used)) = decode_log_record(&buffer[pos..]) {
+        let loc = PatchLoc {
+            segment,
+            log_offset: at + pos as u64,
+            len: used as u64,
+        };
+        fold.load(page, loc, report)?;
+        pos += used;
+    }
+    Ok(())
+}
+
+/// The map records a recovery read, in reading order, and the newest
+/// fact of each key among them with the index of the record it came
+/// from — older versions can never win a read, so they are not held.
+#[derive(Default)]
+struct Fold {
+    facts: BTreeMap<MapKey, (Seq, MapVal, usize)>,
+    records: Vec<PatchLoc>,
+}
+
+impl Fold {
+    /// Folds the facts of the record at `loc` in. A fact replaces its
+    /// key's only when its seq is higher, so on a tie the record read
+    /// first keeps the key, as [`MapRecords::name`] does.
+    fn load(&mut self, page: Page, loc: PatchLoc, report: &mut RecoveryReport) -> Result<()> {
+        let at = self.records.len();
+        let rows = page.rows::<{ MapFact::COLS }>();
+        for f in (rows.map_err(|_| undecodable(loc.segment))?).map(|row| MapFact::from_row(&row)) {
+            let val = MapVal {
+                loc: f.loc,
+                deduped: f.deduped,
+            };
+            let newest = (self.facts.entry((f.medium.0, f.sector))).or_insert((f.seq, val, at));
+            if newest.0 < f.seq {
+                *newest = (f.seq, val, at);
+            }
         }
+        self.records.push(loc);
+        report.facts_loaded += page.n_rows();
+        report.patches_loaded += 1;
         Ok(())
     }
 }
 
-/// The newest persisted fact of each map key recovery has read — older
-/// versions can never win a read, so they are not held.
-type Facts = BTreeMap<MapKey, (Seq, MapVal)>;
-
-/// Folds a persisted map patch's facts into `facts`; `None` is a record
-/// that did not decode.
-fn load_patch(
-    page: Option<Page>,
-    segment: u64,
-    facts: &mut Facts,
-    report: &mut RecoveryReport,
-) -> Result<()> {
-    let undecodable =
-        || PurityError::DataLoss(format!("undecodable map patch in segment {segment}"));
-    let page = page.ok_or_else(undecodable)?;
-    let rows = page.rows::<{ MapFact::COLS }>();
-    for f in rows
-        .map_err(|_| undecodable())?
-        .map(|row| MapFact::from_row(&row))
-    {
-        let val = MapVal {
-            loc: f.loc,
-            deduped: f.deduped,
-        };
-        let newest = facts.entry((f.medium.0, f.sector)).or_insert((f.seq, val));
-        if newest.0 < f.seq {
-            *newest = (f.seq, val);
-        }
-    }
-    report.facts_loaded += page.n_rows();
-    report.patches_loaded += 1;
-    Ok(())
+/// The error for a map record in `segment` that does not decode.
+fn undecodable(segment: u64) -> PurityError {
+    PurityError::DataLoss(format!("undecodable map patch in segment {segment}"))
 }

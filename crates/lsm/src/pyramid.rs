@@ -435,7 +435,7 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     /// re-walk the biggest patch on almost every flush. Adjacent merges
     /// keep sequence ranges contiguous and the newest-first patch order
     /// intact.
-    pub fn merge_cheapest_adjacent_pair(&mut self) {
+    fn merge_cheapest_adjacent_pair(&mut self) {
         let n = self.patches.len();
         if n < 2 {
             return;
@@ -456,9 +456,10 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
         }
     }
 
-    /// Full flatten: collapses every patch (not the memtable) into one.
-    /// GC uses this to bound read fan-out and reclaim elided space; a
-    /// single patch is still re-merged, which drops newly elided facts.
+    /// Full flatten: collapses every patch (not the memtable) into one;
+    /// a single patch is still re-merged, which drops newly elided
+    /// facts. Only tests call it: GC merges the memtable with the
+    /// patches through [`Pyramid::compact`].
     pub fn flatten(&mut self) {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
         if !self.patches.is_empty() {

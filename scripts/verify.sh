@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local verification gate: what CI runs, runnable offline.
 #
-#   scripts/verify.sh          # build + test + fmt + clippy + benchmark lint
+#   scripts/verify.sh          # build + test + array torture sweep + fmt
+#                              #   + clippy + benchmark lint
 #                              #   + scorecard correctness smoke
-#   scripts/verify.sh --quick  # build + test only
+#   scripts/verify.sh --quick  # build + test + results gate only
 #
 # fmt/clippy (and the benchmark lint and smoke, which need both) are skipped with
 # a warning when the rustup components are not installed (minimal
@@ -33,9 +34,21 @@ step "exhibit smoke + results gate (scripts/check_results.sh)"
 scripts/check_results.sh
 
 if [[ $quick -eq 1 ]]; then
-  echo "--quick: skipping fmt/clippy"
+  echo "--quick: skipping the torture sweep, fmt and clippy"
   exit 0
 fi
+
+# CI's torture job sweeps the array kind wider than the results gate
+# does. The exhibit rewrites its committed results/ files for any
+# arguments but the gate's, so they are put back afterwards.
+step "array torture sweep (exp_torture --kind array --seeds 25 --smoke)"
+saved=$(mktemp -d)
+cp results/exp_torture.txt results/exp_torture.json "$saved"/
+status=0
+cargo run --release -q -p purity-bench -- exp_torture --kind array --seeds 25 --smoke || status=$?
+cp "$saved"/exp_torture.txt "$saved"/exp_torture.json results/
+rm -r "$saved"
+[[ $status -eq 0 ]] || exit "$status"
 
 if cargo fmt --version >/dev/null 2>&1; then
   step "cargo fmt --check"

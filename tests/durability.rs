@@ -3,6 +3,7 @@
 //! protection (§4.2), corruption repair and scrubbing (§5.1).
 
 use purity_core::{ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, PurityError, SECTOR};
+use purity_torture::DurabilityOracle;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -324,4 +325,58 @@ fn thirty_cold_starts_load_each_fact_once() {
     }
     assert!(a.read(vol, 0, image.len()).unwrap().0 == image);
     assert!(a.verify_integrity().is_empty());
+}
+
+/// A crash after map records died: a volume written, checkpointed,
+/// overwritten and checkpointed again — so the checkpoint names only the
+/// second pass's record — then overwritten once more with power lost
+/// mid-segment-flush, or mid-checkpoint after a whole third pass. The
+/// torn checkpoint names only the third pass's record; recovery falls
+/// back to the one before it, which names the second pass's record, still
+/// on flash. Every acked write survives, the unacked one is
+/// prefix-atomic, and `verify_integrity()` is clean.
+#[test]
+fn power_lost_after_records_died_keeps_every_acked_write() {
+    const VOLUME: u64 = 1 << 20;
+    for target in [CrashTarget::SegmentWrite, CrashTarget::BootWrite] {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let mut oracle = DurabilityOracle::new();
+        let vol = a.create_volume("v", VOLUME).unwrap();
+        oracle.create_volume(vol, VOLUME);
+        let mut write = |a: &mut FlashArray, tag: u64, at: u64, n: usize| {
+            let data = sectors(tag, n);
+            oracle
+                .write_through(vol, at, &data, || a.write(vol, at * SECTOR as u64, &data))
+                .is_ok()
+        };
+        let whole = VOLUME as usize / SECTOR;
+        for pass in 0..2 {
+            assert!(write(&mut a, pass, 0, whole));
+            a.checkpoint().unwrap();
+        }
+        assert_eq!(a.controller().map_records().len(), 1, "{target:?}");
+
+        a.arm_power_loss(target, 1, 700);
+        let mut tag = 10;
+        match target {
+            CrashTarget::SegmentWrite => {
+                while a.powered() && tag < 200 {
+                    let at = (tag * 64) % whole as u64;
+                    write(&mut a, tag, at, 64);
+                    tag += 1;
+                }
+            }
+            _ => {
+                if write(&mut a, tag, 0, whole) {
+                    let _ = a.checkpoint();
+                }
+            }
+        }
+        assert!(!a.powered(), "{target:?} never fired");
+        a.power_loss(PowerLossSpec::default()).unwrap();
+        let mut violations = oracle.settle(&mut a);
+        violations.extend(oracle.verify_all(&mut a));
+        assert!(violations.is_empty(), "{target:?}: {violations:?}");
+        assert!(a.verify_integrity().is_empty(), "{target:?}");
+    }
 }
