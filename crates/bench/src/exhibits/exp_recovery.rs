@@ -5,7 +5,7 @@
 
 use crate::Report;
 use purity_core::recovery::ScanMode;
-use purity_core::{ArrayConfig, FlashArray};
+use purity_core::{ArrayConfig, FlashArray, RecoveryReport};
 use purity_sim::units::format_nanos;
 use purity_sim::SEC;
 
@@ -30,18 +30,23 @@ fn scan(cfg: ArrayConfig, label: &str, r: &mut Report) {
     r.line(format!(
         "  frontier scan: {:>6} AUs in {:>10}  | total failover {}",
         f.recovery.aus_scanned,
-        format_nanos(f.recovery.scan_time),
+        format_nanos(f.recovery.scan_time()),
         format_nanos(f.downtime)
     ));
     r.line(format!(
         "  full scan:     {:>6} AUs in {:>10}  | total failover {}",
         full.recovery.aus_scanned,
-        format_nanos(full.recovery.scan_time),
+        format_nanos(full.recovery.scan_time()),
         format_nanos(full.downtime)
     ));
+    // Where the frontier failover's time goes: each stage's end.
+    let stages = (RecoveryReport::STAGES.iter().zip(f.recovery.stage_ends))
+        .map(|(stage, end)| format!("{stage} {}", format_nanos(end)))
+        .collect::<Vec<_>>();
+    r.line(format!("  frontier stage ends: {}", stages.join(" | ")));
     r.line(format!(
         "  scan speedup {:.1}x | both well under the 30 s client timeout: {}",
-        full.recovery.scan_time.max(1) as f64 / f.recovery.scan_time.max(1) as f64,
+        full.recovery.scan_time().max(1) as f64 / f.recovery.scan_time().max(1) as f64,
         full.downtime < 30 * SEC && f.downtime < 30 * SEC
     ));
 }

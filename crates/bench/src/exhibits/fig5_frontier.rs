@@ -38,12 +38,12 @@ pub fn run(_args: &[String], r: &mut Report) {
     r.line(format!(
         "\nrecovery scan with frontier set:  {:>6} AUs, {}",
         frontier.recovery.aus_scanned,
-        format_nanos(frontier.recovery.scan_time)
+        format_nanos(frontier.recovery.scan_time())
     ));
     r.line(format!(
         "recovery scan without (baseline): {:>6} AUs, {}",
         full.recovery.aus_scanned,
-        format_nanos(full.recovery.scan_time)
+        format_nanos(full.recovery.scan_time())
     ));
     r.line(format!(
         "scan reduction: {:.1}x fewer AUs",

@@ -289,18 +289,20 @@ impl BootRegion {
                 let Some(total) = Self::total_len(&first) else {
                     continue;
                 };
-                let bytes = if total <= first.len() {
-                    first
-                } else {
-                    let padded = total.div_ceil(self.page_size) * self.page_size;
-                    match shelf.read_drive(d, offset, padded.min(self.slot_bytes()), now) {
+                // The rest of the checkpoint, after the page already read.
+                let mut bytes = first;
+                let padded = total.div_ceil(self.page_size) * self.page_size;
+                let rest = padded.min(self.slot_bytes()).saturating_sub(self.page_size);
+                if rest > 0 {
+                    let at = offset + self.page_size;
+                    match shelf.read_drive(d, at, rest, now) {
                         Ok(read) => {
                             done = done.max(read.done);
-                            read.data
+                            bytes.extend_from_slice(&read.data);
                         }
                         Err(_) => continue,
                     }
-                };
+                }
                 if let Some((cp, _)) = Checkpoint::decode(&bytes) {
                     if best
                         .as_ref()
@@ -321,6 +323,7 @@ impl BootRegion {
 mod tests {
     use super::*;
     use crate::config::ArrayConfig;
+    use crate::shelf::CrashTarget;
     use purity_sim::Clock;
 
     fn sample_checkpoint(version: u64) -> Checkpoint {
@@ -406,6 +409,34 @@ mod tests {
         let (cp, _) = boot.read(&mut shelf, 0).unwrap();
         assert_eq!(cp.version, 3);
         assert_eq!(boot.writes, 3);
+    }
+
+    /// A checkpoint over several pages whose write power tore on the
+    /// first mirror after one page: that slot's first page still names
+    /// its length, its body does not decode, and the newest whole
+    /// version over mirrors × slots is chosen.
+    #[test]
+    fn a_torn_mirror_slot_leaves_the_newest_whole_checkpoint() {
+        let cfg = ArrayConfig::test_small();
+        let page = cfg.ssd_geometry.page_size;
+        let mut shelf = Shelf::new(&cfg, Clock::new());
+        let mut boot = BootRegion::new(cfg.boot_region_bytes(), page, 9);
+        let big = |version| Checkpoint {
+            frontier: (0..3000).map(|au| au << 20).collect(),
+            ..sample_checkpoint(version)
+        };
+        assert!(big(3).encode(9).len() > 2 * page);
+        boot.write(&mut shelf, &big(1), 0).unwrap();
+        boot.write(&mut shelf, &big(2), 0).unwrap();
+        shelf.arm_power_loss(CrashTarget::BootWrite, 0, page + 100);
+        assert!(boot.write(&mut shelf, &big(3), 0).is_err());
+        shelf.power_restore();
+        let first = shelf
+            .read_drive(0, boot.slot_bytes(), page, 0)
+            .unwrap()
+            .data;
+        assert_eq!(BootRegion::total_len(&first), Some(big(3).encode(9).len()));
+        assert_eq!(boot.read(&mut shelf, 0).unwrap().0, big(2));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!    each key goes to the map as one patch — recovery writes nothing
 //!    back — and the recovered controller names only the records some
 //!    key took its newest fact from, so the next checkpoint drops the
-//!    rest.
+//!    rest. A log stripe a power loss tore between its columns ends its
+//!    segment's log, as a torn NVRAM tail ends the NVRAM log.
 //! 3. **NVRAM** — write/meta intents newer than what 1+2 made durable,
 //!    replayed through the normal code paths. Facts are immutable, so
 //!    replaying something already durable would be harmless; the seq
@@ -94,10 +95,11 @@ impl Default for RecoveryOptions {
 /// What recovery did and how long the virtual clock says it took.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Total virtual recovery duration.
+    /// Total virtual recovery duration: the latest of the stage ends.
     pub total_time: Nanos,
-    /// Virtual time of the AU header scan alone.
-    pub scan_time: Nanos,
+    /// When each of [`RecoveryReport::STAGES`] ended, from the cold
+    /// start's instant: where a cold start's time goes.
+    pub stage_ends: [Nanos; 5],
     /// AU headers examined.
     pub aus_scanned: usize,
     /// Segments discovered by the scan (written after the checkpoint).
@@ -115,6 +117,25 @@ pub struct RecoveryReport {
     /// dropping it is correct — anywhere *else* in the log it is data
     /// loss).
     pub torn_tail_records: usize,
+}
+
+impl RecoveryReport {
+    /// A cold start's stages, in [`RecoveryReport::stage_ends`] order.
+    /// The reads start together at the cold start's instant; the seal
+    /// is programmed when the NVRAM scan ends.
+    pub const STAGES: [&'static str; 5] = [
+        "boot record",
+        "map records",
+        "AU scan + log reads",
+        "NVRAM scan",
+        "seal",
+    ];
+
+    /// Virtual time of the AU header scan and the log reads of the
+    /// segments it discovered (the third stage's end).
+    pub fn scan_time(&self) -> Nanos {
+        self.stage_ends[2]
+    }
 }
 
 impl Controller {
@@ -239,25 +260,16 @@ impl Controller {
             cfg.ssd_geometry.page_size,
             cfg.stripe_width(),
         );
-        let (cp, mut done) = boot.read(shelf, now)?;
+        let (cp, boot_done) = boot.read(shelf, now)?;
 
         // --- 1. The controller over the checkpoint's tables. ---------
         let mut ctrl = Controller::from_checkpoint(cfg, &cp, now);
         let layout = *ctrl.writers[HOT].layout();
 
-        // --- 2a. Load checkpoint-listed map records. ------------------
-        // What the log holds stays in the log: the newest fact of each key
-        // goes to the map as one patch, at the end, and nothing is
-        // written back.
-        let mut fold = Fold::default();
-        for loc in &cp.map_patches {
-            let (page, t) = ctrl.read_map_record(shelf, loc, now)?;
-            done = done.max(t);
-            fold.load(page, *loc, &mut report)?;
-        }
-
-        // --- 2b. Scan AU headers for post-checkpoint segments. --------
-        let scan_started = now;
+        // --- 2a. Scan AU headers for post-checkpoint segments. --------
+        // Booked before the map-record reads: the probes are a serial
+        // chain per drive, and would otherwise queue behind one-shot
+        // reads on the dies they share.
         let candidates: Vec<AuId> = match opts.mode {
             ScanMode::Frontier => cp.frontier.iter().map(|&p| AuId::unpack(p)).collect(),
             ScanMode::FullScan => {
@@ -327,15 +339,26 @@ impl Controller {
             ctrl.next_segment = ctrl.next_segment.max(id.0 + 1);
         }
 
-        // Read the discovered segments' log stripes for newer map
-        // records; each record found joins the fold.
+        // --- 2b. Load checkpoint-listed map records. ------------------
+        // What the log holds stays in the log: the newest fact of each key
+        // goes to the map as one patch, at the end, and nothing is
+        // written back.
+        let mut fold = Fold::default();
+        let mut records_done = now;
+        for loc in &cp.map_patches {
+            let (page, t) = ctrl.read_map_record(shelf, loc, now)?;
+            records_done = records_done.max(t);
+            fold.load(page, *loc, &mut report)?;
+        }
+
+        // --- 2c. Read the discovered segments' log stripes for newer
+        // map records; each record found joins the fold after the
+        // checkpoint's.
         discovered.sort();
         for segment in discovered {
             let t = ctrl.scan_log(shelf, segment, now, &mut fold, &mut report)?;
             scan_done = scan_done.max(t);
         }
-        report.scan_time = scan_done.saturating_sub(scan_started);
-        done = done.max(scan_done);
         // Named from here on: each record some key's newest fact came from.
         let Fold { facts, records } = fold;
         let newest = facts.iter().map(|(&key, &(seq, _, at))| (key, seq, at));
@@ -351,8 +374,7 @@ impl Controller {
         // --- 3. Replay NVRAM. ----------------------------------------
         purity_obs::profile_scope!(purity_obs::Plane::NvramReplay);
         let durable_map_seq = ctrl.map.max_seq();
-        let (records, t) = shelf.nvram().scan(now)?;
-        done = done.max(t);
+        let (records, nvram_done) = shelf.nvram().scan(now)?;
         let mut max_seq_seen = ctrl.seq.high_water();
         let n_records = records.len();
         // A recovery seal later in the log means a previous cold start
@@ -408,14 +430,18 @@ impl Controller {
         }
         // Seal the replayed log so the *next* cold start can tell this
         // run's tolerated torn tail apart from real mid-log corruption.
-        let (seal_idx, t) = shelf.nvram_append(
+        // Its content, the last index, is known when the scan ends, so
+        // it is programmed then, beside the reads still running; it is
+        // appended only once every stage has succeeded.
+        let (seal_idx, seal_done) = shelf.nvram_append(
             crate::records::encode_recovery_seal(ctrl.last_nvram_index.unwrap_or(0)),
-            done.max(now),
+            nvram_done,
         )?;
         ctrl.last_nvram_index = Some(seal_idx);
-        done = done.max(t);
         ctrl.seq = SeqAllocator::resume_after(max_seq_seen.max(ctrl.map.max_seq()));
-        report.total_time = done.max(now).saturating_sub(now);
+        let ends = [boot_done, records_done, scan_done, nvram_done, seal_done];
+        report.stage_ends = ends.map(|t| t - now);
+        report.total_time = report.stage_ends.into_iter().max().unwrap_or(0);
         Ok((ctrl, report))
     }
 
@@ -429,32 +455,65 @@ impl Controller {
     ) -> Result<(Page, Nanos)> {
         let layout = self.writers[HOT].layout();
         let extents = layout.log_extents(loc.log_offset, loc.len as usize);
-        let (bytes, t) = self.read_hot(shelf, loc.segment, extents, now)?;
+        let (bytes, t) = self.read_hot(shelf, loc.segment, &extents, now)?;
         let page = decode_log_record(&bytes).ok_or_else(|| undecodable(loc.segment))?;
         Ok((page.0, t))
     }
 
-    /// Reads `extents` of a hot segment (log space, for recovery), one
-    /// after the other into one buffer.
+    /// Reads `extents` of a hot segment (log space, for recovery) into
+    /// one buffer, in order. A log stripe deals its pages over the
+    /// columns, and the pages a range puts in one column lie contiguous
+    /// in its unit: each column of each stripe is read once, whatever
+    /// number of pages it holds, and its bytes dealt back into place.
     fn read_hot(
         &mut self,
         shelf: &mut Shelf,
         segment: u64,
-        extents: impl IntoIterator<Item = Extent>,
+        extents: &[Extent],
         now: Nanos,
     ) -> Result<(Vec<u8>, Nanos)> {
         let info = self.segments.get(&segment).ok_or_else(|| {
             PurityError::Internal(format!("log record in unknown segment {segment}"))
         })?;
         let (layout, rs) = (self.writers[HOT].layout(), self.writers[HOT].rs());
-        let (mut buf, mut done) = (Vec::new(), now);
-        for ext in extents {
+        let mut runs: BTreeMap<(usize, usize), (Extent, Vec<u8>)> = BTreeMap::new();
+        for e in extents {
+            let (run, _) = runs.entry((e.stripe, e.column)).or_insert((*e, Vec::new()));
+            let end = (run.within + run.len).max(e.within + e.len);
+            run.within = run.within.min(e.within);
+            run.len = end - run.within;
+        }
+        let mut done = now;
+        for (run, bytes) in runs.values_mut() {
             let stats = &mut self.stats;
-            let (bytes, t) = read_extent(shelf, info, layout, rs, false, stats, &ext, now, None)?;
-            done = done.max(t);
-            buf.extend_from_slice(&bytes);
+            let (read, t) = read_extent(shelf, info, layout, rs, false, stats, run, now, None)?;
+            (*bytes, done) = (read, done.max(t));
+        }
+        let mut buf = Vec::with_capacity(extents.iter().map(|e| e.len).sum());
+        for e in extents {
+            let (run, bytes) = &runs[&(e.stripe, e.column)];
+            buf.extend_from_slice(&bytes[e.within - run.within..][..e.len]);
         }
         Ok((buf, done))
+    }
+
+    /// Reads the 16-byte frame at the head of log stripe `log_idx` of a
+    /// hot segment: the magic and the payload length, if one was flushed.
+    fn log_frame(
+        &mut self,
+        shelf: &mut Shelf,
+        segment: u64,
+        log_idx: usize,
+        now: Nanos,
+    ) -> Result<(Vec<u8>, Nanos)> {
+        let stripe = self.writers[HOT].layout().n_stripes - 1 - log_idx;
+        let ext = Extent {
+            column: 0,
+            stripe,
+            within: 0,
+            len: 16,
+        };
+        self.read_hot(shelf, segment, &[ext], now)
     }
 
     /// Reads a segment discovered by the scan for the log records it
@@ -474,26 +533,34 @@ impl Controller {
         let (mut buffer, mut at) = (Vec::new(), 0);
         let mut log_stripes = 0u64;
         for log_idx in 0..layout.n_stripes {
-            // Frame probe: 16 bytes at the head of the stripe row.
-            let frame_ext = Extent {
-                column: 0,
-                stripe: layout.n_stripes - 1 - log_idx,
-                within: 0,
-                len: 16,
-            };
-            let Ok((frame, t)) = self.read_hot(shelf, segment.0, [frame_ext], now) else {
+            let Ok((frame, t)) = self.log_frame(shelf, segment.0, log_idx, now) else {
                 break;
             };
             done = done.max(t);
             if frame[..8] != LOG_STRIPE_MAGIC.to_le_bytes() {
                 break;
             }
-            log_stripes += 1;
             let payload_len =
                 u64::from_le_bytes(frame[8..16].try_into().expect("16-byte frame")) as usize;
             let offset = (log_idx * sp) as u64;
             let extents = layout.log_extents(offset, payload_len.min(sp));
-            let (payload, t) = self.read_hot(shelf, segment.0, extents, now)?;
+            let (payload, t) = match self.read_hot(shelf, segment.0, &extents, now) {
+                Ok(read) => read,
+                // A flush power tore between its columns ends the log
+                // when nothing was flushed after it, as a torn NVRAM tail
+                // does: no checkpoint named its records, and NVRAM still
+                // holds their facts. Anywhere else it is data loss.
+                Err(e) => {
+                    let later = log_idx + 1 < layout.n_stripes
+                        && (self.log_frame(shelf, segment.0, log_idx + 1, now))
+                            .is_ok_and(|(next, _)| next[..8] == LOG_STRIPE_MAGIC.to_le_bytes());
+                    if later {
+                        return Err(e);
+                    }
+                    break;
+                }
+            };
+            log_stripes += 1;
             done = done.max(t);
             if buffer.is_empty() {
                 at = offset;
@@ -573,4 +640,53 @@ impl Fold {
 /// The error for a map record in `segment` that does not decode.
 fn undecodable(segment: u64) -> PurityError {
     PurityError::DataLoss(format!("undecodable map patch in segment {segment}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::array::FlashArray;
+    use crate::config::ArrayConfig;
+    use crate::error::PurityError;
+    use purity_sim::units::MS;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The NVRAM log's records, as a cold start would scan them.
+    fn nvram_records(a: &mut FlashArray) -> usize {
+        let (_, shelf) = a.controller_and_shelf();
+        shelf.nvram().scan(0).unwrap().0.len()
+    }
+
+    /// A `gc_churn`-shaped cold start: the seal is programmed when the
+    /// NVRAM scan ends, beside the map-record reads still running, so the
+    /// slowest read stage sets the time. A recovery that fails after the
+    /// scan appends no seal.
+    #[test]
+    fn a_cold_start_seals_when_its_nvram_scan_ends() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let vol = a.create_volume("v", 8 << 20).unwrap();
+        let (mut rng, mut chunk) = (StdRng::seed_from_u64(40), vec![0u8; 64 * 1024]);
+        for i in 0..64u64 {
+            rng.fill(&mut chunk[..]);
+            a.write(vol, (i * 3 % 128) * chunk.len() as u64, &chunk)
+                .unwrap();
+        }
+        a.checkpoint().unwrap();
+        a.advance(100 * MS);
+        let r = a.fail_primary().unwrap().recovery;
+        let [boot, records, scan, nvram, seal] = r.stage_ends;
+        let slowest_read = boot.max(records).max(scan).max(nvram);
+        assert!(nvram < seal && seal < slowest_read, "{:?}", r.stage_ends);
+        assert_eq!(r.total_time, slowest_read);
+
+        // An undecodable record before a valid one, after the last seal,
+        // is data loss: replay refuses it, and nothing is appended.
+        let now = a.now();
+        let (_, shelf) = a.controller_and_shelf();
+        shelf.nvram_append(vec![0xEE; 32], now).unwrap();
+        a.write(vol, 0, &chunk).unwrap();
+        let before = nvram_records(&mut a);
+        assert!(matches!(a.fail_primary(), Err(PurityError::DataLoss(_))));
+        assert_eq!(nvram_records(&mut a), before);
+    }
 }

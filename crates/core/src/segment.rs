@@ -51,6 +51,9 @@ pub struct SegmentLayout {
     pub au_header: usize,
     /// Boot-region bytes at the front of each drive.
     pub boot_region: usize,
+    /// Flash page bytes of the class's drives: a log stripe's unit of
+    /// interleave over its columns.
+    pub page: usize,
 }
 
 /// One physical extent of a data- or log-space range.
@@ -77,6 +80,7 @@ impl SegmentLayout {
             au_bytes: cfg.au_bytes,
             au_header: cfg.au_header_bytes(),
             boot_region: cfg.boot_region_bytes(),
+            page: cfg.ssd_geometry.page_size,
         }
     }
 
@@ -92,6 +96,7 @@ impl SegmentLayout {
             n_stripes: (cfg.au_bytes - au_header) / cfg.write_unit_bytes,
             au_header,
             boot_region: 0,
+            page: cfg.cold_geometry.page_size,
             ..Self::from_config(cfg)
         }
     }
@@ -153,9 +158,20 @@ impl SegmentLayout {
         self.stripe_data_bytes() - 16
     }
 
-    /// Extents of a log-*payload*-space range. Log stripes grow from the
-    /// back (log stripe 0 is the last physical stripe); each carries a
-    /// 16-byte frame that payload addressing skips.
+    /// Where byte `b` of a log stripe (its frame included) lives: flash
+    /// pages are dealt round-robin over the data columns, so a record of
+    /// `p` pages reads from `min(p, k)` drives at once. The frame stays
+    /// at column 0, within 0. Returns (column, byte within the unit).
+    pub fn log_byte(&self, b: usize) -> (usize, usize) {
+        let (page, at) = (b / self.page, b % self.page);
+        (page % self.k, page / self.k * self.page + at)
+    }
+
+    /// Extents of a log-*payload*-space range, a page at most each, in
+    /// payload order. Log stripes grow from the back (log stripe 0 is
+    /// the last physical stripe); each carries a 16-byte frame that
+    /// payload addressing skips, and lays its bytes out by
+    /// [`SegmentLayout::log_byte`].
     pub fn log_extents(&self, offset: u64, len: usize) -> Vec<Extent> {
         let sp = self.log_stripe_payload();
         let mut out = Vec::new();
@@ -163,10 +179,11 @@ impl SegmentLayout {
         let mut remaining = len;
         while remaining > 0 {
             let log_stripe = at / sp;
-            let in_stripe = 16 + at % sp;
-            let column = in_stripe / self.wu;
-            let within = in_stripe % self.wu;
-            let take = remaining.min(sp - at % sp).min(self.wu - within);
+            let b = 16 + at % sp;
+            let (column, within) = self.log_byte(b);
+            // A stripe's data bytes are whole pages, so a page never
+            // crosses into the next stripe.
+            let take = remaining.min(self.page - b % self.page);
             out.push(Extent {
                 column,
                 stripe: self.n_stripes - 1 - log_stripe,
@@ -587,14 +604,19 @@ impl SegmentWriter {
             if open.log_pending.is_empty() {
                 break;
             }
-            // Frame: magic + length + payload, padded to the stripe.
+            // Frame: magic + length + payload, padded to the stripe and
+            // dealt a page at a time over the data columns.
             let take = open.log_pending.len().min(sp);
-            let payload: Vec<u8> = open.log_pending.drain(..take).collect();
-            let mut stripe_bytes = Vec::with_capacity(sd);
-            stripe_bytes.extend_from_slice(&LOG_STRIPE_MAGIC.to_le_bytes());
-            stripe_bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            stripe_bytes.extend_from_slice(&payload);
-            stripe_bytes.resize(sd, 0);
+            let mut framed = Vec::with_capacity(16 + take);
+            framed.extend_from_slice(&LOG_STRIPE_MAGIC.to_le_bytes());
+            framed.extend_from_slice(&(take as u64).to_le_bytes());
+            framed.extend(open.log_pending.drain(..take));
+            let mut stripe_bytes = vec![0; sd];
+            for (i, chunk) in framed.chunks(self.layout.page).enumerate() {
+                let (column, within) = self.layout.log_byte(i * self.layout.page);
+                let at = column * self.layout.wu + within;
+                stripe_bytes[at..at + chunk.len()].copy_from_slice(chunk);
+            }
             let log_idx = open.info.log_stripes as usize;
             open.info.log_stripes += 1;
             open.info.log_bytes += sp as u64;
@@ -688,6 +710,7 @@ impl SegmentWriter {
 mod tests {
     use super::*;
     use purity_sim::Clock;
+    use std::collections::BTreeSet;
 
     fn layout() -> SegmentLayout {
         SegmentLayout::from_config(&ArrayConfig::test_small())
@@ -932,6 +955,51 @@ mod tests {
         assert_eq!(frame[..8], LOG_STRIPE_MAGIC.to_le_bytes());
         let len = u64::from_le_bytes(frame[8..16].try_into().unwrap()) as usize;
         assert_eq!(len, rec1.len() + rec2.len());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Any record `flush_log` writes, at any offset and length, reads
+        /// back byte for byte through `log_extents`; and a record over
+        /// `p <= k` flash pages of the log stripes reads from `p` columns.
+        #[test]
+        fn log_records_read_back_through_interleaved_extents(
+            records in proptest::collection::vec((1usize..40_000, proptest::prelude::any::<bool>()), 1..12),
+        ) {
+            let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
+            w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
+            let mut placed = Vec::new();
+            for (i, &(len, flush)) in records.iter().enumerate() {
+                let bytes: Vec<u8> = (0..len).map(|j| ((i * 131 + j * 7) % 251) as u8).collect();
+                let Some((offset, _)) = w.append_log(&mut shelf, &bytes, 0).unwrap().0 else {
+                    break;
+                };
+                placed.push((offset as usize, bytes));
+                if flush {
+                    w.flush_log(&mut shelf, 0).unwrap();
+                }
+            }
+            w.flush_log(&mut shelf, 0).unwrap();
+            let (l, info) = (*w.layout(), w.open_segment().unwrap().clone());
+            let (sp, stripe_pages) = (l.log_stripe_payload(), l.stripe_data_bytes() / l.page);
+            for (offset, bytes) in &placed {
+                let ext = l.log_extents(*offset as u64, bytes.len());
+                let mut back = Vec::new();
+                for e in &ext {
+                    let au = info.columns[e.column];
+                    let off = l.wu_byte_offset(au.index, e.stripe, e.within);
+                    back.extend(shelf.read_drive(au.drive, off, e.len, 1).unwrap().data);
+                }
+                proptest::prop_assert!(&back == bytes, "record at {offset}");
+                // Flash pages the record covers, counted in payload space:
+                // each log stripe's 16-byte frame comes first.
+                let page_of = |at: usize| (at / sp) * stripe_pages + (16 + at % sp) / l.page;
+                let pages = page_of(offset + bytes.len() - 1) - page_of(*offset) + 1;
+                let columns: BTreeSet<usize> = ext.iter().map(|e| e.column).collect();
+                proptest::prop_assert_eq!(columns.len(), pages.min(l.k), "record at {}", offset);
+            }
+        }
     }
 
     #[test]

@@ -380,3 +380,60 @@ fn power_lost_after_records_died_keeps_every_acked_write() {
         assert!(a.verify_integrity().is_empty(), "{target:?}");
     }
 }
+
+/// A power loss that tears a checkpoint's log stripe between its columns.
+/// A map record is dealt a flash page a column, so a torn stripe can hold
+/// some of a record's pages and not others. Every segment write of the
+/// checkpoint is torn in turn, each on a fresh array: the cold start
+/// stops the log at the torn stripe, NVRAM still holds the record's
+/// facts, and every acked write survives.
+#[test]
+fn power_lost_mid_log_stripe_keeps_every_acked_write() {
+    const VOLUME: u64 = 1 << 20;
+    let cfg = ArrayConfig::test_small();
+    let layout = purity_core::segment::SegmentLayout::from_config(&cfg);
+    let mut torn_log_columns = 0;
+    for after in 0.. {
+        let mut a = FlashArray::new(cfg.clone()).unwrap();
+        let mut oracle = DurabilityOracle::new();
+        let vol = a.create_volume("v", VOLUME).unwrap();
+        oracle.create_volume(vol, VOLUME);
+        let data = sectors(40, VOLUME as usize / SECTOR);
+        (oracle.write_through(vol, 0, &data, || a.write(vol, 0, &data))).unwrap();
+
+        a.arm_power_loss(CrashTarget::SegmentWrite, after, 700);
+        let _ = a.checkpoint();
+        if a.powered() {
+            break; // the sweep is past the checkpoint's last segment write
+        }
+        // "… drive D offset O torn at …": a write into the segment's
+        // last stripe is its first log stripe.
+        let note = a.torn_note().unwrap().to_owned();
+        let offset: usize = note
+            .split("offset ")
+            .nth(1)
+            .unwrap()
+            .split(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .unwrap();
+        let in_au = (offset - layout.boot_region) % layout.au_bytes;
+        if in_au >= layout.au_header
+            && (in_au - layout.au_header) / layout.wu == layout.n_stripes - 1
+        {
+            torn_log_columns += 1;
+        }
+        a.power_loss(PowerLossSpec::default()).unwrap();
+        let mut violations = oracle.settle(&mut a);
+        violations.extend(oracle.verify_all(&mut a));
+        assert!(
+            violations.is_empty(),
+            "after {after} ({note}): {violations:?}"
+        );
+        assert!(a.verify_integrity().is_empty(), "after {after} ({note})");
+    }
+    // Each of the log stripe's column writes was torn once: the first
+    // with none landed before it, the last with every data column landed.
+    assert_eq!(torn_log_columns, cfg.stripe_width());
+}

@@ -664,6 +664,30 @@ fn tier_stages_are_emitted_and_registered() {
 //   `cache_ram_used_bytes` ends at 884 736 (950 272). The slow-op ring
 //   holds the same 58 ops, two `tier_migrate` ops sooner in it. The
 //   document is 16 bytes longer.
+//
+// Re-pinned when log stripes began dealing their flash pages over the
+// data columns, the frontier probes were booked before the map-record
+// reads, and the recovery seal began programming when the NVRAM scan
+// ends. Only the two scenarios with a takeover moved; `tiered_cycle`
+// and the cluster documents are byte-identical. No slow op moved.
+// - `plain_mix`: the takeover is 320.00 us (420.95, `array_downtime_ns`).
+//   A record's pages now sit on several drives, and recovery reads each
+//   drive's share once: 2 more direct reads (`array_reads{path=
+//   "direct"}` 297 -> 299; `flash_reads` on drives 1 / 2 / 3: 225 -> 223,
+//   156 -> 157, 224 -> 225), with their stalls. The ops after the
+//   takeover run 0.1 ms sooner, so some cross a 1 ms recorder boundary:
+//   the deltas of intervals 52-58 move, the tail-blame cohorts of
+//   intervals 52 and 58 hold 3 and 4 ops (2 and 5), and the SLO
+//   incident opening there counts 4 (3). The document is 8 bytes
+//   longer.
+// - `host_closed_loop`: the takeover is 300.00 us (491.35). Its record
+//   reads spread from drives 1-3 to 5-9 (`flash_reads{drive="1"}` 97 ->
+//   91, `"3"` 150 -> 142, `"5"` 125 -> 131, `"9"` 18 -> 20), 15 more
+//   direct reads in all (528 -> 543), and the read stall on drives 1-3
+//   falls (drive 2: 5.54 -> 3.49 ms). The direct drive-read histogram,
+//   which counts them, has p99 344.1 us (376.8) and queueing p99 245.8
+//   us (278.5). Every host op count is unchanged. The document is 1
+//   byte longer.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -745,7 +769,7 @@ fn export_contract_plain_mix() {
     assert_export_digest(
         "plain_mix",
         &[a.export_observability_json()],
-        &[(108_619, 0xc1ae_a267_934c_67ce)],
+        &[(108_627, 0x5f02_7f20_251c_3b2d)],
     );
 }
 
@@ -821,7 +845,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(43_302, 0x3536_8dfc_0720_3a0c)],
+        &[(43_303, 0x7afb_4674_f038_3e13)],
     );
 }
 
