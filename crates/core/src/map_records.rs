@@ -73,32 +73,14 @@ impl MapRecords {
     pub(crate) fn name<V>(&mut self, loc: PatchLoc, facts: &[(MapKey, Seq, V)]) {
         let id = self.next_id;
         self.next_id += 1;
-        // Each key's last version, in key order.
-        let runs = || {
-            (facts.chunk_by(|a, b| a.0 == b.0))
-                .map(|run| (run[run.len() - 1].0, run[run.len() - 1].1))
-        };
-        let newest = &mut self.newest;
-        let added = (runs())
-            .filter(|(key, _)| newest.binary_search_by_key(key, |e| e.0).is_err())
-            .count();
-        // One copy, merged in place from the back: `newest[..old]` is
-        // still to merge, `newest[w..]` is merged, and the gap between
-        // them is the new keys still to place.
-        let mut old = newest.len();
-        newest.resize(old + added, ((0, 0), 0, 0));
-        let (mut w, mut live) = (newest.len(), 0);
-        for (key, seq) in runs().rev() {
-            let above = newest[..old].partition_point(|e| e.0 <= key);
-            newest.copy_within(above..old, w - (old - above));
-            (w, old) = (w - (old - above), above);
-            let held = (old > 0 && newest[old - 1].0 == key).then(|| {
-                old -= 1;
-                newest[old]
-            });
-            w -= 1;
-            newest[w] = match held {
-                Some(held) if held.1 >= seq => held,
+        let mut live = 0;
+        let mut old = std::mem::take(&mut self.newest).into_iter().peekable();
+        let mut merged = Vec::with_capacity(old.len() + facts.len());
+        for run in facts.chunk_by(|a, b| a.0 == b.0) {
+            let (key, seq) = (run[run.len() - 1].0, run[run.len() - 1].1);
+            merged.extend(std::iter::from_fn(|| old.next_if(|e| e.0 < key)));
+            match old.next_if(|e| e.0 == key) {
+                Some(held) if held.1 >= seq => merged.push(held),
                 held => {
                     if let Some((_, _, was)) = held {
                         let rec = (self.named.get_mut(&was)).expect("a newest fact is named");
@@ -107,13 +89,14 @@ impl MapRecords {
                             self.named.remove(&was);
                         }
                     }
+                    merged.push((key, seq, id));
                     live += 1;
-                    (key, seq, id)
                 }
-            };
+            }
         }
-        debug_assert_eq!(w, old);
-        debug_assert!(newest.is_sorted_by(|a, b| a.0 < b.0));
+        merged.extend(old);
+        debug_assert!(merged.is_sorted_by(|a, b| a.0 < b.0));
+        self.newest = merged;
         if live > 0 {
             self.named.insert(id, (loc, live));
         }

@@ -23,11 +23,13 @@
 //!    key took its newest fact from, so the next checkpoint drops the
 //!    rest. A log stripe a power loss tore between its columns ends its
 //!    segment's log, as a torn NVRAM tail ends the NVRAM log.
-//! 3. **NVRAM** — write/meta intents newer than what 1+2 made durable,
+//! 3. **NVRAM** — meta intents newer than the checkpoint, and write
+//!    intents newer than the newest fact of the records it names,
 //!    replayed through the normal code paths. Facts are immutable, so
-//!    replaying something already durable would be harmless; the seq
-//!    watermarks just avoid the wasted work (§4.3: "inserting stale or
-//!    duplicate records is harmless").
+//!    replaying something already durable is harmless (§4.3: "inserting
+//!    stale or duplicate records is harmless"): a write a record flushed
+//!    after the checkpoint holds is applied again, since a crash can
+//!    land some of one flush's records and not others.
 
 use crate::bootregion::{BootRegion, Checkpoint, PatchLoc};
 use crate::config::ArrayConfig;
@@ -350,6 +352,12 @@ impl Controller {
             records_done = records_done.max(t);
             fold.load(page, *loc, &mut report)?;
         }
+        // A write no newer than the newest fact these records hold has
+        // its fact, or a newer one of its key, in them. Records flushed
+        // after the checkpoint give no such bound: a GC pass compacts the
+        // memtable into several records, each holding new facts, and a
+        // power loss can land some of them and not the rest.
+        let durable_seq = fold.facts.values().map(|f| f.0).max().unwrap_or(0);
 
         // --- 2c. Read the discovered segments' log stripes for newer
         // map records; each record found joins the fold after the
@@ -373,7 +381,6 @@ impl Controller {
 
         // --- 3. Replay NVRAM. ----------------------------------------
         purity_obs::profile_scope!(purity_obs::Plane::NvramReplay);
-        let durable_map_seq = ctrl.map.max_seq();
         let (records, nvram_done) = shelf.nvram().scan(now)?;
         let mut max_seq_seen = ctrl.seq.high_water();
         let n_records = records.len();
@@ -403,7 +410,7 @@ impl Controller {
                     }
                 }
                 Some(NvramEntry::Write(wi)) => {
-                    if wi.seq > durable_map_seq {
+                    if wi.seq > durable_seq {
                         max_seq_seen = max_seq_seen.max(wi.seq);
                         ctrl.apply_write(shelf, wi.medium, wi.start_sector, &wi.data, wi.seq, now)?;
                         report.write_intents_replayed += 1;
@@ -453,46 +460,45 @@ impl Controller {
         loc: &PatchLoc,
         now: Nanos,
     ) -> Result<(Page, Nanos)> {
-        let layout = self.writers[HOT].layout();
-        let extents = layout.log_extents(loc.log_offset, loc.len as usize);
-        let (bytes, t) = self.read_hot(shelf, loc.segment, &extents, now)?;
+        let (bytes, t) =
+            self.read_log(shelf, loc.segment, loc.log_offset, loc.len as usize, now)?;
         let page = decode_log_record(&bytes).ok_or_else(|| undecodable(loc.segment))?;
         Ok((page.0, t))
     }
 
-    /// Reads `extents` of a hot segment (log space, for recovery) into
-    /// one buffer, in order. A log stripe deals its pages over the
-    /// columns, and the pages a range puts in one column lie contiguous
-    /// in its unit: each column of each stripe is read once, whatever
-    /// number of pages it holds, and its bytes dealt back into place.
+    /// Reads extent `ext` of a hot segment (log space, for recovery).
     fn read_hot(
         &mut self,
         shelf: &mut Shelf,
         segment: u64,
-        extents: &[Extent],
+        ext: &Extent,
         now: Nanos,
     ) -> Result<(Vec<u8>, Nanos)> {
         let info = self.segments.get(&segment).ok_or_else(|| {
             PurityError::Internal(format!("log record in unknown segment {segment}"))
         })?;
         let (layout, rs) = (self.writers[HOT].layout(), self.writers[HOT].rs());
-        let mut runs: BTreeMap<(usize, usize), (Extent, Vec<u8>)> = BTreeMap::new();
-        for e in extents {
-            let (run, _) = runs.entry((e.stripe, e.column)).or_insert((*e, Vec::new()));
-            let end = (run.within + run.len).max(e.within + e.len);
-            run.within = run.within.min(e.within);
-            run.len = end - run.within;
-        }
-        let mut done = now;
-        for (run, bytes) in runs.values_mut() {
-            let stats = &mut self.stats;
-            let (read, t) = read_extent(shelf, info, layout, rs, false, stats, run, now, None)?;
-            (*bytes, done) = (read, done.max(t));
-        }
-        let mut buf = Vec::with_capacity(extents.iter().map(|e| e.len).sum());
-        for e in extents {
-            let (run, bytes) = &runs[&(e.stripe, e.column)];
-            buf.extend_from_slice(&bytes[e.within - run.within..][..e.len]);
+        let stats = &mut self.stats;
+        read_extent(shelf, info, layout, rs, false, stats, ext, now, None)
+    }
+
+    /// Reads `len` bytes at `offset` of a hot segment's log payload: each
+    /// column of each log stripe once, whatever number of pages it
+    /// holds, its bytes dealt into place.
+    fn read_log(
+        &mut self,
+        shelf: &mut Shelf,
+        segment: u64,
+        offset: u64,
+        len: usize,
+        now: Nanos,
+    ) -> Result<(Vec<u8>, Nanos)> {
+        let layout = *self.writers[HOT].layout();
+        let (mut buf, mut done) = (vec![0; len], now);
+        for run in layout.log_extents(offset, len) {
+            let (bytes, t) = self.read_hot(shelf, segment, &run.ext, now)?;
+            layout.deal_log_run(&run, &bytes, &mut buf);
+            done = done.max(t);
         }
         Ok((buf, done))
     }
@@ -513,7 +519,7 @@ impl Controller {
             within: 0,
             len: 16,
         };
-        self.read_hot(shelf, segment, &[ext], now)
+        self.read_hot(shelf, segment, &ext, now)
     }
 
     /// Reads a segment discovered by the scan for the log records it
@@ -543,13 +549,13 @@ impl Controller {
             let payload_len =
                 u64::from_le_bytes(frame[8..16].try_into().expect("16-byte frame")) as usize;
             let offset = (log_idx * sp) as u64;
-            let extents = layout.log_extents(offset, payload_len.min(sp));
-            let (payload, t) = match self.read_hot(shelf, segment.0, &extents, now) {
+            let read = self.read_log(shelf, segment.0, offset, payload_len.min(sp), now);
+            let (payload, t) = match read {
                 Ok(read) => read,
                 // A flush power tore between its columns ends the log
                 // when nothing was flushed after it, as a torn NVRAM tail
-                // does: no checkpoint named its records, and NVRAM still
-                // holds their facts. Anywhere else it is data loss.
+                // does: no checkpoint named its records, and NVRAM replay
+                // reapplies their facts. Anywhere else it is data loss.
                 Err(e) => {
                     let later = log_idx + 1 < layout.n_stripes
                         && (self.log_frame(shelf, segment.0, log_idx + 1, now))

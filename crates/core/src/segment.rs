@@ -69,6 +69,18 @@ pub struct Extent {
     pub len: usize,
 }
 
+/// One column's share of a log-payload range within one log stripe: the
+/// pages a range puts in one column lie contiguous in its unit, so each
+/// run is one read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogRun {
+    /// The run's bytes on flash.
+    pub ext: Extent,
+    /// Where its first byte goes in the range; each later flash page of
+    /// the run goes `k` pages on from the one before.
+    pub at: usize,
+}
+
 impl SegmentLayout {
     /// Derives the layout from a config.
     pub fn from_config(cfg: &ArrayConfig) -> Self {
@@ -167,33 +179,55 @@ impl SegmentLayout {
         (page % self.k, page / self.k * self.page + at)
     }
 
-    /// Extents of a log-*payload*-space range, a page at most each, in
-    /// payload order. Log stripes grow from the back (log stripe 0 is
-    /// the last physical stripe); each carries a 16-byte frame that
-    /// payload addressing skips, and lays its bytes out by
+    /// Runs of a log-*payload*-space range, one per log stripe and
+    /// column it touches, in the order their first bytes come in the
+    /// range. Log stripes grow from the back (log stripe 0 is the last
+    /// physical stripe); each carries a 16-byte frame that payload
+    /// addressing skips, and lays its bytes out by
     /// [`SegmentLayout::log_byte`].
-    pub fn log_extents(&self, offset: u64, len: usize) -> Vec<Extent> {
+    pub fn log_extents(&self, offset: u64, len: usize) -> Vec<LogRun> {
         let sp = self.log_stripe_payload();
-        let mut out = Vec::new();
-        let mut at = offset as usize;
-        let mut remaining = len;
-        while remaining > 0 {
-            let log_stripe = at / sp;
+        let mut out: Vec<LogRun> = Vec::new();
+        // `out[first..]` are the runs of the log stripe being walked.
+        let (mut first, mut done) = (0, 0);
+        while done < len {
+            let at = offset as usize + done;
             let b = 16 + at % sp;
             let (column, within) = self.log_byte(b);
+            let stripe = self.n_stripes - 1 - at / sp;
             // A stripe's data bytes are whole pages, so a page never
             // crosses into the next stripe.
-            let take = remaining.min(self.page - b % self.page);
-            out.push(Extent {
-                column,
-                stripe: self.n_stripes - 1 - log_stripe,
-                within,
-                len: take,
-            });
-            at += take;
-            remaining -= take;
+            let take = (len - done).min(self.page - b % self.page);
+            if out.get(first).is_some_and(|r| r.ext.stripe != stripe) {
+                first = out.len();
+            }
+            match out[first..].iter_mut().find(|r| r.ext.column == column) {
+                Some(run) => run.ext.len = within + take - run.ext.within,
+                None => out.push(LogRun {
+                    ext: Extent {
+                        column,
+                        stripe,
+                        within,
+                        len: take,
+                    },
+                    at: done,
+                }),
+            }
+            done += take;
         }
         out
+    }
+
+    /// Copies `bytes`, read from `run`'s extent, to their places in
+    /// `range`, the buffer of the range `run` came from.
+    pub fn deal_log_run(&self, run: &LogRun, bytes: &[u8], range: &mut [u8]) {
+        // Only the range's first page can start mid-page.
+        let (mut at, mut piece, mut rest) = (run.at, self.page - run.ext.within % self.page, bytes);
+        while !rest.is_empty() {
+            let n = piece.min(rest.len());
+            range[at..at + n].copy_from_slice(&rest[..n]);
+            (at, piece, rest) = (at + n + (self.k - 1) * self.page, self.page, &rest[n..]);
+        }
     }
 }
 
@@ -760,10 +794,10 @@ mod tests {
     #[test]
     fn log_extents_grow_from_the_back() {
         let l = layout();
-        let ext = l.log_extents(0, 100);
-        assert_eq!(ext[0].stripe, l.n_stripes - 1);
-        let ext = l.log_extents(l.stripe_data_bytes() as u64, 10);
-        assert_eq!(ext[0].stripe, l.n_stripes - 2);
+        let runs = l.log_extents(0, 100);
+        assert_eq!(runs[0].ext.stripe, l.n_stripes - 1);
+        let runs = l.log_extents(l.stripe_data_bytes() as u64, 10);
+        assert_eq!(runs[0].ext.stripe, l.n_stripes - 2);
     }
 
     #[test]
@@ -919,6 +953,25 @@ mod tests {
         assert!(w.open_segment().is_none());
     }
 
+    /// Reads a log-payload range back through its runs, each dealt into
+    /// place.
+    fn read_log_range(
+        shelf: &mut Shelf,
+        info: &SegmentInfo,
+        l: &SegmentLayout,
+        offset: u64,
+        len: usize,
+    ) -> Vec<u8> {
+        let mut buf = vec![0; len];
+        for run in l.log_extents(offset, len) {
+            let (e, au) = (run.ext, info.columns[run.ext.column]);
+            let off = l.wu_byte_offset(au.index, e.stripe, e.within);
+            let bytes = shelf.read_drive(au.drive, off, e.len, 1).unwrap().data;
+            l.deal_log_run(&run, &bytes, &mut buf);
+        }
+        buf
+    }
+
     #[test]
     fn log_records_round_trip_through_log_stripes() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
@@ -935,16 +988,9 @@ mod tests {
         let info = w.open_segment().unwrap().clone();
         assert_eq!(info.log_stripes, 1);
 
-        // Read the payload back through log-space extents.
+        // Read the payload back through log-space runs.
         let l = *w.layout();
-        let ext = l.log_extents(0, rec1.len() + rec2.len());
-        let mut buf = Vec::new();
-        for e in ext {
-            let au = info.columns[e.column];
-            let off = l.wu_byte_offset(au.index, e.stripe, e.within);
-            let bytes = shelf.read_drive(au.drive, off, e.len, 1).unwrap().data;
-            buf.extend_from_slice(&bytes);
-        }
+        let buf = read_log_range(&mut shelf, &info, &l, 0, rec1.len() + rec2.len());
         assert_eq!(&buf[..rec1.len()], rec1.as_slice());
         assert_eq!(&buf[rec1.len()..], rec2.as_slice());
 
@@ -984,19 +1030,14 @@ mod tests {
             let (l, info) = (*w.layout(), w.open_segment().unwrap().clone());
             let (sp, stripe_pages) = (l.log_stripe_payload(), l.stripe_data_bytes() / l.page);
             for (offset, bytes) in &placed {
-                let ext = l.log_extents(*offset as u64, bytes.len());
-                let mut back = Vec::new();
-                for e in &ext {
-                    let au = info.columns[e.column];
-                    let off = l.wu_byte_offset(au.index, e.stripe, e.within);
-                    back.extend(shelf.read_drive(au.drive, off, e.len, 1).unwrap().data);
-                }
+                let back = read_log_range(&mut shelf, &info, &l, *offset as u64, bytes.len());
                 proptest::prop_assert!(&back == bytes, "record at {offset}");
                 // Flash pages the record covers, counted in payload space:
                 // each log stripe's 16-byte frame comes first.
                 let page_of = |at: usize| (at / sp) * stripe_pages + (16 + at % sp) / l.page;
                 let pages = page_of(offset + bytes.len() - 1) - page_of(*offset) + 1;
-                let columns: BTreeSet<usize> = ext.iter().map(|e| e.column).collect();
+                let runs = l.log_extents(*offset as u64, bytes.len());
+                let columns: BTreeSet<usize> = runs.iter().map(|r| r.ext.column).collect();
                 proptest::prop_assert_eq!(columns.len(), pages.min(l.k), "record at {}", offset);
             }
         }

@@ -437,3 +437,67 @@ fn power_lost_mid_log_stripe_keeps_every_acked_write() {
     // with none landed before it, the last with every data column landed.
     assert_eq!(torn_log_columns, cfg.stripe_width());
 }
+
+/// A power loss inside a GC pass whose compaction spans two map records,
+/// each holding facts from the checkpoint's records and from the
+/// memtable, written to a segment the pass opened after relocating a
+/// victim's live data. Every segment write of the pass is torn in turn,
+/// each on a fresh array. A cold start that finds only the first
+/// compacted record must still replay the NVRAM intents of keys the
+/// second one held, though the first holds facts newer than theirs:
+/// every acked write survives.
+#[test]
+fn power_lost_mid_gc_compaction_keeps_every_acked_write() {
+    const VOLUME: u64 = 9 << 19;
+    let whole = VOLUME as usize / SECTOR;
+    let mut torn = 0;
+    for after in 0.. {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let mut oracle = DurabilityOracle::new();
+        // The victim: a segment mostly of a volume destroyed before the
+        // pass, so relocation leaves the compaction a fresh segment.
+        let kill = a.create_volume("kill", 3 << 20).unwrap();
+        a.write(kill, 0, &sectors(7, (3 << 20) / SECTOR)).unwrap();
+        let vol = a.create_volume("v", VOLUME).unwrap();
+        oracle.create_volume(vol, VOLUME);
+        let mut write = |a: &mut FlashArray, tag: u64, at: usize, n: usize| {
+            let data = sectors(tag, n);
+            let at_byte = (at * SECTOR) as u64;
+            (oracle.write_through(vol, at as u64, &data, || a.write(vol, at_byte, &data))).unwrap();
+        };
+        for (i, at) in (0..whole).step_by(512).enumerate() {
+            write(&mut a, i as u64, at, 512);
+        }
+        a.checkpoint().unwrap();
+        a.destroy_volume(kill).unwrap();
+        // Overwrites scattered over both records' key ranges, so each
+        // compacted record holds memtable facts, and the first holds
+        // some newer than the second's.
+        let mut rng = StdRng::seed_from_u64(41);
+        for tag in 100..164 {
+            write(&mut a, tag, rng.gen_range(0..whole - 8), 8);
+        }
+
+        a.arm_power_loss(CrashTarget::SegmentWrite, after, 700);
+        let gc = a.run_gc();
+        if a.powered() {
+            let gc = gc.unwrap();
+            assert!(gc.bytes_relocated > 0, "{gc:?}");
+            assert_eq!(a.controller().map_records().len(), 2);
+            break; // the sweep is past the pass's last segment write
+        }
+        torn += 1;
+        let note = a.torn_note().unwrap().to_owned();
+        a.power_loss(PowerLossSpec::default()).unwrap();
+        let mut violations = oracle.settle(&mut a);
+        violations.extend(oracle.verify_all(&mut a));
+        assert!(
+            violations.is_empty(),
+            "after {after} ({note}): {} violations, first {:?}",
+            violations.len(),
+            violations.first()
+        );
+        assert!(a.verify_integrity().is_empty(), "after {after} ({note})");
+    }
+    assert!(torn > 0, "no segment write in the pass");
+}
