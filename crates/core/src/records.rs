@@ -705,9 +705,9 @@ pub enum NvramEntry {
     /// A metadata operation.
     Meta(MetaIntent),
     /// A recovery seal (payload: last replayed record index). Appended
-    /// after a successful NVRAM replay; an undecodable record *before*
-    /// a seal is a torn tail an earlier recovery already tolerated, not
-    /// data loss.
+    /// after a successful NVRAM replay of a log that ended in a torn
+    /// tail; an undecodable record *before* a seal is a torn tail an
+    /// earlier recovery already tolerated, not data loss.
     Seal(u64),
 }
 

@@ -123,8 +123,9 @@ pub struct RecoveryReport {
 
 impl RecoveryReport {
     /// A cold start's stages, in [`RecoveryReport::stage_ends`] order.
-    /// The reads start together at the cold start's instant; the seal
-    /// is programmed when the NVRAM scan ends.
+    /// The reads start together at the cold start's instant; the seal,
+    /// if the NVRAM log ends in a torn tail, is programmed when the
+    /// NVRAM scan ends, and otherwise ends with it.
     pub const STAGES: [&'static str; 5] = [
         "boot record",
         "map records",
@@ -384,6 +385,9 @@ impl Controller {
         let (records, nvram_done) = shelf.nvram().scan(now)?;
         let mut max_seq_seen = ctrl.seq.high_water();
         let n_records = records.len();
+        let torn_tail = records
+            .last()
+            .is_some_and(|r| decode_nvram_entry(&r.payload).is_none());
         // A recovery seal later in the log means a previous cold start
         // already replayed (and tolerated a torn tail in) everything
         // before it; undecodable records in that prefix are not data
@@ -435,16 +439,20 @@ impl Controller {
                 }
             }
         }
-        // Seal the replayed log so the *next* cold start can tell this
-        // run's tolerated torn tail apart from real mid-log corruption.
-        // Its content, the last index, is known when the scan ends, so
-        // it is programmed then, beside the reads still running; it is
-        // appended only once every stage has succeeded.
-        let (seal_idx, seal_done) = shelf.nvram_append(
-            crate::records::encode_recovery_seal(ctrl.last_nvram_index.unwrap_or(0)),
-            nvram_done,
-        )?;
-        ctrl.last_nvram_index = Some(seal_idx);
+        // Seal a log that ends in a torn tail, so the *next* cold start
+        // can tell the tail this run tolerated apart from real mid-log
+        // corruption once later records follow it. A log whose every
+        // record decodes needs no seal: the next cold start vets it
+        // whole. Its content, the last index, is known when the scan
+        // ends, so it is programmed then, beside the reads still
+        // running; it is appended only once every stage has succeeded.
+        let mut seal_done = nvram_done;
+        if torn_tail {
+            let seal = crate::records::encode_recovery_seal(ctrl.last_nvram_index.unwrap_or(0));
+            let (seal_idx, done) = shelf.nvram_append(seal, nvram_done)?;
+            ctrl.last_nvram_index = Some(seal_idx);
+            seal_done = done;
+        }
         ctrl.seq = SeqAllocator::resume_after(max_seq_seen.max(ctrl.map.max_seq()));
         let ends = [boot_done, records_done, scan_done, nvram_done, seal_done];
         report.stage_ends = ends.map(|t| t - now);
@@ -663,12 +671,9 @@ mod tests {
         shelf.nvram().scan(0).unwrap().0.len()
     }
 
-    /// A `gc_churn`-shaped cold start: the seal is programmed when the
-    /// NVRAM scan ends, beside the map-record reads still running, so the
-    /// slowest read stage sets the time. A recovery that fails after the
-    /// scan appends no seal.
-    #[test]
-    fn a_cold_start_seals_when_its_nvram_scan_ends() {
+    /// A `gc_churn`-shaped array: 64 random 64 KiB writes, checkpointed,
+    /// then idle for 100 ms.
+    fn churned() -> (FlashArray, crate::types::VolumeId, Vec<u8>) {
         let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
         let vol = a.create_volume("v", 8 << 20).unwrap();
         let (mut rng, mut chunk) = (StdRng::seed_from_u64(40), vec![0u8; 64 * 1024]);
@@ -679,11 +684,32 @@ mod tests {
         }
         a.checkpoint().unwrap();
         a.advance(100 * MS);
+        (a, vol, chunk)
+    }
+
+    /// A cold start over a torn NVRAM tail seals it: the seal is
+    /// programmed when the NVRAM scan ends, beside the map-record reads
+    /// still running, so the slowest read stage sets the time. The next
+    /// cold start finds the tail vetted and appends nothing. A recovery
+    /// that fails after the scan appends no seal.
+    #[test]
+    fn a_cold_start_seals_when_its_nvram_scan_ends() {
+        let (mut a, vol, chunk) = churned();
+        let now = a.now();
+        let (_, shelf) = a.controller_and_shelf();
+        shelf.nvram_append(vec![0xEE; 32], now).unwrap();
+        let torn = nvram_records(&mut a);
         let r = a.fail_primary().unwrap().recovery;
         let [boot, records, scan, nvram, seal] = r.stage_ends;
         let slowest_read = boot.max(records).max(scan).max(nvram);
         assert!(nvram < seal && seal < slowest_read, "{:?}", r.stage_ends);
         assert_eq!(r.total_time, slowest_read);
+        assert_eq!((r.torn_tail_records, nvram_records(&mut a)), (1, torn + 1));
+
+        a.advance(100 * MS);
+        let r = a.fail_primary().unwrap().recovery;
+        assert_eq!(r.stage_ends[4], r.stage_ends[3]);
+        assert_eq!((r.torn_tail_records, nvram_records(&mut a)), (1, torn + 1));
 
         // An undecodable record before a valid one, after the last seal,
         // is data loss: replay refuses it, and nothing is appended.
@@ -694,5 +720,23 @@ mod tests {
         let before = nvram_records(&mut a);
         assert!(matches!(a.fail_primary(), Err(PurityError::DataLoss(_))));
         assert_eq!(nvram_records(&mut a), before);
+    }
+
+    /// A cold start over an NVRAM log whose every record decodes appends
+    /// no seal: its stage ends with the scan, and the replayed writes
+    /// read back.
+    #[test]
+    fn a_cold_start_over_a_whole_log_appends_no_seal() {
+        let (mut a, vol, chunk) = churned();
+        a.write(vol, 0, &chunk).unwrap();
+        a.advance(100 * MS);
+        let before = nvram_records(&mut a);
+        assert!(before > 0);
+        let r = a.fail_primary().unwrap().recovery;
+        assert_eq!(r.stage_ends[4], r.stage_ends[3], "{:?}", r.stage_ends);
+        assert_eq!(r.total_time, r.stage_ends.into_iter().max().unwrap());
+        assert!(r.write_intents_replayed > 0);
+        assert_eq!(nvram_records(&mut a), before);
+        assert_eq!(a.read(vol, 0, chunk.len()).unwrap().0, chunk);
     }
 }
