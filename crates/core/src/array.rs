@@ -127,6 +127,11 @@ pub struct FlashArray {
     pub failovers: u64,
     /// Whole-array power losses survived.
     pub power_losses: u64,
+    /// No controller holds state to serve from: set when a restart
+    /// releases the dead primary's DRAM, cleared when the recovery
+    /// succeeds. A failed takeover leaves it set, and every op is
+    /// refused until a later restart succeeds.
+    down: bool,
 }
 
 impl FlashArray {
@@ -148,6 +153,7 @@ impl FlashArray {
             downtime_total: 0,
             failovers: 0,
             power_losses: 0,
+            down: false,
         })
     }
 
@@ -170,7 +176,7 @@ impl FlashArray {
         // and the interval elapsed). Power-loss errors are deliberately
         // swallowed: the shelf is dark, the caller discovers it on the
         // next I/O, and the torture harness recovers via power_loss().
-        if self.cfg.tiering_enabled() && self.shelf.powered() {
+        if self.cfg.tiering_enabled() && self.shelf.powered() && !self.down {
             let _ = self.primary.tier_maintenance(&mut self.shelf, t);
         }
         t
@@ -185,6 +191,7 @@ impl FlashArray {
 
     /// Creates a thin-provisioned volume.
     pub fn create_volume(&mut self, name: &str, size_bytes: u64) -> Result<VolumeId> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary
             .create_volume(&mut self.shelf, name, size_bytes, now)
@@ -192,12 +199,14 @@ impl FlashArray {
 
     /// Snapshots a volume (O(1)).
     pub fn snapshot(&mut self, volume: VolumeId, name: &str) -> Result<SnapshotId> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary.snapshot(&mut self.shelf, volume, name, now)
     }
 
     /// Clones a snapshot into a new volume (O(1)).
     pub fn clone_snapshot(&mut self, snapshot: SnapshotId, name: &str) -> Result<VolumeId> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary
             .clone_snapshot(&mut self.shelf, snapshot, name, now)
@@ -207,6 +216,7 @@ impl FlashArray {
     /// side table: the `volume_reads` series outlives its owner, so the
     /// recorded history and later exports keep the final value.
     pub fn destroy_volume(&mut self, volume: VolumeId) -> Result<()> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary.destroy_volume(&mut self.shelf, volume, now)?;
         let reads = self.primary.tier.forget(volume.0);
@@ -220,13 +230,15 @@ impl FlashArray {
 
     /// Destroys a snapshot via elision.
     pub fn destroy_snapshot(&mut self, snapshot: SnapshotId) -> Result<()> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary
             .destroy_snapshot(&mut self.shelf, snapshot, now)
     }
 
-    /// Volume metadata.
+    /// Volume metadata; `None` while no controller serves.
     pub fn volume(&self, id: VolumeId) -> Option<&Volume> {
+        self.check_up().ok()?;
         self.primary.volume(id)
     }
 
@@ -370,6 +382,7 @@ impl FlashArray {
         base: Option<SnapshotId>,
         newer: SnapshotId,
     ) -> Result<Vec<(u64, u64)>> {
+        self.check_up()?;
         let ctrl = &self.primary;
         let new_snap = ctrl
             .snapshot_info(newer)
@@ -416,18 +429,21 @@ impl FlashArray {
 
     /// Runs a GC pass.
     pub fn run_gc(&mut self) -> Result<GcReport> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary.run_gc(&mut self.shelf, now)
     }
 
     /// Runs a scrub pass.
     pub fn scrub(&mut self) -> Result<ScrubReport> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary.scrub(&mut self.shelf, now)
     }
 
     /// Forces a checkpoint.
     pub fn checkpoint(&mut self) -> Result<()> {
+        self.check_up()?;
         let now = self.clock.now();
         self.primary.write_checkpoint(&mut self.shelf, now)?;
         Ok(())
@@ -448,6 +464,7 @@ impl FlashArray {
                 Ok(FaultOutcome::DriveFailed)
             }
             FaultEvent::ReviveDrive(d) => {
+                self.check_up()?;
                 self.shelf.drive_mut(d).revive();
                 let now = self.clock.now();
                 let report = self
@@ -549,9 +566,12 @@ impl FlashArray {
     /// The restart a failover and a cold start share. Acks not yet
     /// delivered now die with the old controller(s); their op ids are
     /// surfaced so a host front end can time out and resubmit them
-    /// (everything older has been seen). A controller is then recovered
-    /// from the shelf, and its recovery time passes on the clock as
-    /// downtime.
+    /// (everything older has been seen). The dead primary's DRAM is
+    /// released before anything reads the shelf: only its tier state,
+    /// stats and obs, which a failover hands over, stay. A controller
+    /// is then recovered from the shelf, and its recovery time passes
+    /// on the clock as downtime. Until that recovery succeeds the array
+    /// refuses every op.
     fn restart(&mut self, opts: RecoveryOptions) -> Result<(Controller, FailoverReport)> {
         let start = self.clock.now();
         let aborted: Vec<u64> = self
@@ -561,7 +581,10 @@ impl FlashArray {
             .map(|op| op.id)
             .collect();
         self.inflight.clear();
+        self.down = true;
+        self.primary.release_dram();
         let (ctrl, recovery) = Controller::recover(self.cfg.clone(), &mut self.shelf, opts, start)?;
+        self.down = false;
         let downtime = recovery.total_time;
         self.clock.advance_to(start + downtime);
         self.downtime_total += downtime;
@@ -593,12 +616,25 @@ impl FlashArray {
     /// controller could have satisfied from DRAM cache or the zero path
     /// without touching the (gated) shelf.
     fn check_powered(&self) -> crate::error::Result<()> {
+        self.check_up()?;
         if self.shelf.powered() {
             Ok(())
         } else {
             Err(crate::error::PurityError::Unavailable(
                 "array power is off".into(),
             ))
+        }
+    }
+
+    /// After a failed takeover no controller holds state to serve from:
+    /// every op is refused until a restart succeeds.
+    fn check_up(&self) -> crate::error::Result<()> {
+        if self.down {
+            Err(crate::error::PurityError::Unavailable(
+                "no controller: the last takeover failed".into(),
+            ))
+        } else {
+            Ok(())
         }
     }
 
@@ -630,11 +666,11 @@ impl FlashArray {
         }
         let torn = self.shelf.torn_note().map(str::to_owned);
         self.shelf.power_restore();
-        let (ctrl, report) = self.restart(spec.recovery)?;
         // Cold start: the secondary's warm cache died too, and a fresh
         // observability registry boots with the new controller.
         self.secondary_cache = RamCache::new(self.cfg.cache_bytes);
         self.writes_since_warm = 0;
+        let (ctrl, report) = self.restart(spec.recovery)?;
         self.primary = ctrl;
         self.power_losses += 1;
         Ok(PowerLossReport {
@@ -657,6 +693,9 @@ impl FlashArray {
     ///   bytes of a segment in the table;
     /// - every cached payload belongs to a segment not yet freed.
     pub fn verify_integrity(&self) -> Vec<String> {
+        if let Err(e) = self.check_up() {
+            return vec![e.to_string()];
+        }
         let mut violations = Vec::new();
         let ctrl = &self.primary;
         let mut owner: std::collections::BTreeMap<(usize, u32), u64> =

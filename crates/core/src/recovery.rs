@@ -249,6 +249,18 @@ impl Controller {
         }
     }
 
+    /// Frees what only this controller's DRAM held and a successor
+    /// rebuilds from the shelf: the map, the records it names, the dedup
+    /// index and the read cache. A dead controller's state is no longer
+    /// read by anyone; its tables, tier state, stats and obs stay for
+    /// the handover.
+    pub(crate) fn release_dram(&mut self) {
+        self.map = new_map(&self.elided_mediums);
+        self.map_records = MapRecords::default();
+        self.dedup = DedupEngine::new(DedupIndex::new(0, 0));
+        self.cache = RamCache::new(0);
+    }
+
     /// Rebuilds a controller from the shelf's durable state.
     pub fn recover(
         cfg: ArrayConfig,
@@ -382,8 +394,11 @@ impl Controller {
 
         // --- 3. Replay NVRAM. ----------------------------------------
         purity_obs::profile_scope!(purity_obs::Plane::NvramReplay);
-        let (records, nvram_done) = shelf.nvram().scan(now)?;
+        // The records stay in the device: each is decoded where it lies,
+        // by its position, and replay writes nothing to NVRAM.
+        let nvram_done = shelf.nvram().scan(now)?;
         let mut max_seq_seen = ctrl.seq.high_water();
+        let records = shelf.nvram().records();
         let n_records = records.len();
         let torn_tail = records
             .last()
@@ -394,12 +409,11 @@ impl Controller {
         // loss. Records past the last seal get no such amnesty.
         let last_seal_pos = records
             .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, r)| matches!(decode_nvram_entry(&r.payload), Some(NvramEntry::Seal(_))))
-            .map(|(pos, _)| pos);
-        for (pos, rec) in records.into_iter().enumerate() {
-            ctrl.last_nvram_index = Some(rec.index);
+            .rposition(|r| matches!(decode_nvram_entry(&r.payload), Some(NvramEntry::Seal(_))));
+        for pos in 0..n_records {
+            let rec = &shelf.nvram().records()[pos];
+            let index = rec.index;
+            ctrl.last_nvram_index = Some(index);
             if opts.skip_nvram_replay {
                 // Sabotage mode: pretend the log was read (indexes still
                 // advance so trims behave) but apply nothing.
@@ -433,8 +447,7 @@ impl Controller {
                 }
                 None => {
                     return Err(PurityError::DataLoss(format!(
-                        "undecodable NVRAM record {}",
-                        rec.index
+                        "undecodable NVRAM record {index}"
                     )))
                 }
             }
@@ -664,11 +677,12 @@ mod tests {
     use purity_sim::units::MS;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     /// The NVRAM log's records, as a cold start would scan them.
     fn nvram_records(a: &mut FlashArray) -> usize {
         let (_, shelf) = a.controller_and_shelf();
-        shelf.nvram().scan(0).unwrap().0.len()
+        shelf.nvram().records().len()
     }
 
     /// A `gc_churn`-shaped array: 64 random 64 KiB writes, checkpointed,
@@ -720,6 +734,47 @@ mod tests {
         let before = nvram_records(&mut a);
         assert!(matches!(a.fail_primary(), Err(PurityError::DataLoss(_))));
         assert_eq!(nvram_records(&mut a), before);
+
+        // The failed takeover left no controller: the dead primary's DRAM
+        // is released, and every op is refused rather than served from it.
+        let dead = a.controller();
+        assert_eq!((dead.map.total_facts(), dead.cache.len()), (0, 0));
+        let refused = [
+            a.write(vol, 0, &chunk).map(drop),
+            a.read(vol, 0, 4096).map(drop),
+            a.create_volume("w", 1 << 20).map(drop),
+            a.snapshot(vol, "s").map(drop),
+            a.run_gc().map(drop),
+            a.checkpoint(),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(PurityError::Unavailable(_))), "{r:?}");
+        }
+        assert!(a.volume(vol).is_none());
+        assert_eq!(a.verify_integrity().len(), 1);
+    }
+
+    /// A failover releases the dead primary's map, dedup index and cache
+    /// before the standby reads the shelf, and hands over the rest of
+    /// its volatile state: each volume's heat, the stats and the obs hub.
+    #[test]
+    fn a_failover_hands_over_heat_stats_and_obs() {
+        let (mut a, vol, chunk) = churned();
+        a.read(vol, 0, 4096).unwrap();
+        let c = a.controller();
+        let (reads, heat) = (c.tier.volume_reads(vol.0), c.volume_heat(vol.0, a.now()));
+        let (written, obs) = (a.stats().logical_bytes_written, Arc::clone(a.obs()));
+        let folded = obs.tracer.folded_count();
+        assert_eq!((reads, heat), (1, purity_tier::Heat::Hot));
+        a.fail_primary().unwrap();
+        let c = a.controller();
+        assert_eq!(c.tier.volume_reads(vol.0), reads);
+        assert_eq!(c.volume_heat(vol.0, a.now()), heat);
+        assert_eq!(a.stats().logical_bytes_written, written);
+        assert!(Arc::ptr_eq(a.obs(), &obs));
+        assert_eq!(obs.tracer.folded_count(), folded);
+        assert_eq!(a.read(vol, 0, chunk.len()).unwrap().0.len(), chunk.len());
+        assert!(a.verify_integrity().is_empty());
     }
 
     /// A cold start over an NVRAM log whose every record decodes appends

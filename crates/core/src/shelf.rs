@@ -695,7 +695,7 @@ mod tests {
         assert!(!s.powered());
         assert!(s.torn_note().unwrap().contains("NVRAM"));
         s.power_restore();
-        let (records, _) = s.nvram().scan(0).unwrap();
+        let records = s.nvram().records();
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].payload, vec![7u8; 64]);
         assert_eq!(records[1].payload, vec![9u8; 10]);
@@ -713,7 +713,7 @@ mod tests {
         assert!(!s.powered());
         assert!(s.torn_note().unwrap().contains("torn at 0/64 bytes"));
         s.power_restore();
-        let (records, _) = s.nvram().scan(0).unwrap();
+        let records = s.nvram().records();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].payload.len(), acked);
         assert_eq!(s.nvram().torn_tails(), 0);

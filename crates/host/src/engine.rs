@@ -88,7 +88,8 @@ enum LoopMode {
     Open,
 }
 
-/// Request payload.
+/// Request payload. A write's bytes live until its ack is delivered or
+/// it fails for good: until then a retry after a failover resends them.
 #[derive(Debug, Clone)]
 enum ReqKind {
     Read { offset: u64, len: usize },
@@ -100,6 +101,21 @@ impl ReqKind {
         match self {
             ReqKind::Read { len, .. } => *len as u64,
             ReqKind::Write { data, .. } => data.len() as u64,
+        }
+    }
+
+    /// A write's bytes; a read has none.
+    fn payload(&self) -> &[u8] {
+        match self {
+            ReqKind::Read { .. } => &[],
+            ReqKind::Write { data, .. } => data,
+        }
+    }
+
+    /// Frees a write's bytes once nothing can send them again.
+    fn release(&mut self) {
+        if let ReqKind::Write { data, .. } = self {
+            *data = Vec::new();
         }
     }
 }
@@ -432,15 +448,18 @@ impl<'a> Run<'a> {
     }
 
     /// Pulls queued writes exactly adjacent to the head write at
-    /// `offset` (offset chains upward) out of the queue and appends
-    /// their payloads to the head's `data`.
-    fn coalesce(&mut self, head: u64, offset: u64, mut data: Vec<u8>, now: Nanos) -> Vec<u8> {
+    /// `offset` (offset chains upward) out of the queue: the head's
+    /// payload with theirs appended, or `None` when none joined and the
+    /// head's own payload goes as it is.
+    fn coalesce(&mut self, head: u64, offset: u64, now: Nanos) -> Option<Vec<u8>> {
         if !self.cfg.coalesce {
-            return data;
+            return None;
         }
-        let mut offset_end = offset + data.len() as u64;
+        let mut len = self.requests[head as usize].kind.bytes() as usize;
+        let mut joined: Option<Vec<u8>> = None;
         let mut riders = Vec::new();
-        while data.len() < MAX_COALESCE_BYTES {
+        while len < MAX_COALESCE_BYTES {
+            let offset_end = offset + len as u64;
             let next = self
                 .queue
                 .iter()
@@ -448,9 +467,7 @@ impl<'a> Run<'a> {
                     ReqKind::Write {
                         offset,
                         data: rider_data,
-                    } if *offset == offset_end
-                        && data.len() + rider_data.len() <= MAX_COALESCE_BYTES =>
-                    {
+                    } if *offset == offset_end && len + rider_data.len() <= MAX_COALESCE_BYTES => {
                         Some((req, rider_data))
                     }
                     _ => None,
@@ -458,8 +475,10 @@ impl<'a> Run<'a> {
             let Some((rider, rider_data)) = next else {
                 break;
             };
-            data.extend_from_slice(rider_data);
-            offset_end += rider_data.len() as u64;
+            joined
+                .get_or_insert_with(|| self.requests[head as usize].kind.payload().to_vec())
+                .extend_from_slice(rider_data);
+            len += rider_data.len();
             self.queue.remove(rider);
             let r = &mut self.requests[rider as usize];
             let mut rt = OpTrace::new("host_write", r.arrival);
@@ -470,7 +489,7 @@ impl<'a> Run<'a> {
             self.report.coalesced_writes += 1;
         }
         self.requests[head as usize].riders = riders;
-        data
+        joined
     }
 
     fn dispatch(&mut self, req: u64, path: PathId, now: Nanos) {
@@ -505,18 +524,19 @@ impl<'a> Run<'a> {
             }
             t
         };
-        let submitted = match &self.requests[req as usize].kind {
-            ReqKind::Read { offset, len } => {
-                let (offset, len) = (*offset, *len);
+        let submitted = match self.requests[req as usize].kind {
+            ReqKind::Read { offset, len } => self
+                .array
+                .submit_read(path.port(), self.volume, offset, len, Some(&mut trace))
+                .map(|(id, _, ack)| (id, ack)),
+            ReqKind::Write { offset, .. } => {
+                // The request lends its payload; only a coalesced write
+                // needs a buffer of its own.
+                let joined = self.coalesce(req, offset, now);
+                let own = self.requests[req as usize].kind.payload();
+                let data = joined.as_deref().unwrap_or(own);
                 self.array
-                    .submit_read(path.port(), self.volume, offset, len, Some(&mut trace))
-                    .map(|(id, _, ack)| (id, ack))
-            }
-            ReqKind::Write { offset, data } => {
-                let (offset, data) = (*offset, data.clone());
-                let data = self.coalesce(req, offset, data, now);
-                self.array
-                    .submit_write(path.port(), self.volume, offset, &data, Some(&mut trace))
+                    .submit_write(path.port(), self.volume, offset, data, Some(&mut trace))
             }
         };
         let r = &mut self.requests[req as usize];
@@ -615,6 +635,8 @@ impl<'a> Run<'a> {
         }
         let r = &mut self.requests[req as usize];
         r.state = ReqState::Completed;
+        let bytes = r.kind.bytes();
+        r.kind.release();
         let e2e = t.saturating_sub(r.arrival);
         let service = t.saturating_sub(if r.dispatched_at > 0 {
             r.dispatched_at
@@ -622,7 +644,6 @@ impl<'a> Run<'a> {
             r.arrival
         });
         let initiator = r.initiator;
-        let bytes = r.kind.bytes();
         let is_read = matches!(r.kind, ReqKind::Read { .. });
         if is_read {
             self.report.reads += 1;
@@ -679,6 +700,7 @@ impl<'a> Run<'a> {
         self.audit.fail(req);
         let r = &mut self.requests[req as usize];
         r.state = ReqState::Failed;
+        r.kind.release();
         // No ack was ever delivered, so the trace never finishes: blame
         // accounting covers completed ops only.
         r.trace = None;
@@ -967,5 +989,72 @@ mod tests {
         let order: Vec<u64> = run.dispatched_ops.iter().map(|&(_, req)| req).collect();
         assert_eq!(order, vec![0, 0, 1, 2]);
         assert_eq!(run.requests[0].path, PathId::B, "retried on the survivor");
+    }
+
+    /// A write's payload lives until its ack or its final failure, and
+    /// no longer: after a closed-loop run no request holds bytes. Until
+    /// then a retry resends them, so every write a failover cut short
+    /// reads back as the generator made it.
+    #[test]
+    fn payloads_live_until_the_ack_and_retries_resend_them() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let vol = a.create_volume("host", 16 << 20).unwrap();
+        let cfg = HostConfig {
+            timeout: 50 * purity_sim::MS,
+            backoff: 100_000,
+            ..HostConfig::default()
+        };
+        let stream = || {
+            WorkloadGen::new(
+                5,
+                16 << 20,
+                AccessPattern::Sequential,
+                SizeMix::fixed(32 * 1024),
+                0,
+                ContentModel::Rdbms,
+                0,
+            )
+        };
+        let (mut gen, total) = (stream(), 400);
+        let at = a.now() + purity_sim::MS;
+        let mut plan = FaultPlan::new().at(at, purity_core::FaultEvent::FailPrimary);
+        let mut run = Run::new(
+            &cfg,
+            &mut a,
+            vol,
+            &mut gen,
+            LoopMode::Closed,
+            Some(&mut plan),
+            total,
+        );
+        run.seed_arrivals();
+        run.drive();
+        for (i, r) in run.requests.iter().enumerate() {
+            assert!(matches!(r.state, ReqState::Completed | ReqState::Failed));
+            if let ReqKind::Write { data, .. } = &r.kind {
+                assert_eq!(data.capacity(), 0, "request {i} still holds its payload");
+            }
+        }
+        let retried: Vec<usize> = (run.requests.iter().enumerate())
+            .filter(|(_, r)| r.attempts > 1)
+            .map(|(i, _)| i)
+            .collect();
+        let report = run.finish();
+        assert_eq!((report.ops, report.failed_ops), (total, 0));
+        assert_eq!(report.failovers_observed, 1);
+        assert!(
+            report.acks_lost > 0 && !retried.is_empty(),
+            "the failover cut no write short"
+        );
+        // Request i carries the generator's i-th op: regenerate them.
+        let mut again = stream();
+        let ops: Vec<Op> = (0..total).map(|_| again.next_op()).collect();
+        for i in retried {
+            let Op::Write { offset, data } = &ops[i] else {
+                panic!("a write-only stream made a read");
+            };
+            let (got, _) = a.read(vol, *offset, data.len()).unwrap();
+            assert!(got == *data, "retried write {i} did not land its bytes");
+        }
     }
 }

@@ -28,6 +28,9 @@ pub const RETENTION_AT_RATING: Nanos = 365 * 24 * 3600 * purity_sim::SEC;
 pub enum FlashError {
     /// Read of a page that was never programmed since the last erase.
     NotProgrammed,
+    /// Read of a page whose data the FTL invalidated (overwritten,
+    /// trimmed or moved): its bytes are gone until the block is erased.
+    Stale,
     /// Program of a page that is already programmed (no overwrite in NAND).
     AlreadyProgrammed,
     /// Pages within a block must be programmed sequentially.
@@ -43,6 +46,7 @@ impl std::fmt::Display for FlashError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
             FlashError::NotProgrammed => "page not programmed",
+            FlashError::Stale => "page invalidated since it was programmed",
             FlashError::AlreadyProgrammed => "page already programmed",
             FlashError::OutOfOrderProgram => "out-of-order program within erase block",
             FlashError::BadBlock => "erase block worn out",
@@ -54,15 +58,23 @@ impl std::fmt::Display for FlashError {
 
 impl std::error::Error for FlashError {}
 
+/// One page programmed since its block's last erase.
+struct Page {
+    /// The payload; `None` once the FTL invalidated the page (stale:
+    /// nothing maps it, so nothing reads it again before the erase).
+    data: Option<Box<[u8]>>,
+    /// Virtual program timestamp, for retention modelling.
+    programmed_at: Nanos,
+    /// Injected / leaked corruption flag.
+    corrupt: bool,
+}
+
 struct Block {
-    /// Page payloads; allocated lazily on first program after erase.
-    data: Vec<Option<Box<[u8]>>>,
-    /// Virtual program timestamp per page, for retention modelling.
-    programmed_at: Vec<Nanos>,
-    /// Injected / leaked corruption flags.
-    corrupt: Vec<bool>,
-    /// Next page that may be programmed (NAND sequential-program rule).
-    write_cursor: usize,
+    /// The pages programmed since the last erase, in program order: the
+    /// NAND sequential-program rule makes its length the next page that
+    /// may be programmed. Allocated at the first program, freed at the
+    /// erase, so an erased block holds no per-page state.
+    pages: Vec<Page>,
     erase_count: u64,
     /// True endurance limit for this block (>= rating).
     true_endurance: u64,
@@ -70,16 +82,20 @@ struct Block {
 }
 
 impl Block {
-    fn new(pages: usize, true_endurance: u64) -> Self {
+    fn new(true_endurance: u64) -> Self {
         Self {
-            data: (0..pages).map(|_| None).collect(),
-            programmed_at: vec![0; pages],
-            corrupt: vec![false; pages],
-            write_cursor: 0,
+            pages: Vec::new(),
             erase_count: 0,
             true_endurance,
             bad: false,
         }
+    }
+
+    /// The payload of a programmed page: `NotProgrammed` past the
+    /// program cursor, `Stale` once invalidated.
+    fn payload(&self, page: usize) -> Result<&[u8], FlashError> {
+        let page = self.pages.get(page).ok_or(FlashError::NotProgrammed)?;
+        page.data.as_deref().ok_or(FlashError::Stale)
     }
 
     /// Retention horizon: a fresh block holds data for many virtual
@@ -238,7 +254,7 @@ impl Flash {
                         // Real endurance lands 1.5-4x above the rating.
                         let factor = rng.gen_range(1.5..4.0);
                         let limit = (endurance.rated_pe_cycles as f64 * factor) as u64;
-                        Block::new(geo.pages_per_block, limit)
+                        Block::new(limit)
                     })
                     .collect(),
                 last_program_end: 0,
@@ -317,7 +333,7 @@ impl Flash {
     /// decomposition — how long it queued, how long the die worked, and
     /// what the queueing was behind (program / erase / other reads), the
     /// per-die attribution the observability layer surfaces for tail
-    /// samples. A bad-block or never-programmed page fails before
+    /// samples. A bad-block, never-programmed or stale page fails before
     /// touching the die; a corrupt or leaked page is only discovered by
     /// reading it, so it charges the die's timeline first.
     pub fn read_page(&mut self, ppa: Ppa, now: Nanos) -> Result<PageRead<'_>, FlashError> {
@@ -328,10 +344,7 @@ impl Flash {
             if block.bad {
                 return Err(FlashError::BadBlock);
             }
-            let data = block.data[ppa.page]
-                .as_ref()
-                .ok_or(FlashError::NotProgrammed)?;
-            self.latency.page_read(data.len())
+            self.latency.page_read(block.payload(ppa.page)?.len())
         };
         let res = die.timeline.reserve(now, service);
         self.counters.reads += 1;
@@ -388,17 +401,17 @@ impl Flash {
             Some(cause)
         };
         let block = &mut die.blocks[ppa.block];
-        if block.corrupt[ppa.page] {
+        let limit = block.retention_limit();
+        let page = &mut block.pages[ppa.page];
+        if page.corrupt {
             return Err(FlashError::Corrupt);
         }
-        if virtual_now.saturating_sub(block.programmed_at[ppa.page]) > block.retention_limit() {
-            block.corrupt[ppa.page] = true;
+        if virtual_now.saturating_sub(page.programmed_at) > limit {
+            page.corrupt = true;
             return Err(FlashError::Corrupt);
         }
         Ok(PageRead {
-            data: block.data[ppa.page]
-                .as_deref()
-                .expect("checked programmed above"),
+            data: page.data.as_deref().ok_or(FlashError::Stale)?,
             done: res.end,
             queued,
             service: res.service(),
@@ -414,7 +427,8 @@ impl Flash {
     /// complete last, so `end` is when the read is done and `start` is
     /// how long it queues first. Pages that share a die chain behind
     /// each other, as the bookings would. `None` where the read would
-    /// fail before touching its die (bad block, page never programmed).
+    /// fail before touching its die (bad block, page never programmed
+    /// or stale).
     pub fn read_eta(&self, ppas: impl IntoIterator<Item = Ppa>, now: Nanos) -> Option<Reservation> {
         let mut crit = Reservation {
             start: now,
@@ -433,7 +447,7 @@ impl Flash {
             if block.bad {
                 return None;
             }
-            let service = self.latency.page_read(block.data[ppa.page].as_ref()?.len());
+            let service = self.latency.page_read(block.payload(ppa.page).ok()?.len());
             let tail = tails.iter_mut().find(|(d, _)| *d == ppa.die);
             let from = tail.as_ref().map_or(now, |(_, end)| *end);
             let res = die.timeline.probe(from, service);
@@ -460,10 +474,11 @@ impl Flash {
             if block.bad {
                 return Err(FlashError::BadBlock);
             }
-            if block.data[ppa.page].is_some() {
+            // Programmed or stale: either way not erased.
+            if ppa.page < block.pages.len() {
                 return Err(FlashError::AlreadyProgrammed);
             }
-            if ppa.page != block.write_cursor {
+            if ppa.page != block.pages.len() {
                 return Err(FlashError::OutOfOrderProgram);
             }
         }
@@ -483,10 +498,14 @@ impl Flash {
         }
         die.recent_program_ends.push_back((res.end, self.gc_mode));
         let block = &mut die.blocks[ppa.block];
-        block.data[ppa.page] = Some(data.to_vec().into_boxed_slice());
-        block.programmed_at[ppa.page] = virtual_now;
-        block.corrupt[ppa.page] = false;
-        block.write_cursor += 1;
+        if block.pages.is_empty() {
+            block.pages.reserve_exact(self.geo.pages_per_block);
+        }
+        block.pages.push(Page {
+            data: Some(data.into()),
+            programmed_at: virtual_now,
+            corrupt: false,
+        });
         self.counters.programs += 1;
         Ok(res.end)
     }
@@ -499,7 +518,6 @@ impl Flash {
         block: usize,
         now: Nanos,
     ) -> Result<Nanos, FlashError> {
-        let pages = self.geo.pages_per_block;
         if self.dies[die].blocks[block].bad {
             return Err(FlashError::BadBlock);
         }
@@ -511,9 +529,8 @@ impl Flash {
         }
         d.recent_erase_ends.push_back(res.end);
         let b = &mut self.dies[die].blocks[block];
-        let (prior_erases, true_endurance) = (b.erase_count, b.true_endurance);
-        *b = Block::new(pages, true_endurance);
-        b.erase_count = prior_erases + 1;
+        b.pages = Vec::new();
+        b.erase_count += 1;
         self.counters.erases += 1;
         self.counters.erase_sum += 1;
         self.counters.erase_max = self.counters.erase_max.max(b.erase_count);
@@ -533,7 +550,7 @@ impl Flash {
     /// Next page of a block the sequential-program rule allows — how
     /// many pages it has taken since its last erase.
     pub fn write_cursor(&self, die: usize, block: usize) -> usize {
-        self.dies[die].blocks[block].write_cursor
+        self.dies[die].blocks[block].pages.len()
     }
 
     /// Whether a block has been retired.
@@ -541,9 +558,34 @@ impl Flash {
         self.dies[die].blocks[block].bad
     }
 
-    /// Fault injection: marks a single page corrupt (bit rot / UBER event).
+    /// Fault injection: marks a single page corrupt (bit rot / UBER
+    /// event). A page not yet programmed has no charge to corrupt: its
+    /// program writes it whole.
     pub fn corrupt_page(&mut self, ppa: Ppa) {
-        self.dies[ppa.die].blocks[ppa.block].corrupt[ppa.page] = true;
+        if let Some(page) = self.dies[ppa.die].blocks[ppa.block].pages.get_mut(ppa.page) {
+            page.corrupt = true;
+        }
+    }
+
+    /// Drops a programmed page's payload: the FTL no longer maps it
+    /// (overwritten, trimmed or moved), so nothing reads it again. The
+    /// page stays stale, unreadable and unprogrammable, until its block
+    /// is erased.
+    pub fn invalidate_page(&mut self, ppa: Ppa) {
+        if let Some(page) = self.dies[ppa.die].blocks[ppa.block].pages.get_mut(ppa.page) {
+            page.data = None;
+        }
+    }
+
+    /// Bytes of page payload the device holds: the programmed pages not
+    /// yet invalidated.
+    pub fn payload_bytes(&self) -> usize {
+        let pages = self
+            .dies
+            .iter()
+            .flat_map(|d| &d.blocks)
+            .flat_map(|b| &b.pages);
+        pages.filter_map(|p| p.data.as_ref()).map(|d| d.len()).sum()
     }
 }
 
@@ -664,6 +706,77 @@ mod tests {
                 FlashError::NotProgrammed
             );
         }
+    }
+
+    #[test]
+    fn a_stale_page_refuses_reads_and_programs_until_erased() {
+        let (mut f, _) = mk();
+        let at = |page| Ppa {
+            die: 0,
+            block: 3,
+            page,
+        };
+        f.program_page(at(0), &page(1, 4096), 0).unwrap();
+        f.program_page(at(1), &page(2, 4096), 0).unwrap();
+        f.invalidate_page(at(0));
+        assert_eq!(f.payload_bytes(), 4096);
+        let reads = f.counters().reads;
+        assert_eq!(f.read_page(at(0), 0).unwrap_err(), FlashError::Stale);
+        assert_eq!(f.counters().reads, reads, "a stale read books no die time");
+        assert!(f.read_eta([at(0)], 0).is_none());
+        assert_eq!(
+            f.program_page(at(0), &page(3, 4096), 0).unwrap_err(),
+            FlashError::AlreadyProgrammed
+        );
+        assert_eq!(f.read_page(at(1), 0).unwrap().data, page(2, 4096));
+        f.erase_block(0, 3, 0).unwrap();
+        assert_eq!(f.payload_bytes(), 0);
+        f.program_page(at(0), &page(3, 4096), 0).unwrap();
+        assert_eq!(f.read_page(at(0), 0).unwrap().data, page(3, 4096));
+    }
+
+    /// A block holds per-page state only between its first program and
+    /// its erase, and a never-programmed block answers as it always did.
+    #[test]
+    fn an_erased_block_holds_no_page_state() {
+        let (mut f, clock) = mk();
+        let held = |f: &Flash| {
+            let blocks = f.dies.iter().flat_map(|d| &d.blocks);
+            blocks.filter(|b| b.pages.capacity() > 0).count()
+        };
+        assert_eq!(held(&f), 0);
+        let at = |page| Ppa {
+            die: 1,
+            block: 7,
+            page,
+        };
+        assert_eq!(
+            f.read_page(at(0), 0).unwrap_err(),
+            FlashError::NotProgrammed
+        );
+        assert!(f.read_eta([at(0)], 0).is_none());
+        assert_eq!(f.write_cursor(1, 7), 0);
+        assert_eq!(
+            f.program_page(at(2), &page(1, 4096), 0).unwrap_err(),
+            FlashError::OutOfOrderProgram
+        );
+        // Corrupting an erased page leaves nothing behind: the program
+        // writes the page whole.
+        f.corrupt_page(at(0));
+        assert_eq!(held(&f), 0);
+        f.program_page(at(0), &page(4, 4096), clock.now()).unwrap();
+        assert_eq!(held(&f), 1);
+        assert_eq!(f.read_page(at(0), 0).unwrap().data, page(4, 4096));
+        f.corrupt_page(at(0));
+        assert_eq!(f.read_page(at(0), 0).unwrap_err(), FlashError::Corrupt);
+        f.erase_block(1, 7, 0).unwrap();
+        assert_eq!((held(&f), f.erase_count(1, 7)), (0, 1));
+        f.erase_block(1, 8, 0).unwrap();
+        assert_eq!((held(&f), f.erase_count(1, 8)), (0, 1));
+        assert_eq!(
+            f.read_page(at(0), 0).unwrap_err(),
+            FlashError::NotProgrammed
+        );
     }
 
     #[test]

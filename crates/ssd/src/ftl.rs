@@ -282,10 +282,14 @@ impl Ftl {
         self.free_count
     }
 
+    /// Unmaps a physical page (overwrite, trim, GC move). Its payload
+    /// goes with it: nothing can read the page again before its erase.
     fn invalidate_phys(&mut self, flat_page: usize) {
         self.p2l[flat_page] = NO_PAGE;
         let b = self.block_of_flat_page(flat_page);
         self.blocks[b].valid = self.blocks[b].valid.saturating_sub(1);
+        let ppa = Ppa::unflatten(flat_page, &self.geo);
+        self.flash.invalidate_page(ppa);
     }
 
     /// Programs data for `lpn` into some die's active block: round-robin
@@ -495,6 +499,26 @@ mod tests {
         ftl.trim(2).unwrap();
         assert!(!ftl.is_mapped(2));
         assert_eq!(ftl.read(2, 0).unwrap_err(), FtlError::Unmapped);
+    }
+
+    /// Overwrites, trims and GC moves drop the payloads they unmap: the
+    /// device holds exactly the mapped pages' bytes.
+    #[test]
+    fn flash_holds_only_the_mapped_pages() {
+        let mut ftl = mk_ftl();
+        let n = ftl.logical_pages();
+        let mut rng = StdRng::seed_from_u64(41);
+        for i in 0..3 * n {
+            let lpn = rng.gen_range(0..n);
+            if i % 5 == 0 {
+                ftl.trim(lpn).unwrap();
+            } else {
+                ftl.write(lpn, &page_of((i % 251) as u8), 0).unwrap();
+            }
+        }
+        assert!(ftl.stats().gc_runs > 0, "the mix must reach FTL GC");
+        let mapped = (0..n).filter(|&lpn| ftl.is_mapped(lpn)).count();
+        assert_eq!(ftl.flash().payload_bytes(), mapped * ftl.page_size());
     }
 
     #[test]

@@ -44,9 +44,11 @@ impl SsdGeometry {
     /// matters for the paper's tail-latency claims (erase blocking is
     /// per-die, so die parallelism sets how often a read lands behind an
     /// erase). Blocks and pages are scaled down so a 22-drive shelf
-    /// (2816 dies — the full FA-450 geometry) stays simulable: pages are
-    /// lazily allocated, so memory tracks written bytes, not raw
-    /// capacity. 128 dies × 32 blocks × 32 pages × 4 KiB = 512 MiB raw.
+    /// (2816 dies — the full FA-450 geometry) stays simulable: a page's
+    /// payload lives from its program until the FTL unmaps it, and a
+    /// block's page state from its first program to its erase, so memory
+    /// tracks mapped bytes, not raw capacity. 128 dies × 32 blocks × 32
+    /// pages × 4 KiB = 512 MiB raw.
     pub fn fa450_drive() -> Self {
         Self {
             dies: 128,

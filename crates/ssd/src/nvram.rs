@@ -210,9 +210,9 @@ impl Nvram {
         Ok((index, self.program(&[len], now)))
     }
 
-    /// Scans all live records (recovery path). Returns records and the
-    /// completion timestamp of the scan.
-    pub fn scan(&self, now: Nanos) -> Result<(Vec<NvramRecord>, Nanos), NvramError> {
+    /// Books a scan of all live records (recovery path) and returns when
+    /// it completes; the records it reads are [`Nvram::records`].
+    pub fn scan(&self, now: Nanos) -> Result<Nanos, NvramError> {
         if self.failed {
             return Err(NvramError::Failed);
         }
@@ -225,7 +225,12 @@ impl Nvram {
             .map(|c| c.timeline.reserve(now, service).end)
             .max()
             .unwrap_or(now);
-        Ok((self.records.clone(), end))
+        Ok(end)
+    }
+
+    /// The live records, oldest first.
+    pub fn records(&self) -> &[NvramRecord] {
+        &self.records
     }
 
     /// Releases every record with `index <= through`, freeing space.
@@ -313,7 +318,7 @@ mod tests {
         for i in 0..5u8 {
             nv.append(vec![i], 0).unwrap();
         }
-        let (records, _) = nv.scan(0).unwrap();
+        let records = nv.records();
         assert_eq!(records.len(), 5);
         assert!(records.windows(2).all(|w| w[0].index < w[1].index));
     }
@@ -400,7 +405,7 @@ mod tests {
         let indexes: Vec<u64> = (0..16u8).map(|i| nv.log(vec![i; 64]).unwrap()).collect();
         assert_eq!(indexes, (3..19).collect::<Vec<u64>>());
         nv.program(&[64; 16], 0);
-        let (records, _) = nv.scan(0).unwrap();
+        let records = nv.records();
         let tail: Vec<(u64, u8)> = records[3..]
             .iter()
             .map(|r| (r.index, r.payload[0]))
@@ -421,7 +426,7 @@ mod tests {
         nv.trim_through(1);
         assert_eq!(nv.used_bytes(), 32);
         nv.append(vec![0u8; 16], 0).unwrap();
-        let (records, _) = nv.scan(0).unwrap();
+        let records = nv.records();
         let indexes: Vec<u64> = records.iter().map(|r| r.index).collect();
         assert_eq!(indexes, vec![2, 3, 4]);
     }
@@ -446,7 +451,7 @@ mod tests {
         let before = nv.used_bytes();
         assert!(nv.tear_last_append(4));
         assert_eq!(nv.used_bytes(), before - (b"torn-record".len() - 4));
-        let (records, _) = nv.scan(0).unwrap();
+        let records = nv.records();
         assert_eq!(records[0].payload, b"stable-record");
         assert_eq!(records[1].payload, b"torn");
         assert_eq!(nv.torn_tails(), 1);
@@ -547,7 +552,8 @@ mod tests {
         assert_eq!(nv.append(b"x".to_vec(), 0).unwrap_err(), NvramError::Failed);
         assert_eq!(nv.scan(0).unwrap_err(), NvramError::Failed);
         nv.revive();
-        let (records, _) = nv.scan(0).unwrap();
+        nv.scan(0).unwrap();
+        let records = nv.records();
         assert_eq!(records[0].payload, b"persisted");
     }
 }
