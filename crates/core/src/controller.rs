@@ -43,13 +43,46 @@ pub const CPU_OVERHEAD_NS: Nanos = 12_000;
 /// Map pyramid key: (medium id, sector).
 pub type MapKey = (u64, u64);
 
-/// Map pyramid value.
+/// Map pyramid value, as [`Controller::map_live`] lists it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MapVal {
     /// Where the sector's bytes live.
     pub loc: BlockLoc,
     /// Created by dedup (shares its cblock with other keys).
     pub deduped: bool,
+}
+
+/// The id of a map log record, counted from the controller's last
+/// recovery: how a stored map fact names the record it was persisted in.
+pub(crate) type RecordId = u32;
+
+/// A map value as the pyramid stores it: a [`MapVal`] and the record its
+/// fact was persisted in. A memtable fact has no record yet; it gets one
+/// when the memtable freezes into a flushed record, when GC's compaction
+/// cuts the map into records, or when recovery loads the records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stored {
+    pub(crate) loc: BlockLoc,
+    pub(crate) deduped: bool,
+    /// [`Stored::UNFLUSHED`] while the fact is in the memtable.
+    pub(crate) record: RecordId,
+}
+
+// The id sits in the padding after `deduped`: a patch entry stays 64 B.
+const _: () = assert!(size_of::<MapVal>() == 40 && size_of::<Stored>() == 40);
+
+impl Stored {
+    /// The record id of a fact still in the memtable.
+    const UNFLUSHED: RecordId = RecordId::MAX;
+
+    /// A fact's value on its way into the memtable.
+    pub(crate) fn new(loc: BlockLoc, deduped: bool) -> Self {
+        Self {
+            loc,
+            deduped,
+            record: Self::UNFLUSHED,
+        }
+    }
 }
 
 /// The map pyramid's deletion predicate (§4.10): a fact is gone once its
@@ -85,7 +118,7 @@ impl ElideFilter<MapKey> for ElidedMediums {
 /// reach a log record, after the data its facts point at is durable, so
 /// [`Controller::flush_map_patch`] owns flushing (and a GC pass, which
 /// compacts the memtable into the map it rewrites).
-pub(crate) fn new_map(elided: &Arc<RwLock<RangeTable>>) -> Pyramid<MapKey, MapVal> {
+pub(crate) fn new_map(elided: &Arc<RwLock<RangeTable>>) -> Pyramid<MapKey, Stored> {
     let mut map = Pyramid::with_thresholds(usize::MAX, 8);
     map.set_elide_filter(Arc::new(ElidedMediums(elided.clone())));
     map
@@ -172,7 +205,7 @@ pub struct Controller {
     pub(crate) seq: SeqAllocator,
     /// The global VBA map (§4.5: "a single mapping structure for all
     /// user data, regardless of the volume").
-    pub(crate) map: Pyramid<MapKey, MapVal>,
+    pub(crate) map: Pyramid<MapKey, Stored>,
     pub(crate) segments: BTreeMap<u64, SegmentInfo>,
     pub(crate) mediums: MediumTable,
     pub(crate) volumes: BTreeMap<u64, Volume>,
@@ -196,7 +229,7 @@ pub struct Controller {
     pub(crate) next_snapshot: u64,
     pub(crate) checkpoint_version: u64,
     /// The persisted map records the next checkpoint names: those still
-    /// holding some key's newest durable fact.
+    /// holding some key's newest durable fact, as the map's facts say.
     pub(crate) map_records: MapRecords,
     /// Index of the last NVRAM record appended (for trims).
     pub(crate) last_nvram_index: Option<u64>,
@@ -518,13 +551,14 @@ impl Controller {
             return Ok(());
         }
         self.persist_memtable_data(shelf, now)?;
-        let patch = self.map.flush().expect("memtable non-empty");
+        let id = self.map_records.reserve(1);
+        let patch = (self.map.flush_tagged(|v| v.record = id)).expect("memtable non-empty");
         let facts = patch.range_slice(Bound::Unbounded, Bound::Unbounded);
         let bytes = (map_patch_records(facts, facts.len()).next()).expect("one record");
         let loc = self.append_log_record(shelf, &bytes, now)?;
         // Only now, with the record on flash, may the records it
         // supersedes stop being named.
-        self.map_records.name(loc, facts);
+        self.map_records.name([(id, loc)], &self.map);
         Ok(())
     }
 
@@ -663,7 +697,8 @@ impl Controller {
         self.seq.high_water()
     }
 
-    /// The map records the next checkpoint names, oldest first.
+    /// The map records the next checkpoint names, oldest first: those
+    /// holding the newest persisted fact of some key the map holds.
     pub fn map_records(&self) -> Vec<PatchLoc> {
         self.map_records.locs().collect()
     }
@@ -671,7 +706,9 @@ impl Controller {
     /// Every live map fact, newest per key, elided mediums left out
     /// (tests).
     pub fn map_live(&self) -> Vec<(MapKey, MapVal, Seq)> {
-        self.map.iter_live()
+        let live = self.map.iter_live().into_iter();
+        live.map(|(key, Stored { loc, deduped, .. }, seq)| (key, MapVal { loc, deduped }, seq))
+            .collect()
     }
 
     /// Writes every controller-owned series — data path, per-volume
@@ -716,7 +753,7 @@ mod tests {
 
     impl Controller {
         /// Resolves one sector through the medium chain and the map.
-        pub(crate) fn resolve_sector(&self, medium: MediumId, sector: u64) -> Option<MapVal> {
+        pub(crate) fn resolve_sector(&self, medium: MediumId, sector: u64) -> Option<Stored> {
             let entry = self.resolve_range_entries(medium, sector, 1).pop()?;
             entry.map(|(_, v)| v)
         }

@@ -29,9 +29,8 @@
 //! relocated into the cold open segment, and its AUs go back to the
 //! cold allocator — the only way cold space is ever freed.
 
-use crate::controller::{Controller, MapKey, MapVal};
+use crate::controller::{Controller, MapKey, RecordId, Stored};
 use crate::error::{PurityError, Result};
-use crate::map_records::MapRecords;
 use crate::records::{map_patch_records, PATCH_CHUNK_FACTS};
 use crate::segment::{SegmentInfo, SegmentState, HOT};
 use crate::shelf::Shelf;
@@ -49,7 +48,7 @@ use std::ops::Bound::{self, Unbounded};
 const GC_OCCUPANCY_THRESHOLD: f64 = 0.55;
 
 /// All live references to one cblock: (map key, value) pairs.
-type CblockRefs = [(MapKey, MapVal)];
+type CblockRefs = [(MapKey, Stored)];
 
 /// What one [`Controller::relocate`] call moved.
 pub(crate) struct Relocated {
@@ -182,7 +181,11 @@ impl Controller {
         if self.map.memtable_facts() > 0 {
             self.persist_memtable_data(shelf, now)?;
         }
-        let whole = self.map.compact();
+        // Ids for every record the compacted run, at most every fact, is
+        // cut into; each fact is tagged with its record's.
+        let first = (self.map_records).reserve(self.map.total_facts() / PATCH_CHUNK_FACTS + 1);
+        let whole =
+            (self.map).compact(|i, v| v.record = first + (i / PATCH_CHUNK_FACTS) as RecordId);
         report.map_facts_dropped = before_facts.saturating_sub(self.map.total_facts() as u64);
         let facts = whole
             .as_deref()
@@ -191,10 +194,9 @@ impl Controller {
         for bytes in map_patch_records(facts, PATCH_CHUNK_FACTS) {
             locs.push(self.append_log_record(shelf, &bytes, now)?);
         }
-        // Every older record is superseded: the compacted ones hold each
-        // key once.
-        let newest = (facts.iter().enumerate()).map(|(i, f)| (f.0, f.1, i / PATCH_CHUNK_FACTS));
-        self.map_records = MapRecords::new(&locs, newest);
+        // The compacted records hold each key once: they are named, and
+        // every older record is superseded.
+        self.map_records.name((first..).zip(locs), &self.map);
 
         // ---- Medium chain shortcuts + tree flattening. ----------------
         let seq = self.seq.next();
@@ -235,7 +237,7 @@ impl Controller {
 
     /// Computes the reachable-live fact set: for every user-visible root
     /// (volume anchor, snapshot medium), the facts its reads resolve to.
-    pub(crate) fn reachable_live(&self) -> Vec<((u64, u64), MapVal)> {
+    pub(crate) fn reachable_live(&self) -> Vec<((u64, u64), Stored)> {
         let mut roots: Vec<(MediumId, u64)> = Vec::new();
         for v in self.volumes.values() {
             roots.push((v.anchor, v.size_sectors));
@@ -248,7 +250,7 @@ impl Controller {
                 .unwrap_or(u64::MAX / 4);
             roots.push((s.medium, size));
         }
-        let mut out: Vec<((u64, u64), MapVal)> = Vec::new();
+        let mut out: Vec<((u64, u64), Stored)> = Vec::new();
         let mut claimed: HashSet<u64> = HashSet::new(); // roots already walked
         for (root, size) in roots {
             if !claimed.insert(root.0) {
@@ -273,7 +275,7 @@ impl Controller {
         &self,
         root: MediumId,
         size: u64,
-        mut f: impl FnMut(u64, MapKey, MapVal),
+        mut f: impl FnMut(u64, MapKey, Stored),
     ) {
         // Each medium's range scan arrives in order, so the sort mostly
         // confirms runs that are already sorted.
@@ -486,7 +488,7 @@ impl Controller {
                     val.deduped,
                 ),
             };
-            (*key, MapVal { loc, deduped }, seq)
+            (*key, Stored::new(loc, deduped), seq)
         }));
         Ok(Relocated {
             payload_bytes: payload.len() as u64,
@@ -525,7 +527,7 @@ impl Controller {
             if self.root_chain_depth(root, size) <= max_depth {
                 continue;
             }
-            let mut to_materialize: Vec<(u64, MapVal)> = Vec::new();
+            let mut to_materialize: Vec<(u64, Stored)> = Vec::new();
             self.for_each_reachable(root, size, |x, key, val| {
                 if key.0 != root.0 {
                     to_materialize.push((x, val));
@@ -641,7 +643,7 @@ impl Controller {
 
 #[cfg(test)]
 mod tests {
-    use crate::controller::MapVal;
+    use crate::controller::Stored;
     use crate::error::PurityError;
     use crate::fault::{FaultEvent, FaultOutcome};
     use crate::records::PATCH_CHUNK_FACTS;
@@ -832,10 +834,7 @@ mod tests {
             stored_len: 4096,
         };
         let anchor = ctrl.volumes[&keep.0].anchor;
-        let val = MapVal {
-            loc: BlockLoc { pba, sector: 0 },
-            deduped: false,
-        };
+        let val = Stored::new(BlockLoc { pba, sector: 0 }, false);
         let seq = ctrl.seq.next();
         ctrl.map.insert((anchor.0, 0), val, seq);
         let violations = a.verify_integrity();
@@ -906,10 +905,7 @@ mod tests {
         let (ctrl, _) = a.controller_and_shelf();
         let anchor = ctrl.volumes[&keep.0].anchor;
         let pba = ctrl.resolve_sector(anchor, 0).unwrap().loc.pba;
-        let val = MapVal {
-            loc: BlockLoc { pba, sector: 200 },
-            deduped: false,
-        };
+        let val = Stored::new(BlockLoc { pba, sector: 200 }, false);
         let seq = ctrl.seq.next();
         ctrl.map.insert((anchor.0, 1000), val, seq);
 

@@ -8,97 +8,65 @@
 //! checkpoint stops naming it. Nothing on flash is rewritten: the dead
 //! record stays where it is, and GC may collect its segment.
 //!
+//! The map pyramid is the only index of which record holds a key's
+//! newest fact: each fact it stores carries its record's id
+//! ([`Stored::record`]), so a record is named while the newest fact of
+//! some key in the pyramid's patches carries its id. On a seq tie that
+//! is the copy the pyramid keeps, the newer patch's.
+//!
 //! Ordering: a record is dropped only while the record that supersedes
 //! it is named, and that record is named only after it was appended. So
 //! every checkpoint that stops naming a record names its superseder.
 
 use crate::bootregion::PatchLoc;
-use crate::controller::MapKey;
-use purity_lsm::Seq;
+use crate::controller::{MapKey, RecordId, Stored};
+use purity_lsm::Pyramid;
 use std::collections::BTreeMap;
 
-/// The named map records, and which record holds each durable key's
-/// newest fact.
+/// The named map records, by id, and the next id to hand out.
 #[derive(Debug, Default)]
 pub(crate) struct MapRecords {
-    /// Named records by id, so oldest first: the location, and the
-    /// number of keys whose newest fact the record holds.
-    named: BTreeMap<u64, (PatchLoc, usize)>,
-    /// Each durable key's newest fact, in key order: the key, its seq
-    /// and its record's id. Records arrive as sorted runs, so a merge
-    /// keeps it: sequential, where a hash index pays a cache miss a fact.
-    newest: Vec<(MapKey, Seq, u64)>,
-    next_id: u64,
+    /// Named records by id, so oldest first.
+    named: BTreeMap<RecordId, PatchLoc>,
+    next_id: RecordId,
 }
 
 impl MapRecords {
-    /// The records `locs`, and per key, in key order, the seq of its
-    /// newest fact and the index in `locs` of the record holding it: what
-    /// a recovery read, or what a GC compaction wrote. A record no key
-    /// takes its newest fact from is not named.
-    pub(crate) fn new(
-        locs: &[PatchLoc],
-        newest: impl IntoIterator<Item = (MapKey, Seq, usize)>,
-    ) -> Self {
-        let mut live = vec![0usize; locs.len()];
-        let newest: Vec<(MapKey, Seq, u64)> = (newest.into_iter())
-            .map(|(key, seq, at)| {
-                live[at] += 1;
-                (key, seq, at as u64)
-            })
-            .collect();
-        debug_assert!(newest.is_sorted_by(|a, b| a.0 < b.0));
-        let named = (locs.iter().zip(live).enumerate())
-            .filter(|(_, (_, n))| *n > 0)
-            .map(|(id, (loc, n))| (id as u64, (*loc, n)))
-            .collect();
-        Self {
-            named,
-            newest,
-            next_id: locs.len() as u64,
-        }
-    }
-
     /// The named records, oldest first: what a checkpoint lists.
     pub(crate) fn locs(&self) -> impl Iterator<Item = PatchLoc> + '_ {
-        self.named.values().map(|(loc, _)| *loc)
+        self.named.values().copied()
     }
 
-    /// Names the record just appended at `loc`, whose `facts` come in key
-    /// order, a key's versions oldest first. Each key it holds a newer
-    /// fact of moves to it, and a record that is then newest for no key
-    /// is dropped. A fact whose seq is not newer than its key's entry
-    /// counts for nothing, an older version in this same record
-    /// included; a record holding only such facts is not named.
-    pub(crate) fn name<V>(&mut self, loc: PatchLoc, facts: &[(MapKey, Seq, V)]) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut live = 0;
-        let mut old = std::mem::take(&mut self.newest).into_iter().peekable();
-        let mut merged = Vec::with_capacity(old.len() + facts.len());
-        for run in facts.chunk_by(|a, b| a.0 == b.0) {
-            let (key, seq) = (run[run.len() - 1].0, run[run.len() - 1].1);
-            merged.extend(std::iter::from_fn(|| old.next_if(|e| e.0 < key)));
-            match old.next_if(|e| e.0 == key) {
-                Some(held) if held.1 >= seq => merged.push(held),
-                held => {
-                    if let Some((_, _, was)) = held {
-                        let rec = (self.named.get_mut(&was)).expect("a newest fact is named");
-                        rec.1 -= 1;
-                        if rec.1 == 0 {
-                            self.named.remove(&was);
-                        }
-                    }
-                    merged.push((key, seq, id));
-                    live += 1;
-                }
+    /// Hands out the ids of the next `n` records; returns the first.
+    pub(crate) fn reserve(&mut self, n: usize) -> RecordId {
+        let first = self.next_id;
+        self.next_id += n as RecordId;
+        first
+    }
+
+    /// Names the records just `appended`, whose facts `map` holds tagged
+    /// with their ids, then drops every named record whose id no key's
+    /// newest fact in `map`'s patches carries. A newest fact whose
+    /// record was never named — its append failed — drops nothing.
+    pub(crate) fn name(
+        &mut self,
+        appended: impl IntoIterator<Item = (RecordId, PatchLoc)>,
+        map: &Pyramid<MapKey, Stored>,
+    ) {
+        self.named.extend(appended);
+        let base = self.named.keys().next().map_or(self.next_id, |&id| id);
+        let mut held = vec![false; (self.next_id - base) as usize];
+        let mut unnamed = false;
+        map.for_each_patched(|(_, _, v)| {
+            match (v.record.checked_sub(base)).and_then(|at| held.get_mut(at as usize)) {
+                Some(h) => *h = true,
+                None => unnamed = true,
             }
-        }
-        merged.extend(old);
-        debug_assert!(merged.is_sorted_by(|a, b| a.0 < b.0));
-        self.newest = merged;
-        if live > 0 {
-            self.named.insert(id, (loc, live));
+        });
+        let named = |id| self.named.contains_key(&id);
+        unnamed |= (base..).zip(&held).any(|(id, &h)| h && !named(id));
+        if !unnamed {
+            self.named.retain(|id, _| held[(id - base) as usize]);
         }
     }
 }
@@ -108,7 +76,7 @@ mod tests {
     use super::*;
     use crate::array::FlashArray;
     use crate::config::ArrayConfig;
-    use crate::types::{VolumeId, SECTOR};
+    use crate::types::{BlockLoc, Pba, SegmentId, VolumeId, SECTOR};
     use crate::PowerLossSpec;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -191,42 +159,100 @@ mod tests {
         r.locs().map(|l| l.segment).collect()
     }
 
+    /// A map and its named records, and `flush(facts, n)`, which inserts
+    /// `(key, seq)` facts and flushes them as one record at segment `n`,
+    /// as `Controller::flush_map_patch` does.
+    fn map() -> (Pyramid<MapKey, Stored>, MapRecords) {
+        (
+            Pyramid::with_thresholds(usize::MAX, 8),
+            MapRecords::default(),
+        )
+    }
+
+    /// A value persisted in `record`, pointing nowhere.
+    fn val(record: RecordId) -> Stored {
+        let pba = Pba {
+            segment: SegmentId(0),
+            offset: 0,
+            stored_len: 0,
+        };
+        let loc = BlockLoc { pba, sector: 0 };
+        Stored {
+            record,
+            ..Stored::new(loc, false)
+        }
+    }
+
+    fn flush(p: &mut (Pyramid<MapKey, Stored>, MapRecords), facts: &[(MapKey, u64)], n: u64) {
+        let (map, r) = p;
+        map.insert_many(facts.iter().map(|&(key, seq)| (key, val(0), seq)));
+        let id = r.reserve(1);
+        map.flush_tagged(|v| v.record = id);
+        r.name([(id, loc(n))], map);
+    }
+
     /// A record goes when its last newest key moves, not before: one
     /// newest key keeps it named.
     #[test]
     fn a_record_goes_with_its_last_newest_key() {
-        let mut r = MapRecords::default();
-        r.name(loc(1), &[((1, 0), 1, ()), ((1, 1), 1, ()), ((1, 2), 1, ())]);
-        r.name(loc(2), &[((1, 0), 2, ()), ((1, 1), 2, ())]);
-        assert_eq!(named(&r), [1, 2]);
-        r.name(loc(3), &[((1, 2), 3, ())]);
-        assert_eq!(named(&r), [2, 3]);
+        let mut p = map();
+        flush(&mut p, &[((1, 0), 1), ((1, 1), 1), ((1, 2), 1)], 1);
+        flush(&mut p, &[((1, 0), 2), ((1, 1), 2)], 2);
+        assert_eq!(named(&p.1), [1, 2]);
+        flush(&mut p, &[((1, 2), 3)], 3);
+        assert_eq!(named(&p.1), [2, 3]);
     }
 
-    /// Facts not newer than their key's entry count for nothing: a record
-    /// of only such facts is never named, and an older version inside a
-    /// record does not count twice.
+    /// Facts not newer than their key's are not newest: a record of only
+    /// such facts is never named, and an older version inside a record
+    /// does not keep it. On a seq tie the newer record holds the copy the
+    /// map keeps, so the older one goes.
     #[test]
     fn stale_facts_count_for_nothing() {
-        let mut r = MapRecords::default();
-        r.name(loc(1), &[((1, 0), 5, ()), ((1, 0), 7, ()), ((1, 1), 5, ())]);
-        r.name(loc(2), &[((1, 0), 7, ()), ((1, 1), 4, ())]);
-        assert_eq!(named(&r), [1]);
+        let mut p = map();
+        flush(&mut p, &[((1, 0), 5), ((1, 0), 7), ((1, 1), 5)], 1);
+        flush(&mut p, &[((1, 0), 6), ((1, 1), 4)], 2);
+        assert_eq!(named(&p.1), [1]);
         // Record 1 is newest for two keys: one superseder leaves it named.
-        r.name(loc(3), &[((1, 0), 8, ())]);
-        assert_eq!(named(&r), [1, 3]);
-        r.name(loc(4), &[((1, 1), 9, ())]);
-        assert_eq!(named(&r), [3, 4]);
+        flush(&mut p, &[((1, 0), 8)], 3);
+        assert_eq!(named(&p.1), [1, 3]);
+        flush(&mut p, &[((1, 1), 5)], 4);
+        assert_eq!(named(&p.1), [3, 4]);
     }
 
     /// A recovery names the records some key's newest fact came from,
-    /// and later records supersede them as a flush would.
+    /// and later records supersede them as a flush would. A fact tagged
+    /// with a record that was never named (its append failed) drops
+    /// nothing.
     #[test]
     fn recovered_records_keep_their_counts() {
-        let locs = [loc(1), loc(2), loc(3)];
-        let mut r = MapRecords::new(&locs, [((1, 0), 4, 0), ((1, 1), 6, 2)]);
+        let (mut map, mut r) = map();
+        let first = r.reserve(3);
+        map.load(vec![((1, 0), 4, val(first)), ((1, 1), 6, val(first + 2))]);
+        r.name((first..).zip([loc(1), loc(2), loc(3)]), &map);
         assert_eq!(named(&r), [1, 3]);
-        r.name(loc(4), &[((1, 0), 9, ())]);
-        assert_eq!(named(&r), [3, 4]);
+        let mut p = (map, r);
+        flush(&mut p, &[((1, 0), 9)], 4);
+        assert_eq!(named(&p.1), [3, 4]);
+
+        let lost = p.1.reserve(1);
+        p.0.insert((1, 1), val(0), 10);
+        p.0.flush_tagged(|v| v.record = lost);
+        flush(&mut p, &[((1, 2), 11)], 5);
+        assert_eq!(named(&p.1), [3, 4, 5]);
+    }
+
+    /// A first flush whose append failed leaves facts tagged with an id
+    /// older than every named record: while they are newest, no record
+    /// is dropped, the superseded one included.
+    #[test]
+    fn a_failed_first_append_drops_nothing() {
+        let mut p = map();
+        let lost = p.1.reserve(1);
+        p.0.insert((1, 0), val(0), 1);
+        p.0.flush_tagged(|v| v.record = lost);
+        flush(&mut p, &[((1, 1), 2)], 1);
+        flush(&mut p, &[((1, 1), 3)], 2);
+        assert_eq!(named(&p.1), [1, 2]);
     }
 }

@@ -3,7 +3,7 @@
 //! buffer → flash) in runs, and each extent read off its own drive or
 //! rebuilt around a busy or failed one.
 
-use crate::controller::{Ack, Controller, MapKey, MapVal, CPU_OVERHEAD_NS};
+use crate::controller::{Ack, Controller, MapKey, Stored, CPU_OVERHEAD_NS};
 use crate::error::{PurityError, Result};
 use crate::segment::{Extent, SegmentInfo, SegmentLayout, SegmentWriter, COLD, HOT};
 use crate::shelf::Shelf;
@@ -195,7 +195,7 @@ impl Controller {
         medium: MediumId,
         start_sector: u64,
         n_sectors: usize,
-    ) -> Vec<Option<(MapKey, MapVal)>> {
+    ) -> Vec<Option<(MapKey, Stored)>> {
         let mut out = vec![None; n_sectors];
         self.resolve_range_rec(
             medium,
@@ -224,7 +224,7 @@ impl Controller {
         lo: u64,
         hi: u64,
         out_off: usize,
-        out: &mut [Option<(MapKey, MapVal)>],
+        out: &mut [Option<(MapKey, Stored)>],
         depth: usize,
     ) {
         if depth > 64 || lo >= hi {

@@ -15,7 +15,7 @@
 //! cursor and the cluster config — is written by one [`RecordWriter`]
 //! and read by one [`RecordReader`].
 
-use crate::controller::{MapKey, MapVal};
+use crate::controller::{MapKey, Stored};
 use crate::types::{BlockLoc, MediumId, Pba, SegmentId};
 use purity_compress::varint;
 use purity_dedup::hash::block_hash;
@@ -332,7 +332,7 @@ pub(crate) const PATCH_CHUNK_FACTS: usize = 8192;
 /// records of at most `chunk` facts each, in order — the one encoder
 /// behind both the memtable flush (one record) and GC's patch rewrite.
 pub(crate) fn map_patch_records(
-    facts: &[(MapKey, Seq, MapVal)],
+    facts: &[(MapKey, Seq, Stored)],
     chunk: usize,
 ) -> impl Iterator<Item = Vec<u8>> + '_ {
     facts.chunks(chunk).map(|facts| {
@@ -810,11 +810,8 @@ mod tests {
     }
 
     /// The map pyramid's form of `fact`.
-    fn entry(fact: &MapFact) -> (MapKey, Seq, MapVal) {
-        let val = MapVal {
-            loc: fact.loc,
-            deduped: fact.deduped,
-        };
+    fn entry(fact: &MapFact) -> (MapKey, Seq, Stored) {
+        let val = Stored::new(fact.loc, fact.deduped);
         ((fact.medium.0, fact.sector), fact.seq, val)
     }
 

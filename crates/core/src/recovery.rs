@@ -18,10 +18,10 @@
 //!    allowed to use — the paper's 12 s → 0.1 s startup-scan win,
 //!    reproduced by [`ScanMode`]. Cold segments are never scanned: each
 //!    is in the checkpoint before its first write. The newest fact of
-//!    each key goes to the map as one patch — recovery writes nothing
-//!    back — and the recovered controller names only the records some
-//!    key took its newest fact from, so the next checkpoint drops the
-//!    rest. A log stripe a power loss tore between its columns ends its
+//!    each key goes to the map as one patch, tagged with the record it
+//!    came from — recovery writes nothing back — and the recovered
+//!    controller names only the records those tags name, so the next
+//!    checkpoint drops the rest. A log stripe a power loss tore between its columns ends its
 //!    segment's log, as a torn NVRAM tail ends the NVRAM log.
 //! 3. **NVRAM** — meta intents newer than the checkpoint, and write
 //!    intents newer than the newest fact of the records it names,
@@ -33,7 +33,7 @@
 
 use crate::bootregion::{BootRegion, Checkpoint, PatchLoc};
 use crate::config::ArrayConfig;
-use crate::controller::{new_map, Controller, MapKey, MapVal, Snapshot, Volume};
+use crate::controller::{new_map, Controller, MapKey, RecordId, Snapshot, Stored, Volume};
 use crate::error::{PurityError, Result};
 use crate::frontier::AuAllocator;
 use crate::map_records::MapRecords;
@@ -356,8 +356,8 @@ impl Controller {
 
         // --- 2b. Load checkpoint-listed map records. ------------------
         // What the log holds stays in the log: the newest fact of each key
-        // goes to the map as one patch, at the end, and nothing is
-        // written back.
+        // goes to the map as one patch, at the end, each fact tagged with
+        // its record, and nothing is written back.
         let mut fold = Fold::default();
         let mut records_done = now;
         for loc in &cp.map_patches {
@@ -380,16 +380,18 @@ impl Controller {
             let t = ctrl.scan_log(shelf, segment, now, &mut fold, &mut report)?;
             scan_done = scan_done.max(t);
         }
-        // Named from here on: each record some key's newest fact came from.
+        // The controller is fresh, so the records' ids are their places in
+        // reading order, which the facts carry. Named from here on: each
+        // record some key's newest fact came from.
         let Fold { facts, records } = fold;
-        let newest = facts.iter().map(|(&key, &(seq, _, at))| (key, seq, at));
-        ctrl.map_records = MapRecords::new(&records, newest);
+        ctrl.map_records.reserve(records.len());
         ctrl.map.load(
             facts
                 .into_iter()
-                .map(|(key, (seq, val, _))| (key, seq, val))
+                .map(|(key, (seq, val))| (key, seq, val))
                 .collect(),
         );
+        ctrl.map_records.name((0..).zip(records), &ctrl.map);
         ctrl.seq = SeqAllocator::resume_after(cp.high_seq.max(ctrl.map.max_seq()));
 
         // --- 3. Replay NVRAM. ----------------------------------------
@@ -632,29 +634,30 @@ fn drain_log_records(
 }
 
 /// The map records a recovery read, in reading order, and the newest
-/// fact of each key among them with the index of the record it came
-/// from — older versions can never win a read, so they are not held.
+/// fact of each key among them, tagged with its record's place in that
+/// order — older versions can never win a read, so they are not held.
 #[derive(Default)]
 struct Fold {
-    facts: BTreeMap<MapKey, (Seq, MapVal, usize)>,
+    facts: BTreeMap<MapKey, (Seq, Stored)>,
     records: Vec<PatchLoc>,
 }
 
 impl Fold {
     /// Folds the facts of the record at `loc` in. A fact replaces its
     /// key's only when its seq is higher, so on a tie the record read
-    /// first keeps the key, as [`MapRecords::name`] does.
+    /// first keeps the key, and the map loads that copy.
     fn load(&mut self, page: Page, loc: PatchLoc, report: &mut RecoveryReport) -> Result<()> {
-        let at = self.records.len();
+        let record = self.records.len() as RecordId;
         let rows = page.rows::<{ MapFact::COLS }>();
         for f in (rows.map_err(|_| undecodable(loc.segment))?).map(|row| MapFact::from_row(&row)) {
-            let val = MapVal {
+            let val = Stored {
                 loc: f.loc,
                 deduped: f.deduped,
+                record,
             };
-            let newest = (self.facts.entry((f.medium.0, f.sector))).or_insert((f.seq, val, at));
+            let newest = (self.facts.entry((f.medium.0, f.sector))).or_insert((f.seq, val));
             if newest.0 < f.seq {
-                *newest = (f.seq, val, at);
+                *newest = (f.seq, val);
             }
         }
         self.records.push(loc);

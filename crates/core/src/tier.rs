@@ -23,7 +23,7 @@
 //! * **Recovery** finds every cold segment in the checkpoint: one is
 //!   entered in the durable segment table before its first write.
 
-use crate::controller::{Controller, MapKey, MapVal};
+use crate::controller::{Controller, MapKey, Stored};
 use crate::error::{PurityError, Result};
 use crate::segment::{COLD, HOT};
 use crate::shelf::Shelf;
@@ -48,10 +48,10 @@ pub const TIER_MIGRATION_BUDGET: usize = 16;
 /// A volume's live map entries — map key `(medium, sector)` plus its
 /// current value — ordered by backing pba, so each cblock's references
 /// are one run (in key order) and cblocks come in pba order.
-type VolumeRefs = Vec<(MapKey, MapVal)>;
+type VolumeRefs = Vec<(MapKey, Stored)>;
 
 /// The per-cblock runs of a volume's refs.
-fn cblocks(refs: &VolumeRefs) -> impl Iterator<Item = &[(MapKey, MapVal)]> {
+fn cblocks(refs: &VolumeRefs) -> impl Iterator<Item = &[(MapKey, Stored)]> {
     refs.chunk_by(|a, b| a.1.loc.pba == b.1.loc.pba)
 }
 
@@ -215,7 +215,7 @@ impl Controller {
         // Neighbouring sectors mostly share a cblock, so order the runs
         // of one location, not the entries. Stable: a cblock's runs,
         // and so its refs, stay in key order.
-        let pba_of = |e: &Option<(MapKey, MapVal)>| e.map(|(_, val)| val.loc.pba);
+        let pba_of = |e: &Option<(MapKey, Stored)>| e.map(|(_, val)| val.loc.pba);
         let mut runs: Vec<_> = entries
             .chunk_by(|a, b| pba_of(a) == pba_of(b))
             .filter(|run| run[0].is_some())

@@ -1,7 +1,7 @@
 //! The write path (§4.6–4.8): NVRAM commit, the reduction pipeline
 //! (dedup → pack → compress), cblock placement, and segment open / seal.
 
-use crate::controller::{Ack, Controller, MapVal, CPU_OVERHEAD_NS};
+use crate::controller::{Ack, Controller, Stored, CPU_OVERHEAD_NS};
 use crate::error::{PurityError, Result};
 use crate::records::encode_intent_parts;
 use crate::segment::{Append, SegmentInfo, COLD, HOT};
@@ -190,7 +190,7 @@ impl Controller {
                 }
                 Outcome::Dup { loc, .. } => (*loc, true),
             };
-            ((medium.0, sector), MapVal { loc, deduped }, seq)
+            ((medium.0, sector), Stored::new(loc, deduped), seq)
         });
         self.map.insert_many(facts);
         Ok(())

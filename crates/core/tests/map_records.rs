@@ -3,14 +3,15 @@
 //! would give: over random writes, overwrites, checkpoints, GC passes,
 //! takeovers and power losses, each recovered map agrees with a fold of
 //! every record ever named since the last GC compaction, and every
-//! sector reads its last acknowledged bytes.
+//! sector reads its last acknowledged bytes. After every op the named
+//! list is exactly the records that hold a newest fact of that fold.
 
 use proptest::prelude::*;
 use purity_core::bootregion::PatchLoc;
 use purity_core::controller::{MapKey, MapVal};
 use purity_core::records::MapFact;
 use purity_core::{ArrayConfig, FlashArray, PowerLossSpec, VolumeId, SECTOR};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const SECTORS: u64 = 64;
 
@@ -66,15 +67,20 @@ fn write(a: &mut FlashArray, vol: VolumeId, image: &mut [u8], start: u64, len: u
     a.write(vol, range.start as u64, &image[range]).unwrap();
 }
 
+/// The facts of the record at `loc`.
+fn facts(a: &mut FlashArray, loc: &PatchLoc) -> Vec<MapFact> {
+    let (ctrl, shelf) = a.controller_and_shelf();
+    let (page, _) = ctrl.read_map_record(shelf, loc, 0).unwrap();
+    let rows = page.rows::<{ MapFact::COLS }>().unwrap();
+    rows.map(|row| MapFact::from_row(&row)).collect()
+}
+
 /// The newest fact of each key across `records`, read in order; on a seq
 /// tie the record read first keeps the key, as recovery's fold does.
 fn fold(a: &mut FlashArray, records: &[PatchLoc]) -> BTreeMap<MapKey, (MapVal, u64)> {
-    let (ctrl, shelf) = a.controller_and_shelf();
     let mut newest: BTreeMap<MapKey, (MapVal, u64)> = BTreeMap::new();
     for loc in records {
-        let (page, _) = ctrl.read_map_record(shelf, loc, 0).unwrap();
-        for row in page.rows::<{ MapFact::COLS }>().unwrap() {
-            let f = MapFact::from_row(&row);
+        for f in facts(a, loc) {
             let val = MapVal {
                 loc: f.loc,
                 deduped: f.deduped,
@@ -86,6 +92,33 @@ fn fold(a: &mut FlashArray, records: &[PatchLoc]) -> BTreeMap<MapKey, (MapVal, u
         }
     }
     newest
+}
+
+/// The named list is minimal and complete against the fold of `ever`:
+/// every named record holds some key's newest durable fact, and every
+/// such fact sits in a named record.
+fn check_named(a: &mut FlashArray, ever: &[PatchLoc]) -> Result<(), TestCaseError> {
+    let newest = fold(a, ever);
+    let is_newest = |f: &MapFact| newest[&(f.medium.0, f.sector)].1 == f.seq;
+    let mut held: BTreeSet<(MapKey, u64)> = BTreeSet::new();
+    for loc in a.controller().map_records() {
+        let newest_here: Vec<MapFact> = facts(a, &loc).into_iter().filter(is_newest).collect();
+        prop_assert!(
+            !newest_here.is_empty(),
+            "{:?} is named but holds no newest fact",
+            loc
+        );
+        held.extend(newest_here.iter().map(|f| ((f.medium.0, f.sector), f.seq)));
+    }
+    for (key, &(_, seq)) in &newest {
+        prop_assert!(
+            held.contains(&(*key, seq)),
+            "no named record holds {:?}@{}",
+            key,
+            seq
+        );
+    }
+    Ok(())
 }
 
 /// Adds the records `a` names now to `ever`, each once, oldest first.
@@ -151,6 +184,7 @@ proptest! {
                 }
             }
             observe(&a, &mut ever);
+            check_named(&mut a, &ever)?;
             if matches!(op, Op::FailPrimary | Op::PowerLoss) {
                 let (read, _) = a.read(vol, 0, image.len()).unwrap();
                 prop_assert!(read == image, "a sector lost its last acknowledged bytes");

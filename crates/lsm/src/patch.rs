@@ -124,6 +124,16 @@ impl<K: Ord + Clone, V: Clone> Patch<K, V> {
     }
 }
 
+impl<K, V> Patch<K, V> {
+    /// Applies `f` to each value, with its position: only while the
+    /// patch is being built, before anything reads it.
+    pub(crate) fn tag(&mut self, mut f: impl FnMut(usize, &mut V)) {
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            f(i, &mut e.2);
+        }
+    }
+}
+
 /// The k-way merge under [`Patch::merge`] and the pyramid's range scans:
 /// walks (key asc, seq asc) sorted runs, newest source first, and hands
 /// `f` the newest fact of every key below `until` (of every key, if
@@ -176,6 +186,7 @@ pub(crate) fn newest_per_key<'a, K: Ord, V>(
                 }
                 *c = &c[run..];
             }
+            // Invariant: `key` is at the front of the lead cursor.
             f(newest.expect("key came from a non-empty front"));
             continue;
         }

@@ -84,21 +84,14 @@ enum Versions<V> {
 impl<V> Versions<V> {
     #[inline]
     fn push(&mut self, fact: (Seq, V)) {
-        match self {
-            Versions::Many(v) => v.push(fact),
-            Versions::One(_) => {
-                let Versions::One(first) =
-                    std::mem::replace(self, Versions::Many(Vec::with_capacity(2)))
-                else {
-                    unreachable!()
-                };
-                let Versions::Many(v) = self else {
-                    unreachable!()
-                };
-                v.push(first);
+        // An empty `Many` allocates nothing: the placeholder is free.
+        *self = match std::mem::replace(self, Versions::Many(Vec::new())) {
+            Versions::One(first) => Versions::Many(vec![first, fact]),
+            Versions::Many(mut v) => {
                 v.push(fact);
+                Versions::Many(v)
             }
-        }
+        };
     }
 
     #[inline]
@@ -314,6 +307,7 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
                     best = Some((seq, v));
                 }
             }
+            // Invariant: a memtable key holds at least one version.
             let (seq, v) = best.expect("a memtable key holds a fact");
             emit(key, v, seq);
         }
@@ -369,6 +363,7 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
             let Some(key) = best.cloned() else {
                 return false;
             };
+            // Invariant: `key` was just read from the memtable or a patch.
             let newest = self.newest_fact(&key).expect("key observed in range").1;
             if !self.is_elided(&key, newest) {
                 return true;
@@ -389,8 +384,15 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     /// Freezes the memtable into a patch. Returns it (also kept in the
     /// pyramid) so the owner can persist its facts into segments.
     pub fn flush(&mut self) -> Option<Arc<Patch<K, V>>> {
+        self.flush_tagged(|_| {})
+    }
+
+    /// [`Pyramid::flush`], with `tag` applied to each fact's value as it
+    /// leaves the memtable: how an owner marks the facts of a patch it is
+    /// about to persist with where they go.
+    pub fn flush_tagged(&mut self, tag: impl FnMut(&mut V)) -> Option<Arc<Patch<K, V>>> {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
-        let patch = self.freeze_memtable()?;
+        let patch = self.freeze_memtable(tag)?;
         self.patches.insert(0, patch.clone());
         self.stats.flushes += 1;
         // Fold as deep as the ratio reaches, in one k-way merge. The fact
@@ -403,7 +405,7 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
             depth += 1;
         }
         if depth > 1 {
-            self.merge_span(0..depth);
+            self.merge_span(0..depth, |_, _| {});
         }
         debug_assert!(self
             .patches
@@ -415,15 +417,19 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
         Some(patch)
     }
 
-    /// Drains the memtable into a patch (not yet on the stack).
-    fn freeze_memtable(&mut self) -> Option<Arc<Patch<K, V>>> {
+    /// Drains the memtable into a patch (not yet on the stack), `tag`
+    /// applied to each value.
+    fn freeze_memtable(&mut self, mut tag: impl FnMut(&mut V)) -> Option<Arc<Patch<K, V>>> {
         if self.memtable.is_empty() {
             return None;
         }
-        let entries: Vec<(K, Seq, V)> = std::mem::take(&mut self.memtable)
-            .into_iter()
-            .flat_map(|(k, versions)| versions.into_iter().map(move |(s, v)| (k.clone(), s, v)))
-            .collect();
+        let mut entries: Vec<(K, Seq, V)> = Vec::with_capacity(self.mem_facts);
+        for (k, versions) in std::mem::take(&mut self.memtable) {
+            for (s, mut v) in versions {
+                tag(&mut v);
+                entries.push((k.clone(), s, v));
+            }
+        }
         self.mem_facts = 0;
         Some(Arc::new(Patch::from_entries(entries)))
     }
@@ -436,14 +442,13 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     /// keep sequence ranges contiguous and the newest-first patch order
     /// intact.
     fn merge_cheapest_adjacent_pair(&mut self) {
-        let n = self.patches.len();
-        if n < 2 {
-            return;
-        }
-        purity_obs::profile_scope!(purity_obs::Plane::Lsm);
         let cost = |i: usize| self.patches[i].len() + self.patches[i + 1].len();
-        let at = (0..n - 1).min_by_key(|&i| cost(i)).expect("n >= 2");
-        self.merge_span(at..at + 2);
+        let pairs = 0..self.patches.len().saturating_sub(1);
+        let Some(at) = pairs.min_by_key(|&i| cost(i)) else {
+            return;
+        };
+        purity_obs::profile_scope!(purity_obs::Plane::Lsm);
+        self.merge_span(at..at + 2, |_, _| {});
     }
 
     /// Merges the two oldest patches (contiguous sequence ranges) into
@@ -452,7 +457,7 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
         let n = self.patches.len();
         if n >= 2 {
-            self.merge_span(n - 2..n);
+            self.merge_span(n - 2..n, |_, _| {});
         }
     }
 
@@ -463,35 +468,49 @@ impl<K: Ord + Clone, V: Clone> Pyramid<K, V> {
     pub fn flatten(&mut self) {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
         if !self.patches.is_empty() {
-            self.merge_span(0..self.patches.len());
+            self.merge_span(0..self.patches.len(), |_, _| {});
         }
     }
 
     /// Folds the memtable and every patch into one patch, in one k-way
     /// merge through the elide filter, and returns it: the whole map as
     /// one sorted run, which GC persists in place of every older patch.
-    /// The memtable is not flushed first, so its facts are merged once.
-    /// `None` when the pyramid holds nothing.
-    pub fn compact(&mut self) -> Option<Arc<Patch<K, V>>> {
+    /// `tag` gets each fact's position in the run and its value, as
+    /// [`Pyramid::flush_tagged`]'s does. The memtable is not flushed
+    /// first, so its facts are merged once. `None` when the pyramid holds
+    /// nothing.
+    pub fn compact(&mut self, tag: impl FnMut(usize, &mut V)) -> Option<Arc<Patch<K, V>>> {
         purity_obs::profile_scope!(purity_obs::Plane::Lsm);
-        if let Some(memtable) = self.freeze_memtable() {
+        if let Some(memtable) = self.freeze_memtable(|_| {}) {
             self.patches.insert(0, memtable);
         }
         if self.patches.is_empty() {
             return None;
         }
-        self.merge_span(0..self.patches.len());
+        self.merge_span(0..self.patches.len(), tag);
         Some(self.patches[0].clone())
     }
 
+    /// Hands `f` the newest fact of each key the patches hold, in key
+    /// order: the facts the owner has persisted, the memtable left out,
+    /// the elide filter not asked. On a seq tie the newer patch's fact
+    /// is the one handed over, as every merge keeps it.
+    pub fn for_each_patched(&self, f: impl FnMut(&(K, Seq, V))) {
+        let mut cursors: Vec<&[(K, Seq, V)]> = (self.patches.iter())
+            .map(|p| p.range_slice(Bound::Unbounded, Bound::Unbounded))
+            .collect();
+        newest_per_key(&mut cursors, None, f);
+    }
+
     /// Replaces the adjacent patches `span` with their merge through the
-    /// elide filter, and books it: every fact that went in and did not
-    /// come out was either the newest of its key and elided, or
-    /// superseded.
-    fn merge_span(&mut self, span: std::ops::Range<usize>) {
+    /// elide filter, `tag` applied to each merged fact by position, and
+    /// books it: every fact that went in and did not come out was either
+    /// the newest of its key and elided, or superseded.
+    fn merge_span(&mut self, span: std::ops::Range<usize>, tag: impl FnMut(usize, &mut V)) {
         let inputs = &self.patches[span.clone()];
         let before: usize = inputs.iter().map(|p| p.len()).sum();
-        let (merged, elided) = Patch::merge(inputs, |k, s| self.is_elided(k, s));
+        let (mut merged, elided) = Patch::merge(inputs, |k, s| self.is_elided(k, s));
+        merged.tag(tag);
         self.stats.merges += 1;
         self.stats.elided_dropped += elided as u64;
         self.stats.superseded_dropped += (before - merged.len() - elided) as u64;
@@ -656,7 +675,7 @@ mod tests {
             p.insert(i, i * 10, i + 1);
         }
         p.set_elide_filter(Arc::new(|k: &u64, _s: Seq| *k < 10));
-        let whole = p.compact().expect("facts held");
+        let whole = p.compact(|_, _| {}).expect("facts held");
         let s = p.stats();
         assert_eq!((s.elided_dropped, s.superseded_dropped), (10, 0));
         assert_eq!((s.flushes, s.merges), (0, 1));
@@ -667,7 +686,7 @@ mod tests {
         p.insert(15, 2, 31);
         p.insert(3, 3, 32);
         p.insert(3, 4, 33);
-        let whole = p.compact().expect("facts held");
+        let whole = p.compact(|_, _| {}).expect("facts held");
         let s = p.stats();
         assert_eq!((s.elided_dropped, s.superseded_dropped), (11, 3));
         assert_eq!((p.patch_count(), p.memtable_facts()), (1, 0));
@@ -680,7 +699,7 @@ mod tests {
     #[test]
     fn compact_of_nothing_is_nothing() {
         let mut p = pyramid();
-        assert!(p.compact().is_none());
+        assert!(p.compact(|_, _| {}).is_none());
         assert_eq!((p.patch_count(), p.stats().merges), (0, 0));
     }
 
@@ -746,6 +765,43 @@ mod tests {
         p.flatten();
         assert_eq!(p.total_facts(), 1);
         assert_eq!(p.get(&42), Some((50, 50)));
+    }
+
+    /// A flush tags each fact as it leaves the memtable, a compaction
+    /// each fact of the merged run by its position. The patch walk hands
+    /// over each key's newest fact in the patches, the memtable left out,
+    /// and on a seq tie the newer patch's copy, the one merges keep.
+    #[test]
+    fn tags_follow_facts_into_patches() {
+        let mut p: Pyramid<u64, (u64, u32)> = Pyramid::with_thresholds(usize::MAX, 8);
+        for k in 0..10u64 {
+            p.insert(k, (k, 0), k + 1);
+        }
+        p.flush_tagged(|v| v.1 = 1);
+        p.insert(2, (2, 0), 3); // the same fact again: a tie
+        p.insert(3, (30, 0), 11);
+        p.flush_tagged(|v| v.1 = 2);
+        p.insert(4, (40, 0), 12);
+        assert_eq!((p.patch_count(), p.memtable_facts()), (2, 1));
+        let mut walked = Vec::new();
+        p.for_each_patched(|(k, s, v)| walked.push((*k, *s, v.1)));
+        let want: Vec<_> = (0..10u64)
+            .map(|k| match k {
+                2 => (2, 3, 2),
+                3 => (3, 11, 2),
+                k => (k, k + 1, 1),
+            })
+            .collect();
+        assert_eq!(walked, want);
+
+        p.compact(|i, v| v.1 = 100 + i as u32);
+        let mut walked = Vec::new();
+        p.for_each_patched(|(k, _, v)| walked.push((*k, v.1)));
+        assert_eq!(
+            walked,
+            (0..10).map(|k| (k, 100 + k as u32)).collect::<Vec<_>>()
+        );
+        assert_eq!(p.get(&4), Some(((40, 104), 12)));
     }
 
     #[test]

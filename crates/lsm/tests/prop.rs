@@ -100,7 +100,7 @@ proptest! {
                     // before.
                     let held = p.total_facts() > 0;
                     let before = answers(&p, lo, hi);
-                    prop_assert_eq!(p.compact().is_some(), held);
+                    prop_assert_eq!(p.compact(|_, _| {}).is_some(), held);
                     prop_assert_eq!(p.patch_count(), usize::from(held));
                     prop_assert_eq!(p.memtable_facts(), 0);
                     prop_assert_eq!(answers(&p, lo, hi), before);

@@ -6,20 +6,21 @@
 # A code line is a line of a `crates/*/src/**/*.rs` file above that
 # file's first `#[cfg(test)]` that is neither blank nor a `//` comment
 # (doc comments included). Prints one line per crate, the total, the
-# five largest files, and the public-field count of each configuration
-# struct, found by name.
+# five largest files, the panic sites of each crate (`.unwrap()`,
+# `.expect(`, `panic!`, `unreachable!` on those same lines), and the
+# public-field count of each configuration struct, found by name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# "<count> <path>" for every source file.
+# "<count> <panic sites> <path>" for every source file.
 counts=$(
   for f in $(find crates/*/src -name '*.rs' | sort); do
     n=$(awk '
       /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
       /^[[:space:]]*$/ { next }
       /^[[:space:]]*\/\// { next }
-      { n++ }
-      END { print n + 0 }
+      { n++; p += gsub(/\.unwrap\(\)|\.expect\(|panic!|unreachable!/, "") }
+      END { print n + 0, p + 0 }
     ' "$f")
     echo "$n $f"
   done
@@ -27,7 +28,7 @@ counts=$(
 
 echo "per crate:"
 echo "$counts" | awk '
-  { split($2, p, "/"); by[p[2]] += $1; total += $1 }
+  { split($3, p, "/"); by[p[2]] += $1; total += $1 }
   END {
     for (c in by) printf "  %-10s %6d\n", c, by[c] | "sort"
     close("sort")
@@ -35,7 +36,16 @@ echo "$counts" | awk '
   }
 '
 echo "largest files:"
-echo "$counts" | sort -rn | head -5 | awk '{ printf "  %6d %s\n", $1, $2 }'
+echo "$counts" | sort -rn | head -5 | awk '{ printf "  %6d %s\n", $1, $3 }'
+echo "panic sites:"
+echo "$counts" | awk '
+  { split($3, p, "/"); by[p[2]] += $2; total += $2 }
+  END {
+    for (c in by) if (by[c]) printf "  %-10s %6d\n", c, by[c] | "sort"
+    close("sort")
+    printf "total        %6d\n", total
+  }
+'
 
 # Public fields of each configuration struct (every `pub struct` named
 # `*Config`, `*Spec`, `*Options` or `*Policy`): the knobs a caller can set.

@@ -501,3 +501,51 @@ fn power_lost_mid_gc_compaction_keeps_every_acked_write() {
     }
     assert!(torn > 0, "no segment write in the pass");
 }
+
+/// A seq tie between two map records. A record flushed after the last
+/// checkpoint, into a segment the cold start's frontier scan discovers,
+/// holds the same (key, seq) facts NVRAM replays; the replayed copies
+/// are flushed again by the next checkpoint. On a tie the map keeps the
+/// newer record's copy, so the checkpoint names the new record and
+/// drops the one it tied with. A second cold start reads the named
+/// records: every acked sector reads back and the array is consistent.
+#[test]
+fn a_replayed_tie_names_the_copy_the_map_keeps() {
+    // The tied record's run is small beside the recovered map's, so no
+    // merge folds the two together before the list is derived.
+    const FIRST: usize = 6 << 20;
+    const TIED: usize = 2 << 20;
+    let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+    let vol = a.create_volume("v", (FIRST + TIED) as u64).unwrap();
+    let image = sectors(50, (FIRST + TIED) / SECTOR);
+    a.write(vol, 0, &image[..FIRST]).unwrap();
+    a.checkpoint().unwrap();
+    let checkpointed = a.controller().map_records();
+    // Enough data to fill the open segment, so the record lands in one
+    // opened after the checkpoint.
+    a.write(vol, FIRST as u64, &image[FIRST..]).unwrap();
+    let now = a.now();
+    let (ctrl, shelf) = a.controller_and_shelf();
+    ctrl.flush_map_patch(shelf, now).unwrap();
+    let flushed = a.controller().map_records();
+    assert_eq!(flushed[..flushed.len() - 1], checkpointed);
+    let tied = flushed[flushed.len() - 1];
+
+    let r = a.power_loss(PowerLossSpec::default()).unwrap().recovery;
+    assert!(r.segments_discovered > 0, "{r:?}");
+    assert_eq!(r.patches_loaded, flushed.len());
+    assert!(r.write_intents_replayed > 0, "{r:?}");
+    assert_eq!(a.controller().map_records(), flushed);
+
+    a.checkpoint().unwrap();
+    let named = a.controller().map_records();
+    assert_eq!(named[..named.len() - 1], checkpointed);
+    assert!(!flushed.contains(&named[named.len() - 1]), "{named:?}");
+    assert!(!named.contains(&tied), "{named:?} names the older copy");
+
+    let r = a.power_loss(PowerLossSpec::default()).unwrap().recovery;
+    assert_eq!(r.patches_loaded, named.len());
+    assert_eq!(a.controller().map_records(), named);
+    assert!(a.read(vol, 0, image.len()).unwrap().0 == image);
+    assert!(a.verify_integrity().is_empty());
+}
