@@ -555,7 +555,7 @@ impl Controller {
         let patch = (self.map.flush_tagged(|v| v.record = id)).expect("memtable non-empty");
         let facts = patch.range_slice(Bound::Unbounded, Bound::Unbounded);
         let bytes = (map_patch_records(facts, facts.len()).next()).expect("one record");
-        let loc = self.append_log_record(shelf, &bytes, now)?;
+        let loc = self.append_log_records(shelf, &[bytes], now)?[0];
         // Only now, with the record on flash, may the records it
         // supersedes stop being named.
         self.map_records.name([(id, loc)], &self.map);
@@ -572,8 +572,28 @@ impl Controller {
         Ok(())
     }
 
-    /// Appends a log record, sealing/reopening segments as needed.
-    pub(crate) fn append_log_record(
+    /// Appends log records back to back into the open segment's log and
+    /// flushes them once, so records that share a stripe pad it once.
+    /// A segment too full for the next record is sealed (flushing what
+    /// it took) and another opened. Returns each record's location.
+    pub(crate) fn append_log_records(
+        &mut self,
+        shelf: &mut Shelf,
+        records: &[Vec<u8>],
+        now: Nanos,
+    ) -> Result<Vec<PatchLoc>> {
+        let mut locs = Vec::with_capacity(records.len());
+        for bytes in records {
+            locs.push(self.place_log_record(shelf, bytes, now)?);
+        }
+        self.writers[HOT].flush_log(shelf, now)?;
+        self.sync_open_segment(HOT);
+        Ok(locs)
+    }
+
+    /// Takes one record into the open segment's pending log, sealing and
+    /// reopening segments as needed.
+    fn place_log_record(
         &mut self,
         shelf: &mut Shelf,
         bytes: &[u8],
@@ -586,8 +606,6 @@ impl Controller {
             }
             let (placed, full) = self.writers[HOT].append_log(shelf, bytes, now)?;
             if let Some((offset, _t)) = placed {
-                self.writers[HOT].flush_log(shelf, now)?;
-                self.sync_open_segment(HOT);
                 let segment = self.writers[HOT].open_segment().expect("open").id.0;
                 return Ok(PatchLoc {
                     segment,

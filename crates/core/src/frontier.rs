@@ -72,6 +72,17 @@ impl AuAllocator {
         Some(AuId { drive, index })
     }
 
+    /// Puts `au`, handed out by [`AuAllocator::allocate`] and never
+    /// written, back at the front of its drive's persisted set, so the
+    /// AUs segments opened since the last persist stay a prefix of each
+    /// drive's list (what recovery's frontier scan relies on).
+    pub fn unallocate(&mut self, au: AuId) {
+        self.drives[au.drive - self.first]
+            .persisted
+            .push_front(au.index);
+        self.stats.allocated -= 1;
+    }
+
     /// True if `drive`'s persisted set is too thin to open a segment.
     pub fn needs_persist(&self, drive: DriveId) -> bool {
         self.drives[drive - self.first].persisted.is_empty()
@@ -117,6 +128,22 @@ impl AuAllocator {
     pub fn release(&mut self, au: AuId) {
         self.drives[au.drive - self.first].free.push_back(au.index);
         self.stats.released += 1;
+    }
+
+    /// The fewest free + persisted AUs on any one drive (`None` for an
+    /// allocator over no drives).
+    pub fn min_available(&self) -> Option<usize> {
+        (self.drives.iter())
+            .map(|d| d.free.len() + d.persisted.len())
+            .min()
+    }
+
+    /// Free + persisted AUs beyond `reserve` on each drive, summed: what
+    /// writes that may not dig into the reserve can still take.
+    pub fn spare(&self, reserve: usize) -> usize {
+        (self.drives.iter())
+            .map(|d| (d.free.len() + d.persisted.len()).saturating_sub(reserve))
+            .sum()
     }
 
     /// Free + persisted AUs on a drive.

@@ -2,7 +2,15 @@
 //!
 //! Purity's data region is unordered, so GC is cheap: pick low-occupancy
 //! sealed segments, relocate their live cblocks into the open segment,
-//! and free the AUs. Along the way GC does the jobs the paper assigns it:
+//! and free the AUs. Occupancy is live bytes against the bytes written
+//! into a segment, not its capacity: a partial segment that nothing has
+//! overwritten (a pass seals two, the host's before it moves and its own
+//! after) is not moved again, so one pass's output is not the next
+//! one's input. Only a class short of space judges by capacity and packs
+//! its partial segments into whole ones: when one of its drives is down
+//! to the reserve, or when the segments only that judgement collects
+//! hold as many AUs as writes can still take. Along the way GC does the
+//! jobs the paper assigns it:
 //!
 //! * consults elide tables — facts for deleted mediums are dropped at
 //!   merge rather than relocated, which is the fast space reclamation of
@@ -19,10 +27,13 @@
 //! * **segregates its output** (§4.7 segregates deduplicated blocks,
 //!   "less likely to become completely unreferenced") — GC seals the
 //!   open segment before and after relocating, so what it moves lands in
-//!   segments of its own, apart from host writes;
+//!   segments of its own, apart from host writes; that sealing is the
+//!   only segregation, and the partial segments it leaves are judged by
+//!   what they hold;
 //! * compacts the map pyramid (memtable and patches in one merge) and
 //!   writes it once, as the patch set the checkpoint names, bounding
-//!   recovery work;
+//!   recovery work: the records go back to back into the log and are
+//!   flushed together, so they pad one log stripe, not one each;
 //! * shortcuts medium chains so reads touch ≤ 3 cblocks (§4.6).
 //!
 //! GC runs over both device classes: a cold segment's live cblocks are
@@ -44,7 +55,8 @@ use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound::{self, Unbounded};
 
-/// GC collects sealed segments whose live fraction is below this.
+/// GC collects sealed segments whose live bytes are below this share of
+/// the bytes written into them (of their capacity, under space pressure).
 const GC_OCCUPANCY_THRESHOLD: f64 = 0.55;
 
 /// All live references to one cblock: (map key, value) pairs.
@@ -141,20 +153,51 @@ impl Controller {
         // records are all dead is fair game: nothing names them, and the
         // checkpoint below is written before any victim is freed.
         let protected: HashSet<u64> = self.map_records.locs().map(|p| p.segment).collect();
-        // Ascending (segment-table order): membership is a binary search.
-        let victims: Vec<u64> = self
-            .segments
-            .values()
+        // A segment is a victim when its live bytes are under the
+        // threshold of the bytes written into it, so a partial segment
+        // nothing has overwritten (one a pass sealed) is not moved again;
+        // one with nothing live is, even with no data bytes (log only).
+        // A class short of space judges by capacity, and packs its
+        // partial segments into whole ones: when a drive is down to its
+        // reserve, or when the segments only that judgement collects hold
+        // as many AUs as writes can still take.
+        let sealed: Vec<(&SegmentInfo, u64)> = (self.segments.values())
             .filter(|s| {
                 s.state == SegmentState::Sealed
                     && !open.contains(&s.id.0)
                     && !protected.contains(&s.id.0)
             })
-            .filter(|s| {
-                let live = seg_live_bytes.get(&s.id.0).copied().unwrap_or(0);
-                (live as f64) < self.capacity(s) as f64 * GC_OCCUPANCY_THRESHOLD
+            .map(|s| (s, seg_live_bytes.get(&s.id.0).copied().unwrap_or(0)))
+            .collect();
+        let under = |live: u64, basis: u64| {
+            live == 0 || (live as f64) < basis as f64 * GC_OCCUPANCY_THRESHOLD
+        };
+        let n_hot = self.cfg.n_drives;
+        let mut deferred = [0; 2];
+        for &(s, live) in &sealed {
+            if under(live, self.capacity(s)) && !under(live, s.data_bytes) {
+                deferred[s.class(n_hot)] += s.columns.len();
+            }
+        }
+        let short: [bool; 2] = std::array::from_fn(|class| {
+            let a = &self.allocators[class];
+            a.min_available().is_some_and(|n| n <= Self::RESERVE_AUS)
+                || deferred[class] >= a.spare(Self::RESERVE_AUS)
+        });
+        // Ascending (segment-table order): membership is a binary search.
+        let victims: Vec<u64> = (sealed.iter())
+            .filter(|&&(s, live)| {
+                let class = s.class(n_hot);
+                under(
+                    live,
+                    if short[class] {
+                        self.capacity(s)
+                    } else {
+                        s.data_bytes
+                    },
+                )
             })
-            .map(|s| s.id.0)
+            .map(|(s, _)| s.id.0)
             .collect();
 
         // ---- Relocation, into hot segments host writes never share. ----
@@ -190,10 +233,8 @@ impl Controller {
         let facts = whole
             .as_deref()
             .map_or(&[][..], |p| p.range_slice(Unbounded, Unbounded));
-        let mut locs = Vec::new();
-        for bytes in map_patch_records(facts, PATCH_CHUNK_FACTS) {
-            locs.push(self.append_log_record(shelf, &bytes, now)?);
-        }
+        let records: Vec<Vec<u8>> = map_patch_records(facts, PATCH_CHUNK_FACTS).collect();
+        let locs = self.append_log_records(shelf, &records, now)?;
         // The compacted records hold each key once: they are named, and
         // every older record is superseded.
         self.map_records.name((first..).zip(locs), &self.map);
@@ -845,9 +886,11 @@ mod tests {
     }
 
     /// A pass over a non-empty memtable writes the map once: the
-    /// compacted map's ⌈facts / `PATCH_CHUNK_FACTS`⌉ records are the only
-    /// log stripes it appends — no record of the memtable alone — and
-    /// the checkpoint's patch list names exactly them.
+    /// compacted map's ⌈facts / `PATCH_CHUNK_FACTS`⌉ records go back to
+    /// back into the log and are flushed once, so the stripes the pass
+    /// appends are ⌈Σ record bytes / stripe payload⌉ — no record of the
+    /// memtable alone, no stripe padded per record — and the
+    /// checkpoint's patch list names exactly them.
     #[test]
     fn a_pass_writes_the_map_once() {
         let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
@@ -873,15 +916,111 @@ mod tests {
         let records = &ctrl.map_records();
         assert_eq!(records.len(), facts.div_ceil(PATCH_CHUNK_FACTS));
         let sp = ctrl.writers[HOT].layout().log_stripe_payload() as u64;
-        let record_stripes: u64 = records.iter().map(|r| r.len.div_ceil(sp)).sum();
+        let record_bytes: u64 = records.iter().map(|r| r.len).sum();
         let appended: u64 = (ctrl.segments.iter())
             .map(|(id, s)| s.log_stripes - log_before.get(id).map_or(0, |b| b.0))
             .sum();
-        assert_eq!(appended, record_stripes, "the pass appended another record");
+        assert!(records.iter().all(|r| r.segment == records[0].segment));
+        assert_eq!(appended, record_bytes.div_ceil(sp), "records padded apart");
+        for (r, next) in records.iter().zip(&records[1..]) {
+            assert_eq!(r.log_offset + r.len, next.log_offset, "{r:?} then {next:?}");
+        }
         for r in records {
             let old_end = log_before.get(&r.segment).map_or(0, |b| b.1);
             assert!(r.log_offset >= old_end, "{r:?} predates the pass");
         }
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// A pass's output is not the next pass's input: the partial
+    /// segments a pass seals hold only live bytes, so a second pass with
+    /// no write between relocates nothing.
+    #[test]
+    fn a_second_pass_relocates_nothing() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let keep = a.create_volume("keep", 4 << 20).unwrap();
+        let kill = a.create_volume("kill", 4 << 20).unwrap();
+        let mut rng = StdRng::seed_from_u64(27);
+        let mut chunk = vec![0u8; 64 * 1024];
+        let mut kept = Vec::new();
+        // Half-live segments: `keep` and `kill` interleaved, then `kill`
+        // destroyed; then whole segments of `keep` alone, so the one the
+        // pass seals before it relocates is all live.
+        for i in 0..56u64 {
+            for vol in [keep, kill] {
+                if vol == kill && i >= 24 {
+                    continue;
+                }
+                rng.fill(&mut chunk[..]);
+                a.write(vol, i * chunk.len() as u64, &chunk).unwrap();
+                if vol == keep {
+                    kept.extend_from_slice(&chunk);
+                }
+            }
+        }
+        a.destroy_volume(kill).unwrap();
+
+        let first = a.run_gc().unwrap();
+        assert!(first.bytes_relocated > 0, "{first:?}");
+        let second = a.run_gc().unwrap();
+        assert_eq!(second.bytes_relocated, 0, "{second:?}");
+        assert_eq!(second.segments_freed, 0, "{second:?}");
+        let (back, _) = a.read(keep, 0, kept.len()).unwrap();
+        assert!(back == kept, "relocated data differs");
+        assert!(a.verify_integrity().is_empty());
+    }
+
+    /// The partial segments passes seal and leave alone are still space:
+    /// once they hold as many AUs as writes can still take, victims are
+    /// judged by capacity and packed into whole segments. A fill after
+    /// GC churn, with a pass every 2 MiB and one more whenever a write
+    /// finds no space, takes at least the 178 257 920 bytes it took when
+    /// every pass judged by capacity.
+    #[test]
+    fn a_fill_after_churn_takes_back_the_partial_segments() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let churn = a.create_volume("churn", 4 << 20).unwrap();
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut chunk = vec![0u8; 64 * 1024];
+        for i in 0..300u64 {
+            rng.fill(&mut chunk[..]);
+            let at = rng.gen_range(0..64u64) * chunk.len() as u64;
+            a.write(churn, at, &chunk).unwrap();
+            if i % 25 == 24 {
+                a.run_gc().unwrap();
+            }
+        }
+        let ctrl = a.controller();
+        let partial = (ctrl.segments.values())
+            .filter(|s| 2 * s.data_bytes < ctrl.capacity(s))
+            .count();
+        assert!(partial > 4, "{partial} partial segments");
+
+        let fill = a.create_volume("fill", 1 << 30).unwrap();
+        let mut chunk = vec![0u8; 256 * 1024];
+        rng.fill(&mut chunk[..]);
+        let mut wrote = 0u64;
+        for _ in 0..2_000 {
+            let full = match a.write(fill, wrote, &chunk) {
+                Ok(_) => {
+                    wrote += chunk.len() as u64;
+                    rng.fill(&mut chunk[..]);
+                    false
+                }
+                Err(PurityError::OutOfSpace) => true,
+                Err(e) => panic!("{e}"),
+            };
+            if full || wrote.is_multiple_of(8 * chunk.len() as u64) {
+                match a.run_gc() {
+                    Ok(r) if !full || r.segments_freed > 0 => {}
+                    // Full, and a pass frees nothing or cannot run.
+                    _ => break,
+                }
+            }
+        }
+        assert!(wrote >= 178_257_920, "filled {wrote} bytes");
+        let (back, _) = a.read(fill, 0, chunk.len()).unwrap();
+        assert_eq!(back.len(), chunk.len());
         assert!(a.verify_integrity().is_empty());
     }
 

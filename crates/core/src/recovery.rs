@@ -104,8 +104,9 @@ pub struct RecoveryReport {
     pub stage_ends: [Nanos; 5],
     /// AU headers examined.
     pub aus_scanned: usize,
-    /// Segments discovered by the scan (written after the checkpoint).
-    pub segments_discovered: usize,
+    /// Segments the scan discovered (opened after the checkpoint), in
+    /// id order.
+    pub discovered: Vec<SegmentId>,
     /// Map patches loaded (checkpoint-listed + scanned).
     pub patches_loaded: usize,
     /// Map facts inserted from patches.
@@ -285,53 +286,11 @@ impl Controller {
         // Booked before the map-record reads: the probes are a serial
         // chain per drive, and would otherwise queue behind one-shot
         // reads on the dies they share.
-        let candidates: Vec<AuId> = match opts.mode {
-            ScanMode::Frontier => cp.frontier.iter().map(|&p| AuId::unpack(p)).collect(),
-            ScanMode::FullScan => {
-                let aus = ctrl.cfg.aus_per_drive();
-                (0..ctrl.cfg.n_drives)
-                    .flat_map(|d| (0..aus as u32).map(move |i| AuId { drive: d, index: i }))
-                    .collect()
-            }
-        };
-        let mut scan_done = now;
-        // Per-drive probe serialization: every candidate AU costs at
-        // least a command round trip even when its header page was never
-        // written (the device still parses and answers the read).
-        const PROBE_NS: Nanos = 20_000;
-        let mut drive_busy: Vec<Nanos> = vec![now; ctrl.cfg.n_drives];
-        let header_bytes = ctrl.cfg.au_header_bytes();
-        let mut discovered: Vec<SegmentId> = Vec::new();
-        for au in &candidates {
-            report.aus_scanned += 1;
-            if shelf.drive(au.drive).is_failed() {
-                continue;
-            }
-            let off = layout.au_byte_offset(au.index);
-            let probe_at = drive_busy[au.drive];
-            let Ok(read) = shelf.read_drive(au.drive, off, header_bytes, probe_at) else {
-                drive_busy[au.drive] = probe_at + PROBE_NS;
-                scan_done = scan_done.max(drive_busy[au.drive]);
-                continue; // never written
-            };
-            drive_busy[au.drive] = read.done.max(probe_at + PROBE_NS);
-            scan_done = scan_done.max(read.done);
-            let Some(header) = AuHeader::decode(&read.data) else {
-                continue;
-            };
-            if ctrl.segments.contains_key(&header.segment.0) {
-                continue;
-            }
-            // Staleness guard: an AU freed by GC may still carry the
-            // header of its *previous* owner (trims can fail on pulled
-            // drives, and frontier AUs keep old headers until reused).
-            // Only segments opened after the checkpoint are real
-            // discoveries; a resurrection here would double-own AUs that
-            // live segments have since reused.
-            if header.seq_lo <= cp.watermark {
-                continue;
-            }
-            discovered.push(header.segment);
+        let scan = scan_headers(&ctrl.cfg, &cp, &ctrl.segments, opts.mode, shelf, now);
+        report.aus_scanned = scan.aus_scanned;
+        let mut scan_done = scan.done;
+        for header in scan.headers {
+            report.discovered.push(header.segment);
             // Frontier AUs the segment consumed stay consumed.
             for au in &header.columns {
                 ctrl.allocators[HOT].claim(*au);
@@ -348,10 +307,10 @@ impl Controller {
                 },
             );
         }
-        report.segments_discovered = discovered.len();
+        report.discovered.sort();
         // Post-checkpoint segment ids must not be re-issued.
-        for id in discovered.iter() {
-            ctrl.next_segment = ctrl.next_segment.max(id.0 + 1);
+        if let Some(last) = report.discovered.last() {
+            ctrl.next_segment = ctrl.next_segment.max(last.0 + 1);
         }
 
         // --- 2b. Load checkpoint-listed map records. ------------------
@@ -375,8 +334,7 @@ impl Controller {
         // --- 2c. Read the discovered segments' log stripes for newer
         // map records; each record found joins the fold after the
         // checkpoint's.
-        discovered.sort();
-        for segment in discovered {
+        for segment in report.discovered.clone() {
             let t = ctrl.scan_log(shelf, segment, now, &mut fold, &mut report)?;
             scan_done = scan_done.max(t);
         }
@@ -611,6 +569,99 @@ impl Controller {
     }
 }
 
+/// What the AU-header scan found: one header of each segment opened
+/// after the checkpoint, in discovery order, the AUs probed, and when
+/// the last probe ended.
+struct HeaderScan {
+    headers: Vec<AuHeader>,
+    aus_scanned: usize,
+    done: Nanos,
+}
+
+/// Step 2a of a cold start: probes AU headers for segments opened after
+/// `cp`, whose tables are `known`.
+///
+/// `FullScan` probes every AU of every hot drive. `Frontier` probes the
+/// checkpoint's persisted set, each drive's AUs in its list's order, and
+/// stops a drive at the first AU no post-checkpoint segment opened: one
+/// unwritten, failed or unreadable, not a header, stale (`seq_lo` at or
+/// below the watermark) or naming a segment `known` holds. The allocator
+/// hands AUs out in that order and a segment writes its headers when it
+/// opens (a failed open puts its AUs back at the front), so the AUs
+/// opened since the checkpoint are a prefix of each drive's list.
+fn scan_headers(
+    cfg: &ArrayConfig,
+    cp: &Checkpoint,
+    known: &BTreeMap<u64, SegmentInfo>,
+    mode: ScanMode,
+    shelf: &mut Shelf,
+    now: Nanos,
+) -> HeaderScan {
+    let layout = SegmentLayout::from_config(cfg);
+    let candidates: Vec<AuId> = match mode {
+        ScanMode::Frontier => cp.frontier.iter().map(|&p| AuId::unpack(p)).collect(),
+        ScanMode::FullScan => {
+            let aus = cfg.aus_per_drive();
+            (0..cfg.n_drives)
+                .flat_map(|d| (0..aus as u32).map(move |i| AuId { drive: d, index: i }))
+                .collect()
+        }
+    };
+    // Per-drive probe serialization: every candidate AU costs at least
+    // a command round trip even when its header page was never written
+    // (the device still parses and answers the read).
+    const PROBE_NS: Nanos = 20_000;
+    let mut drive_busy: Vec<Nanos> = vec![now; cfg.n_drives];
+    let mut stopped = vec![false; cfg.n_drives];
+    let mut scan = HeaderScan {
+        headers: Vec::new(),
+        aus_scanned: 0,
+        done: now,
+    };
+    for au in &candidates {
+        if stopped[au.drive] {
+            continue;
+        }
+        scan.aus_scanned += 1;
+        // Whether this AU was opened after the checkpoint; `Frontier`
+        // stops its drive at the first that was not.
+        let opened = 'probe: {
+            if shelf.drive(au.drive).is_failed() {
+                break 'probe false;
+            }
+            let off = layout.au_byte_offset(au.index);
+            let probe_at = drive_busy[au.drive];
+            let Ok(read) = shelf.read_drive(au.drive, off, cfg.au_header_bytes(), probe_at) else {
+                drive_busy[au.drive] = probe_at + PROBE_NS;
+                scan.done = scan.done.max(drive_busy[au.drive]);
+                break 'probe false; // never written
+            };
+            drive_busy[au.drive] = read.done.max(probe_at + PROBE_NS);
+            scan.done = scan.done.max(read.done);
+            let Some(header) = AuHeader::decode(&read.data) else {
+                break 'probe false;
+            };
+            // Staleness guard: an AU freed by GC may still carry the
+            // header of its *previous* owner (trims can fail on pulled
+            // drives, and frontier AUs keep old headers until reused).
+            // Only segments opened after the checkpoint are real
+            // discoveries; a resurrection here would double-own AUs that
+            // live segments have since reused.
+            if header.seq_lo <= cp.watermark || known.contains_key(&header.segment.0) {
+                break 'probe false;
+            }
+            if !scan.headers.iter().any(|h| h.segment == header.segment) {
+                scan.headers.push(header);
+            }
+            true
+        };
+        if !opened && mode == ScanMode::Frontier {
+            stopped[au.drive] = true;
+        }
+    }
+    scan
+}
+
 /// Loads every whole record at the front of `buffer` (log-space offset
 /// `at` of `segment`).
 fn drain_log_records(
@@ -674,9 +725,12 @@ fn undecodable(segment: u64) -> PurityError {
 
 #[cfg(test)]
 mod tests {
-    use crate::array::FlashArray;
+    use super::{RecoveryOptions, ScanMode};
+    use crate::array::{FlashArray, PowerLossSpec};
     use crate::config::ArrayConfig;
     use crate::error::PurityError;
+    use crate::segment::HOT;
+    use crate::types::{DriveId, SegmentId};
     use purity_sim::units::MS;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -688,15 +742,17 @@ mod tests {
         shelf.nvram().records().len()
     }
 
-    /// A `gc_churn`-shaped array: 64 random 64 KiB writes, checkpointed,
-    /// then idle for 100 ms.
-    fn churned() -> (FlashArray, crate::types::VolumeId, Vec<u8>) {
+    /// A `gc_churn`-shaped array: `writes` random 64 KiB writes to
+    /// distinct places of a volume twice their size, checkpointed, then
+    /// idle for 100 ms.
+    fn churned(writes: u64) -> (FlashArray, crate::types::VolumeId, Vec<u8>) {
         let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
-        let vol = a.create_volume("v", 8 << 20).unwrap();
+        let slots = 2 * writes;
+        let vol = a.create_volume("v", slots << 16).unwrap();
         let (mut rng, mut chunk) = (StdRng::seed_from_u64(40), vec![0u8; 64 * 1024]);
-        for i in 0..64u64 {
+        for i in 0..writes {
             rng.fill(&mut chunk[..]);
-            a.write(vol, (i * 3 % 128) * chunk.len() as u64, &chunk)
+            a.write(vol, (i * 3 % slots) * chunk.len() as u64, &chunk)
                 .unwrap();
         }
         a.checkpoint().unwrap();
@@ -711,7 +767,8 @@ mod tests {
     /// that fails after the scan appends no seal.
     #[test]
     fn a_cold_start_seals_when_its_nvram_scan_ends() {
-        let (mut a, vol, chunk) = churned();
+        // Four map records: reading them outlasts the seal.
+        let (mut a, vol, chunk) = churned(256);
         let now = a.now();
         let (_, shelf) = a.controller_and_shelf();
         shelf.nvram_append(vec![0xEE; 32], now).unwrap();
@@ -762,7 +819,7 @@ mod tests {
     /// its volatile state: each volume's heat, the stats and the obs hub.
     #[test]
     fn a_failover_hands_over_heat_stats_and_obs() {
-        let (mut a, vol, chunk) = churned();
+        let (mut a, vol, chunk) = churned(64);
         a.read(vol, 0, 4096).unwrap();
         let c = a.controller();
         let (reads, heat) = (c.tier.volume_reads(vol.0), c.volume_heat(vol.0, a.now()));
@@ -780,12 +837,69 @@ mod tests {
         assert!(a.verify_integrity().is_empty());
     }
 
+    /// A segment open that fails puts the AUs it took back at the front
+    /// of their drives' persisted lists, so the next open takes the same
+    /// AUs and the AUs opened since the checkpoint stay a prefix of each
+    /// list. Here the first open after a checkpoint fails with three
+    /// drives pulled; the next one, with one of them back, succeeds, and
+    /// that drive is pulled again before the power loss. The frontier
+    /// scan must still discover what a scan of every AU header does.
+    #[test]
+    fn a_failed_open_keeps_the_opened_aus_a_prefix() {
+        let cold_start = |mode| -> (Vec<SegmentId>, SegmentId) {
+            let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+            let vol = a.create_volume("v", 16 << 20).unwrap();
+            let (mut rng, mut chunk) = (StdRng::seed_from_u64(44), vec![0u8; 64 * 1024]);
+            let mut at = 0;
+            let mut write = |a: &mut FlashArray| {
+                rng.fill(&mut chunk[..]);
+                let r = a.write(vol, at, &chunk);
+                at += chunk.len() as u64;
+                r
+            };
+            write(&mut a).unwrap();
+            a.checkpoint().unwrap();
+            let ctrl = a.controller();
+            let columns: Vec<DriveId> = (ctrl.writers[HOT].open_segment().unwrap().columns)
+                .iter()
+                .map(|au| au.drive)
+                .collect();
+            let spares: Vec<DriveId> = (0..ctrl.cfg.n_drives)
+                .filter(|d| !columns.contains(d))
+                .collect();
+            // Eight drives left for a nine-wide segment: the open after
+            // this one fills fails.
+            for &d in spares.iter().chain(&columns[..1]) {
+                a.fail_drive(d);
+            }
+            while write(&mut a).is_ok() {}
+            assert!(a.controller().writers[HOT].open_segment().is_none());
+            a.revive_drive(columns[0]);
+            write(&mut a).unwrap();
+            let opened = a.controller().writers[HOT].open_segment().unwrap().id;
+            for &d in &spares {
+                a.revive_drive(d);
+            }
+            a.fail_drive(columns[0]);
+            a.advance(10 * MS);
+            let recovery = RecoveryOptions {
+                mode,
+                ..RecoveryOptions::default()
+            };
+            let r = a.power_loss(PowerLossSpec { recovery }).unwrap().recovery;
+            (r.discovered, opened)
+        };
+        let (full, opened) = cold_start(ScanMode::FullScan);
+        assert_eq!(full, [opened]);
+        assert_eq!(cold_start(ScanMode::Frontier).0, full);
+    }
+
     /// A cold start over an NVRAM log whose every record decodes appends
     /// no seal: its stage ends with the scan, and the replayed writes
     /// read back.
     #[test]
     fn a_cold_start_over_a_whole_log_appends_no_seal() {
-        let (mut a, vol, chunk) = churned();
+        let (mut a, vol, chunk) = churned(64);
         a.write(vol, 0, &chunk).unwrap();
         a.advance(100 * MS);
         let before = nvram_records(&mut a);

@@ -308,9 +308,9 @@ impl Controller {
             }
         }
         if columns.len() < width {
-            // Return whatever we took.
+            // Put back whatever we took, where it came from.
             for au in columns {
-                allocator.release(au);
+                allocator.unallocate(au);
             }
             return Err(PurityError::OutOfSpace);
         }

@@ -20,7 +20,8 @@
 //!    (boot slot torn). `OpBoundary` cuts power cleanly instead;
 //! 3. cold-start via [`FlashArray::power_loss`] (ScanMode per spec,
 //!    optionally sabotaged by skipping NVRAM replay — the oracle must
-//!    catch that);
+//!    catch that); a frontier cold start must discover the segments the
+//!    same run, replayed into a full-scan cold start, does;
 //! 4. settle the unacked in-flight write, check structural invariants
 //!    and the frontier scan bound, run `post_ops` more ops, then sweep
 //!    every volume and frozen snapshot and run the checks every kind
@@ -29,8 +30,8 @@
 use crate::oracle::DurabilityOracle;
 use crate::shrink::{halvings, Campaign, Field};
 use purity_core::{
-    ArrayConfig, CrashTarget, FlashArray, PowerLossSpec, RecoveryOptions, RecoveryReport, ScanMode,
-    SnapshotId, VolumeId, SECTOR,
+    ArrayConfig, CrashTarget, FlashArray, PowerLossReport, PowerLossSpec, RecoveryOptions,
+    RecoveryReport, ScanMode, SnapshotId, VolumeId, SECTOR,
 };
 use purity_host::{HostConfig, HostEngine};
 use purity_sim::{Nanos, MS, US};
@@ -357,6 +358,101 @@ pub fn run_model_check(seed: u64, ops: usize) -> (FlashArray, Vec<String>) {
 
 /// Runs one campaign to completion. Pure in `spec`.
 pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
+    let mode = if spec.full_scan {
+        ScanMode::FullScan
+    } else {
+        ScanMode::Frontier
+    };
+    let Crashed {
+        mut run,
+        mut rng,
+        phase_hit,
+        cold,
+    } = crash(spec, mode);
+    let report = match cold {
+        Ok(r) => r,
+        Err(e) => {
+            run.violations.push(format!("cold start failed: {e}"));
+            return CampaignOutcome {
+                violations: run.violations,
+                phase_hit,
+                torn: None,
+                downtime: 0,
+                recovery: RecoveryReport::default(),
+                acked_sectors: run.oracle.acked_sectors(),
+            };
+        }
+    };
+    // The frontier scan is differential: the same run cold-started with
+    // a probe of every AU header must discover the same segments.
+    if mode == ScanMode::Frontier {
+        match crash(spec, ScanMode::FullScan).cold {
+            Ok(full) if full.recovery.discovered == report.recovery.discovered => {}
+            Ok(full) => run.violations.push(format!(
+                "frontier scan discovered segments {:?}, a full scan {:?}",
+                report.recovery.discovered, full.recovery.discovered
+            )),
+            Err(e) => run
+                .violations
+                .push(format!("full-scan cold start failed: {e}")),
+        }
+    }
+    // The checkpointed persist set is the frontier plus the speculative
+    // set — 2x the frontier size per drive (see `AuAllocator::
+    // build_persist_set`). A frontier-bounded scan may touch at most
+    // that many AU headers, no matter how much data the array holds.
+    let frontier_bound = 2 * run.a.config().frontier_aus_per_drive * run.a.config().n_drives;
+
+    // Phase 4: verification. Settle the in-flight write, check the
+    // structural invariants, hold the frontier scan to its bound.
+    let settle = run.oracle.settle(&mut run.a);
+    run.violations.extend(settle);
+    run.violations.extend(run.a.verify_integrity());
+    if !spec.full_scan && report.recovery.aus_scanned > frontier_bound {
+        run.violations.push(format!(
+            "frontier scan touched {} AUs, bound is {}",
+            report.recovery.aus_scanned, frontier_bound
+        ));
+    }
+    run.dark = false;
+
+    // Phase 5: life goes on — the recovered array must take more ops.
+    for op in 0..spec.post_ops {
+        if !run.step(&mut rng, spec.crash_op + op) {
+            run.violations
+                .push(format!("post-crash op {op}: array went dark again"));
+            break;
+        }
+    }
+
+    // Phase 6: the full durability sweep, then the checks every kind
+    // runs on every array it leaves powered.
+    let sweep = run.oracle.verify_all(&mut run.a);
+    run.violations.extend(sweep);
+    run.violations.extend(final_checks("", &run.a));
+
+    CampaignOutcome {
+        violations: run.violations,
+        phase_hit,
+        torn: report.torn.clone(),
+        downtime: report.downtime,
+        recovery: report.recovery,
+        acked_sectors: run.oracle.acked_sectors(),
+    }
+}
+
+/// A run brought through phases 1–3: its op mix, the staged crash and
+/// the cold start.
+struct Crashed {
+    run: Run,
+    /// The run's RNG, where phase 5 picks up.
+    rng: StdRng,
+    phase_hit: bool,
+    cold: purity_core::Result<PowerLossReport>,
+}
+
+/// Phases 1–3 of `spec`'s campaign, cold-started with `mode`.
+fn crash(spec: &CampaignSpec, mode: ScanMode) -> Crashed {
     let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     // The tier-demote phase needs the tiering engine (cold drives, RAM
     // cache, migrator) configured in; every other phase keeps the seed
@@ -366,11 +462,6 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
     } else {
         ArrayConfig::test_small()
     };
-    // The checkpointed persist set is the frontier plus the speculative
-    // set — 2x the frontier size per drive (see `AuAllocator::
-    // build_persist_set`). A frontier-bounded scan may touch at most
-    // that many AU headers, no matter how much data the array holds.
-    let frontier_bound = 2 * cfg.frontier_aus_per_drive * cfg.n_drives;
     let mut run = Run::new(cfg, None);
 
     // Optional full-stack warm-up: the host engine (queue depths,
@@ -416,65 +507,17 @@ pub fn run_campaign(spec: &CampaignSpec) -> CampaignOutcome {
     let phase_hit = stage_crash(spec, &mut run, &mut rng);
 
     // Phase 3: cold start.
-    let report = match run.a.power_loss(PowerLossSpec {
+    let cold = run.a.power_loss(PowerLossSpec {
         recovery: RecoveryOptions {
-            mode: if spec.full_scan {
-                ScanMode::FullScan
-            } else {
-                ScanMode::Frontier
-            },
+            mode,
             skip_nvram_replay: spec.sabotage,
         },
-    }) {
-        Ok(r) => r,
-        Err(e) => {
-            run.violations.push(format!("cold start failed: {e}"));
-            return CampaignOutcome {
-                violations: run.violations,
-                phase_hit,
-                torn: None,
-                downtime: 0,
-                recovery: RecoveryReport::default(),
-                acked_sectors: run.oracle.acked_sectors(),
-            };
-        }
-    };
-
-    // Phase 4: verification. Settle the in-flight write, check the
-    // structural invariants, hold the frontier scan to its bound.
-    let settle = run.oracle.settle(&mut run.a);
-    run.violations.extend(settle);
-    run.violations.extend(run.a.verify_integrity());
-    if !spec.full_scan && report.recovery.aus_scanned > frontier_bound {
-        run.violations.push(format!(
-            "frontier scan touched {} AUs, bound is {}",
-            report.recovery.aus_scanned, frontier_bound
-        ));
-    }
-    run.dark = false;
-
-    // Phase 5: life goes on — the recovered array must take more ops.
-    for op in 0..spec.post_ops {
-        if !run.step(&mut rng, spec.crash_op + op) {
-            run.violations
-                .push(format!("post-crash op {op}: array went dark again"));
-            break;
-        }
-    }
-
-    // Phase 6: the full durability sweep, then the checks every kind
-    // runs on every array it leaves powered.
-    let sweep = run.oracle.verify_all(&mut run.a);
-    run.violations.extend(sweep);
-    run.violations.extend(final_checks("", &run.a));
-
-    CampaignOutcome {
-        violations: run.violations,
+    });
+    Crashed {
+        run,
+        rng,
         phase_hit,
-        torn: report.torn.clone(),
-        downtime: report.downtime,
-        recovery: report.recovery,
-        acked_sectors: run.oracle.acked_sectors(),
+        cold,
     }
 }
 

@@ -697,6 +697,23 @@ fn tier_stages_are_emitted_and_registered() {
 // their map-record reads, so the downtimes and everything else are
 // unchanged; so are the documents' lengths. `tiered_cycle` and the
 // cluster documents are byte-identical.
+//
+// Re-pinned when the frontier scan began stopping each drive at the
+// first AU no segment opened since the checkpoint, and GC began judging
+// victims by the bytes written into them and packing a pass's records
+// into shared log stripes. Only the two takeovers moved: each probes one
+// AU a drive, so its AU scan ends at 20 us and the takeover is bound by
+// the boot record and map-record reads, 195.20 us (`array_downtime_ns`;
+// `plain_mix` 320.00, `host_closed_loop` 300.00). `plain_mix`'s one GC
+// pass collects and writes what it did before. Its later ops run
+// 124.8 us sooner, so some cross a 1 ms recorder boundary: reads move
+// between intervals 52-58 (`array_reads{path="direct"}` 11 -> 13 in
+// interval 52, 6 -> 4 in 58, with their `flash_reads`, stalls and
+// `drive_queue` / `reduction_cpu` blame), and the SLO incident opening
+// at 52 ms counts 5 ops (4) and freezes the new downtime. Every total
+// but the downtime is unchanged; the document is 3 bytes longer. In
+// `host_closed_loop` only the downtime's value and its interval's delta
+// moved. `tiered_cycle` and the cluster documents are byte-identical.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -778,7 +795,7 @@ fn export_contract_plain_mix() {
     assert_export_digest(
         "plain_mix",
         &[a.export_observability_json()],
-        &[(108_627, 0x817d_cb9a_66b5_1792)],
+        &[(108_630, 0xa69d_9790_3149_d487)],
     );
 }
 
@@ -854,7 +871,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(43_303, 0x1b96_1659_b0e9_a27f)],
+        &[(43_303, 0x0f08_d8a3_0aea_578b)],
     );
 }
 
