@@ -143,21 +143,28 @@ fn array_scenario(read_around: bool) -> ArrayTrace {
             // exactly those chunks while their relocation stripes
             // flush, then drain what's left so the next round's
             // aimed probes line up with the backlog again.
+            // The probes are timed from the write schedule: the pass
+            // books its relocation and map stripes behind whatever host
+            // stripes are still queued, and the hot pacer's horizon
+            // after the pass is where the last of them lands. One burst
+            // sits in the middle of each quarter of that window, so the
+            // probes meet gc-flagged programs however long the pass's
+            // backlog is.
+            let start = a.now();
             a.run_gc().unwrap();
-            // The pacer is FIFO: the host stripes already booked flush
-            // first, so the gc-flagged relocation slots only reach the
-            // present after ~25ms. Probing before that would find idle
-            // columns every time.
-            a.advance(25 * MS);
+            let gc_end = a.controller_and_shelf().1.paced_until();
+            let span = gc_end.saturating_sub(start);
             for b in 0..4u64 {
+                let at = start + (2 * b + 1) * span / 8;
+                a.advance(at.saturating_sub(a.now()));
                 for q in 0..12u64 {
                     let ci = ((round + 1) * chunks_per_round + q) % n_chunks;
                     let r_sector = ci * col_sectors + (b * 29 + q * 11) % col_sectors;
                     a.read(noise, r_sector * SECTOR as u64, SECTOR).unwrap();
                     a.advance(250_000);
                 }
-                a.advance(7 * MS);
             }
+            a.advance(gc_end.saturating_sub(a.now()));
             a.advance(15 * MS);
         }
     }

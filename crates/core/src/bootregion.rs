@@ -11,7 +11,8 @@
 use crate::error::{PurityError, Result};
 use crate::records::{MediumFact, RecordReader, RecordWriter};
 use crate::segment::SegmentInfo;
-use crate::shelf::{ColumnWrite, Shelf};
+use crate::shelf::{Cause, ColumnWrite, Shelf};
+use crate::types::DriveId;
 use purity_lsm::Seq;
 use purity_sim::Nanos;
 
@@ -239,19 +240,7 @@ impl BootRegion {
     /// Writes a checkpoint to slot `version % 2` on every mirror drive.
     /// Returns the completion time of the slowest mirror.
     pub fn write(&mut self, shelf: &mut Shelf, cp: &Checkpoint, now: Nanos) -> Result<Nanos> {
-        let mut bytes = cp.encode(self.stripe_width);
-        if bytes.len() > self.slot_bytes() {
-            return Err(PurityError::Internal(format!(
-                "checkpoint {}B exceeds boot slot {}B",
-                bytes.len(),
-                self.slot_bytes()
-            )));
-        }
-        // Pad to page multiple.
-        let padded = bytes.len().div_ceil(self.page_size) * self.page_size;
-        bytes.resize(padded, 0);
-        let slot = (cp.version % 2) as usize;
-        let offset = slot * self.slot_bytes();
+        let (offset, bytes) = self.slot_image(cp)?;
         // Mirror writes honour the hot group's §4.4 write pacing (at most
         // two drives busy writing at once) so checkpoints don't spike reads.
         let mirrors: Vec<ColumnWrite<'_>> = (0..BOOT_MIRRORS.min(shelf.n_drives()))
@@ -263,9 +252,51 @@ impl BootRegion {
                 "all boot-region mirrors failed".into(),
             ));
         }
-        let done = shelf.write_paced(&mirrors, now).all_landed()?;
+        let done = shelf.write_paced(Cause::Boot, &mirrors, now).all_landed()?;
         self.writes += 1;
         Ok(done)
+    }
+
+    /// Copies the newest checkpoint the other mirrors hold onto mirror
+    /// drive `d`, back from a failure, where it is newer than what `d`
+    /// holds: `d` missed every checkpoint written while it was out, and
+    /// a boot that finds only it would read the newest one it holds. A
+    /// drive that is no mirror, or already holds the newest, is left
+    /// alone.
+    pub fn resilver(&self, shelf: &mut Shelf, d: DriveId, now: Nanos) -> Result<Nanos> {
+        let mirrors = BOOT_MIRRORS.min(shelf.n_drives());
+        if d >= mirrors {
+            return Ok(now);
+        }
+        let (held, mut done) = self.newest_on(shelf, d, now);
+        let mut best: Option<Checkpoint> = None;
+        for m in (0..mirrors).filter(|&m| m != d) {
+            let (cp, read) = self.newest_on(shelf, m, now);
+            done = done.max(read);
+            best = newer(best, cp);
+        }
+        let held = held.map(|cp| cp.version);
+        match best {
+            Some(cp) if held.is_none_or(|v| cp.version > v) => {
+                let (offset, bytes) = self.slot_image(&cp)?;
+                (shelf.write_paced(Cause::Boot, &[(d, offset, &bytes)], done)).all_landed()
+            }
+            _ => Ok(done),
+        }
+    }
+
+    /// The slot offset and page-padded bytes of `cp` on a mirror.
+    fn slot_image(&self, cp: &Checkpoint) -> Result<(usize, Vec<u8>)> {
+        let mut bytes = cp.encode(self.stripe_width);
+        if bytes.len() > self.slot_bytes() {
+            return Err(PurityError::Internal(format!(
+                "checkpoint {}B exceeds boot slot {}B",
+                bytes.len(),
+                self.slot_bytes()
+            )));
+        }
+        bytes.resize(bytes.len().div_ceil(self.page_size) * self.page_size, 0);
+        Ok(((cp.version % 2) as usize * self.slot_bytes(), bytes))
     }
 
     /// Reads the newest valid checkpoint across mirrors and slots.
@@ -273,49 +304,63 @@ impl BootRegion {
         let mut best: Option<Checkpoint> = None;
         let mut done = now;
         for d in 0..BOOT_MIRRORS.min(shelf.n_drives()) {
-            if shelf.drive(d).is_failed() {
-                continue;
-            }
-            for slot in 0..2 {
-                let offset = slot * self.slot_bytes();
-                // Progressive read: first page tells us the total length.
-                let first = match shelf.read_drive(d, offset, self.page_size, now) {
-                    Ok(read) => {
-                        done = done.max(read.done);
-                        read.data
-                    }
-                    Err(_) => continue, // slot never written / unreadable
-                };
-                let Some(total) = Self::total_len(&first) else {
-                    continue;
-                };
-                // The rest of the checkpoint, after the page already read.
-                let mut bytes = first;
-                let padded = total.div_ceil(self.page_size) * self.page_size;
-                let rest = padded.min(self.slot_bytes()).saturating_sub(self.page_size);
-                if rest > 0 {
-                    let at = offset + self.page_size;
-                    match shelf.read_drive(d, at, rest, now) {
-                        Ok(read) => {
-                            done = done.max(read.done);
-                            bytes.extend_from_slice(&read.data);
-                        }
-                        Err(_) => continue,
-                    }
-                }
-                if let Some((cp, _)) = Checkpoint::decode(&bytes) {
-                    if best
-                        .as_ref()
-                        .map(|b| cp.version > b.version)
-                        .unwrap_or(true)
-                    {
-                        best = Some(cp);
-                    }
-                }
-            }
+            let (cp, read) = self.newest_on(shelf, d, now);
+            done = done.max(read);
+            best = newer(best, cp);
         }
         best.map(|cp| (cp, done))
             .ok_or_else(|| PurityError::Unavailable("no valid boot-region checkpoint found".into()))
+    }
+
+    /// The newest valid checkpoint in either slot of drive `d` (`None`
+    /// for a failed drive or one with no readable slot), and when its
+    /// reads completed.
+    fn newest_on(&self, shelf: &mut Shelf, d: DriveId, now: Nanos) -> (Option<Checkpoint>, Nanos) {
+        let mut best: Option<Checkpoint> = None;
+        let mut done = now;
+        if shelf.drive(d).is_failed() {
+            return (best, done);
+        }
+        for slot in 0..2 {
+            let offset = slot * self.slot_bytes();
+            // Progressive read: first page tells us the total length.
+            let first = match shelf.read_drive(d, offset, self.page_size, now) {
+                Ok(read) => {
+                    done = done.max(read.done);
+                    read.data
+                }
+                Err(_) => continue, // slot never written / unreadable
+            };
+            let Some(total) = Self::total_len(&first) else {
+                continue;
+            };
+            // The rest of the checkpoint, after the page already read.
+            let mut bytes = first;
+            let padded = total.div_ceil(self.page_size) * self.page_size;
+            let rest = padded.min(self.slot_bytes()).saturating_sub(self.page_size);
+            if rest > 0 {
+                let at = offset + self.page_size;
+                match shelf.read_drive(d, at, rest, now) {
+                    Ok(read) => {
+                        done = done.max(read.done);
+                        bytes.extend_from_slice(&read.data);
+                    }
+                    Err(_) => continue,
+                }
+            }
+            if let Some((cp, _)) = Checkpoint::decode(&bytes) {
+                best = newer(best, Some(cp));
+            }
+        }
+        (best, done)
+    }
+}
+
+/// The newer of two checkpoints; `a` on a tie.
+fn newer(a: Option<Checkpoint>, b: Option<Checkpoint>) -> Option<Checkpoint> {
+    match (a, b) {
+        (Some(a), Some(b)) if b.version > a.version => Some(b),
+        (a, b) => a.or(b),
     }
 }
 
@@ -437,6 +482,33 @@ mod tests {
             .data;
         assert_eq!(BootRegion::total_len(&first), Some(big(3).encode(9).len()));
         assert_eq!(boot.read(&mut shelf, 0).unwrap().0, big(2));
+    }
+
+    /// A mirror back from a failure gets the newest checkpoint written
+    /// while it was out, and only then: one that already holds it, or a
+    /// drive that is no mirror, costs no boot-region program.
+    #[test]
+    fn resilver_writes_a_mirror_only_when_it_is_behind() {
+        let cfg = ArrayConfig::test_small();
+        let mut shelf = Shelf::new(&cfg, Clock::new());
+        let mut boot = BootRegion::new(cfg.boot_region_bytes(), cfg.ssd_geometry.page_size, 9);
+        let programmed = |shelf: &Shelf| shelf.program_ledger().bytes(Cause::Boot, false);
+        boot.write(&mut shelf, &sample_checkpoint(1), 0).unwrap();
+        shelf.drive_mut(0).fail();
+        boot.write(&mut shelf, &sample_checkpoint(2), 0).unwrap();
+        shelf.drive_mut(0).revive();
+        let before = programmed(&shelf);
+        boot.resilver(&mut shelf, 3, 0).unwrap();
+        assert_eq!(programmed(&shelf), before, "drive 3 is no mirror");
+        boot.resilver(&mut shelf, 0, 0).unwrap();
+        let caught_up = programmed(&shelf);
+        assert!(caught_up > before);
+        boot.resilver(&mut shelf, 0, 0).unwrap();
+        boot.resilver(&mut shelf, 1, 0).unwrap();
+        assert_eq!(programmed(&shelf), caught_up, "mirrors hold version 2");
+        shelf.drive_mut(1).fail();
+        shelf.drive_mut(2).fail();
+        assert_eq!(boot.read(&mut shelf, 0).unwrap().0.version, 2);
     }
 
     #[test]

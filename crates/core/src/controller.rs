@@ -552,9 +552,10 @@ impl Controller {
         }
         self.persist_memtable_data(shelf, now)?;
         let id = self.map_records.reserve(1);
-        let patch = (self.map.flush_tagged(|v| v.record = id)).expect("memtable non-empty");
+        let empty = || PurityError::Internal("map flush of an empty memtable".into());
+        let patch = (self.map.flush_tagged(|v| v.record = id)).ok_or_else(empty)?;
         let facts = patch.range_slice(Bound::Unbounded, Bound::Unbounded);
-        let bytes = (map_patch_records(facts, facts.len()).next()).expect("one record");
+        let bytes = (map_patch_records(facts, facts.len()).next()).ok_or_else(empty)?;
         let loc = self.append_log_records(shelf, &[bytes], now)?[0];
         // Only now, with the record on flash, may the records it
         // supersedes stop being named.
@@ -605,10 +606,9 @@ impl Controller {
                 self.open_new_segment(shelf, HOT, true, now)?;
             }
             let (placed, full) = self.writers[HOT].append_log(shelf, bytes, now)?;
-            if let Some((offset, _t)) = placed {
-                let segment = self.writers[HOT].open_segment().expect("open").id.0;
+            if let Some((offset, segment)) = placed {
                 return Ok(PatchLoc {
-                    segment,
+                    segment: segment.0,
                     log_offset: offset,
                     len: bytes.len() as u64,
                 });

@@ -41,8 +41,8 @@ use crate::medium::MediumTable;
 use crate::read::read_extent;
 use crate::records::{decode_log_record, decode_nvram_entry, MapFact, MediumFact, NvramEntry};
 use crate::segment::{
-    AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentState, SegmentWriter, COLD, HOT,
-    LOG_STRIPE_MAGIC,
+    log_frame_len, AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentState, SegmentWriter, COLD,
+    HOT,
 };
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
@@ -524,11 +524,9 @@ impl Controller {
                 break;
             };
             done = done.max(t);
-            if frame[..8] != LOG_STRIPE_MAGIC.to_le_bytes() {
+            let Some(payload_len) = log_frame_len(&frame) else {
                 break;
-            }
-            let payload_len =
-                u64::from_le_bytes(frame[8..16].try_into().expect("16-byte frame")) as usize;
+            };
             let offset = (log_idx * sp) as u64;
             let read = self.read_log(shelf, segment.0, offset, payload_len.min(sp), now);
             let (payload, t) = match read {
@@ -540,7 +538,7 @@ impl Controller {
                 Err(e) => {
                     let later = log_idx + 1 < layout.n_stripes
                         && (self.log_frame(shelf, segment.0, log_idx + 1, now))
-                            .is_ok_and(|(next, _)| next[..8] == LOG_STRIPE_MAGIC.to_le_bytes());
+                            .is_ok_and(|(next, _)| log_frame_len(&next).is_some());
                     if later {
                         return Err(e);
                     }

@@ -15,7 +15,7 @@
 use crate::config::ArrayConfig;
 use crate::error::{PurityError, Result};
 use crate::records::{RecordReader, RecordWriter};
-use crate::shelf::{ColumnWrite, Shelf};
+use crate::shelf::{Cause, ColumnWrite, Shelf};
 use crate::types::{AuId, DriveId, Pba, SegmentId};
 use purity_ecc::ReedSolomon;
 use purity_lsm::Seq;
@@ -26,6 +26,16 @@ pub const LOG_STRIPE_MAGIC: u64 = 0x4C4F_4753_5452_4950; // "LOGSTRIP"
 
 /// Magic prefix of an AU header page.
 pub const AU_HEADER_MAGIC: u64 = 0x5345_4748_4452_0001; // "SEGHDR"
+
+/// The payload length a log stripe's 16-byte frame counts, or `None` if
+/// `frame` is not a log stripe's frame.
+pub fn log_frame_len(frame: &[u8]) -> Option<usize> {
+    let len = u64::from_le_bytes(frame.get(8..16)?.try_into().ok()?);
+    if frame[..8] != LOG_STRIPE_MAGIC.to_le_bytes() {
+        return None;
+    }
+    usize::try_from(len).ok()
+}
 
 /// The device classes, as indexes of the controller's per-class writers
 /// and allocators. A segment's class is where its columns sit
@@ -168,6 +178,13 @@ impl SegmentLayout {
     /// 16-byte magic+length frame).
     pub fn log_stripe_payload(&self) -> usize {
         self.stripe_data_bytes() - 16
+    }
+
+    /// The bytes of each column a log stripe programs when its frame
+    /// counts `payload` bytes: the page rows (`k` pages each) that the
+    /// 16-byte frame and the payload fill.
+    pub fn log_unit(&self, payload: usize) -> usize {
+        ((16 + payload).div_ceil(self.k * self.page) * self.page).min(self.wu)
     }
 
     /// Where byte `b` of a log stripe (its frame included) lives: flash
@@ -478,7 +495,7 @@ impl SegmentWriter {
             .zip(&headers)
             .map(|(au, h)| (au.drive, self.layout.au_byte_offset(au.index), h.as_slice()))
             .collect();
-        let done = shelf.write_paced(&batch, now).done;
+        let done = shelf.write_paced(Cause::AuHeader, &batch, now).done;
         self.open = Some(OpenSegment {
             info,
             data_pending: Vec::new(),
@@ -524,13 +541,13 @@ impl SegmentWriter {
         if after > layout.n_stripes {
             return Ok((Append::Full, now));
         }
-        let offset = open.info.data_bytes;
+        let (segment, offset) = (open.info.id, open.info.data_bytes);
         open.data_pending.extend_from_slice(bytes);
         open.info.data_bytes += bytes.len() as u64;
         let done = self.flush_full_data_stripes(shelf, now)?;
         Ok((
             Append::Placed(Pba {
-                segment: self.open.as_ref().unwrap().info.id,
+                segment,
                 offset,
                 stored_len: bytes.len() as u32,
             }),
@@ -539,13 +556,14 @@ impl SegmentWriter {
     }
 
     /// Appends a log record to the log space (framed with magic+length at
-    /// stripe granularity on flush). Returns its log-space offset.
+    /// stripe granularity on flush). Returns its log-space offset and the
+    /// segment that holds it.
     pub fn append_log(
         &mut self,
         _shelf: &mut Shelf,
         record: &[u8],
-        now: Nanos,
-    ) -> Result<(Option<(u64, Nanos)>, bool)> {
+        _now: Nanos,
+    ) -> Result<(Option<(u64, SegmentId)>, bool)> {
         let layout = self.layout;
         let Some(open) = self.open.as_mut() else {
             return Ok((None, true));
@@ -562,7 +580,7 @@ impl SegmentWriter {
         }
         let offset = open.info.log_bytes + open.log_pending.len() as u64;
         open.log_pending.extend_from_slice(record);
-        Ok((Some((offset, now)), false))
+        Ok((Some((offset, open.info.id)), false))
     }
 
     /// Flushes any complete data stripes from the pending buffer.
@@ -580,23 +598,32 @@ impl SegmentWriter {
             let stripe_bytes: Vec<u8> = open.data_pending.drain(..sd).collect();
             let stripe_idx = open.info.data_stripes as usize;
             open.info.data_stripes += 1;
-            done = done.max(self.write_stripe(shelf, stripe_idx, &stripe_bytes, now)?);
+            let wu = self.layout.wu;
+            let t =
+                self.write_stripe(shelf, Cause::DataStripe, stripe_idx, &stripe_bytes, wu, now)?;
+            done = done.max(t);
         }
         Ok(done)
     }
 
-    /// RS-encodes and writes one physical stripe.
+    /// RS-encodes and writes the first `unit` bytes of every column of
+    /// one physical stripe: `bytes` holds the `k` data columns' shares
+    /// back to back. A data stripe passes whole write units, a log
+    /// stripe the page rows it fills; parity is bytewise, so each row's
+    /// parity depends only on that row.
     fn write_stripe(
         &mut self,
         shelf: &mut Shelf,
+        cause: Cause,
         stripe: usize,
         bytes: &[u8],
+        unit: usize,
         now: Nanos,
     ) -> Result<Nanos> {
-        let open = self.open.as_ref().expect("open segment");
-        let wu = self.layout.wu;
-        debug_assert_eq!(bytes.len(), self.layout.stripe_data_bytes());
-        let shards: Vec<&[u8]> = bytes.chunks(wu).collect();
+        let open = (self.open.as_ref())
+            .ok_or_else(|| PurityError::Internal("stripe flush with no open segment".into()))?;
+        debug_assert_eq!(bytes.len(), self.layout.k * unit);
+        let shards: Vec<&[u8]> = bytes.chunks(unit).collect();
         let parity = self
             .rs
             .encode(&shards)
@@ -618,17 +645,18 @@ impl SegmentWriter {
                 (au.drive, off, payload)
             })
             .collect();
-        let done = shelf.write_paced(&batch, now).done;
+        let done = shelf.write_paced(cause, &batch, now).done;
         self.stripes_flushed += 1;
         Ok(done)
     }
 
-    /// Flushes pending log bytes as one or more log stripes. A padded
-    /// (short) final stripe still consumes a full stripe of payload
-    /// space, keeping payload offsets linear.
+    /// Flushes pending log bytes as one or more log stripes. Each
+    /// programs only the page rows its frame and payload fill, on every
+    /// data and parity column; the rest of the stripe is never
+    /// programmed. A short final stripe still consumes a full stripe of
+    /// payload space, keeping payload offsets linear.
     pub fn flush_log(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Nanos> {
-        let sd = self.layout.stripe_data_bytes();
-        let sp = self.layout.log_stripe_payload();
+        let (sp, page) = (self.layout.log_stripe_payload(), self.layout.page);
         let mut done = now;
         #[allow(clippy::while_let_loop)] // the binding is re-checked per iteration
         loop {
@@ -638,24 +666,26 @@ impl SegmentWriter {
             if open.log_pending.is_empty() {
                 break;
             }
-            // Frame: magic + length + payload, padded to the stripe and
-            // dealt a page at a time over the data columns.
+            // Frame: magic + length + payload, dealt a page at a time
+            // over the data columns and padded to the end of its row.
             let take = open.log_pending.len().min(sp);
             let mut framed = Vec::with_capacity(16 + take);
             framed.extend_from_slice(&LOG_STRIPE_MAGIC.to_le_bytes());
             framed.extend_from_slice(&(take as u64).to_le_bytes());
             framed.extend(open.log_pending.drain(..take));
-            let mut stripe_bytes = vec![0; sd];
-            for (i, chunk) in framed.chunks(self.layout.page).enumerate() {
-                let (column, within) = self.layout.log_byte(i * self.layout.page);
-                let at = column * self.layout.wu + within;
+            let unit = self.layout.log_unit(take);
+            let mut stripe_bytes = vec![0; self.layout.k * unit];
+            for (i, chunk) in framed.chunks(page).enumerate() {
+                let (column, within) = self.layout.log_byte(i * page);
+                let at = column * unit + within;
                 stripe_bytes[at..at + chunk.len()].copy_from_slice(chunk);
             }
             let log_idx = open.info.log_stripes as usize;
             open.info.log_stripes += 1;
             open.info.log_bytes += sp as u64;
             let stripe = self.layout.n_stripes - 1 - log_idx;
-            done = done.max(self.write_stripe(shelf, stripe, &stripe_bytes, now)?);
+            let t = self.write_stripe(shelf, Cause::LogStripe, stripe, &stripe_bytes, unit, now)?;
+            done = done.max(t);
         }
         Ok(done)
     }
@@ -706,7 +736,9 @@ impl SegmentWriter {
         }
         done = done.max(self.flush_full_data_stripes(shelf, now)?);
         done = done.max(self.flush_log(shelf, now)?);
-        let mut open = self.open.take().expect("checked above");
+        let Some(mut open) = self.open.take() else {
+            return Ok(None);
+        };
         open.info.state = SegmentState::Sealed;
         open.info.seq = seq;
         Ok(Some((open.info, done)))
@@ -1039,6 +1071,75 @@ mod tests {
                 let runs = l.log_extents(*offset as u64, bytes.len());
                 let columns: BTreeSet<usize> = runs.iter().map(|r| r.ext.column).collect();
                 proptest::prop_assert_eq!(columns.len(), pages.min(l.k), "record at {}", offset);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// A flush of `n` payload bytes programs the page rows its frame
+        /// and payload fill, `(k + m) * ceil((16 + n) / (k * page))`
+        /// pages a stripe, and nothing else; the records read back whole
+        /// through `log_extents` with any one column, and any two, out.
+        #[test]
+        fn a_log_flush_programs_only_the_rows_it_fills(
+            n in 1usize..60_000,
+            more in 1usize..260_000,
+            second in proptest::prelude::any::<bool>(),
+            one in 0usize..9,
+            apart in 1usize..9,
+        ) {
+            use proptest::prelude::*;
+            // A second record of `more` bytes, if any, and the second of
+            // the two failed columns.
+            let (more, two) = (second.then_some(more), (one, (one + apart) % 9));
+            let (mut w, mut shelf, cfg) = mk_writer_and_shelf();
+            w.open_segment_on(&mut shelf, open_info(&cfg), 0).unwrap();
+            let l = *w.layout();
+            let programs = |shelf: &Shelf| -> u64 {
+                (0..cfg.n_drives).map(|d| shelf.drive(d).flash_counters().programs).sum()
+            };
+            let before = programs(&shelf);
+            let records: Vec<Vec<u8>> = std::iter::once(n)
+                .chain(more)
+                .enumerate()
+                .map(|(i, len)| (0..len).map(|j| ((i * 97 + j * 13) % 251) as u8).collect())
+                .collect();
+            let mut placed = Vec::new();
+            for bytes in &records {
+                let (at, _) = w.append_log(&mut shelf, bytes, 0).unwrap().0.unwrap();
+                placed.push(at);
+            }
+            w.flush_log(&mut shelf, 0).unwrap();
+            let (sp, row) = (l.log_stripe_payload(), l.k * l.page);
+            let total: usize = records.iter().map(Vec::len).sum();
+            let rows: usize = (0..total.div_ceil(sp))
+                .map(|s| (16 + (total - s * sp).min(sp)).div_ceil(row))
+                .sum();
+            prop_assert_eq!(programs(&shelf) - before, ((l.k + l.m) * rows) as u64);
+
+            let info = w.open_segment().unwrap().clone();
+            let rs = ReedSolomon::new(l.k, l.m);
+            for out in [vec![one], vec![two.0, two.1]] {
+                for &c in &out {
+                    shelf.drive_mut(info.columns[c].drive).fail();
+                }
+                for (bytes, &at) in records.iter().zip(&placed) {
+                    let mut back = vec![0; bytes.len()];
+                    for run in l.log_extents(at, bytes.len()) {
+                        let mut stats = crate::stats::ArrayStats::default();
+                        let (got, _) = crate::read::read_extent(
+                            &mut shelf, &info, &l, &rs, false, &mut stats, &run.ext, 0, None,
+                        )
+                        .unwrap();
+                        l.deal_log_run(&run, &got, &mut back);
+                    }
+                    prop_assert!(&back == bytes, "record at {} with {:?} out", at, out);
+                }
+                for &c in &out {
+                    shelf.drive_mut(info.columns[c].drive).revive();
+                }
             }
         }
     }

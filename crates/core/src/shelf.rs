@@ -84,6 +84,55 @@ struct PowerTrigger {
 /// a page-aligned byte offset of a drive.
 pub type ColumnWrite<'a> = (DriveId, usize, &'a [u8]);
 
+/// What a paced write programs flash for: the causes of the shelf's
+/// [`ProgramLedger`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cause {
+    /// A data stripe's units and parity (host writes, GC relocation, tier
+    /// moves).
+    DataStripe,
+    /// A log stripe's page rows and their parity (map records).
+    LogStripe,
+    /// The header page of a segment's AUs.
+    AuHeader,
+    /// A checkpoint on the boot-region mirrors.
+    Boot,
+    /// Scrub's refresh and repair, and a revived drive's rebuild.
+    Rewrite,
+}
+
+impl Cause {
+    /// Every cause, in ledger order.
+    pub const ALL: [Cause; 5] = [
+        Cause::DataStripe,
+        Cause::LogStripe,
+        Cause::AuHeader,
+        Cause::Boot,
+        Cause::Rewrite,
+    ];
+}
+
+/// Bytes the array has programmed onto its drives, by [`Cause`] and by
+/// whether a GC pass was running. Drive-internal (FTL GC) programs are
+/// not the array's, so the ledger sums to every drive's programmed
+/// bytes less its FTL's relocations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProgramLedger {
+    bytes: [[u64; 2]; Cause::ALL.len()],
+}
+
+impl ProgramLedger {
+    /// Bytes programmed for `cause`, inside (`gc`) or outside GC passes.
+    pub fn bytes(&self, cause: Cause, gc: bool) -> u64 {
+        self.bytes[cause as usize][usize::from(gc)]
+    }
+
+    /// Every byte the ledger holds.
+    pub fn total(&self) -> u64 {
+        self.bytes.iter().flatten().sum()
+    }
+}
+
 /// What one [`Shelf::write_paced`] batch did.
 #[derive(Debug)]
 pub struct Paced {
@@ -137,6 +186,10 @@ pub struct Shelf {
     /// Human-readable note describing what the last fired trigger tore
     /// (phase classification for the torture harness).
     torn_note: Option<String>,
+    /// Whether a GC pass is running ([`Shelf::set_gc_mode`]).
+    gc_mode: bool,
+    /// Bytes programmed by paced writes, by cause.
+    ledger: ProgramLedger,
 }
 
 impl Shelf {
@@ -184,6 +237,8 @@ impl Shelf {
             powered: true,
             trigger: None,
             torn_note: None,
+            gc_mode: false,
+            ledger: ProgramLedger::default(),
         }
     }
 
@@ -309,9 +364,15 @@ impl Shelf {
     /// queueing behind them report GC interference rather than an
     /// ordinary program stall.
     pub fn set_gc_mode(&mut self, on: bool) {
+        self.gc_mode = on;
         for d in &mut self.drives {
             d.set_gc_mode(on);
         }
+    }
+
+    /// The bytes paced writes have programmed, by cause.
+    pub fn program_ledger(&self) -> &ProgramLedger {
+        &self.ledger
     }
 
     /// Drives currently failed, hot and cold.
@@ -329,8 +390,9 @@ impl Shelf {
     /// finds at least `k` columns outside a window. The hot drives and
     /// the cold pool are separate groups: neither waits for the other. A
     /// column its drive refuses (pulled drive, power lost) is skipped and
-    /// the rest still go out: parity covers a degraded write.
-    pub fn write_paced(&mut self, columns: &[ColumnWrite<'_>], now: Nanos) -> Paced {
+    /// the rest still go out: parity covers a degraded write. What the
+    /// batch programs is charged to `cause` in the ledger.
+    pub fn write_paced(&mut self, cause: Cause, columns: &[ColumnWrite<'_>], now: Nanos) -> Paced {
         let mut out = Paced {
             done: now,
             refused: None,
@@ -343,7 +405,7 @@ impl Shelf {
             let start = self.pacers[group].1.max(now);
             let mut slot_end = start;
             for &(d, offset, data) in slot {
-                match self.write_drive(d, offset, data, start) {
+                match self.program(Some(cause), d, offset, data, start) {
                     Ok(t) => slot_end = slot_end.max(t),
                     Err(e) => {
                         out.refused.get_or_insert(e);
@@ -375,6 +437,12 @@ impl Shelf {
         w.splice(lo..hi, [(from, until)]);
     }
 
+    /// The end of the last slot the hot group's write pacer handed out:
+    /// the instant the array's booked writes have all reached the drives.
+    pub fn paced_until(&self) -> Nanos {
+        self.pacers[HOT].1
+    }
+
     /// True if the array writes to drive `d` at some instant of
     /// `[from, to)` — the §4.4 condition for treating the drive as
     /// failed, asked over the whole span a read would occupy it.
@@ -389,13 +457,27 @@ impl Shelf {
         self.writes_overlap(d, at, at + 1)
     }
 
-    /// Writes page-aligned bytes to a drive at `now`, unpaced, updating
-    /// the writing window. The single choke point every durable drive
-    /// mutation goes through ([`Shelf::write_paced`] is the scheduled
-    /// way in): power loss (armed via [`Shelf::arm_power_loss`]) fires
-    /// here, tearing this write and failing everything after it.
+    /// Writes page-aligned bytes to a drive at `now`, unpaced and charged
+    /// to no cause: direct I/O for fault injection and tests (the array's
+    /// own writes go out through [`Shelf::write_paced`]).
     pub fn write_drive(
         &mut self,
+        d: DriveId,
+        offset: usize,
+        data: &[u8],
+        now: Nanos,
+    ) -> Result<Nanos> {
+        self.program(None, d, offset, data, now)
+    }
+
+    /// Programs `data` at `offset` of drive `d` at `now`, updating the
+    /// writing window and charging what reached the medium to `cause`.
+    /// The single choke point every durable drive mutation goes
+    /// through: power loss (armed via [`Shelf::arm_power_loss`]) fires
+    /// here, tearing this write and failing everything after it.
+    fn program(
+        &mut self,
+        cause: Option<Cause>,
         d: DriveId,
         offset: usize,
         data: &[u8],
@@ -410,15 +492,26 @@ impl Shelf {
             // The prefix reaches the medium; the straddling page is an
             // interrupted program (undefined contents); the tail never
             // started. Then the lights go out.
-            let _ = self.drives[d].write_torn(offset, data, keep, now);
+            if self.drives[d].write_torn(offset, data, keep, now).is_ok() {
+                let page = self.drives[d].page_size();
+                self.charge(cause, keep.div_ceil(page) * page);
+            }
             let what = format!("drive {d} offset {offset}");
             return Err(self.tear(kind, what, keep, data.len()));
         }
         let done = self.drives[d]
             .write(offset, data, now)
             .map_err(|e| PurityError::Device(format!("drive {}: {}", d, e)))?;
+        self.charge(cause, data.len());
         self.mark_writing(d, now, done);
         Ok(done)
+    }
+
+    /// Adds `bytes` programmed for `cause` to the ledger.
+    fn charge(&mut self, cause: Option<Cause>, bytes: usize) {
+        if let Some(cause) = cause {
+            self.ledger.bytes[cause as usize][usize::from(self.gc_mode)] += bytes as u64;
+        }
     }
 
     /// Logs an NVRAM record through the power gate and returns its index;
@@ -605,7 +698,7 @@ mod tests {
         let page = vec![7u8; 4096];
         s.drive_mut(2).fail();
         let batch: Vec<ColumnWrite<'_>> = (0..5).map(|d| (d, off, page.as_slice())).collect();
-        let first = s.write_paced(&batch, 1_000);
+        let first = s.write_paced(Cause::DataStripe, &batch, 1_000);
         assert!(
             matches!(first.refused, Some(PurityError::Device(_))),
             "the pulled drive is skipped and said so"
@@ -619,7 +712,7 @@ mod tests {
         assert!(!s.is_writing(0, 999) && s.is_writing(0, 1_000));
         assert!(!s.is_writing(4, 1_000) && s.is_writing(4, first.done - 1));
         // The next batch queues behind this one, whatever its issue time.
-        let second = s.write_paced(&[(5, off, page.as_slice())], 0);
+        let second = s.write_paced(Cause::DataStripe, &[(5, off, page.as_slice())], 0);
         assert!(!s.writes_overlap(5, 0, first.done));
         assert!(s.is_writing(5, first.done));
         assert!(second.all_landed().unwrap() > first.done);
@@ -768,10 +861,16 @@ mod tests {
         let off = cfg.boot_region_bytes();
         let unit = vec![7u8; cfg.write_unit_bytes];
         let hot: Vec<ColumnWrite<'_>> = (0..9).map(|d| (d, off, unit.as_slice())).collect();
-        let hot_done = s.write_paced(&hot, 1_000).all_landed().unwrap();
+        let hot_done = s
+            .write_paced(Cause::DataStripe, &hot, 1_000)
+            .all_landed()
+            .unwrap();
         let (c0, c1) = (s.n_drives(), s.n_drives() + 1);
         let cold = [(c0, 0, unit.as_slice()), (c1, 0, unit.as_slice())];
-        let cold_done = s.write_paced(&cold, 1_000).all_landed().unwrap();
+        let cold_done = s
+            .write_paced(Cause::DataStripe, &cold, 1_000)
+            .all_landed()
+            .unwrap();
         assert!(s.is_writing(c0, 1_000), "the cold stripe starts at once");
         assert!(!s.is_writing(c1, 1_000));
         for t in (1_000..cold_done).step_by(10_000) {
@@ -780,8 +879,63 @@ mod tests {
         assert!(s.is_writing(c1, cold_done - 1));
         // The hot group kept its own schedule: the next hot batch still
         // queues behind the first, not behind the cold stripe.
-        let next = s.write_paced(&hot[..1], 1_000).all_landed().unwrap();
+        let next = s
+            .write_paced(Cause::DataStripe, &hot[..1], 1_000)
+            .all_landed()
+            .unwrap();
         assert!(next > hot_done && s.is_writing(0, hot_done));
+    }
+
+    /// Every byte the array programs is charged to one cause: after host
+    /// writes and GC passes, checkpoints, a pulled and reinserted drive,
+    /// a scrub and a torn stripe, the ledger holds every drive's
+    /// programmed bytes less its FTL's own relocations.
+    #[test]
+    fn the_program_ledger_sums_to_the_drives_programs() {
+        use crate::array::{FlashArray, PowerLossSpec};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let vol = a.create_volume("v", 4 << 20).unwrap();
+        let (mut rng, mut chunk) = (StdRng::seed_from_u64(7), vec![0u8; 64 << 10]);
+        let mut write = |a: &mut FlashArray, i: u64| {
+            rng.fill(&mut chunk[..]);
+            a.write(vol, (i * 7 % 64) << 16, &chunk)
+        };
+        for i in 0..150 {
+            write(&mut a, i).unwrap();
+            if i % 50 == 49 {
+                a.run_gc().unwrap();
+            }
+        }
+        a.fail_drive(1);
+        for i in 0..20 {
+            write(&mut a, i).unwrap();
+        }
+        a.checkpoint().unwrap();
+        a.revive_drive(1);
+        a.scrub().unwrap();
+        a.arm_power_loss(CrashTarget::SegmentWrite, 3, 5000);
+        for i in 0.. {
+            if write(&mut a, i).is_err() {
+                break;
+            }
+        }
+        a.power_loss(PowerLossSpec::default()).unwrap();
+
+        let (_, shelf) = a.controller_and_shelf();
+        let programmed: u64 = (shelf.drives.iter())
+            .map(|d| (d.flash_counters().programs - d.stats().gc_programs) * d.page_size() as u64)
+            .sum();
+        let ledger = shelf.program_ledger();
+        assert_eq!(ledger.total(), programmed);
+        for cause in Cause::ALL {
+            assert!(ledger.bytes(cause, false) > 0, "{cause:?}");
+        }
+        assert!(ledger.bytes(Cause::DataStripe, true) > 0, "GC relocates");
+        assert!(
+            ledger.bytes(Cause::LogStripe, true) > 0,
+            "GC rewrites the map"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use purity_core::bootregion::{BootRegion, Checkpoint, PatchLoc, SnapMeta, Volume
 use purity_core::config::ArrayConfig;
 use purity_core::gc::GcReport;
 use purity_core::records::MediumFact;
-use purity_core::shelf::Shelf;
+use purity_core::shelf::{Cause, Shelf};
 use purity_core::stats::ArrayStats;
 use purity_core::write::encode_cblock;
 use purity_core::{FlashArray, SnapshotId, VolumeId, SECTOR};
@@ -152,10 +152,10 @@ proptest! {
         // an estimate; drive 2 holds only what the history wrote, so some
         // of its reads are refused.
         let fill = vec![0xf1; 64 * page];
-        shelf.write_paced(&[(0, 0, &fill), (1, 0, &fill)], 0).all_landed().unwrap();
+        shelf.write_paced(Cause::DataStripe, &[(0, 0, &fill), (1, 0, &fill)], 0).all_landed().unwrap();
         for (d, first, pages, at) in writes {
             let data = vec![d as u8 + 1; pages * page];
-            shelf.write_paced(&[(d, first * page, &data)], at).all_landed().unwrap();
+            shelf.write_paced(Cause::DataStripe, &[(d, first * page, &data)], at).all_landed().unwrap();
         }
         for (d, offset, len, now) in reads {
             let eta = shelf.read_eta(d, offset, len, now);

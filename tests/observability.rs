@@ -714,6 +714,29 @@ fn tier_stages_are_emitted_and_registered() {
 // but the downtime is unchanged; the document is 3 bytes longer. In
 // `host_closed_loop` only the downtime's value and its interval's delta
 // moved. `tiered_cycle` and the cluster documents are byte-identical.
+//
+// Re-pinned when a log flush began programming only the page rows its
+// frame and records fill. Only the two documents with map flushes moved;
+// `tiered_cycle` and the cluster documents are byte-identical, and no
+// slow op moved in either.
+// - `plain_mix`: each of drives 1-9 programs 7 pages fewer
+//   (`flash_programs` and `ssd_host_programs` 59 / 57 -> 52 / 50): the
+//   flushes' log stripes program one row where they programmed eight.
+//   The takeover is 97.60 us (195.20, `array_downtime_ns`), one read
+//   service time sooner: its map-record reads meet fewer programs on
+//   their dies. Drives 1 and 2 lose one read stall each (97.6 us), and the
+//   direct read histograms' means fall by 0.65 us. The SLO incident's
+//   frozen evidence carries the new downtime and program counts; the
+//   document is 32 bytes shorter.
+// - `host_closed_loop`: drives 0-10 program 5-16 pages fewer each
+//   (drive 9: 148 -> 132). Host reads now find different dies busy:
+//   read stalls move between drives (drive 6 4.15 -> 2.69 ms, drive 5
+//   3.03 -> 4.75 ms), the direct drive-read p99 is 294.9 us (344.1)
+//   and the host read p99 311.3 us (327.7). The takeover is 292.80 us
+//   (195.20), one read service time later, as its map-record reads meet
+//   a different set of busy dies. Every host op count is unchanged; the initiators
+//   split their completions slightly differently (518 / 484 / 498 / 500
+//   -> 511 / 495 / 484 / 510). The document is 6 bytes longer.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -795,7 +818,7 @@ fn export_contract_plain_mix() {
     assert_export_digest(
         "plain_mix",
         &[a.export_observability_json()],
-        &[(108_630, 0xa69d_9790_3149_d487)],
+        &[(108_598, 0x4f8a_aead_4ac8_d341)],
     );
 }
 
@@ -871,7 +894,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(43_303, 0x0f08_d8a3_0aea_578b)],
+        &[(43_309, 0xd342_6331_e36c_b5d5)],
     );
 }
 
