@@ -78,7 +78,9 @@ pub struct Checkpoint {
     pub next_snapshot: u64,
     /// Packed AU ids the allocator may use (frontier ∪ speculative).
     pub frontier: Vec<u64>,
-    /// Full segment table (one row per live segment).
+    /// Full segment table (one row per live segment): its fields, its
+    /// columns padded to the stripe width, then its fills, two values
+    /// each, as many as its last field counts.
     pub segment_rows: Vec<Vec<u64>>,
     /// Full medium table.
     pub medium_rows: Vec<Vec<u64>>,
@@ -122,7 +124,12 @@ impl Checkpoint {
         body.list(&self.frontier, |w, &au| {
             w.uint(au);
         })
-        .list(&self.segment_rows, row(segment_cols))
+        .list(&self.segment_rows, |w, row| {
+            debug_assert_eq!(row.len(), segment_cols + 2 * fills(row) as usize);
+            for &v in row {
+                w.uint(v);
+            }
+        })
         .list(&self.medium_rows, row(MediumFact::COLS))
         .list(&self.volumes, |w, v| {
             w.uint(v.id)
@@ -171,7 +178,12 @@ impl Checkpoint {
             next_volume: r.uint()?,
             next_snapshot: r.uint()?,
             frontier: r.list(1, RecordReader::uint)?,
-            segment_rows: r.list(segment_cols, |r| r.row(segment_cols))?,
+            segment_rows: r.list(segment_cols, |r| {
+                let mut row = r.row(segment_cols)?;
+                let n = usize::try_from(fills(&row)).ok()?.checked_mul(2)?;
+                row.extend(r.row(n)?);
+                Some(row)
+            })?,
             medium_rows: r.list(MediumFact::COLS, |r| r.row(MediumFact::COLS))?,
             volumes: r.list(4, |r| {
                 Some(VolumeMeta {
@@ -200,6 +212,11 @@ impl Checkpoint {
         };
         Some((cp, used))
     }
+}
+
+/// The fill count of a segment row: its last field before the columns.
+fn fills(row: &[u64]) -> u64 {
+    row[SegmentInfo::ROW_FIELDS - 1]
 }
 
 /// Reads/writes checkpoints to the mirrored boot-region slots.
@@ -381,8 +398,10 @@ mod tests {
             next_volume: 2,
             next_snapshot: 3,
             frontier: vec![1, 2, 3, (7 << 32) | 4],
-            segment_rows: vec![vec![0; 16], {
-                let mut r = vec![1; 16];
+            segment_rows: vec![vec![0; 17], {
+                // A fill count of 1: one stripe and its bytes follow the
+                // nine columns.
+                let mut r = vec![1; 19];
                 r[0] = 3;
                 r
             }],

@@ -20,7 +20,7 @@ use crate::frontier::AuAllocator;
 use crate::map_records::MapRecords;
 use crate::medium::MediumTable;
 use crate::records::{encode_meta, map_patch_records, MediumFact, MetaIntent, MetaOp};
-use crate::segment::{SegmentInfo, SegmentWriter, COLD, HOT};
+use crate::segment::{Fill, SegmentInfo, SegmentWriter, COLD, HOT};
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
 use crate::tier::TierState;
@@ -231,6 +231,11 @@ pub struct Controller {
     /// The persisted map records the next checkpoint names: those still
     /// holding some key's newest durable fact, as the map's facts say.
     pub(crate) map_records: MapRecords,
+    /// The fills of the data stripes padded since the last checkpoint,
+    /// which every map record carries: a cold start that loads a record's
+    /// facts learns from it what of the stripes they point into is on
+    /// flash. A checkpoint's segment rows carry every fill before it.
+    pub(crate) unsaved_fills: Vec<Fill>,
     /// Index of the last NVRAM record appended (for trims).
     pub(crate) last_nvram_index: Option<u64>,
     /// The intent sizes of the write in progress, its NVRAM commit
@@ -555,7 +560,8 @@ impl Controller {
         let empty = || PurityError::Internal("map flush of an empty memtable".into());
         let patch = (self.map.flush_tagged(|v| v.record = id)).ok_or_else(empty)?;
         let facts = patch.range_slice(Bound::Unbounded, Bound::Unbounded);
-        let bytes = (map_patch_records(facts, facts.len()).next()).ok_or_else(empty)?;
+        let bytes = (map_patch_records(facts, facts.len(), &self.unsaved_fills).next())
+            .ok_or_else(empty)?;
         let loc = self.append_log_records(shelf, &[bytes], now)?[0];
         // Only now, with the record on flash, may the records it
         // supersedes stop being named.
@@ -564,10 +570,12 @@ impl Controller {
     }
 
     /// Pads both classes' pending data to the drives: the data the
-    /// memtable's facts point at must be durable before they are.
+    /// memtable's facts point at must be durable before they are, and
+    /// the records that hold them carry the padded stripes' fills.
     pub(crate) fn persist_memtable_data(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<()> {
         for class in [HOT, COLD] {
-            self.writers[class].pad_flush_data(shelf, now)?;
+            let fill = self.writers[class].pad_flush_data(shelf, now)?;
+            self.unsaved_fills.extend(fill);
             self.sync_open_segment(class);
         }
         Ok(())
@@ -627,7 +635,10 @@ impl Controller {
     pub(crate) fn persist_frontier(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Nanos> {
         self.checkpoint_version += 1;
         let cp = self.build_checkpoint();
-        self.boot.write(shelf, &cp, now)
+        let done = self.boot.write(shelf, &cp, now)?;
+        // Its segment rows hold every fill so far.
+        self.unsaved_fills.clear();
+        Ok(done)
     }
 
     /// Builds and writes a full checkpoint; trims NVRAM (Figure 4's join

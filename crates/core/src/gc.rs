@@ -233,7 +233,8 @@ impl Controller {
         let facts = whole
             .as_deref()
             .map_or(&[][..], |p| p.range_slice(Unbounded, Unbounded));
-        let records: Vec<Vec<u8>> = map_patch_records(facts, PATCH_CHUNK_FACTS).collect();
+        let records: Vec<Vec<u8>> =
+            map_patch_records(facts, PATCH_CHUNK_FACTS, &self.unsaved_fills).collect();
         let locs = self.append_log_records(shelf, &records, now)?;
         // The compacted records hold each key once: they are named, and
         // every older record is superseded.

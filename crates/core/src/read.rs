@@ -405,10 +405,19 @@ fn stamp_reconstruct(
     tr.stage_note("reconstruct", from, crit.done, note);
 }
 
+/// How many bytes of `ext`'s range column `column` of its stripe holds
+/// on flash, from `ext.within` ([`SegmentInfo::on_flash`]). A padded
+/// stripe's column reads as zeros past them, with no device read.
+fn span_on_flash(info: &SegmentInfo, layout: &SegmentLayout, column: usize, ext: &Extent) -> usize {
+    let unit = info.on_flash(layout, ext.stripe, column);
+    unit.saturating_sub(ext.within).min(ext.len)
+}
+
 /// The other columns of `ext`'s stripe a rebuild could read, soonest
 /// first: `(estimated completion, column)`, from the non-booking
-/// [`Shelf::read_eta`] at `now`. Columns whose drive would refuse the
-/// read are left out.
+/// [`Shelf::read_eta`] at `now`. A column holding none of the range on
+/// flash is zeros, known at `now` whatever its drive's state; columns
+/// whose drive would refuse the read are left out.
 fn rebuild_sources(
     shelf: &Shelf,
     info: &SegmentInfo,
@@ -419,9 +428,13 @@ fn rebuild_sources(
     let mut sources: Vec<(Nanos, usize)> = (0..info.columns.len())
         .filter(|&c| c != ext.column)
         .filter_map(|c| {
+            let span = span_on_flash(info, layout, c, ext);
+            if span == 0 {
+                return Some((now, c));
+            }
             let au = info.columns[c];
             let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
-            Some((shelf.read_eta(au.drive, off, ext.len, now)?.end, c))
+            Some((shelf.read_eta(au.drive, off, span, now)?.end, c))
         })
         .collect();
     sources.sort_unstable();
@@ -587,37 +600,46 @@ pub(crate) fn read_extent(
         }
     };
 
-    // Reconstruct from the k other columns that deliver soonest.
+    // Reconstruct from the k other columns that deliver soonest. A
+    // column's bytes past what it holds on flash are zeros, read from
+    // nowhere; only the device reads count.
     let mut available: Vec<(usize, Vec<u8>)> = Vec::with_capacity(k);
+    let mut reads = 0u64;
     // The source read that arrives last, and its drive.
     let mut crit: Option<(purity_ssd::DeviceRead, DriveId)> = None;
     for (_, c) in sources {
         if available.len() == k {
             break;
         }
-        let cau = info.columns[c];
-        let coff = layout.wu_byte_offset(cau.index, ext.stripe, ext.within);
-        let Ok(mut dr) = shelf.read_drive(cau.drive, coff, ext.len, now) else {
-            continue;
-        };
-        available.push((c, std::mem::take(&mut dr.data)));
-        if crit.as_ref().is_none_or(|(worst, _)| dr.done > worst.done) {
-            crit = Some((dr, cau.drive));
+        let span = span_on_flash(info, layout, c, ext);
+        let mut bytes = Vec::new();
+        if span > 0 {
+            let cau = info.columns[c];
+            let coff = layout.wu_byte_offset(cau.index, ext.stripe, ext.within);
+            let Ok(mut dr) = shelf.read_drive(cau.drive, coff, span, now) else {
+                continue;
+            };
+            reads += 1;
+            bytes = std::mem::take(&mut dr.data);
+            if crit.as_ref().is_none_or(|(worst, _)| dr.done > worst.done) {
+                crit = Some((dr, cau.drive));
+            }
         }
+        bytes.resize(ext.len, 0);
+        available.push((c, bytes));
     }
     if available.len() >= k {
-        let (crit, crit_drive) = crit.expect("k >= 1 source columns were read");
-        let done = crit.done;
+        let done = crit.as_ref().map_or(now, |(dr, _)| dr.done);
         let refs: Vec<(usize, &[u8])> = available.iter().map(|(c, b)| (*c, b.as_slice())).collect();
         let rebuilt = rs
             .reconstruct_one(ext.column, &refs)
             .map_err(|e| PurityError::DataLoss(format!("reconstruction failed: {}", e)))?;
         stats.reconstructed_reads += 1;
-        stats.reconstruction_extra_reads += (k - 1) as u64;
+        stats.reconstruction_extra_reads += reads.saturating_sub(1);
         stats
             .reconstructed_read_latency
             .record(done.saturating_sub(now));
-        if let Some(tr) = trace.as_deref_mut() {
+        if let (Some(tr), Some((crit, crit_drive))) = (trace.as_deref_mut(), &crit) {
             let why = if failed {
                 format!("drive {} failed", au.drive)
             } else if media_error {
@@ -625,8 +647,13 @@ pub(crate) fn read_extent(
             } else {
                 format!("read-around: drive {} busy writing", au.drive)
             };
-            let note = format!("{why}; rebuilt column {} from {k} columns", ext.column);
-            stamp_reconstruct(tr, &crit, crit_drive, now, note);
+            let from = if reads == k as u64 {
+                format!("{k} columns")
+            } else {
+                format!("{reads} columns read and {} padding", k as u64 - reads)
+            };
+            let note = format!("{why}; rebuilt column {} from {from}", ext.column);
+            stamp_reconstruct(tr, crit, *crit_drive, now, note);
         }
         return Ok((rebuilt, done));
     }

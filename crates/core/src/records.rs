@@ -16,6 +16,7 @@
 //! and read by one [`RecordReader`].
 
 use crate::controller::{MapKey, Stored};
+use crate::segment::Fill;
 use crate::types::{BlockLoc, MediumId, Pba, SegmentId};
 use purity_compress::varint;
 use purity_dedup::hash::block_hash;
@@ -316,11 +317,27 @@ impl MediumFact {
 /// the log (segment and medium rows go to the checkpoint).
 const MAP_LOG_TAG: u8 = 1;
 
+/// A map log record: a patch of map facts, and the fills of the data
+/// stripes padded since the last checkpoint. A fact's data is on flash
+/// before the record that holds it, so a stripe a loaded fact points
+/// into and that was padded after the checkpoint has its fill in the
+/// record; one padded before it has its fill in the checkpoint's row.
+#[derive(Debug, Clone)]
+pub struct MapLogRecord {
+    /// The facts, as a page of [`MapFact`] rows.
+    pub page: Page,
+    /// The fills the record carries.
+    pub fills: Vec<Fill>,
+}
+
 /// Serializes a map log record onto `out`: the tag, the page's byte
-/// form, then an 8-byte checksum over both.
-pub fn encode_log_record(page: &Page, out: &mut Vec<u8>) {
+/// form, the fills, then an 8-byte checksum over all of it.
+pub fn encode_log_record(record: &MapLogRecord, out: &mut Vec<u8>) {
     let mut w = RecordWriter::tagged(std::mem::take(out), MAP_LOG_TAG);
-    page.write_to(&mut w.out);
+    record.page.write_to(&mut w.out);
+    w.list(&record.fills, |w, f| {
+        w.uint(f.segment.0).uint(f.stripe).uint(f.bytes);
+    });
     *out = w.finish();
 }
 
@@ -329,13 +346,15 @@ pub fn encode_log_record(page: &Page, out: &mut Vec<u8>) {
 pub(crate) const PATCH_CHUNK_FACTS: usize = 8192;
 
 /// Encodes the map pyramid's `(key, seq, value)` facts as patch log
-/// records of at most `chunk` facts each, in order — the one encoder
-/// behind both the memtable flush (one record) and GC's patch rewrite.
-pub(crate) fn map_patch_records(
-    facts: &[(MapKey, Seq, Stored)],
+/// records of at most `chunk` facts each, in order, each carrying
+/// `fills` — the one encoder behind both the memtable flush (one record)
+/// and GC's patch rewrite.
+pub(crate) fn map_patch_records<'a>(
+    facts: &'a [(MapKey, Seq, Stored)],
     chunk: usize,
-) -> impl Iterator<Item = Vec<u8>> + '_ {
-    facts.chunks(chunk).map(|facts| {
+    fills: &'a [Fill],
+) -> impl Iterator<Item = Vec<u8>> + 'a {
+    facts.chunks(chunk).map(move |facts| {
         let rows: Vec<[u64; MapFact::COLS]> = (facts.iter())
             .map(|&((medium, sector), seq, val)| {
                 MapFact {
@@ -348,21 +367,32 @@ pub(crate) fn map_patch_records(
                 .to_row()
             })
             .collect();
+        let record = MapLogRecord {
+            page: Page::encode(&rows),
+            fills: fills.to_vec(),
+        };
         let mut bytes = Vec::new();
-        encode_log_record(&Page::encode(&rows), &mut bytes);
+        encode_log_record(&record, &mut bytes);
         bytes
     })
 }
 
-/// Decodes one map log record from the front of `input`; returns its
-/// page and the bytes consumed. `None` on truncation, a foreign tag, a
-/// malformed page, or a checksum mismatch — a bit flip anywhere in the
-/// record is detected.
-pub fn decode_log_record(input: &[u8]) -> Option<(Page, usize)> {
+/// Decodes one map log record from the front of `input`; returns it and
+/// the bytes consumed. `None` on truncation, a foreign tag, a malformed
+/// page or fill list, or a checksum mismatch — a bit flip anywhere in
+/// the record is detected.
+pub fn decode_log_record(input: &[u8]) -> Option<(MapLogRecord, usize)> {
     let mut r = RecordReader::tagged(input, MAP_LOG_TAG)?;
     let (page, used) = Page::read_from(&input[r.at..]).ok()?;
     r.at += used;
-    Some((page, r.finish()?))
+    let fills = r.list(3, |r| {
+        Some(Fill {
+            segment: SegmentId(r.uint()?),
+            stripe: r.uint()?,
+            bytes: r.uint()?,
+        })
+    })?;
+    Some((MapLogRecord { page, fills }, r.finish()?))
 }
 
 /// An NVRAM write intent: everything needed to replay an acknowledged
@@ -827,23 +857,42 @@ mod tests {
             })
             .collect();
         let entries: Vec<_> = facts.iter().map(entry).collect();
-        let mut buf = map_patch_records(&entries, entries.len()).next().unwrap();
+        let fills = [
+            Fill {
+                segment: SegmentId(3),
+                stripe: 4,
+                bytes: 70_001,
+            },
+            Fill {
+                segment: SegmentId(9),
+                stripe: 0,
+                bytes: 512,
+            },
+        ];
+        let mut buf = map_patch_records(&entries, entries.len(), &fills)
+            .next()
+            .unwrap();
         let used = buf.len();
         buf.extend_from_slice(&[0xff; 16]);
-        let (page, consumed) = decode_log_record(&buf).unwrap();
+        let (record, consumed) = decode_log_record(&buf).unwrap();
         assert_eq!(consumed, used);
-        let decoded: Vec<_> = (page.rows::<{ MapFact::COLS }>().unwrap())
+        let decoded: Vec<_> = (record.page.rows::<{ MapFact::COLS }>().unwrap())
             .map(|row| MapFact::from_row(&row))
             .collect();
         assert_eq!(decoded, facts);
+        assert_eq!(record.fills, fills);
     }
 
     #[test]
     fn empty_log_record_round_trips() {
         let mut buf = Vec::new();
-        encode_log_record(&Page::encode::<Vec<u64>>(&[]), &mut buf);
-        let (page, used) = decode_log_record(&buf).unwrap();
-        assert_eq!((page.n_rows(), used), (0, buf.len()));
+        let record = MapLogRecord {
+            page: Page::encode::<Vec<u64>>(&[]),
+            fills: Vec::new(),
+        };
+        encode_log_record(&record, &mut buf);
+        let (record, used) = decode_log_record(&buf).unwrap();
+        assert_eq!((record.page.n_rows(), used), (0, buf.len()));
     }
 
     #[test]
@@ -854,12 +903,14 @@ mod tests {
         let entries: Vec<_> = (rows.iter())
             .map(|row| entry(&MapFact::from_row(row)))
             .collect();
-        let records: Vec<Vec<u8>> = map_patch_records(&entries, 8).collect();
+        let records: Vec<Vec<u8>> = map_patch_records(&entries, 8, &[]).collect();
         assert_eq!(records.len(), 3);
         let back: Vec<[u64; MapFact::COLS]> = (records.iter())
             .flat_map(|r| {
-                let (page, _) = decode_log_record(r).unwrap();
-                page.rows::<{ MapFact::COLS }>()
+                let (record, _) = decode_log_record(r).unwrap();
+                record
+                    .page
+                    .rows::<{ MapFact::COLS }>()
                     .unwrap()
                     .collect::<Vec<_>>()
             })
@@ -890,7 +941,9 @@ mod tests {
             })
             .collect();
         let raw = 1000 * MapFact::COLS * 8;
-        let record = map_patch_records(&entries, entries.len()).next().unwrap();
+        let record = map_patch_records(&entries, entries.len(), &[])
+            .next()
+            .unwrap();
         assert!(
             record.len() < raw / 4,
             "page format should compress 4x+: {} vs {}",
@@ -942,11 +995,13 @@ mod tests {
         }
         let facts: Vec<MapFact> = newest.into_values().take(FACTS).collect();
         let entries: Vec<_> = facts.iter().map(entry).collect();
-        let record = map_patch_records(&entries, entries.len()).next().unwrap();
+        let record = map_patch_records(&entries, entries.len(), &[])
+            .next()
+            .unwrap();
         let per_fact = record.len() as f64 / FACTS as f64;
         assert!(per_fact <= 8.0, "{per_fact:.2} B a fact");
-        let (page, _) = decode_log_record(&record).unwrap();
-        let rows = page.rows::<{ MapFact::COLS }>().unwrap();
+        let (record, _) = decode_log_record(&record).unwrap();
+        let rows = record.page.rows::<{ MapFact::COLS }>().unwrap();
         assert!(rows.map(|row| MapFact::from_row(&row)).eq(facts));
     }
 

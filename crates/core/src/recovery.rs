@@ -39,10 +39,12 @@ use crate::frontier::AuAllocator;
 use crate::map_records::MapRecords;
 use crate::medium::MediumTable;
 use crate::read::read_extent;
-use crate::records::{decode_log_record, decode_nvram_entry, MapFact, MediumFact, NvramEntry};
+use crate::records::{
+    decode_log_record, decode_nvram_entry, MapFact, MapLogRecord, MediumFact, NvramEntry,
+};
 use crate::segment::{
-    log_frame_len, AuHeader, Extent, SegmentInfo, SegmentLayout, SegmentState, SegmentWriter, COLD,
-    HOT,
+    log_frame_len, AuHeader, Extent, Fill, SegmentInfo, SegmentLayout, SegmentState, SegmentWriter,
+    COLD, HOT,
 };
 use crate::shelf::Shelf;
 use crate::stats::ArrayStats;
@@ -51,7 +53,6 @@ use crate::types::{AuId, MediumId, SegmentId, SnapshotId, VolumeId};
 use parking_lot::RwLock;
 use purity_dedup::engine::DedupEngine;
 use purity_dedup::index::DedupIndex;
-use purity_format::Page;
 use purity_format::RangeTable;
 use purity_lsm::{Seq, SeqAllocator};
 use purity_obs::Obs;
@@ -241,6 +242,7 @@ impl Controller {
             next_snapshot: cp.next_snapshot,
             checkpoint_version: cp.version,
             map_records: MapRecords::default(),
+            unsaved_fills: Vec::new(),
             last_nvram_index: None,
             intent_sizes: Vec::new(),
             tier: TierState::default(),
@@ -320,9 +322,9 @@ impl Controller {
         let mut fold = Fold::default();
         let mut records_done = now;
         for loc in &cp.map_patches {
-            let (page, t) = ctrl.read_map_record(shelf, loc, now)?;
+            let (record, t) = ctrl.read_map_record(shelf, loc, now)?;
             records_done = records_done.max(t);
-            fold.load(page, *loc, &mut report)?;
+            fold.load(record, *loc, &mut report)?;
         }
         // A write no newer than the newest fact these records hold has
         // its fact, or a newer one of its key, in them. Records flushed
@@ -341,7 +343,24 @@ impl Controller {
         // The controller is fresh, so the records' ids are their places in
         // reading order, which the facts carry. Named from here on: each
         // record some key's newest fact came from.
-        let Fold { facts, records } = fold;
+        let Fold {
+            facts,
+            records,
+            fills,
+        } = fold;
+        // The fills the records carry that the checkpoint's rows lack:
+        // stripes padded after it, which the facts may point into. The
+        // records this controller writes carry them on until its next
+        // checkpoint, as the records it loaded them from did.
+        for fill in fills {
+            let Some(info) = ctrl.segments.get_mut(&fill.segment.0) else {
+                continue;
+            };
+            if info.fill(fill.stripe as usize).is_none() {
+                info.set_fill(fill.stripe as usize, fill.bytes as usize);
+                ctrl.unsaved_fills.push(fill);
+            }
+        }
         ctrl.map_records.reserve(records.len());
         ctrl.map.load(
             facts
@@ -433,18 +452,18 @@ impl Controller {
         Ok((ctrl, report))
     }
 
-    /// Reads the map log record at `loc`; returns its page and when the
-    /// read completed. A record that does not decode is data loss.
+    /// Reads the map log record at `loc`; returns it and when the read
+    /// completed. A record that does not decode is data loss.
     pub fn read_map_record(
         &mut self,
         shelf: &mut Shelf,
         loc: &PatchLoc,
         now: Nanos,
-    ) -> Result<(Page, Nanos)> {
+    ) -> Result<(MapLogRecord, Nanos)> {
         let (bytes, t) =
             self.read_log(shelf, loc.segment, loc.log_offset, loc.len as usize, now)?;
-        let page = decode_log_record(&bytes).ok_or_else(|| undecodable(loc.segment))?;
-        Ok((page.0, t))
+        let record = decode_log_record(&bytes).ok_or_else(|| undecodable(loc.segment))?;
+        Ok((record.0, t))
     }
 
     /// Reads extent `ext` of a hot segment (log space, for recovery).
@@ -519,6 +538,9 @@ impl Controller {
         // Undrained log payload, and its offset in the log space.
         let (mut buffer, mut at) = (Vec::new(), 0);
         let mut log_stripes = 0u64;
+        // The short stripes' fills, set with the log's length at the end:
+        // until then the descriptor counts no log stripe.
+        let mut fills = Vec::new();
         for log_idx in 0..layout.n_stripes {
             let Ok((frame, t)) = self.log_frame(shelf, segment.0, log_idx, now) else {
                 break;
@@ -547,6 +569,9 @@ impl Controller {
             };
             log_stripes += 1;
             done = done.max(t);
+            if layout.log_unit(payload_len) < layout.wu {
+                fills.push((layout.n_stripes - 1 - log_idx, payload_len));
+            }
             if buffer.is_empty() {
                 at = offset;
             }
@@ -562,6 +587,9 @@ impl Controller {
         }
         if let Some(s) = self.segments.get_mut(&segment.0) {
             s.log_stripes = log_stripes;
+            for (stripe, payload) in fills {
+                s.set_fill(stripe, payload);
+            }
         }
         Ok(done)
     }
@@ -670,13 +698,13 @@ fn drain_log_records(
     report: &mut RecoveryReport,
 ) -> Result<()> {
     let mut pos = 0;
-    while let Some((page, used)) = decode_log_record(&buffer[pos..]) {
+    while let Some((record, used)) = decode_log_record(&buffer[pos..]) {
         let loc = PatchLoc {
             segment,
             log_offset: at + pos as u64,
             len: used as u64,
         };
-        fold.load(page, loc, report)?;
+        fold.load(record, loc, report)?;
         pos += used;
     }
     Ok(())
@@ -684,18 +712,27 @@ fn drain_log_records(
 
 /// The map records a recovery read, in reading order, and the newest
 /// fact of each key among them, tagged with its record's place in that
-/// order — older versions can never win a read, so they are not held.
+/// order — older versions can never win a read, so they are not held —
+/// and the fills the records carry.
 #[derive(Default)]
 struct Fold {
     facts: BTreeMap<MapKey, (Seq, Stored)>,
     records: Vec<PatchLoc>,
+    fills: Vec<Fill>,
 }
 
 impl Fold {
     /// Folds the facts of the record at `loc` in. A fact replaces its
     /// key's only when its seq is higher, so on a tie the record read
     /// first keeps the key, and the map loads that copy.
-    fn load(&mut self, page: Page, loc: PatchLoc, report: &mut RecoveryReport) -> Result<()> {
+    fn load(
+        &mut self,
+        log_record: MapLogRecord,
+        loc: PatchLoc,
+        report: &mut RecoveryReport,
+    ) -> Result<()> {
+        let MapLogRecord { page, fills } = log_record;
+        self.fills.extend(fills);
         let record = self.records.len() as RecordId;
         let rows = page.rows::<{ MapFact::COLS }>();
         for f in (rows.map_err(|_| undecodable(loc.segment))?).map(|row| MapFact::from_row(&row)) {

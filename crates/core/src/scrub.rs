@@ -11,11 +11,8 @@
 
 use crate::controller::Controller;
 use crate::error::{PurityError, Result};
-use crate::read::read_extent;
-use crate::segment::{log_frame_len, Extent, SegmentInfo, SegmentLayout, SegmentState};
+use crate::segment::{SegmentInfo, SegmentLayout, SegmentState};
 use crate::shelf::{Cause, ColumnWrite, Shelf};
-use crate::stats::ArrayStats;
-use purity_ecc::ReedSolomon;
 use purity_sim::Nanos;
 
 /// Results of one scrub pass.
@@ -37,11 +34,13 @@ pub struct ScrubReport {
 }
 
 impl Controller {
-    /// Scrubs every sealed segment: read, verify, repair, rewrite.
+    /// Scrubs every sealed segment: read, verify, repair, rewrite. Each
+    /// column is read, verified and rewritten for the bytes it holds on
+    /// flash ([`SegmentInfo::on_flash`]): a padded stripe's pages that
+    /// were never programmed are zeros, read from nowhere, never counted
+    /// as erasures and never rewritten.
     pub fn scrub(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<ScrubReport> {
         let mut report = ScrubReport::default();
-        // Frame reads are scrub's own, not host reads.
-        let mut frame_stats = ArrayStats::default();
         // Scrub sealed segments fully, and the open segments' already-
         // flushed stripes (their pending tails live in DRAM).
         let segments: Vec<_> = self
@@ -56,82 +55,82 @@ impl Controller {
             let (layout, rs) = (*writer.layout(), writer.rs());
             let width = layout.k + layout.m;
             for stripe in written_stripes(&info, &layout) {
-                let unit = stripe_unit(shelf, &info, &layout, rs, stripe, &mut frame_stats, now);
-                let mut units: Vec<Option<Vec<u8>>> = Vec::with_capacity(width);
+                let units: Vec<usize> = (0..width)
+                    .map(|c| info.on_flash(&layout, stripe, c))
+                    .collect();
+                // Every column's share, zeros past its bytes on flash, as
+                // long as the longest.
+                let rows = units.iter().copied().max().unwrap_or(0);
+                let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(width);
                 let mut failed_cols: Vec<usize> = Vec::new();
                 let mut unmapped = 0;
                 for (c, au) in info.columns.iter().enumerate() {
                     let off = layout.wu_byte_offset(au.index, stripe, 0);
-                    if shelf.drive(au.drive).is_failed() {
-                        units.push(None);
-                        failed_cols.push(c);
-                        continue;
-                    }
-                    match shelf.read_drive(au.drive, off, unit, now) {
-                        Ok(read) => units.push(Some(read.data)),
-                        Err(PurityError::Device(msg)) if msg.contains("unmapped") => {
+                    let read = match units[c] {
+                        0 => Ok(Vec::new()),
+                        _ if shelf.drive(au.drive).is_failed() => Err(false),
+                        unit => match shelf.read_drive(au.drive, off, unit, now) {
+                            Ok(read) => Ok(read.data),
                             // Either a never-written stripe (recovery can
                             // over-approximate stripe counts) or a column
                             // skipped by a degraded write.
-                            units.push(None);
-                            failed_cols.push(c);
-                            unmapped += 1;
+                            Err(PurityError::Device(msg)) => Err(msg.contains("unmapped")),
+                            Err(_) => Err(false),
+                        },
+                    };
+                    match read {
+                        Ok(mut bytes) => {
+                            bytes.resize(rows, 0);
+                            shards.push(Some(bytes));
                         }
-                        Err(_) => {
-                            units.push(None);
+                        Err(never_written) => {
+                            shards.push(None);
                             failed_cols.push(c);
+                            unmapped += usize::from(never_written);
                         }
                     }
                 }
-                if unmapped == width {
-                    continue; // never-written stripe
+                // Every column that reads as never programmed, more than
+                // parity covers: a stripe never written whole (torn, or
+                // padded with its fill in no loaded record), which no
+                // loaded fact reads, or one never written at all.
+                if unmapped == failed_cols.len() && unmapped > layout.m {
+                    continue;
                 }
                 report.stripes_verified += 1;
                 if failed_cols.is_empty() {
                     // All readable: verify parity consistency, then
                     // rewrite in place to refresh retention.
-                    let all: Vec<&[u8]> = units.iter().flatten().map(Vec::as_slice).collect();
+                    let all: Vec<&[u8]> = shards.iter().flatten().map(Vec::as_slice).collect();
                     let ok = (rs.verify(&all)).map_err(|e| PurityError::Internal(e.to_string()))?;
                     if !ok {
                         report.unrecoverable += 1;
                         continue;
                     }
-                    let batch: Vec<ColumnWrite<'_>> = (info.columns.iter().zip(all))
-                        .map(|(au, unit)| {
-                            (au.drive, layout.wu_byte_offset(au.index, stripe, 0), unit)
-                        })
-                        .collect();
-                    shelf
-                        .write_paced(Cause::Rewrite, &batch, now)
-                        .all_landed()?;
-                    report.units_refreshed += width as u64;
-                    continue;
                 }
                 // Repair: need at least k readable columns.
-                let mut shards = units;
-                match rs.reconstruct(&mut shards) {
-                    Ok(()) => {
-                        // Can't rewrite a pulled drive.
-                        let live: Vec<usize> = (0..width)
-                            .filter(|&c| !shelf.drive(info.columns[c].drive).is_failed())
-                            .collect();
-                        let batch: Vec<ColumnWrite<'_>> = live
-                            .iter()
-                            .filter_map(|&c| {
-                                let au = info.columns[c];
-                                let off = layout.wu_byte_offset(au.index, stripe, 0);
-                                Some((au.drive, off, shards[c].as_deref()?))
-                            })
-                            .collect();
-                        shelf
-                            .write_paced(Cause::Rewrite, &batch, now)
-                            .all_landed()?;
-                        let repaired = live.iter().filter(|c| failed_cols.contains(c)).count();
-                        report.units_repaired += repaired as u64;
-                        report.units_refreshed += (live.len() - repaired) as u64;
-                    }
-                    Err(_) => report.unrecoverable += 1,
+                if rs.reconstruct(&mut shards).is_err() {
+                    report.unrecoverable += 1;
+                    continue;
                 }
+                // Can't rewrite a pulled drive, nor what was never
+                // programmed.
+                let live: Vec<usize> = (0..width)
+                    .filter(|&c| units[c] > 0 && !shelf.drive(info.columns[c].drive).is_failed())
+                    .collect();
+                let batch: Vec<ColumnWrite<'_>> = (live.iter())
+                    .filter_map(|&c| {
+                        let au = info.columns[c];
+                        let off = layout.wu_byte_offset(au.index, stripe, 0);
+                        Some((au.drive, off, shards[c].as_ref()?.get(..units[c])?))
+                    })
+                    .collect();
+                shelf
+                    .write_paced(Cause::Rewrite, &batch, now)
+                    .all_landed()?;
+                let repaired = live.iter().filter(|c| failed_cols.contains(c)).count();
+                report.units_repaired += repaired as u64;
+                report.units_refreshed += (live.len() - repaired) as u64;
             }
         }
         self.stats.scrub_passes += 1;
@@ -144,36 +143,6 @@ impl Controller {
 fn written_stripes(info: &SegmentInfo, layout: &SegmentLayout) -> Vec<usize> {
     let log = (0..info.log_stripes as usize).map(|l| layout.n_stripes - 1 - l);
     (0..info.data_stripes as usize).chain(log).collect()
-}
-
-/// The bytes of each column that written stripe `stripe` of `info` holds
-/// from its unit's start: the whole unit for a data stripe; for a log
-/// stripe, the page rows its frame counts ([`SegmentLayout::log_unit`]).
-/// The frame is read as recovery reads it, rebuilt from parity where
-/// column 0 is out; a log stripe whose frame reads from nowhere is
-/// checked by its first row. `stats` takes the frame read's counters.
-fn stripe_unit(
-    shelf: &mut Shelf,
-    info: &SegmentInfo,
-    layout: &SegmentLayout,
-    rs: &ReedSolomon,
-    stripe: usize,
-    stats: &mut ArrayStats,
-    now: Nanos,
-) -> usize {
-    if stripe < info.data_stripes as usize {
-        return layout.wu;
-    }
-    let frame = Extent {
-        column: 0,
-        stripe,
-        within: 0,
-        len: 16,
-    };
-    read_extent(shelf, info, layout, rs, false, stats, &frame, now, None)
-        .ok()
-        .and_then(|(f, _)| log_frame_len(&f))
-        .map_or(layout.page, |n| layout.log_unit(n))
 }
 
 /// Results of rebuilding one drive after reinsertion/replacement.
@@ -193,6 +162,14 @@ impl Controller {
     /// reinsertion so stripes degrade by at most the concurrent failure
     /// count, never by history. A boot mirror first gets the current
     /// checkpoint back; if that write fails, nothing is rebuilt.
+    ///
+    /// A unit the drive can read is not taken as intact: the bytes there
+    /// may be an earlier use's of the AU, left when the drive was out for
+    /// the trim that freed it. Each unit is rebuilt from `k` other
+    /// columns and rewritten unless the drive already holds exactly that.
+    /// Only the bytes the unit holds on flash are read, compared and
+    /// written ([`SegmentInfo::on_flash`]); a padded stripe's other
+    /// columns are zeros past theirs, read from nowhere.
     pub fn rebuild_drive(
         &mut self,
         shelf: &mut Shelf,
@@ -201,7 +178,6 @@ impl Controller {
     ) -> Result<RebuildReport> {
         self.boot.resilver(shelf, drive, now)?;
         let mut report = RebuildReport::default();
-        let mut frame_stats = ArrayStats::default();
         let segments: Vec<_> = self.segments.values().cloned().collect();
         for info in segments {
             let Some(target_col) = info.columns.iter().position(|au| au.drive == drive) else {
@@ -224,45 +200,62 @@ impl Controller {
             let _ = shelf.write_paced(Cause::Rewrite, &[(drive, hdr_off, &header)], now);
 
             for stripe in written_stripes(&info, &layout) {
-                let unit = stripe_unit(shelf, &info, &layout, rs, stripe, &mut frame_stats, now);
-                let off = layout.wu_byte_offset(target_au.index, stripe, 0);
-                if shelf.read_drive(drive, off, unit, now).is_ok() {
-                    continue; // already intact
+                let unit = info.on_flash(&layout, stripe, target_col);
+                if unit == 0 {
+                    continue; // padding: nothing of this stripe is here
                 }
-                // Gather k other columns.
-                let mut available: Vec<(usize, Vec<u8>)> = Vec::new();
+                // Gather k other columns' bytes of the unit's rows.
+                let (mut available, mut read, mut lost) = (Vec::new(), 0, 0);
                 for (c, au) in info.columns.iter().enumerate() {
-                    if c == target_col || shelf.drive(au.drive).is_failed() {
-                        continue;
-                    }
                     if available.len() == layout.k {
                         break;
                     }
-                    let o = layout.wu_byte_offset(au.index, stripe, 0);
-                    if let Ok(read) = shelf.read_drive(au.drive, o, unit, now) {
-                        available.push((c, read.data));
+                    if c == target_col {
+                        continue;
                     }
+                    let span = info.on_flash(&layout, stripe, c).min(unit);
+                    let mut bytes = Vec::new();
+                    if span > 0 {
+                        let o = layout.wu_byte_offset(au.index, stripe, 0);
+                        match shelf.read_drive(au.drive, o, span, now) {
+                            Ok(r) => bytes = r.data,
+                            Err(PurityError::Device(msg)) if msg.contains("unmapped") => continue,
+                            Err(_) => {
+                                lost += 1;
+                                continue;
+                            }
+                        }
+                        read += 1;
+                    }
+                    bytes.resize(unit, 0);
+                    available.push((c, bytes));
                 }
                 if available.len() < layout.k {
-                    // Either a never-written stripe (all unmapped) or too
-                    // many concurrent failures.
-                    let any_written = !available.is_empty();
-                    if any_written {
+                    // A stripe never written whole (its missing columns
+                    // never programmed) holds nothing to rebuild; one
+                    // written whole with too many columns failed is lost.
+                    if read > 0 && lost > 0 {
                         report.unrecoverable += 1;
                     }
                     continue;
                 }
                 let refs: Vec<(usize, &[u8])> =
                     available.iter().map(|(c, b)| (*c, b.as_slice())).collect();
-                match rs.reconstruct_one(target_col, &refs) {
-                    Ok(data) => {
-                        shelf
-                            .write_paced(Cause::Rewrite, &[(drive, off, &data)], now)
-                            .all_landed()?;
-                        report.units_rebuilt += 1;
-                    }
-                    Err(_) => report.unrecoverable += 1,
+                let Ok(data) = rs.reconstruct_one(target_col, &refs) else {
+                    report.unrecoverable += 1;
+                    continue;
+                };
+                let off = layout.wu_byte_offset(target_au.index, stripe, 0);
+                if shelf
+                    .read_drive(drive, off, unit, now)
+                    .is_ok_and(|r| r.data == data)
+                {
+                    continue; // already intact
                 }
+                shelf
+                    .write_paced(Cause::Rewrite, &[(drive, off, &data)], now)
+                    .all_landed()?;
+                report.units_rebuilt += 1;
             }
         }
         Ok(report)
@@ -271,6 +264,7 @@ impl Controller {
 
 #[cfg(test)]
 mod tests {
+    use super::written_stripes;
     use crate::array::{FlashArray, PowerLossSpec};
     use crate::config::ArrayConfig;
     use crate::segment::{SegmentInfo, SegmentState, HOT};
@@ -344,5 +338,142 @@ mod tests {
         let recovery = a.power_loss(PowerLossSpec::default()).unwrap().recovery;
         assert_eq!(recovery.patches_loaded, named.len());
         assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
+    }
+
+    /// A drive pulled while the open segment wrote five stripes, whose AU
+    /// held other bytes where column 3's next stripe goes — what an AU's
+    /// earlier use leaves when GC's trim skips a pulled drive. The rebuild
+    /// checks each readable unit against the other columns: it rewrote
+    /// four of the five units and kept the stale one, so scrub found that
+    /// stripe inconsistent and the read of it failed to decode.
+    #[test]
+    fn a_rebuild_replaces_stale_bytes_a_revived_drive_reads() {
+        let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+        let vol = a.create_volume("v", 4 << 20).unwrap();
+        let layout = *a.controller().writers[HOT].layout();
+        let mut data = vec![0u8; 64 << 10];
+        StdRng::seed_from_u64(46).fill(&mut data[..]);
+        a.write(vol, 0, &data).unwrap();
+        let seg = open_segment(&a);
+        let au = seg.columns[3];
+        let next = seg.data_stripes as usize + 1;
+        let stale = vec![0xA5; layout.wu];
+        let now = a.now();
+        let (_, shelf) = a.controller_and_shelf();
+        let at = layout.wu_byte_offset(au.index, next, 0);
+        shelf.write_drive(au.drive, at, &stale, now).unwrap();
+
+        a.fail_drive(au.drive);
+        let mut more = vec![0u8; 5 * layout.stripe_data_bytes()];
+        StdRng::seed_from_u64(47).fill(&mut more[..]);
+        a.write(vol, data.len() as u64, &more).unwrap();
+        let written = open_segment(&a).data_stripes - seg.data_stripes;
+        assert!(written >= 5, "{written} stripes");
+        let rebuilt = a.revive_drive(au.drive);
+        assert_eq!((rebuilt.units_rebuilt, rebuilt.unrecoverable), (written, 0));
+        let scrubbed = a.scrub().unwrap();
+        assert_eq!((scrubbed.unrecoverable, scrubbed.units_repaired), (0, 0));
+        data.extend_from_slice(&more);
+        assert_eq!(a.read(vol, 0, data.len()).unwrap().0, data);
+    }
+
+    /// Padded data stripes after a cold start and after a failover: the
+    /// checkpoint's rows bring their fills back, scrub verifies every
+    /// written stripe with nothing repaired or unrecoverable and rewrites
+    /// only the pages they hold, and a drive pulled across padded writes
+    /// gets back only its units' programmed pages.
+    #[test]
+    fn scrub_and_rebuild_keep_to_the_programmed_pages_after_a_restart() {
+        use crate::shelf::Cause;
+        let rewritten = |a: &mut FlashArray| {
+            let (_, shelf) = a.controller_and_shelf();
+            let ledger = shelf.program_ledger();
+            ledger.bytes(Cause::Rewrite, false)
+        };
+        for failover in [false, true] {
+            let mut a = FlashArray::new(ArrayConfig::test_small()).unwrap();
+            let layout = *a.controller().writers[HOT].layout();
+            let vol = a.create_volume("v", 4 << 20).unwrap();
+            let mut data = vec![0u8; 1 << 20];
+            StdRng::seed_from_u64(48).fill(&mut data[..]);
+            // 96 KiB a write, a checkpoint after each: each pads a stripe.
+            let write = |a: &mut FlashArray, i: usize| {
+                let at = i * (96 << 10);
+                a.write(vol, at as u64, &data[at..at + (96 << 10)]).unwrap();
+                a.checkpoint().unwrap();
+            };
+            for i in 0..4 {
+                write(&mut a, i);
+            }
+            let fills = |a: &FlashArray| -> Vec<(u64, Vec<(u64, u64)>)> {
+                (a.controller().segments.values())
+                    .map(|s| (s.id.0, s.fills.clone()))
+                    .collect()
+            };
+            let before = fills(&a);
+            let padded = (a.controller().segments.values())
+                .flat_map(|s| (0..s.data_stripes as usize).filter(|&d| s.fill(d).is_some()))
+                .count();
+            assert!(padded >= 4, "{before:?}");
+            if failover {
+                a.fail_primary().unwrap();
+            } else {
+                a.power_loss(PowerLossSpec::default()).unwrap();
+            }
+            assert_eq!(fills(&a), before);
+
+            // Scrub rewrites every column's bytes on flash, and no more.
+            let (mut stripes, mut on_flash) = (0, 0);
+            for info in a.controller().segments.values() {
+                for stripe in written_stripes(info, &layout) {
+                    stripes += 1;
+                    on_flash += (0..layout.k + layout.m)
+                        .map(|c| info.on_flash(&layout, stripe, c) as u64)
+                        .sum::<u64>();
+                }
+            }
+            let was = rewritten(&mut a);
+            let scrubbed = a.scrub().unwrap();
+            assert_eq!(scrubbed.stripes_verified, stripes);
+            assert_eq!((scrubbed.unrecoverable, scrubbed.units_repaired), (0, 0));
+            assert_eq!(rewritten(&mut a) - was, on_flash);
+
+            // A drive out across two padded writes gets back the pages
+            // its units hold of what it missed, and each visited
+            // segment's header.
+            write(&mut a, 4);
+            let drive = open_segment(&a).columns[1].drive;
+            let old: Vec<(u64, u64, u64)> = (a.controller().segments.values())
+                .map(|s| (s.id.0, s.data_stripes, s.log_stripes))
+                .collect();
+            a.fail_drive(drive);
+            write(&mut a, 5);
+            write(&mut a, 6);
+            let (mut missed, mut bytes, mut visited) = (0, 0, 0);
+            for info in a.controller().segments.values() {
+                let Some(c) = info.columns.iter().position(|au| au.drive == drive) else {
+                    continue;
+                };
+                visited += 1;
+                let (d0, l0) = (old.iter())
+                    .find(|o| o.0 == info.id.0)
+                    .map_or((0, 0), |o| (o.1 as usize, o.2 as usize));
+                let new_data = d0..info.data_stripes as usize;
+                let new_log = (l0..info.log_stripes as usize).map(|l| layout.n_stripes - 1 - l);
+                for stripe in new_data.chain(new_log) {
+                    let unit = info.on_flash(&layout, stripe, c) as u64;
+                    missed += u64::from(unit > 0);
+                    bytes += unit;
+                }
+            }
+            let was = rewritten(&mut a);
+            let rebuilt = a.revive_drive(drive);
+            assert_eq!((rebuilt.units_rebuilt, rebuilt.unrecoverable), (missed, 0));
+            let headers = visited * layout.au_header as u64;
+            assert_eq!(rewritten(&mut a) - was, bytes + headers);
+            assert_eq!(a.scrub().unwrap().unrecoverable, 0);
+            let len = 7 * (96 << 10);
+            assert_eq!(a.read(vol, 0, len).unwrap().0, data[..len]);
+        }
     }
 }

@@ -187,6 +187,15 @@ impl SegmentLayout {
         ((16 + payload).div_ceil(self.k * self.page) * self.page).min(self.wu)
     }
 
+    /// The bytes of column `column`'s unit a data stripe programs when a
+    /// pad completed it with `filled` bytes of data: on a data column the
+    /// pages of its share of `[0, filled)`, on a parity column the page
+    /// rows some data column fills (column 0's, the most).
+    pub fn data_unit(&self, filled: usize, column: usize) -> usize {
+        let first = if column < self.k { column * self.wu } else { 0 };
+        (filled.saturating_sub(first).min(self.wu)).next_multiple_of(self.page)
+    }
+
     /// Where byte `b` of a log stripe (its frame included) lives: flash
     /// pages are dealt round-robin over the data columns, so a record of
     /// `p` pages reads from `min(p, k)` drives at once. The frame stays
@@ -281,6 +290,19 @@ impl SegmentState {
 /// segment has one column per cold drive, fewer than a hot stripe.
 const NO_COLUMN: u64 = u64::MAX;
 
+/// A data stripe a pad completed, as a map record carries it: stripe
+/// `stripe` of `segment` holds `bytes` bytes of data from its start, and
+/// only their pages and parity rows are on flash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fill {
+    /// The padded stripe's segment.
+    pub segment: SegmentId,
+    /// The stripe's physical index.
+    pub stripe: u64,
+    /// Data bytes from the stripe's start.
+    pub bytes: u64,
+}
+
 /// In-memory descriptor of a segment (the segment table's value type).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentInfo {
@@ -300,11 +322,17 @@ pub struct SegmentInfo {
     pub log_bytes: u64,
     /// Sequence number of the latest fact about this segment.
     pub seq: Seq,
+    /// The stripes written short, by ascending stripe: `(stripe, bytes)`.
+    /// A data stripe a pad completed holds `bytes` bytes of data; a log
+    /// stripe's frame counts `bytes` payload bytes. A stripe not listed
+    /// is whole. See [`SegmentInfo::on_flash`].
+    pub fills: Vec<(u64, u64)>,
 }
 
 impl SegmentInfo {
-    /// Fields of a checkpoint row ahead of its column AUs.
-    pub(crate) const ROW_FIELDS: usize = 7;
+    /// Fields of a checkpoint row ahead of its column AUs; the last
+    /// counts the fills that follow them.
+    pub(crate) const ROW_FIELDS: usize = 8;
 
     /// A segment opened on `columns`, holding nothing yet.
     pub fn open(id: SegmentId, columns: Vec<AuId>, seq_lo: Seq) -> Self {
@@ -317,6 +345,41 @@ impl SegmentInfo {
             log_stripes: 0,
             log_bytes: 0,
             seq: seq_lo,
+            fills: Vec::new(),
+        }
+    }
+
+    /// The recorded fill of stripe `stripe`, if it was written short.
+    pub fn fill(&self, stripe: usize) -> Option<usize> {
+        let i = self.fills.binary_search_by_key(&(stripe as u64), |f| f.0);
+        i.ok().map(|i| self.fills[i].1 as usize)
+    }
+
+    /// Records that stripe `stripe` was written short (see
+    /// [`SegmentInfo::fills`]).
+    pub fn set_fill(&mut self, stripe: usize, bytes: usize) {
+        let fill = (stripe as u64, bytes as u64);
+        match self.fills.binary_search_by_key(&fill.0, |f| f.0) {
+            Ok(i) => self.fills[i] = fill,
+            Err(i) => self.fills.insert(i, fill),
+        }
+    }
+
+    /// How many bytes of column `column`'s unit of physical stripe
+    /// `stripe` are on flash, from the unit's start: the one answer the
+    /// writer, the read path, scrub and rebuild share. A stripe with no
+    /// recorded fill is whole. A padded data stripe is what
+    /// [`SegmentLayout::data_unit`] programs, a short log stripe the rows
+    /// of [`SegmentLayout::log_unit`] on every column. The rest of the
+    /// unit was never programmed and reads as zeros.
+    pub fn on_flash(&self, layout: &SegmentLayout, stripe: usize, column: usize) -> usize {
+        let Some(filled) = self.fill(stripe) else {
+            return layout.wu;
+        };
+        if stripe + self.log_stripes as usize >= layout.n_stripes {
+            layout.log_unit(filled)
+        } else {
+            layout.data_unit(filled, column)
         }
     }
 
@@ -327,7 +390,8 @@ impl SegmentInfo {
     }
 
     /// The segment's checkpoint row: [`Self::ROW_FIELDS`] fields, then
-    /// one packed AU per column, padded to `stripe_width` columns.
+    /// one packed AU per column, padded to `stripe_width` columns, then
+    /// each fill's stripe and bytes.
     pub(crate) fn to_row(&self, stripe_width: usize) -> Vec<u64> {
         let mut row = vec![
             self.id.0,
@@ -337,14 +401,21 @@ impl SegmentInfo {
             self.data_stripes,
             self.log_stripes,
             self.log_bytes,
+            self.fills.len() as u64,
         ];
         row.extend(self.columns.iter().map(AuId::pack));
         row.resize(Self::ROW_FIELDS + stripe_width, NO_COLUMN);
+        row.extend(
+            self.fills
+                .iter()
+                .flat_map(|&(stripe, bytes)| [stripe, bytes]),
+        );
         row
     }
 
     /// Reads a checkpoint row [`Self::to_row`] wrote.
     pub(crate) fn from_row(r: &[u64]) -> Self {
+        let (head, fills) = r.split_at(r.len().saturating_sub((r[7] as usize).saturating_mul(2)));
         Self {
             id: SegmentId(r[0]),
             state: SegmentState::from_u64(r[1]),
@@ -353,10 +424,11 @@ impl SegmentInfo {
             data_stripes: r[4],
             log_stripes: r[5],
             log_bytes: r[6],
-            columns: (r[Self::ROW_FIELDS..].iter())
+            columns: (head[Self::ROW_FIELDS..].iter())
                 .filter(|&&c| c != NO_COLUMN)
                 .map(|&c| AuId::unpack(c))
                 .collect(),
+            fills: fills.chunks_exact(2).map(|f| (f[0], f[1])).collect(),
         }
     }
 }
@@ -583,7 +655,9 @@ impl SegmentWriter {
         Ok((Some((offset, open.info.id)), false))
     }
 
-    /// Flushes any complete data stripes from the pending buffer.
+    /// Flushes any complete data stripes from the pending buffer. A
+    /// stripe a pad completed programs only what its fill puts on flash
+    /// ([`SegmentWriter::write_stripe`]).
     fn flush_full_data_stripes(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Nanos> {
         let sd = self.layout.stripe_data_bytes();
         let mut done = now;
@@ -598,18 +672,19 @@ impl SegmentWriter {
             let stripe_bytes: Vec<u8> = open.data_pending.drain(..sd).collect();
             let stripe_idx = open.info.data_stripes as usize;
             open.info.data_stripes += 1;
-            let wu = self.layout.wu;
-            let t =
-                self.write_stripe(shelf, Cause::DataStripe, stripe_idx, &stripe_bytes, wu, now)?;
+            let t = self.write_stripe(shelf, Cause::DataStripe, stripe_idx, &stripe_bytes, now)?;
             done = done.max(t);
         }
         Ok(done)
     }
 
-    /// RS-encodes and writes the first `unit` bytes of every column of
-    /// one physical stripe: `bytes` holds the `k` data columns' shares
-    /// back to back. A data stripe passes whole write units, a log
-    /// stripe the page rows it fills; parity is bytewise, so each row's
+    /// RS-encodes and writes one physical stripe of the open segment:
+    /// `bytes` holds the `k` data columns' shares back to back, at least
+    /// as long as the parity columns' share. Each column programs the
+    /// bytes [`SegmentInfo::on_flash`] gives it — whole units for a whole
+    /// stripe; for a padded data stripe the pages holding data and their
+    /// parity rows; for a log stripe the page rows it fills — and a column
+    /// given none programs nothing. Parity is bytewise, so each row's
     /// parity depends only on that row.
     fn write_stripe(
         &mut self,
@@ -617,32 +692,32 @@ impl SegmentWriter {
         cause: Cause,
         stripe: usize,
         bytes: &[u8],
-        unit: usize,
         now: Nanos,
     ) -> Result<Nanos> {
         let open = (self.open.as_ref())
             .ok_or_else(|| PurityError::Internal("stripe flush with no open segment".into()))?;
-        debug_assert_eq!(bytes.len(), self.layout.k * unit);
-        let shards: Vec<&[u8]> = bytes.chunks(unit).collect();
+        let (layout, info) = (&self.layout, &open.info);
+        let unit = info.on_flash(layout, stripe, layout.k);
+        let shards: Vec<&[u8]> = (bytes.chunks(bytes.len() / layout.k))
+            .map(|share| &share[..unit])
+            .collect();
         let parity = self
             .rs
             .encode(&shards)
             .map_err(|e| PurityError::Internal(format!("rs encode: {}", e)))?;
         // Degraded write: the shelf skips failed drives; parity columns
-        // on surviving drives keep the stripe recoverable.
-        let batch: Vec<ColumnWrite<'_>> = open
-            .info
-            .columns
-            .iter()
-            .enumerate()
+        // on surviving drives keep the stripe recoverable. A column with
+        // nothing on flash keeps its place in the pacer's slots.
+        let batch: Vec<ColumnWrite<'_>> = (info.columns.iter().enumerate())
             .map(|(c, au)| {
-                let payload: &[u8] = if c < self.layout.k {
+                let payload: &[u8] = if c < layout.k {
                     shards[c]
                 } else {
-                    &parity[c - self.layout.k]
+                    &parity[c - layout.k]
                 };
-                let off = self.layout.wu_byte_offset(au.index, stripe, 0);
-                (au.drive, off, payload)
+                let len = info.on_flash(layout, stripe, c);
+                let off = layout.wu_byte_offset(au.index, stripe, 0);
+                (au.drive, off, &payload[..len])
             })
             .collect();
         let done = shelf.write_paced(cause, &batch, now).done;
@@ -652,9 +727,10 @@ impl SegmentWriter {
 
     /// Flushes pending log bytes as one or more log stripes. Each
     /// programs only the page rows its frame and payload fill, on every
-    /// data and parity column; the rest of the stripe is never
-    /// programmed. A short final stripe still consumes a full stripe of
-    /// payload space, keeping payload offsets linear.
+    /// data and parity column, and a short one records its fill; the rest
+    /// of the stripe is never programmed. A short final stripe still
+    /// consumes a full stripe of payload space, keeping payload offsets
+    /// linear.
     pub fn flush_log(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Nanos> {
         let (sp, page) = (self.layout.log_stripe_payload(), self.layout.page);
         let mut done = now;
@@ -684,64 +760,71 @@ impl SegmentWriter {
             open.info.log_stripes += 1;
             open.info.log_bytes += sp as u64;
             let stripe = self.layout.n_stripes - 1 - log_idx;
-            let t = self.write_stripe(shelf, Cause::LogStripe, stripe, &stripe_bytes, unit, now)?;
+            if unit < self.layout.wu {
+                open.info.set_fill(stripe, take);
+            }
+            let t = self.write_stripe(shelf, Cause::LogStripe, stripe, &stripe_bytes, now)?;
             done = done.max(t);
         }
         Ok(done)
     }
 
+    /// Pads the open segment's partial data tail with zeros to the end
+    /// of its stripe and records the stripe's fill. Returns the fill and
+    /// the pad's length; `None` if the tail is empty or ends a stripe.
+    fn pad_tail(&mut self) -> Option<(Fill, usize)> {
+        let sd = self.layout.stripe_data_bytes();
+        let open = self.open.as_mut()?;
+        let (pending, stripes) = (open.data_pending.len(), open.info.data_stripes as usize);
+        let rem = pending % sd;
+        if rem == 0 {
+            return None;
+        }
+        let stripe = stripes + pending / sd;
+        open.data_pending.resize(pending + sd - rem, 0);
+        open.info.set_fill(stripe, rem);
+        let fill = Fill {
+            segment: open.info.id,
+            stripe: stripe as u64,
+            bytes: rem as u64,
+        };
+        Some((fill, sd - rem))
+    }
+
     /// Forces all pending data onto flash by padding the partial tail
     /// stripe with zeros. The padded bytes consume data space (offsets
-    /// stay linear); called before persisting a map patch so no durable
-    /// fact ever references DRAM-only data.
-    pub fn pad_flush_data(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Nanos> {
-        let sd = self.layout.stripe_data_bytes();
-        {
-            let Some(open) = self.open.as_mut() else {
-                return Ok(now);
-            };
-            if open.data_pending.is_empty() {
-                return Ok(now);
-            }
-            let rem = open.data_pending.len() % sd;
-            if rem != 0 {
-                let pad = sd - rem;
-                open.data_pending.resize(open.data_pending.len() + pad, 0);
-                open.info.data_bytes += pad as u64;
-            }
+    /// stay linear) but are never programmed: the stripe programs only
+    /// the pages its data fills and their parity rows. Called before
+    /// persisting a map patch so no durable fact ever references
+    /// DRAM-only data. Returns the padded stripe's fill, which the
+    /// records written until the next checkpoint carry.
+    pub fn pad_flush_data(&mut self, shelf: &mut Shelf, now: Nanos) -> Result<Option<Fill>> {
+        let padded = self.pad_tail();
+        if let (Some((_, pad)), Some(open)) = (padded, self.open.as_mut()) {
+            open.info.data_bytes += pad as u64;
         }
-        self.flush_full_data_stripes(shelf, now)
+        self.flush_full_data_stripes(shelf, now)?;
+        Ok(padded.map(|(fill, _)| fill))
     }
 
     /// Seals the segment: pads and flushes the data tail and log, and
-    /// returns the final descriptor (state = Sealed).
+    /// returns the final descriptor (state = Sealed) with the padded
+    /// stripe's fill, if the tail was padded.
     pub fn seal(
         &mut self,
         shelf: &mut Shelf,
         seq: Seq,
         now: Nanos,
-    ) -> Result<Option<(SegmentInfo, Nanos)>> {
-        let sd = self.layout.stripe_data_bytes();
-        let mut done = now;
-        {
-            let Some(open) = self.open.as_mut() else {
-                return Ok(None);
-            };
-            if !open.data_pending.is_empty() {
-                let pad = sd - open.data_pending.len() % sd;
-                if pad != sd {
-                    open.data_pending.resize(open.data_pending.len() + pad, 0);
-                }
-            }
-        }
-        done = done.max(self.flush_full_data_stripes(shelf, now)?);
-        done = done.max(self.flush_log(shelf, now)?);
+    ) -> Result<Option<(SegmentInfo, Option<Fill>)>> {
+        let fill = self.pad_tail().map(|(fill, _)| fill);
+        self.flush_full_data_stripes(shelf, now)?;
+        self.flush_log(shelf, now)?;
         let Some(mut open) = self.open.take() else {
             return Ok(None);
         };
         open.info.state = SegmentState::Sealed;
         open.info.seq = seq;
-        Ok(Some((open.info, done)))
+        Ok(Some((open.info, fill)))
     }
 
     /// The open segment's flushed-data boundary: data-space offsets below
@@ -884,13 +967,22 @@ mod tests {
         let row = info.to_row(9);
         assert_eq!(row.len(), SegmentInfo::ROW_FIELDS + 9);
         assert_eq!(SegmentInfo::from_row(&row), info);
-        // A narrower (cold) segment pads to the checkpoint's arity.
+        // Fills follow the columns, a stripe and its bytes each.
+        let mut info = info;
+        info.set_fill(6, 4096);
+        info.set_fill(2, 70_001);
+        assert_eq!(info.fills, [(2, 70_001), (6, 4096)]);
+        let row = info.to_row(9);
+        assert_eq!(row.len(), SegmentInfo::ROW_FIELDS + 9 + 4);
+        assert_eq!(SegmentInfo::from_row(&row), info);
+        // A narrower (cold) segment pads to the checkpoint's arity; its
+        // fills follow the padding.
         let cold = SegmentInfo {
             columns: vec![AuId::unpack(11 << 32), AuId::unpack(12 << 32)],
             ..info
         };
         let row = cold.to_row(9);
-        assert_eq!(row.len(), SegmentInfo::ROW_FIELDS + 9);
+        assert_eq!(row.len(), SegmentInfo::ROW_FIELDS + 9 + 4);
         assert_eq!(SegmentInfo::from_row(&row), cold);
     }
 
@@ -1136,6 +1228,100 @@ mod tests {
                         l.deal_log_run(&run, &got, &mut back);
                     }
                     prop_assert!(&back == bytes, "record at {} with {:?} out", at, out);
+                }
+                for &c in &out {
+                    shelf.drive_mut(info.columns[c].drive).revive();
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// A pad that completes a data stripe holding `n` bytes, in either
+        /// class, programs on data column `c` the pages of its share of
+        /// `[0, n)` and on each parity column the page rows column 0
+        /// fills, and nothing else. The tail reads back byte for byte
+        /// directly, and rebuilt with one column out and (hot, `m = 2`)
+        /// with two; a rebuild reads no padding, and counts as extra only
+        /// the device reads it made.
+        #[test]
+        fn a_data_pad_programs_only_the_pages_it_fills(
+            n in 1usize..1 << 30,
+            cold in proptest::prelude::any::<bool>(),
+            whole in proptest::prelude::any::<bool>(),
+            seal in proptest::prelude::any::<bool>(),
+            one in 0usize..9,
+            apart in 1usize..9,
+        ) {
+            use proptest::prelude::*;
+            use crate::read::read_extent;
+            let cfg = ArrayConfig::tiered();
+            let mut shelf = Shelf::new(&cfg, Clock::new());
+            let (l, page, drives) = if cold {
+                let drives: Vec<DriveId> = (cfg.n_drives..cfg.n_drives + 2).collect();
+                (SegmentLayout::cold(&cfg), cfg.cold_geometry.page_size, drives)
+            } else {
+                let drives = (0..cfg.stripe_width()).collect();
+                (SegmentLayout::from_config(&cfg), cfg.ssd_geometry.page_size, drives)
+            };
+            let (k, width, sd) = (l.k, l.k + l.m, l.stripe_data_bytes());
+            let n = 1 + n % (sd - 1);
+            let mut w = SegmentWriter::new(l, page);
+            let columns = drives.iter().map(|&drive| AuId { drive, index: 0 }).collect();
+            w.open_segment_on(&mut shelf, SegmentInfo::open(SegmentId(1), columns, 1), 0).unwrap();
+            let programs = |shelf: &Shelf| -> u64 {
+                drives.iter().map(|&d| shelf.drive(d).flash_counters().programs).sum()
+            };
+            let pages = |bytes: usize| bytes.div_ceil(page) as u64;
+            // A whole stripe first, maybe: the pad's stripe is then 1.
+            let start = if whole { sd } else { 0 };
+            let blob: Vec<u8> = (0..start + n).map(|i| (i * 7 % 251) as u8 | 1).collect();
+            w.append_data(&mut shelf, &blob, 0).unwrap();
+            let before = programs(&shelf);
+            let (fill, info) = if seal {
+                let (info, fill) = w.seal(&mut shelf, 9, 0).unwrap().unwrap();
+                (fill, info)
+            } else {
+                let fill = w.pad_flush_data(&mut shelf, 0).unwrap();
+                (fill, w.open_segment().unwrap().clone())
+            };
+            let stripe = usize::from(whole);
+            prop_assert_eq!(fill, Some(Fill { segment: SegmentId(1), stripe: stripe as u64, bytes: n as u64 }));
+            let data_pages: u64 = (0..k).map(|c| pages(n.saturating_sub(c * l.wu).min(l.wu))).sum();
+            let parity_pages = l.m as u64 * pages(n.min(l.wu));
+            prop_assert_eq!(programs(&shelf) - before, data_pages + parity_pages);
+            for c in 0..width {
+                let share = if c < k { n.saturating_sub(c * l.wu).min(l.wu) } else { n.min(l.wu) };
+                prop_assert_eq!(info.on_flash(&l, stripe, c) as u64, pages(share) * page as u64);
+            }
+
+            let rs = ReedSolomon::new(k, l.m);
+            let two = (one % width, (one + apart) % width);
+            let outs = if l.m == 2 { vec![vec![], vec![two.0], vec![two.0, two.1]] } else { vec![vec![], vec![two.0]] };
+            for out in outs {
+                for &c in &out {
+                    shelf.drive_mut(info.columns[c].drive).fail();
+                }
+                for ext in l.data_extents(start as u64, n) {
+                    let mut stats = crate::stats::ArrayStats::default();
+                    let (got, _) = read_extent(
+                        &mut shelf, &info, &l, &rs, false, &mut stats, &ext, 0, None,
+                    )
+                    .unwrap();
+                    let at = start + ext.column * l.wu + ext.within;
+                    prop_assert!(got == blob[at..at + ext.len], "{:?} with {:?} out", ext, out);
+                    if out.contains(&ext.column) {
+                        // The columns past the data hold none of the range:
+                        // the rebuild takes them as zeros, soonest.
+                        let on_flash = |c: usize| pages(n.saturating_sub(c * l.wu).min(l.wu)) as usize * page;
+                        let padding = (0..k)
+                            .filter(|&c| c != ext.column && on_flash(c) <= ext.within)
+                            .count() as u64;
+                        prop_assert_eq!(stats.reconstructed_reads, 1);
+                        prop_assert_eq!(stats.reconstruction_extra_reads, k as u64 - padding - 1);
+                    }
                 }
                 for &c in &out {
                     shelf.drive_mut(info.columns[c].drive).revive();

@@ -390,8 +390,10 @@ impl Shelf {
     /// finds at least `k` columns outside a window. The hot drives and
     /// the cold pool are separate groups: neither waits for the other. A
     /// column its drive refuses (pulled drive, power lost) is skipped and
-    /// the rest still go out: parity covers a degraded write. What the
-    /// batch programs is charged to `cause` in the ledger.
+    /// the rest still go out: parity covers a degraded write. A column of
+    /// no bytes (a padded stripe's column past its data) keeps its place
+    /// in its slot and programs nothing. What the batch programs is
+    /// charged to `cause` in the ledger.
     pub fn write_paced(&mut self, cause: Cause, columns: &[ColumnWrite<'_>], now: Nanos) -> Paced {
         let mut out = Paced {
             done: now,
@@ -405,6 +407,9 @@ impl Shelf {
             let start = self.pacers[group].1.max(now);
             let mut slot_end = start;
             for &(d, offset, data) in slot {
+                if data.is_empty() {
+                    continue;
+                }
                 match self.program(Some(cause), d, offset, data, start) {
                     Ok(t) => slot_end = slot_end.max(t),
                     Err(e) => {
@@ -907,6 +912,38 @@ mod tests {
                 a.run_gc().unwrap();
             }
         }
+        // A padded stripe: a 40 KiB write between two checkpoints programs
+        // the pages its data fills and their parity rows, not whole units.
+        a.checkpoint().unwrap();
+        let ledger_and_open = |a: &mut FlashArray| {
+            let (ctrl, shelf) = a.controller_and_shelf();
+            let open = ctrl.writers[crate::segment::HOT].open_segment().cloned();
+            (
+                shelf.program_ledger().bytes(Cause::DataStripe, false),
+                open.unwrap(),
+            )
+        };
+        let (before, open) = ledger_and_open(&mut a);
+        let small: Vec<u8> = (0..40u32 << 10)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        a.write(vol, 0, &small).unwrap();
+        a.checkpoint().unwrap();
+        let (after, padded) = ledger_and_open(&mut a);
+        let layout = *a.controller().writers[crate::segment::HOT].layout();
+        let stripe = open.data_stripes as usize;
+        assert_eq!(
+            (padded.id, padded.data_stripes),
+            (open.id, open.data_stripes + 1)
+        );
+        assert!(padded
+            .fill(stripe)
+            .is_some_and(|n| n < layout.stripe_data_bytes()));
+        let on_flash: usize = (0..layout.k + layout.m)
+            .map(|c| padded.on_flash(&layout, stripe, c))
+            .sum();
+        assert_eq!(after - before, on_flash as u64);
+        assert!(on_flash < (layout.k + layout.m) * layout.wu);
         a.fail_drive(1);
         for i in 0..20 {
             write(&mut a, i).unwrap();

@@ -241,6 +241,7 @@ impl Controller {
         entry.data_stripes = open.data_stripes;
         entry.log_stripes = open.log_stripes;
         entry.log_bytes = open.log_bytes;
+        entry.fills.clone_from(&open.fills);
     }
 
     pub(crate) fn seal_open_segment(
@@ -250,7 +251,8 @@ impl Controller {
         now: Nanos,
     ) -> Result<()> {
         let seq = self.seq.next();
-        if let Some((info, _t)) = self.writers[class].seal(shelf, seq, now)? {
+        if let Some((info, fill)) = self.writers[class].seal(shelf, seq, now)? {
+            self.unsaved_fills.extend(fill);
             self.segments.insert(info.id.0, info);
         }
         Ok(())

@@ -16,10 +16,11 @@ use purity_core::bootregion::{Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use purity_core::records::{
     decode_cluster_config, decode_log_record, decode_nvram_entry, decode_repl_cursor,
     encode_cluster_config, encode_intent, encode_log_record, encode_meta, encode_repl_cursor,
-    ClusterConfigRecord, ClusterMember, MapFact, MemberStatus, MetaIntent, MetaOp, NvramEntry,
-    ReplCursor, WriteIntent,
+    ClusterConfigRecord, ClusterMember, MapFact, MapLogRecord, MemberStatus, MetaIntent, MetaOp,
+    NvramEntry, ReplCursor, WriteIntent,
 };
-use purity_core::segment::{AuHeader, AU_HEADER_MAGIC};
+use purity_core::segment::{AuHeader, Fill, AU_HEADER_MAGIC};
+use purity_core::types::SegmentId;
 use purity_core::MediumId;
 use purity_dedup::hash::block_hash;
 use purity_format::Page;
@@ -149,16 +150,26 @@ fn map_patch_corpus(rng: &mut StdRng) -> Vec<(Vec<u8>, Vec<[u64; MapFact::COLS]>
                     ]
                 })
                 .collect();
+            // Each record carries a fill, so damage to the fill list is
+            // exercised too.
+            let record = MapLogRecord {
+                page: Page::encode(&rows),
+                fills: vec![Fill {
+                    segment: SegmentId(7 + i),
+                    stripe: i,
+                    bytes: i * 4096 + 1,
+                }],
+            };
             let mut buf = Vec::new();
-            encode_log_record(&Page::encode(&rows), &mut buf);
+            encode_log_record(&record, &mut buf);
             (buf, rows)
         })
         .collect()
 }
 
 fn decoded_rows(bytes: &[u8]) -> Option<Vec<[u64; MapFact::COLS]>> {
-    let (page, _) = decode_log_record(bytes)?;
-    Some(page.rows::<{ MapFact::COLS }>().ok()?.collect())
+    let (record, _) = decode_log_record(bytes)?;
+    Some(record.page.rows::<{ MapFact::COLS }>().ok()?.collect())
 }
 
 #[test]
@@ -278,8 +289,13 @@ fn every_byte_flip_and_truncation_of_a_cluster_record_is_rejected() {
 /// A checkpoint with every list non-empty, one segment row padded for
 /// a cold segment.
 fn sample_checkpoint() -> Checkpoint {
-    let mut cold_row = vec![12, 0, 65_536, 90, 1, 0, 0, 11 << 32, 12 << 32];
-    cold_row.resize(16, u64::MAX);
+    // A hot row with one fill (its count is the eighth field; the stripe
+    // and bytes follow the columns) and a cold row with none.
+    let mut hot_row: Vec<u64> = (0..17).map(|c| 1 + c * 1000).collect();
+    hot_row[7] = 1;
+    hot_row.extend([5, 70_001]);
+    let mut cold_row = vec![12, 0, 65_536, 90, 1, 0, 0, 0, 11 << 32, 12 << 32];
+    cold_row.resize(17, u64::MAX);
     Checkpoint {
         version: 9,
         watermark: 4_000,
@@ -289,7 +305,7 @@ fn sample_checkpoint() -> Checkpoint {
         next_volume: 3,
         next_snapshot: 2,
         frontier: vec![1, (3 << 32) | 40, (8 << 32) | 300],
-        segment_rows: vec![(0..16).map(|c| 1 + c * 1000).collect(), cold_row],
+        segment_rows: vec![hot_row, cold_row],
         medium_rows: vec![vec![2, 0, 2048, 0, 0, 0, 1, 5]],
         volumes: vec![VolumeMeta {
             id: 1,
@@ -344,21 +360,28 @@ fn random_bytes_never_panic_the_decoders() {
             let body = bytes.len();
             let at = rng.gen_range(0..=body);
             bytes.truncate(at);
+            // A short fill list after where the page may end.
+            let fills = rng.gen_range(0..3);
+            bytes.push(fills);
+            bytes.extend((0..3 * fills).map(|_| rng.gen_range(0..0x80u8)));
             let h = block_hash(&bytes);
             bytes.extend_from_slice(&h.to_le_bytes());
         }
-        if let Some((page, used)) = decode_log_record(&bytes) {
+        if let Some((record, used)) = decode_log_record(&bytes) {
             assert!(used <= bytes.len());
             logs += 1;
-            if let Ok(rows) = page.rows::<{ MapFact::COLS }>() {
+            if let Ok(rows) = record.page.rows::<{ MapFact::COLS }>() {
                 for row in rows.take(1000) {
                     std::hint::black_box(MapFact::from_row(&row));
                 }
             }
         }
 
-        // Small counts most of the time, so lists get decoded.
-        for b in bytes.iter_mut().filter(|_| rng.gen_range(0..4) == 0) {
+        // Small counts most of the time, so lists get decoded; in one
+        // round of four every byte is small, so whole bodies do (a
+        // segment row's fill count sizes the rest of its row).
+        let share = if round % 4 == 1 { 1 } else { 4 };
+        for b in bytes.iter_mut().filter(|_| rng.gen_range(0..share) == 0) {
             *b &= 0x07;
         }
         let mut frame = boot_magic.clone();

@@ -70,8 +70,8 @@ fn write(a: &mut FlashArray, vol: VolumeId, image: &mut [u8], start: u64, len: u
 /// The facts of the record at `loc`.
 fn facts(a: &mut FlashArray, loc: &PatchLoc) -> Vec<MapFact> {
     let (ctrl, shelf) = a.controller_and_shelf();
-    let (page, _) = ctrl.read_map_record(shelf, loc, 0).unwrap();
-    let rows = page.rows::<{ MapFact::COLS }>().unwrap();
+    let (record, _) = ctrl.read_map_record(shelf, loc, 0).unwrap();
+    let rows = record.page.rows::<{ MapFact::COLS }>().unwrap();
     rows.map(|row| MapFact::from_row(&row)).collect()
 }
 

@@ -33,7 +33,9 @@ fn sample_checkpoint(version: u64) -> Checkpoint {
         next_volume: 2,
         next_snapshot: 3,
         frontier: vec![1, 2, 3, (7 << 32) | 4],
-        segment_rows: vec![vec![version; 16]],
+        // Eight fields, nine columns, and as many fills as the eighth
+        // field counts: `version`.
+        segment_rows: vec![vec![version; 17 + 2 * version as usize]],
         medium_rows: vec![vec![2; MediumFact::COLS]],
         volumes: vec![VolumeMeta {
             id: 1,
@@ -258,7 +260,7 @@ fn a_checkpoint_claiming_a_u64_max_stripe_width_decodes_to_none() {
 #[test]
 fn a_checkpoint_claiming_a_2_pow_40_stripe_width_decodes_to_none() {
     let cp = Checkpoint {
-        segment_rows: vec![vec![0; 16]],
+        segment_rows: vec![vec![0; 17]],
         ..Checkpoint::default()
     };
     let orig = cp.encode(9);

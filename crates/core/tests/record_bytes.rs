@@ -10,14 +10,21 @@
 //! The map log record is pinned as hex, and rebuilt by decoding that
 //! hex: the test names no log-record type, so it holds for every shape
 //! `decode_log_record` has returned.
+//!
+//! Re-pinned once, on purpose, when padded data stripes stopped
+//! programming their padding: a checkpoint's segment row gained a count
+//! of its stripes written short, and those stripes' fills after its
+//! columns, and a map log record gained the list of fills it carries
+//! after its page. Every other kind's bytes stayed as they were.
 
 use purity_core::bootregion::{Checkpoint, PatchLoc, SnapMeta, VolumeMeta};
 use purity_core::records::{
     decode_log_record, encode_cluster_config, encode_intent, encode_intent_parts,
     encode_log_record, encode_meta, encode_recovery_seal, encode_repl_cursor, ClusterConfigRecord,
-    ClusterMember, MapFact, MediumFact, MemberStatus, MetaIntent, MetaOp, ReplCursor, WriteIntent,
+    ClusterMember, MapFact, MapLogRecord, MediumFact, MemberStatus, MetaIntent, MetaOp, ReplCursor,
+    WriteIntent,
 };
-use purity_core::segment::AuHeader;
+use purity_core::segment::{AuHeader, Fill};
 use purity_core::types::{AuId, SegmentId};
 use purity_core::MediumId;
 use purity_dedup::hash::block_hash;
@@ -35,13 +42,20 @@ const PINNED: &[(&str, usize, u64)] = &[
     ("repl cursor, base Some(6)", 18, 0xfd0da8eb1a0771e6),
     ("repl cursor, base None", 18, 0x5d89dbf698044817),
     ("cluster config", 26, 0xd1ef6cc446478d0e),
-    ("checkpoint", 248, 0xb149907ea8c5b565),
+    ("checkpoint", 254, 0x3fa92391a7ec8858),
     ("au header", 4096, 0x5f04c66ad49ce3ac),
 ];
 
-/// The map log record: table tag 1, a three-row page, the checksum.
-const LOG_RECORD_HEX: &str =
-    "0103080001010201080001a4b902000103000180200001bc05020100010100a068808cc2f4937fe090";
+/// The map log record: table tag 1, a three-row page, one fill, the
+/// checksum.
+const LOG_RECORD_HEX: &str = concat!(
+    "0103080001010201080001a4b902000103000180200001bc05020100010100a068",
+    "010305f1a204c8bc48902c777a6a",
+);
+
+/// The pinned record's fill list: one fill, of segment 3's stripe 5,
+/// holding 70 001 bytes, as varints.
+const FILL_BYTES: [u8; 6] = [1, 3, 5, 0xf1, 0xa2, 0x04];
 
 fn meta_ops() -> Vec<MetaOp> {
     vec![
@@ -87,12 +101,14 @@ fn columns() -> Vec<AuId> {
 
 fn checkpoint() -> Checkpoint {
     let packed: Vec<u64> = columns().iter().map(AuId::pack).collect();
-    // A hot segment row (seven fields, nine columns) and a cold one whose
-    // two columns are padded to the hot width with `u64::MAX`.
-    let mut hot = vec![3, 1, 1 << 20, 88, 6, 1, 4096];
+    // A hot segment row (eight fields, nine columns, then its one fill:
+    // stripe 5 padded after 70 001 bytes) and a cold one whose two
+    // columns are padded to the hot width with `u64::MAX`.
+    let mut hot = vec![3, 1, 1 << 20, 88, 6, 1, 4096, 1];
     hot.extend_from_slice(&packed);
-    let mut cold = vec![12, 0, 65_536, 90, 1, 0, 0, 11 << 32, (12 << 32) | 5];
-    cold.resize(16, u64::MAX);
+    hot.extend_from_slice(&[5, 70_001]);
+    let mut cold = vec![12, 0, 65_536, 90, 1, 0, 0, 0, 11 << 32, (12 << 32) | 5];
+    cold.resize(17, u64::MAX);
     let medium = |medium, target: Option<u64>, seq| {
         MediumFact {
             medium: MediumId(medium),
@@ -226,11 +242,25 @@ fn every_record_kind_encodes_to_its_pinned_bytes() {
 
 #[test]
 fn a_map_log_record_encodes_to_its_pinned_bytes() {
-    let pinned = from_hex(LOG_RECORD_HEX);
     let mut page = Vec::new();
     Page::encode(&map_rows()).write_to(&mut page);
+    let record = MapLogRecord {
+        page: Page::encode(&map_rows()),
+        fills: vec![Fill {
+            segment: SegmentId(3),
+            stripe: 5,
+            bytes: 70_001,
+        }],
+    };
+    let mut now = Vec::new();
+    encode_log_record(&record, &mut now);
+    let hex: String = now.iter().map(|b| format!("{b:02x}")).collect();
+    let pinned = from_hex(LOG_RECORD_HEX);
+    assert_eq!(pinned, now, "the record now: {hex}");
     assert_eq!(pinned[0], 1, "the map table's tag");
-    assert_eq!(pinned[1..pinned.len() - 8], page[..], "the fixed page");
+    let fills = 1 + page.len();
+    assert_eq!(pinned[1..fills], page[..], "the fixed page");
+    assert_eq!(pinned[fills..pinned.len() - 8], FILL_BYTES, "the fill list");
     let (record, used) = decode_log_record(&pinned).expect("the pinned record decodes");
     assert_eq!(used, pinned.len());
     let mut again = Vec::new();

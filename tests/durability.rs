@@ -502,6 +502,80 @@ fn power_lost_mid_gc_compaction_keeps_every_acked_write() {
     assert!(torn > 0, "no segment write in the pass");
 }
 
+/// A GC pass's relocation segment ends in a stripe its seal padded,
+/// which programs only the pages the relocated data fills and their
+/// parity rows. Every boot-region write of the pass is torn in turn, each
+/// on a fresh array, and then each drive is pulled in turn, with a cold
+/// start, so the read cache is empty: every read of the relocated data
+/// succeeds. When power dies at the pass's checkpoint, after its records
+/// are appended, the cold start loads the compacted records from
+/// segments it discovers, and their facts point into the padded stripe:
+/// the previous checkpoint knows nothing of it, so only the fill the
+/// records carry tells a rebuild that the columns past the data are
+/// zeros rather than unreadable.
+#[test]
+fn power_lost_before_a_gc_checkpoint_keeps_padded_stripes_readable() {
+    let cfg = ArrayConfig::test_small();
+    let layout = purity_core::segment::SegmentLayout::from_config(&cfg);
+    let mut live = vec![0u8; 96 << 10];
+    StdRng::seed_from_u64(45).fill(&mut live[..]);
+    let mut record_carried = 0;
+    for after in 0.. {
+        let mut a = FlashArray::new(cfg.clone()).unwrap();
+        // The live data sits between two runs of a volume destroyed
+        // before the pass, in a segment the second run seals: the pass
+        // relocates it alone into a segment of its own.
+        let kill = a.create_volume("kill", 4 << 20).unwrap();
+        let vol = a.create_volume("v", 1 << 20).unwrap();
+        a.write(kill, 0, &sectors(7, (1 << 20) / SECTOR)).unwrap();
+        a.write(vol, 0, &live).unwrap();
+        a.write(kill, 1 << 20, &sectors(8, (2 << 20) / SECTOR))
+            .unwrap();
+        a.checkpoint().unwrap();
+        let before: Vec<u64> = (a.controller().map_live().iter())
+            .map(|(_, v, _)| v.loc.pba.segment.0)
+            .collect();
+        a.destroy_volume(kill).unwrap();
+
+        a.arm_power_loss(CrashTarget::BootWrite, after, 100);
+        let gc = a.run_gc();
+        if a.powered() {
+            assert!(gc.unwrap().bytes_relocated > 0);
+            break; // the sweep is past the pass's last boot write
+        }
+        let note = a.torn_note().unwrap().to_owned();
+        for d in 0..cfg.n_drives {
+            a.fail_drive(d);
+            let recovery = a.power_loss(PowerLossSpec::default()).unwrap().recovery;
+            if d == 0 {
+                // The moved facts, loaded from records in segments the
+                // scan discovered, point into a stripe whose data ends
+                // more than `m` columns short of its end.
+                let moved = a.controller().map_live().iter().all(|(_, v, _)| {
+                    let pba = v.loc.pba;
+                    let end = (pba.offset + u64::from(pba.stored_len)) as usize;
+                    !before.contains(&pba.segment.0)
+                        && recovery.discovered.contains(&pba.segment)
+                        && end % layout.stripe_data_bytes() < (layout.k - layout.m) * layout.wu
+                });
+                record_carried += usize::from(moved);
+            }
+            let read = a.read(vol, 0, live.len());
+            assert!(
+                read.as_ref().is_ok_and(|(got, _)| *got == live),
+                "after {after} ({note}), drive {d} out: {:?}",
+                read.map(|_| ())
+            );
+            a.revive_drive(d);
+        }
+        assert!(a.verify_integrity().is_empty(), "after {after} ({note})");
+    }
+    assert!(
+        record_carried > 0,
+        "no tear left the moved facts in records only"
+    );
+}
+
 /// A seq tie between two map records. A record flushed after the last
 /// checkpoint, into a segment the cold start's frontier scan discovers,
 /// holds the same (key, seq) facts NVRAM replays; the replayed copies

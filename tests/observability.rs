@@ -737,6 +737,30 @@ fn tier_stages_are_emitted_and_registered() {
 //   a different set of busy dies. Every host op count is unchanged; the initiators
 //   split their completions slightly differently (518 / 484 / 498 / 500
 //   -> 511 / 495 / 484 / 510). The document is 6 bytes longer.
+//
+// Re-pinned when a padded data stripe began programming only the pages
+// its data fills and their parity rows. The cluster documents are
+// byte-identical; no document changed length but `tiered_cycle`, 1 byte
+// shorter.
+// - `plain_mix`: drives 4-7 program 7-8 pages fewer each
+//   (`flash_programs` and `ssd_host_programs` 50 -> 43 / 42 / 42 / 42),
+//   all in interval 44, the GC pass's seal pads (deltas 9 -> 2 / 1).
+//   The SLO incident's frozen die evidence ends those drives' programs
+//   2.6-13.1 ms sooner. No read, latency or blame series moved.
+// - `host_closed_loop`: drives 2-9 program 5-24 pages fewer each
+//   (drive 5: 132 -> 108). With fewer programs in their way, one read
+//   that was rebuilt around a busy drive reads direct (`array_reads`
+//   direct 543 -> 544, reconstructed 7 -> 6; extra reads 42 -> 36, six
+//   a rebuild as before). The `reconstruct` blame rises
+//   0.71 -> 0.89 ms and read stalls move between drives (drive 2 2.86
+//   -> 3.14 ms, drive 4 5.30 -> 5.05 ms); the host read p99 is 294.9 us
+//   (278.5) and the initiators split their completions 511 / 495 / 484
+//   / 510 -> 503 / 488 / 486 / 523. Every host op count is unchanged.
+// - `tiered_cycle`: the demotions' cold stripes pad with fewer pages, so
+//   the two slow demotions finish sooner (274.2 -> 260.1 ms, 288.2 ->
+//   267.2 ms) and `tier_cold` blame falls 565.7 -> 530.7 ms. The cold
+//   read at 1.25 s now meets a later program on its die: it takes
+//   2.79 ms (2.64), which moves the direct drive-read histogram's tail.
 
 /// FNV-1a 64 over the deterministic part of an export.
 fn export_digest(doc: &str) -> (usize, u64) {
@@ -818,7 +842,7 @@ fn export_contract_plain_mix() {
     assert_export_digest(
         "plain_mix",
         &[a.export_observability_json()],
-        &[(108_598, 0x4f8a_aead_4ac8_d341)],
+        &[(108_598, 0x9e16_7ab6_f506_c911)],
     );
 }
 
@@ -855,7 +879,7 @@ fn export_contract_tiered_cycle() {
     assert_export_digest(
         "tiered_cycle",
         &[a.export_observability_json()],
-        &[(79_202, 0xa430_519d_d98b_220b)],
+        &[(79_201, 0xa38e_106d_2709_7399)],
     );
 }
 
@@ -894,7 +918,7 @@ fn export_contract_host_closed_loop() {
     assert_export_digest(
         "host_closed_loop",
         &[a.export_observability_json()],
-        &[(43_309, 0xd342_6331_e36c_b5d5)],
+        &[(43_309, 0x97c8_0ac5_f075_2225)],
     );
 }
 
