@@ -13,7 +13,7 @@ use purity_dedup::engine::{BlockFetcher, DedupEngine};
 use purity_ecc::ReedSolomon;
 use purity_obs::OpTrace;
 use purity_sim::units::format_nanos;
-use purity_sim::Nanos;
+use purity_sim::{Nanos, Reservation};
 use purity_tier::RamCache;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -454,13 +454,22 @@ pub(crate) enum ReadPlan {
 /// The §4.4 scheduling decision for one extent, taken from the schedule
 /// the array itself made and booking nothing.
 ///
-/// A failed drive's data is always rebuilt. With read-around enabled, so
-/// is the data of a drive the array writes to at any point of the span
-/// the direct read would occupy it — but only when the `k` soonest
-/// other columns would all have delivered before the drive so much as
-/// starts on the direct read. A rebuild that merely shaves part of one
-/// page read off the wait costs `k` page reads to do it: it moves the
-/// wait onto whoever reads those dies next.
+/// A failed drive's data is always rebuilt. With read-around enabled, a
+/// live drive's data is rebuilt only when the `k` soonest other columns
+/// would all have delivered before the drive so much as starts on the
+/// direct read. A rebuild that merely shaves part of one page read off
+/// the wait costs `k` page reads to do it: it moves the wait onto whoever
+/// reads those dies next. Past that, what the wait must buy depends on
+/// what the drive is waiting for:
+///
+/// - A drive the array writes to at any point of the span the direct
+///   read would occupy it is treated as failed: nothing more is asked.
+/// - A drive queued behind reads alone is read around only when the wait
+///   saved covers the die time the rebuild adds. A rebuild books `k`
+///   reads where the direct read books one, each about the direct read's
+///   own service time `svc`, so it must arrive `(k-1)·svc` before the
+///   direct read ends: `sources[k-1] + (k-1)·svc <= direct.end`. The
+///   price comes from the stripe's geometry and the latency model alone.
 ///
 /// A mirror (`k == 1`) has nothing to rebuild: the RS generator row is
 /// `[1]`, so its other column is a byte-identical copy. With read-around
@@ -483,38 +492,72 @@ pub(crate) fn plan_rebuild(
     if !read_around {
         return own;
     }
-    let eta = |c: usize| {
-        let au = info.columns[c];
-        let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
-        shelf.read_eta(au.drive, off, ext.len, now)
-    };
     if layout.k == 1 {
         let soonest = (0..info.columns.len())
-            .filter_map(|c| Some((eta(c)?.end, c)))
+            .filter_map(|c| Some((direct_eta(shelf, info, layout, ext, c, now)?.end, c)))
             .min();
         return soonest.map_or(own, |(_, c)| ReadPlan::Direct(c));
     }
-    // Most reads meet a drive with no write scheduled at all, and need
-    // no estimate to know it.
-    if !shelf.writes_overlap(au.drive, now, Nanos::MAX) {
-        return own;
-    }
     // An extent the drive would refuse has no estimate: go direct and let
     // the media error choose the rebuild.
-    let Some(direct) = eta(ext.column) else {
+    let Some(direct) = direct_eta(shelf, info, layout, ext, ext.column, now) else {
         return own;
     };
-    if !shelf.writes_overlap(au.drive, now, direct.end) {
+    let writing = shelf.writes_overlap(au.drive, now, direct.end);
+    let k = layout.k as Nanos;
+    let svc = direct.end - direct.start;
+    // A source that reads is done no sooner than one read from now, so a
+    // read done within `k·svc` of now cannot pass the price (a padding
+    // column, which reads nothing, is not credited): most reads end
+    // here, on the one estimate.
+    if !writing && direct.end - now < k * svc {
         return own;
     }
     // At a pair hand-off four drives are within one read of a program and
     // fewer than k columns are clear: waiting out the window that is
     // ending is then the cheapest plan.
     let sources = rebuild_sources(shelf, info, layout, ext, now);
-    if sources.len() >= layout.k && sources[layout.k - 1].0 < direct.start {
+    let Some(&(kth, _)) = sources.get(layout.k - 1) else {
+        return own;
+    };
+    if kth < direct.start && (writing || kth + (k - 1) * svc <= direct.end) {
         ReadPlan::Rebuild(sources)
     } else {
         own
+    }
+}
+
+/// The non-booking estimate of reading `ext` off column `column`'s drive.
+fn direct_eta(
+    shelf: &Shelf,
+    info: &SegmentInfo,
+    layout: &SegmentLayout,
+    ext: &Extent,
+    column: usize,
+    now: Nanos,
+) -> Option<Reservation> {
+    let au = info.columns[column];
+    let off = layout.wu_byte_offset(au.index, ext.stripe, ext.within);
+    shelf.read_eta(au.drive, off, ext.len, now)
+}
+
+/// Why [`plan_rebuild`] read around the live drive under `ext`, for the
+/// rebuild's span note: the write it is busy with, or how long the direct
+/// read would have queued behind other reads.
+fn read_around_cause(
+    shelf: &Shelf,
+    info: &SegmentInfo,
+    layout: &SegmentLayout,
+    ext: &Extent,
+    now: Nanos,
+) -> String {
+    let drive = info.columns[ext.column].drive;
+    match direct_eta(shelf, info, layout, ext, ext.column, now) {
+        Some(direct) if !shelf.writes_overlap(drive, now, direct.end) => format!(
+            "read-around: drive {drive} queued {} behind reads",
+            format_nanos(direct.start - now)
+        ),
+        _ => format!("read-around: drive {drive} busy writing"),
     }
 }
 
@@ -645,7 +688,7 @@ pub(crate) fn read_extent(
             } else if media_error {
                 format!("media error on drive {}", au.drive)
             } else {
-                format!("read-around: drive {} busy writing", au.drive)
+                read_around_cause(shelf, info, layout, ext, now)
             };
             let from = if reads == k as u64 {
                 format!("{k} columns")

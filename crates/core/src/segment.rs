@@ -1483,6 +1483,138 @@ mod tests {
         }
     }
 
+    /// Queues `queued` one-page reads on the die under `ext`, all issued
+    /// at `now`, ahead of the read the planner is then asked about.
+    fn queue_reads(
+        shelf: &mut Shelf,
+        info: &SegmentInfo,
+        l: &SegmentLayout,
+        ext: &Extent,
+        queued: usize,
+        now: Nanos,
+    ) {
+        let au = info.columns[ext.column];
+        let off = l.wu_byte_offset(au.index, ext.stripe, ext.within);
+        for _ in 0..queued {
+            shelf.read_drive(au.drive, off, ext.len, now).unwrap();
+        }
+    }
+
+    /// The read-queue price, executed on a 7+2 stripe whose windows have
+    /// all closed. Each source takes one read, so a rebuild is done one
+    /// read after `now`, and must be done `k - 1` reads before the direct
+    /// read ends: `k - 1` reads queued ahead of it buy the rebuild, one
+    /// fewer does not. A rebuild gets what the planner promised, and its
+    /// span says which queue it read around.
+    #[test]
+    fn a_read_deep_enough_in_its_die_queue_is_rebuilt() {
+        use crate::read::{plan_rebuild, read_extent, ReadPlan};
+        let k = layout().k;
+        for (queued, want_rebuild) in [(k - 1, true), (k - 2, false)] {
+            let (mut shelf, info, l, cfg, _, done) = one_flushed_stripe();
+            let page = cfg.ssd_geometry.page_size;
+            let service = crate::shelf::SSD_LATENCY.page_read(page);
+            let now = done + purity_sim::MS;
+            let column = 3;
+            let ext = Extent {
+                column,
+                stripe: 0,
+                within: 0,
+                len: page,
+            };
+            let drive = info.columns[column].drive;
+            queue_reads(&mut shelf, &info, &l, &ext, queued, now);
+            assert!(!shelf.writes_overlap(drive, now, Nanos::MAX));
+            let plan = plan_rebuild(&shelf, &info, &l, true, &ext, now);
+            assert_eq!(
+                matches!(plan, ReadPlan::Rebuild(_)),
+                want_rebuild,
+                "{queued} queued"
+            );
+            let rs = ReedSolomon::new(l.k, l.m);
+            let mut stats = crate::stats::ArrayStats::default();
+            let mut trace = purity_obs::OpTrace::new("read", now);
+            let (bytes, got) = read_extent(
+                &mut shelf,
+                &info,
+                &l,
+                &rs,
+                true,
+                &mut stats,
+                &ext,
+                now,
+                Some(&mut trace),
+            )
+            .unwrap();
+            let want: Vec<u8> = (column * l.wu..column * l.wu + page)
+                .map(|i| (i % 253) as u8)
+                .collect();
+            assert_eq!(bytes, want);
+            let last = trace.stages().last().unwrap().clone();
+            match plan {
+                ReadPlan::Rebuild(sources) => {
+                    assert_eq!(got, sources[l.k - 1].0, "the estimate was the booking");
+                    assert_eq!(got, now + service);
+                    assert_eq!(last.stage, "reconstruct");
+                    let note = last.note.unwrap();
+                    assert!(
+                        note.starts_with(&format!(
+                            "read-around: drive {drive} queued {} behind reads",
+                            purity_sim::units::format_nanos(queued as Nanos * service)
+                        )),
+                        "{note}"
+                    );
+                }
+                ReadPlan::Direct(c) => {
+                    assert_eq!(c, column);
+                    assert_eq!(got, now + (queued as Nanos + 1) * service);
+                    assert_eq!(last.stage, "drive_read");
+                }
+            }
+            assert_eq!(stats.reconstructed_reads, u64::from(want_rebuild));
+        }
+    }
+
+    /// A mirror (`k == 1`) rebuilds nothing, however deep the queue: it
+    /// reads whichever copy is done first, and a tie keeps the data column.
+    #[test]
+    fn a_mirror_reads_the_sooner_copy_behind_a_read_queue() {
+        use crate::read::{plan_rebuild, ReadPlan};
+        let cfg = ArrayConfig::tiered();
+        let l = SegmentLayout::cold(&cfg);
+        assert_eq!((l.k, l.m), (1, 1));
+        let page = cfg.cold_geometry.page_size;
+        let data = Extent {
+            column: 0,
+            stripe: 0,
+            within: 0,
+            len: page,
+        };
+        let copy = Extent { column: 1, ..data };
+        for (queued_data, queued_copy, want) in [(0, 0, 0), (8, 0, 1), (8, 8, 0)] {
+            let mut shelf = Shelf::new(&cfg, Clock::new());
+            let mut w = SegmentWriter::new(l, page);
+            let columns = (cfg.n_drives..cfg.n_drives + 2)
+                .map(|drive| AuId { drive, index: 0 })
+                .collect();
+            w.open_segment_on(&mut shelf, SegmentInfo::open(SegmentId(1), columns, 1), 0)
+                .unwrap();
+            let (_, done) = w
+                .append_data(&mut shelf, &vec![7u8; l.stripe_data_bytes()], 0)
+                .unwrap();
+            let info = w.open_segment().unwrap().clone();
+            let now = done + purity_sim::MS;
+            queue_reads(&mut shelf, &info, &l, &data, queued_data, now);
+            queue_reads(&mut shelf, &info, &l, &copy, queued_copy, now);
+            let plan = plan_rebuild(&shelf, &info, &l, true, &data, now);
+            assert_eq!(
+                plan,
+                ReadPlan::Direct(want),
+                "{queued_data} and {queued_copy} queued"
+            );
+        }
+    }
+
     #[test]
     fn degraded_append_skips_failed_drives() {
         let (mut w, mut shelf, cfg) = mk_writer_and_shelf();

@@ -169,19 +169,6 @@ impl<L: Copy> DedupIndex<L> {
         self.recent.remove(&hash);
     }
 
-    /// Rewrites the stored location for a hash (GC relocated the block).
-    pub fn relocate(&mut self, hash: u64, new_loc: L) {
-        if let Some(v) = self.sampled.get_mut(&hash) {
-            *v = new_loc;
-        }
-        if let Some((v, _)) = self.hot.get_mut(&hash) {
-            *v = new_loc;
-        }
-        if let Some(v) = self.recent.get_mut(&hash) {
-            *v = new_loc;
-        }
-    }
-
     /// Entries in the sampled (persistent) index.
     pub fn sampled_len(&self) -> usize {
         self.sampled.len()
@@ -249,13 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn forget_and_relocate() {
+    fn forget_drops_a_stale_entry() {
         let mut idx: DedupIndex<u64> = DedupIndex::new(4, 4);
         idx.set_sample_rate(1);
         idx.record_write(0x99, 1);
         assert_eq!(idx.lookup(0x99), Some(1));
-        idx.relocate(0x99, 2);
-        assert_eq!(idx.lookup(0x99), Some(2));
         idx.forget(0x99);
         assert_eq!(idx.lookup(0x99), None);
     }

@@ -2,6 +2,8 @@
 
 use crate::units::Nanos;
 use parking_lot::Mutex;
+#[cfg(debug_assertions)]
+use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Tracks when a serially-shared resource (a flash die, a bus, a disk arm)
@@ -27,6 +29,51 @@ struct Inner {
     /// Everything before this has been pruned; treat as busy
     /// (conservative: callers only query at/after current time).
     pruned_floor: Nanos,
+    /// Debug builds only: every interval ever granted, which pruning
+    /// never forgets.
+    #[cfg(debug_assertions)]
+    audit: Audit,
+}
+
+/// The grant audit: the union of every interval a timeline granted, and
+/// how much of later grants fell inside it. A booking pruned while it
+/// was still ahead of some issuer (see [`Inner::earliest_gap`]) is the
+/// only way a grant can overlap an earlier one.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct Audit {
+    /// Disjoint, non-adjacent `start → end` runs.
+    granted: BTreeMap<Nanos, Nanos>,
+    /// The ns of grants that overlapped an earlier grant.
+    double_granted: Nanos,
+}
+
+#[cfg(debug_assertions)]
+impl Audit {
+    /// Records the grant `[start, end)`: charges its overlap with every
+    /// earlier grant, then merges it into the union.
+    fn grant(&mut self, start: Nanos, end: Nanos) {
+        if start >= end {
+            return;
+        }
+        let from = match self.granted.range(..=start).next_back() {
+            Some((&s, &e)) if e >= start => s,
+            _ => start,
+        };
+        let (mut lo, mut hi) = (start, end);
+        let touched: Vec<(Nanos, Nanos)> = self
+            .granted
+            .range(from..=end)
+            .map(|(&s, &e)| (s, e))
+            .collect();
+        for (s, e) in touched {
+            self.double_granted += e.min(end).saturating_sub(s.max(start));
+            lo = lo.min(s);
+            hi = hi.max(e);
+            self.granted.remove(&s);
+        }
+        self.granted.insert(lo, hi);
+    }
 }
 
 /// The scheduled interval returned by [`Timeline::reserve`].
@@ -143,7 +190,19 @@ impl Timeline {
             (false, true) => inner.bookings[insert_at].0 = start,
             (false, false) => inner.bookings.insert(insert_at, (start, end)),
         }
+        #[cfg(debug_assertions)]
+        inner.audit.grant(start, end);
         Reservation { start, end }
+    }
+
+    /// Debug builds only: the ns of every grant that overlapped an
+    /// earlier grant — time one resource was handed out twice. Issue-
+    /// ordered reservations read 0; a reservation issued at a future
+    /// slot prunes the bookings that end before it, and a later one
+    /// issued earlier can then be granted over them.
+    #[cfg(debug_assertions)]
+    pub fn double_granted_ns(&self) -> Nanos {
+        self.inner.lock().audit.double_granted
     }
 
     /// True if the resource is busy at `now`. Only meaningful for times
@@ -272,6 +331,32 @@ mod tests {
         assert_eq!(t.free_at(), 300);
         t.occupy_until(200);
         assert_eq!(t.free_at(), 300);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn issue_ordered_grants_are_never_double_granted() {
+        let t = Timeline::new();
+        t.reserve(0, 1_000);
+        t.reserve(100, 50);
+        t.reserve_from(200, 5_000, 100);
+        t.reserve(300, 100);
+        t.reserve(6_000, 10);
+        assert_eq!(t.double_granted_ns(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_grant_over_a_pruned_booking_is_double_granted() {
+        let t = Timeline::new();
+        // A paced program's slot, then the next window's, issued at its
+        // own start: that prunes the first as past.
+        t.reserve(1_000, 500);
+        t.reserve(5_000, 500);
+        // A read issued inside the first window is granted over it.
+        let r = t.reserve(1_100, 100);
+        assert_eq!((r.start, r.end), (1_100, 1_200));
+        assert_eq!(t.double_granted_ns(), 100);
     }
 
     #[test]
